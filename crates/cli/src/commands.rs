@@ -10,6 +10,26 @@ use std::error::Error;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
+/// Writes one line of command output to stdout. `println!` panics when
+/// stdout is a pipe whose reader has left (`parcom detect … | head -1`);
+/// here a closed pipe only ends the output — the command still finishes
+/// its work (e.g. writes `--out`) and exits 0.
+fn say_line(line: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+/// `println!` for command output, through [`say_line`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_line(format_args!($($arg)*))?
+    };
+}
+
 /// Reads a graph, sniffing the format by magic first (`.pcg` binary) and
 /// extension second (`.metis`/`.graph`/`.pcg` = METIS text, everything
 /// else = edge list). Binary files written with `--relabel` come back with
@@ -140,12 +160,12 @@ pub fn generate(args: &Args) -> CmdResult {
         other => return Err(format!("unknown model `{other}`").into()),
     };
     parcom_io::write_metis(&g, out)?;
-    println!("wrote {out}: n={}, m={}", g.node_count(), g.edge_count());
+    say!("wrote {out}: n={}, m={}", g.node_count(), g.edge_count());
     if let Some(truth_path) = args.get("truth") {
         match truth {
             Some(t) => {
                 parcom_io::write_partition(&t, truth_path)?;
-                println!(
+                say!(
                     "wrote ground truth ({} communities) to {truth_path}",
                     t.number_of_subsets()
                 );
@@ -257,9 +277,9 @@ pub fn detect(args: &Args) -> CmdResult {
         // stdout carries exactly one JSON object; the human summary moves
         // to stderr so the output stays pipeable
         eprintln!("{summary}");
-        println!("{}", report.to_json());
+        say!("{}", report.to_json());
     } else {
-        println!("{summary}");
+        say!("{summary}");
     }
     if let Some(out) = args.get("out") {
         // Emit in original ids whatever id space detection ran in.
@@ -271,7 +291,7 @@ pub fn detect(args: &Args) -> CmdResult {
         if report_json {
             eprintln!("wrote partition to {out}");
         } else {
-            println!("wrote partition to {out}");
+            say!("wrote partition to {out}");
         }
     }
     Ok(())
@@ -288,7 +308,7 @@ pub fn convert(args: &Args) -> CmdResult {
     let (g, relabeling) = maybe_relabel(args, loaded.graph, loaded.relabeling);
     parcom_io::write_pcg(&g, relabeling.as_ref(), out)?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!(
+    say!(
         "wrote {out}: n={} m={} ({bytes} bytes{})",
         g.node_count(),
         g.edge_count(),
@@ -306,19 +326,19 @@ pub fn stats(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let g = load_graph(input)?.graph;
     let s = summarize(&g, SummaryOptions::default());
-    println!("graph {input}");
-    println!("  nodes:       {}", s.nodes);
-    println!("  edges:       {}", s.edges);
-    println!("  max degree:  {}", s.max_degree);
-    println!("  components:  {}", s.components);
-    println!("  avg LCC:     {:.4}", s.avg_lcc);
-    println!(
+    say!("graph {input}");
+    say!("  nodes:       {}", s.nodes);
+    say!("  edges:       {}", s.edges);
+    say!("  max degree:  {}", s.max_degree);
+    say!("  components:  {}", s.components);
+    say!("  avg LCC:     {:.4}", s.avg_lcc);
+    say!(
         "  avg degree:  {:.2}",
         parcom_graph::stats::average_degree(&g)
     );
     match parcom_graph::assortativity::degree_assortativity(&g) {
-        Some(r) => println!("  assortativity: {r:+.3}"),
-        None => println!("  assortativity: undefined"),
+        Some(r) => say!("  assortativity: {r:+.3}"),
+        None => say!("  assortativity: undefined"),
     }
     Ok(())
 }
@@ -335,13 +355,13 @@ pub fn compare(args: &Args) -> CmdResult {
         )
         .into());
     }
-    println!("jaccard index:  {:.4}", compare::jaccard_index(&a, &b));
-    println!("rand index:     {:.4}", compare::rand_index(&a, &b));
-    println!(
+    say!("jaccard index:  {:.4}", compare::jaccard_index(&a, &b));
+    say!("rand index:     {:.4}", compare::rand_index(&a, &b));
+    say!(
         "adjusted rand:  {:.4}",
         compare::adjusted_rand_index(&a, &b)
     );
-    println!("NMI:            {:.4}", compare::nmi(&a, &b));
+    say!("NMI:            {:.4}", compare::nmi(&a, &b));
     Ok(())
 }
 
@@ -400,7 +420,7 @@ pub fn community_graph(args: &Args) -> CmdResult {
     let out = args.require("out")?;
     let cg = CommunityGraph::build(&g, &zeta);
     parcom_io::write_community_graph_dot(&cg, "communities", out)?;
-    println!(
+    say!(
         "wrote community graph ({} communities, largest {}) to {out}",
         cg.community_count(),
         cg.max_community_size()

@@ -160,3 +160,31 @@ fn detect_rejects_unknown_report_format() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown report format"), "{stderr}");
 }
+
+#[test]
+fn closed_stdout_ends_the_output_not_the_command() {
+    // `parcom detect … | head -1`: the reader is gone before the command
+    // prints. The pipe's read end is dropped before the child starts, so
+    // every write to stdout meets a closed pipe.
+    let graph = temp_graph("pipe.metis");
+    let partition = graph.with_extension("part");
+    let _ = std::fs::remove_file(&partition);
+    for report in [None, Some("json")] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut cmd = parcom();
+        cmd.args(["detect", "--algo", "plm", "--input"]).arg(&graph);
+        cmd.arg("--out").arg(&partition);
+        if let Some(format) = report {
+            cmd.args(["--report", format]);
+        }
+        let out = cmd.stdout(writer).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{stderr}");
+        // the work itself was not cut short
+        assert!(partition.exists(), "--out not written");
+        std::fs::remove_file(&partition).unwrap();
+    }
+}

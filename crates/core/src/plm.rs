@@ -12,12 +12,23 @@
 //! communities is recomputed per evaluation, which the paper found faster
 //! than locked per-node maps.
 //!
+//! Where Algorithm 2 sweeps every node in every iteration, the move phase
+//! here is frontier-driven, like the paper's own PLP (Algorithm 1): a node
+//! is evaluated in the first sweep and afterwards only when a neighbor has
+//! moved since its last evaluation — nothing else changes its
+//! weight-to-community tally. Late sweeps, which move a handful of nodes,
+//! then cost a handful of tallies instead of a pass over all edges
+//! (DESIGN.md §6 has the quality evidence for this deviation).
+//!
 //! PLMR (`refine = true`) runs one more move phase after every prolongation,
-//! re-evaluating node assignments against the coarser level's outcome for
-//! extra modularity at a small time cost (§III-C).
+//! starting from the full frontier again, re-evaluating node assignments
+//! against the coarser level's outcome for extra modularity at a small time
+//! cost (§III-C).
 
 use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
-use crate::moves::{move_phase_colored, move_phase_synchronized, MoveStrategy};
+use crate::moves::{
+    all_active, move_phase_colored, move_phase_synchronized, record_sweep, MoveStrategy,
+};
 use crate::quality::delta_modularity;
 use parcom_graph::{
     coarsen_with, AtomicF64, AtomicPartition, Coloring, Graph, Partition, ScratchPool,
@@ -25,6 +36,7 @@ use parcom_graph::{
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{CounterCell, LocalCount, Recorder, RunReport};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration and statistics of the parallel Louvain method.
 ///
@@ -342,21 +354,22 @@ impl CommunityDetector for Plm {
     }
 }
 
-/// The parallel local move phase (Algorithm 2).
+/// The parallel local move phase (Algorithm 2), frontier-driven.
 ///
 /// Moves nodes of `g` between the communities of `zeta` (modified in place)
-/// until no node moves in a full sweep or `max_iterations` is reached.
-/// Returns the number of moves performed. Shared state during the sweep is
-/// the atomic label array and one atomic volume accumulator per community —
-/// reads may be stale by design.
+/// until a sweep moves no node or `max_iterations` is reached. Returns the
+/// number of moves performed. Shared state during the sweep is the atomic
+/// label array, one atomic volume accumulator per community and one active
+/// flag per node — label and volume reads may be stale by design.
 pub fn move_phase(g: &Graph, zeta: &mut Partition, gamma: f64, max_iterations: usize) -> u64 {
     move_phase_with(g, zeta, gamma, max_iterations, &Recorder::disabled())
 }
 
-/// [`move_phase`] with instrumentation: appends the per-sweep move count
-/// as a `moves` series on the innermost open span (the caller names the
-/// phase — PLM uses `move-phase` and `refine`). With a disabled recorder
-/// this is exactly `move_phase`.
+/// [`move_phase`] with instrumentation: appends the per-sweep frontier
+/// size and move count as `active` and `moves` series, and the phase total
+/// as an `evaluations` counter, on the innermost open span (the caller
+/// names the phase — PLM uses `move-phase` and `refine`). With a disabled
+/// recorder this is exactly `move_phase`.
 pub fn move_phase_with(
     g: &Graph,
     zeta: &mut Partition,
@@ -376,12 +389,30 @@ pub fn move_phase_with(
     .0
 }
 
+/// Orders a frontier-flag access against a label access of the same
+/// thread. The evaluator of `u` clears `active[u]`, fences, then reads its
+/// neighbors' labels; a mover `v` writes its label, fences, then sets its
+/// neighbors' flags. Of the two fences one comes first in the SeqCst
+/// order: either `u`'s tally sees `v`'s new label, or `v`'s flag store
+/// lands after `u`'s clear and `u` is evaluated again next sweep. Every
+/// other access to the flags, labels and volumes stays `Relaxed`.
+#[inline]
+fn frontier_fence() {
+    // audit:allow(ordering-escalation): store-buffering (Dekker) pattern between flag and label; needs a SeqCst fence on both sides
+    std::sync::atomic::fence(Ordering::SeqCst);
+}
+
 /// [`move_phase_with`] drawing per-thread scratch maps from `scratch`
 /// instead of allocating them — the entry point PLM uses so one pool
-/// serves every sweep of every hierarchy level. The budget is tested once
-/// per sweep (a sweep touches every node, so per-node checks would cost
-/// more than they save); an interrupted phase leaves `zeta` at the last
-/// completed sweep — a valid assignment by construction.
+/// serves every sweep of every hierarchy level.
+///
+/// Every node starts active. A sweep evaluates only active nodes: it clears
+/// the node's flag, tallies, and on a move to community `d` re-activates
+/// the neighbors not already in `d` — the nodes whose best move the change
+/// can have altered. A sweep without moves leaves the frontier empty and
+/// ends the phase. The budget is tested once per sweep; an interrupted
+/// phase leaves `zeta` at the last completed sweep — a valid assignment by
+/// construction.
 fn move_phase_pooled(
     g: &Graph,
     zeta: &mut Partition,
@@ -426,23 +457,41 @@ fn move_phase_pooled(
         .into_iter()
         .map(AtomicF64::new)
         .collect();
+    let active: Vec<AtomicBool> = all_active(g).into_iter().map(AtomicBool::new).collect();
 
     let mut total_moves = 0u64;
+    let mut total_evaluations = 0u64;
     let mut termination = Termination::Converged;
     for _ in 0..max_iterations {
         if let Err(t) = budget.check_sweep() {
             termination = t;
             break;
         }
-        // Sharded move counter: workers bump thread-local integers that
-        // merge into the cell when their state drops at the sweep's end.
+        #[cfg(test)]
+        if crate::moves::full_sweeps() {
+            for (flag, on) in active.iter().zip(all_active(g)) {
+                flag.store(on, Ordering::Relaxed);
+            }
+        }
+        // Sharded counters: workers bump thread-local integers that merge
+        // into the cells when their state drops at the sweep's end.
         let moves = CounterCell::new();
+        let evaluations = CounterCell::new();
         g.par_nodes().for_each_init(
-            || (scratch.take(k.max(1)), LocalCount::new(&moves)),
-            |(weight_to, local_moves), u| {
-                if g.degree(u) == 0 {
+            || {
+                (
+                    scratch.take(k.max(1)),
+                    LocalCount::new(&moves),
+                    LocalCount::new(&evaluations),
+                )
+            },
+            |(weight_to, local_moves, local_evaluations), u| {
+                if !active[u as usize].load(Ordering::Relaxed) {
                     return;
                 }
+                active[u as usize].store(false, Ordering::Relaxed);
+                frontier_fence();
+                local_evaluations.bump();
                 weight_to.clear();
                 for (v, w) in g.edges_of(u) {
                     if v != u {
@@ -483,16 +532,25 @@ fn move_phase_pooled(
                     volumes[best_community as usize].fetch_add(vol_u);
                     labels.set(u, best_community);
                     local_moves.bump();
+                    frontier_fence();
+                    for &v in g.neighbors(u) {
+                        if labels.get(v) != best_community {
+                            active[v as usize].store(true, Ordering::Relaxed);
+                        }
+                    }
                 }
             },
         );
         let moves = moves.get();
         total_moves += moves;
-        rec.push_series("moves", moves as f64);
+        let evaluations = evaluations.get();
+        total_evaluations += evaluations;
+        record_sweep(rec, evaluations, moves);
         if moves == 0 {
             break;
         }
     }
+    rec.counter("evaluations", total_evaluations);
 
     *zeta = labels.to_partition();
     (total_moves, termination)
@@ -591,10 +649,18 @@ mod tests {
         let mv = level0.child("move-phase").expect("move-phase under level");
         assert!(mv.wall_seconds > 0.0);
         assert!(mv.counter("moves").unwrap() > 0);
-        assert!(!mv.series("moves").unwrap().is_empty());
+        // the frontier ledger: one `active` entry per sweep next to
+        // `moves`, all nodes in the first sweep, far fewer in the last
+        let (active, moves) = (mv.series("active").unwrap(), mv.series("moves").unwrap());
+        assert_eq!(active.len(), moves.len());
+        assert_eq!(active[0], g.node_count() as f64);
+        assert!(active[active.len() - 1] < active[0] / 4.0, "{active:?}");
+        let evaluations = mv.counter("evaluations").unwrap();
+        assert_eq!(evaluations as f64, active.iter().sum::<f64>());
         let coarsen = level0.child("coarsen").expect("coarsen under level");
         assert!(coarsen.counter("merges").unwrap() > 0);
-        assert!(level0.child("refine").is_some(), "PLMR refines every level");
+        let refine = level0.child("refine").expect("PLMR refines every level");
+        assert!(refine.series("active").is_some());
         // nesting discipline: children ran inside the level span
         assert!(level0.children_wall_seconds() <= level0.wall_seconds + 1e-9);
         assert!(report.metric("modularity").unwrap() > 0.3);

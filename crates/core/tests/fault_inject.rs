@@ -68,13 +68,14 @@ fn coarsen_cancel_mid_plm_bubbles_the_current_level_up() {
 }
 
 #[test]
-fn csr_assembly_panic_mid_plm_releases_pooled_scratch() {
+fn coarsen_merge_panic_mid_plm_releases_pooled_scratch() {
     let _g = serial_guard();
     FaultPlan::clear();
-    // the graph is built *before* arming, so the first crossing is the
-    // coarse-graph assembly inside PLM's contraction
+    // the first crossing is level 0's contraction, after a full move
+    // phase has drawn scratch maps from PLM's pool (the contraction
+    // assembles its CSR itself, so `graph/csr-assembly` is not on this path)
     let (g, _) = lfr(LfrParams::benchmark(1000, 0.3), 6);
-    FaultPlan::arm("graph/csr-assembly", 1, FaultAction::Panic);
+    FaultPlan::arm("graph/coarsen-merge", 1, FaultAction::Panic);
     let mut plm = Plm::new();
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         plm.detect_guarded(&g, &Budget::unlimited())

@@ -9,6 +9,7 @@
 
 use parcom_core::spec::{Knob, REGISTRY};
 use parcom_core::{DetectorSpec, MoveStrategy, SpecError};
+use parcom_graph::parallel::with_threads;
 use parcom_obs::json;
 
 /// A spec exercising every knob `info` accepts, with distinctive values.
@@ -251,18 +252,35 @@ fn malformed_values_are_rejected_with_context() {
 
 #[test]
 fn seed_is_universal_and_reaches_the_detector() {
-    // every algorithm accepts seed=; randomized detectors must be
-    // deterministic under it
+    // every algorithm accepts seed=; under it a detector's own randomness
+    // is fixed. What is left on more than one thread is the benign-race
+    // schedule of PLP and racy PLM, so the universal check pins one thread.
     let (g, _) = parcom_generators::lfr(parcom_generators::LfrParams::benchmark(300, 0.4), 5);
+    let detect = |spec: &DetectorSpec| spec.build().unwrap().detect(&g);
     for info in REGISTRY {
         let spec = DetectorSpec::parse(&format!("{}:seed=11", info.name)).unwrap();
-        let a = spec.build().unwrap().detect(&g);
-        let b = spec.build().unwrap().detect(&g);
+        let (a, b) = with_threads(1, || (detect(&spec), detect(&spec)));
         assert_eq!(
             a.as_slice(),
             b.as_slice(),
             "{} is not deterministic under a fixed spec seed",
             info.name
         );
+        // The conflict-free schedules owe the same answer at any thread
+        // count (ensembles still race in their PLP members).
+        if info.family == "louvain" && info.accepts(Knob::Move) {
+            for strategy in ["coloring", "sync"] {
+                let spec = DetectorSpec::parse(&format!("{}:move={strategy},seed=11", info.name));
+                let spec = spec.unwrap();
+                let one = with_threads(1, || detect(&spec));
+                for other in [detect(&spec), detect(&spec)] {
+                    assert_eq!(
+                        one.as_slice(),
+                        other.as_slice(),
+                        "{spec} differs between one thread and the ambient pool"
+                    );
+                }
+            }
+        }
     }
 }

@@ -7,15 +7,23 @@
 //! fine to coarse nodes is returned so solutions on the coarse graph can be
 //! *prolonged* back.
 //!
-//! The parallel scheme mirrors the paper's: threads scan disjoint portions of
-//! the edge set, producing partial coarse edge lists that are then merged —
-//! here by a parallel sort over `(cu, cv)` keys followed by a segmented
-//! weight reduction directly into CSR.
+//! The contraction aggregates per coarse node instead of sorting edges
+//! (NetworKit's `ParallelPartitionCoarsening` shape): a counting sort groups
+//! the fine nodes by coarse id, then one worker per coarse node `c` tallies
+//! its members' edges into a flat [`SparseWeightMap`], keeping only targets
+//! `d >= c`, and sorts the few touched keys — an upper-triangular row. One
+//! sequential pass over the coarse edges mirrors the rows into full CSR.
+//! Work is O(m) for the tally plus O(m' log deg') on the coarse graph; no
+//! per-edge tuple is ever materialised.
+//!
+//! Every coarse weight is summed by exactly one worker in (member id, CSR)
+//! order and written to both endpoint rows from that one sum, so the output
+//! is bit-identical at every thread count and symmetric by construction.
 
-use crate::builder::GraphBuilder;
 use crate::graph::{Graph, Node};
 use crate::hashing::FxHashMap;
 use crate::partition::Partition;
+use crate::scratch::SparseWeightMap;
 use parcom_obs::Recorder;
 use rayon::prelude::*;
 
@@ -83,54 +91,63 @@ pub fn coarsen_with(g: &Graph, zeta: &Partition, rec: &Recorder) -> Coarsening {
     }
     let k = remap.len();
 
-    // Each undirected fine edge once, mapped to a canonical coarse pair.
-    // rayon's fold gives the per-thread partial edge lists of the paper's
-    // scheme; the reduce-by-sort merges them.
+    // Counting sort of the fine nodes by coarse id; members of one coarse
+    // node end up contiguous, in ascending fine id.
+    let mut member_offsets = vec![0usize; k + 1];
+    for &c in &fine_to_coarse {
+        member_offsets[c as usize + 1] += 1;
+    }
+    for c in 0..k {
+        member_offsets[c + 1] += member_offsets[c];
+    }
+    let mut members: Vec<Node> = vec![0; fine_to_coarse.len()];
+    let mut cursor = member_offsets.clone();
+    for (u, &c) in g.nodes().zip(&fine_to_coarse) {
+        members[cursor[c as usize]] = u;
+        cursor[c as usize] += 1;
+    }
+
+    // Upper-triangular rows: coarse node c keeps the targets d >= c. An
+    // inter-community edge is seen from both sides and kept by the smaller
+    // one; an intra-community edge is counted from its v >= u side, a fine
+    // self-loop once. One part per thread, each a contiguous range of
+    // coarse ids covering a near-equal share of the fine nodes.
     let f2c = &fine_to_coarse;
-    let mut coarse_edges: Vec<(Node, Node, f64)> = g
-        .par_nodes()
-        .flat_map_iter(|u| {
-            let cu = f2c[u as usize];
-            g.edges_of(u)
-                .filter(move |&(v, _)| v >= u)
-                .map(move |(v, w)| {
-                    let cv = f2c[v as usize];
-                    if cu <= cv {
-                        (cu, cv, w)
-                    } else {
-                        (cv, cu, w)
+    let parts = rayon::current_num_threads().clamp(1, k.max(1));
+    let bounds: Vec<usize> = (0..=parts)
+        .map(|i| member_offsets.partition_point(|&o| o < i * members.len() / parts))
+        .collect();
+    let upper: Vec<UpperRows> = (0..parts)
+        .into_par_iter()
+        .map(|i| {
+            let mut tally = SparseWeightMap::with_capacity(k);
+            let mut rows = UpperRows::default();
+            let mut row: Vec<(Node, f64)> = Vec::new();
+            for c in bounds[i]..bounds[i + 1] {
+                let id = c as Node;
+                tally.clear();
+                for &u in &members[member_offsets[c]..member_offsets[c + 1]] {
+                    for (v, w) in g.edges_of(u) {
+                        let d = f2c[v as usize];
+                        if d > id || (d == id && v >= u) {
+                            tally.add(d, w);
+                        }
                     }
-                })
+                }
+                row.clear();
+                row.extend(tally.iter());
+                row.sort_unstable_by_key(|&(d, _)| d);
+                rows.lens.push(row.len());
+                rows.targets.extend(row.iter().map(|&(d, _)| d));
+                rows.weights.extend(row.iter().map(|&(_, w)| w));
+            }
+            rows
         })
         .collect();
 
-    // Total order including the weight: an unstable sort may permute
-    // equal-key entries differently across thread counts, and the segmented
-    // sum below adds floats in sorted order — without the weight in the key
-    // the coarse weights (and everything downstream) would not be
-    // bit-identical run to run.
-    coarse_edges.par_sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-
     parcom_guard::faultpoint!("graph/coarsen-merge");
-    // Segmented sum of weights over equal (cu, cv) keys.
-    let mut b = GraphBuilder::with_capacity(k, coarse_edges.len().min(k * 8));
-    let mut it = coarse_edges.into_iter();
-    if let Some((mut cu, mut cv, mut acc)) = it.next() {
-        for (u, v, w) in it {
-            if u == cu && v == cv {
-                acc += w;
-            } else {
-                b.add_edge(cu, cv, acc);
-                cu = u;
-                cv = v;
-                acc = w;
-            }
-        }
-        b.add_edge(cu, cv, acc);
-    }
-
     let result = Coarsening {
-        coarse: b.build(),
+        coarse: mirror(&upper),
         fine_to_coarse,
     };
     span.counter(
@@ -144,6 +161,62 @@ pub fn coarsen_with(g: &Graph, zeta: &Partition, rec: &Recorder) -> Coarsening {
         panic!("coarsen() postcondition violated: {e}");
     }
     result
+}
+
+/// A contiguous run of upper-triangular coarse rows (targets `d >= c`,
+/// ascending), as one worker produced them.
+#[derive(Default)]
+struct UpperRows {
+    lens: Vec<usize>,
+    targets: Vec<Node>,
+    weights: Vec<f64>,
+}
+
+impl UpperRows {
+    fn rows(&self) -> impl Iterator<Item = (&[Node], &[f64])> {
+        let mut at = 0;
+        self.lens.iter().map(move |&len| {
+            let row = at..at + len;
+            at += len;
+            (&self.targets[row.clone()], &self.weights[row])
+        })
+    }
+}
+
+/// Expands the upper triangle (`parts` in coarse-id order) into full CSR in
+/// one pass over the coarse edges. Walking the rows in ascending `c`, every
+/// mirror entry `(d, c)` with `c < d` lands in row `d` before row `d`'s own
+/// entries are appended, so each full row comes out sorted; both directions
+/// copy the same sum.
+fn mirror(parts: &[UpperRows]) -> Graph {
+    let rows = || parts.iter().flat_map(UpperRows::rows).enumerate();
+    let k = parts.iter().map(|p| p.lens.len()).sum();
+    let mut offsets = vec![0usize; k + 1];
+    for (c, (targets, _)) in rows() {
+        offsets[c + 1] += targets.len();
+        for &d in targets.iter().filter(|&&d| d as usize != c) {
+            offsets[d as usize + 1] += 1;
+        }
+    }
+    for c in 0..k {
+        offsets[c + 1] += offsets[c];
+    }
+    let mut targets: Vec<Node> = vec![0; offsets[k]];
+    let mut weights = vec![0.0f64; offsets[k]];
+    let mut cursor = offsets[..k].to_vec();
+    for (c, (row_targets, row_weights)) in rows() {
+        for (&d, &w) in row_targets.iter().zip(row_weights) {
+            targets[cursor[c]] = d;
+            weights[cursor[c]] = w;
+            cursor[c] += 1;
+            if d as usize != c {
+                targets[cursor[d as usize]] = c as Node;
+                weights[cursor[d as usize]] = w;
+                cursor[d as usize] += 1;
+            }
+        }
+    }
+    Graph::from_csr(offsets, targets, weights)
 }
 
 /// Cross-checks a contraction against its fine graph: the mapping covers

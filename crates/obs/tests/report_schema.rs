@@ -3,7 +3,9 @@
 //! Downstream tooling (CI smoke step, plotting scripts) parses this
 //! format; any change to field names, nesting or value encoding must be
 //! deliberate and bump the schema tag. v2 added the always-present
-//! `termination`/`cut_phase` keys (`null` for unguarded runs).
+//! `termination`/`cut_phase` keys (`null` for unguarded runs). New counter
+//! and series *names* are additive: the PLM move phases' `active` series
+//! and `evaluations` counter (the frontier ledger) joined without a bump.
 
 use parcom_obs::{json, PhaseReport, Recorder, RunReport, SCHEMA};
 
@@ -22,8 +24,11 @@ fn sample_report() -> RunReport {
             children: vec![PhaseReport {
                 name: "move-phase".into(),
                 wall_seconds: 0.125,
-                counters: vec![("moves".into(), 40)],
-                series: vec![],
+                counters: vec![("evaluations".into(), 135), ("moves".into(), 40)],
+                series: vec![
+                    ("active".into(), vec![100.0, 30.0, 5.0]),
+                    ("moves".into(), vec![35.0, 5.0, 0.0]),
+                ],
                 children: vec![],
             }],
         }],
@@ -50,7 +55,8 @@ fn golden_json_is_pinned() {
         "\"counters\":{\"merges\":60},\"series\":{},",
         "\"children\":[",
         "{\"name\":\"move-phase\",\"wall_seconds\":0.125,",
-        "\"counters\":{\"moves\":40},\"series\":{},\"children\":[]}",
+        "\"counters\":{\"evaluations\":135,\"moves\":40},",
+        "\"series\":{\"active\":[100,30,5],\"moves\":[35,5,0]},\"children\":[]}",
         "]}",
         "],",
         "\"sub_reports\":[",
