@@ -97,6 +97,57 @@ pub struct CsrView<'a> {
     pub num_edges: usize,
 }
 
+/// CSR arrays under construction, rows appended in node order — the output
+/// side of [`Graph::patched`].
+struct CsrRows {
+    offsets: Vec<usize>,
+    targets: Vec<Node>,
+    weights: Vec<f64>,
+}
+
+impl CsrRows {
+    fn with_capacity(n: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            targets: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends entries to the open row.
+    fn extend(&mut self, targets: &[Node], weights: &[f64]) {
+        self.targets.extend_from_slice(targets);
+        self.weights.extend_from_slice(weights);
+    }
+
+    /// Closes the open row.
+    fn end_row(&mut self) {
+        self.offsets.push(self.targets.len());
+    }
+
+    /// Appends the rows `rows` of `g` unchanged: one slice copy per array,
+    /// offsets shifted by the displacement accumulated so far. Rows past
+    /// `g`'s node range come out empty.
+    fn copy_rows(&mut self, g: &Graph, rows: std::ops::Range<usize>) {
+        let old_end = rows.end.min(g.node_count());
+        if rows.start < old_end {
+            let (lo, hi) = (g.offsets[rows.start], g.offsets[old_end]);
+            let base = self.targets.len();
+            self.extend(&g.targets[lo..hi], &g.weights[lo..hi]);
+            self.offsets.extend(
+                g.offsets[rows.start + 1..=old_end]
+                    .iter()
+                    .map(|&o| o - lo + base),
+            );
+        }
+        let end = self.targets.len();
+        self.offsets
+            .extend((rows.start.max(old_end)..rows.end).map(|_| end));
+    }
+}
+
 impl Graph {
     /// Assembles a graph from raw CSR arrays. Rows must be sorted by target
     /// and free of duplicate targets; every non-loop edge must appear in both
@@ -147,6 +198,88 @@ impl Graph {
             panic!("construction produced an inconsistent CSR graph: {e}");
         }
         g
+    }
+
+    /// A copy of this graph with `edits` applied and the node range grown to
+    /// `n_new`, built by merging rows instead of re-assembling the CSR.
+    ///
+    /// Each edit is one undirected edge `{u, v}`, at most once per unordered
+    /// pair, with ids below `n_new`: `Some(w)` inserts the edge or overwrites
+    /// its weight, `None` removes it if present. Rows no edit touches are
+    /// bulk-copied in runs (offsets shifted by the running displacement); only
+    /// the ≤ 2·|edits| touched rows are merged entry by entry, so the cost
+    /// beyond the memcpy is proportional to the edit, not to the graph.
+    ///
+    /// The result is what [`crate::GraphBuilder::build`] yields for the
+    /// edited edge set, bit for bit: rows sorted by neighbor, untouched
+    /// weights carried verbatim, caches from the same [`Self::from_csr`]
+    /// arithmetic. Sequential, hence identical at any thread count.
+    pub fn patched(&self, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
+        let n_old = self.node_count();
+        assert!(n_new >= n_old, "a patch cannot shrink the node range");
+        assert!(
+            n_new <= u32::MAX as usize,
+            "node count exceeds u32 id space"
+        );
+
+        // Both directions of every edit (a self-loop once), in row order.
+        let mut delta: Vec<(Node, Node, Option<f64>)> = Vec::with_capacity(2 * edits.len());
+        for &(u, v, w) in edits {
+            assert!(
+                (u as usize) < n_new && (v as usize) < n_new,
+                "edit {{{u}, {v}}} out of range (n = {n_new})"
+            );
+            assert!(
+                w.is_none_or(|w| w.is_finite() && w > 0.0),
+                "edge weight must be positive and finite"
+            );
+            delta.push((u, v, w));
+            if u != v {
+                delta.push((v, u, w));
+            }
+        }
+        delta.sort_unstable_by_key(|&(row, target, _)| (row, target));
+        assert!(
+            delta
+                .windows(2)
+                .all(|d| (d[0].0, d[0].1) != (d[1].0, d[1].1)),
+            "an edge may be edited at most once per patch"
+        );
+
+        let inserts = delta.iter().filter(|d| d.2.is_some()).count();
+        let mut out = CsrRows::with_capacity(n_new, self.targets.len() + inserts);
+        let mut next_row = 0usize;
+        for run in delta.chunk_by(|a, b| a.0 == b.0) {
+            let row = run[0].0;
+            out.copy_rows(self, next_row..row as usize);
+            let (old_t, old_w): (&[Node], &[f64]) = if (row as usize) < n_old {
+                self.neighbors_and_weights(row)
+            } else {
+                (&[], &[])
+            };
+            let mut k = 0;
+            for &(_, target, w) in run {
+                let keep = old_t[k..].partition_point(|&t| t < target);
+                out.extend(&old_t[k..k + keep], &old_w[k..k + keep]);
+                k += keep;
+                if old_t.get(k) == Some(&target) {
+                    k += 1;
+                }
+                if let Some(w) = w {
+                    out.extend(&[target], &[w]);
+                }
+            }
+            out.extend(&old_t[k..], &old_w[k..]);
+            out.end_row();
+            next_row = row as usize + 1;
+        }
+        out.copy_rows(self, next_row..n_new);
+        let CsrRows {
+            offsets,
+            targets,
+            weights,
+        } = out;
+        Self::from_csr(offsets, targets, weights)
     }
 
     /// Assembles a graph from raw CSR arrays *plus* the derived caches,
@@ -697,6 +830,38 @@ mod tests {
         let g = triangle_with_loop();
         assert_eq!(g.par_edge_sum(|_, _, w| w), 11.0);
         assert_eq!(g.par_edge_sum(|_, _, _| 1.0), 4.0);
+    }
+
+    #[test]
+    fn patched_equals_a_fresh_build_of_the_edited_edge_set() {
+        let g = triangle_with_loop();
+        // overwrite, remove, remove-absent, new edge into a grown empty row
+        let edits = [
+            (1, 0, Some(4.0)),
+            (2, 2, None),
+            (0, 0, None),
+            (4, 1, Some(0.5)),
+        ];
+        let got = g.patched(6, &edits);
+        let mut b = GraphBuilder::new(6);
+        for (u, v, w) in [(0, 1, 4.0), (1, 2, 2.0), (0, 2, 3.0), (1, 4, 0.5)] {
+            b.add_edge(u, v, w);
+        }
+        let want = b.build();
+        let (got, want) = (got.csr_view(), want.csr_view());
+        assert_eq!(got.offsets, want.offsets);
+        assert_eq!(got.targets, want.targets);
+        assert_eq!(got.weights, want.weights);
+        assert_eq!(got.weighted_degrees, want.weighted_degrees);
+        assert_eq!(got.self_loops, want.self_loops);
+        assert_eq!(got.total_weight, want.total_weight);
+        assert_eq!(got.num_edges, want.num_edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most once")]
+    fn patched_rejects_an_edge_edited_twice() {
+        triangle_with_loop().patched(3, &[(0, 1, None), (1, 0, Some(2.0))]);
     }
 
     #[test]

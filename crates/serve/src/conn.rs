@@ -1,36 +1,24 @@
-//! Transport abstraction: one trait over TCP and Unix-domain streams, plus
-//! the disconnect watcher that turns a client hang-up into a
-//! [`CancelToken`] cancellation (DESIGN.md §13).
+//! Transport abstraction: one trait over TCP and Unix-domain streams, so
+//! the connection loop and its detect compute threads are written once
+//! (DESIGN.md §13).
 
-use parcom_guard::CancelToken;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// The poll interval of the disconnect watcher. A hang-up is noticed within
-/// one interval, which bounds how much compute a cancelled request can
-/// waste past the disconnect — and, because stopping the watcher means
-/// waiting out its current read, also bounds the latency `finish` adds to
-/// every served detection. Keep it small: one syscall per interval during
-/// a detection is noise, a long join tax on every request is not.
-const WATCH_INTERVAL: Duration = Duration::from_millis(10);
 
 /// A bidirectional client connection — [`TcpStream`] or [`UnixStream`] —
 /// with the two extras the server needs beyond `Read + Write`: cloning
-/// (for the watcher thread) and read timeouts (so neither the watcher nor
-/// the keep-alive loop blocks forever).
+/// (a detect compute thread writes its response through its own handle
+/// while the connection thread keeps reading) and read timeouts (so the
+/// keep-alive loop never blocks forever).
 pub trait Conn: Read + Write + Send {
     /// An independently owned handle to the same underlying socket.
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
 
     /// Sets the socket read timeout. Note this is a property of the
-    /// underlying socket, shared with every clone — callers that lower it
-    /// must restore it.
+    /// underlying socket, shared with every clone.
     fn set_read_timeout_conn(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
@@ -52,144 +40,5 @@ impl Conn for UnixStream {
 
     fn set_read_timeout_conn(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.set_read_timeout(timeout)
-    }
-}
-
-/// A running disconnect watcher: a thread that reads the connection with a
-/// short timeout while a detection runs and cancels `token` the moment the
-/// peer hangs up. `UnixStream` has no stable `peek`, so the watcher really
-/// *reads*: any bytes a pipelining client sends during the detection are
-/// captured and returned by [`finish`](Self::finish), and the caller
-/// appends them back onto its request buffer.
-pub struct DisconnectWatch {
-    done: Arc<AtomicBool>,
-    stolen: Arc<Mutex<Vec<u8>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl DisconnectWatch {
-    /// Spawns the watcher on a clone of `conn`. If the clone fails (fd
-    /// exhaustion), the request still runs — just without hang-up
-    /// cancellation — so the error is reported but not fatal.
-    pub fn spawn(conn: &dyn Conn, token: CancelToken) -> io::Result<Self> {
-        let peer = conn.try_clone_conn()?;
-        let done = Arc::new(AtomicBool::new(false));
-        let stolen = Arc::new(Mutex::new(Vec::new()));
-        let thread_done = Arc::clone(&done);
-        let thread_stolen = Arc::clone(&stolen);
-        let handle = std::thread::Builder::new()
-            .name("parcom-serve-watch".into())
-            .spawn(move || watch(peer, token, thread_done, thread_stolen))?;
-        Ok(Self {
-            done,
-            stolen,
-            handle: Some(handle),
-        })
-    }
-
-    /// Stops the watcher, waits for it to exit, and returns any bytes it
-    /// consumed off the socket (the prefix of a pipelined next request),
-    /// leaving the socket in blocking read mode.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.stop();
-        std::mem::take(&mut *self.stolen.lock().unwrap())
-    }
-
-    fn stop(&mut self) {
-        // audit:allow(atomic-ordering): single-writer shutdown flag; Release
-        // pairs with the watcher's Acquire load so the stolen-bytes buffer
-        // is fully visible before the join returns
-        self.done.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for DisconnectWatch {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn watch(
-    mut peer: Box<dyn Conn>,
-    token: CancelToken,
-    done: Arc<AtomicBool>,
-    stolen: Arc<Mutex<Vec<u8>>>,
-) {
-    if peer.set_read_timeout_conn(Some(WATCH_INTERVAL)).is_err() {
-        return;
-    }
-    let mut probe = [0u8; 256];
-    loop {
-        // audit:allow(atomic-ordering): pairs with the Release store in stop()
-        if done.load(Ordering::Acquire) {
-            break;
-        }
-        match peer.read(&mut probe) {
-            // EOF: the client closed its end — abandon the computation.
-            Ok(0) => {
-                token.cancel();
-                break;
-            }
-            // The client pipelined its next request. It is still there —
-            // keep the bytes for the request reader and stop watching.
-            Ok(n) => {
-                stolen.lock().unwrap().extend_from_slice(&probe[..n]);
-                break;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            // Any hard socket error also means nobody is listening.
-            Err(_) => {
-                token.cancel();
-                break;
-            }
-        }
-    }
-    // Read timeouts are socket-wide (shared with the handler's handle), so
-    // restore blocking mode for the keep-alive loop.
-    let _ = peer.set_read_timeout_conn(None);
-}
-
-#[cfg(all(test, unix))]
-mod tests {
-    use super::*;
-    use std::os::unix::net::UnixStream;
-
-    #[test]
-    fn watcher_cancels_on_hangup() {
-        let (server, client) = UnixStream::pair().unwrap();
-        let token = CancelToken::new();
-        let watch = DisconnectWatch::spawn(&server, token.clone()).unwrap();
-        drop(client);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !token.is_cancelled() {
-            assert!(std::time::Instant::now() < deadline, "cancel never fired");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(watch.finish().is_empty());
-    }
-
-    #[test]
-    fn watcher_returns_pipelined_bytes() {
-        let (server, mut client) = UnixStream::pair().unwrap();
-        let token = CancelToken::new();
-        let watch = DisconnectWatch::spawn(&server, token.clone()).unwrap();
-        client.write_all(b"GET /next HTTP/1.1\r\n").unwrap();
-        // give the watcher time to observe the bytes, then stop it
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(std::time::Instant::now() < deadline, "bytes never seen");
-            if !watch.stolen.lock().unwrap().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let stolen = watch.finish();
-        assert!(!token.is_cancelled());
-        assert_eq!(&stolen, b"GET /next HTTP/1.1\r\n");
     }
 }

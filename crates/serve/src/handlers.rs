@@ -25,13 +25,18 @@ use parcom_guard::{Budget, CancelToken, Termination};
 use parcom_io::{load_graph_auto, read_metis_bytes_budgeted, GraphFormat};
 use parcom_obs::json::{self, Value};
 use parcom_obs::Recorder;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Schema tag of every non-detect response body.
 pub const SCHEMA: &str = "parcom-serve/v1";
 
-/// Schema tag of the `/detect` response body (which embeds a full
-/// `parcom-run-report/v2` under `"report"`).
+/// Schema tag of the `/detect` response body. Keys, in order: `schema`,
+/// `graph`, `spec`, `generation`, `nodes`, `edges`, `termination`,
+/// `communities`, `snapshot` (`{"folded_ops", "fold_ms"}`: the buffered
+/// edits this request folded in before detecting and what that cost;
+/// `0` / `0.0` when none were pending), `report` (a full
+/// `parcom-run-report/v2`) and, on request, `partition`.
 pub const DETECT_SCHEMA: &str = "parcom-serve-detect/v1";
 
 /// A handler's verdict: HTTP status plus JSON body.
@@ -51,7 +56,7 @@ fn valid_name(name: &str) -> bool {
 }
 
 /// Dispatches every route except `/detect` (which the connection layer
-/// routes separately so it can wire up the disconnect watcher first).
+/// routes separately, onto a compute thread of its own).
 pub fn handle(ctx: &ServerCtx, req: &Request) -> Reply {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
@@ -375,9 +380,9 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     (200, out)
 }
 
-/// Runs a detection request. `token` is already wired to the connection's
-/// disconnect watcher, so a client hang-up cancels the run; the body's
-/// `"budget"` adds a deadline and/or sweep cap on top.
+/// Runs a detection request. The connection layer cancels `token` when
+/// the client hangs up; the body's `"budget"` adds a deadline and/or sweep
+/// cap on top.
 ///
 /// Body: `{"graph": name, "spec": <string or object>, "budget":
 /// {"timeout_ms", "max_sweeps"}, "include_partition": bool}`.
@@ -422,12 +427,19 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         .and_then(Value::as_bool)
         .unwrap_or(false);
 
-    let Some((graph, relabeling, generation)) = store.snapshot(name) else {
+    let Some(snapshot) = store.snapshot(name) else {
         return err(404, format!("no graph named `{name}`"));
     };
-    let result = detector.detect_guarded(&graph, &budget);
+    let graph = &snapshot.graph;
+    let result = detector.detect_guarded(graph, &budget);
 
-    let mut out = String::with_capacity(1024);
+    // A partition entry is a community id below n plus a comma.
+    let partition_bytes = if include_partition {
+        graph.node_count() * (graph.node_count().to_string().len() + 1)
+    } else {
+        0
+    };
+    let mut out = String::with_capacity(4096 + partition_bytes);
     out.push_str("{\"schema\":");
     json::write_str(&mut out, DETECT_SCHEMA);
     out.push_str(",\"graph\":");
@@ -435,14 +447,17 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     out.push_str(",\"spec\":");
     json::write_str(&mut out, &spec.to_string());
     out.push_str(&format!(
-        ",\"generation\":{generation},\"nodes\":{},\"edges\":{},\"termination\":",
+        ",\"generation\":{},\"nodes\":{},\"edges\":{},\"termination\":",
+        snapshot.generation,
         graph.node_count(),
         graph.edge_count()
     ));
     json::write_str(&mut out, result.termination.as_str());
     out.push_str(&format!(
-        ",\"communities\":{}",
-        result.partition.number_of_subsets()
+        ",\"communities\":{},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3}}}",
+        result.partition.number_of_subsets(),
+        snapshot.folded_ops,
+        snapshot.fold_ms
     ));
     // splice the already-serialized run report in as raw JSON
     out.push_str(",\"report\":");
@@ -451,7 +466,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         // A relabeled resident view detects on permuted ids; clients sent
         // the graph in original ids, so the partition is mapped back
         // before emission (community ids and counts are unchanged).
-        let emitted = match &relabeling {
+        let emitted = match &snapshot.relabeling {
             Some(r) => r.to_original(&result.partition),
             None => result.partition,
         };
@@ -460,7 +475,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&c.to_string());
+            write!(out, "{c}").expect("writing to a String cannot fail");
         }
         out.push(']');
     }

@@ -147,12 +147,6 @@ impl RequestReader {
         })
     }
 
-    /// Appends bytes that were consumed off the socket by someone else
-    /// (the disconnect watcher) so the next parse sees them in order.
-    pub fn push_back(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     fn fill(&mut self, conn: &mut dyn Read) -> io::Result<usize> {
         let mut chunk = [0u8; 4096];
         let n = conn.read(&mut chunk)?;

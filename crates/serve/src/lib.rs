@@ -25,12 +25,13 @@
 //! * `POST /detect` — any registered algorithm via
 //!   [`DetectorSpec`](parcom_core::DetectorSpec), run under a per-request
 //!   [`Budget`]: deadline, sweep cap, and cancellation the moment the
-//!   client disconnects (a watcher thread peeks the socket while the
-//!   detection runs). The response streams back chunked JSON embedding the
-//!   full `parcom-run-report/v2`.
-//! * `POST /graphs/{name}/edges` — buffered edge inserts/removes with
-//!   periodic CSR rebuild ([`store::REBUILD_BATCH`]); detection snapshots
-//!   always flush first, so results reflect every acknowledged edit.
+//!   client disconnects (the detection runs on a compute thread while the
+//!   connection thread keeps reading the socket). The response streams
+//!   back chunked JSON embedding the full `parcom-run-report/v2`.
+//! * `POST /graphs/{name}/edges` — buffered edge inserts/removes, folded
+//!   into the CSR by a row merge every [`store::REBUILD_BATCH`] operations;
+//!   detection snapshots always flush first, so results reflect every
+//!   acknowledged edit.
 //!
 //! With `--state-dir` the daemon is **crash-safe** (DESIGN.md §16): every
 //! accepted batch is appended to a per-graph write-ahead log ([`wal`])
@@ -42,8 +43,9 @@
 //! per-graph mutation queues (`429`), `503` until recovery completes and
 //! while draining for shutdown, `GET /healthz` / `GET /readyz` probes.
 //!
-//! Threading model: one acceptor per listener, one thread per connection,
-//! plus one short-lived watcher thread per in-flight detection. The store
+//! Threading model: one acceptor per listener, one thread per connection
+//! (the socket's only reader), plus one scoped compute thread per in-flight
+//! detection, which writes its own response. The store
 //! itself is two-level locked (map lock for lookup, per-entry mutex for
 //! mutation) so a rebuild of one graph never blocks requests to another.
 
@@ -59,17 +61,19 @@ pub mod handlers;
 #[cfg(feature = "signals")]
 pub mod signal;
 
-use conn::{Conn, DisconnectWatch};
-use gate::Gate;
-use http::{error_body, respond_chunked_json, respond_json, ReadError, RequestReader};
+use conn::Conn;
+use gate::{DetectPermit, Gate, RequestPermit};
+use http::{error_body, respond_chunked_json, respond_json, ReadError, Request, RequestReader};
 use parcom_guard::{Budget, CancelToken};
 use persist::Durability;
 use std::io;
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 use wal::FsyncPolicy;
 
@@ -349,86 +353,167 @@ where
     }
 }
 
+/// A `POST /detect` running on its own compute thread. The thread owns
+/// the request, both admission permits and a writer handle to the socket,
+/// and writes the chunked response itself the moment it is computed; the
+/// permits are released by it, not by the connection.
+struct DetectJob<'scope> {
+    token: CancelToken,
+    handle: ScopedJoinHandle<'scope, bool>,
+}
+
+impl<'scope> DetectJob<'scope> {
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &dyn Conn,
+        store: &'env GraphStore,
+        request: Request,
+        permits: (Option<RequestPermit>, DetectPermit),
+    ) -> io::Result<Self> {
+        let mut writer = conn.try_clone_conn()?;
+        let token = CancelToken::new();
+        let job_token = token.clone();
+        let handle = std::thread::Builder::new()
+            .name("parcom-serve-detect".into())
+            .spawn_scoped(scope, move || {
+                let (_request_permit, detect_permit) = permits;
+                // A panicking detection (the store tolerates one: see
+                // `store::lock_entry`) must still answer, or the client
+                // would wait on a connection its reader keeps open.
+                let (status, body) = catch_unwind(AssertUnwindSafe(|| {
+                    handlers::detect(store, &request.body, job_token)
+                }))
+                .unwrap_or_else(|_| (500, error_body("detection panicked")));
+                // The detect slot bounds compute, and is free again before
+                // the client can have read the answer and sent its next.
+                drop(detect_permit);
+                respond_chunked_json(&mut *writer, status, &body).is_ok()
+            })?;
+        Ok(Self { token, handle })
+    }
+
+    /// Waits until the response is on the wire; `false` when writing it
+    /// failed and the connection is done for.
+    fn join(self) -> bool {
+        self.handle.join().unwrap_or(false)
+    }
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Runs the keep-alive request loop of one connection until the client
 /// closes, asks to close, or errors.
+///
+/// This thread is the socket's only reader. A `POST /detect` is handed to
+/// a scoped [`DetectJob`] and the loop goes straight back to reading, so a
+/// hang-up (EOF, I/O error) is seen the moment it happens and cancels the
+/// job's token, while bytes a client pipelines during the detection simply
+/// land in the request buffer. A complete next request joins the pending
+/// job before it is handled, which keeps responses in request order.
 fn serve_connection(conn: &mut Box<dyn Conn>, ctx: &ServerCtx) {
-    let mut reader = RequestReader::new();
-    loop {
-        if conn.set_read_timeout_conn(Some(KEEP_ALIVE)).is_err() {
-            return;
-        }
-        let request = match reader.read_request(&mut **conn) {
-            Ok(request) => request,
-            Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
-            Err(ReadError::Bad(status, message)) => {
-                let _ = respond_json(&mut **conn, status, &error_body(&message), false);
-                return;
+    std::thread::scope(|scope| {
+        let mut reader = RequestReader::new();
+        let mut job: Option<DetectJob<'_>> = None;
+        loop {
+            if conn.set_read_timeout_conn(Some(KEEP_ALIVE)).is_err() {
+                break;
             }
-        };
-        let close = request.wants_close();
-
-        // Health probes bypass admission entirely; everything else is
-        // refused while recovery runs or a drain is in progress.
-        let probe =
-            request.method == "GET" && matches!(request.path.as_str(), "/healthz" | "/readyz");
-        let _permit = if probe {
-            None
-        } else {
-            if !ctx.gate.is_ready() {
-                let ok = respond_json(
-                    &mut **conn,
-                    503,
-                    &error_body("recovery in progress; retry shortly"),
-                    !close,
-                )
-                .is_ok();
-                if !ok || close {
-                    return;
+            let request = match reader.read_request(&mut **conn) {
+                Ok(request) => request,
+                // An idle timeout while a detection runs just re-arms; one
+                // that finds the job finished forgets it and starts the idle
+                // clock from there.
+                Err(ReadError::Io(e)) if is_timeout(&e) && job.is_some() => {
+                    job.take_if(|j| j.handle.is_finished());
+                    continue;
                 }
-                continue;
+                Err(ReadError::Closed) | Err(ReadError::Io(_)) => break,
+                Err(ReadError::Bad(status, message)) => {
+                    if job.take().is_none_or(DetectJob::join) {
+                        let _ = respond_json(&mut **conn, status, &error_body(&message), false);
+                    }
+                    break;
+                }
+            };
+            if job.take().is_some_and(|j| !j.join()) {
+                break;
             }
-            match ctx.gate.enter_request() {
-                Some(permit) => Some(permit),
-                None => {
-                    let _ = respond_json(
+            let close = request.wants_close();
+
+            // Health probes bypass admission entirely; everything else is
+            // refused while recovery runs or a drain is in progress.
+            let probe =
+                request.method == "GET" && matches!(request.path.as_str(), "/healthz" | "/readyz");
+            let permit = if probe {
+                None
+            } else {
+                if !ctx.gate.is_ready() {
+                    let ok = respond_json(
                         &mut **conn,
                         503,
-                        &error_body("daemon is draining for shutdown"),
-                        false,
-                    );
-                    return;
-                }
-            }
-        };
-
-        let ok = if request.method == "POST" && request.path == "/detect" {
-            match ctx.gate.enter_detect() {
-                None => {
-                    let body = error_body(&format!(
-                        "detect concurrency cap ({}) reached; retry shortly",
-                        ctx.gate.max_detects()
-                    ));
-                    respond_json(&mut **conn, 429, &body, !close).is_ok()
-                }
-                Some(_detect_permit) => {
-                    // Wire the cancel token to a disconnect watcher before
-                    // the detection starts, so a client hang-up aborts the
-                    // compute.
-                    let token = CancelToken::new();
-                    let watch = DisconnectWatch::spawn(&**conn, token.clone());
-                    let (status, body) = handlers::detect(&ctx.store, &request.body, token);
-                    if let Ok(watch) = watch {
-                        reader.push_back(&watch.finish());
+                        &error_body("recovery in progress; retry shortly"),
+                        !close,
+                    )
+                    .is_ok();
+                    if !ok || close {
+                        break;
                     }
-                    respond_chunked_json(&mut **conn, status, &body).is_ok()
+                    continue;
                 }
+                match ctx.gate.enter_request() {
+                    Some(permit) => Some(permit),
+                    None => {
+                        let _ = respond_json(
+                            &mut **conn,
+                            503,
+                            &error_body("daemon is draining for shutdown"),
+                            false,
+                        );
+                        break;
+                    }
+                }
+            };
+
+            let ok = if request.method == "POST" && request.path == "/detect" {
+                match ctx.gate.enter_detect() {
+                    None => {
+                        let body = error_body(&format!(
+                            "detect concurrency cap ({}) reached; retry shortly",
+                            ctx.gate.max_detects()
+                        ));
+                        respond_json(&mut **conn, 429, &body, !close).is_ok()
+                    }
+                    Some(detect_permit) => {
+                        let permits = (permit, detect_permit);
+                        match DetectJob::spawn(scope, &**conn, &ctx.store, request, permits) {
+                            Ok(spawned) if close => spawned.join(),
+                            Ok(spawned) => {
+                                job = Some(spawned);
+                                true
+                            }
+                            Err(e) => {
+                                let body = error_body(&format!("could not start detection: {e}"));
+                                respond_json(&mut **conn, 500, &body, !close).is_ok()
+                            }
+                        }
+                    }
+                }
+            } else {
+                let (status, body) = handlers::handle(ctx, &request);
+                respond_json(&mut **conn, status, &body, !close).is_ok()
+            };
+            if !ok || close {
+                break;
             }
-        } else {
-            let (status, body) = handlers::handle(ctx, &request);
-            respond_json(&mut **conn, status, &body, !close).is_ok()
-        };
-        if !ok || close {
-            return;
         }
-    }
+        // Every exit that leaves a job behind means the client is gone.
+        if let Some(job) = job {
+            job.token.cancel();
+        }
+    })
 }

@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(report.records_replayed, 2);
         assert_eq!(report.warm, 1, "intact log reopens in place");
         assert!(report.unrecovered.is_empty());
-        let (recovered, _, _) = store.snapshot("g").unwrap();
+        let recovered = store.snapshot("g").unwrap().graph;
         let (expected, _, _) = reference.current();
         assert!(csr_bit_identical(&recovered, &expected));
         std::fs::remove_dir_all(&dir).ok();
@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(report.fallbacks, 1);
         // prev checkpoint is seq 0; both acknowledged records replay.
         assert_eq!(report.records_replayed, 2);
-        let (recovered, _, _) = store.snapshot("g").unwrap();
+        let recovered = store.snapshot("g").unwrap().graph;
         let (expected, _, _) = reference.current();
         assert!(csr_bit_identical(&recovered, &expected));
         // The dirty path re-checkpointed: a fresh intact era is on disk.

@@ -1,22 +1,26 @@
 //! The resident graph registry: named graphs held in memory across
-//! requests, with buffered edge mutations and periodic CSR rebuilds.
+//! requests, with buffered edge mutations folded into the CSR in batches.
 //!
 //! The CSR representation is immutable by design (that is what makes the
 //! detection kernels fast), so mutation is write-behind: edge inserts and
 //! deletes accumulate in an order-preserving buffer and are folded into a
 //! fresh CSR either when the buffer reaches [`REBUILD_BATCH`] operations,
 //! when a client forces it, or — always — before a detection snapshot, so
-//! every detection sees all acknowledged edits.
+//! every detection sees all acknowledged edits. The fold is a row merge
+//! ([`Graph::patched`]): untouched rows are copied, touched rows merged.
 
 use crate::wal::WalWriter;
 use parcom_graph::relabel::Relabeling;
-use parcom_graph::{Graph, GraphBuilder, Node};
+use parcom_graph::{Graph, Node};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 /// Pending-operation count that triggers an automatic rebuild at the end of
-/// an edge-batch request. Large enough to amortize the O(n + m) CSR
-/// rebuild over many small batches, small enough to keep the fold cheap.
+/// an edge-batch request. A fold copies the whole CSR once (a memcpy plus
+/// the cache pass) whatever the batch size, so this is large enough to
+/// amortize that copy over many small batches, and small enough that the
+/// sort-and-merge of the touched rows stays a fraction of it.
 pub const REBUILD_BATCH: usize = 4096;
 
 /// Hard cap on one entry's buffered operations: a request that would push
@@ -94,6 +98,21 @@ pub struct EntryStats {
     pub seq: u64,
     /// Whether the entry appends to a write-ahead log.
     pub durable: bool,
+}
+
+/// What a detection runs against: the CSR with every acknowledged edit
+/// folded in, and what that fold cost this request.
+pub struct Snapshot {
+    /// The resident CSR, shared.
+    pub graph: Arc<Graph>,
+    /// The permutation back to original ids while the view is relabeled.
+    pub relabeling: Option<Arc<Relabeling>>,
+    /// Generation of `graph`.
+    pub generation: u64,
+    /// Buffered operations this snapshot folded in first (0 = none pending).
+    pub folded_ops: usize,
+    /// Wall time of that fold in milliseconds (0.0 when nothing was pending).
+    pub fold_ms: f64,
 }
 
 /// Canonicalizes one operation's endpoint order so fold keys match the
@@ -192,10 +211,13 @@ impl GraphEntry {
         self.pending.len() >= REBUILD_BATCH
     }
 
-    /// Folds the pending buffer into a fresh CSR. The final state of each
-    /// touched edge is resolved in arrival order first, then applied in one
-    /// pass over the collected edge set; node ids beyond the current range
-    /// grow the graph. No-op when the buffer is empty.
+    /// Folds the pending buffer into a fresh CSR by a row merge
+    /// ([`Graph::patched`]): the final state of each touched edge is
+    /// resolved in arrival order (last operation wins), then merged into
+    /// the ≤ 2·|buffer| rows it touches while every other row is copied
+    /// verbatim. Node ids beyond the current range grow the graph — `n`
+    /// becomes `1 + max endpoint` over *every* buffered insert, even one a
+    /// later remove cancels. No-op when the buffer is empty.
     ///
     /// Unwind-safe: every field mutation happens *after* the new CSR is
     /// fully built, so a panic mid-rebuild (allocation failure, injected
@@ -203,58 +225,49 @@ impl GraphEntry {
     /// pending buffer and the WAL exactly as they were — the rebuild can
     /// simply be retried. The rebuilt CSR is bit-identical for a given
     /// (graph, buffered-op-sequence) pair regardless of thread count or
-    /// rebuild batching, because the builder canonicalizes rows by
-    /// `(neighbor, weight bits)`; recovery replay relies on this.
+    /// rebuild batching: each fold leaves rows sorted by neighbor with the
+    /// surviving weights verbatim, and the caches are recomputed from the
+    /// arrays alone. Recovery replay relies on this.
     pub fn rebuild(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        // arrival-order resolution: last op per edge wins
-        let mut delta: HashMap<(Node, Node), Option<f64>> =
-            HashMap::with_capacity(self.pending.len());
-        let mut max_node: Node = 0;
+        let n_old = self.graph.node_count();
+        let mut n_new = n_old;
+        // Arrival-order resolution: the stable sort keeps each edge's
+        // operations in arrival order, so the last of a run wins.
+        let mut edits: Vec<(Node, Node, Option<f64>)> = Vec::with_capacity(self.pending.len());
         for op in &self.pending {
-            match *op {
+            edits.push(match *op {
                 EdgeOp::Insert(u, v, w) => {
-                    max_node = max_node.max(v);
-                    delta.insert((u, v), Some(w));
+                    n_new = n_new.max(v as usize + 1);
+                    (u, v, Some(w))
                 }
-                EdgeOp::Remove(u, v) => {
-                    delta.insert((u, v), None);
-                }
-            }
+                EdgeOp::Remove(u, v) => (u, v, None),
+            });
         }
-        let mut edges = self.graph.par_collect_edges();
+        edits.sort_by_key(|&(u, v, _)| (u, v));
+        edits.dedup_by(|later, kept| {
+            let same_edge = (later.0, later.1) == (kept.0, kept.1);
+            if same_edge {
+                kept.2 = later.2;
+            }
+            same_edge
+        });
+        // A remove that wins on an out-of-range edge has nothing to remove.
+        edits.retain(|&(_, v, w)| w.is_some() || (v as usize) < n_old);
+        parcom_guard::faultpoint!("serve/store-rebuild");
         // Edge operations arrive in *original* ids, so a relabeled CSR is
         // un-relabeled before the fold and the relabeling dropped: the
         // permutation is a load-time read optimization, and a mutated graph
         // no longer matches the degree order it was converted under.
-        if let Some(r) = &self.relabeling {
-            for e in edges.iter_mut() {
-                let (u, v) = (r.to_old_id(e.0), r.to_old_id(e.1));
-                (e.0, e.1) = (u.min(v), u.max(v));
-            }
-        }
-        // replace or drop existing edges; whatever remains in `delta` after
-        // this pass is a genuinely new edge
-        edges.retain_mut(|(u, v, w)| match delta.remove(&(*u, *v)) {
-            Some(Some(new_w)) => {
-                *w = new_w;
-                true
-            }
-            Some(None) => false,
-            None => true,
-        });
-        for ((u, v), value) in delta {
-            if let Some(w) = value {
-                edges.push((u, v, w));
-            }
-        }
-        let n = self.graph.node_count().max(max_node as usize + 1);
-        let mut builder = GraphBuilder::with_capacity(n, edges.len());
-        builder.extend_edges(edges);
-        parcom_guard::faultpoint!("serve/store-rebuild");
-        let rebuilt = builder.build();
+        let rebuilt = match &self.relabeling {
+            Some(r) => Relabeling::from_new_of_old(r.old_of_new().to_vec())
+                .expect("the inverse of a permutation is a permutation")
+                .apply(&self.graph)
+                .patched(n_new, &edits),
+            None => self.graph.patched(n_new, &edits),
+        };
         // Commit point: nothing above mutated the entry.
         if self.relabeling.take().is_some() {
             self.relabel_dropped = true;
@@ -341,11 +354,25 @@ impl GraphStore {
     /// relabeled) and generation. The entry lock is released before
     /// detection starts — concurrent mutations build new CSRs while old
     /// snapshots keep running.
-    pub fn snapshot(&self, name: &str) -> Option<(Arc<Graph>, Option<Arc<Relabeling>>, u64)> {
+    pub fn snapshot(&self, name: &str) -> Option<Snapshot> {
         let entry = self.get(name)?;
         let mut entry = lock_entry(&entry);
+        let folded_ops = entry.pending.len();
+        let started = Instant::now();
         entry.rebuild();
-        Some(entry.current())
+        let fold_ms = if folded_ops == 0 {
+            0.0
+        } else {
+            started.elapsed().as_secs_f64() * 1e3
+        };
+        let (graph, relabeling, generation) = entry.current();
+        Some(Snapshot {
+            graph,
+            relabeling,
+            generation,
+            folded_ops,
+            fold_ms,
+        })
     }
 
     /// Sorted names with per-entry stats.
@@ -398,7 +425,11 @@ mod tests {
             ]);
             e.rebuild();
         }
-        let (g, _, generation) = store.snapshot("p").unwrap();
+        let Snapshot {
+            graph: g,
+            generation,
+            ..
+        } = store.snapshot("p").unwrap();
         assert_eq!(generation, 1);
         assert!(!g.has_edge(0, 3));
         assert_eq!(g.edge_weight(1, 2), Some(5.0));
@@ -413,7 +444,7 @@ mod tests {
             .lock()
             .unwrap()
             .buffer_ops([EdgeOp::Insert(2, 9, 2.0)]);
-        let (g, _, _) = store.snapshot("p").unwrap();
+        let g = store.snapshot("p").unwrap().graph;
         assert_eq!(g.node_count(), 10);
         assert_eq!(g.edge_weight(2, 9), Some(2.0));
         assert!(g.has_edge(0, 1));
@@ -425,8 +456,9 @@ mod tests {
         store.insert("p", path_graph(5), None);
         let entry = store.get("p").unwrap();
         entry.lock().unwrap().buffer_ops([EdgeOp::Remove(0, 1)]);
-        let (g, _, generation) = store.snapshot("p").unwrap();
-        assert_eq!(generation, 1);
+        let snapshot = store.snapshot("p").unwrap();
+        assert_eq!((snapshot.generation, snapshot.folded_ops), (1, 1));
+        let g = snapshot.graph;
         assert!(!g.has_edge(0, 1));
         assert!(store.remove("p"));
         assert!(!store.remove("p"));
@@ -442,8 +474,12 @@ mod tests {
         let relabeled = r.apply(&g);
         let store = GraphStore::new();
         store.insert("s", relabeled, Some(r));
-        let (_, rel, _) = store.snapshot("s").unwrap();
-        assert!(rel.is_some(), "unmutated snapshot keeps the relabeling");
+        let unmutated = store.snapshot("s").unwrap();
+        assert!(
+            unmutated.relabeling.is_some(),
+            "unmutated snapshot keeps the relabeling"
+        );
+        assert_eq!((unmutated.folded_ops, unmutated.fold_ms), (0, 0.0));
         assert!(store.get("s").unwrap().lock().unwrap().stats().relabeled);
 
         // Ops arrive in original ids: connect 2-4 and drop the 0-1 chord.
@@ -452,7 +488,12 @@ mod tests {
             .lock()
             .unwrap()
             .buffer_ops([EdgeOp::Insert(2, 4, 2.0), EdgeOp::Remove(0, 1)]);
-        let (g2, rel, generation) = store.snapshot("s").unwrap();
+        let Snapshot {
+            graph: g2,
+            relabeling: rel,
+            generation,
+            ..
+        } = store.snapshot("s").unwrap();
         assert_eq!(generation, 1);
         assert!(rel.is_none(), "mutation invalidates the relabeling");
         // The rebuilt CSR is back in original ids.
@@ -471,7 +512,7 @@ mod tests {
             .lock()
             .unwrap()
             .buffer_ops([EdgeOp::Insert(0, 1, 7.5)]);
-        let (g, _, _) = store.snapshot("p").unwrap();
+        let g = store.snapshot("p").unwrap().graph;
         assert_eq!(g.edge_weight(0, 1), Some(7.5));
         assert_eq!(g.edge_count(), 2);
     }

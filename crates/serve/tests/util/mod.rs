@@ -58,13 +58,30 @@ impl Client {
         path: &str,
         body: &str,
     ) -> io::Result<(u16, Value)> {
-        write!(
-            self.stream,
-            "{method} {path} HTTP/1.1\r\nHost: parcom\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
-        self.stream.flush()?;
+        self.send(&[(method, path, body)])?;
         self.read_response()
+    }
+
+    /// Writes the given requests back to back in a single `write` (so the
+    /// later ones are pipelined behind the first) without reading anything.
+    pub fn send(&mut self, requests: &[(&str, &str, &str)]) -> io::Result<()> {
+        let mut bytes = String::new();
+        for (method, path, body) in requests {
+            bytes.push_str(&format!(
+                "{method} {path} HTTP/1.1\r\nHost: parcom\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ));
+        }
+        self.stream.write_all(bytes.as_bytes())?;
+        self.stream.flush()
+    }
+
+    /// Closes the sending half: the server reads EOF, the client can still
+    /// read whatever the server writes.
+    pub fn half_close(&self) {
+        self.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
     }
 
     fn fill(&mut self) -> io::Result<()> {
@@ -98,7 +115,8 @@ impl Client {
         }
     }
 
-    fn read_response(&mut self) -> io::Result<(u16, Value)> {
+    /// Reads the next response off the connection.
+    pub fn read_response(&mut self) -> io::Result<(u16, Value)> {
         let status_line = self.take_line()?;
         let status: u16 = status_line
             .split(' ')
