@@ -19,7 +19,7 @@
 //! |------|---------|
 //! | `atomic-ordering` | atomic `Ordering::*` variants only in allowlisted modules |
 //! | `static-mut` | no `static mut` anywhere |
-//! | `unsafe-code` | no `unsafe` outside the (currently empty) allowlist |
+//! | `unsafe-code` | no `unsafe` outside the three allowlisted modules ([`UNSAFE_ALLOWED`]) |
 //! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()/expect(..)` comparators — use `total_cmp` |
 //! | `lossy-cast` | no truncating `as u32`/`as Node` casts of counts outside annotated sites |
 //! | `io-unwrap` | no `unwrap()`/`expect(..)` in `crates/io` parsing paths |
@@ -68,8 +68,8 @@ pub enum Rule {
     /// `static mut` is never acceptable: it is unsynchronized shared
     /// mutable state with no owner.
     StaticMut,
-    /// `unsafe` code outside the allowlist (currently empty — the whole
-    /// workspace builds with `#![forbid(unsafe_code)]`).
+    /// `unsafe` code outside the [`UNSAFE_ALLOWED`] modules (every other
+    /// file builds under `forbid`/`deny(unsafe_code)`).
     UnsafeCode,
     /// `partial_cmp(..).unwrap()` (or `.expect(..)`) in comparator
     /// position: panics on NaN mid-sort; `f64::total_cmp` is the total
@@ -211,16 +211,27 @@ pub const ORDERING_ALLOWED: &[&str] = &[
     // cancellation token flag and the shared sweep counter: single-word
     // monotonic flags, Relaxed is sufficient and reviewed
     "crates/guard/src/lib.rs",
+    // the executor: a Relaxed chunk cursor, two Relaxed poll hints whose
+    // truth is re-read under the pool's mutex, and the Acquire/Release
+    // gate that hands the pool from one caller to the next
+    "shims/rayon/src/pool.rs",
 ];
 
-/// Files in which `unsafe` is permitted. The workspace carries
-/// `#![forbid(unsafe_code)]` in every crate root (parcom-io downgrades to
-/// `deny` only under its `mmap` feature, parcom-serve under `signals`),
-/// and this lint keeps the list of exceptions in one reviewable place:
-/// the feature-gated mapping module of the binary graph reopen path
-/// (DESIGN.md §15) and the daemon's signal-capture shim for graceful
-/// shutdown (DESIGN.md §16).
-pub const UNSAFE_ALLOWED: &[&str] = &["crates/io/src/mmap.rs", "crates/serve/src/signal.rs"];
+/// Files in which `unsafe` is permitted. Every crate root carries
+/// `#![forbid(unsafe_code)]` (parcom-io downgrades to `deny` only under its
+/// `mmap` feature, parcom-serve under `signals`, the rayon shim always, each
+/// with one module-scoped `allow`), and this lint keeps the list of
+/// exceptions in one reviewable place.
+pub const UNSAFE_ALLOWED: &[&str] = &[
+    // the feature-gated mapping module of the binary graph reopen path
+    // (DESIGN.md §15)
+    "crates/io/src/mmap.rs",
+    // the daemon's signal-capture shim for graceful shutdown (DESIGN.md §16)
+    "crates/serve/src/signal.rs",
+    // the executor lends a region's stack-borrowing job to persistent
+    // worker threads: one lifetime erasure, argued in place (DESIGN.md §17)
+    "shims/rayon/src/pool.rs",
+];
 
 /// True when a path (normalized to `/` separators) ends in one of the
 /// allowlisted suffixes — or when an allowlist entry ends in the path,

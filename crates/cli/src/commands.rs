@@ -262,14 +262,15 @@ pub fn detect(args: &Args) -> CmdResult {
         },
         _ => String::new(),
     };
+    let (modularity, coverage) = quality::modularity_and_coverage(&g, &zeta);
     let summary = format!(
         "{} on {input}: n={} m={} -> {} communities, modularity {:.4}, coverage {:.4}, {:.3}s ({:.1}M edges/s){termination_note}",
         algo.name(),
         g.node_count(),
         g.edge_count(),
         zeta.number_of_subsets(),
-        quality::modularity(&g, &zeta),
-        quality::coverage(&g, &zeta),
+        modularity,
+        coverage,
         elapsed.as_secs_f64(),
         g.edge_count() as f64 / elapsed.as_secs_f64().max(1e-12) / 1e6,
     );

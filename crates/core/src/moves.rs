@@ -159,18 +159,13 @@ fn best_move(
     (best_community != c && best_delta > 0.0).then_some(best_community)
 }
 
-/// Below this many nodes a proposal pass runs inline: spawning workers
-/// (the rayon shim starts scoped OS threads per parallel call) costs more
-/// than the tally work itself, and the coloring phase issues one pass per
-/// color class — most of which are small.
-const SEQUENTIAL_PROPOSE_CUTOFF: usize = 4096;
-
 /// Proposals for `nodes` against the frozen `state`, in input order.
-/// Each worker draws one scratch map from the pool; the parallel shape
+/// Each part draws one scratch map from the pool; the parallel shape
 /// (fold per part, concatenate in part order) preserves node order, and no
 /// floating-point value crosses a thread boundary — the returned list is
-/// schedule-independent. Small inputs (and single-thread pools) take a
-/// plain loop over the same node order, which is bit-identical.
+/// schedule-independent. The coloring phase issues one pass per color
+/// class, most of them small; they go through the executor like the rest —
+/// a region costs ≈ 1 µs to enter (EXPERIMENTS.md, PR 17).
 // audit:allow(budget-propagation): one pass over one color class; the caller checks the budget at every class boundary
 fn propose(
     g: &Graph,
@@ -179,13 +174,6 @@ fn propose(
     scratch: &ScratchPool,
     capacity: usize,
 ) -> Vec<(Node, u32)> {
-    if nodes.len() < SEQUENTIAL_PROPOSE_CUTOFF || rayon::current_num_threads() == 1 {
-        let mut weight_to = scratch.take(capacity);
-        return nodes
-            .iter()
-            .filter_map(|&u| Some((u, best_move(g, u, state, &mut weight_to)?)))
-            .collect();
-    }
     nodes
         .par_iter()
         .fold(

@@ -27,9 +27,11 @@ pub struct CommunityAggregates {
 /// Computes ω(C) and vol(C) for every community id below
 /// `zeta.upper_bound()`.
 ///
-/// Parallel: threads fold thread-local accumulator vectors over node
-/// ranges, then reduce element-wise — modularity is evaluated after every
-/// phase of every multilevel algorithm, so this scan is on the hot path.
+/// Parallel: at most one part per thread folds a thread-local accumulator
+/// pair over a node range holding an equal share of the *edges*
+/// ([`Graph::edge_balanced_ranges`]), then the pairs reduce element-wise —
+/// modularity is evaluated after every phase of every multilevel
+/// algorithm, so this scan is on the hot path.
 // audit:allow(budget-propagation): single bounded parallel scan; callers check the budget at phase boundaries
 pub fn community_aggregates(g: &Graph, zeta: &Partition) -> CommunityAggregates {
     assert_eq!(zeta.len(), g.node_count(), "partition does not cover graph");
@@ -37,15 +39,16 @@ pub fn community_aggregates(g: &Graph, zeta: &Partition) -> CommunityAggregates 
 
     let identity = || (vec![0.0f64; ub], vec![0.0f64; ub]);
     let (intra_weight, volume) = g
-        .par_nodes()
-        // bound the number of thread-local accumulators (each is O(k))
-        .with_min_len(4096)
-        .fold(identity, |(mut intra, mut vol), u| {
-            let cu = zeta.subset_of(u) as usize;
-            vol[cu] += g.volume(u);
-            for (v, w) in g.edges_of(u) {
-                if v >= u && zeta.subset_of(v) as usize == cu {
-                    intra[cu] += w;
+        .edge_balanced_ranges()
+        .into_par_iter()
+        .fold(identity, |(mut intra, mut vol), nodes| {
+            for u in nodes {
+                let cu = zeta.subset_of(u) as usize;
+                vol[cu] += g.volume(u);
+                for (v, w) in g.edges_of(u) {
+                    if v >= u && zeta.subset_of(v) as usize == cu {
+                        intra[cu] += w;
+                    }
                 }
             }
             (intra, vol)
@@ -66,24 +69,36 @@ pub fn community_aggregates(g: &Graph, zeta: &Partition) -> CommunityAggregates 
     }
 }
 
+impl CommunityAggregates {
+    /// Σ_C [ ω(C)/ω(E) − γ · vol(C)² / (4 ω(E)²) ] for a graph of total edge
+    /// weight `total`.
+    fn modularity(&self, total: f64, gamma: f64) -> f64 {
+        let mut score = 0.0;
+        for c in 0..self.volume.len() {
+            let cov = self.intra_weight[c] / total;
+            let vol = self.volume[c] / (2.0 * total);
+            score += cov - gamma * vol * vol;
+        }
+        debug_assert!(
+            gamma != 1.0 || (-0.5..=1.0 + 1e-9).contains(&score),
+            "modularity {score} outside analytic range"
+        );
+        score
+    }
+
+    /// Σ_C ω(C) / ω(E).
+    fn coverage(&self, total: f64) -> f64 {
+        self.intra_weight.iter().sum::<f64>() / total
+    }
+}
+
 /// Modularity with resolution parameter `gamma` (γ = 1 is Eq. III.1).
 pub fn modularity_gamma(g: &Graph, zeta: &Partition, gamma: f64) -> f64 {
     let total = g.total_edge_weight();
     if total == 0.0 {
         return 0.0;
     }
-    let agg = community_aggregates(g, zeta);
-    let mut score = 0.0;
-    for c in 0..agg.volume.len() {
-        let cov = agg.intra_weight[c] / total;
-        let vol = agg.volume[c] / (2.0 * total);
-        score += cov - gamma * vol * vol;
-    }
-    debug_assert!(
-        gamma != 1.0 || (-0.5..=1.0 + 1e-9).contains(&score),
-        "modularity {score} outside analytic range"
-    );
-    score
+    community_aggregates(g, zeta).modularity(total, gamma)
 }
 
 /// Standard modularity (γ = 1).
@@ -111,8 +126,18 @@ pub fn coverage(g: &Graph, zeta: &Partition) -> f64 {
     if total == 0.0 {
         return 0.0;
     }
+    community_aggregates(g, zeta).coverage(total)
+}
+
+/// `(modularity, coverage)` from one aggregate scan — the same values
+/// [`modularity`] and [`coverage`] return, at half their combined cost.
+pub fn modularity_and_coverage(g: &Graph, zeta: &Partition) -> (f64, f64) {
+    let total = g.total_edge_weight();
+    if total == 0.0 {
+        return (0.0, 0.0);
+    }
     let agg = community_aggregates(g, zeta);
-    agg.intra_weight.iter().sum::<f64>() / total
+    (agg.modularity(total, 1.0), agg.coverage(total))
 }
 
 /// The modularity difference of moving `u` from community `C` to `D`

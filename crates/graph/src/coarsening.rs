@@ -10,8 +10,10 @@
 //! The contraction aggregates per coarse node instead of sorting edges
 //! (NetworKit's `ParallelPartitionCoarsening` shape): a counting sort groups
 //! the fine nodes by coarse id, then one worker per coarse node `c` tallies
-//! its members' edges into a flat [`SparseWeightMap`], keeping only targets
-//! `d >= c`, and sorts the few touched keys — an upper-triangular row. One
+//! its members' edges into a flat [`crate::scratch::SparseWeightMap`],
+//! keeping only targets `d >= c`, and sorts the few touched keys — an
+//! upper-triangular row. The coarse ids are cut into ranges of near-equal
+//! member *edge* count, several per thread, claimed dynamically. One
 //! sequential pass over the coarse edges mirrors the rows into full CSR.
 //! Work is O(m) for the tally plus O(m' log deg') on the coarse graph; no
 //! per-edge tuple is ever materialised.
@@ -22,8 +24,9 @@
 
 use crate::graph::{Graph, Node};
 use crate::hashing::FxHashMap;
+use crate::parallel::{weighted_ranges, DYNAMIC_PIECES};
 use crate::partition::Partition;
-use crate::scratch::SparseWeightMap;
+use crate::scratch::ScratchPool;
 use parcom_obs::Recorder;
 use rayon::prelude::*;
 
@@ -92,13 +95,18 @@ pub fn coarsen_with(g: &Graph, zeta: &Partition, rec: &Recorder) -> Coarsening {
     let k = remap.len();
 
     // Counting sort of the fine nodes by coarse id; members of one coarse
-    // node end up contiguous, in ascending fine id.
+    // node end up contiguous, in ascending fine id. `work` is the same
+    // prefix over the members' adjacency entries (+ 1 per member): what
+    // tallying a coarse node costs.
     let mut member_offsets = vec![0usize; k + 1];
-    for &c in &fine_to_coarse {
+    let mut work = vec![0usize; k + 1];
+    for (u, &c) in g.nodes().zip(&fine_to_coarse) {
         member_offsets[c as usize + 1] += 1;
+        work[c as usize + 1] += g.degree(u) + 1;
     }
     for c in 0..k {
         member_offsets[c + 1] += member_offsets[c];
+        work[c + 1] += work[c];
     }
     let mut members: Vec<Node> = vec![0; fine_to_coarse.len()];
     let mut cursor = member_offsets.clone();
@@ -110,20 +118,20 @@ pub fn coarsen_with(g: &Graph, zeta: &Partition, rec: &Recorder) -> Coarsening {
     // Upper-triangular rows: coarse node c keeps the targets d >= c. An
     // inter-community edge is seen from both sides and kept by the smaller
     // one; an intra-community edge is counted from its v >= u side, a fine
-    // self-loop once. One part per thread, each a contiguous range of
-    // coarse ids covering a near-equal share of the fine nodes.
+    // self-loop once. Several parts per thread, each a contiguous range of
+    // coarse ids covering a near-equal share of `work`, handed out to
+    // whichever thread is free; a thread reuses one tally map across its
+    // parts. The rows are concatenated in coarse-id order, so where the
+    // cuts fall changes nothing downstream.
     let f2c = &fine_to_coarse;
-    let parts = rayon::current_num_threads().clamp(1, k.max(1));
-    let bounds: Vec<usize> = (0..=parts)
-        .map(|i| member_offsets.partition_point(|&o| o < i * members.len() / parts))
-        .collect();
-    let upper: Vec<UpperRows> = (0..parts)
+    let scratch = ScratchPool::new();
+    let upper: Vec<UpperRows> = weighted_ranges(&work, DYNAMIC_PIECES)
         .into_par_iter()
-        .map(|i| {
-            let mut tally = SparseWeightMap::with_capacity(k);
+        .map(|coarse_ids| {
+            let mut tally = scratch.take(k);
             let mut rows = UpperRows::default();
             let mut row: Vec<(Node, f64)> = Vec::new();
-            for c in bounds[i]..bounds[i + 1] {
+            for c in coarse_ids {
                 let id = c as Node;
                 tally.clear();
                 for &u in &members[member_offsets[c]..member_offsets[c + 1]] {

@@ -111,23 +111,17 @@ impl Coloring {
         // carried-over vector keeps later rounds cheap on the long tail.
         let mut pending: Vec<Node> = g.nodes().filter(|&u| !follower_mask[u as usize]).collect();
 
-        // Below this many pending nodes a round runs inline: the rayon
-        // shim spawns scoped OS threads per parallel call, which dwarfs
-        // the scan cost on the long tail of small rounds. Both paths
-        // visit nodes in the same order and write disjoint slots, so the
-        // result is bit-identical either way.
-        const SEQUENTIAL_ROUND_CUTOFF: usize = 4096;
-
-        // audit:allow(atomic-ordering): Relaxed is sufficient throughout —
-        // within a round the winners are pairwise non-adjacent (no slot is
-        // both read and written), and the parallel-scope join between rounds
-        // provides the happens-before edge for cross-round visibility.
+        // Relaxed is sufficient for every access to `colors` below: within
+        // a round the winners are pairwise non-adjacent (no slot is both
+        // read and written), and the executor closing each parallel call
+        // (every helper leaves through the pool's lock) is the
+        // happens-before edge for cross-round visibility.
         let is_winner = |u: Node| {
             let pu = (priority(u), u);
             g.edges_of(u).all(|(v, _)| {
                 v == u
                     || follower_mask[v as usize]
-                    || colors[v as usize].load(Ordering::Relaxed) != UNCOLORED // audit:allow(atomic-ordering): see above
+                    || colors[v as usize].load(Ordering::Relaxed) != UNCOLORED // audit:allow(atomic-ordering): see the note above is_winner
                     || (priority(v), v) < pu
             })
         };
@@ -151,32 +145,21 @@ impl Coloring {
 
         while !pending.is_empty() {
             budget.check()?;
-            let sequential =
-                pending.len() < SEQUENTIAL_ROUND_CUTOFF || rayon::current_num_threads() == 1;
             // Local priority maxima among *uncolored* non-follower
             // neighbors; ties (hash collisions) break by id. No two winners
-            // are adjacent, so they can color themselves concurrently.
-            let winners: Vec<Node> = if sequential {
-                pending.iter().filter(|&&u| is_winner(u)).copied().collect()
-            } else {
-                pending
-                    .par_iter()
-                    .map(|&u| u)
-                    .filter(|&u| is_winner(u))
-                    .collect()
-            };
+            // are adjacent, so they can color themselves concurrently. The
+            // long tail of small rounds goes through the executor like the
+            // rest: a region costs ≈ 1 µs to enter (EXPERIMENTS.md, PR 17).
+            let winners: Vec<Node> = pending
+                .par_iter()
+                .map(|&u| u)
+                .filter(|&u| is_winner(u))
+                .collect();
             debug_assert!(!winners.is_empty(), "JP round must color at least one node");
-            if sequential {
-                let mut forbidden = scratch.take(scratch_cap);
-                for &u in &winners {
-                    assign(u, &mut forbidden);
-                }
-            } else {
-                winners.par_iter().for_each_init(
-                    || scratch.take(scratch_cap),
-                    |forbidden, &u| assign(u, forbidden),
-                );
-            }
+            winners.par_iter().for_each_init(
+                || scratch.take(scratch_cap),
+                |forbidden, &u| assign(u, forbidden),
+            );
             // audit:allow(atomic-ordering): sequential read after the round's join
             pending.retain(|&u| colors[u as usize].load(Ordering::Relaxed) == UNCOLORED);
         }

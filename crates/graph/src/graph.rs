@@ -15,6 +15,7 @@
 //!   count **twice** — exactly the paper's `vol(u)`. Consequently
 //!   `Σ_u volume(u) = 2 ω(E)`.
 
+use crate::parallel::{split_by_ranges, weighted_ranges, DYNAMIC_PIECES};
 use rayon::prelude::*;
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which halves the
@@ -158,24 +159,47 @@ impl Graph {
         debug_assert_eq!(targets.len(), weights.len());
         debug_assert_eq!(*offsets.last().unwrap(), targets.len());
 
+        // Per-node caches, parallel over edge-balanced node ranges. Each
+        // row is summed by one worker in CSR order, so the values do not
+        // depend on the split.
         let mut weighted_degrees = vec![0.0; n];
         let mut self_loops = vec![0.0; n];
+        let ranges = weighted_ranges(&offsets, DYNAMIC_PIECES);
+        let loops_per_range: Vec<usize> = {
+            let degree_pieces = split_by_ranges(&mut weighted_degrees, &ranges);
+            let loop_pieces = split_by_ranges(&mut self_loops, &ranges);
+            let (offsets, targets, weights) = (&offsets, &targets, &weights);
+            ranges
+                .iter()
+                .zip(degree_pieces)
+                .zip(loop_pieces)
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .map(|((rows, degrees), loops)| {
+                    let mut num_loops = 0usize;
+                    for (u, (wd, sl)) in rows.clone().zip(degrees.iter_mut().zip(loops)) {
+                        for i in offsets[u]..offsets[u + 1] {
+                            *wd += weights[i];
+                            if targets[i] as usize == u {
+                                *sl += weights[i];
+                                num_loops += 1;
+                            }
+                        }
+                    }
+                    num_loops
+                })
+                .collect()
+        };
+        let num_loops: usize = loops_per_range.iter().sum();
+        // The float totals are summed sequentially in node order — a
+        // parallel reduction would tie them to the split points. A row has
+        // at most one loop entry, so adding `self_loops[u]` (0.0 elsewhere)
+        // is the entry-by-entry sum.
         let mut loop_total = 0.0;
         let mut directed_weight = 0.0;
-        let mut num_loops = 0usize;
-        for u in 0..n {
-            let row = offsets[u]..offsets[u + 1];
-            let mut wd = 0.0;
-            for i in row {
-                wd += weights[i];
-                if targets[i] as usize == u {
-                    self_loops[u] += weights[i];
-                    loop_total += weights[i];
-                    num_loops += 1;
-                }
-            }
-            weighted_degrees[u] = wd;
+        for (wd, sl) in weighted_degrees.iter().zip(&self_loops) {
             directed_weight += wd;
+            loop_total += sl;
         }
         // Non-loop edges are stored twice, loops once.
         let total_weight = (directed_weight - loop_total) / 2.0 + loop_total;
@@ -396,6 +420,19 @@ impl Graph {
     // audit:allow(budget-propagation): constructs a lazy parallel iterator; no work runs until the caller drives it
     pub fn par_nodes(&self) -> rayon::range::Iter<Node> {
         (0..self.node_count() as Node).into_par_iter() // audit:allow(lossy-cast): bounded by the u32 node id space
+    }
+
+    /// At most `current_num_threads()` contiguous node ranges holding
+    /// near-equal shares of the adjacency entries, split at the CSR
+    /// offsets: the parts for a parallel `fold` over nodes whose cost
+    /// follows the degrees and whose per-part state is a dense accumulator
+    /// (one range per part, so a hub-heavy id range gets fewer nodes).
+    /// Small graphs come back as one range.
+    pub fn edge_balanced_ranges(&self) -> Vec<std::ops::Range<Node>> {
+        weighted_ranges(&self.offsets, 1)
+            .into_iter()
+            .map(|r| r.start as Node..r.end as Node)
+            .collect()
     }
 
     /// Unweighted degree of `u` (number of adjacency entries; a self-loop

@@ -7,8 +7,11 @@
 
 /// Runs `f` on a rayon pool with exactly `threads` worker threads.
 ///
-/// A fresh pool is built per call; construction cost is microseconds and
-/// irrelevant next to the graph workloads measured with it.
+/// A fresh pool is built per call and dropped when `f` returns: that
+/// spawns and joins `threads − 1` OS threads (tens of µs each), so hoist
+/// the call around a whole run rather than wrapping every kernel — the CLI
+/// builds one per process. With `threads == 1` no thread is spawned and
+/// every parallel call inside `f` runs inline.
 pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     assert!(threads >= 1, "need at least one thread");
     let pool = rayon::ThreadPoolBuilder::new()
@@ -38,6 +41,75 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
         let size = base + usize::from(i < extra);
         out.push(start..start + size);
         start += size;
+    }
+    debug_assert_eq!(start, len);
+    out
+}
+
+/// Pieces per thread for [`weighted_ranges`] callers that hand the pieces
+/// to the executor's dynamic drivers (`for_each`, `collect`): the weights
+/// make the pieces near-equal, several per thread absorb what the weights
+/// cannot see (cache misses, a preempted thread). Same grain as the
+/// executor's own chunking.
+pub(crate) const DYNAMIC_PIECES: usize = 8;
+
+/// Least weight (adjacency entries + rows) worth a piece of its own: a few
+/// µs of streaming work against the ≈ 1–5 µs a parallel region costs to
+/// enter, so graphs below two pieces' worth stay on the caller.
+const MIN_PIECE_WEIGHT: usize = 4096;
+
+/// Splits the rows of a CSR-style offsets array into contiguous ranges of
+/// near-equal *weight* (see [`split_by_weight`]): `pieces_per_thread` for
+/// each thread of the current pool, none lighter than
+/// [`MIN_PIECE_WEIGHT`], a single range on a one-thread pool. This is
+/// [`chunk_ranges`] for loops whose cost follows the row lengths rather
+/// than the row count — a hub-heavy id range gets fewer rows. Pass
+/// [`DYNAMIC_PIECES`] for dynamically claimed loops and 1 for folds whose
+/// per-part state is a dense accumulator.
+pub(crate) fn weighted_ranges(
+    prefix: &[usize],
+    pieces_per_thread: usize,
+) -> Vec<std::ops::Range<usize>> {
+    let rows = prefix.len() - 1;
+    let weight = prefix[rows] - prefix[0] + rows;
+    let threads = rayon::current_num_threads();
+    let parts = if threads > 1 {
+        (threads * pieces_per_thread).min(weight / MIN_PIECE_WEIGHT)
+    } else {
+        1
+    };
+    split_by_weight(prefix, parts)
+}
+
+/// Splits `0..prefix.len() - 1` into exactly `min(parts, len)` (at least
+/// one) contiguous ranges of near-equal weight, where item `i` weighs
+/// `prefix[i + 1] - prefix[i] + 1`: its entries plus one for the item
+/// itself, so empty rows still count and the split points are unique. A
+/// range comes out empty when a single item outweighs a whole share. The
+/// bounds depend on `prefix` and `parts` only. `prefix` has at least its
+/// leading entry, as every offsets array does.
+fn split_by_weight(prefix: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let len = prefix.len() - 1;
+    let parts = parts.max(1).min(len.max(1));
+    // weight of the items before `i`; strictly increasing in `i`
+    let before = |i: usize| prefix[i] - prefix[0] + i;
+    let total = before(len);
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for part in 1..=parts {
+        let target = total * part / parts;
+        // first index at or past `start` with `before(index) >= target`
+        let (mut lo, mut hi) = (start, len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        out.push(start..lo);
+        start = lo;
     }
     debug_assert_eq!(start, len);
     out
@@ -158,6 +230,58 @@ mod tests {
     fn chunk_ranges_never_exceed_parts() {
         assert_eq!(chunk_ranges(4, 8).len(), 4);
         assert_eq!(chunk_ranges(100, 8).len(), 8);
+    }
+
+    #[test]
+    fn split_by_weight_tiles_and_balances() {
+        // degenerate shapes: no items, one item, more parts than items
+        assert_eq!(split_by_weight(&[0], 4), vec![0..0]);
+        assert_eq!(split_by_weight(&[0, 9], 4), vec![0..1]);
+        assert_eq!(split_by_weight(&[0, 0, 0, 0], 8).len(), 3);
+        // a hub in front: 1000 entries, then 99 rows of one entry each
+        let mut prefix = vec![0usize, 1000];
+        prefix.extend((1..100).map(|i| 1000 + i));
+        for parts in [1usize, 2, 3, 4, 16] {
+            let ranges = split_by_weight(&prefix, parts);
+            assert_eq!(ranges.len(), parts);
+            let mut expect = 0;
+            for r in &ranges {
+                assert_eq!(r.start, expect);
+                expect = r.end;
+            }
+            assert_eq!(expect, 100);
+            // the hub outweighs any share, so it sits alone in front
+            if parts > 1 {
+                assert_eq!(ranges[0], 0..1);
+            }
+        }
+        // uniform rows: the split is chunk_ranges'
+        let uniform: Vec<usize> = (0..=64).map(|i| i * 5).collect();
+        assert_eq!(split_by_weight(&uniform, 4), chunk_ranges(64, 4));
+    }
+
+    #[test]
+    fn weighted_ranges_follow_the_pool_and_the_grain() {
+        let light: Vec<usize> = (0..=100).map(|i| i * 10).collect(); // weight 1100
+        let heavy: Vec<usize> = (0..=10_000).map(|i| i * 10).collect(); // weight 110 000
+        assert_eq!(
+            with_threads(1, || weighted_ranges(&heavy, DYNAMIC_PIECES)).len(),
+            1
+        );
+        assert_eq!(
+            with_threads(4, || weighted_ranges(&light, DYNAMIC_PIECES)).len(),
+            1
+        );
+        assert_eq!(with_threads(4, || weighted_ranges(&heavy, 1)).len(), 4);
+        // 4 threads x 8 pieces, but only 26 pieces' worth of weight
+        assert_eq!(
+            with_threads(4, || weighted_ranges(&heavy, DYNAMIC_PIECES)).len(),
+            26
+        );
+        assert_eq!(
+            with_threads(2, || weighted_ranges(&heavy, DYNAMIC_PIECES)).len(),
+            16
+        );
     }
 
     #[test]

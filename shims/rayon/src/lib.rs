@@ -1,16 +1,23 @@
-#![forbid(unsafe_code)]
+// The workspace-wide no-unsafe rule, with one audited exception: the
+// executor (`pool`) erases the lifetime of a region's job reference to
+// lend it to persistent worker threads — one `unsafe` expression, argued
+// in place. Every other module stays unsafe-free under `deny`, and
+// `parcom-audit` flags any unsafe outside the allowlisted file.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Offline drop-in subset of the `rayon` data-parallelism API.
 //!
 //! The build environment for this workspace has no access to crates.io, so
 //! this shim provides the exact slice of rayon's API surface the workspace
-//! uses, implemented on `std::thread::scope`. Parallel iterators are
-//! represented as splittable pipelines: a splittable base (range, slice,
-//! vector) plus composable adapters (`map`, `filter`, `flat_map_iter`, …).
-//! Drivers split the pipeline into one part per thread, run each part's
-//! sequential tail on its own scoped thread, and merge the partial results
-//! in order, so `collect()` preserves item order exactly like rayon.
+//! uses. Parallel iterators are represented as splittable pipelines: a
+//! splittable base (range, slice, vector) plus composable adapters (`map`,
+//! `filter`, `flat_map_iter`, …). Drivers ([`iter`]) cut the pipeline into
+//! contiguous chunks whose boundaries depend only on the input length and
+//! the thread count, and run them on a pool of persistent worker threads
+//! (`pool`): the calling thread and the pool's helpers claim chunks from
+//! one cursor, and partial results are merged in chunk order, so
+//! `collect()` preserves item order exactly like rayon.
 //!
 //! Semantics intentionally preserved from rayon:
 //!
@@ -18,15 +25,24 @@
 //!   the concurrency stress tests rely on);
 //! * `collect`/`map` keep input order;
 //! * a panic in a worker propagates to the caller;
-//! * `ThreadPool::install` bounds the parallelism of nested calls.
-
-use std::cell::Cell;
-use std::num::NonZeroUsize;
+//! * `ThreadPool::install` bounds the parallelism of nested calls, and a
+//!   [`ThreadPool`] owns its threads and joins them on drop;
+//! * code outside any `install` runs on one lazily started global pool of
+//!   `available_parallelism()` threads.
+//!
+//! Where it differs: `install` runs its closure on the *calling* thread
+//! (which then works alongside the pool's `num_threads − 1` helpers), and a
+//! pool serves one parallel region at a time — a nested region, or one
+//! entered from a second thread meanwhile, runs on its caller alone.
 
 pub mod iter;
+#[allow(unsafe_code)]
+mod pool;
 pub mod range;
 pub mod slice;
 pub mod vec;
+
+pub use pool::{current_num_threads, ThreadPool};
 
 /// The rayon prelude: the traits that put `par_iter()` and friends in scope.
 pub mod prelude {
@@ -36,28 +52,14 @@ pub mod prelude {
     };
 }
 
-thread_local! {
-    /// Per-thread override installed by [`ThreadPool::install`].
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Number of threads parallel drivers will use in the current context.
-pub fn current_num_threads() -> usize {
-    THREAD_OVERRIDE.with(|o| o.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Error returned by [`ThreadPoolBuilder::build`]. The shim never fails to
-/// build a pool; the type exists for signature compatibility.
+/// Error returned by [`ThreadPoolBuilder::build`] when a worker thread
+/// cannot be spawned.
 #[derive(Debug)]
-pub struct ThreadPoolBuildError;
+pub struct ThreadPoolBuildError(std::io::Error);
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool build error")
+        write!(f, "thread pool build error: {}", self.0)
     }
 }
 
@@ -81,36 +83,13 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Builds the pool. Never fails in this shim.
+    /// Builds the pool, spawning its `num_threads − 1` helper threads.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads,
-        })
-    }
-}
-
-/// A scoped parallelism budget. Unlike real rayon no worker threads are kept
-/// alive; the pool only pins [`current_num_threads`] for the duration of
-/// [`ThreadPool::install`], which is all the workspace relies on.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `f` with this pool's thread count as the ambient parallelism.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let n = if self.num_threads == 0 {
-            current_num_threads()
-        } else {
-            self.num_threads
+        let threads = match self.num_threads {
+            0 => current_num_threads(),
+            n => n,
         };
-        THREAD_OVERRIDE.with(|o| {
-            let prev = o.replace(Some(n));
-            let result = f();
-            o.set(prev);
-            result
-        })
+        ThreadPool::start(threads).map_err(ThreadPoolBuildError)
     }
 }
 
