@@ -7,7 +7,7 @@
 //! trait methods implemented many times) are skipped rather than guessed —
 //! a lint must not hallucinate edges. That still closes the hole the
 //! intra-function `budget-check` rule cannot see: helpers extracted from
-//! a `run_guarded` body have workspace-unique names in practice, and the
+//! a detector's `run` body have workspace-unique names in practice, and the
 //! walk follows them transitively.
 
 use crate::model::{FileModel, FnItem};

@@ -220,7 +220,7 @@ pub fn detect(args: &Args) -> CmdResult {
 
     let timeout: f64 = args.get_or("timeout", 0.0)?;
     let max_sweeps: u64 = args.get_or("max-sweeps", 0)?;
-    let guarded = timeout > 0.0 || max_sweeps > 0;
+    let reported = timeout > 0.0 || max_sweeps > 0 || report_json;
     let mut budget = make_limits();
     if timeout > 0.0 {
         budget = budget.with_deadline(std::time::Duration::from_secs_f64(timeout));
@@ -229,17 +229,14 @@ pub fn detect(args: &Args) -> CmdResult {
         budget = budget.with_max_sweeps(max_sweeps);
     }
 
-    // with --timeout/--max-sweeps the run is guarded (and reported);
-    // with --report it is instrumented; without either, detect() keeps
-    // the zero-overhead path
+    // with --timeout/--max-sweeps/--report the run is guarded and reported
+    // (an unlimited budget converges); without any, detect() keeps the
+    // zero-overhead path
     let run = |algo: &mut Box<dyn CommunityDetector + Send>| {
         let start = std::time::Instant::now();
-        let (zeta, report, termination) = if guarded {
+        let (zeta, report, termination) = if reported {
             let r = algo.detect_guarded(&g, &budget);
             (r.partition, r.report, Some(r.termination))
-        } else if report_json {
-            let (zeta, report) = algo.detect_with_report(&g);
-            (zeta, report, None)
         } else {
             (algo.detect(&g), parcom_obs::RunReport::default(), None)
         };

@@ -50,6 +50,10 @@ fn detect_report_json_emits_a_valid_run_report() {
     // graph ingest phases lead the report
     assert!(stdout.contains("\"name\":\"ingest/parse\""), "{stdout}");
     assert!(stdout.contains("\"name\":\"ingest/build\""), "{stdout}");
+    // no budget flag: the run converges and the report says so (what CI's
+    // run-report smoke asserts)
+    assert!(stdout.contains("\"termination\":\"converged\""), "{stdout}");
+    assert!(stdout.contains("\"cut_phase\":null"), "{stdout}");
 
     // the human summary moved to stderr
     let stderr = String::from_utf8(out.stderr).unwrap();

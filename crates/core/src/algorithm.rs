@@ -1,10 +1,18 @@
-//! The common interface of all community detection algorithms.
+//! The one contract every community detection algorithm implements.
+//!
+//! A detector supplies its name and a single algorithm body,
+//! [`run`](CommunityDetector::run), which works under a [`Recorder`] and
+//! a [`Budget`]. The three public entry points — `detect`,
+//! `detect_with_report` and `detect_guarded` — are provided methods
+//! written here once, so they cannot disagree about what a report carries
+//! or how a run ends (DESIGN.md §11).
 
+use crate::quality::modularity_gamma;
 use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{Recorder, RunReport};
 
-/// The outcome of a budgeted run ([`CommunityDetector::detect_guarded`]):
+/// The outcome of a reported run ([`CommunityDetector::detect_guarded`]):
 /// the partition — degraded to the best valid one found so far when the
 /// budget expired mid-run — plus why the run stopped and its report. The
 /// report's `termination` field always carries
@@ -21,80 +29,102 @@ pub struct GuardedResult {
     pub report: RunReport,
 }
 
-/// Stamps the termination cause (and, for interrupted runs, the cut
-/// phase) onto a finished report — the single way detectors build a
-/// [`GuardedResult`], so the report and the result can't disagree.
-pub(crate) fn guarded_result(
-    partition: Partition,
-    termination: Termination,
-    cut_phase: Option<String>,
-    mut report: RunReport,
-) -> GuardedResult {
-    report.termination = Some(termination.as_str().to_string());
-    report.cut_phase = if termination.interrupted() {
-        cut_phase
-    } else {
-        None
-    };
-    GuardedResult {
-        partition,
-        termination,
-        report,
+impl GuardedResult {
+    /// Stamps the termination cause (and, for interrupted runs, the cut
+    /// phase) onto a finished report — the single way a result is built,
+    /// so the report and the result can't disagree.
+    fn new(
+        partition: Partition,
+        termination: Termination,
+        cut_phase: Option<String>,
+        mut report: RunReport,
+    ) -> Self {
+        report.termination = Some(termination.as_str().to_string());
+        report.cut_phase = cut_phase.filter(|_| termination.interrupted());
+        Self {
+            partition,
+            termination,
+            report,
+        }
     }
 }
 
-/// The shared preflight of every `detect_guarded`: input admission and an
-/// already-expired budget both short-circuit to a singleton partition
-/// (every node its own community — trivially valid) before any real work
-/// or allocation happens.
-// the Err IS the early-return value; boxing it would force every
-// detect_guarded to unbox on the cold path for no benefit
-#[allow(clippy::result_large_err)]
-pub(crate) fn guard_preflight(
-    name: String,
+/// Runs `detector` under `rec` and builds the report every entry point
+/// hands out: the root counters `nodes`/`edges`/`communities`, the
+/// modularity metric at the detector's own γ, and the termination cause
+/// with — for interrupted runs — the cut phase. Under a disabled recorder
+/// this is the bare `run` plus an empty report.
+fn reported_run<D: CommunityDetector + ?Sized>(
+    detector: &mut D,
     g: &Graph,
+    rec: Recorder,
     budget: &Budget,
-) -> Result<(), GuardedResult> {
-    let early = match budget.admits(g.node_count(), g.edge_count()) {
-        Err(t) => Some(t),
-        Ok(()) => budget.check().err(),
-    };
-    match early {
-        Some(t) => Err(guarded_result(
-            Partition::singleton(g.node_count()),
-            t,
-            None,
-            RunReport::empty(name),
-        )),
-        None => Ok(()),
+) -> GuardedResult {
+    rec.counter("nodes", g.node_count() as u64);
+    rec.counter("edges", g.edge_count() as u64);
+    let (partition, termination, cut_phase) = detector.run(g, &rec, budget);
+    // two scans of the result that only a report needs
+    if rec.is_enabled() {
+        rec.counter("communities", partition.number_of_subsets() as u64);
+        let q = modularity_gamma(g, &partition, detector.gamma());
+        rec.metric("modularity", q);
     }
+    GuardedResult::new(
+        partition,
+        termination,
+        cut_phase,
+        rec.finish(detector.name()),
+    )
+}
+
+/// Runs a constituent of an ensemble (a member, the final algorithm) for
+/// the run recorded by `outer`: under a recorder of its own — its report
+/// becomes a sub-report — only when `outer` is recording, so a plain
+/// `detect()` of the ensemble pays for no recorder and no modularity scan
+/// in its members.
+pub(crate) fn run_constituent<D: CommunityDetector + ?Sized>(
+    detector: &mut D,
+    g: &Graph,
+    outer: &Recorder,
+    budget: &Budget,
+) -> GuardedResult {
+    let rec = if outer.is_enabled() {
+        Recorder::enabled()
+    } else {
+        Recorder::disabled()
+    };
+    reported_run(detector, g, rec, budget)
 }
 
 /// A (possibly stateful) community detection algorithm.
 ///
-/// `detect` consumes no graph state — graphs are immutable — but takes
-/// `&mut self` so algorithms can record run statistics (e.g. PLP's
-/// per-iteration label counts for Fig. 1) and advance internal RNG state
-/// between ensemble runs.
-///
-/// Two provided methods make every detector uniform to drive:
-///
-/// * [`set_seed`](Self::set_seed) replaces the zoo of bespoke `with_seed`
-///   constructors — ensemble plumbing and the CLI reseed any detector the
-///   same way, and deterministic algorithms simply ignore it.
-/// * [`detect_with_report`](Self::detect_with_report) runs detection with
-///   phase-level instrumentation and returns the structured
-///   [`RunReport`] alongside the partition. The default wraps `detect`
-///   in a single `detect` phase; instrumented algorithms (PLP, PLM,
-///   EPP) override it with per-phase breakdowns. Reports honor the
-///   `PARCOM_OBS` kill switch via [`Recorder::from_env`].
+/// Implementing a detector means implementing [`name`](Self::name) and
+/// [`run`](Self::run) (plus [`set_seed`](Self::set_seed) and
+/// [`gamma`](Self::gamma) where they apply); every entry point below is
+/// derived from those and is not meant to be overridden. Graphs are
+/// immutable; `run` takes `&mut self` so algorithms can advance internal
+/// RNG state between ensemble runs.
 pub trait CommunityDetector {
     /// Human-readable algorithm label as used in the paper's figures
     /// (e.g. `"PLM"`, `"EPP(4,PLP,PLM)"`).
     fn name(&self) -> String;
 
-    /// Detects communities in `g`.
-    fn detect(&mut self, g: &Graph) -> Partition;
+    /// The algorithm body: detects communities in `g`, recording phases
+    /// into `rec` and honouring `budget`.
+    ///
+    /// The contract (see DESIGN.md §11): the budget is checked at
+    /// sweep/level/ensemble-member boundaries — never per edge — and when
+    /// it expires the run *degrades gracefully*: it returns the best valid
+    /// partition found so far (the current hierarchy level projected back
+    /// to the fine graph) instead of panicking or running on. The second
+    /// component says how the run ended, the third names the phase a cut
+    /// run was in (ignored for converged runs).
+    fn run(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>);
 
     /// Reseeds the algorithm's randomness. The default is a no-op:
     /// deterministic algorithms (CNM, PAM) have nothing to reseed.
@@ -102,69 +132,70 @@ pub trait CommunityDetector {
         let _ = seed;
     }
 
-    /// Detects communities and returns the structured run report.
-    ///
-    /// The default implementation wraps [`detect`](Self::detect) in a
-    /// single `detect` phase and records the input size and final
-    /// community count; algorithms with internal phases override this.
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let zeta = {
-            let _span = rec.span("detect");
-            self.detect(g)
-        };
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        (zeta, rec.finish(self.name()))
+    /// The resolution γ the algorithm optimizes modularity at — the γ its
+    /// reports' `modularity` metric is evaluated with. Standard modularity
+    /// (1) unless the detector has a resolution parameter.
+    fn gamma(&self) -> f64 {
+        1.0
     }
 
-    /// Detects communities under a run [`Budget`].
-    ///
-    /// The contract (see DESIGN.md §11): the budget is checked at
-    /// sweep/level/ensemble-member boundaries — never per edge — and when
-    /// it expires the run *degrades gracefully*: it flattens and returns
-    /// the best valid partition found so far (the current hierarchy level
-    /// projected back to the fine graph) instead of panicking or running
-    /// on. [`GuardedResult::termination`] says how the run ended and the
-    /// report's `cut_phase` which phase was interrupted.
-    ///
-    /// The default implementation only guards the *boundaries*: input
-    /// admission and an expired budget short-circuit before work starts,
-    /// and otherwise the full [`detect_with_report`](Self::detect_with_report)
-    /// runs to convergence. Every detector in this crate overrides it with
-    /// real mid-run checks.
+    /// Detects communities in `g`: [`run`](Self::run) with no recorder and
+    /// no budget — the zero-overhead path.
+    fn detect(&mut self, g: &Graph) -> Partition {
+        self.run(g, &Recorder::disabled(), &Budget::unlimited()).0
+    }
+
+    /// Detects communities and returns the structured run report: the
+    /// algorithm's phases, the input size and community count, the
+    /// modularity reached and `termination == "converged"`. Honors the
+    /// `PARCOM_OBS` kill switch via [`Recorder::from_env`].
+    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
+        let r = reported_run(self, g, Recorder::from_env(), &Budget::unlimited());
+        (r.partition, r.report)
+    }
+
+    /// Detects communities under a run [`Budget`] and reports like
+    /// [`detect_with_report`](Self::detect_with_report).
+    /// [`GuardedResult::termination`] says how the run ended and the
+    /// report's `cut_phase` which phase was interrupted. Input the budget
+    /// does not admit and an already-expired budget short-circuit to the
+    /// singleton partition (every node its own community — trivially
+    /// valid) before any work or allocation happens.
     fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
+        let early = match budget.admits(g.node_count(), g.edge_count()) {
+            Err(t) => Some(t),
+            Ok(()) => budget.check().err(),
+        };
+        if let Some(termination) = early {
+            let zeta = Partition::singleton(g.node_count());
+            return GuardedResult::new(zeta, termination, None, RunReport::empty(self.name()));
         }
-        let (partition, report) = self.detect_with_report(g);
-        guarded_result(partition, Termination::Converged, None, report)
+        reported_run(self, g, Recorder::from_env(), budget)
     }
 }
 
+// Only the methods a detector implements are forwarded; the entry points
+// are the same provided code on either side of the box.
 impl<T: CommunityDetector + ?Sized> CommunityDetector for Box<T> {
     fn name(&self) -> String {
         (**self).name()
     }
 
-    fn detect(&mut self, g: &Graph) -> Partition {
-        (**self).detect(g)
+    fn run(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>) {
+        (**self).run(g, rec, budget)
     }
 
-    // The provided methods must forward too: a `Box<dyn CommunityDetector>`
-    // would otherwise silently use the defaults and drop the inner
-    // algorithm's seed handling and phase breakdown.
     fn set_seed(&mut self, seed: u64) {
         (**self).set_seed(seed);
     }
 
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        (**self).detect_with_report(g)
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        (**self).detect_guarded(g, budget)
+    fn gamma(&self) -> f64 {
+        (**self).gamma()
     }
 }
 
@@ -172,72 +203,71 @@ impl<T: CommunityDetector + ?Sized> CommunityDetector for Box<T> {
 mod tests {
     use super::*;
 
-    struct Trivial;
+    /// Puts everything in one community; its seed decides which id.
+    struct Trivial {
+        seed: u64,
+    }
     impl CommunityDetector for Trivial {
         fn name(&self) -> String {
             "Trivial".into()
         }
-        fn detect(&mut self, g: &Graph) -> Partition {
-            Partition::all_in_one(g.node_count())
-        }
-    }
-
-    /// Overrides the provided methods, to prove boxing forwards them.
-    struct Seeded {
-        seed: u64,
-    }
-    impl CommunityDetector for Seeded {
-        fn name(&self) -> String {
-            "Seeded".into()
-        }
-        fn detect(&mut self, g: &Graph) -> Partition {
-            Partition::singleton(g.node_count())
+        fn run(
+            &mut self,
+            g: &Graph,
+            rec: &Recorder,
+            _budget: &Budget,
+        ) -> (Partition, Termination, Option<String>) {
+            let _span = rec.span("assign");
+            let zeta = Partition::from_vec(vec![self.seed as u32; g.node_count()]);
+            (zeta, Termination::Converged, Some("assign".into()))
         }
         fn set_seed(&mut self, seed: u64) {
             self.seed = seed;
         }
-        fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-            let mut report = RunReport::empty(self.name());
-            report.counters.push(("seed".into(), self.seed));
-            (self.detect(g), report)
+        fn gamma(&self) -> f64 {
+            0.5
         }
     }
 
-    #[test]
-    fn boxed_detector_delegates() {
-        let mut boxed: Box<dyn CommunityDetector> = Box::new(Trivial);
-        assert_eq!(boxed.name(), "Trivial");
-        let g = parcom_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
-        assert_eq!(boxed.detect(&g).number_of_subsets(), 1);
+    fn path() -> Graph {
+        parcom_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)])
     }
 
     #[test]
-    fn default_report_wraps_detect() {
-        let g = parcom_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
-        let (zeta, report) = Trivial.detect_with_report(&g);
+    fn boxing_reaches_the_inner_detector() {
+        let mut boxed: Box<dyn CommunityDetector + Send> = Box::new(Trivial { seed: 0 });
+        assert_eq!(boxed.name(), "Trivial");
+        assert_eq!(boxed.gamma(), 0.5);
+        boxed.set_seed(4);
+        let g = path();
+        // every entry point runs the inner body, reseeded
+        assert_eq!(boxed.detect(&g).as_slice(), [4, 4, 4]);
+        let (zeta, report) = boxed.detect_with_report(&g);
+        assert_eq!(zeta.as_slice(), [4, 4, 4]);
+        assert!(report.phase("assign").is_some());
+        let r = boxed.detect_guarded(&g, &Budget::unlimited());
+        assert_eq!(r.partition.as_slice(), [4, 4, 4]);
+    }
+
+    #[test]
+    fn reports_carry_counters_modularity_and_termination() {
+        let g = path();
+        let (zeta, report) = Trivial { seed: 0 }.detect_with_report(&g);
         assert_eq!(zeta.number_of_subsets(), 1);
         assert_eq!(report.algorithm, "Trivial");
         assert_eq!(report.counter("nodes"), Some(3));
         assert_eq!(report.counter("edges"), Some(2));
         assert_eq!(report.counter("communities"), Some(1));
-        assert!(report.phase("detect").is_some());
+        // evaluated at the detector's own resolution, not at 1
+        assert_eq!(report.metric("modularity"), Some(0.5));
+        assert_eq!(report.termination.as_deref(), Some("converged"));
+        // a converged run names no cut phase, whatever the body returned
+        assert_eq!(report.cut_phase, None);
     }
 
     #[test]
-    fn boxing_forwards_overridden_provided_methods() {
-        let mut boxed: Box<dyn CommunityDetector + Send> = Box::new(Seeded { seed: 0 });
-        boxed.set_seed(42);
-        let g = parcom_graph::GraphBuilder::from_edges(2, &[(0, 1)]);
-        let (_, report) = boxed.detect_with_report(&g);
-        // the override's report shape, not the default's
-        assert_eq!(report.counter("seed"), Some(42));
-        assert!(report.phases.is_empty());
-    }
-
-    #[test]
-    fn default_guarded_run_converges() {
-        let g = parcom_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
-        let r = Trivial.detect_guarded(&g, &Budget::unlimited());
+    fn guarded_run_converges_under_an_unlimited_budget() {
+        let r = Trivial { seed: 0 }.detect_guarded(&path(), &Budget::unlimited());
         assert_eq!(r.termination, Termination::Converged);
         assert_eq!(r.partition.number_of_subsets(), 1);
         assert_eq!(r.report.termination.as_deref(), Some("converged"));
@@ -246,44 +276,22 @@ mod tests {
 
     #[test]
     fn preflight_rejects_oversized_input_before_any_work() {
-        let g = parcom_graph::GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
         let budget = Budget::unlimited().with_input_limits(2, 100);
-        let r = Trivial.detect_guarded(&g, &budget);
+        let r = Trivial { seed: 0 }.detect_guarded(&path(), &budget);
         assert_eq!(r.termination, Termination::InputRejected);
         // degraded result: the trivially valid singleton partition
         assert_eq!(r.partition.len(), 3);
         assert_eq!(r.partition.number_of_subsets(), 3);
         assert_eq!(r.report.termination.as_deref(), Some("input-rejected"));
+        assert!(r.report.phases.is_empty());
     }
 
     #[test]
     fn preflight_catches_already_expired_budget() {
         let g = parcom_graph::GraphBuilder::from_edges(2, &[(0, 1)]);
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = Trivial.detect_guarded(&g, &budget);
+        let r = Trivial { seed: 0 }.detect_guarded(&g, &budget);
         assert_eq!(r.termination, Termination::Deadline);
         assert_eq!(r.partition.len(), 2);
-    }
-
-    #[test]
-    fn boxing_forwards_detect_guarded() {
-        struct Guarded;
-        impl CommunityDetector for Guarded {
-            fn name(&self) -> String {
-                "Guarded".into()
-            }
-            fn detect(&mut self, g: &Graph) -> Partition {
-                Partition::singleton(g.node_count())
-            }
-            fn detect_guarded(&mut self, g: &Graph, _budget: &Budget) -> GuardedResult {
-                let mut report = RunReport::empty(self.name());
-                report.counters.push(("custom".into(), 1));
-                guarded_result(self.detect(g), Termination::Converged, None, report)
-            }
-        }
-        let mut boxed: Box<dyn CommunityDetector + Send> = Box::new(Guarded);
-        let g = parcom_graph::GraphBuilder::from_edges(2, &[(0, 1)]);
-        let r = boxed.detect_guarded(&g, &Budget::unlimited());
-        assert_eq!(r.report.counter("custom"), Some(1));
     }
 }

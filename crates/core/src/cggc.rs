@@ -8,13 +8,13 @@
 //! improving modularity — and then applies the final algorithm. Both are
 //! qualitatively at the top of the field and, like the originals, expensive.
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use crate::combine::core_communities;
 use crate::quality::modularity_gamma;
 use crate::rg::Rg;
 use parcom_graph::{coarsen, Coarsening, Graph, Partition};
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{Recorder, RunReport};
+use parcom_obs::Recorder;
 use rayon::prelude::*;
 
 /// The core-groups ensemble over RG.
@@ -64,7 +64,7 @@ impl Cggc {
         let solutions: Vec<Partition> = (0..self.ensemble_size)
             .into_par_iter()
             .map(|i| {
-                let rg = Rg {
+                let mut rg = Rg {
                     sample_size: self.rg_sample_size,
                     gamma: self.gamma,
                     seed: self
@@ -72,7 +72,7 @@ impl Cggc {
                         .wrapping_add((level as u64) << 32)
                         .wrapping_add(i as u64 + 1),
                 };
-                rg.run_guarded(g, &Recorder::disabled(), budget).0
+                rg.run(g, &Recorder::disabled(), budget).0
             })
             .collect();
         core_communities(&solutions)
@@ -85,16 +85,33 @@ impl Cggc {
         }
         zeta
     }
+}
 
-    /// The ensemble hierarchy under a recorder and a budget, shared by
-    /// every entry point. The budget is tested at ensemble-level
+impl CommunityDetector for Cggc {
+    fn name(&self) -> String {
+        if self.iterated {
+            "CGGCi".into()
+        } else {
+            "CGGC".into()
+        }
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn gamma(&self) -> f64 {
+        self.gamma
+    }
+
+    /// The ensemble hierarchy. The budget is tested at ensemble-level
     /// boundaries (each ensemble round consumes one sweep) and passed down
     /// into the RG members; on expiry the committed chain so far is
-    /// finished off by the guarded final RG and prolonged — every
-    /// committed contraction improved modularity on `g`, so the degraded
-    /// result is a valid consensus prefix.
-    fn run_guarded(
-        &self,
+    /// finished off by the final RG under the same budget and prolonged —
+    /// every committed contraction improved modularity on `g`, so the
+    /// degraded result is a valid consensus prefix.
+    fn run(
+        &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
@@ -161,14 +178,14 @@ impl Cggc {
             current = coarse;
         }
 
-        let final_rg = Rg {
+        let mut final_rg = Rg {
             sample_size: 2,
             gamma: self.gamma,
             seed: self.seed.wrapping_mul(0x9e3779b9).wrapping_add(7),
         };
         let (coarse_solution, final_term, _) = {
             let span = rec.span("final-rg");
-            let out = final_rg.run_guarded(&current, rec, budget);
+            let out = final_rg.run(&current, rec, budget);
             span.counter("coarse-nodes", current.node_count() as u64);
             out
         };
@@ -179,49 +196,6 @@ impl Cggc {
         let mut zeta = Self::prolong_chain(&chain, coarse_solution);
         zeta.compact();
         (zeta, termination, cut_phase)
-    }
-}
-
-impl CommunityDetector for Cggc {
-    fn name(&self) -> String {
-        if self.iterated {
-            "CGGCi".into()
-        } else {
-            "CGGC".into()
-        }
-    }
-
-    fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", modularity_gamma(g, &zeta, self.gamma));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
     }
 }
 

@@ -6,11 +6,11 @@
 //! and are discarded on pop if either community has changed since.
 
 use crate::agglomeration::{MergeState, OrderedDelta};
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use crate::rg::MERGE_CHECK_INTERVAL;
 use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Pacer, Termination};
-use parcom_obs::{Recorder, RunReport};
+use parcom_obs::Recorder;
 use std::collections::BinaryHeap;
 
 /// The CNM greedy modularity agglomerator.
@@ -48,15 +48,22 @@ impl Ord for Candidate {
     }
 }
 
-impl Cnm {
-    /// The greedy merge loop under a recorder and a budget, shared by
-    /// every entry point. The budget is paced at one check per
-    /// [`MERGE_CHECK_INTERVAL`] heap pops; CNM only ever executes
+impl CommunityDetector for Cnm {
+    fn name(&self) -> String {
+        "CNM".into()
+    }
+
+    fn gamma(&self) -> f64 {
+        self.gamma
+    }
+
+    /// The greedy merge loop. The budget is paced at one check per
+    /// `MERGE_CHECK_INTERVAL` heap pops; CNM only ever executes
     /// improving merges, so the state at *any* interruption point is the
     /// best partition on its greedy path so far — degradation just stops
     /// merging early.
-    fn run_guarded(
-        &self,
+    fn run(
+        &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
@@ -135,41 +142,6 @@ impl Cnm {
             termination,
             Some("agglomerate".into()),
         )
-    }
-}
-
-impl CommunityDetector for Cnm {
-    fn name(&self) -> String {
-        "CNM".into()
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
     }
 }
 

@@ -7,14 +7,14 @@
 //! coarse graph, and the result is prolonged back. This trades a little
 //! quality for a large speedup on big graphs (§III-D, Fig. 4).
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::{run_constituent, CommunityDetector};
 use crate::combine::core_communities;
 use crate::moves::MoveStrategy;
 use crate::plm::Plm;
 use crate::plp::Plp;
 use parcom_graph::{coarsen, coarsen_with, Graph, Partition};
 use parcom_guard::{faultpoint, Budget, Termination};
-use parcom_obs::{Recorder, RunReport};
+use parcom_obs::Recorder;
 use rayon::prelude::*;
 
 /// A PLP base classifier with the given ensemble-member seed.
@@ -97,45 +97,61 @@ impl Epp {
     pub fn ensemble_size(&self) -> usize {
         self.bases.len()
     }
+}
 
-    /// The ensemble pipeline under a recorder and a budget, shared by
-    /// every entry point. The budget is shared with every ensemble member
-    /// and with the final algorithm via their own `detect_guarded`
-    /// boundaries; an expiry during the ensemble degrades to the consensus
-    /// of the (partial) member solutions — a valid, if conservative,
-    /// partition of the input graph — and an expiry during the final phase
-    /// prolongs whatever the final algorithm could finish.
-    fn run_guarded(
+impl CommunityDetector for Epp {
+    fn name(&self) -> String {
+        format!(
+            "EPP({},{},{})",
+            self.bases.len(),
+            self.bases.first().map_or_else(|| "?".into(), |b| b.name()),
+            self.final_algorithm.name()
+        )
+    }
+
+    /// Distributes distinct seeds derived from `seed` to the ensemble
+    /// members (solution diversity needs distinct streams) and reseeds
+    /// the final algorithm.
+    fn set_seed(&mut self, seed: u64) {
+        for (i, base) in self.bases.iter_mut().enumerate() {
+            base.set_seed(seed.wrapping_add(1 + i as u64));
+        }
+        self.final_algorithm.set_seed(seed);
+    }
+
+    /// The ensemble pipeline. The budget is shared with every ensemble
+    /// member and with the final algorithm; an expiry during the ensemble
+    /// degrades to the consensus of the (partial) member solutions — a
+    /// valid, if conservative, partition of the input graph — and an expiry
+    /// during the final phase prolongs whatever the final algorithm could
+    /// finish.
+    fn run(
         &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        // 1. base solutions, in parallel; with an enabled recorder each
-        //    member contributes its own sub-report
-        let collect_reports = rec.is_enabled();
+        rec.counter("ensemble-size", self.bases.len() as u64);
+        // 1. base solutions, in parallel; when `rec` is recording each
+        //    member contributes its own sub-report (a no-op otherwise)
         let (base_solutions, member_term) = {
             let _span = rec.span("ensemble");
-            let results: Vec<(Partition, Termination, Option<RunReport>)> = self
+            let results: Vec<_> = self
                 .bases
                 .par_iter_mut()
                 .map(|base| {
                     faultpoint!("core/epp-member");
-                    let r = base.detect_guarded(g, budget);
-                    let report = collect_reports.then_some(r.report);
-                    (r.partition, r.termination, report)
+                    run_constituent(base, g, rec, budget)
                 })
                 .collect();
             let mut member_term = Termination::Converged;
             let mut solutions = Vec::with_capacity(results.len());
-            for (zeta, term, report) in results {
-                if let Some(r) = report {
-                    rec.sub_report(r);
+            for r in results {
+                rec.sub_report(r.report);
+                if r.termination.interrupted() && !member_term.interrupted() {
+                    member_term = r.termination;
                 }
-                if term.interrupted() && !member_term.interrupted() {
-                    member_term = term;
-                }
-                solutions.push(zeta);
+                solutions.push(r.partition);
             }
             (solutions, member_term)
         };
@@ -166,13 +182,9 @@ impl Epp {
         let contraction = coarsen_with(g, &core, rec);
         let (coarse_solution, final_term, final_cut) = {
             let _span = rec.span("final");
-            let r = self
-                .final_algorithm
-                .detect_guarded(&contraction.coarse, budget);
+            let r = run_constituent(&mut self.final_algorithm, &contraction.coarse, rec, budget);
             let cut = r.report.cut_phase.clone();
-            if collect_reports {
-                rec.sub_report(r.report);
-            }
+            rec.sub_report(r.report);
             (r.partition, r.termination, cut)
         };
 
@@ -212,58 +224,6 @@ impl Epp {
     }
 }
 
-impl CommunityDetector for Epp {
-    fn name(&self) -> String {
-        format!(
-            "EPP({},{},{})",
-            self.bases.len(),
-            self.bases.first().map_or_else(|| "?".into(), |b| b.name()),
-            self.final_algorithm.name()
-        )
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    /// Distributes distinct seeds derived from `seed` to the ensemble
-    /// members (solution diversity needs distinct streams) and reseeds
-    /// the final algorithm.
-    fn set_seed(&mut self, seed: u64) {
-        for (i, base) in self.bases.iter_mut().enumerate() {
-            base.set_seed(seed.wrapping_add(1 + i as u64));
-        }
-        self.final_algorithm.set_seed(seed);
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        rec.counter("ensemble-size", self.bases.len() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        rec.counter("ensemble-size", self.bases.len() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
-    }
-}
-
 /// EML — the iterated (multilevel) ensemble scheme of §III-D: after the core
 /// communities are computed, the coarsened graph is fed to a *fresh*
 /// ensemble, recursively, until the consensus stops improving modularity;
@@ -292,18 +252,28 @@ impl EppIterated {
     }
 }
 
-impl EppIterated {
-    /// The iterated ensemble under a recorder and a budget. Each ensemble
-    /// round consumes one sweep; the budget is shared with the PLP members
-    /// and the final PLM, so expiry degrades to the consensus prefix
-    /// committed so far, finished off by whatever PLM could do.
-    fn run_guarded(
-        &self,
+impl CommunityDetector for EppIterated {
+    fn name(&self) -> String {
+        format!("EML({},PLP,PLM)", self.ensemble_size)
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    /// The iterated ensemble. Each ensemble round consumes one sweep; the
+    /// budget is shared with the PLP members and the final PLM, so expiry
+    /// degrades to the consensus prefix committed so far, finished off by
+    /// whatever PLM could do. The members run unrecorded; the final PLM
+    /// records its levels under the `final` span.
+    fn run(
+        &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
         use crate::quality::modularity;
+        rec.counter("ensemble-size", self.ensemble_size as u64);
         let mut chain: Vec<parcom_graph::Coarsening> = Vec::new();
         let mut current = g.clone();
         let mut best_q = f64::NEG_INFINITY;
@@ -323,7 +293,7 @@ impl EppIterated {
                 .map(|i| {
                     faultpoint!("core/epp-member");
                     let mut plp = seeded_plp(self.seed + ((level as u64) << 32) + i as u64 + 1);
-                    plp.detect_guarded(&current, budget).partition
+                    plp.run(&current, &Recorder::disabled(), budget).0
                 })
                 .collect();
             let core = core_communities(&bases);
@@ -355,13 +325,12 @@ impl EppIterated {
             current = coarse;
         }
 
-        let final_result = {
+        let (mut zeta, final_term, _) = {
             let _span = rec.span("final");
-            Plm::new().detect_guarded(&current, budget)
+            Plm::new().run(&current, rec, budget)
         };
-        let mut zeta = final_result.partition;
-        if !termination.interrupted() && final_result.termination.interrupted() {
-            termination = final_result.termination;
+        if !termination.interrupted() && final_term.interrupted() {
+            termination = final_term;
             cut_phase = Some("final".into());
         }
         for c in chain.iter().rev() {
@@ -369,46 +338,6 @@ impl EppIterated {
         }
         zeta.compact();
         (zeta, termination, cut_phase)
-    }
-}
-
-impl CommunityDetector for EppIterated {
-    fn name(&self) -> String {
-        format!("EML({},PLP,PLM)", self.ensemble_size)
-    }
-
-    fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        rec.counter("ensemble-size", self.ensemble_size as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
     }
 }
 
@@ -494,6 +423,42 @@ mod tests {
             assert!(report.phase(name).is_some(), "missing phase {name}");
         }
         assert_eq!(report.counter("ensemble-size"), Some(3));
+    }
+
+    #[test]
+    fn members_are_recorded_only_when_the_ensemble_is() {
+        use std::sync::mpsc;
+
+        /// Reports, per run, whether it was handed a live recorder.
+        struct Probe(mpsc::Sender<bool>);
+        impl CommunityDetector for Probe {
+            fn name(&self) -> String {
+                "Probe".into()
+            }
+            fn run(
+                &mut self,
+                g: &Graph,
+                rec: &Recorder,
+                _budget: &Budget,
+            ) -> (Partition, Termination, Option<String>) {
+                self.0.send(rec.is_enabled()).unwrap();
+                let zeta = Partition::singleton(g.node_count());
+                (zeta, Termination::Converged, None)
+            }
+        }
+
+        let (tx, rx) = mpsc::channel();
+        let probe = || Box::new(Probe(tx.clone())) as Box<dyn CommunityDetector + Send>;
+        let mut epp = Epp::new(vec![probe(), probe()], probe());
+        let (g, _) = ring_of_cliques(3, 4);
+        // plain detect(): no member or final builds a report to throw away
+        epp.detect(&g);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [false; 3]);
+        // a reported run records both members and the final
+        let (_, report) = epp.detect_with_report(&g);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [true; 3]);
+        assert_eq!(report.sub_reports.len(), 3);
+        assert_eq!(report.counter("ensemble-size"), Some(2));
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub use epp::{Epp, EppIterated};
 pub use louvain::Louvain;
 pub use moves::{move_phase_strategy, move_phase_with_coloring, MoveStrategy};
 pub use pam::Pam;
-pub use plm::{move_phase, move_phase_with, Plm, PlmStats};
-pub use plp::{Plp, PlpStats, SeedPerturbation};
+pub use plm::{move_phase, Plm};
+pub use plp::{Plp, SeedPerturbation};
 pub use rg::Rg;
 pub use spec::{DetectorSpec, SpecError};
 

@@ -1,18 +1,20 @@
 //! The original *sequential* Louvain method (Blondel et al.) — the paper's
 //! reference competitor (§V-E a).
 //!
-//! Unlike PLM, node moves are applied one at a time, so every Δmod score is
-//! computed from fresh data and modularity increases monotonically. The node
-//! visit order is explicitly randomized per pass, matching the original
-//! implementation (the paper credits its marginally better modularity to
-//! exactly this difference).
+//! Louvain is the level scheme of [`crate::plm`] with a different move
+//! schedule: node moves are applied one at a time, so every Δmod score is
+//! computed from fresh data and modularity increases monotonically
+//! ([`crate::moves`] has the phase). The node visit order is explicitly
+//! randomized per pass, matching the original implementation (the paper
+//! credits its marginally better modularity to exactly this difference).
+//! What is left here is the configuration.
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
-use crate::quality::delta_modularity;
-use parcom_graph::{coarsen_with, Graph, Partition, SparseWeightMap};
+use crate::algorithm::CommunityDetector;
+use crate::plm::{Levels, Schedule};
+use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{Recorder, RunReport};
-use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
+use parcom_obs::Recorder;
+use rand::{rngs::SmallRng, SeedableRng};
 
 /// The sequential Louvain baseline.
 #[derive(Clone, Debug)]
@@ -43,154 +45,6 @@ impl Louvain {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// One sequential move phase; returns the number of moves and how the
-    /// phase ended. `scratch` is the caller-owned weight tally, reused
-    /// across sweeps and levels. The budget is tested once per sweep; on
-    /// expiry `zeta` stays at the last completed sweep (sequential moves
-    /// keep it valid after every individual move, so any cut is safe).
-    fn sequential_move_phase(
-        &self,
-        g: &Graph,
-        zeta: &mut Partition,
-        rng: &mut SmallRng,
-        scratch: &mut SparseWeightMap,
-        budget: &Budget,
-    ) -> (u64, Termination) {
-        let n = g.node_count();
-        let total = g.total_edge_weight();
-        if n == 0 || total == 0.0 {
-            return (0, Termination::Converged);
-        }
-        zeta.compact();
-        let k = zeta.upper_bound() as usize;
-        let mut volumes = vec![0.0f64; k.max(1)];
-        for u in g.nodes() {
-            volumes[zeta.subset_of(u) as usize] += g.volume(u);
-        }
-
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        scratch.ensure_capacity(k.max(1));
-        let mut total_moves = 0u64;
-        let mut termination = Termination::Converged;
-        for _ in 0..self.max_sweeps {
-            if let Err(t) = budget.check_sweep() {
-                termination = t;
-                break;
-            }
-            order.shuffle(rng);
-            let mut moves = 0u64;
-            for &u in &order {
-                if g.degree(u) == 0 {
-                    continue;
-                }
-                scratch.clear();
-                for (v, w) in g.edges_of(u) {
-                    if v != u {
-                        scratch.add(zeta.subset_of(v), w);
-                    }
-                }
-                let c = zeta.subset_of(u);
-                let vol_u = g.volume(u);
-                let weight_to_c = scratch.get(c);
-                let vol_c_without_u = volumes[c as usize] - vol_u;
-
-                let mut best_delta = 0.0;
-                let mut best = c;
-                for (d, w_d) in scratch.iter() {
-                    if d == c {
-                        continue;
-                    }
-                    let delta = delta_modularity(
-                        weight_to_c,
-                        w_d,
-                        vol_c_without_u,
-                        volumes[d as usize],
-                        vol_u,
-                        total,
-                        self.gamma,
-                    );
-                    // Strictly-better wins; exact Δmod ties break to the
-                    // smallest community id so the decision is independent
-                    // of tally iteration order (the hash-map version
-                    // inherited the map's arbitrary order here).
-                    if delta > best_delta || (delta == best_delta && best != c && d < best) {
-                        best_delta = delta;
-                        best = d;
-                    }
-                }
-                if best != c && best_delta > 0.0 {
-                    volumes[c as usize] -= vol_u;
-                    volumes[best as usize] += vol_u;
-                    zeta.set(u, best);
-                    moves += 1;
-                }
-            }
-            total_moves += moves;
-            if moves == 0 {
-                break;
-            }
-        }
-        (total_moves, termination)
-    }
-
-    /// One hierarchy level under a budget; the same degradation contract
-    /// as PLM: on expiry the current level's assignment bubbles up and is
-    /// prolonged to the fine graph by the callers.
-    fn run_recursive(
-        &self,
-        g: &Graph,
-        depth: usize,
-        rng: &mut SmallRng,
-        scratch: &mut SparseWeightMap,
-        rec: &Recorder,
-        budget: &Budget,
-    ) -> (Partition, Termination, Option<String>) {
-        let level = rec.span_fmt(format_args!("level-{depth}"));
-        level.counter("nodes", g.node_count() as u64);
-        level.counter("edges", g.edge_count() as u64);
-        let mut zeta = Partition::singleton(g.node_count());
-        let (moves, move_term) = {
-            let span = rec.span("move-phase");
-            let (moves, term) = self.sequential_move_phase(g, &mut zeta, rng, scratch, budget);
-            span.counter("moves", moves);
-            (moves, term)
-        };
-        if move_term.interrupted() {
-            return (zeta, move_term, Some(format!("level-{depth}/move-phase")));
-        }
-        if moves > 0 && depth < self.max_levels {
-            if let Err(t) = budget.check() {
-                return (zeta, t, Some(format!("level-{depth}/coarsen")));
-            }
-            let contraction = coarsen_with(g, &zeta, rec);
-            if contraction.coarse.node_count() < g.node_count() {
-                let (coarse, term, cut) =
-                    self.run_recursive(&contraction.coarse, depth + 1, rng, scratch, rec, budget);
-                zeta = contraction.prolong(&coarse);
-                if term.interrupted() {
-                    return (zeta, term, cut);
-                }
-            }
-        }
-        (zeta, Termination::Converged, None)
-    }
-
-    fn run_guarded(
-        &self,
-        g: &Graph,
-        rec: &Recorder,
-        budget: &Budget,
-    ) -> (Partition, Termination, Option<String>) {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        // One scratch map for the whole hierarchy: level 0 sizes it (k = n
-        // singleton communities), coarser levels reuse it as-is.
-        let mut scratch = SparseWeightMap::with_capacity(g.node_count().max(1));
-        let (mut zeta, termination, cut_phase) =
-            self.run_recursive(g, 0, &mut rng, &mut scratch, rec, budget);
-        zeta.compact();
-        (zeta, termination, cut_phase)
-    }
 }
 
 impl CommunityDetector for Louvain {
@@ -198,40 +52,28 @@ impl CommunityDetector for Louvain {
         "Louvain".into()
     }
 
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
     fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
     }
 
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric(
-                "modularity",
-                crate::quality::modularity_gamma(g, &zeta, self.gamma),
-            );
-        }
-        (zeta, rec.finish(self.name()))
+    fn gamma(&self) -> f64 {
+        self.gamma
     }
 
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
+    fn run(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>) {
+        Levels {
+            gamma: self.gamma,
+            refine: false,
+            max_move_iterations: self.max_sweeps,
+            max_levels: self.max_levels,
+            schedule: Schedule::Shuffled(SmallRng::seed_from_u64(self.seed)),
         }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
+        .run_levels(g, rec, budget)
     }
 }
 
@@ -255,17 +97,26 @@ mod tests {
     }
 
     #[test]
-    fn sequential_moves_never_decrease_modularity() {
-        // fresh-data property: track modularity across individual phases
-        let (g, _) = lfr(LfrParams::benchmark(800, 0.3), 2);
-        let mut zeta = Partition::singleton(g.node_count());
-        let louvain = Louvain::new();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut scratch = SparseWeightMap::new();
-        let before = modularity(&g, &zeta);
-        louvain.sequential_move_phase(&g, &mut zeta, &mut rng, &mut scratch, &Budget::unlimited());
-        let after = modularity(&g, &zeta);
-        assert!(after >= before - 1e-12, "{after} < {before}");
+    fn reproduces_the_partitions_of_the_standalone_implementation() {
+        // Recorded from the self-contained detector (its own level
+        // recursion, tally and arg-max) that the shared driver replaced:
+        // community count and djb2 checksum of the label vector.
+        use parcom_generators::karate_club;
+        use parcom_graph::hashing::djb2;
+        let (lfr, _) = lfr(LfrParams::benchmark(600, 0.4), 5);
+        let (karate, _) = karate_club();
+        for (g, seed, k, checksum) in [
+            (&lfr, 1, 15, 0xe550_35c5_f044_7414),
+            (&lfr, 7, 15, 0xe550_35c5_f044_7414),
+            (&karate, 1, 4, 0x622e_7d57_5723_05d4),
+            (&karate, 7, 4, 0x7167_fb85_beda_5512),
+        ] {
+            let mut louvain = Louvain::new();
+            louvain.set_seed(seed);
+            let zeta = louvain.detect(g);
+            assert_eq!(zeta.number_of_subsets(), k, "seed {seed}");
+            assert_eq!(djb2(zeta.as_slice()), checksum, "seed {seed}");
+        }
     }
 
     #[test]
@@ -274,6 +125,7 @@ mod tests {
         let (_, report) = Louvain::new().detect_with_report(&g);
         let level0 = report.phase("level-0").expect("level-0 phase");
         assert!(level0.child("move-phase").is_some());
+        assert!(level0.child("coarsen").is_some());
         assert!(report.metric("modularity").unwrap() > 0.5);
     }
 

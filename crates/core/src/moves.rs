@@ -1,12 +1,17 @@
-//! Conflict-free PLM move phases: the [`MoveStrategy`] knob and the
-//! coloring-isolated and synchronized alternatives to the racy default.
+//! The local-moving kernel of the Louvain family: the [`MoveStrategy`]
+//! knob, the one move evaluation (`best_move`) and the move phases built
+//! on frozen per-sweep state.
 //!
-//! The paper's move phase (§III-B, [`crate::move_phase`]) lets every node
-//! move concurrently against *stale* labels and volumes: fast, but the
-//! result depends on the thread schedule, and contended volume cache lines
-//! cost throughput at high core counts. Two grounded alternatives trade a
-//! little per-sweep freshness for schedule independence (DESIGN.md §14):
+//! Every schedule — the paper's racy phase (§III-B, [`crate::move_phase`]),
+//! the two conflict-free ones below and sequential Louvain's — decides a
+//! node's move with `best_move`: tally the weight to each neighboring
+//! community, take the arg-max of Δmod, break ties toward the smallest
+//! community id. The schedules differ in *what state* the evaluation reads
+//! (a `MoveView`) and *when* moves commit (DESIGN.md §14):
 //!
+//! * **Racy** (in [`crate::plm`]) — every node moves concurrently against
+//!   possibly *stale* labels and volumes, read with relaxed atomic loads:
+//!   fast, but the result depends on the thread schedule.
 //! * **Coloring** — a distance-1 coloring ([`parcom_graph::Coloring`])
 //!   splits the nodes into independent sets; each class moves fully in
 //!   parallel with no atomics and no stale neighbor labels (no two
@@ -20,21 +25,27 @@
 //!   the smaller community id (Lu et al.'s minimum-label rule), and a
 //!   sweep that fails to improve a deterministically-evaluated modularity
 //!   is rolled back, ending the phase.
+//! * **Sequential** — the original Louvain method: one node at a time in a
+//!   freshly shuffled order, every evaluation against fresh state. Not a
+//!   [`MoveStrategy`]: it is the [`crate::Louvain`] detector's schedule.
 //!
-//! Both phases keep all decision-relevant floating-point accumulation
+//! The last three keep all decision-relevant floating-point accumulation
 //! sequential or per-node (never a parallel reduction), so the resulting
 //! partitions are bit-identical at any thread count and across repeated
 //! runs — the determinism contract `parcom-serve` relies on.
 //!
-//! Like the racy phase, both are frontier-driven: only *active* nodes
-//! propose, and a committed move re-activates the mover's neighbors. The
-//! flags are a plain `Vec<bool>` read and written only by the sequential
-//! gather and commit passes, which keeps them inside that contract.
+//! The three parallel phases are frontier-driven: only *active* nodes
+//! propose, and a committed move re-activates the mover's neighbors. For
+//! coloring and sync the flags are a plain `Vec<bool>` read and written
+//! only by the sequential gather and commit passes, which keeps them
+//! inside that contract. The sequential phase sweeps every node, as the
+//! reference implementation does.
 
 use crate::quality::delta_modularity;
 use parcom_graph::{Coloring, Graph, Node, Partition, ScratchPool, SparseWeightMap};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::Recorder;
+use rand::{rngs::SmallRng, seq::SliceRandom};
 use rayon::prelude::*;
 
 /// How PLM/PLMR's move phase schedules concurrent node moves.
@@ -104,36 +115,60 @@ impl std::str::FromStr for MoveStrategy {
     }
 }
 
-/// The frozen per-sweep state a proposal is evaluated against.
-struct MoveState<'a> {
-    labels: &'a [u32],
-    volumes: &'a [f64],
-    total: f64,
-    gamma: f64,
+/// The state a move is evaluated against: the community of a node and the
+/// volume of a community.
+pub(crate) trait MoveView {
+    /// The community `v` is in.
+    fn label(&self, v: Node) -> u32;
+    /// The volume of community `c`.
+    fn volume(&self, c: u32) -> f64;
 }
 
-/// The best strictly-improving move for `u` against `state`, or `None`.
-/// Tie-breaking matches the racy phase exactly: highest Δmod, then the
-/// smallest community id, candidates scanned in CSR neighbor order.
-fn best_move(
+/// Labels and volumes that stand still while moves are evaluated against
+/// them: one sweep's (sync), one color class's (coloring) or one node's
+/// (sequential).
+pub(crate) struct Frozen<'a>(pub &'a [u32], pub &'a [f64]);
+
+impl MoveView for Frozen<'_> {
+    #[inline]
+    fn label(&self, v: Node) -> u32 {
+        self.0[v as usize]
+    }
+
+    #[inline]
+    fn volume(&self, c: u32) -> f64 {
+        self.1[c as usize]
+    }
+}
+
+/// The best strictly-improving move for `u` against `view` — the target
+/// community and its Δmod — or `None`. The one place a move is decided:
+/// highest Δmod, then the smallest community id, candidates scanned in CSR
+/// neighbor order.
+#[inline]
+pub(crate) fn best_move(
     g: &Graph,
     u: Node,
-    state: &MoveState<'_>,
+    view: &impl MoveView,
+    total: f64,
+    gamma: f64,
     weight_to: &mut SparseWeightMap,
-) -> Option<u32> {
+) -> Option<(u32, f64)> {
     if g.degree(u) == 0 {
         return None;
     }
     weight_to.clear();
     for (v, w) in g.edges_of(u) {
         if v != u {
-            weight_to.add(state.labels[v as usize], w);
+            // labels are always ids the compacted input partition
+            // contained, so they index the scratch map
+            weight_to.add(view.label(v), w);
         }
     }
-    let c = state.labels[u as usize];
+    let c = view.label(u);
     let vol_u = g.volume(u);
     let weight_to_c = weight_to.get(c);
-    let vol_c_without_u = state.volumes[c as usize] - vol_u;
+    let vol_c_without_u = view.volume(c) - vol_u;
 
     let mut best_delta = 0.0;
     let mut best_community = c;
@@ -145,10 +180,10 @@ fn best_move(
             weight_to_c,
             weight_to_d,
             vol_c_without_u,
-            state.volumes[d as usize],
+            view.volume(d),
             vol_u,
-            state.total,
-            state.gamma,
+            total,
+            gamma,
         );
         if delta > best_delta || (delta == best_delta && best_community != c && d < best_community)
         {
@@ -156,10 +191,10 @@ fn best_move(
             best_community = d;
         }
     }
-    (best_community != c && best_delta > 0.0).then_some(best_community)
+    (best_community != c && best_delta > 0.0).then_some((best_community, best_delta))
 }
 
-/// Proposals for `nodes` against the frozen `state`, in input order.
+/// Proposals for `nodes` against the frozen `view`, in input order.
 /// Each part draws one scratch map from the pool; the parallel shape
 /// (fold per part, concatenate in part order) preserves node order, and no
 /// floating-point value crosses a thread boundary — the returned list is
@@ -170,16 +205,19 @@ fn best_move(
 fn propose(
     g: &Graph,
     nodes: &[Node],
-    state: &MoveState<'_>,
+    view: &Frozen<'_>,
+    total: f64,
+    gamma: f64,
     scratch: &ScratchPool,
-    capacity: usize,
 ) -> Vec<(Node, u32)> {
+    // one scratch slot per community, as many as there are volumes
+    let capacity = view.1.len();
     nodes
         .par_iter()
         .fold(
             || (scratch.take(capacity), Vec::new()),
             |(mut weight_to, mut out), &u| {
-                if let Some(d) = best_move(g, u, state, &mut weight_to) {
+                if let Some((d, _)) = best_move(g, u, view, total, gamma, &mut weight_to) {
                     out.push((u, d));
                 }
                 (weight_to, out)
@@ -195,10 +233,11 @@ fn propose(
         .1
 }
 
-/// Shared setup of both deterministic phases: compacted labels, community
-/// volumes accumulated *sequentially* in node order (a parallel reduction
-/// would make the sums depend on the thread-count-driven split points).
-fn deterministic_state(g: &Graph, zeta: &mut Partition) -> (Vec<u32>, Vec<f64>, usize) {
+/// Shared setup of the deterministic phases: compacted labels and one
+/// volume per community, accumulated *sequentially* in node order (a
+/// parallel reduction would make the sums depend on the
+/// thread-count-driven split points).
+fn deterministic_state(g: &Graph, zeta: &mut Partition) -> (Vec<u32>, Vec<f64>) {
     zeta.compact();
     let k = (zeta.upper_bound() as usize).max(1);
     let labels: Vec<u32> = zeta.as_slice().to_vec();
@@ -206,7 +245,7 @@ fn deterministic_state(g: &Graph, zeta: &mut Partition) -> (Vec<u32>, Vec<f64>, 
     for u in g.nodes() {
         volumes[labels[u as usize] as usize] += g.volume(u);
     }
-    (labels, volumes, k)
+    (labels, volumes)
 }
 
 /// The initial frontier: every node with an edge (isolated nodes never
@@ -300,14 +339,11 @@ pub(crate) fn move_phase_colored(
     scratch: &ScratchPool,
     budget: &Budget,
 ) -> (u64, Termination) {
-    if g.node_count() == 0 {
-        return (0, Termination::Converged);
-    }
     let total = g.total_edge_weight();
     if total == 0.0 {
         return (0, Termination::Converged);
     }
-    let (mut labels, mut volumes, k) = deterministic_state(g, zeta);
+    let (mut labels, mut volumes) = deterministic_state(g, zeta);
     let mut active = all_active(g);
     let mut frontier: Vec<Node> = Vec::new();
 
@@ -341,13 +377,8 @@ pub(crate) fn move_phase_colored(
                 termination = t;
                 break 'sweeps;
             }
-            let state = MoveState {
-                labels: &labels,
-                volumes: &volumes,
-                total,
-                gamma,
-            };
-            let proposals = propose(g, &frontier, &state, scratch, k);
+            let view = Frozen(&labels, &volumes);
+            let proposals = propose(g, &frontier, &view, total, gamma, scratch);
             sweep_evaluations += frontier.len() as u64;
             // Deterministic commit in ascending node order (the class
             // order). Volumes shift as classmates land in the same target,
@@ -415,16 +446,12 @@ pub(crate) fn move_phase_synchronized(
     scratch: &ScratchPool,
     budget: &Budget,
 ) -> (u64, Termination) {
-    let n = g.node_count();
-    if n == 0 {
-        return (0, Termination::Converged);
-    }
     let total = g.total_edge_weight();
     if total == 0.0 {
         return (0, Termination::Converged);
     }
-    let (mut labels, mut volumes, k) = deterministic_state(g, zeta);
-    let mut sizes = vec![0u32; k];
+    let (mut labels, mut volumes) = deterministic_state(g, zeta);
+    let mut sizes = vec![0u32; volumes.len()];
     for &c in &labels {
         sizes[c as usize] += 1;
     }
@@ -445,13 +472,8 @@ pub(crate) fn move_phase_synchronized(
             active = all_active(g);
         }
         take_frontier(g.nodes(), &mut active, &mut frontier);
-        let state = MoveState {
-            labels: &labels,
-            volumes: &volumes,
-            total,
-            gamma,
-        };
-        let mut proposals = propose(g, &frontier, &state, scratch, k);
+        let view = Frozen(&labels, &volumes);
+        let mut proposals = propose(g, &frontier, &view, total, gamma, scratch);
         // Minimum-label damping: a singleton may only move into another
         // singleton with a smaller community id, so two mutually-attracted
         // singletons cannot swap forever. A vetoed node keeps its wish: it
@@ -500,6 +522,60 @@ pub(crate) fn move_phase_synchronized(
     (total_moves, termination)
 }
 
+/// The sequential move phase of the original Louvain method (Blondel et
+/// al.): every sweep visits all nodes in a freshly shuffled order and
+/// applies each move at once, so every Δmod is computed from fresh data and
+/// modularity never decreases. The budget is tested once per sweep; moves
+/// keep the assignment valid one by one, so any cut is safe.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn move_phase_sequential(
+    g: &Graph,
+    zeta: &mut Partition,
+    gamma: f64,
+    max_iterations: usize,
+    rng: &mut SmallRng,
+    rec: &Recorder,
+    scratch: &ScratchPool,
+    budget: &Budget,
+) -> (u64, Termination) {
+    let total = g.total_edge_weight();
+    if total == 0.0 {
+        return (0, Termination::Converged);
+    }
+    let (mut labels, mut volumes) = deterministic_state(g, zeta);
+    let mut weight_to = scratch.take(volumes.len());
+    let mut order: Vec<Node> = g.nodes().collect();
+
+    let mut total_moves = 0u64;
+    let mut termination = Termination::Converged;
+    for _ in 0..max_iterations {
+        if let Err(t) = budget.check_sweep() {
+            termination = t;
+            break;
+        }
+        order.shuffle(rng);
+        let mut moves = 0u64;
+        for &u in &order {
+            let view = Frozen(&labels, &volumes);
+            if let Some((d, _)) = best_move(g, u, &view, total, gamma, &mut weight_to) {
+                let vol_u = g.volume(u);
+                volumes[labels[u as usize] as usize] -= vol_u;
+                volumes[d as usize] += vol_u;
+                labels[u as usize] = d;
+                moves += 1;
+            }
+        }
+        total_moves += moves;
+        record_sweep(rec, order.len() as u64, moves);
+        if moves == 0 {
+            break;
+        }
+    }
+
+    *zeta = Partition::from_vec(labels);
+    (total_moves, termination)
+}
+
 /// Runs one move phase with an explicit strategy on `zeta` in place,
 /// computing the coloring internally when the strategy needs one. This is
 /// the strategy-dispatching analogue of [`crate::move_phase`], used by the
@@ -512,26 +588,14 @@ pub fn move_phase_strategy(
     max_iterations: usize,
     strategy: MoveStrategy,
 ) -> u64 {
-    let scratch = ScratchPool::new();
-    let budget = Budget::unlimited();
-    let rec = Recorder::disabled();
     match strategy {
         MoveStrategy::Racy => crate::move_phase(g, zeta, gamma, max_iterations),
         MoveStrategy::Coloring => {
-            let coloring = Coloring::compute(g);
-            move_phase_colored(
-                g,
-                zeta,
-                gamma,
-                max_iterations,
-                &coloring,
-                &rec,
-                &scratch,
-                &budget,
-            )
-            .0
+            move_phase_with_coloring(g, zeta, gamma, max_iterations, &Coloring::compute(g))
         }
         MoveStrategy::Synchronized => {
+            let (rec, scratch) = (Recorder::disabled(), ScratchPool::new());
+            let budget = Budget::unlimited();
             move_phase_synchronized(g, zeta, gamma, max_iterations, &rec, &scratch, &budget).0
         }
     }
@@ -597,6 +661,105 @@ mod tests {
         assert!(modularity(&g, &zeta) > before);
     }
 
+    /// The arg-max of [`best_move`] over a hash-map tally, whose arbitrary
+    /// iteration order stands in for "any order": `(c, 0.0)` for no move.
+    fn best_move_fxhash(
+        g: &Graph,
+        u: Node,
+        view: &Frozen<'_>,
+        total: f64,
+        weight_to: &mut parcom_graph::hashing::FxHashMap<u32, f64>,
+    ) -> (u32, f64) {
+        weight_to.clear();
+        for (v, w) in g.edges_of(u) {
+            if v != u {
+                *weight_to.entry(view.label(v)).or_insert(0.0) += w;
+            }
+        }
+        let c = view.label(u);
+        let vol_u = g.volume(u);
+        let weight_to_c = weight_to.get(&c).copied().unwrap_or(0.0);
+        let vol_c_without_u = view.volume(c) - vol_u;
+        let mut best_delta = 0.0;
+        let mut best = c;
+        for (&d, &weight_to_d) in weight_to.iter() {
+            if d == c {
+                continue;
+            }
+            let delta = delta_modularity(
+                weight_to_c,
+                weight_to_d,
+                vol_c_without_u,
+                view.volume(d),
+                vol_u,
+                total,
+                1.0,
+            );
+            if delta > best_delta || (delta == best_delta && best != c && d < best) {
+                best_delta = delta;
+                best = d;
+            }
+        }
+        (best, best_delta)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The kernel's first-touch-order tally and the hash-map tally pick
+        /// the same target community with the same Δmod, bit for bit: the
+        /// smallest-id tie-break makes the decision order-independent.
+        #[test]
+        fn best_move_matches_hash_reference(
+            n in 2usize..50,
+            edges in proptest::collection::vec((0u32..50, 0u32..50, 1u32..100), 0..200),
+            communities in proptest::collection::vec(0u32..26, 50),
+        ) {
+            let mut b = parcom_graph::GraphBuilder::new(n);
+            for (u, v, w) in edges {
+                b.add_edge(u % n as u32, v % n as u32, w as f64 / 10.0);
+            }
+            let g = b.build();
+            let total = g.total_edge_weight();
+            if total > 0.0 {
+                let mut zeta = Partition::from_vec(communities[..n].to_vec());
+                let (labels, volumes) = deterministic_state(&g, &mut zeta);
+                let view = Frozen(&labels, &volumes);
+                let mut scratch = SparseWeightMap::with_capacity(volumes.len());
+                let mut reference = parcom_graph::hashing::FxHashMap::default();
+                for u in g.nodes() {
+                    let got = best_move(&g, u, &view, total, 1.0, &mut scratch)
+                        .unwrap_or((view.label(u), 0.0));
+                    let want = best_move_fxhash(&g, u, &view, total, &mut reference);
+                    proptest::prop_assert_eq!(got.0, want.0);
+                    proptest::prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_moves_never_decrease_modularity() {
+        // fresh-data property of the Louvain schedule
+        use rand::SeedableRng;
+        let (g, _) = lfr(LfrParams::benchmark(800, 0.3), 2);
+        let mut zeta = Partition::singleton(g.node_count());
+        let before = modularity(&g, &zeta);
+        let (moves, _) = move_phase_sequential(
+            &g,
+            &mut zeta,
+            1.0,
+            64,
+            &mut SmallRng::seed_from_u64(3),
+            &Recorder::disabled(),
+            &ScratchPool::new(),
+            &Budget::unlimited(),
+        );
+        assert!(moves > 0);
+        let after = modularity(&g, &zeta);
+        assert!(after >= before - 1e-12, "{after} < {before}");
+    }
+
     #[test]
     fn deterministic_phases_reproduce_exactly() {
         let (g, _) = lfr(LfrParams::benchmark(600, 0.35), 3);
@@ -612,16 +775,12 @@ mod tests {
     /// Nodes a full evaluation would still move: every node, flagged or
     /// not, against the converged state.
     fn improvable(g: &Graph, zeta: &Partition) -> usize {
-        let (labels, volumes, k) = deterministic_state(g, &mut zeta.clone());
-        let state = MoveState {
-            labels: &labels,
-            volumes: &volumes,
-            total: g.total_edge_weight(),
-            gamma: 1.0,
-        };
-        let mut weight_to = SparseWeightMap::with_capacity(k);
+        let (labels, volumes) = deterministic_state(g, &mut zeta.clone());
+        let view = Frozen(&labels, &volumes);
+        let total = g.total_edge_weight();
+        let mut weight_to = SparseWeightMap::with_capacity(volumes.len());
         g.nodes()
-            .filter(|&u| best_move(g, u, &state, &mut weight_to).is_some())
+            .filter(|&u| best_move(g, u, &view, total, 1.0, &mut weight_to).is_some())
             .count()
     }
 

@@ -11,10 +11,10 @@
 //! * **CEL** (the community-el analogue, Riedy et al.): the same scheme
 //!   without the star adaptation.
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use parcom_graph::{coarsen, Graph, Partition};
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{Recorder, RunReport};
+use parcom_obs::Recorder;
 use rayon::prelude::*;
 
 /// Matching-based parallel agglomerator.
@@ -53,15 +53,26 @@ impl Default for Pam {
     }
 }
 
-impl Pam {
-    /// The contraction hierarchy under a recorder and a budget, shared by
-    /// every entry point. The budget is tested once per level (a level is
-    /// one full parallel matching + contraction, PAM's natural sweep
-    /// boundary); on expiry the loop stops and the best level *completed
-    /// so far* is returned — exactly what an uninterrupted run returns
-    /// when the tracked maximum lies at that level.
-    fn run_guarded(
-        &self,
+impl CommunityDetector for Pam {
+    fn name(&self) -> String {
+        if self.star_adaptation {
+            "PAM".into()
+        } else {
+            "CEL".into()
+        }
+    }
+
+    fn gamma(&self) -> f64 {
+        self.gamma
+    }
+
+    /// The contraction hierarchy. The budget is tested once per level (a
+    /// level is one full parallel matching + contraction, PAM's natural
+    /// sweep boundary); on expiry the loop stops and the best level
+    /// *completed so far* is returned — exactly what an uninterrupted run
+    /// returns when the tracked maximum lies at that level.
+    fn run(
+        &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
@@ -210,48 +221,6 @@ impl Pam {
         let mut zeta = best_partition;
         zeta.compact();
         (zeta, termination, cut_phase)
-    }
-}
-
-impl CommunityDetector for Pam {
-    fn name(&self) -> String {
-        if self.star_adaptation {
-            "PAM".into()
-        } else {
-            "CEL".into()
-        }
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric(
-                "modularity",
-                crate::quality::modularity_gamma(g, &zeta, self.gamma),
-            );
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
     }
 }
 

@@ -1,15 +1,21 @@
-//! PLM — Parallel Louvain Method (Algorithms 2 and 3), and PLMR, its
-//! refinement extension (Algorithm 4).
+//! PLM — Parallel Louvain Method (Algorithms 2 and 3), PLMR, its
+//! refinement extension (Algorithm 4), and the level driver the whole
+//! Louvain family runs on.
 //!
 //! The Louvain method repeatedly moves nodes to the neighboring community
 //! with the locally maximal modularity gain until stable, then coarsens the
 //! graph by the communities and recurses; the coarsest solution is prolonged
-//! back to the input graph. PLM parallelizes the move phase: node moves are
-//! evaluated and performed concurrently, accepting *stale* Δmod scores — a
-//! move may transiently decrease modularity, but later iterations correct
-//! such decisions (§III-B). Only the community volumes are maintained
-//! incrementally (atomic adds); the weight from a node to its neighboring
-//! communities is recomputed per evaluation, which the paper found faster
+//! back to the input graph. That recursion — move phase → coarsen → recurse
+//! → prolong (→ refine) — is `Levels`, written once; [`Plm`] and
+//! [`crate::Louvain`] are configurations of it that differ in the
+//! `Schedule` of their move phase.
+//!
+//! PLM parallelizes the move phase: node moves are evaluated and performed
+//! concurrently, accepting *stale* Δmod scores — a move may transiently
+//! decrease modularity, but later iterations correct such decisions
+//! (§III-B). Only the community volumes are maintained incrementally
+//! (atomic adds); the weight from a node to its neighboring communities is
+//! recomputed per evaluation (`best_move`), which the paper found faster
 //! than locked per-node maps.
 //!
 //! Where Algorithm 2 sweeps every node in every iteration, the move phase
@@ -25,20 +31,21 @@
 //! against the coarser level's outcome for extra modularity at a small time
 //! cost (§III-C).
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use crate::moves::{
-    all_active, move_phase_colored, move_phase_synchronized, record_sweep, MoveStrategy,
+    all_active, best_move, move_phase_colored, move_phase_sequential, move_phase_synchronized,
+    record_sweep, MoveStrategy, MoveView,
 };
-use crate::quality::delta_modularity;
 use parcom_graph::{
-    coarsen_with, AtomicF64, AtomicPartition, Coloring, Graph, Partition, ScratchPool,
+    coarsen_with, AtomicF64, AtomicPartition, Coloring, Graph, Node, Partition, ScratchPool,
 };
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{CounterCell, LocalCount, Recorder, RunReport};
+use parcom_obs::{CounterCell, LocalCount, Recorder};
+use rand::rngs::SmallRng;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Configuration and statistics of the parallel Louvain method.
+/// Configuration of the parallel Louvain method.
 ///
 /// # Examples
 ///
@@ -70,15 +77,6 @@ pub struct Plm {
     /// synchronized one-commit-per-sweep formulation. The latter two are
     /// bit-deterministic at any thread count.
     pub move_strategy: MoveStrategy,
-}
-
-/// Per-run statistics of PLM.
-#[derive(Clone, Debug, Default)]
-pub struct PlmStats {
-    /// Node count of the graph at each hierarchy level (finest first).
-    pub level_sizes: Vec<usize>,
-    /// Node moves performed at each level (move + refinement phases).
-    pub moves_per_level: Vec<u64>,
 }
 
 impl Default for Plm {
@@ -123,13 +121,34 @@ impl Plm {
             ..Self::default()
         }
     }
+}
 
-    /// One move phase dispatched by [`Self::move_strategy`]; `coloring` is
-    /// the level's precomputed coloring (present iff the strategy needs
-    /// one, computed once per level so refinement reuses it).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_move_phase(
-        &self,
+/// How a level's move phase visits the nodes.
+pub(crate) enum Schedule {
+    /// One of PLM's three parallel strategies.
+    Strategy(MoveStrategy),
+    /// Sequential Louvain: one node at a time, in an order shuffled anew
+    /// for every sweep by this generator.
+    Shuffled(SmallRng),
+}
+
+/// The level recursion of the Louvain family (Algorithms 2–4): move phase,
+/// coarsen, recurse, prolong, optionally refine. One run of one detector;
+/// [`Plm`] and [`crate::Louvain`] build it from their configuration.
+pub(crate) struct Levels {
+    pub gamma: f64,
+    pub refine: bool,
+    pub max_move_iterations: usize,
+    pub max_levels: usize,
+    pub schedule: Schedule,
+}
+
+impl Levels {
+    /// One move phase on `zeta` by [`Self::schedule`]; `coloring` is the
+    /// level's precomputed coloring (present iff the strategy needs one,
+    /// computed once per level so refinement reuses it).
+    fn move_nodes(
+        &mut self,
         g: &Graph,
         zeta: &mut Partition,
         coloring: Option<&Coloring>,
@@ -137,35 +156,27 @@ impl Plm {
         scratch: &ScratchPool,
         budget: &Budget,
     ) -> (u64, Termination) {
-        match self.move_strategy {
-            MoveStrategy::Racy => move_phase_pooled(
+        let (gamma, sweeps) = (self.gamma, self.max_move_iterations);
+        match &mut self.schedule {
+            Schedule::Strategy(MoveStrategy::Racy) => {
+                move_phase_pooled(g, zeta, gamma, sweeps, rec, scratch, budget)
+            }
+            Schedule::Strategy(MoveStrategy::Coloring) => move_phase_colored(
                 g,
                 zeta,
-                self.gamma,
-                self.max_move_iterations,
-                rec,
-                scratch,
-                budget,
-            ),
-            MoveStrategy::Coloring => move_phase_colored(
-                g,
-                zeta,
-                self.gamma,
-                self.max_move_iterations,
+                gamma,
+                sweeps,
                 coloring.expect("coloring computed at level entry"),
                 rec,
                 scratch,
                 budget,
             ),
-            MoveStrategy::Synchronized => move_phase_synchronized(
-                g,
-                zeta,
-                self.gamma,
-                self.max_move_iterations,
-                rec,
-                scratch,
-                budget,
-            ),
+            Schedule::Strategy(MoveStrategy::Synchronized) => {
+                move_phase_synchronized(g, zeta, gamma, sweeps, rec, scratch, budget)
+            }
+            Schedule::Shuffled(rng) => {
+                move_phase_sequential(g, zeta, gamma, sweeps, rng, rec, scratch, budget)
+            }
         }
     }
 
@@ -174,11 +185,11 @@ impl Plm {
     /// boundary — bubbles up, getting prolonged through every caller on
     /// the way out: exactly the "current hierarchy level projected to the
     /// fine graph" degradation contract (DESIGN.md §11).
-    fn run_recursive(
-        &self,
+    fn descend(
+        &mut self,
         g: &Graph,
         depth: usize,
-        stats: &mut PlmStats,
+        levels: &mut u64,
         rec: &Recorder,
         scratch: &ScratchPool,
         budget: &Budget,
@@ -189,13 +200,13 @@ impl Plm {
         let level = rec.span_fmt(format_args!("level-{depth}"));
         level.counter("nodes", g.node_count() as u64);
         level.counter("edges", g.edge_count() as u64);
-        stats.level_sizes.push(g.node_count());
+        *levels += 1;
         let mut zeta = Partition::singleton(g.node_count());
         // Coloring strategy: color the level once; both the move phase and
         // the PLMR refinement below reuse the same classes. On budget
         // expiry the level degrades to its singleton assignment — exactly
         // what an interrupted move phase would leave.
-        let coloring = if self.move_strategy == MoveStrategy::Coloring {
+        let coloring = if matches!(self.schedule, Schedule::Strategy(MoveStrategy::Coloring)) {
             let span = rec.span("coloring");
             match Coloring::compute_budgeted(g, scratch, budget) {
                 Ok(c) => {
@@ -213,11 +224,10 @@ impl Plm {
         let (moves, move_term) = {
             let span = rec.span("move-phase");
             let (moves, term) =
-                self.dispatch_move_phase(g, &mut zeta, coloring.as_ref(), rec, scratch, budget);
+                self.move_nodes(g, &mut zeta, coloring.as_ref(), rec, scratch, budget);
             span.counter("moves", moves);
             (moves, term)
         };
-        stats.moves_per_level.push(moves);
         if move_term.interrupted() {
             return (zeta, move_term, Some(format!("level-{depth}/move-phase")));
         }
@@ -232,25 +242,16 @@ impl Plm {
             // progress guard: recursion must strictly shrink the graph
             if contraction.coarse.node_count() < g.node_count() {
                 let (coarse_zeta, term, cut) =
-                    self.run_recursive(&contraction.coarse, depth + 1, stats, rec, scratch, budget);
+                    self.descend(&contraction.coarse, depth + 1, levels, rec, scratch, budget);
                 zeta = contraction.prolong(&coarse_zeta);
                 if term.interrupted() {
                     return (zeta, term, cut);
                 }
                 if self.refine {
                     let span = rec.span("refine");
-                    let (refine_moves, refine_term) = self.dispatch_move_phase(
-                        g,
-                        &mut zeta,
-                        coloring.as_ref(),
-                        rec,
-                        scratch,
-                        budget,
-                    );
+                    let (refine_moves, refine_term) =
+                        self.move_nodes(g, &mut zeta, coloring.as_ref(), rec, scratch, budget);
                     span.counter("moves", refine_moves);
-                    if let Some(m) = stats.moves_per_level.get_mut(depth) {
-                        *m += refine_moves;
-                    }
                     if refine_term.interrupted() {
                         return (zeta, refine_term, Some(format!("level-{depth}/refine")));
                     }
@@ -260,31 +261,26 @@ impl Plm {
         (zeta, Termination::Converged, None)
     }
 
-    fn run(&mut self, g: &Graph, rec: &Recorder) -> Partition {
-        self.run_guarded(g, rec, &Budget::unlimited()).0
-    }
-
-    /// The full hierarchy under a budget; shared by every public entry
-    /// point. Returns the (possibly degraded) fine-graph partition, the
-    /// termination cause and the cut phase name.
-    fn run_guarded(
+    /// The full hierarchy under a budget. Returns the (possibly degraded)
+    /// fine-graph partition, the termination cause and the cut phase name.
+    pub(crate) fn run_levels(
         &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        let mut stats = PlmStats::default();
         // One pool for the whole hierarchy: each worker's scratch map is
         // allocated at the level-0 community count and recycled by every
         // sweep of every level below (coarser levels only need less).
         let scratch = ScratchPool::new();
+        let mut levels = 0;
         let (mut zeta, termination, cut_phase) =
-            self.run_recursive(g, 0, &mut stats, rec, &scratch, budget);
-        rec.counter("levels", stats.level_sizes.len() as u64);
+            self.descend(g, 0, &mut levels, rec, &scratch, budget);
+        rec.counter("levels", levels);
         zeta.compact();
-        // Postcondition for PLM and PLMR alike: a dense assignment
+        // Postcondition for the whole family: a dense assignment
         // covering exactly the input nodes (coarsening inside
-        // run_recursive is cross-checked by coarsen() itself).
+        // `descend` is cross-checked by coarsen() itself).
         #[cfg(any(debug_assertions, feature = "validate"))]
         {
             if zeta.len() != g.node_count() {
@@ -316,41 +312,24 @@ impl CommunityDetector for Plm {
         name
     }
 
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run(g, &Recorder::disabled())
+    fn gamma(&self) -> f64 {
+        self.gamma
     }
 
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let zeta = self.run(g, &rec);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric(
-                "modularity",
-                crate::quality::modularity_gamma(g, &zeta, self.gamma),
-            );
+    fn run(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>) {
+        Levels {
+            gamma: self.gamma,
+            refine: self.refine,
+            max_move_iterations: self.max_move_iterations,
+            max_levels: self.max_levels,
+            schedule: Schedule::Strategy(self.move_strategy),
         }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric(
-                "modularity",
-                crate::quality::modularity_gamma(g, &zeta, self.gamma),
-            );
-        }
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
+        .run_levels(g, rec, budget)
     }
 }
 
@@ -362,31 +341,32 @@ impl CommunityDetector for Plm {
 /// label array, one atomic volume accumulator per community and one active
 /// flag per node — label and volume reads may be stale by design.
 pub fn move_phase(g: &Graph, zeta: &mut Partition, gamma: f64, max_iterations: usize) -> u64 {
-    move_phase_with(g, zeta, gamma, max_iterations, &Recorder::disabled())
-}
-
-/// [`move_phase`] with instrumentation: appends the per-sweep frontier
-/// size and move count as `active` and `moves` series, and the phase total
-/// as an `evaluations` counter, on the innermost open span (the caller
-/// names the phase — PLM uses `move-phase` and `refine`). With a disabled
-/// recorder this is exactly `move_phase`.
-pub fn move_phase_with(
-    g: &Graph,
-    zeta: &mut Partition,
-    gamma: f64,
-    max_iterations: usize,
-    rec: &Recorder,
-) -> u64 {
     move_phase_pooled(
         g,
         zeta,
         gamma,
         max_iterations,
-        rec,
+        &Recorder::disabled(),
         &ScratchPool::new(),
         &Budget::unlimited(),
     )
     .0
+}
+
+/// What the racy phase evaluates moves against: live labels and volumes
+/// that other threads are changing, read with relaxed loads.
+struct Racing<'a>(&'a AtomicPartition, &'a [AtomicF64]);
+
+impl MoveView for Racing<'_> {
+    #[inline]
+    fn label(&self, v: Node) -> u32 {
+        self.0.get(v)
+    }
+
+    #[inline]
+    fn volume(&self, c: u32) -> f64 {
+        self.1[c as usize].load()
+    }
 }
 
 /// Orders a frontier-flag access against a label access of the same
@@ -402,9 +382,12 @@ fn frontier_fence() {
     std::sync::atomic::fence(Ordering::SeqCst);
 }
 
-/// [`move_phase_with`] drawing per-thread scratch maps from `scratch`
-/// instead of allocating them — the entry point PLM uses so one pool
-/// serves every sweep of every hierarchy level.
+/// [`move_phase`] under a recorder and a budget, drawing per-thread scratch
+/// maps from `scratch` instead of allocating them, so one pool serves every
+/// sweep of every hierarchy level. Appends the per-sweep frontier size and
+/// move count as `active` and `moves` series, and the phase total as an
+/// `evaluations` counter, on the innermost open span (the caller names the
+/// phase — `move-phase` or `refine`).
 ///
 /// Every node starts active. A sweep evaluates only active nodes: it clears
 /// the node's flag, tallies, and on a move to community `d` re-activates
@@ -422,10 +405,6 @@ fn move_phase_pooled(
     scratch: &ScratchPool,
     budget: &Budget,
 ) -> (u64, Termination) {
-    let n = g.node_count();
-    if n == 0 {
-        return (0, Termination::Converged);
-    }
     let total = g.total_edge_weight();
     if total == 0.0 {
         return (0, Termination::Converged);
@@ -458,6 +437,7 @@ fn move_phase_pooled(
         .map(AtomicF64::new)
         .collect();
     let active: Vec<AtomicBool> = all_active(g).into_iter().map(AtomicBool::new).collect();
+    let view = Racing(&labels, &volumes);
 
     let mut total_moves = 0u64;
     let mut total_evaluations = 0u64;
@@ -492,43 +472,9 @@ fn move_phase_pooled(
                 active[u as usize].store(false, Ordering::Relaxed);
                 frontier_fence();
                 local_evaluations.bump();
-                weight_to.clear();
-                for (v, w) in g.edges_of(u) {
-                    if v != u {
-                        // labels are always ids the compacted input
-                        // partition contained, so they index the scratch map
-                        weight_to.add(labels.get(v), w);
-                    }
-                }
-                let c = labels.get(u);
-                let vol_u = g.volume(u);
-                let weight_to_c = weight_to.get(c);
-                let vol_c_without_u = volumes[c as usize].load() - vol_u;
-
-                let mut best_delta = 0.0;
-                let mut best_community = c;
-                for (d, weight_to_d) in weight_to.iter() {
-                    if d == c {
-                        continue;
-                    }
-                    let delta = delta_modularity(
-                        weight_to_c,
-                        weight_to_d,
-                        vol_c_without_u,
-                        volumes[d as usize].load(),
-                        vol_u,
-                        total,
-                        gamma,
-                    );
-                    if delta > best_delta
-                        || (delta == best_delta && best_community != c && d < best_community)
-                    {
-                        best_delta = delta;
-                        best_community = d;
-                    }
-                }
-                if best_community != c && best_delta > 0.0 {
-                    volumes[c as usize].fetch_sub(vol_u);
+                if let Some((best_community, _)) = best_move(g, u, &view, total, gamma, weight_to) {
+                    let vol_u = g.volume(u);
+                    volumes[labels.get(u) as usize].fetch_sub(vol_u);
                     volumes[best_community as usize].fetch_add(vol_u);
                     labels.set(u, best_community);
                     local_moves.bump();

@@ -14,10 +14,10 @@
 //! label oscillation on bipartite structures and add solution diversity in
 //! the ensemble setting.
 
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use parcom_graph::{AtomicPartition, Graph, Node, Partition, ScratchPool};
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{CounterCell, LocalCount, Recorder, RunReport};
+use parcom_obs::{CounterCell, LocalCount, Recorder};
 use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +37,7 @@ pub enum SeedPerturbation {
     ActivateOnlyFraction(f64),
 }
 
-/// Configuration and run statistics of PLP.
+/// Configuration of PLP.
 ///
 /// # Examples
 ///
@@ -67,22 +67,6 @@ pub struct Plp {
     pub seed_perturbation: SeedPerturbation,
     /// Seed for the optional shuffle and tie-breaking.
     pub seed: u64,
-}
-
-/// Per-run statistics: the series plotted in Fig. 1.
-#[derive(Clone, Debug, Default)]
-pub struct PlpStats {
-    /// Number of active nodes at the start of each iteration.
-    pub active_per_iteration: Vec<usize>,
-    /// Number of label updates in each iteration.
-    pub updated_per_iteration: Vec<usize>,
-}
-
-impl PlpStats {
-    /// Number of iterations performed.
-    pub fn iterations(&self) -> usize {
-        self.updated_per_iteration.len()
-    }
 }
 
 impl Default for Plp {
@@ -115,29 +99,20 @@ impl Plp {
     /// Runs label propagation, optionally seeded with an initial assignment
     /// (used when PLP refines a prolonged coarse solution).
     pub fn run_from(&mut self, g: &Graph, initial: Option<&Partition>) -> Partition {
-        self.run_with(g, initial, &Recorder::disabled())
+        self.propagate(g, initial, &Recorder::disabled(), &Budget::unlimited())
+            .0
     }
 
-    /// [`run_from`](Self::run_from) with phase-level instrumentation: the
+    /// [`run_from`](Self::run_from) under a recorder and a run budget. The
     /// iteration loop runs inside a `label-propagation` span carrying the
     /// per-iteration `active`/`updated` series (Fig. 1) and the total
-    /// `label-updates` count.
-    pub fn run_with(
-        &mut self,
-        g: &Graph,
-        initial: Option<&Partition>,
-        rec: &Recorder,
-    ) -> Partition {
-        self.run_guarded(g, initial, rec, &Budget::unlimited()).0
-    }
-
-    /// [`run_with`](Self::run_with) under a run budget: the budget is
-    /// checked once per iteration (sweep granularity — §III-A iterations
-    /// touch every active node, so per-edge checks would dominate). On
-    /// expiry the loop stops after the last completed iteration; the label
-    /// array at any iteration boundary is a valid assignment, so the
-    /// degraded result is simply the labels so far, compacted.
-    pub(crate) fn run_guarded(
+    /// `label-updates` count. The budget is checked once per iteration
+    /// (sweep granularity — §III-A iterations touch every active node, so
+    /// per-edge checks would dominate). On expiry the loop stops after the
+    /// last completed iteration; the label array at any iteration boundary
+    /// is a valid assignment, so the degraded result is simply the labels
+    /// so far, compacted.
+    fn propagate(
         &mut self,
         g: &Graph,
         initial: Option<&Partition>,
@@ -151,7 +126,6 @@ impl Plp {
         };
         let active: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
         let theta = (self.theta_fraction * n as f64).ceil() as u64;
-        let mut stats = PlpStats::default();
 
         let mut order: Vec<Node> = (0..n as Node).collect();
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -197,6 +171,8 @@ impl Plp {
 
         let span = rec.span("label-propagation");
         let mut termination = Termination::Converged;
+        let mut iterations = 0u64;
+        let mut label_updates = 0u64;
         for _iter in 0..self.max_iterations {
             if let Err(t) = budget.check_sweep() {
                 termination = t;
@@ -214,7 +190,7 @@ impl Plp {
             // the end of the parallel region.
             let updated = CounterCell::new();
 
-            let iter_salt = self.seed ^ ((stats.iterations() as u64 + 1) << 32);
+            let iter_salt = self.seed ^ ((iterations + 1) << 32);
             order.par_iter().for_each_init(
                 || (scratch.take(label_bound.max(1)), LocalCount::new(&updated)),
                 |(weight_to, local_updates), &v| {
@@ -265,19 +241,16 @@ impl Plp {
             );
 
             let updated = updated.get();
-            stats.active_per_iteration.push(active_count);
-            stats.updated_per_iteration.push(updated as usize);
+            iterations += 1;
+            label_updates += updated;
             span.push_series("active", active_count as f64);
             span.push_series("updated", updated as f64);
             if updated <= theta {
                 break;
             }
         }
-        span.counter("iterations", stats.iterations() as u64);
-        span.counter(
-            "label-updates",
-            stats.updated_per_iteration.iter().map(|&u| u as u64).sum(),
-        );
+        span.counter("iterations", iterations);
+        span.counter("label-updates", label_updates);
         span.close();
 
         // Postcondition on the racy label array itself: labels are node
@@ -312,44 +285,18 @@ impl CommunityDetector for Plp {
         }
     }
 
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_from(g, None)
-    }
-
     fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
     }
 
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let zeta = self.run_with(g, None, &rec);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination) = self.run_guarded(g, None, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        guarded_result(
-            zeta,
-            termination,
-            Some("label-propagation".into()),
-            rec.finish(self.name()),
-        )
+    fn run(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>) {
+        let (zeta, termination) = self.propagate(g, None, rec, budget);
+        (zeta, termination, Some("label-propagation".into()))
     }
 }
 

@@ -10,10 +10,10 @@
 //! the DIMACS Pareto challenge (§V-E c).
 
 use crate::agglomeration::MergeState;
-use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
+use crate::algorithm::CommunityDetector;
 use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Pacer, Termination};
-use parcom_obs::{Recorder, RunReport};
+use parcom_obs::Recorder;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Budget-check amortization for agglomerative merge loops: one check per
@@ -48,15 +48,28 @@ impl Rg {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// The full agglomeration under a recorder and a budget, shared by
-    /// every entry point. The budget is checked once per
-    /// [`MERGE_CHECK_INTERVAL`] merges; on expiry the merge loop stops and
+impl CommunityDetector for Rg {
+    fn name(&self) -> String {
+        "RG".into()
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn gamma(&self) -> f64 {
+        self.gamma
+    }
+
+    /// The full agglomeration. The budget is checked once per
+    /// `MERGE_CHECK_INTERVAL` merges; on expiry the merge loop stops and
     /// the replay still runs — the degraded result is the best dendrogram
     /// level *seen so far*, exactly what an uninterrupted run returns when
     /// the tracked maximum happens to lie at that step.
-    pub(crate) fn run_guarded(
-        &self,
+    fn run(
+        &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
@@ -179,45 +192,6 @@ impl Rg {
             termination,
             Some("agglomerate".into()),
         )
-    }
-}
-
-impl CommunityDetector for Rg {
-    fn name(&self) -> String {
-        "RG".into()
-    }
-
-    fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
-    fn detect(&mut self, g: &Graph) -> Partition {
-        self.run_guarded(g, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, _, _) = self.run_guarded(g, &rec, &Budget::unlimited());
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        if rec.is_enabled() {
-            rec.metric("modularity", crate::quality::modularity(g, &zeta));
-        }
-        (zeta, rec.finish(self.name()))
-    }
-
-    fn detect_guarded(&mut self, g: &Graph, budget: &Budget) -> GuardedResult {
-        if let Err(early) = guard_preflight(self.name(), g, budget) {
-            return early;
-        }
-        let rec = Recorder::from_env();
-        rec.counter("nodes", g.node_count() as u64);
-        rec.counter("edges", g.edge_count() as u64);
-        let (zeta, termination, cut_phase) = self.run_guarded(g, &rec, budget);
-        rec.counter("communities", zeta.number_of_subsets() as u64);
-        guarded_result(zeta, termination, cut_phase, rec.finish(self.name()))
     }
 }
 

@@ -4,33 +4,17 @@
 //! is uniform: no panic, `Converged`, and a valid partition covering every
 //! node.
 
-use parcom_core::{
-    Budget, Cggc, Cnm, CommunityDetector, Epp, EppIterated, Louvain, Pam, Plm, Plp, Rg, Termination,
-};
+use parcom_core::{spec::REGISTRY, Budget, CommunityDetector, DetectorSpec, Termination};
 use parcom_graph::{Graph, GraphBuilder};
 
 fn configs() -> Vec<(&'static str, Box<dyn CommunityDetector + Send>)> {
-    vec![
-        ("plp", Box::new(Plp::new())),
-        ("plm", Box::new(Plm::new())),
-        (
-            "plmr",
-            Box::new(Plm {
-                refine: true,
-                ..Plm::default()
-            }),
-        ),
-        ("epp", Box::new(Epp::plp_plm(3))),
-        ("eppr", Box::new(Epp::plp_plmr(3))),
-        ("eml", Box::new(EppIterated::new(3))),
-        ("louvain", Box::new(Louvain::new())),
-        ("pam", Box::new(Pam::new())),
-        ("cel", Box::new(Pam::cel())),
-        ("cnm", Box::new(Cnm::new())),
-        ("rg", Box::new(Rg::new())),
-        ("cggc", Box::new(Cggc::new(3))),
-        ("cggci", Box::new(Cggc::iterated(3))),
-    ]
+    REGISTRY
+        .iter()
+        .map(|info| {
+            let spec = DetectorSpec::new(info.name).expect("registered name");
+            (info.name, spec.build().expect("default knobs are valid"))
+        })
+        .collect()
 }
 
 fn degenerate_graphs() -> Vec<(&'static str, Graph)> {
@@ -83,24 +67,5 @@ fn every_detector_converges_on_every_degenerate_graph() {
                 "{algo_name} on {graph_name}: report termination"
             );
         }
-    }
-}
-
-#[test]
-fn guarded_rejection_of_oversized_input_is_graceful() {
-    // preflight admission: a graph beyond the budget's input limits is
-    // rejected before any detector state is built, uniformly
-    let g = GraphBuilder::from_edges(9, &(1..9u32).map(|l| (0, l)).collect::<Vec<_>>());
-    let budget = Budget::unlimited().with_input_limits(4, 1_000_000);
-    for (algo_name, mut algo) in configs() {
-        let r = algo.detect_guarded(&g, &budget);
-        assert_eq!(
-            r.termination,
-            Termination::InputRejected,
-            "{algo_name}: {:?}",
-            r.termination
-        );
-        assert_eq!(r.partition.len(), g.node_count(), "{algo_name}");
-        assert!(r.partition.validate().is_ok(), "{algo_name}");
     }
 }

@@ -1,12 +1,12 @@
 //! Differential property tests: every kernel decision made through the
 //! generation-stamped [`SparseWeightMap`] must be *bit-identical* to the
-//! same decision computed with a hash-map tally. Both kernels use
-//! iteration-order-independent tie-breaks (PLP: salted-hash maximum with
-//! the current label unbeatable on ties; PLM: smallest community id), so
-//! the map's arbitrary order and the scratch map's first-touch order must
-//! never disagree.
+//! same decision computed with a hash-map tally. PLP's tie-break is
+//! iteration-order-independent (salted-hash maximum with the current label
+//! unbeatable on ties), so the map's arbitrary order and the scratch map's
+//! first-touch order must never disagree. The Louvain family's Δmod
+//! arg-max has the same test next to the kernel itself
+//! (`moves::tests::best_move_matches_hash_reference`).
 
-use parcom_core::quality::delta_modularity;
 use parcom_graph::hashing::FxHashMap;
 use parcom_graph::{Graph, GraphBuilder, Partition, SparseWeightMap};
 use proptest::prelude::*;
@@ -116,90 +116,6 @@ fn plp_decision_fxhash(
     best
 }
 
-/// PLM's Δmod arg-max for `u` over the scratch tally.
-fn plm_decision_scratch(
-    g: &Graph,
-    zeta: &Partition,
-    volumes: &[f64],
-    total: f64,
-    u: u32,
-    weight_to: &mut SparseWeightMap,
-) -> (u32, f64) {
-    weight_to.clear();
-    for (v, w) in g.edges_of(u) {
-        if v != u {
-            weight_to.add(zeta.subset_of(v), w);
-        }
-    }
-    let c = zeta.subset_of(u);
-    let vol_u = g.volume(u);
-    let weight_to_c = weight_to.get(c);
-    let vol_c_without_u = volumes[c as usize] - vol_u;
-    let mut best_delta = 0.0;
-    let mut best = c;
-    for (d, weight_to_d) in weight_to.iter() {
-        if d == c {
-            continue;
-        }
-        let delta = delta_modularity(
-            weight_to_c,
-            weight_to_d,
-            vol_c_without_u,
-            volumes[d as usize],
-            vol_u,
-            total,
-            1.0,
-        );
-        if delta > best_delta || (delta == best_delta && best != c && d < best) {
-            best_delta = delta;
-            best = d;
-        }
-    }
-    (best, best_delta)
-}
-
-/// The same arg-max over a hash-map tally.
-fn plm_decision_fxhash(
-    g: &Graph,
-    zeta: &Partition,
-    volumes: &[f64],
-    total: f64,
-    u: u32,
-    weight_to: &mut FxHashMap<u32, f64>,
-) -> (u32, f64) {
-    weight_to.clear();
-    for (v, w) in g.edges_of(u) {
-        if v != u {
-            *weight_to.entry(zeta.subset_of(v)).or_insert(0.0) += w;
-        }
-    }
-    let c = zeta.subset_of(u);
-    let vol_u = g.volume(u);
-    let weight_to_c = weight_to.get(&c).copied().unwrap_or(0.0);
-    let vol_c_without_u = volumes[c as usize] - vol_u;
-    let mut best_delta = 0.0;
-    let mut best = c;
-    for (&d, &weight_to_d) in weight_to.iter() {
-        if d == c {
-            continue;
-        }
-        let delta = delta_modularity(
-            weight_to_c,
-            weight_to_d,
-            vol_c_without_u,
-            volumes[d as usize],
-            vol_u,
-            total,
-            1.0,
-        );
-        if delta > best_delta || (delta == best_delta && best != c && d < best) {
-            best_delta = delta;
-            best = d;
-        }
-    }
-    (best, best_delta)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -217,30 +133,6 @@ proptest! {
             let a = plp_decision_scratch(&g, &labels, v, salt, &mut scratch);
             let b = plp_decision_fxhash(&g, &labels, v, salt, &mut reference);
             prop_assert_eq!(a, b);
-        }
-    }
-
-    /// PLM Δmod arg-max: scratch and hash tallies pick the same target
-    /// community with the same Δmod, bit for bit.
-    #[test]
-    fn plm_argmax_decisions_match_hash_reference(
-        (g, zeta) in arb_graph_and_labels(50),
-    ) {
-        let total = g.total_edge_weight();
-        if total > 0.0 {
-            let k = zeta.upper_bound() as usize;
-            let mut volumes = vec![0.0f64; k.max(1)];
-            for u in g.nodes() {
-                volumes[zeta.subset_of(u) as usize] += g.volume(u);
-            }
-            let mut scratch = SparseWeightMap::with_capacity(k.max(1));
-            let mut reference = FxHashMap::default();
-            for u in g.nodes() {
-                let (ca, da) = plm_decision_scratch(&g, &zeta, &volumes, total, u, &mut scratch);
-                let (cb, db) = plm_decision_fxhash(&g, &zeta, &volumes, total, u, &mut reference);
-                prop_assert_eq!(ca, cb);
-                prop_assert_eq!(da.to_bits(), db.to_bits());
-            }
         }
     }
 

@@ -1,26 +1,19 @@
 //! Contract tests every community detection algorithm must satisfy,
 //! exercised across the full registry.
 
-use parcom::community::{quality::modularity, CommunityDetector};
+use parcom::community::{quality::modularity, spec::REGISTRY, CommunityDetector, DetectorSpec};
 use parcom::generators::{lfr, ring_of_cliques, LfrParams};
 use parcom::graph::{Graph, GraphBuilder, Partition};
 
+/// Every registered algorithm at its default knobs.
 fn registry() -> Vec<Box<dyn CommunityDetector + Send>> {
-    use parcom::community::{Cggc, Cnm, Epp, Louvain, Pam, Plm, Plp, Rg};
-    vec![
-        Box::new(Plp::new()),
-        Box::new(Plm::new()),
-        Box::new(Plm::with_refinement()),
-        Box::new(Epp::plp_plm(2)),
-        Box::new(Epp::plp_plmr(2)),
-        Box::new(Louvain::new()),
-        Box::new(Pam::new()),
-        Box::new(Pam::cel()),
-        Box::new(Cnm::new()),
-        Box::new(Rg::new()),
-        Box::new(Cggc::new(2)),
-        Box::new(Cggc::iterated(2)),
-    ]
+    REGISTRY
+        .iter()
+        .map(|info| {
+            let spec = DetectorSpec::new(info.name).expect("registered name");
+            spec.build().expect("default knobs are valid")
+        })
+        .collect()
 }
 
 fn check_valid_partition(zeta: &Partition, g: &Graph, name: &str) {
