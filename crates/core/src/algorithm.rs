@@ -5,10 +5,12 @@
 //! a [`Budget`]. The three public entry points — `detect`,
 //! `detect_with_report` and `detect_guarded` — are provided methods
 //! written here once, so they cannot disagree about what a report carries
-//! or how a run ends (DESIGN.md §11).
+//! or how a run ends (DESIGN.md §11). A run normally starts from
+//! singletons; [`CommunityDetector::start_from`] hands the next run a
+//! [`StartState`] instead, whichever entry point makes it.
 
 use crate::quality::modularity_gamma;
-use parcom_graph::{Graph, Partition};
+use parcom_graph::{Graph, Node, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{Recorder, RunReport};
 
@@ -49,11 +51,31 @@ impl GuardedResult {
     }
 }
 
+/// Where a run starts when not from singletons: the partition an earlier
+/// run converged to on an earlier version of the graph, and the nodes whose
+/// neighbourhoods changed since. Only the frontier is re-evaluated at
+/// first; activity spreads from there by the detector's own rule, so the
+/// run costs what the change cost, not what the graph costs.
+///
+/// `base` may be shorter than the graph (the graph grew): nodes past its
+/// end start as fresh singletons. It must not be longer.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StartState {
+    /// The community assignment to start from.
+    pub base: Partition,
+    /// The nodes to evaluate first: every endpoint of an edge inserted,
+    /// removed or reweighted since `base` was computed. Order and
+    /// duplicates do not matter.
+    pub frontier: Vec<Node>,
+}
+
 /// Runs `detector` under `rec` and builds the report every entry point
-/// hands out: the root counters `nodes`/`edges`/`communities`, the
-/// modularity metric at the detector's own γ, and the termination cause
-/// with — for interrupted runs — the cut phase. Under a disabled recorder
-/// this is the bare `run` plus an empty report.
+/// hands out: the root counters `nodes`/`edges`/`warm`/`frontier`/
+/// `communities`, the modularity metric at the detector's own γ, and the
+/// termination cause with — for interrupted runs — the cut phase. `warm`
+/// is 1 when the run starts from a [`StartState`], and `frontier` is how
+/// many nodes it starts with — all of them when cold. Under a disabled
+/// recorder this is the bare `run` plus an empty report.
 fn reported_run<D: CommunityDetector + ?Sized>(
     detector: &mut D,
     g: &Graph,
@@ -62,6 +84,10 @@ fn reported_run<D: CommunityDetector + ?Sized>(
 ) -> GuardedResult {
     rec.counter("nodes", g.node_count() as u64);
     rec.counter("edges", g.edge_count() as u64);
+    let start = detector.start_slot().and_then(|slot| slot.as_ref());
+    let frontier = start.map_or(g.node_count(), |s| s.frontier.len());
+    rec.counter("warm", start.is_some() as u64);
+    rec.counter("frontier", frontier as u64);
     let (partition, termination, cut_phase) = detector.run(g, &rec, budget);
     // two scans of the result that only a report needs
     if rec.is_enabled() {
@@ -126,6 +152,27 @@ pub trait CommunityDetector {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>);
 
+    /// Where the detector keeps the [`StartState`] of its next run, which
+    /// takes it out — a start state applies to one run. The default,
+    /// `None`, says the detector cannot start from a base: every run of
+    /// it is cold.
+    fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
+        None
+    }
+
+    /// Hands the next run — through whichever entry point — a start state.
+    /// Returns `false`, keeping nothing, when the detector cannot use one;
+    /// the next run is then an ordinary cold run.
+    fn start_from(&mut self, start: StartState) -> bool {
+        match self.start_slot() {
+            Some(slot) => {
+                *slot = Some(start);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Reseeds the algorithm's randomness. The default is a no-op:
     /// deterministic algorithms (CNM, PAM) have nothing to reseed.
     fn set_seed(&mut self, seed: u64) {
@@ -188,6 +235,10 @@ impl<T: CommunityDetector + ?Sized> CommunityDetector for Box<T> {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
         (**self).run(g, rec, budget)
+    }
+
+    fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
+        (**self).start_slot()
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -258,11 +309,24 @@ mod tests {
         assert_eq!(report.counter("nodes"), Some(3));
         assert_eq!(report.counter("edges"), Some(2));
         assert_eq!(report.counter("communities"), Some(1));
+        // a detector without a start slot refuses a base and runs cold
+        assert_eq!(report.counter("warm"), Some(0));
+        assert_eq!(report.counter("frontier"), Some(3));
         // evaluated at the detector's own resolution, not at 1
         assert_eq!(report.metric("modularity"), Some(0.5));
         assert_eq!(report.termination.as_deref(), Some("converged"));
         // a converged run names no cut phase, whatever the body returned
         assert_eq!(report.cut_phase, None);
+    }
+
+    #[test]
+    fn a_detector_without_a_start_slot_refuses_a_base() {
+        let start = StartState {
+            base: Partition::singleton(3),
+            frontier: vec![0],
+        };
+        let mut boxed: Box<dyn CommunityDetector> = Box::new(Trivial { seed: 0 });
+        assert!(!boxed.start_from(start));
     }
 
     #[test]

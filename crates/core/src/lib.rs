@@ -42,7 +42,7 @@ pub mod quality;
 pub mod rg;
 pub mod spec;
 
-pub use algorithm::{CommunityDetector, GuardedResult};
+pub use algorithm::{CommunityDetector, GuardedResult, StartState};
 pub use cggc::Cggc;
 pub use cnm::Cnm;
 pub use community_graph::CommunityGraph;
@@ -66,7 +66,7 @@ pub use parcom_guard::{Budget, CancelToken, Termination};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::algorithm::{CommunityDetector, GuardedResult};
+    pub use crate::algorithm::{CommunityDetector, GuardedResult, StartState};
     pub use crate::compare::{adjusted_rand_index, jaccard_index, nmi};
     pub use crate::quality::{coverage, modularity, modularity_gamma};
     pub use crate::spec::DetectorSpec;

@@ -13,8 +13,13 @@
 //! These races are deliberate (asynchronous updating, §III-A): they avoid
 //! label oscillation on bipartite structures and add solution diversity in
 //! the ensemble setting.
+//!
+//! The active set is what makes PLP incremental, and a [`StartState`]
+//! carries it across runs: labels start from an earlier run's result and
+//! only the nodes an edit touched start active. The ordinary cold run is
+//! the same loop started from singletons with every node active.
 
-use crate::algorithm::CommunityDetector;
+use crate::algorithm::{CommunityDetector, StartState};
 use parcom_graph::{AtomicPartition, Graph, Node, Partition, ScratchPool};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{CounterCell, LocalCount, Recorder};
@@ -67,6 +72,10 @@ pub struct Plp {
     pub seed_perturbation: SeedPerturbation,
     /// Seed for the optional shuffle and tie-breaking.
     pub seed: u64,
+    /// Where the next run starts, set through
+    /// [`CommunityDetector::start_from`] and taken by that run; `None`
+    /// starts from singletons.
+    pub start: Option<StartState>,
 }
 
 impl Default for Plp {
@@ -77,6 +86,7 @@ impl Default for Plp {
             explicit_randomization: false,
             seed_perturbation: SeedPerturbation::None,
             seed: 1,
+            start: None,
         }
     }
 }
@@ -96,35 +106,55 @@ impl Plp {
         Self::default()
     }
 
-    /// Runs label propagation, optionally seeded with an initial assignment
-    /// (used when PLP refines a prolonged coarse solution).
-    pub fn run_from(&mut self, g: &Graph, initial: Option<&Partition>) -> Partition {
-        self.propagate(g, initial, &Recorder::disabled(), &Budget::unlimited())
-            .0
-    }
-
-    /// [`run_from`](Self::run_from) under a recorder and a run budget. The
-    /// iteration loop runs inside a `label-propagation` span carrying the
-    /// per-iteration `active`/`updated` series (Fig. 1) and the total
-    /// `label-updates` count. The budget is checked once per iteration
-    /// (sweep granularity — §III-A iterations touch every active node, so
-    /// per-edge checks would dominate). On expiry the loop stops after the
-    /// last completed iteration; the label array at any iteration boundary
-    /// is a valid assignment, so the degraded result is simply the labels
-    /// so far, compacted.
+    /// Label propagation from `start` (`None`: from singletons, everyone
+    /// active) under a recorder and a run budget. The iteration loop runs
+    /// inside a `label-propagation` span carrying the per-iteration
+    /// `active`/`updated` series (Fig. 1) and the total `label-updates`
+    /// count, all present even when no sweep was needed. The budget is
+    /// checked once per iteration (sweep granularity — §III-A iterations
+    /// touch every active node, so per-edge checks would dominate). On
+    /// expiry the loop stops after the last completed iteration; the label
+    /// array at any iteration boundary is a valid assignment, so the
+    /// degraded result is simply the labels so far, compacted.
     fn propagate(
         &mut self,
         g: &Graph,
-        initial: Option<&Partition>,
+        start: Option<StartState>,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination) {
         let n = g.node_count();
-        let labels = match initial {
-            Some(p) => AtomicPartition::from_partition(p),
-            None => AtomicPartition::singleton(n),
+        // One loop for both: a cold run is the warm run whose base is
+        // empty — every node lies past its end and gets a fresh singleton
+        // label, its own id — and whose frontier is every node.
+        let (mut base, frontier) = match start {
+            Some(s) => (s.base, Some(s.frontier)),
+            None => (Partition::singleton(0), None),
         };
-        let active: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
+        assert!(
+            base.len() <= n,
+            "start state covers {} nodes, the graph has {n}",
+            base.len()
+        );
+        // Labels index the tally maps, so keep them near the node count.
+        if base.upper_bound() as usize > base.len() {
+            base.compact();
+        }
+        let grown = base.upper_bound()..base.upper_bound() + (n - base.len()) as u32;
+        let mut label_bound = grown.end;
+        let labels: AtomicPartition = base.as_slice().iter().copied().chain(grown).collect();
+        let active: Vec<AtomicBool> = (0..n)
+            .map(|v| AtomicBool::new(frontier.is_none() || v >= base.len()))
+            .collect();
+        for &v in frontier.iter().flatten() {
+            active[v as usize].store(true, Ordering::Relaxed);
+            // A node left with no neighbour but itself leaves its
+            // community, as it would never have joined one in a cold run.
+            if g.neighbors(v).iter().all(|&u| u == v) {
+                labels.set(v, label_bound);
+                label_bound += 1;
+            }
+        }
         let theta = (self.theta_fraction * n as f64).ceil() as u64;
 
         let mut order: Vec<Node> = (0..n as Node).collect();
@@ -160,20 +190,26 @@ impl Plp {
         let threads = rayon::current_num_threads();
         let shuffle = self.explicit_randomization || threads <= 1 || n < 64 * threads;
 
-        // Labels are node ids (or ids of the initial assignment), so the
-        // per-thread scratch maps tallying weight-per-label are indexed by
-        // that upper bound; the pool recycles them across iterations.
-        let label_bound = match initial {
-            Some(p) => p.upper_bound().max(n as u32),
-            None => n as u32,
-        } as usize;
+        // The per-thread scratch maps tallying weight-per-label are indexed
+        // by label; the pool recycles them across iterations.
+        let label_bound = label_bound as usize;
         let scratch = ScratchPool::new();
 
         let span = rec.span("label-propagation");
+        span.declare_series("active");
+        span.declare_series("updated");
         let mut termination = Termination::Converged;
         let mut iterations = 0u64;
         let mut label_updates = 0u64;
         for _iter in 0..self.max_iterations {
+            let active_count = active
+                .par_iter()
+                .filter(|a| a.load(Ordering::Relaxed))
+                .count();
+            // Nobody to evaluate: an empty frontier converges in zero sweeps.
+            if active_count == 0 {
+                break;
+            }
             if let Err(t) = budget.check_sweep() {
                 termination = t;
                 break;
@@ -181,10 +217,6 @@ impl Plp {
             if shuffle {
                 order.shuffle(&mut rng);
             }
-            let active_count = active
-                .par_iter()
-                .filter(|a| a.load(Ordering::Relaxed))
-                .count();
             // One sharded counter per iteration: workers bump a plain
             // thread-local integer, merged when the worker state drops at
             // the end of the parallel region.
@@ -253,18 +285,11 @@ impl Plp {
         span.counter("label-updates", label_updates);
         span.close();
 
-        // Postcondition on the racy label array itself: labels are node
-        // ids (or initial-assignment ids), so every concurrently-written
-        // value must stay below the id upper bound.
+        // Postcondition on the racy label array itself: every
+        // concurrently-written value must be a label some node started with.
         #[cfg(any(debug_assertions, feature = "validate"))]
-        {
-            let upper = match initial {
-                Some(p) => p.upper_bound().max(n as u32),
-                None => n as u32,
-            };
-            if let Err(e) = labels.validate(upper.max(1)) {
-                panic!("PLP postcondition violated: {e}");
-            }
+        if let Err(e) = labels.validate(label_bound.max(1) as u32) {
+            panic!("PLP postcondition violated: {e}");
         }
         let mut result = labels.to_partition();
         result.compact();
@@ -295,8 +320,13 @@ impl CommunityDetector for Plp {
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        let (zeta, termination) = self.propagate(g, None, rec, budget);
+        let start = self.start.take();
+        let (zeta, termination) = self.propagate(g, start, rec, budget);
         (zeta, termination, Some("label-propagation".into()))
+    }
+
+    fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
+        Some(&mut self.start)
     }
 }
 
@@ -383,13 +413,103 @@ mod tests {
         assert_eq!(plp.name(), "PLP(randomized)");
     }
 
+    fn counters(report: &parcom_obs::RunReport) -> (u64, u64, u64) {
+        let prop = report.phase("label-propagation").unwrap();
+        (
+            report.counter("warm").unwrap(),
+            prop.counter("iterations").unwrap(),
+            prop.counter("label-updates").unwrap(),
+        )
+    }
+
     #[test]
-    fn seeded_from_initial_partition() {
-        let (g, truth) = ring_of_cliques(5, 6);
+    fn an_empty_frontier_returns_the_base_in_zero_sweeps() {
+        let (g, _) = lfr(LfrParams::benchmark(600, 0.3), 9);
+        let (base, cold) = Plp::new().detect_with_report(&g);
+        assert_eq!(cold.counter("warm"), Some(0));
+        assert_eq!(cold.counter("frontier"), Some(600));
+
         let mut plp = Plp::new();
-        let zeta = plp.run_from(&g, Some(&truth));
-        // starting from the ground truth it must not get worse
-        assert!(modularity(&g, &zeta) >= modularity(&g, &truth) - 1e-12);
+        assert!(plp.start_from(StartState {
+            base: base.clone(),
+            frontier: Vec::new(),
+        }));
+        let (again, report) = plp.detect_with_report(&g);
+        assert_eq!(again, base);
+        assert_eq!(counters(&report), (1, 0, 0));
+        assert_eq!(report.counter("frontier"), Some(0));
+        // the phase and both series are still there, empty
+        let prop = report.phase("label-propagation").unwrap();
+        assert_eq!(prop.series("active"), Some(&[][..]));
+        assert_eq!(prop.series("updated"), Some(&[][..]));
+        // the start state applied to that one run only
+        let (_, third) = plp.detect_with_report(&g);
+        assert_eq!(third.counter("warm"), Some(0));
+    }
+
+    #[test]
+    fn a_warm_run_re_evaluates_only_what_the_edit_touched() {
+        let (g, _) = lfr(LfrParams::benchmark(2000, 0.2), 4);
+        let base = Plp::new().detect(&g);
+        // Tie node 0 into the community of some node outside its own, with
+        // more weight than everything else it has.
+        let far = g
+            .nodes()
+            .find(|&v| !base.in_same_subset(0, v))
+            .expect("more than one community");
+        let edited = g.patched(g.node_count(), &[(0, far, Some(1000.0))]);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: base.clone(),
+            frontier: vec![0, far],
+        });
+        let (zeta, report) = plp.detect_with_report(&edited);
+        assert!(zeta.in_same_subset(0, far), "the heavy edge must win");
+        let (warm, iterations, updates) = counters(&report);
+        assert_eq!(warm, 1);
+        assert!(iterations <= 3 && updates < 50, "{iterations} / {updates}");
+        // everyone the change did not reach keeps their grouping
+        let moved = g
+            .nodes()
+            .filter(|&v| base.in_same_subset(v, 1) != zeta.in_same_subset(v, 1))
+            .count();
+        assert!(moved < 50, "{moved} nodes regrouped");
+    }
+
+    #[test]
+    fn a_base_shorter_than_the_graph_grows_by_singletons() {
+        let (g, truth) = ring_of_cliques(3, 4);
+        // node 12 hangs off clique 0, node 13 stays isolated; node 4 loses
+        // every edge it had
+        let mut edits = vec![(0, 12, Some(1.0)), (1, 12, Some(1.0))];
+        edits.extend(g.neighbors(4).iter().map(|&u| (4.min(u), 4.max(u), None)));
+        let edited = g.patched(14, &edits);
+        let frontier = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: truth,
+            frontier,
+        });
+        let zeta = plp.detect(&edited);
+        assert_eq!(zeta.len(), 14);
+        assert!(zeta.in_same_subset(12, 0) && zeta.in_same_subset(12, 3));
+        // 4, 13: four communities' worth of everyone else, plus themselves
+        assert_eq!(zeta.number_of_subsets(), 5);
+        for v in (0..12).filter(|&v| v != 4) {
+            assert!(!zeta.in_same_subset(4, v) && !zeta.in_same_subset(13, v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "start state covers")]
+    fn rejects_a_base_longer_than_the_graph() {
+        let (g, _) = ring_of_cliques(2, 3);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: Partition::singleton(7),
+            frontier: Vec::new(),
+        });
+        plp.detect(&g);
     }
 
     #[test]

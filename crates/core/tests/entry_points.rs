@@ -1,13 +1,23 @@
 //! The entry-point table: for every registry spec, `detect`,
 //! `detect_with_report` and `detect_guarded` are three views of one run —
-//! same partition, same report shape, same preflight.
+//! same partition, same report shape, same preflight — whether the run
+//! starts from singletons or from a [`StartState`].
+
+mod util;
 
 use parcom_core::quality::modularity_gamma;
 use parcom_core::spec::REGISTRY;
-use parcom_core::{Budget, CommunityDetector, DetectorSpec, RunReport, Termination};
+use parcom_core::{Budget, CommunityDetector, DetectorSpec, RunReport, StartState, Termination};
 use parcom_generators::{karate_club, lfr, LfrParams};
 use parcom_graph::parallel::with_threads;
 use parcom_graph::{Graph, GraphBuilder, Partition};
+use rand::{rngs::SmallRng, SeedableRng};
+use std::collections::HashSet;
+use util::{endpoints, random_edits, Edit};
+
+/// The specs whose detector can start from a base; every other one must
+/// refuse it and run cold.
+const WARM_CAPABLE: &[&str] = &["plp"];
 
 /// A fresh detector for `name`, seed fixed.
 fn build(name: &str) -> Box<dyn CommunityDetector + Send> {
@@ -79,6 +89,90 @@ fn the_three_entry_points_agree_for_every_spec() {
                 assert_eq!(r.termination, Termination::Converged, "{what}");
                 assert_eq!(plain.as_slice(), r.partition.as_slice(), "{what}: guarded");
                 check_report(&r.report, &g, &r.partition, gamma, &what);
+            });
+        }
+    }
+}
+
+/// What a resident graph sees between two detections, on any input: a few
+/// random inserts and removes, every edge of one node removed (its last
+/// one included), and an insert that grows the node range by one.
+fn edit_batch(g: &Graph, seed: u64) -> (usize, Vec<Edit>) {
+    let n = g.nodes().end;
+    let mut taken = HashSet::new();
+    let mut edits: Vec<Edit> = Vec::new();
+    if let Some(loser) = g
+        .nodes()
+        .filter(|&v| g.degree(v) > 0)
+        .min_by_key(|&v| g.degree(v))
+    {
+        for &u in g.neighbors(loser) {
+            taken.insert((loser.min(u), loser.max(u)));
+            edits.push((loser.min(u), loser.max(u), None));
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    edits.extend(random_edits(g, &mut rng, 4, 2, &mut taken));
+    // the new node n hangs off node 0; on the empty graph both are new
+    let grown = n.max(1);
+    edits.push((0, grown, Some(1.0)));
+    (grown as usize + 1, edits)
+}
+
+#[test]
+fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
+    for (graph_name, g) in graphs() {
+        let (n_new, edits) = edit_batch(&g, 3);
+        let edited = g.patched(n_new, &edits);
+        for info in REGISTRY {
+            with_threads(1, || {
+                let what = format!("{} from a base on {graph_name}", info.name);
+                let start = StartState {
+                    base: build(info.name).detect(&g),
+                    frontier: endpoints(&edits),
+                };
+                let started = |detector: &mut Box<dyn CommunityDetector + Send>| {
+                    let accepted = detector.start_from(start.clone());
+                    assert_eq!(accepted, WARM_CAPABLE.contains(&info.name), "{what}");
+                    accepted
+                };
+
+                let mut detector = build(info.name);
+                let gamma = detector.gamma();
+                let warm = started(&mut detector);
+                let r = detector.detect_guarded(&edited, &Budget::unlimited());
+                assert_eq!(r.termination, Termination::Converged, "{what}");
+                // a dense partition of the *new* node range
+                assert_eq!(r.partition.len(), n_new, "{what}");
+                assert_eq!(
+                    r.partition.number_of_subsets(),
+                    r.partition.upper_bound() as usize,
+                    "{what}"
+                );
+                check_report(&r.report, &edited, &r.partition, gamma, &what);
+                assert_eq!(r.report.counter("warm"), Some(warm as u64), "{what}");
+                let frontier = if warm { start.frontier.len() } else { n_new };
+                assert_eq!(
+                    r.report.counter("frontier"),
+                    Some(frontier as u64),
+                    "{what}"
+                );
+
+                // the other two entry points start from the same state and,
+                // on one thread, land on the same partition
+                let mut detector = build(info.name);
+                started(&mut detector);
+                assert_eq!(detector.detect(&edited), r.partition, "{what}: detect");
+                let mut detector = build(info.name);
+                started(&mut detector);
+                let (zeta, report) = detector.detect_with_report(&edited);
+                assert_eq!(zeta, r.partition, "{what}: with_report");
+                assert_eq!(report.counter("warm"), Some(warm as u64), "{what}");
+
+                // a refused base leaves an ordinary cold run
+                if !warm {
+                    assert_eq!(build(info.name).detect(&edited), r.partition, "{what}");
+                }
             });
         }
     }

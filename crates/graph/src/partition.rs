@@ -103,18 +103,36 @@ impl Partition {
     /// Renumbers community ids to the dense range `0..k` (first-seen order)
     /// and returns `k`, the number of non-empty communities.
     pub fn compact(&mut self) -> usize {
-        let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-        for c in self.data.iter_mut() {
-            let next = remap.len() as u32; // audit:allow(lossy-cast): bounded by the u32 node id space
-            let id = *remap.entry(*c).or_insert(next);
-            *c = id;
-        }
-        self.upper = remap.len() as u32; // audit:allow(lossy-cast): bounded by the u32 node id space
+        // Ids are almost always node ids or compacted ids, so the remap is
+        // a flat table; only an assignment with ids far above its length
+        // pays for hashing.
+        let k = if self.upper as usize <= 4 * self.data.len() {
+            const UNSEEN: u32 = u32::MAX;
+            let mut remap = vec![UNSEEN; self.upper as usize];
+            let mut next = 0u32;
+            for c in self.data.iter_mut() {
+                let slot = &mut remap[*c as usize];
+                if *slot == UNSEEN {
+                    *slot = next;
+                    next += 1;
+                }
+                *c = *slot;
+            }
+            next
+        } else {
+            let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
+            for c in self.data.iter_mut() {
+                let next = remap.len() as u32; // audit:allow(lossy-cast): bounded by the u32 node id space
+                *c = *remap.entry(*c).or_insert(next);
+            }
+            remap.len() as u32 // audit:allow(lossy-cast): bounded by the u32 node id space
+        };
+        self.upper = k;
         #[cfg(any(debug_assertions, feature = "validate"))]
         if let Err(e) = self.validate_dense() {
             panic!("compact() postcondition violated: {e}");
         }
-        remap.len()
+        k as usize
     }
 
     /// Checks the basic invariant: every community id is below
@@ -223,19 +241,24 @@ pub struct AtomicPartition {
     data: Vec<AtomicU32>,
 }
 
+impl FromIterator<u32> for AtomicPartition {
+    /// Node `v` starts in the `v`-th community id the iterator yields.
+    fn from_iter<I: IntoIterator<Item = u32>>(ids: I) -> Self {
+        Self {
+            data: ids.into_iter().map(AtomicU32::new).collect(),
+        }
+    }
+}
+
 impl AtomicPartition {
     /// Singleton assignment `ζ(v) = v`.
     pub fn singleton(n: usize) -> Self {
-        Self {
-            data: (0..n as u32).map(AtomicU32::new).collect(),
-        }
+        (0..n as u32).collect()
     }
 
     /// Copies an existing partition.
     pub fn from_partition(p: &Partition) -> Self {
-        Self {
-            data: p.as_slice().iter().map(|&c| AtomicU32::new(c)).collect(),
-        }
+        p.as_slice().iter().copied().collect()
     }
 
     /// Number of nodes.
@@ -328,6 +351,17 @@ mod tests {
         assert_eq!(k, 3);
         assert_eq!(p.as_slice(), &[0, 0, 1, 2, 1]);
         assert_eq!(p.upper_bound(), 3);
+    }
+
+    #[test]
+    fn compact_keeps_first_seen_order_on_both_remap_paths() {
+        // ids within 4x the length take the flat table, larger ones the map
+        let mut flat = Partition::from_vec(vec![7, 7, 3, 9, 3]);
+        let mut hashed = Partition::from_vec(vec![700, 700, 3, 90_000, 3]);
+        assert_eq!(flat.compact(), hashed.compact());
+        assert_eq!(flat, hashed);
+        let mut empty = Partition::singleton(0);
+        assert_eq!(empty.compact(), 0);
     }
 
     #[test]

@@ -41,6 +41,22 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Appends `v` as a JSON number, exactly (no detour through `f64`).
+pub fn write_u64(out: &mut String, v: u64) {
+    use std::fmt::Write as _;
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Appends `"key":` for the next member of the object being written,
+/// with the separating comma unless it is the object's first.
+pub fn write_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    write_str(out, key);
+    out.push(':');
+}
+
 /// A parsed JSON value.
 ///
 /// Objects are association lists in document order — the handful of keys

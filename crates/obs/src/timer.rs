@@ -78,12 +78,21 @@ impl State {
         }
     }
 
-    fn push_series(&mut self, node: usize, name: &str, value: f64) {
+    /// The named series of `node`, created empty on first use.
+    fn series_mut(&mut self, node: usize, name: &str) -> &mut Vec<f64> {
         let series = &mut self.nodes[node].series;
-        match series.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => v.push(value),
-            None => series.push((name.to_string(), vec![value])),
-        }
+        let at = match series.iter().position(|(k, _)| k == name) {
+            Some(at) => at,
+            None => {
+                series.push((name.to_string(), Vec::new()));
+                series.len() - 1
+            }
+        };
+        &mut series[at].1
+    }
+
+    fn push_series(&mut self, node: usize, name: &str, value: f64) {
+        self.series_mut(node, name).push(value);
     }
 
     fn into_phase(nodes: &mut [Node], id: usize) -> PhaseReport {
@@ -285,6 +294,15 @@ impl Span {
     pub fn push_series(&self, name: &str, value: f64) {
         if let Some(inner) = &self.recorder.inner {
             inner.lock().unwrap().push_series(self.node, name, value);
+        }
+    }
+
+    /// Makes the named series exist on *this* span even if nothing is
+    /// ever pushed to it, so a loop that ran zero times still reports it
+    /// (as `[]`).
+    pub fn declare_series(&self, name: &str) {
+        if let Some(inner) = &self.recorder.inner {
+            inner.lock().unwrap().series_mut(self.node, name);
         }
     }
 

@@ -35,8 +35,10 @@ pub const SCHEMA: &str = "parcom-serve/v1";
 /// `graph`, `spec`, `generation`, `nodes`, `edges`, `termination`,
 /// `communities`, `snapshot` (`{"folded_ops", "fold_ms"}`: the buffered
 /// edits this request folded in before detecting and what that cost;
-/// `0` / `0.0` when none were pending), `report` (a full
-/// `parcom-run-report/v2`) and, on request, `partition`.
+/// `0` / `0.0` when none were pending), `warm` (whether the run started
+/// from the graph's cached result for this spec), `base_generation` (the
+/// generation that result was computed at; `null` for a cold run), `report`
+/// (a full `parcom-run-report/v2`) and, on request, `partition`.
 pub const DETECT_SCHEMA: &str = "parcom-serve-detect/v1";
 
 /// A handler's verdict: HTTP status plus JSON body.
@@ -117,10 +119,26 @@ fn list_graphs(store: &GraphStore) -> Reply {
         out.push_str("{\"name\":");
         json::write_str(&mut out, &name);
         out.push_str(&format!(
-            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"rebuilds\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}}}",
+            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"rebuilds\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}",
             stats.nodes, stats.edges, stats.pending, stats.generation, stats.rebuilds,
             stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
         ));
+        // How stale each cached answer is: `generation - base_generation`
+        // folds behind, `dirty` endpoints to re-evaluate (plus `pending`
+        // operations not folded yet).
+        json::write_key(&mut out, "cached_specs");
+        out.push('[');
+        for (j, slot) in stats.warm.iter().enumerate() {
+            out.push_str(if j > 0 { ",{" } else { "{" });
+            json::write_key(&mut out, "spec");
+            json::write_str(&mut out, &slot.spec);
+            json::write_key(&mut out, "base_generation");
+            json::write_u64(&mut out, slot.base_generation);
+            json::write_key(&mut out, "dirty");
+            json::write_u64(&mut out, slot.dirty as u64);
+            out.push('}');
+        }
+        out.push_str("]}");
     }
     out.push_str("]}");
     (200, out)
@@ -385,7 +403,15 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
 /// cap on top.
 ///
 /// Body: `{"graph": name, "spec": <string or object>, "budget":
-/// {"timeout_ms", "max_sweeps"}, "include_partition": bool}`.
+/// {"timeout_ms", "max_sweeps"}, "include_partition": bool, "cold": bool}`.
+///
+/// The run starts from the entry's warm slot for the spec when there is
+/// one and the detector can use it, re-evaluating only the endpoints
+/// edited since — none at an unchanged generation, which returns the
+/// cached partition after zero sweeps. `"cold": true` starts from
+/// scratch regardless. Either way a converged result becomes the slot's
+/// new base; a run cut short by its budget or a hang-up leaves the slot
+/// as it was.
 pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     let v = match parse_body(body) {
         Ok(v) => v,
@@ -422,16 +448,35 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
             None => {}
         }
     }
-    let include_partition = v
-        .get("include_partition")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
+    let flag = |key| v.get(key).and_then(Value::as_bool).unwrap_or(false);
+    let (include_partition, cold) = (flag("include_partition"), flag("cold"));
 
-    let Some(snapshot) = store.snapshot(name) else {
+    // The entry is held across the run, not looked up again by name: a
+    // result must go back to the graph it was computed on, not to one a
+    // `PUT` put in its place meanwhile.
+    let Some(entry) = store.get(name) else {
         return err(404, format!("no graph named `{name}`"));
     };
+    let spec_key = spec.to_string();
+    let (snapshot, start) = {
+        let mut entry = lock_entry(&entry);
+        let snapshot = entry.snapshot();
+        let start = if cold {
+            None
+        } else {
+            entry.warm_start(&spec_key)
+        };
+        (snapshot, start)
+    };
+    let base_generation =
+        start.and_then(|(generation, start)| detector.start_from(start).then_some(generation));
     let graph = &snapshot.graph;
     let result = detector.detect_guarded(graph, &budget);
+    // Only a finished run is a base worth starting from, and only for a
+    // detector that can start from one.
+    if result.termination == Termination::Converged && detector.start_slot().is_some() {
+        lock_entry(&entry).store_result(&spec_key, snapshot.generation, &result.partition);
+    }
 
     // A partition entry is a community id below n plus a comma.
     let partition_bytes = if include_partition {
@@ -445,7 +490,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     out.push_str(",\"graph\":");
     json::write_str(&mut out, name);
     out.push_str(",\"spec\":");
-    json::write_str(&mut out, &spec.to_string());
+    json::write_str(&mut out, &spec_key);
     out.push_str(&format!(
         ",\"generation\":{},\"nodes\":{},\"edges\":{},\"termination\":",
         snapshot.generation,
@@ -453,12 +498,20 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         graph.edge_count()
     ));
     json::write_str(&mut out, result.termination.as_str());
+    // the report counted them already; it is empty only when recording is
+    // off or the input was refused
+    let communities = (result.report.counter("communities"))
+        .unwrap_or_else(|| result.partition.number_of_subsets() as u64);
     out.push_str(&format!(
-        ",\"communities\":{},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3}}}",
-        result.partition.number_of_subsets(),
+        ",\"communities\":{communities},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3}}},\"warm\":{},\"base_generation\":",
         snapshot.folded_ops,
-        snapshot.fold_ms
+        snapshot.fold_ms,
+        base_generation.is_some()
     ));
+    match base_generation {
+        Some(generation) => json::write_u64(&mut out, generation),
+        None => out.push_str("null"),
+    }
     // splice the already-serialized run report in as raw JSON
     out.push_str(",\"report\":");
     out.push_str(&result.report.to_json());

@@ -8,10 +8,19 @@
 //! when a client forces it, or — always — before a detection snapshot, so
 //! every detection sees all acknowledged edits. The fold is a row merge
 //! ([`Graph::patched`]): untouched rows are copied, touched rows merged.
+//!
+//! Beside the CSR an entry keeps a few *warm slots*: per detector spec,
+//! the last partition a detection converged to, the generation it was
+//! computed at and the endpoints of every edit folded in since. The next
+//! detection with that spec starts from there ([`StartState`]) and
+//! re-evaluates only those endpoints. Slots are derived, memory-only
+//! state: nothing of them is logged or checkpointed, and a restarted
+//! daemon starts with none.
 
 use crate::wal::WalWriter;
+use parcom_core::StartState;
 use parcom_graph::relabel::Relabeling;
-use parcom_graph::{Graph, Node};
+use parcom_graph::{Graph, Node, Partition};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -28,6 +37,18 @@ pub const REBUILD_BATCH: usize = 4096;
 /// admission half of DESIGN.md §16). Since rebuilds fire at
 /// [`REBUILD_BATCH`], only a single oversized batch can approach the cap.
 pub const MAX_PENDING_OPS: usize = 4 * REBUILD_BATCH;
+
+/// How many warm slots — distinct detector specs — one entry keeps. A
+/// slot costs 4 bytes per node; past this many the stalest base goes.
+pub const WARM_SLOTS: usize = 4;
+
+/// A warm slot is dropped once its dirty endpoints exceed `n` over this.
+/// A quarter of the nodes is the largest share at which one sweep still
+/// absorbed the edits (EXPERIMENTS.md, "Warm starts": 22 % dirty → 1
+/// sweep, 39 % → 5); past it a warm run is still cheaper than a cold one,
+/// but no longer costs what the edit cost, the base describes ever less of
+/// the graph, and the list itself approaches the partition's size.
+pub const WARM_DIRTY_SHARE: usize = 4;
 
 /// Locks an entry, tolerating poisoning. Every [`GraphEntry`] mutator
 /// either commits no state on unwind ([`GraphEntry::rebuild`] builds the
@@ -47,6 +68,30 @@ pub enum EdgeOp {
     Insert(Node, Node, f64),
     /// Remove the edge if present (a no-op otherwise).
     Remove(Node, Node),
+}
+
+/// The last converged result of one detector spec on one resident graph.
+struct WarmSlot {
+    /// Canonical spec string ([`DetectorSpec`](parcom_core::DetectorSpec)'s
+    /// `Display`), the slot's key.
+    spec: String,
+    /// Generation of the graph `partition` was computed on.
+    generation: u64,
+    /// In the ids of the resident view (relabeled or not).
+    partition: Partition,
+    /// Endpoints of every edit folded in after `generation`, sorted, each
+    /// once: the frontier of the next warm start.
+    dirty: Vec<Node>,
+}
+
+/// Listing summary of one warm slot.
+pub struct WarmStats {
+    /// Canonical spec string.
+    pub spec: String,
+    /// Generation the cached partition was computed at.
+    pub base_generation: u64,
+    /// Endpoints waiting for the next warm start.
+    pub dirty: usize,
 }
 
 /// A named resident graph plus its mutation buffer.
@@ -76,6 +121,8 @@ pub struct GraphEntry {
     /// Operations folded in since the last checkpoint; drives the
     /// automatic checkpoint cadence.
     ops_since_checkpoint: usize,
+    /// At most [`WARM_SLOTS`] cached results, one per spec.
+    warm: Vec<WarmSlot>,
 }
 
 /// A point-in-time summary of one entry, for listings.
@@ -98,6 +145,8 @@ pub struct EntryStats {
     pub seq: u64,
     /// Whether the entry appends to a write-ahead log.
     pub durable: bool,
+    /// The warm slots: which specs have a cached result, and how stale.
+    pub warm: Vec<WarmStats>,
 }
 
 /// What a detection runs against: the CSR with every acknowledged edit
@@ -140,6 +189,7 @@ impl GraphEntry {
             wal: None,
             relabel_dropped: false,
             ops_since_checkpoint: 0,
+            warm: Vec::new(),
         }
     }
 
@@ -228,6 +278,12 @@ impl GraphEntry {
     /// rebuild batching: each fold leaves rows sorted by neighbor with the
     /// surviving weights verbatim, and the caches are recomputed from the
     /// arrays alone. Recovery replay relies on this.
+    ///
+    /// Every fold, checkpoint and replay comes through here, so this is
+    /// also where the warm slots learn what changed: each keeps the folded
+    /// edits' endpoints, or is dropped — when the relabeling is (node ids
+    /// change under the cached partition) or when too much of the graph is
+    /// dirty ([`WARM_DIRTY_SHARE`]).
     pub fn rebuild(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -271,7 +327,16 @@ impl GraphEntry {
         // Commit point: nothing above mutated the entry.
         if self.relabeling.take().is_some() {
             self.relabel_dropped = true;
+            self.warm.clear();
         }
+        let dirty_cap = n_new / WARM_DIRTY_SHARE;
+        let touched: Vec<Node> = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        self.warm.retain_mut(|slot| {
+            slot.dirty.extend_from_slice(&touched);
+            slot.dirty.sort_unstable();
+            slot.dirty.dedup();
+            slot.dirty.len() <= dirty_cap
+        });
         self.pending.clear();
         self.graph = Arc::new(rebuilt);
         self.generation += 1;
@@ -288,6 +353,67 @@ impl GraphEntry {
         )
     }
 
+    /// Folds the pending buffer and returns what a detection runs against.
+    pub fn snapshot(&mut self) -> Snapshot {
+        let folded_ops = self.pending.len();
+        let started = Instant::now();
+        self.rebuild();
+        let fold_ms = if folded_ops == 0 {
+            0.0
+        } else {
+            started.elapsed().as_secs_f64() * 1e3
+        };
+        let (graph, relabeling, generation) = self.current();
+        Snapshot {
+            graph,
+            relabeling,
+            generation,
+            folded_ops,
+            fold_ms,
+        }
+    }
+
+    /// Where a detection with `spec` on the current CSR can start: the
+    /// slot's generation and its partition with the endpoints dirtied
+    /// since. `None` when nothing is cached for `spec`.
+    pub fn warm_start(&self, spec: &str) -> Option<(u64, StartState)> {
+        let slot = self.warm.iter().find(|slot| slot.spec == spec)?;
+        let start = StartState {
+            base: slot.partition.clone(),
+            frontier: slot.dirty.clone(),
+        };
+        Some((slot.generation, start))
+    }
+
+    /// Caches `partition` — a *converged* result of `spec` on the CSR of
+    /// `generation` — as the base of the next detection with that spec.
+    /// A result of an older generation is discarded (`false`): the
+    /// endpoints folded in meanwhile are not known to it, and storing it
+    /// as current would hide them from every later warm start. The slot
+    /// already there, if any, stays and keeps counting.
+    pub fn store_result(&mut self, spec: &str, generation: u64, partition: &Partition) -> bool {
+        if generation != self.generation {
+            return false;
+        }
+        // Takes the place of the same spec's slot, else a free one, else
+        // that of the stalest base.
+        let evicted = match self.warm.iter().position(|slot| slot.spec == spec) {
+            Some(same) => Some(same),
+            None if self.warm.len() < WARM_SLOTS => None,
+            None => (0..WARM_SLOTS).min_by_key(|&i| self.warm[i].generation),
+        };
+        if let Some(at) = evicted {
+            self.warm.swap_remove(at);
+        }
+        self.warm.push(WarmSlot {
+            spec: spec.to_string(),
+            generation,
+            partition: partition.clone(),
+            dirty: Vec::new(),
+        });
+        true
+    }
+
     /// Listing summary.
     pub fn stats(&self) -> EntryStats {
         EntryStats {
@@ -300,6 +426,13 @@ impl GraphEntry {
             relabel_dropped: self.relabel_dropped,
             seq: self.seq,
             durable: self.wal.is_some(),
+            warm: (self.warm.iter())
+                .map(|slot| WarmStats {
+                    spec: slot.spec.clone(),
+                    base_generation: slot.generation,
+                    dirty: slot.dirty.len(),
+                })
+                .collect(),
         }
     }
 }
@@ -356,23 +489,8 @@ impl GraphStore {
     /// snapshots keep running.
     pub fn snapshot(&self, name: &str) -> Option<Snapshot> {
         let entry = self.get(name)?;
-        let mut entry = lock_entry(&entry);
-        let folded_ops = entry.pending.len();
-        let started = Instant::now();
-        entry.rebuild();
-        let fold_ms = if folded_ops == 0 {
-            0.0
-        } else {
-            started.elapsed().as_secs_f64() * 1e3
-        };
-        let (graph, relabeling, generation) = entry.current();
-        Some(Snapshot {
-            graph,
-            relabeling,
-            generation,
-            folded_ops,
-            fold_ms,
-        })
+        let snapshot = lock_entry(&entry).snapshot();
+        Some(snapshot)
     }
 
     /// Sorted names with per-entry stats.

@@ -36,64 +36,7 @@ use parcom_serve::persist::csr_bit_identical;
 use parcom_serve::store::{EdgeOp, GraphEntry};
 use parcom_serve::wal;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
-use util::{get_bool, get_u64, wait_ready, Client};
-
-const READY_DEADLINE: Duration = Duration::from_secs(20);
-
-/// One spawned crash-harness daemon; killed on drop so a failing test
-/// never leaks a process.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Daemon {
-    fn spawn(state_dir: &Path, socket: &Path, fault: Option<&str>) -> Self {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_crash_harness"));
-        cmd.env("PARCOM_HARNESS_SOCKET", socket)
-            .env("PARCOM_HARNESS_STATE_DIR", state_dir)
-            .env("PARCOM_HARNESS_FSYNC", "always")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        match fault {
-            Some(spec) => cmd.env("PARCOM_FAULT", spec),
-            None => cmd.env_remove("PARCOM_FAULT"),
-        };
-        let child = cmd.spawn().expect("spawn crash_harness");
-        Self {
-            child,
-            socket: socket.to_path_buf(),
-        }
-    }
-
-    fn wait_ready(&self) -> Client {
-        wait_ready(&self.socket, READY_DEADLINE)
-    }
-
-    /// SIGKILL — `Child::kill` is an unblockable kill on Unix.
-    fn kill9(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-
-    /// Waits for the daemon to die on its own (an armed fault aborted it).
-    fn wait_dead(&mut self) {
-        let status = self.child.wait().expect("wait on crash_harness");
-        assert!(
-            !status.success(),
-            "harness should die by abort, got {status}"
-        );
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
+use util::{get_bool, get_u64, Client, Daemon};
 
 /// Per-case scratch directory (state dir + socket), clean at entry.
 fn scratch(name: &str) -> (PathBuf, PathBuf) {

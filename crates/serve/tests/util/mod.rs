@@ -1,7 +1,8 @@
 //! Shared test harness bits: a minimal HTTP/1.1 client over a Unix
-//! socket (Content-Length and chunked framing), JSON accessors, and
-//! daemon-readiness polling. Used by every integration test and by the
-//! crash-recovery kill matrix, where requests must be *fallible* — the
+//! socket (Content-Length and chunked framing), JSON accessors,
+//! daemon-readiness polling, and the `crash_harness` daemon as a real OS
+//! process that can be `kill -9`ed. Used by every integration test and by
+//! the crash-recovery kill matrix, where requests must be *fallible* — the
 //! server is expected to die mid-exchange.
 
 #![allow(dead_code)]
@@ -9,7 +10,8 @@
 use parcom_obs::json::{self, Value};
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 /// A minimal HTTP/1.1 client over one keep-alive connection.
@@ -222,4 +224,59 @@ pub fn metis_body(g: &parcom_graph::Graph) -> String {
     json::write_str(&mut body, std::str::from_utf8(&metis).unwrap());
     body.push('}');
     body
+}
+
+/// One spawned `crash_harness` daemon — a real process over a state
+/// directory; killed on drop so a failing test never leaks one.
+pub struct Daemon {
+    child: Child,
+    socket: PathBuf,
+}
+
+impl Daemon {
+    /// Spawns the harness on `socket` over `state_dir`, with `fault`
+    /// (`site:k`) armed when given.
+    pub fn spawn(state_dir: &Path, socket: &Path, fault: Option<&str>) -> Self {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_crash_harness"));
+        cmd.env("PARCOM_HARNESS_SOCKET", socket)
+            .env("PARCOM_HARNESS_STATE_DIR", state_dir)
+            .env("PARCOM_HARNESS_FSYNC", "always")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        match fault {
+            Some(spec) => cmd.env("PARCOM_FAULT", spec),
+            None => cmd.env_remove("PARCOM_FAULT"),
+        };
+        let child = cmd.spawn().expect("spawn crash_harness");
+        Self {
+            child,
+            socket: socket.to_path_buf(),
+        }
+    }
+
+    /// A client, once recovery has finished.
+    pub fn wait_ready(&self) -> Client {
+        wait_ready(&self.socket, Duration::from_secs(20))
+    }
+
+    /// SIGKILL — `Child::kill` is an unblockable kill on Unix.
+    pub fn kill9(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+    }
+
+    /// Waits for the daemon to die on its own (an armed fault aborted it).
+    pub fn wait_dead(&mut self) {
+        let status = self.child.wait().expect("wait on crash_harness");
+        assert!(
+            !status.success(),
+            "harness should die by abort, got {status}"
+        );
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.kill9();
+    }
 }
