@@ -9,7 +9,6 @@
 //! and timing/score utilities (including the Pareto scores of §V-F).
 
 pub mod harness;
-pub mod kernels;
 pub mod suite;
 
 pub use harness::{geometric_mean, time, Measurement};

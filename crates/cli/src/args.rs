@@ -17,7 +17,7 @@
 //! | `--gamma X` | detect | resolution parameter, for algorithms whose spec accepts the `gamma` knob |
 //! | `--ensemble B` | detect | ensemble size, for algorithms whose spec accepts the `ensemble` knob |
 //! | `--randomized` | detect | randomized node order, for algorithms whose spec accepts the `randomized` knob |
-//! | `--move racy\|coloring\|sync` | detect | PLM move-phase strategy, for algorithms whose spec accepts the `move` knob (`plm`, `plmr`, `epp`, `eppr`); `coloring` and `sync` produce bit-identical partitions at any `--threads` (DESIGN.md §14) |
+//! | `--move racy\|coloring` | detect | PLM move-phase strategy, for algorithms whose spec accepts the `move` knob (`plm`, `plmr`, `epp`, `eppr`); `coloring` produces bit-identical partitions at any `--threads` (DESIGN.md §14) |
 //! | `--timeout SECS` | detect | cooperative wall-clock budget: the run stops at the next sweep/level boundary after `SECS` seconds and returns the best valid partition so far; the termination cause lands in the summary and in `--report json` |
 //! | `--max-sweeps N` | detect | cap on total sweeps/levels across the run, with the same graceful degradation |
 //! | `--max-nodes N` / `--max-edges M` | detect, serve | ingest limits: reject input whose header claims more, before allocating |

@@ -13,6 +13,8 @@
 //! ```
 
 use parcom_cli::{args::Args, commands};
+use parcom_core::spec::{Knob, REGISTRY};
+use parcom_core::MoveStrategy;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -48,16 +50,39 @@ fn main() {
     }
 }
 
+/// `[--flag VALUE]` for every knob some registered algorithm accepts, in
+/// registry order. The `match` is exhaustive, so a new [`Knob`] or move
+/// strategy shows up here or fails to compile.
+fn knob_flags() -> String {
+    let mut knobs: Vec<Knob> = Vec::new();
+    for &knob in REGISTRY.iter().flat_map(|info| info.knobs) {
+        if !knobs.contains(&knob) {
+            knobs.push(knob);
+        }
+    }
+    let flags: Vec<String> = knobs
+        .iter()
+        .map(|knob| match knob {
+            Knob::Ensemble => format!("[--{} B]", knob.name()),
+            Knob::Gamma => format!("[--{} X]", knob.name()),
+            Knob::Move => format!("[--{} {}]", knob.name(), MoveStrategy::wire_list()),
+            Knob::Randomized => format!("[--{}]", knob.name()),
+        })
+        .collect();
+    flags.join(" ")
+}
+
 fn print_usage() {
-    // the algorithm list comes from the DetectorSpec registry, so the help
-    // text can never drift from what `--algo` actually accepts
+    // the algorithm list and the knob flags come from the DetectorSpec
+    // registry, so the help text can never drift from what `detect` accepts
     eprintln!(
         "parcom — parallel community detection\n\
          \n\
          commands:\n\
          \x20 generate --model <lfr|rmat|ba|ws|er|grid|planted|cliques> --out FILE [model flags] [--truth FILE]\n\
          \x20 detect   --input FILE --algo <{algos}>\n\
-         \x20          [--out FILE] [--threads N] [--gamma X] [--ensemble B] [--seed S] [--report json]\n\
+         \x20          [--out FILE] [--threads N] [--seed S] [--report json]\n\
+         \x20          {knobs}\n\
          \x20          [--timeout SECS] [--max-sweeps N] [--max-nodes N] [--max-edges M] [--relabel]\n\
          \x20 convert  --input FILE --out FILE.pcg [--relabel]\n\
          \x20 stats    --input FILE\n\
@@ -70,5 +95,6 @@ fn print_usage() {
          anything else (edge list). `convert` writes .pcg for instant reopen;\n\
          --relabel stores a hub-first cache order (output stays in original ids).",
         algos = parcom_core::spec::algorithm_list(),
+        knobs = knob_flags(),
     );
 }

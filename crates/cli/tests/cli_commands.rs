@@ -238,3 +238,42 @@ fn generate_all_models() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn usage_lists_the_knob_flags_and_a_retired_move_value_exits_1() {
+    let parcom = |argv: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_parcom"))
+            .args(argv)
+            .output()
+            .unwrap()
+    };
+    let usage = String::from_utf8(parcom(&["help"]).stderr).unwrap();
+    assert!(usage.contains("[--move racy|coloring]"), "{usage}");
+    assert!(usage.contains("[--randomized]"), "{usage}");
+
+    let dir = tmp_dir("move");
+    let graph = dir.join("g.metis");
+    commands::generate(&args(&[
+        "generate",
+        "--model",
+        "cliques",
+        "--k",
+        "2",
+        "--size",
+        "3",
+        "--out",
+        graph.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let input = graph.to_str().unwrap();
+    let out = parcom(&[
+        "detect", "--input", input, "--algo", "plm", "--move", "sync",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("bad value for `move`: expected one of racy|coloring, got `sync`"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

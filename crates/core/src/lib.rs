@@ -49,7 +49,7 @@ pub use community_graph::CommunityGraph;
 pub use community_stats::{community_stats, partition_summary, CommunityStat, PartitionSummary};
 pub use epp::{Epp, EppIterated};
 pub use louvain::Louvain;
-pub use moves::{move_phase_strategy, move_phase_with_coloring, MoveStrategy};
+pub use moves::MoveStrategy;
 pub use pam::Pam;
 pub use plm::{move_phase, Plm};
 pub use plp::{Plp, SeedPerturbation};

@@ -3,7 +3,7 @@
 //! on frozen per-sweep state.
 //!
 //! Every schedule — the paper's racy phase (§III-B, [`crate::move_phase`]),
-//! the two conflict-free ones below and sequential Louvain's — decides a
+//! the conflict-free one below and sequential Louvain's — decides a
 //! node's move with `best_move`: tally the weight to each neighboring
 //! community, take the arg-max of Δmod, break ties toward the smallest
 //! community id. The schedules differ in *what state* the evaluation reads
@@ -18,28 +18,21 @@
 //!   neighbors move in the same step), classes committing one after the
 //!   other in fixed order. The VFC-Louvain vertex-following trick keeps
 //!   degree-1 nodes out of the coloring and moves them as one final class.
-//! * **Synchronized** — every active node proposes its best move against
-//!   the frozen previous sweep (Chiêm et al. 2017); proposals commit in one
-//!   deterministic pass in node order. The label-chasing oscillation this
-//!   enables is damped twice: singleton-to-singleton moves only go toward
-//!   the smaller community id (Lu et al.'s minimum-label rule), and a
-//!   sweep that fails to improve a deterministically-evaluated modularity
-//!   is rolled back, ending the phase.
 //! * **Sequential** — the original Louvain method: one node at a time in a
 //!   freshly shuffled order, every evaluation against fresh state. Not a
 //!   [`MoveStrategy`]: it is the [`crate::Louvain`] detector's schedule.
 //!
-//! The last three keep all decision-relevant floating-point accumulation
+//! The last two keep all decision-relevant floating-point accumulation
 //! sequential or per-node (never a parallel reduction), so the resulting
 //! partitions are bit-identical at any thread count and across repeated
 //! runs — the determinism contract `parcom-serve` relies on.
 //!
-//! The three parallel phases are frontier-driven: only *active* nodes
+//! The two parallel phases are frontier-driven: only *active* nodes
 //! propose, and a committed move re-activates the mover's neighbors. For
-//! coloring and sync the flags are a plain `Vec<bool>` read and written
-//! only by the sequential gather and commit passes, which keeps them
-//! inside that contract. The sequential phase sweeps every node, as the
-//! reference implementation does.
+//! coloring the flags are a plain `Vec<bool>` read and written only by the
+//! sequential gather and commit passes, which keeps them inside that
+//! contract. The sequential phase sweeps every node, as the reference
+//! implementation does.
 
 use crate::quality::delta_modularity;
 use parcom_graph::{Coloring, Graph, Node, Partition, ScratchPool, SparseWeightMap};
@@ -60,27 +53,23 @@ pub enum MoveStrategy {
     /// adjacent nodes, hence no stale neighbor labels and no atomics.
     /// Deterministic at any thread count.
     Coloring,
-    /// All nodes propose against the frozen previous sweep; one
-    /// deterministic commit per sweep with oscillation damping.
-    /// Deterministic at any thread count.
-    Synchronized,
 }
 
 impl MoveStrategy {
     /// Every strategy, in wire-name order.
-    pub const ALL: [MoveStrategy; 3] = [
-        MoveStrategy::Racy,
-        MoveStrategy::Coloring,
-        MoveStrategy::Synchronized,
-    ];
+    pub const ALL: [MoveStrategy; 2] = [MoveStrategy::Racy, MoveStrategy::Coloring];
 
     /// The wire name used by the `move=` spec knob and the CLI flag.
     pub fn wire_name(self) -> &'static str {
         match self {
             MoveStrategy::Racy => "racy",
             MoveStrategy::Coloring => "coloring",
-            MoveStrategy::Synchronized => "sync",
         }
+    }
+
+    /// The wire names joined with `|`, for usage strings and errors.
+    pub fn wire_list() -> String {
+        Self::ALL.map(Self::wire_name).join("|")
     }
 
     /// Parses a wire name; the error message enumerates the accepted set.
@@ -88,16 +77,7 @@ impl MoveStrategy {
         Self::ALL
             .into_iter()
             .find(|m| m.wire_name() == s)
-            .ok_or_else(|| {
-                let accepted: Vec<&str> = Self::ALL.iter().map(|m| m.wire_name()).collect();
-                format!("expected one of {}, got `{s}`", accepted.join("|"))
-            })
-    }
-
-    /// Whether this strategy guarantees bit-identical output at any
-    /// thread count.
-    pub fn is_deterministic(self) -> bool {
-        !matches!(self, MoveStrategy::Racy)
+            .ok_or_else(|| format!("expected one of {}, got `{s}`", Self::wire_list()))
     }
 }
 
@@ -125,8 +105,7 @@ pub(crate) trait MoveView {
 }
 
 /// Labels and volumes that stand still while moves are evaluated against
-/// them: one sweep's (sync), one color class's (coloring) or one node's
-/// (sequential).
+/// them: one color class's (coloring) or one node's (sequential).
 pub(crate) struct Frozen<'a>(pub &'a [u32], pub &'a [f64]);
 
 impl MoveView for Frozen<'_> {
@@ -267,8 +246,8 @@ fn take_frontier(
 
 /// Commits the move of `u` to community `d` — volumes, label — and puts
 /// the neighbors not already in `d` back on the frontier: the nodes whose
-/// best move this change can have altered. Called only from the phases'
-/// sequential commit passes, so the frontier is schedule-independent.
+/// best move this change can have altered. Called only from the coloring
+/// phase's sequential commit pass, so the frontier is schedule-independent.
 fn commit_move(
     g: &Graph,
     u: Node,
@@ -401,127 +380,6 @@ pub(crate) fn move_phase_colored(
     (total_moves, termination)
 }
 
-/// Modularity of `labels` evaluated with strictly sequential accumulation
-/// (the parallel [`crate::quality::modularity_gamma`] reduction is
-/// schedule-dependent in its float rounding, which must not gate a
-/// deterministic decision). Uses the maintained `volumes` for the degree
-/// term and one edge scan for the intra-community weight.
-// audit:allow(budget-propagation): one bounded edge scan per commit decision; the caller checks the budget per sweep
-fn modularity_seq(g: &Graph, labels: &[u32], volumes: &[f64], total: f64, gamma: f64) -> f64 {
-    let mut intra = vec![0.0f64; volumes.len()];
-    for u in g.nodes() {
-        let c = labels[u as usize];
-        for (v, w) in g.edges_of(u) {
-            // self-loops count once; other edges once via the v > u side
-            if v == u || (v > u && labels[v as usize] == c) {
-                intra[c as usize] += w;
-            }
-        }
-    }
-    let mut q = 0.0;
-    for (c, &w_in) in intra.iter().enumerate() {
-        let vol = volumes[c];
-        q += w_in / total - gamma * (vol / (2.0 * total)) * (vol / (2.0 * total));
-    }
-    q
-}
-
-/// The synchronized move phase (Chiêm et al. 2017). Every sweep: the
-/// active nodes propose against the frozen previous assignment, the
-/// proposals commit in one deterministic node-order pass that re-activates
-/// the movers' neighbors, and the sweep is kept only if it improves a
-/// sequentially-evaluated modularity — otherwise it is rolled back and the
-/// phase ends, which breaks label-chasing oscillation by construction.
-/// Singleton-to-singleton proposals are additionally damped by the
-/// minimum-label rule (only move toward a smaller community id), killing
-/// two-cycle swaps before they cost a rollback. The budget is tested once
-/// per sweep plus once per commit; interruption leaves the last committed
-/// sweep.
-pub(crate) fn move_phase_synchronized(
-    g: &Graph,
-    zeta: &mut Partition,
-    gamma: f64,
-    max_iterations: usize,
-    rec: &Recorder,
-    scratch: &ScratchPool,
-    budget: &Budget,
-) -> (u64, Termination) {
-    let total = g.total_edge_weight();
-    if total == 0.0 {
-        return (0, Termination::Converged);
-    }
-    let (mut labels, mut volumes) = deterministic_state(g, zeta);
-    let mut sizes = vec![0u32; volumes.len()];
-    for &c in &labels {
-        sizes[c as usize] += 1;
-    }
-    let mut active = all_active(g);
-    let mut frontier: Vec<Node> = Vec::new();
-
-    let mut q_prev = modularity_seq(g, &labels, &volumes, total, gamma);
-    let mut total_moves = 0u64;
-    let mut total_evaluations = 0u64;
-    let mut termination = Termination::Converged;
-    for _ in 0..max_iterations {
-        if let Err(t) = budget.check_sweep() {
-            termination = t;
-            break;
-        }
-        #[cfg(test)]
-        if full_sweeps() {
-            active = all_active(g);
-        }
-        take_frontier(g.nodes(), &mut active, &mut frontier);
-        let view = Frozen(&labels, &volumes);
-        let mut proposals = propose(g, &frontier, &view, total, gamma, scratch);
-        // Minimum-label damping: a singleton may only move into another
-        // singleton with a smaller community id, so two mutually-attracted
-        // singletons cannot swap forever. A vetoed node keeps its wish: it
-        // stays on the frontier until the sizes around it change.
-        proposals.retain(|&(u, d)| {
-            let c = labels[u as usize];
-            let allowed = sizes[c as usize] != 1 || sizes[d as usize] != 1 || d < c;
-            active[u as usize] |= !allowed;
-            allowed
-        });
-        let evaluated = frontier.len() as u64;
-        total_evaluations += evaluated;
-        if proposals.is_empty() {
-            record_sweep(rec, evaluated, 0);
-            break;
-        }
-        // Commit boundary: the previous sweep's state is consistent, so
-        // an expired budget stops before the commit rather than inside it.
-        if let Err(t) = budget.check() {
-            termination = t;
-            break;
-        }
-        let snapshot_labels = labels.clone();
-        for &(u, d) in &proposals {
-            sizes[labels[u as usize] as usize] -= 1;
-            sizes[d as usize] += 1;
-            commit_move(g, u, d, &mut labels, &mut volumes, &mut active);
-        }
-        let q = modularity_seq(g, &labels, &volumes, total, gamma);
-        if q <= q_prev + 1e-12 {
-            // The frozen-state estimates conflicted (e.g. many nodes
-            // chased the same target): roll back and stop — later sweeps
-            // would reproduce the same proposals. The phase ends here, so
-            // only the labels need restoring.
-            labels = snapshot_labels;
-            record_sweep(rec, evaluated, 0);
-            break;
-        }
-        q_prev = q;
-        total_moves += proposals.len() as u64;
-        record_sweep(rec, evaluated, proposals.len() as u64);
-    }
-    rec.counter("evaluations", total_evaluations);
-
-    *zeta = Partition::from_vec(labels);
-    (total_moves, termination)
-}
-
 /// The sequential move phase of the original Louvain method (Blondel et
 /// al.): every sweep visits all nodes in a freshly shuffled order and
 /// applies each move at once, so every Δmod is computed from fresh data and
@@ -576,58 +434,38 @@ pub(crate) fn move_phase_sequential(
     (total_moves, termination)
 }
 
-/// Runs one move phase with an explicit strategy on `zeta` in place,
-/// computing the coloring internally when the strategy needs one. This is
-/// the strategy-dispatching analogue of [`crate::move_phase`], used by the
-/// benches and available to external callers; PLM itself dispatches
-/// per-level so one coloring serves both the move and refinement phases.
-pub fn move_phase_strategy(
-    g: &Graph,
-    zeta: &mut Partition,
-    gamma: f64,
-    max_iterations: usize,
-    strategy: MoveStrategy,
-) -> u64 {
-    match strategy {
-        MoveStrategy::Racy => crate::move_phase(g, zeta, gamma, max_iterations),
-        MoveStrategy::Coloring => {
-            move_phase_with_coloring(g, zeta, gamma, max_iterations, &Coloring::compute(g))
-        }
-        MoveStrategy::Synchronized => {
-            let (rec, scratch) = (Recorder::disabled(), ScratchPool::new());
-            let budget = Budget::unlimited();
-            move_phase_synchronized(g, zeta, gamma, max_iterations, &rec, &scratch, &budget).0
-        }
-    }
-}
-
-/// [`move_phase_strategy`] with a precomputed coloring, so benches can
-/// time the per-sweep work without the once-per-level coloring setup.
-pub fn move_phase_with_coloring(
-    g: &Graph,
-    zeta: &mut Partition,
-    gamma: f64,
-    max_iterations: usize,
-    coloring: &Coloring,
-) -> u64 {
-    move_phase_colored(
-        g,
-        zeta,
-        gamma,
-        max_iterations,
-        coloring,
-        &Recorder::disabled(),
-        &ScratchPool::new(),
-        &Budget::unlimited(),
-    )
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quality::modularity;
     use parcom_generators::{lfr, ring_of_cliques, LfrParams};
+
+    /// One move phase on `zeta` with an explicit strategy, the level's
+    /// coloring computed on the spot.
+    fn move_phase_strategy(
+        g: &Graph,
+        zeta: &mut Partition,
+        gamma: f64,
+        max_iterations: usize,
+        strategy: MoveStrategy,
+    ) -> u64 {
+        match strategy {
+            MoveStrategy::Racy => crate::move_phase(g, zeta, gamma, max_iterations),
+            MoveStrategy::Coloring => {
+                move_phase_colored(
+                    g,
+                    zeta,
+                    gamma,
+                    max_iterations,
+                    &Coloring::compute(g),
+                    &Recorder::disabled(),
+                    &ScratchPool::new(),
+                    &Budget::unlimited(),
+                )
+                .0
+            }
+        }
+    }
 
     #[test]
     fn wire_names_round_trip() {
@@ -636,9 +474,7 @@ mod tests {
             assert_eq!(m.to_string(), m.wire_name());
         }
         let err = MoveStrategy::from_wire("eager").unwrap_err();
-        for name in ["racy", "coloring", "sync"] {
-            assert!(err.contains(name), "{err} missing {name}");
-        }
+        assert!(err.contains("racy|coloring,"), "{err}");
     }
 
     #[test]
@@ -647,16 +483,6 @@ mod tests {
         let mut zeta = Partition::singleton(g.node_count());
         let before = modularity(&g, &zeta);
         let moves = move_phase_strategy(&g, &mut zeta, 1.0, 32, MoveStrategy::Coloring);
-        assert!(moves > 0);
-        assert!(modularity(&g, &zeta) > before);
-    }
-
-    #[test]
-    fn synchronized_phase_improves_modularity() {
-        let (g, _) = ring_of_cliques(6, 6);
-        let mut zeta = Partition::singleton(g.node_count());
-        let before = modularity(&g, &zeta);
-        let moves = move_phase_strategy(&g, &mut zeta, 1.0, 32, MoveStrategy::Synchronized);
         assert!(moves > 0);
         assert!(modularity(&g, &zeta) > before);
     }
@@ -763,13 +589,11 @@ mod tests {
     #[test]
     fn deterministic_phases_reproduce_exactly() {
         let (g, _) = lfr(LfrParams::benchmark(600, 0.35), 3);
-        for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-            let mut a = Partition::singleton(g.node_count());
-            let mut b = Partition::singleton(g.node_count());
-            move_phase_strategy(&g, &mut a, 1.0, 32, strategy);
-            move_phase_strategy(&g, &mut b, 1.0, 32, strategy);
-            assert_eq!(a.as_slice(), b.as_slice(), "{strategy} not reproducible");
-        }
+        let mut a = Partition::singleton(g.node_count());
+        let mut b = Partition::singleton(g.node_count());
+        move_phase_strategy(&g, &mut a, 1.0, 32, MoveStrategy::Coloring);
+        move_phase_strategy(&g, &mut b, 1.0, 32, MoveStrategy::Coloring);
+        assert_eq!(a.as_slice(), b.as_slice(), "coloring not reproducible");
     }
 
     /// Nodes a full evaluation would still move: every node, flagged or
@@ -803,15 +627,14 @@ mod tests {
         // move can still change through community volumes alone. On LFR
         // that residue stays under 0.5 % of the nodes; on R-MAT, where one
         // hub's move shifts a community's volume for everyone around it,
-        // under 2 % (measured 0.6-1.5 %). `sync` is left out: it ends on
-        // its rollback, not at a fixed point, with or without a frontier.
+        // under 2 % (measured 0.6-1.5 %).
         for seed in 1..=3 {
             for (name, g) in instances(seed) {
                 let allowed = match name {
                     "rmat s12" => g.node_count() / 50,
                     _ => g.node_count() / 200,
                 };
-                for strategy in [MoveStrategy::Racy, MoveStrategy::Coloring] {
+                for strategy in MoveStrategy::ALL {
                     let mut zeta = Partition::singleton(g.node_count());
                     // one thread: racy is schedule-dependent otherwise
                     parcom_graph::parallel::with_threads(1, || {

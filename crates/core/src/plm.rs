@@ -33,8 +33,8 @@
 
 use crate::algorithm::CommunityDetector;
 use crate::moves::{
-    all_active, best_move, move_phase_colored, move_phase_sequential, move_phase_synchronized,
-    record_sweep, MoveStrategy, MoveView,
+    all_active, best_move, move_phase_colored, move_phase_sequential, record_sweep, MoveStrategy,
+    MoveView,
 };
 use parcom_graph::{
     coarsen_with, AtomicF64, AtomicPartition, Coloring, Graph, Node, Partition, ScratchPool,
@@ -73,8 +73,7 @@ pub struct Plm {
     /// Cap on the coarsening hierarchy depth.
     pub max_levels: usize,
     /// How the move phase schedules concurrent node moves (DESIGN.md §14):
-    /// the paper's racy default, coloring-isolated classes, or the
-    /// synchronized one-commit-per-sweep formulation. The latter two are
+    /// the paper's racy default, or coloring-isolated classes, which are
     /// bit-deterministic at any thread count.
     pub move_strategy: MoveStrategy,
 }
@@ -125,7 +124,7 @@ impl Plm {
 
 /// How a level's move phase visits the nodes.
 pub(crate) enum Schedule {
-    /// One of PLM's three parallel strategies.
+    /// One of PLM's two parallel strategies.
     Strategy(MoveStrategy),
     /// Sequential Louvain: one node at a time, in an order shuffled anew
     /// for every sweep by this generator.
@@ -171,9 +170,6 @@ impl Levels {
                 scratch,
                 budget,
             ),
-            Schedule::Strategy(MoveStrategy::Synchronized) => {
-                move_phase_synchronized(g, zeta, gamma, sweeps, rec, scratch, budget)
-            }
             Schedule::Shuffled(rng) => {
                 move_phase_sequential(g, zeta, gamma, sweeps, rng, rec, scratch, budget)
             }

@@ -41,7 +41,7 @@ pub enum Knob {
     Ensemble,
     /// Modularity resolution γ (`plm`, `plmr`, `rg`).
     Gamma,
-    /// PLM move-phase strategy `racy|coloring|sync` (`plm`, `plmr`, and
+    /// PLM move-phase strategy `racy|coloring` (`plm`, `plmr`, and
     /// forwarded to the PLM final of `epp`/`eppr`); see DESIGN.md §14.
     Move,
     /// Explicit per-iteration shuffle instead of relying on parallel

@@ -104,7 +104,6 @@ fn move_knob_round_trips_both_wire_forms() {
     for (wire, strategy) in [
         ("racy", MoveStrategy::Racy),
         ("coloring", MoveStrategy::Coloring),
-        ("sync", MoveStrategy::Synchronized),
     ] {
         let spec = DetectorSpec::parse(&format!("plm:move={wire},seed=7")).unwrap();
         assert_eq!(spec.move_strategy, Some(strategy));
@@ -127,11 +126,20 @@ fn move_knob_round_trips_both_wire_forms() {
 
 #[test]
 fn unknown_move_value_enumerates_the_accepted_set() {
-    let err = DetectorSpec::parse("plm:move=eager").err().unwrap();
-    assert!(matches!(err, SpecError::BadValue { .. }), "{err:?}");
-    let message = err.to_string();
-    for value in ["racy", "coloring", "sync"] {
-        assert!(message.contains(value), "missing {value}: {message}");
+    // `sync` was a strategy until PR 22: it fails like any unknown value,
+    // in both wire forms, with the message listing exactly what is left
+    for value in ["eager", "sync"] {
+        for result in [
+            DetectorSpec::parse(&format!("plm:move={value}")),
+            DetectorSpec::parse_json(&format!("{{\"algo\":\"plm\",\"move\":\"{value}\"}}")),
+        ] {
+            let err = result.err().unwrap();
+            assert!(matches!(err, SpecError::BadValue { .. }), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("bad value for `move`: expected one of racy|coloring, got `{value}`")
+            );
+        }
     }
 }
 
@@ -155,11 +163,11 @@ fn epp_and_eppr_forward_the_move_strategy_to_their_final_plm() {
         .build()
         .unwrap();
     assert_eq!(epp.name(), "EPP(4,PLP,PLM[coloring])");
-    let eppr = DetectorSpec::parse("eppr:move=sync")
+    let eppr = DetectorSpec::parse("eppr:move=coloring")
         .unwrap()
         .build()
         .unwrap();
-    assert_eq!(eppr.name(), "EPP(4,PLP,PLMR[sync])");
+    assert_eq!(eppr.name(), "EPP(4,PLP,PLMR[coloring])");
     // plm/plmr themselves carry the strategy in their names too
     assert_eq!(
         DetectorSpec::parse("plmr:move=coloring")
@@ -266,20 +274,18 @@ fn seed_is_universal_and_reaches_the_detector() {
             "{} is not deterministic under a fixed spec seed",
             info.name
         );
-        // The conflict-free schedules owe the same answer at any thread
+        // The conflict-free schedule owes the same answer at any thread
         // count (ensembles still race in their PLP members).
         if info.family == "louvain" && info.accepts(Knob::Move) {
-            for strategy in ["coloring", "sync"] {
-                let spec = DetectorSpec::parse(&format!("{}:move={strategy},seed=11", info.name));
-                let spec = spec.unwrap();
-                let one = with_threads(1, || detect(&spec));
-                for other in [detect(&spec), detect(&spec)] {
-                    assert_eq!(
-                        one.as_slice(),
-                        other.as_slice(),
-                        "{spec} differs between one thread and the ambient pool"
-                    );
-                }
+            let spec = DetectorSpec::parse(&format!("{}:move=coloring,seed=11", info.name));
+            let spec = spec.unwrap();
+            let one = with_threads(1, || detect(&spec));
+            for other in [detect(&spec), detect(&spec)] {
+                assert_eq!(
+                    one.as_slice(),
+                    other.as_slice(),
+                    "{spec} differs between one thread and the ambient pool"
+                );
             }
         }
     }

@@ -1,6 +1,6 @@
-//! Determinism hammering for the conflict-free move strategies (run with
-//! `--features stress`): the DESIGN.md §14 contract says `Coloring` and
-//! `Synchronized` produce *bit-identical* partitions at any thread count.
+//! Determinism hammering for the conflict-free move strategy (run with
+//! `--features stress`): the DESIGN.md §14 contract says `Coloring`
+//! produces *bit-identical* partitions at any thread count.
 //! The quick regression in `tests/determinism.rs` checks 1/2/4 threads
 //! once; this stress variant hammers the same property across many
 //! repetitions and heavily oversubscribed pools (up to 4× the cores this
@@ -23,17 +23,16 @@ fn oversubscribed_pools_never_change_the_partition() {
     ];
     let pools = [1usize, 2, 3, 4, 7, 8, 16];
     for (i, g) in instances.iter().enumerate() {
-        for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-            let reference = with_threads(1, || Plm::with_strategy(strategy).detect(g));
-            for rep in 0..5u32 {
-                for &threads in &pools {
-                    let zeta = with_threads(threads, || Plm::with_strategy(strategy).detect(g));
-                    assert_eq!(
-                        zeta.as_slice(),
-                        reference.as_slice(),
-                        "instance {i}, {strategy}, {threads} threads, rep {rep}"
-                    );
-                }
+        let strategy = MoveStrategy::Coloring;
+        let reference = with_threads(1, || Plm::with_strategy(strategy).detect(g));
+        for rep in 0..5u32 {
+            for &threads in &pools {
+                let zeta = with_threads(threads, || Plm::with_strategy(strategy).detect(g));
+                assert_eq!(
+                    zeta.as_slice(),
+                    reference.as_slice(),
+                    "instance {i}, {strategy}, {threads} threads, rep {rep}"
+                );
             }
         }
     }
@@ -42,26 +41,25 @@ fn oversubscribed_pools_never_change_the_partition() {
 #[test]
 fn refinement_holds_the_contract_under_oversubscription() {
     let (g, _) = lfr(LfrParams::benchmark(1_200, 0.35), 23);
-    for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-        let plmr = |threads| {
-            with_threads(threads, || {
-                Plm {
-                    refine: true,
-                    move_strategy: strategy,
-                    ..Plm::default()
-                }
-                .detect(&g)
-            })
-        };
-        let reference = plmr(1);
-        for rep in 0..3u32 {
-            for threads in [2usize, 8, 16] {
-                assert_eq!(
-                    plmr(threads).as_slice(),
-                    reference.as_slice(),
-                    "PLMR[{strategy}], {threads} threads, rep {rep}"
-                );
+    let strategy = MoveStrategy::Coloring;
+    let plmr = |threads| {
+        with_threads(threads, || {
+            Plm {
+                refine: true,
+                move_strategy: strategy,
+                ..Plm::default()
             }
+            .detect(&g)
+        })
+    };
+    let reference = plmr(1);
+    for rep in 0..3u32 {
+        for threads in [2usize, 8, 16] {
+            assert_eq!(
+                plmr(threads).as_slice(),
+                reference.as_slice(),
+                "PLMR[{strategy}], {threads} threads, rep {rep}"
+            );
         }
     }
 }

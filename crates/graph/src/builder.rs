@@ -365,8 +365,9 @@ impl GraphBuilder {
     /// The retained sequential reference assembly (the pre-parallel
     /// implementation, plus the canonical duplicate ordering): counting
     /// sort into rows, per-row sort by `(neighbor, weight bits)`, merge by
-    /// summing, reassemble. Differential tests pin [`build`](Self::build)
-    /// against this, and the `ingest` benchmarks use it as the baseline.
+    /// summing, reassemble. [`build`](Self::build) falls back to it for
+    /// m ≥ 2³¹ (its per-part histograms count in `u32`), and the
+    /// differential tests pin `build` against it.
     pub fn build_reference(self) -> Graph {
         let n = self.n;
         let edges = self.edges;

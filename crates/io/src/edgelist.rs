@@ -10,7 +10,7 @@
 //! then interns node labels in chunk order, which reproduces the
 //! first-seen label numbering of the sequential reader exactly. The
 //! pre-parallel line-by-line reader is retained as
-//! [`read_edge_list_seq`], the differential-test and benchmark reference.
+//! [`read_edge_list_seq`], the differential-test reference.
 
 use crate::chunk::{self, Chunk};
 use crate::{at_path, parse_error, IoError};
@@ -123,8 +123,8 @@ fn parse_edge_list(bytes: &[u8], parts: usize) -> Result<ParsedEdgeList, IoError
 }
 
 /// Reads an edge list from a byte buffer with an explicit chunk count.
-/// Exposed for the differential tests and benchmarks;
-/// [`read_edge_list_from`] picks the chunk count automatically.
+/// Exposed for the differential tests; [`read_edge_list_from`] picks the
+/// chunk count automatically.
 pub fn read_edge_list_chunked(bytes: &[u8], parts: usize) -> Result<EdgeListGraph, IoError> {
     let parsed = parse_edge_list(bytes, parts)?;
     Ok(EdgeListGraph {
@@ -150,8 +150,7 @@ pub fn read_edge_list_from(mut reader: impl Read) -> Result<EdgeListGraph, IoErr
 
 /// The retained pre-parallel reader: line-by-line with a `String` per
 /// line, sequential counting-sort assembly. The differential proptests
-/// pin the chunked parser against this, and the `ingest` benchmarks use
-/// it as the baseline.
+/// pin the chunked parser against this.
 pub fn read_edge_list_seq(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
     let mut ids: FxHashMap<u64, Node> = FxHashMap::default();
     let mut labels: Vec<u64> = Vec::new();

@@ -35,15 +35,12 @@
 //! * [`partition_io`] — one community id per line, aligned with node ids.
 //! * [`dot`] — Graphviz export of community graphs (node size proportional
 //!   to community size, like the paper's PGPgiantcompo drawings).
-//! * [`gml`] — GML export with per-node community annotations for external
-//!   visualization tools.
 
 pub mod binfmt;
 pub(crate) mod chunk;
 pub mod corpus;
 pub mod dot;
 pub mod edgelist;
-pub mod gml;
 pub mod metis;
 #[cfg(feature = "mmap")]
 pub mod mmap;
@@ -53,7 +50,6 @@ pub use binfmt::{read_pcg_budgeted, write_pcg, PcgGraph};
 pub use corpus::{scan_corpus, state_paths, CorpusEntry, StatePaths};
 pub use dot::write_community_graph_dot;
 pub use edgelist::{read_edge_list, read_edge_list_recorded, write_edge_list};
-pub use gml::{write_gml, write_gml_to};
 pub use metis::{
     read_metis, read_metis_budgeted, read_metis_bytes_budgeted, read_metis_recorded, write_metis,
     write_metis_to,

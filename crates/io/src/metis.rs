@@ -11,8 +11,7 @@
 //! its absolute starting node id and line number; the second pass parses.
 //! Small inputs (or a single-thread pool) fall back to one chunk, which
 //! runs the same parser inline. The pre-parallel line-by-line reader is
-//! retained as [`read_metis_seq`], the differential-test and benchmark
-//! reference.
+//! retained as [`read_metis_seq`], the differential-test reference.
 
 use crate::chunk::{self, Chunk};
 use crate::{at_path, parse_error, IoError};
@@ -376,8 +375,8 @@ fn finish_metis(parsed: ParsedMetis, last_line: impl FnOnce() -> usize) -> Resul
 }
 
 /// Reads a METIS graph from a byte buffer with an explicit chunk count.
-/// Exposed for the differential tests and benchmarks; [`read_metis_from`]
-/// picks the chunk count automatically.
+/// Exposed for the differential tests; [`read_metis_from`] picks the
+/// chunk count automatically.
 pub fn read_metis_chunked(bytes: &[u8], parts: usize) -> Result<Graph, IoError> {
     finish_metis(parse_metis(bytes, parts, &Budget::unlimited())?, || {
         chunk::line_count(bytes)
@@ -411,8 +410,7 @@ pub fn read_metis_from(mut reader: impl Read) -> Result<Graph, IoError> {
 
 /// The retained pre-parallel reader: line-by-line with a `String` per
 /// line, sequential counting-sort assembly. The differential proptests
-/// pin the chunked parser against this, and the `ingest` benchmarks use
-/// it as the baseline.
+/// pin the chunked parser against this.
 pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
     let mut lines = bytes.lines().enumerate();
 

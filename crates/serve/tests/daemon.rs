@@ -227,6 +227,26 @@ fn full_lifecycle_over_unix_socket() {
     let (status, v) = client.request("POST", "/detect", "{\"graph\":\"ring\",\"spec\":\"florp\"}");
     assert_eq!(status, 422);
     assert!(get_str(&v, "error").contains("plmr"), "{v:?}");
+    // a retired knob value is a spec error like any other, and the
+    // connection answers the next well-formed detect
+    let (status, v) = client.request(
+        "POST",
+        "/detect",
+        "{\"graph\":\"ring\",\"spec\":\"plm:move=sync\"}",
+    );
+    assert_eq!(status, 422);
+    let error = get_str(&v, "error");
+    assert!(
+        error.contains("expected one of racy|coloring, got `sync`"),
+        "{error}"
+    );
+    let (status, v) = client.request(
+        "POST",
+        "/detect",
+        "{\"graph\":\"ring\",\"spec\":\"plm:move=coloring\"}",
+    );
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(get_u64(&v, "communities"), 4);
 
     // merge cliques 0 and 1 by inserting the missing pairs, forcing a
     // rebuild; the next detection sees 3 communities at generation 1

@@ -88,43 +88,42 @@ fn parallel_algorithms_are_deterministic_single_threaded() {
 }
 
 #[test]
-fn coloring_and_sync_partitions_are_bit_identical_across_thread_counts() {
+fn coloring_partitions_are_bit_identical_across_thread_counts() {
     // The DESIGN.md §14 determinism contract: the full PLM hierarchy —
     // coloring, move phases, coarsening, prolongation — must produce the
     // exact same labels at 1, 2 and 4 threads and across repeated runs.
     let (g, _) = lfr(LfrParams::benchmark(1200, 0.35), 13);
-    for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-        let reference = with_threads(1, || Plm::with_strategy(strategy).detect(&g));
-        for threads in [1usize, 2, 4] {
-            for rep in 0..2 {
-                let zeta = with_threads(threads, || Plm::with_strategy(strategy).detect(&g));
-                assert_eq!(
-                    zeta.as_slice(),
-                    reference.as_slice(),
-                    "{strategy} differs at {threads} threads (rep {rep})"
-                );
-            }
+    let strategy = MoveStrategy::Coloring;
+    let reference = with_threads(1, || Plm::with_strategy(strategy).detect(&g));
+    for threads in [1usize, 2, 4] {
+        for rep in 0..2 {
+            let zeta = with_threads(threads, || Plm::with_strategy(strategy).detect(&g));
+            assert_eq!(
+                zeta.as_slice(),
+                reference.as_slice(),
+                "{strategy} differs at {threads} threads (rep {rep})"
+            );
         }
-        // PLMR runs a second (refinement) move phase per level — the
-        // contract must survive that too.
-        let plmr = |threads| {
-            with_threads(threads, || {
-                Plm {
-                    refine: true,
-                    move_strategy: strategy,
-                    ..Plm::default()
-                }
-                .detect(&g)
-            })
-        };
-        let r1 = plmr(1);
-        let r4 = plmr(4);
-        assert_eq!(
-            r1.as_slice(),
-            r4.as_slice(),
-            "PLMR[{strategy}] differs across thread counts"
-        );
     }
+    // PLMR runs a second (refinement) move phase per level — the
+    // contract must survive that too.
+    let plmr = |threads| {
+        with_threads(threads, || {
+            Plm {
+                refine: true,
+                move_strategy: strategy,
+                ..Plm::default()
+            }
+            .detect(&g)
+        })
+    };
+    let r1 = plmr(1);
+    let r4 = plmr(4);
+    assert_eq!(
+        r1.as_slice(),
+        r4.as_slice(),
+        "PLMR[{strategy}] differs across thread counts"
+    );
 }
 
 #[test]

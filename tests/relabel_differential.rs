@@ -186,16 +186,15 @@ fn deterministic_strategies_survive_relabeling_across_thread_counts() {
     let g = barabasi_albert(800, 4, 17);
     let r = Relabeling::degree_ordered(&g);
     let h = r.apply(&g);
-    for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-        let z1 = with_threads(1, || Plm::with_strategy(strategy).detect(&h));
-        let z4 = with_threads(4, || Plm::with_strategy(strategy).detect(&h));
-        assert_eq!(
-            z1.as_slice(),
-            z4.as_slice(),
-            "{strategy} differs across thread counts on the relabeled view"
-        );
-        assert_eq!(r.to_original(&z1).as_slice(), r.to_original(&z4).as_slice());
-    }
+    let strategy = MoveStrategy::Coloring;
+    let z1 = with_threads(1, || Plm::with_strategy(strategy).detect(&h));
+    let z4 = with_threads(4, || Plm::with_strategy(strategy).detect(&h));
+    assert_eq!(
+        z1.as_slice(),
+        z4.as_slice(),
+        "{strategy} differs across thread counts on the relabeled view"
+    );
+    assert_eq!(r.to_original(&z1).as_slice(), r.to_original(&z4).as_slice());
 }
 
 /// Detection on the relabeled view, mapped back, is a valid same-scale
