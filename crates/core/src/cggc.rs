@@ -1,23 +1,19 @@
 //! CGGC / CGGCi — Core Groups Graph Clustering ensembles over RG
 //! (Ovelgönne & Geyer-Schulz, DIMACS Pareto winner; §V-E c).
 //!
-//! CGGC is the one-level scheme: an ensemble of RG runs produces core
-//! groups (the same consensus combine as EPP), the graph is contracted and
-//! the final RG solves the rest. CGGCi iterates the ensemble step — the
-//! contracted graph is fed to a fresh ensemble until the consensus stops
-//! improving modularity — and then applies the final algorithm. Both are
+//! Both are the ensemble scheme of [`crate::epp`] with RG members — their
+//! consensus are the "core groups" — and a final RG: CGGC runs one round,
+//! CGGCi iterates until the consensus stops improving modularity. Both are
 //! qualitatively at the top of the field and, like the originals, expensive.
 
 use crate::algorithm::CommunityDetector;
-use crate::combine::core_communities;
-use crate::quality::modularity_gamma;
+use crate::epp::{Ensemble, Member};
 use crate::rg::Rg;
-use parcom_graph::{coarsen, Coarsening, Graph, Partition};
+use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::Recorder;
-use rayon::prelude::*;
 
-/// The core-groups ensemble over RG.
+/// The core groups ensemble over RG.
 #[derive(Clone, Debug)]
 pub struct Cggc {
     /// Ensemble size per level.
@@ -54,46 +50,11 @@ impl Cggc {
             ..Self::new(ensemble_size)
         }
     }
-
-    /// One ensemble round: every RG member shares the caller's budget, so
-    /// an expiring deadline or a cancel stops all of them within a merge
-    /// interval — each returns its best dendrogram cut so far, and the
-    /// consensus of degraded members is still a valid (if coarse) core
-    /// grouping.
-    fn ensemble_core(&self, g: &Graph, level: usize, budget: &Budget) -> Partition {
-        let solutions: Vec<Partition> = (0..self.ensemble_size)
-            .into_par_iter()
-            .map(|i| {
-                let mut rg = Rg {
-                    sample_size: self.rg_sample_size,
-                    gamma: self.gamma,
-                    seed: self
-                        .seed
-                        .wrapping_add((level as u64) << 32)
-                        .wrapping_add(i as u64 + 1),
-                };
-                rg.run(g, &Recorder::disabled(), budget).0
-            })
-            .collect();
-        core_communities(&solutions)
-    }
-
-    fn prolong_chain(chain: &[Coarsening], coarse_solution: Partition) -> Partition {
-        let mut zeta = coarse_solution;
-        for contraction in chain.iter().rev() {
-            zeta = contraction.prolong(&zeta);
-        }
-        zeta
-    }
 }
 
 impl CommunityDetector for Cggc {
     fn name(&self) -> String {
-        if self.iterated {
-            "CGGCi".into()
-        } else {
-            "CGGC".into()
-        }
+        if self.iterated { "CGGCi" } else { "CGGC" }.into()
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -104,98 +65,29 @@ impl CommunityDetector for Cggc {
         self.gamma
     }
 
-    /// The ensemble hierarchy. The budget is tested at ensemble-level
-    /// boundaries (each ensemble round consumes one sweep) and passed down
-    /// into the RG members; on expiry the committed chain so far is
-    /// finished off by the final RG under the same budget and prolonged —
-    /// every committed contraction improved modularity on `g`, so the
-    /// degraded result is a valid consensus prefix.
+    /// The [`Ensemble`] scheme with RG members and a more thorough RG
+    /// (sample size 2, its own stream) as the final algorithm.
     fn run(
         &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        let n = g.node_count();
-        if n == 0 {
-            return (Partition::singleton(0), Termination::Converged, None);
-        }
-
-        let mut chain: Vec<Coarsening> = Vec::new();
-        let mut current = g.clone();
-        let mut best_core_q = f64::NEG_INFINITY;
-        let mut termination = Termination::Converged;
-        let mut cut_phase = None;
-
-        for level in 0..self.max_levels {
-            if let Err(t) = budget.check_sweep() {
-                termination = t;
-                cut_phase = Some(format!("level-{level}/ensemble"));
-                break;
-            }
-            let level_span = rec.span_fmt(format_args!("level-{level}"));
-            level_span.counter("nodes", current.node_count() as u64);
-            level_span.counter("edges", current.edge_count() as u64);
-            let core = {
-                let span = rec.span("ensemble");
-                let core = self.ensemble_core(&current, level, budget);
-                span.counter("members", self.ensemble_size as u64);
-                span.counter("core-groups", core.number_of_subsets() as u64);
-                core
-            };
-            // an expiry mid-ensemble degrades the members to near-singleton
-            // cuts; record the cause here rather than mistaking the
-            // uncontractable consensus for convergence
-            if let Err(t) = budget.check() {
-                termination = t;
-                cut_phase = Some(format!("level-{level}/ensemble"));
-                break;
-            }
-            if core.number_of_subsets() >= current.node_count() {
-                break; // consensus is all-singletons: no contraction possible
-            }
-            let contraction = coarsen(&current, &core);
-            let coarse = contraction.coarse.clone();
-
-            if !self.iterated {
-                chain.push(contraction);
-                current = coarse;
-                break;
-            }
-            // iterated: commit a level only while the consensus clustering
-            // improves on G — a degrading contraction is irreversible
-            // (coarse nodes can never be split again)
-            let prolonged = {
-                let start = contraction.prolong(&Partition::singleton(coarse.node_count()));
-                Self::prolong_chain(&chain, start)
-            };
-            let q = modularity_gamma(g, &prolonged, self.gamma);
-            if q <= best_core_q + 1e-9 {
-                break;
-            }
-            best_core_q = q;
-            chain.push(contraction);
-            current = coarse;
-        }
-
-        let mut final_rg = Rg {
-            sample_size: 2,
+        let rg = |sample_size, seed| Rg {
+            sample_size,
             gamma: self.gamma,
-            seed: self.seed.wrapping_mul(0x9e3779b9).wrapping_add(7),
+            seed,
         };
-        let (coarse_solution, final_term, _) = {
-            let span = rec.span("final-rg");
-            let out = final_rg.run(&current, rec, budget);
-            span.counter("coarse-nodes", current.node_count() as u64);
-            out
-        };
-        if !termination.interrupted() && final_term.interrupted() {
-            termination = final_term;
-            cut_phase = Some("final-rg".into());
+        let mut members: Vec<Member> = (0..self.ensemble_size)
+            .map(|_| Box::new(rg(self.rg_sample_size, self.seed)) as _)
+            .collect();
+        Ensemble {
+            members: &mut members,
+            finish: &mut rg(2, self.seed.wrapping_mul(0x9e3779b9).wrapping_add(7)),
+            max_rounds: if self.iterated { self.max_levels } else { 1 },
+            seed: self.seed,
         }
-        let mut zeta = Self::prolong_chain(&chain, coarse_solution);
-        zeta.compact();
-        (zeta, termination, cut_phase)
+        .run(g, rec, budget)
     }
 }
 
@@ -258,22 +150,24 @@ mod tests {
         let level0 = report.phase("level-0").expect("level-0 phase");
         let ensemble = level0.child("ensemble").expect("ensemble child");
         assert_eq!(ensemble.counter("members"), Some(3));
-        assert!(ensemble.counter("core-groups").unwrap() > 0);
-        assert!(report.phase("final-rg").is_some());
+        let consensus = level0.child("consensus").expect("consensus child");
+        assert!(consensus.counter("core-communities").unwrap() > 0);
+        assert!(report.phase("final").is_some());
         assert!(report.metric("modularity").unwrap() > 0.5);
     }
 
     #[test]
     fn guarded_iteration_cap_cuts_at_ensemble_boundary() {
         let (g, _) = lfr(LfrParams::benchmark(500, 0.35), 33);
-        // zero sweeps: the first ensemble round is denied, the guarded
-        // final RG still produces a valid (unprolonged) partition
+        // zero sweeps: the first ensemble round is denied and no member
+        // ran, so the degraded result is the singleton partition
         let budget = Budget::unlimited().with_max_sweeps(0);
         let r = Cggc::iterated(3).detect_guarded(&g, &budget);
         assert_eq!(r.termination, Termination::IterationCap);
         assert_eq!(r.partition.len(), g.node_count());
         assert!(r.partition.validate().is_ok());
-        assert!(r.report.cut_phase.as_deref().unwrap().starts_with("level-"));
+        assert_eq!(r.partition.number_of_subsets(), g.node_count());
+        assert_eq!(r.report.cut_phase.as_deref(), Some("level-0/ensemble"));
     }
 
     #[test]

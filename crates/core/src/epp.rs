@@ -1,4 +1,5 @@
-//! EPP — Ensemble Preprocessing (Algorithm 5).
+//! EPP — Ensemble Preprocessing (Algorithm 5), its iterated form EML, and
+//! the driver every ensemble detector runs on.
 //!
 //! An ensemble of `b` cheap base algorithms (PLP instances with distinct
 //! seeds) runs on the input graph; their consensus — the core communities —
@@ -6,22 +7,168 @@
 //! The stronger final algorithm (PLM or PLMR) then solves the much smaller
 //! coarse graph, and the result is prolonged back. This trades a little
 //! quality for a large speedup on big graphs (§III-D, Fig. 4).
+//!
+//! That scheme — rounds of members → consensus → contract, then the final
+//! algorithm and prolongation — is `Ensemble`, written once; [`Epp`],
+//! [`EppIterated`] and [`crate::Cggc`] are configurations of it that differ
+//! in their members, their final algorithm and how many rounds they allow.
 
 use crate::algorithm::{run_constituent, CommunityDetector};
 use crate::combine::core_communities;
 use crate::moves::MoveStrategy;
 use crate::plm::Plm;
 use crate::plp::Plp;
-use parcom_graph::{coarsen, coarsen_with, Graph, Partition};
+use crate::quality::modularity_gamma;
+use parcom_graph::{coarsen_with, Coarsening, Graph, Partition};
 use parcom_guard::{faultpoint, Budget, Termination};
 use parcom_obs::Recorder;
 use rayon::prelude::*;
 
-/// A PLP base classifier with the given ensemble-member seed.
-fn seeded_plp(seed: u64) -> Plp {
-    let mut plp = Plp::new();
-    plp.set_seed(seed);
-    plp
+pub(crate) type Member = Box<dyn CommunityDetector + Send>;
+
+/// `coarse`, a solution of the coarsest graph of `chain`, on the graph the
+/// chain started from.
+fn prolong_through(chain: &[Coarsening], coarse: Partition) -> Partition {
+    chain.iter().rev().fold(coarse, |zeta, c| c.prolong(&zeta))
+}
+
+/// One run of the ensemble scheme (Algorithm 5 and its iteration).
+///
+/// The budget is shared with every member and with the final algorithm.
+/// An interruption in round `l` — at its start, in a member, or after the
+/// consensus — ends the run with that round's consensus (of partial member
+/// solutions; singletons when no member ran) prolonged through the rounds
+/// committed before it, cut phase `level-{l}/ensemble`; the final algorithm
+/// is not started on an expired budget. An interruption inside the final
+/// algorithm prolongs whatever it could finish, cut phase `final/{inner}`.
+pub(crate) struct Ensemble<'a> {
+    /// Run concurrently on each round's graph; reseeded every round.
+    pub members: &'a mut [Member],
+    /// Solves the graph the committed rounds left.
+    pub finish: &'a mut dyn CommunityDetector,
+    /// 1 is Algorithm 5; more iterates it, committing a round only while
+    /// its consensus improves modularity (at the final algorithm's γ) on the
+    /// input graph — a contraction is irreversible.
+    pub max_rounds: usize,
+    /// Member `i` of round `l` runs on stream `seed + (l << 32) + i + 1`.
+    pub seed: u64,
+}
+
+impl Ensemble<'_> {
+    /// One round on `g`: the members in parallel — each contributing a
+    /// sub-report when `rec` is recording — and their consensus, with the
+    /// interruption that cut the round short, if any.
+    fn round(
+        &mut self,
+        g: &Graph,
+        round: usize,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Option<Termination>) {
+        if let Err(t) = budget.check_sweep() {
+            return (Partition::singleton(g.node_count()), Some(t));
+        }
+        let results: Vec<_> = {
+            let span = rec.span("ensemble");
+            span.counter("members", self.members.len() as u64);
+            let stream = self.seed.wrapping_add((round as u64) << 32);
+            for (i, member) in self.members.iter_mut().enumerate() {
+                member.set_seed(stream.wrapping_add(i as u64 + 1));
+            }
+            self.members
+                .par_iter_mut()
+                .map(|member| {
+                    faultpoint!("core/epp-member");
+                    run_constituent(member, g, rec, budget)
+                })
+                .collect()
+        };
+        let cut = results
+            .iter()
+            .map(|r| r.termination)
+            .find(|t| t.interrupted());
+        let mut solutions = Vec::with_capacity(results.len());
+        for r in results {
+            rec.sub_report(r.report);
+            solutions.push(r.partition);
+        }
+        let span = rec.span("consensus");
+        let core = core_communities(&solutions);
+        span.counter("core-communities", core.number_of_subsets() as u64);
+        (core, cut.or_else(|| budget.check().err()))
+    }
+
+    pub fn run(
+        mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Partition, Termination, Option<String>) {
+        rec.counter("ensemble-size", self.members.len() as u64);
+        let mut chain: Vec<Coarsening> = Vec::new();
+        let mut best_q = f64::NEG_INFINITY;
+        for round in 0..self.max_rounds {
+            let current = chain.last().map_or(g, |c| &c.coarse);
+            let level = rec.span_fmt(format_args!("level-{round}"));
+            level.counter("nodes", current.node_count() as u64);
+            level.counter("edges", current.edge_count() as u64);
+            let (core, cut) = self.round(current, round, rec, budget);
+            if let Some(termination) = cut {
+                let mut zeta = prolong_through(&chain, core);
+                zeta.compact();
+                return (zeta, termination, Some(format!("level-{round}/ensemble")));
+            }
+            if core.number_of_subsets() >= current.node_count() {
+                break; // consensus is all-singletons: nothing to contract
+            }
+            let contraction = coarsen_with(current, &core, rec);
+            if self.max_rounds > 1 {
+                let coarse_nodes = contraction.coarse.node_count();
+                let consensus = contraction.prolong(&Partition::singleton(coarse_nodes));
+                let on_input = prolong_through(&chain, consensus);
+                let q = modularity_gamma(g, &on_input, self.finish.gamma());
+                if q <= best_q + 1e-9 {
+                    break;
+                }
+                best_q = q;
+            }
+            chain.push(contraction);
+        }
+
+        let current = chain.last().map_or(g, |c| &c.coarse);
+        let r = {
+            let _span = rec.span("final");
+            run_constituent(self.finish, current, rec, budget)
+        };
+        // read only when the final algorithm was cut
+        let cut = match &r.report.cut_phase {
+            Some(inner) => format!("final/{inner}"),
+            None => "final".into(),
+        };
+        rec.sub_report(r.report);
+        let mut zeta = {
+            let _span = rec.span("prolong");
+            prolong_through(&chain, r.partition)
+        };
+        zeta.compact();
+        // Postcondition: a dense assignment covering the input graph that
+        // splits no community the committed rounds contracted.
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        {
+            let committed = prolong_through(&chain, Partition::singleton(current.node_count()));
+            assert_eq!(zeta.len(), g.node_count(), "ensemble result covers g");
+            assert_eq!(zeta.validate_dense(), Ok(()), "ensemble result is dense");
+            assert!(committed.is_refinement_of(&zeta), "core community split");
+        }
+        (zeta, r.termination, Some(cut))
+    }
+}
+
+/// `b` PLP base classifiers; the driver seeds them.
+fn plp_members(ensemble_size: usize) -> Vec<Member> {
+    (0..ensemble_size)
+        .map(|_| Box::new(Plp::new()) as Member)
+        .collect()
 }
 
 /// The ensemble preprocessing scheme, generic in base and final algorithms.
@@ -39,10 +186,13 @@ fn seeded_plp(seed: u64) -> Plp {
 /// assert_eq!(communities.number_of_subsets(), 6);
 /// ```
 pub struct Epp {
-    /// The base classifiers; run concurrently on the input graph.
+    /// The base classifiers; run concurrently on the input graph, base `i`
+    /// reseeded to `seed + i + 1` by every run (0 until
+    /// [`set_seed`](CommunityDetector::set_seed)).
     pub bases: Vec<Box<dyn CommunityDetector + Send>>,
     /// The final algorithm, applied to the contracted graph.
     pub final_algorithm: Box<dyn CommunityDetector + Send>,
+    seed: u64,
 }
 
 impl Epp {
@@ -55,9 +205,7 @@ impl Epp {
     /// (the `move=` knob forwards here; the PLP bases are unaffected).
     pub fn plp_plm_with(ensemble_size: usize, strategy: MoveStrategy) -> Self {
         Self::new(
-            (0..ensemble_size)
-                .map(|i| Box::new(seeded_plp(1 + i as u64)) as Box<dyn CommunityDetector + Send>)
-                .collect(),
+            plp_members(ensemble_size),
             Box::new(Plm::with_strategy(strategy)),
         )
     }
@@ -70,13 +218,10 @@ impl Epp {
     /// `EPP(b, PLP, PLMR)` with an explicit move strategy on the final.
     pub fn plp_plmr_with(ensemble_size: usize, strategy: MoveStrategy) -> Self {
         Self::new(
-            (0..ensemble_size)
-                .map(|i| Box::new(seeded_plp(1 + i as u64)) as Box<dyn CommunityDetector + Send>)
-                .collect(),
+            plp_members(ensemble_size),
             Box::new(Plm {
                 refine: true,
-                move_strategy: strategy,
-                ..Plm::default()
+                ..Plm::with_strategy(strategy)
             }),
         )
     }
@@ -90,12 +235,8 @@ impl Epp {
         Self {
             bases,
             final_algorithm,
+            seed: 0,
         }
-    }
-
-    /// Ensemble size `b`.
-    pub fn ensemble_size(&self) -> usize {
-        self.bases.len()
     }
 }
 
@@ -109,118 +250,28 @@ impl CommunityDetector for Epp {
         )
     }
 
-    /// Distributes distinct seeds derived from `seed` to the ensemble
-    /// members (solution diversity needs distinct streams) and reseeds
-    /// the final algorithm.
+    /// The ensemble members draw distinct streams derived from `seed`
+    /// (solution diversity needs them); the final algorithm is reseeded
+    /// with `seed` itself.
     fn set_seed(&mut self, seed: u64) {
-        for (i, base) in self.bases.iter_mut().enumerate() {
-            base.set_seed(seed.wrapping_add(1 + i as u64));
-        }
+        self.seed = seed;
         self.final_algorithm.set_seed(seed);
     }
 
-    /// The ensemble pipeline. The budget is shared with every ensemble
-    /// member and with the final algorithm; an expiry during the ensemble
-    /// degrades to the consensus of the (partial) member solutions — a
-    /// valid, if conservative, partition of the input graph — and an expiry
-    /// during the final phase prolongs whatever the final algorithm could
-    /// finish.
+    /// One round of the [`Ensemble`] scheme.
     fn run(
         &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        rec.counter("ensemble-size", self.bases.len() as u64);
-        // 1. base solutions, in parallel; when `rec` is recording each
-        //    member contributes its own sub-report (a no-op otherwise)
-        let (base_solutions, member_term) = {
-            let _span = rec.span("ensemble");
-            let results: Vec<_> = self
-                .bases
-                .par_iter_mut()
-                .map(|base| {
-                    faultpoint!("core/epp-member");
-                    run_constituent(base, g, rec, budget)
-                })
-                .collect();
-            let mut member_term = Termination::Converged;
-            let mut solutions = Vec::with_capacity(results.len());
-            for r in results {
-                rec.sub_report(r.report);
-                if r.termination.interrupted() && !member_term.interrupted() {
-                    member_term = r.termination;
-                }
-                solutions.push(r.partition);
-            }
-            (solutions, member_term)
-        };
-
-        // 2. consensus core communities
-        let core = {
-            let span = rec.span("consensus");
-            let core = core_communities(&base_solutions);
-            span.counter("core-communities", core.number_of_subsets() as u64);
-            core
-        };
-
-        // Expiry during the ensemble: the consensus of the partial member
-        // solutions is itself a valid partition of `g` — return it instead
-        // of spending more time on contraction and the final algorithm.
-        if member_term.interrupted() {
-            let mut zeta = core;
-            zeta.compact();
-            return (zeta, member_term, Some("ensemble".into()));
+        Ensemble {
+            members: &mut self.bases,
+            finish: &mut *self.final_algorithm,
+            max_rounds: 1,
+            seed: self.seed,
         }
-        if let Err(t) = budget.check() {
-            let mut zeta = core;
-            zeta.compact();
-            return (zeta, t, Some("consensus".into()));
-        }
-
-        // 3. contract (a `coarsen` span) and solve with the final algorithm
-        let contraction = coarsen_with(g, &core, rec);
-        let (coarse_solution, final_term, final_cut) = {
-            let _span = rec.span("final");
-            let r = run_constituent(&mut self.final_algorithm, &contraction.coarse, rec, budget);
-            let cut = r.report.cut_phase.clone();
-            rec.sub_report(r.report);
-            (r.partition, r.termination, cut)
-        };
-
-        // 4. prolong back to the input graph
-        let mut zeta = {
-            let _span = rec.span("prolong");
-            contraction.prolong(&coarse_solution)
-        };
-        zeta.compact();
-        // Postcondition: the prolonged consensus must cover the input graph
-        // with a dense assignment, and every base stayed within the core —
-        // i.e. the final solution cannot split a core community.
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        {
-            if zeta.len() != g.node_count() {
-                panic!(
-                    "EPP postcondition violated: partition covers {} of {} nodes",
-                    zeta.len(),
-                    g.node_count()
-                );
-            }
-            if let Err(e) = zeta.validate_dense() {
-                panic!("EPP postcondition violated: {e}");
-            }
-            if !core.is_refinement_of(&zeta) {
-                panic!("EPP postcondition violated: final solution splits a core community");
-            }
-        }
-        if final_term.interrupted() {
-            let cut = match final_cut {
-                Some(inner) => format!("final/{inner}"),
-                None => "final".into(),
-            };
-            return (zeta, final_term, Some(cut));
-        }
-        (zeta, Termination::Converged, None)
+        .run(g, rec, budget)
     }
 }
 
@@ -261,83 +312,20 @@ impl CommunityDetector for EppIterated {
         self.seed = seed;
     }
 
-    /// The iterated ensemble. Each ensemble round consumes one sweep; the
-    /// budget is shared with the PLP members and the final PLM, so expiry
-    /// degrades to the consensus prefix committed so far, finished off by
-    /// whatever PLM could do. The members run unrecorded; the final PLM
-    /// records its levels under the `final` span.
+    /// Up to `max_levels` rounds of the [`Ensemble`] scheme.
     fn run(
         &mut self,
         g: &Graph,
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
-        use crate::quality::modularity;
-        rec.counter("ensemble-size", self.ensemble_size as u64);
-        let mut chain: Vec<parcom_graph::Coarsening> = Vec::new();
-        let mut current = g.clone();
-        let mut best_q = f64::NEG_INFINITY;
-        let mut termination = Termination::Converged;
-        let mut cut_phase = None;
-
-        for level in 0..self.max_levels {
-            if let Err(t) = budget.check_sweep() {
-                termination = t;
-                cut_phase = Some(format!("level-{level}/ensemble"));
-                break;
-            }
-            let level_span = rec.span_fmt(format_args!("level-{level}"));
-            level_span.counter("nodes", current.node_count() as u64);
-            let bases: Vec<Partition> = (0..self.ensemble_size)
-                .into_par_iter()
-                .map(|i| {
-                    faultpoint!("core/epp-member");
-                    let mut plp = seeded_plp(self.seed + ((level as u64) << 32) + i as u64 + 1);
-                    plp.run(&current, &Recorder::disabled(), budget).0
-                })
-                .collect();
-            let core = core_communities(&bases);
-            if let Err(t) = budget.check() {
-                termination = t;
-                cut_phase = Some(format!("level-{level}/ensemble"));
-                break;
-            }
-            if core.number_of_subsets() >= current.node_count() {
-                break;
-            }
-            let contraction = coarsen(&current, &core);
-            let coarse = contraction.coarse.clone();
-
-            // commit the level only if the consensus clustering improves on
-            // G; a degrading contraction would be irreversible (coarse
-            // nodes cannot be split again)
-            let mut prolonged = Partition::singleton(coarse.node_count());
-            prolonged = contraction.prolong(&prolonged);
-            for c in chain.iter().rev() {
-                prolonged = c.prolong(&prolonged);
-            }
-            let q = modularity(g, &prolonged);
-            if q <= best_q + 1e-9 {
-                break;
-            }
-            best_q = q;
-            chain.push(contraction);
-            current = coarse;
+        Ensemble {
+            members: &mut plp_members(self.ensemble_size),
+            finish: &mut Plm::new(),
+            max_rounds: self.max_levels,
+            seed: self.seed,
         }
-
-        let (mut zeta, final_term, _) = {
-            let _span = rec.span("final");
-            Plm::new().run(&current, rec, budget)
-        };
-        if !termination.interrupted() && final_term.interrupted() {
-            termination = final_term;
-            cut_phase = Some("final".into());
-        }
-        for c in chain.iter().rev() {
-            zeta = c.prolong(&zeta);
-        }
-        zeta.compact();
-        (zeta, termination, cut_phase)
+        .run(g, rec, budget)
     }
 }
 
@@ -383,7 +371,7 @@ mod tests {
     fn improves_on_single_plp_for_noisy_graphs() {
         let (g, _) = lfr(LfrParams::benchmark(2000, 0.5), 22);
         let q_epp = modularity(&g, &Epp::plp_plm(4).detect(&g));
-        let q_plp = modularity(&g, &seeded_plp(1).detect(&g));
+        let q_plp = modularity(&g, &Plp::new().detect(&g));
         assert!(
             q_epp >= q_plp - 0.02,
             "EPP ({q_epp}) should improve on PLP ({q_plp})"
@@ -419,7 +407,11 @@ mod tests {
             3
         );
         assert_eq!(report.sub_reports.last().unwrap().algorithm, "PLM");
-        for name in ["ensemble", "consensus", "coarsen", "final", "prolong"] {
+        let level0 = report.phase("level-0").expect("level-0 phase");
+        for name in ["ensemble", "consensus", "coarsen"] {
+            assert!(level0.child(name).is_some(), "missing phase level-0/{name}");
+        }
+        for name in ["final", "prolong"] {
             assert!(report.phase(name).is_some(), "missing phase {name}");
         }
         assert_eq!(report.counter("ensemble-size"), Some(3));

@@ -13,12 +13,13 @@
 //! | [`Plm`] | §III-B | parallel Louvain method (ours) |
 //! | [`Plm::with_refinement`] (PLMR) | §III-C | PLM + per-level refinement (ours) |
 //! | [`Epp`] | §III-D | ensemble preprocessing over PLP + PLM/PLMR (ours) |
+//! | [`EppIterated`] (EML) | §III-D | the same scheme, iterated |
 //! | [`Louvain`] | §V-E a | original sequential Louvain |
 //! | [`Pam`] | §V-E b | CLU_TBB-like parallel matching agglomeration |
 //! | [`Pam::cel`] | §V-E b | CEL-like plain matching agglomeration |
 //! | [`Cnm`] | §II | globally greedy agglomeration |
 //! | [`Rg`] | §V-E c | randomized greedy agglomeration |
-//! | [`Cggc`] / [`Cggc::iterated`] | §V-E c | core-groups ensembles over RG |
+//! | [`Cggc`] / [`Cggc::iterated`] | §V-E c | the ensemble scheme of [`epp`] over RG |
 //!
 //! Plus the measurement layer: modularity/coverage ([`quality`]), partition
 //! similarity ([`compare`]; Jaccard for Fig. 8), consensus combination

@@ -201,14 +201,14 @@ pub const REGISTRY: &[AlgoInfo] = &[
     AlgoInfo {
         name: "cggc",
         family: "ensemble",
-        summary: "core-groups ensemble over RG",
+        summary: "core groups ensemble over RG",
         knobs: &[Knob::Ensemble],
         build: |s| Box::new(Cggc::new(s.ensemble.unwrap_or(DEFAULT_ENSEMBLE))),
     },
     AlgoInfo {
         name: "cggci",
         family: "ensemble",
-        summary: "iterated core-groups ensemble",
+        summary: "iterated core groups ensemble",
         knobs: &[Knob::Ensemble],
         build: |s| Box::new(Cggc::iterated(s.ensemble.unwrap_or(DEFAULT_ENSEMBLE))),
     },

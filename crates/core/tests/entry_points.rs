@@ -6,7 +6,7 @@
 mod util;
 
 use parcom_core::quality::modularity_gamma;
-use parcom_core::spec::REGISTRY;
+use parcom_core::spec::{AlgoInfo, DEFAULT_ENSEMBLE, REGISTRY};
 use parcom_core::{Budget, CommunityDetector, DetectorSpec, RunReport, StartState, Termination};
 use parcom_generators::{karate_club, lfr, LfrParams};
 use parcom_graph::parallel::with_threads;
@@ -216,5 +216,92 @@ fn oversized_input_is_rejected_with_a_singleton_for_every_spec() {
             "{}",
             info.name
         );
+    }
+}
+
+/// `epp`, `eppr`, `eml`, `cggc`, `cggci`: the specs that run on the one
+/// ensemble driver, each on LFR-300 and karate.
+fn ensemble_cases() -> Vec<(String, &'static AlgoInfo, Graph)> {
+    let mut cases = Vec::new();
+    for (graph_name, g) in graphs().into_iter().take(2) {
+        for info in REGISTRY.iter().filter(|a| a.family == "ensemble") {
+            let what = format!("{} on {graph_name}", info.name);
+            cases.push((what, info, g.clone()));
+        }
+    }
+    assert_eq!(cases.len(), 10);
+    cases
+}
+
+#[test]
+fn budget_cuts_are_attributed_the_same_way_by_every_ensemble_spec() {
+    for (what, info, g) in ensemble_cases() {
+        for cap in [0, 2] {
+            let budget = Budget::unlimited().with_max_sweeps(cap);
+            let r = with_threads(1, || build(info.name).detect_guarded(&g, &budget));
+            let what = format!("{what}, {cap} sweeps");
+            assert_eq!(r.partition.len(), g.node_count(), "{what}");
+            assert!(r.partition.validate().is_ok(), "{what}");
+            let cut = r.report.cut_phase.as_deref();
+            if cap == 0 {
+                // the first round is denied: no member ran, nothing merged
+                assert_eq!(r.termination, Termination::IterationCap, "{what}");
+                assert_eq!(cut, Some("level-0/ensemble"), "{what}");
+                assert_eq!(r.partition.number_of_subsets(), g.node_count(), "{what}");
+            } else if r.termination == Termination::IterationCap {
+                // a cap spent in round l's members names round l, one
+                // spent in the final algorithm names the phase inside it
+                let cut = cut.unwrap_or_else(|| panic!("{what}: no cut phase"));
+                let round = cut
+                    .strip_prefix("level-")
+                    .and_then(|rest| rest.strip_suffix("/ensemble"));
+                assert!(
+                    round.is_some_and(|l| l.parse::<usize>().is_ok()) || cut.starts_with("final/"),
+                    "{what}: cut phase `{cut}`"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_ensemble_spec_reports_the_one_shape() {
+    let b = DEFAULT_ENSEMBLE;
+    for (what, info, g) in ensemble_cases() {
+        let (_, report) = with_threads(1, || build(info.name).detect_with_report(&g));
+        assert_eq!(report.counter("ensemble-size"), Some(b as u64), "{what}");
+        // the rounds, in order, then `final` and `prolong`
+        let rounds = report.phases.len() - 2;
+        assert!(rounds >= 1, "{what}");
+        for (l, level) in report.phases[..rounds].iter().enumerate() {
+            assert_eq!(level.name, format!("level-{l}"), "{what}");
+            assert!(level.counter("nodes").is_some(), "{what}: level-{l}");
+            assert!(level.counter("edges").is_some(), "{what}: level-{l}");
+            let child = |name| {
+                level
+                    .child(name)
+                    .unwrap_or_else(|| panic!("{what}: no level-{l}/{name}"))
+            };
+            assert_eq!(child("ensemble").counter("members"), Some(b as u64));
+            assert!(child("consensus").counter("core-communities") > Some(0));
+        }
+        // both graphs have uncontested parts: round 0 contracts them
+        assert!(report.phases[0].child("coarsen").is_some(), "{what}");
+        assert_eq!(report.phases[rounds].name, "final", "{what}");
+        assert_eq!(report.phases[rounds + 1].name, "prolong", "{what}");
+        // b members per round run, then the final algorithm
+        let subs: Vec<&str> = report
+            .sub_reports
+            .iter()
+            .map(|r| r.algorithm.as_str())
+            .collect();
+        assert_eq!(subs.len(), rounds * b + 1, "{what}");
+        let (member, final_algorithm) = match info.name {
+            "epp" | "eml" => ("PLP", "PLM"),
+            "eppr" => ("PLP", "PLMR"),
+            _ => ("RG", "RG"),
+        };
+        assert!(subs[..rounds * b].iter().all(|m| *m == member), "{what}");
+        assert_eq!(subs[rounds * b], final_algorithm, "{what}");
     }
 }

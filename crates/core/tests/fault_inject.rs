@@ -8,25 +8,30 @@
 //! Compiled only under `--features fault-inject`.
 #![cfg(feature = "fault-inject")]
 
-use parcom_core::{Budget, CancelToken, CommunityDetector, Epp, Plm, Termination};
+use parcom_core::{Budget, CancelToken, Cggc, CommunityDetector, Epp, Plm, Termination};
 use parcom_generators::{lfr, LfrParams};
 use parcom_guard::fault::{serial_guard, FaultAction, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
-fn epp_member_cancel_degrades_to_member_consensus() {
+fn member_cancel_degrades_to_member_consensus() {
     let _g = serial_guard();
-    FaultPlan::clear();
     let (g, _) = lfr(LfrParams::benchmark(600, 0.3), 3);
-    let token = CancelToken::new();
-    FaultPlan::arm("core/epp-member", 2, FaultAction::Cancel(token.clone()));
-    let budget = Budget::unlimited().with_token(token);
-    let r = Epp::plp_plm(3).detect_guarded(&g, &budget);
-    assert_eq!(r.termination, Termination::Cancelled);
-    assert_eq!(r.partition.len(), g.node_count());
-    assert!(r.partition.validate().is_ok());
-    assert_eq!(r.report.cut_phase.as_deref(), Some("ensemble"));
-    assert!(FaultPlan::crossings("core/epp-member") >= 2);
+    // the one driver plants the site for every ensemble, RG members too
+    let ensembles: [Box<dyn CommunityDetector>; 2] =
+        [Box::new(Epp::plp_plm(3)), Box::new(Cggc::new(3))];
+    for mut ensemble in ensembles {
+        FaultPlan::clear();
+        let token = CancelToken::new();
+        FaultPlan::arm("core/epp-member", 2, FaultAction::Cancel(token.clone()));
+        let budget = Budget::unlimited().with_token(token);
+        let r = ensemble.detect_guarded(&g, &budget);
+        assert_eq!(r.termination, Termination::Cancelled);
+        assert_eq!(r.partition.len(), g.node_count());
+        assert!(r.partition.validate().is_ok());
+        assert_eq!(r.report.cut_phase.as_deref(), Some("level-0/ensemble"));
+        assert!(FaultPlan::crossings("core/epp-member") >= 2);
+    }
     FaultPlan::clear();
 }
 

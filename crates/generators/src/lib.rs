@@ -27,7 +27,6 @@ pub mod cliques;
 pub mod config_model;
 pub mod erdos_renyi;
 pub mod grid;
-pub mod hyperbolic;
 pub mod karate;
 pub mod lfr;
 pub mod planted_partition;
@@ -39,7 +38,6 @@ pub use barabasi_albert::barabasi_albert;
 pub use cliques::ring_of_cliques;
 pub use erdos_renyi::erdos_renyi;
 pub use grid::grid2d;
-pub use hyperbolic::{hyperbolic, HyperbolicParams};
 pub use karate::karate_club;
 pub use lfr::{lfr, LfrParams};
 pub use planted_partition::{planted_partition, PlantedPartitionParams};

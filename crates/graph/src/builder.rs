@@ -73,13 +73,6 @@ impl GraphBuilder {
         self.add_edge(u, v, 1.0);
     }
 
-    /// Bulk-adds unweighted edges.
-    pub fn extend_unweighted(&mut self, edges: impl IntoIterator<Item = (Node, Node)>) {
-        for (u, v) in edges {
-            self.add_unweighted_edge(u, v);
-        }
-    }
-
     /// Bulk-adds weighted edges from a parallel iterator: validation and
     /// canonicalization run on the worker threads and the per-part results
     /// concatenate in input order, so generators and parsers can feed
@@ -166,18 +159,6 @@ impl GraphBuilder {
         } else {
             self.edges.append(&mut edges);
         }
-    }
-
-    /// Convenience: build a graph straight from a parallel edge stream
-    /// (weighted). The parallel counterpart of
-    /// [`from_weighted_edges`](Self::from_weighted_edges).
-    pub fn from_edges_par<P>(n: usize, edges: P) -> Graph
-    where
-        P: ParallelIterator<Item = (Node, Node, f64)>,
-    {
-        let mut b = Self::new(n);
-        b.par_extend(edges);
-        b.build()
     }
 
     /// Consumes the builder and assembles the CSR graph in parallel.
@@ -588,16 +569,6 @@ mod tests {
     fn par_extend_rejects_out_of_range() {
         let mut b = GraphBuilder::new(2);
         b.par_extend(vec![(0 as Node, 5 as Node, 1.0)].into_par_iter());
-    }
-
-    #[test]
-    fn from_edges_par_builds() {
-        let g = GraphBuilder::from_edges_par(
-            3,
-            vec![(0 as Node, 1 as Node, 1.0), (1, 2, 1.0)].into_par_iter(),
-        );
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.neighbors(1), &[0, 2]);
     }
 
     #[test]

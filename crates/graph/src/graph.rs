@@ -533,11 +533,6 @@ impl Graph {
             .sum()
     }
 
-    /// Applies `f` to every node in parallel.
-    pub fn par_for_nodes(&self, f: impl Fn(Node) + Send + Sync) {
-        self.par_nodes().for_each(f);
-    }
-
     /// Full structural validation with diagnostics. Verifies every CSR
     /// invariant the rest of the workspace relies on:
     ///

@@ -5,9 +5,8 @@
 //! objects, arrays, strings with escapes, and finite numbers. The parser
 //! ([`parse`] → [`Value`]) is the request-decoding counterpart used by
 //! `parcom-serve` request bodies and `DetectorSpec::parse_json`; the
-//! [`validate`] checker (report golden tests, CLI smoke test) is the same
-//! grammar with the value construction skipped — it verifies *syntax*
-//! only, not schema.
+//! [`validate`] checker (report golden tests, CLI smoke test) is that
+//! parser with the value dropped — it verifies *syntax* only, not schema.
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn write_str(out: &mut String, s: &str) {
@@ -303,38 +302,15 @@ fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
     }
 }
 
-/// Checks that `s` is one syntactically well-formed JSON value.
-///
-/// Returns the byte offset and a message on the first syntax error.
+/// Checks that `s` is one syntactically well-formed JSON value — exactly
+/// what [`parse`] accepts.
 pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte `{}` at {}", *c as char, *pos)),
-        None => Err(format!("unexpected end of input at {}", *pos)),
     }
 }
 
@@ -407,60 +383,6 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_wellformed() {
+    fn accepts_wellformed() {
         for ok in [
             "{}",
             "[]",
@@ -494,6 +416,7 @@ mod tests {
             "  {\"k\": null}  ",
         ] {
             assert!(validate(ok).is_ok(), "{ok}");
+            assert!(parse(ok).is_ok(), "{ok}");
         }
     }
 
@@ -534,12 +457,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_malformed_and_bounds_depth() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1e", "{} extra"] {
-            assert!(parse(bad).is_err(), "{bad}");
-        }
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).unwrap_err().contains("nesting"));
+    fn nesting_is_bounded_for_parser_and_validator_alike() {
+        let nested = |depth: usize| "[".repeat(depth) + "0" + &"]".repeat(depth);
+        assert!(parse(&nested(64)).is_ok());
+        assert!(validate(&nested(64)).is_ok());
+        // a value 65 arrays deep: one past what the daemon accepts
+        assert!(parse(&nested(65)).unwrap_err().contains("nesting"));
+        assert!(validate(&nested(65)).unwrap_err().contains("nesting"));
     }
 
     #[test]
@@ -551,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_malformed() {
+    fn rejects_malformed() {
         for bad in [
             "",
             "{",
@@ -562,8 +486,11 @@ mod tests {
             "01x",
             "{} extra",
             "NaN",
+            "tru",
+            "1e",
         ] {
             assert!(validate(bad).is_err(), "{bad}");
+            assert!(parse(bad).is_err(), "{bad}");
         }
     }
 }

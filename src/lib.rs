@@ -15,10 +15,10 @@
 //! * [`graph`] — CSR graphs, partitions, parallel coarsening, analytics
 //!   (components, clustering coefficients, k-cores, assortativity).
 //! * [`generators`] — LFR, R-MAT/Kronecker, planted partition,
-//!   Barabási–Albert, Watts–Strogatz, hyperbolic, grids, cliques.
+//!   Barabási–Albert, Watts–Strogatz, grids, cliques.
 //! * [`community`] — the detection algorithms and quality/similarity
 //!   measures.
-//! * [`io`] — METIS, edge-list, partition, DOT and GML formats.
+//! * [`io`] — METIS, edge-list, `.pcg` binary, partition and DOT formats.
 //!
 //! # Quickstart
 //!

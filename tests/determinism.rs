@@ -2,11 +2,11 @@
 //! thread-count changes must not affect *validity* of results.
 
 use parcom::community::{
-    quality::modularity, CommunityDetector, Epp, Louvain, MoveStrategy, Plm, Plp, Rg,
+    quality::modularity, Cggc, CommunityDetector, Epp, Louvain, MoveStrategy, Plm, Plp, Rg,
 };
 use parcom::generators::{
-    barabasi_albert, erdos_renyi, hyperbolic, lfr, planted_partition, rmat, watts_strogatz,
-    HyperbolicParams, LfrParams, PlantedPartitionParams, RmatParams,
+    barabasi_albert, erdos_renyi, lfr, planted_partition, rmat, watts_strogatz, LfrParams,
+    PlantedPartitionParams, RmatParams,
 };
 use parcom::graph::parallel::with_threads;
 
@@ -39,10 +39,6 @@ fn all_generators_are_seed_deterministic() {
             3
         )
         .0
-    );
-    check!(
-        "hyperbolic",
-        hyperbolic(HyperbolicParams::scale_free(200), 3)
     );
 }
 
@@ -124,6 +120,32 @@ fn coloring_partitions_are_bit_identical_across_thread_counts() {
         r4.as_slice(),
         "PLMR[{strategy}] differs across thread counts"
     );
+}
+
+#[test]
+fn cggc_partitions_are_bit_identical_across_thread_counts() {
+    // RG members are sequential and seeded, the hash combine densifies in
+    // node order and `coarsen` is bit-identical at every thread count, so
+    // running the members concurrently must not show in the labels.
+    let (g, _) = lfr(LfrParams::benchmark(600, 0.35), 17);
+    for make in [Cggc::new, Cggc::iterated] {
+        let detect = |threads| {
+            with_threads(threads, || {
+                let mut cggc = make(4);
+                cggc.set_seed(7);
+                cggc.detect(&g)
+            })
+        };
+        let reference = detect(1);
+        for threads in [2usize, 4] {
+            assert_eq!(
+                detect(threads).as_slice(),
+                reference.as_slice(),
+                "{} differs at {threads} threads",
+                make(4).name()
+            );
+        }
+    }
 }
 
 #[test]
