@@ -98,23 +98,55 @@ pub struct CsrView<'a> {
     pub num_edges: usize,
 }
 
-/// CSR arrays under construction, rows appended in node order — the output
-/// side of [`Graph::patched`].
+/// The five arrays of a graph under construction, rows appended in node
+/// order — the output side of [`Graph::patched_into`].
 struct CsrRows {
     offsets: Vec<usize>,
     targets: Vec<Node>,
     weights: Vec<f64>,
+    weighted_degrees: Vec<f64>,
+    self_loops: Vec<f64>,
+}
+
+/// `buffer` emptied and able to hold `len` elements. One too small is
+/// freed *before* its successor is allocated (`reserve` would keep both
+/// resident while it copies) and `allocated` is set. A fresh buffer gets
+/// 1/16 headroom, so a slowly growing graph fits the buffers it retires.
+fn fitted<T>(mut buffer: Vec<T>, len: usize, allocated: &mut bool) -> Vec<T> {
+    buffer.clear();
+    if buffer.capacity() < len {
+        drop(buffer);
+        *allocated = true;
+        buffer = Vec::with_capacity(len + len / 16);
+    }
+    buffer
 }
 
 impl CsrRows {
-    fn with_capacity(n: usize, entries: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        Self {
-            offsets,
-            targets: Vec::with_capacity(entries),
-            weights: Vec::with_capacity(entries),
-        }
+    /// Empty rows for `n` nodes and up to `entries` adjacency entries, in
+    /// the buffers of `retired`; and whether all five of them were large enough.
+    fn recycling(retired: Option<Graph>, n: usize, entries: usize) -> (Self, bool) {
+        let mut allocated = retired.is_none();
+        let parts = |g: Graph| {
+            (
+                g.offsets,
+                g.targets,
+                g.weights,
+                g.weighted_degrees,
+                g.self_loops,
+            )
+        };
+        let (offsets, targets, weights, weighted_degrees, self_loops) =
+            retired.map(parts).unwrap_or_default();
+        let mut rows = Self {
+            offsets: fitted(offsets, n + 1, &mut allocated),
+            targets: fitted(targets, entries, &mut allocated),
+            weights: fitted(weights, entries, &mut allocated),
+            weighted_degrees: fitted(weighted_degrees, n, &mut allocated),
+            self_loops: fitted(self_loops, n, &mut allocated),
+        };
+        rows.offsets.push(0);
+        (rows, !allocated)
     }
 
     /// Appends entries to the open row.
@@ -123,8 +155,20 @@ impl CsrRows {
         self.weights.extend_from_slice(weights);
     }
 
-    /// Closes the open row.
+    /// Closes the open row, summing its caches entry by entry in CSR order
+    /// as [`Graph::from_csr`] does.
     fn end_row(&mut self) {
+        let row = self.weighted_degrees.len();
+        let start = self.offsets[row];
+        let (mut degree, mut self_loop) = (0.0, 0.0);
+        for (&t, &w) in self.targets[start..].iter().zip(&self.weights[start..]) {
+            degree += w;
+            if t as usize == row {
+                self_loop += w;
+            }
+        }
+        self.weighted_degrees.push(degree);
+        self.self_loops.push(self_loop);
         self.offsets.push(self.targets.len());
     }
 
@@ -142,10 +186,16 @@ impl CsrRows {
                     .iter()
                     .map(|&o| o - lo + base),
             );
+            let old = rows.start..old_end;
+            self.weighted_degrees
+                .extend_from_slice(&g.weighted_degrees[old.clone()]);
+            self.self_loops.extend_from_slice(&g.self_loops[old]);
         }
         let end = self.targets.len();
         self.offsets
             .extend((rows.start.max(old_end)..rows.end).map(|_| end));
+        self.weighted_degrees.resize(self.offsets.len() - 1, 0.0);
+        self.self_loops.resize(self.offsets.len() - 1, 0.0);
     }
 }
 
@@ -162,13 +212,18 @@ impl Graph {
         // Per-node caches, parallel over edge-balanced node ranges. Each
         // row is summed by one worker in CSR order, so the values do not
         // depend on the split.
-        let mut weighted_degrees = vec![0.0; n];
-        let mut self_loops = vec![0.0; n];
         let ranges = weighted_ranges(&offsets, DYNAMIC_PIECES);
+        let mut rows = CsrRows {
+            offsets,
+            targets,
+            weights,
+            weighted_degrees: vec![0.0; n],
+            self_loops: vec![0.0; n],
+        };
         let loops_per_range: Vec<usize> = {
-            let degree_pieces = split_by_ranges(&mut weighted_degrees, &ranges);
-            let loop_pieces = split_by_ranges(&mut self_loops, &ranges);
-            let (offsets, targets, weights) = (&offsets, &targets, &weights);
+            let degree_pieces = split_by_ranges(&mut rows.weighted_degrees, &ranges);
+            let loop_pieces = split_by_ranges(&mut rows.self_loops, &ranges);
+            let (offsets, targets, weights) = (&rows.offsets, &rows.targets, &rows.weights);
             ranges
                 .iter()
                 .zip(degree_pieces)
@@ -190,33 +245,35 @@ impl Graph {
                 })
                 .collect()
         };
-        let num_loops: usize = loops_per_range.iter().sum();
+        Self::from_rows(rows, loops_per_range.iter().sum())
+    }
+
+    /// The graph of five finished arrays, `num_loops` of whose entries are
+    /// self-loops: the one place the two totals are computed.
+    fn from_rows(rows: CsrRows, num_loops: usize) -> Self {
         // The float totals are summed sequentially in node order — a
         // parallel reduction would tie them to the split points. A row has
         // at most one loop entry, so adding `self_loops[u]` (0.0 elsewhere)
         // is the entry-by-entry sum.
         let mut loop_total = 0.0;
         let mut directed_weight = 0.0;
-        for (wd, sl) in weighted_degrees.iter().zip(&self_loops) {
+        for (wd, sl) in rows.weighted_degrees.iter().zip(&rows.self_loops) {
             directed_weight += wd;
             loop_total += sl;
         }
-        // Non-loop edges are stored twice, loops once.
-        let total_weight = (directed_weight - loop_total) / 2.0 + loop_total;
-        let num_edges = (targets.len() - num_loops) / 2 + num_loops;
-
         let g = Self {
-            offsets,
-            targets,
-            weights,
-            weighted_degrees,
-            self_loops,
-            total_weight,
-            num_edges,
+            // Non-loop edges are stored twice, loops once.
+            total_weight: (directed_weight - loop_total) / 2.0 + loop_total,
+            num_edges: (rows.targets.len() - num_loops) / 2 + num_loops,
+            offsets: rows.offsets,
+            targets: rows.targets,
+            weights: rows.weights,
+            weighted_degrees: rows.weighted_degrees,
+            self_loops: rows.self_loops,
         };
-        // Postcondition of every construction path (GraphBuilder::build and
-        // coarsening both land here): the full validator in debug builds or
-        // when the `validate` feature is on.
+        // Postcondition of every construction path (GraphBuilder::build,
+        // coarsening and patches all land here): the full validator in
+        // debug builds or when the `validate` feature is on.
         #[cfg(any(debug_assertions, feature = "validate"))]
         if let Err(e) = g.validate() {
             panic!("construction produced an inconsistent CSR graph: {e}");
@@ -230,15 +287,30 @@ impl Graph {
     /// Each edit is one undirected edge `{u, v}`, at most once per unordered
     /// pair, with ids below `n_new`: `Some(w)` inserts the edge or overwrites
     /// its weight, `None` removes it if present. Rows no edit touches are
-    /// bulk-copied in runs (offsets shifted by the running displacement); only
-    /// the ≤ 2·|edits| touched rows are merged entry by entry, so the cost
-    /// beyond the memcpy is proportional to the edit, not to the graph.
+    /// bulk-copied in runs (offsets shifted by the running displacement) and
+    /// their cached sums with them; only the ≤ 2·|edits| touched rows are
+    /// merged and re-summed entry by entry, so the cost beyond the memcpy is
+    /// proportional to the edit, not to the graph.
     ///
     /// The result is what [`crate::GraphBuilder::build`] yields for the
     /// edited edge set, bit for bit: rows sorted by neighbor, untouched
     /// weights carried verbatim, caches from the same [`Self::from_csr`]
     /// arithmetic. Sequential, hence identical at any thread count.
     pub fn patched(&self, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
+        self.patched_into(n_new, edits, None).0
+    }
+
+    /// [`Self::patched`], written into the buffers of `retired` — a graph
+    /// nobody reads any more, which passing it by value proves — so that a
+    /// chain of patches stops allocating (and page-faulting in) a whole CSR
+    /// per link. Also returns whether every array of `retired` was large
+    /// enough, i.e. nothing was allocated; no bit of the graph depends on it.
+    pub fn patched_into(
+        &self,
+        n_new: usize,
+        edits: &[(Node, Node, Option<f64>)],
+        retired: Option<Self>,
+    ) -> (Self, bool) {
         let n_old = self.node_count();
         assert!(n_new >= n_old, "a patch cannot shrink the node range");
         assert!(
@@ -271,7 +343,9 @@ impl Graph {
         );
 
         let inserts = delta.iter().filter(|d| d.2.is_some()).count();
-        let mut out = CsrRows::with_capacity(n_new, self.targets.len() + inserts);
+        let (mut out, in_place) = CsrRows::recycling(retired, n_new, self.targets.len() + inserts);
+        // m = (entries + loops) / 2; only an edit of `{row, row}` changes the loops
+        let mut num_loops = 2 * self.num_edges - self.targets.len();
         let mut next_row = 0usize;
         for run in delta.chunk_by(|a, b| a.0 == b.0) {
             let row = run[0].0;
@@ -288,9 +362,11 @@ impl Graph {
                 k += keep;
                 if old_t.get(k) == Some(&target) {
                     k += 1;
+                    num_loops -= usize::from(target == row);
                 }
                 if let Some(w) = w {
                     out.extend(&[target], &[w]);
+                    num_loops += usize::from(target == row);
                 }
             }
             out.extend(&old_t[k..], &old_w[k..]);
@@ -298,12 +374,7 @@ impl Graph {
             next_row = row as usize + 1;
         }
         out.copy_rows(self, next_row..n_new);
-        let CsrRows {
-            offsets,
-            targets,
-            weights,
-        } = out;
-        Self::from_csr(offsets, targets, weights)
+        (Self::from_rows(out, num_loops), in_place)
     }
 
     /// Assembles a graph from raw CSR arrays *plus* the derived caches,

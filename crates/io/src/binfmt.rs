@@ -119,24 +119,53 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 }
 
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = LANE_KEYS;
-    let chunks = bytes.chunks_exact(8);
-    let rem = chunks.remainder();
-    for (i, c) in chunks.enumerate() {
-        let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        let l = i & 3;
-        lanes[l] = (lanes[l] ^ w).wrapping_mul(LANE_KEYS[l] | 1);
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] of bytes that arrive a piece at a time; every piece but
+/// the last must be a multiple of 8 bytes long.
+struct Checksum {
+    lanes: [u64; 4],
+    len: usize,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Self {
+            lanes: LANE_KEYS,
+            len: 0,
+        }
     }
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        lanes[0] = (lanes[0] ^ u64::from_le_bytes(tail)).wrapping_mul(LANE_KEYS[0] | 1);
+
+    fn update(&mut self, bytes: &[u8]) {
+        debug_assert_eq!(self.len % 8, 0, "only the last piece may be ragged");
+        let mut lanes = self.lanes;
+        let first = self.len / 8;
+        let chunks = bytes.chunks_exact(8);
+        let rem = chunks.remainder();
+        for (i, c) in chunks.enumerate() {
+            let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+            let l = (first + i) & 3;
+            lanes[l] = (lanes[l] ^ w).wrapping_mul(LANE_KEYS[l] | 1);
+        }
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            lanes[0] = (lanes[0] ^ u64::from_le_bytes(tail)).wrapping_mul(LANE_KEYS[0] | 1);
+        }
+        self.lanes = lanes;
+        self.len += bytes.len();
     }
-    let mut acc = bytes.len() as u64;
-    for (j, l) in lanes.iter().enumerate() {
-        acc = acc.rotate_left(13) ^ l.wrapping_mul(LANE_KEYS[j] | 1);
+
+    fn finish(self) -> u64 {
+        let mut acc = self.len as u64;
+        for (j, l) in self.lanes.iter().enumerate() {
+            acc = acc.rotate_left(13) ^ l.wrapping_mul(LANE_KEYS[j] | 1);
+        }
+        acc
     }
-    acc
 }
 
 /// Folds one section's checksum into the running body checksum; order
@@ -148,28 +177,58 @@ fn fold_body(acc: u64, section_sum: u64) -> u64 {
 // ---------------------------------------------------------------------------
 // Little-endian slice conversions.
 
-fn le_u64s(xs: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 8);
-    for &x in xs {
-        out.extend_from_slice(&(x as u64).to_le_bytes());
-    }
-    out
+/// Bytes a section is converted and handed on in at a time: a multiple of
+/// 8, as [`Checksum::update`] asks of every piece but the last.
+const PIECE_LEN: usize = 1 << 16;
+
+/// One section's payload, still in the array it is written from.
+enum Payload<'a> {
+    U64s(&'a [usize]),
+    U32s(&'a [u32]),
+    F64s(&'a [f64]),
+    Word(u64),
 }
 
-fn le_u32s(xs: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 4);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
+impl Payload<'_> {
+    /// Length of the little-endian image in bytes.
+    fn len(&self) -> usize {
+        match self {
+            Self::U64s(xs) => xs.len() * 8,
+            Self::U32s(xs) => xs.len() * 4,
+            Self::F64s(xs) => xs.len() * 8,
+            Self::Word(_) => 8,
+        }
     }
-    out
-}
 
-fn le_f64s(xs: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 8);
-    for &x in xs {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    /// Hands the little-endian image to `sink` in pieces of [`PIECE_LEN`]
+    /// bytes (the last one shorter), each converted in `piece`.
+    fn pieces(
+        &self,
+        piece: &mut Vec<u8>,
+        mut sink: impl FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        fn run<T: Copy, const W: usize>(
+            xs: &[T],
+            le: impl Fn(T) -> [u8; W],
+            piece: &mut Vec<u8>,
+            sink: &mut impl FnMut(&[u8]) -> std::io::Result<()>,
+        ) -> std::io::Result<()> {
+            for part in xs.chunks(PIECE_LEN / W) {
+                piece.clear();
+                for &x in part {
+                    piece.extend_from_slice(&le(x));
+                }
+                sink(piece)?;
+            }
+            Ok(())
+        }
+        match *self {
+            Self::U64s(xs) => run(xs, |x| (x as u64).to_le_bytes(), piece, &mut sink),
+            Self::U32s(xs) => run(xs, u32::to_le_bytes, piece, &mut sink),
+            Self::F64s(xs) => run(xs, |x| x.to_bits().to_le_bytes(), piece, &mut sink),
+            Self::Word(w) => sink(&w.to_le_bytes()),
+        }
     }
-    out
 }
 
 fn from_le_u64s(bytes: &[u8]) -> Vec<usize> {
@@ -223,14 +282,40 @@ pub fn pcg_bytes(g: &Graph, relabeling: Option<&Relabeling>) -> Result<Vec<u8>, 
     pcg_bytes_with_wal_seq(g, relabeling, None)
 }
 
-/// [`pcg_bytes`] with a WAL sequence section — the daemon checkpoint
-/// writer: `wal_seq` records the last log record this snapshot covers, so
-/// recovery replays exactly the tail written after it.
+/// [`pcg_bytes`] with a WAL sequence section (see [`write_pcg_with_wal_seq`]).
 pub fn pcg_bytes_with_wal_seq(
     g: &Graph,
     relabeling: Option<&Relabeling>,
     wal_seq: Option<u64>,
 ) -> Result<Vec<u8>, IoError> {
+    let mut out = Vec::new();
+    write_pcg_with_wal_seq(g, relabeling, wal_seq, &mut out)?;
+    Ok(out)
+}
+
+/// Writes `g` in binary form to a writer.
+pub fn write_pcg_to(
+    g: &Graph,
+    relabeling: Option<&Relabeling>,
+    writer: impl Write,
+) -> Result<(), IoError> {
+    write_pcg_with_wal_seq(g, relabeling, None, writer)
+}
+
+/// [`write_pcg_to`] with a WAL sequence section — the daemon checkpoint
+/// writer: `wal_seq` records the last log record this snapshot covers, so
+/// recovery replays exactly the tail written after it.
+///
+/// The image is never assembled in memory: each section is converted
+/// [`PIECE_LEN`] bytes at a time straight from the graph's arrays, once
+/// for the checksums the header carries and once for the writer, so a
+/// checkpoint costs one piece beside the graph, not two more copies of it.
+pub fn write_pcg_with_wal_seq(
+    g: &Graph,
+    relabeling: Option<&Relabeling>,
+    wal_seq: Option<u64>,
+    mut writer: impl Write,
+) -> Result<(), IoError> {
     let view = g.csr_view();
     let n = g.node_count();
     if let Some(r) = relabeling {
@@ -243,19 +328,19 @@ pub fn pcg_bytes_with_wal_seq(
     }
     let weighted = view.weights.iter().any(|&w| w != 1.0);
 
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(6);
-    sections.push((SEC_OFFSETS, le_u64s(view.offsets)));
-    sections.push((SEC_TARGETS, le_u32s(view.targets)));
+    let mut sections: Vec<(u32, Payload<'_>)> = Vec::with_capacity(7);
+    sections.push((SEC_OFFSETS, Payload::U64s(view.offsets)));
+    sections.push((SEC_TARGETS, Payload::U32s(view.targets)));
     if weighted {
-        sections.push((SEC_WEIGHTS, le_f64s(view.weights)));
+        sections.push((SEC_WEIGHTS, Payload::F64s(view.weights)));
     }
-    sections.push((SEC_WDEG, le_f64s(view.weighted_degrees)));
-    sections.push((SEC_SLOOP, le_f64s(view.self_loops)));
+    sections.push((SEC_WDEG, Payload::F64s(view.weighted_degrees)));
+    sections.push((SEC_SLOOP, Payload::F64s(view.self_loops)));
     if let Some(r) = relabeling {
-        sections.push((SEC_PERM, le_u32s(r.new_of_old())));
+        sections.push((SEC_PERM, Payload::U32s(r.new_of_old())));
     }
     if let Some(seq) = wal_seq {
-        sections.push((SEC_WALSEQ, seq.to_le_bytes().to_vec()));
+        sections.push((SEC_WALSEQ, Payload::Word(seq)));
     }
 
     let count = sections.len();
@@ -266,50 +351,47 @@ pub fn pcg_bytes_with_wal_seq(
     }
 
     // Section layout and body checksum.
+    let mut piece = Vec::with_capacity(PIECE_LEN);
     let mut table = Vec::with_capacity(count);
     let mut cursor = header_len;
     let mut body_sum = 0u64;
-    for (id, bytes) in &sections {
-        table.push((*id, cursor as u64, bytes.len() as u64));
-        body_sum = fold_body(body_sum, checksum(bytes));
-        cursor += bytes.len().div_ceil(8) * 8;
+    for (id, payload) in &sections {
+        table.push((*id, cursor as u64, payload.len() as u64));
+        let mut sum = Checksum::new();
+        payload.pieces(&mut piece, |bytes| {
+            sum.update(bytes);
+            Ok(())
+        })?;
+        body_sum = fold_body(body_sum, sum.finish());
+        cursor += payload.len().div_ceil(8) * 8;
     }
 
-    let mut out = Vec::with_capacity(cursor);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-    out.extend_from_slice(&flags.to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(view.num_edges as u64).to_le_bytes());
-    out.extend_from_slice(&(view.targets.len() as u64).to_le_bytes());
-    out.extend_from_slice(&view.total_weight.to_bits().to_le_bytes());
-    out.extend_from_slice(&body_sum.to_le_bytes());
+    let mut head = Vec::with_capacity(header_len);
+    head.extend_from_slice(&MAGIC);
+    head.extend_from_slice(&VERSION.to_le_bytes());
+    head.extend_from_slice(&(count as u32).to_le_bytes());
+    head.extend_from_slice(&flags.to_le_bytes());
+    head.extend_from_slice(&(n as u64).to_le_bytes());
+    head.extend_from_slice(&(view.num_edges as u64).to_le_bytes());
+    head.extend_from_slice(&(view.targets.len() as u64).to_le_bytes());
+    head.extend_from_slice(&view.total_weight.to_bits().to_le_bytes());
+    head.extend_from_slice(&body_sum.to_le_bytes());
     for (id, offset, len) in &table {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&len.to_le_bytes());
+        head.extend_from_slice(&id.to_le_bytes());
+        head.extend_from_slice(&0u32.to_le_bytes());
+        head.extend_from_slice(&offset.to_le_bytes());
+        head.extend_from_slice(&len.to_le_bytes());
     }
-    let header_sum = checksum(&out);
-    out.extend_from_slice(&header_sum.to_le_bytes());
-    debug_assert_eq!(out.len(), header_len);
-    for (_, bytes) in &sections {
-        out.extend_from_slice(bytes);
-        out.resize(out.len().div_ceil(8) * 8, 0);
+    let header_sum = checksum(&head);
+    head.extend_from_slice(&header_sum.to_le_bytes());
+    debug_assert_eq!(head.len(), header_len);
+    writer.write_all(&head)?;
+    for (_, payload) in &sections {
+        payload.pieces(&mut piece, |bytes| writer.write_all(bytes))?;
+        let padding = payload.len().div_ceil(8) * 8 - payload.len();
+        writer.write_all(&[0u8; 8][..padding])?;
     }
-    debug_assert_eq!(out.len(), cursor);
-    Ok(out)
-}
-
-/// Writes `g` in binary form to a writer.
-pub fn write_pcg_to(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    mut writer: impl Write,
-) -> Result<(), IoError> {
-    let bytes = pcg_bytes(g, relabeling)?;
-    writer.write_all(&bytes).map_err(IoError::from)
+    Ok(())
 }
 
 /// Writes `g` in binary form to `path` (conventionally `.pcg`).
@@ -583,6 +665,42 @@ mod tests {
         let bytes = pcg_bytes(&g, None).unwrap();
         let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
+    }
+
+    #[test]
+    fn checksum_of_pieces_is_the_checksum_of_the_whole() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 5, 8, 31, 32, 999, 1000] {
+            for piece_len in [8, 24, 64] {
+                let mut sum = Checksum::new();
+                bytes[..len].chunks(piece_len).for_each(|p| sum.update(p));
+                assert_eq!(
+                    sum.finish(),
+                    checksum(&bytes[..len]),
+                    "{len} by {piece_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sections_longer_than_a_piece_roundtrip_with_their_padding() {
+        // A weighted path plus one loop: an odd adjacency length, so the
+        // targets section ends in padding, and every section but the
+        // WAL sequence spans several pieces.
+        let n = 3 * PIECE_LEN / 8 + 5;
+        let mut b = GraphBuilder::new(n);
+        for u in 1..n as Node {
+            b.add_edge(u - 1, u, 0.5 + f64::from(u % 7));
+        }
+        b.add_edge(3, 3, 2.0);
+        let g = b.build();
+        assert_eq!(g.csr_view().targets.len() % 2, 1);
+        let bytes = pcg_bytes_with_wal_seq(&g, None, Some(9)).unwrap();
+        assert_eq!(bytes.len() % 8, 0);
+        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        assert_same_graph(&g, &loaded.graph);
+        assert_eq!(loaded.wal_seq, Some(9));
     }
 
     #[test]

@@ -124,21 +124,6 @@ fn strip_state_suffix(file_name: &str) -> Option<&str> {
         .find_map(|suffix| file_name.strip_suffix(suffix))
 }
 
-/// Writes `bytes` to `dst` atomically: staged at `tmp`, flushed (and
-/// `fsync`ed when asked), then renamed over `dst`. A crash at any point
-/// leaves either the old `dst` intact or a stale `tmp` that readers
-/// ignore — never a half-written `dst`.
-pub fn write_atomic(tmp: &Path, dst: &Path, bytes: &[u8], fsync: bool) -> io::Result<()> {
-    {
-        let mut file = File::create(tmp)?;
-        io::Write::write_all(&mut file, bytes)?;
-        if fsync {
-            file.sync_data()?;
-        }
-    }
-    std::fs::rename(tmp, dst)
-}
-
 /// Flushes directory metadata (the rename journal) to disk — the final
 /// step of a durable rotation. Best-effort on platforms where directories
 /// cannot be opened for sync.
@@ -177,19 +162,5 @@ mod tests {
         assert_eq!(strip_state_suffix("a.pcg.tmp"), Some("a"));
         assert_eq!(strip_state_suffix("a.wal"), Some("a"));
         assert_eq!(strip_state_suffix("a.txt"), None);
-    }
-
-    #[test]
-    fn write_atomic_replaces_without_partial_states() {
-        let dir = temp_dir("atomic");
-        let dst = dir.join("g.pcg");
-        let tmp = dir.join("g.pcg.tmp");
-        write_atomic(&tmp, &dst, b"first", true).unwrap();
-        assert_eq!(std::fs::read(&dst).unwrap(), b"first");
-        assert!(!tmp.exists());
-        write_atomic(&tmp, &dst, b"second", false).unwrap();
-        assert_eq!(std::fs::read(&dst).unwrap(), b"second");
-        fsync_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::{at_path, parse_error, IoError};
 use parcom_graph::Partition;
+use parcom_obs::json::u64_digits;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -38,10 +39,12 @@ pub fn read_partition(path: impl AsRef<Path>) -> Result<Partition, IoError> {
 /// Writes a partition to a writer.
 pub fn write_partition_to(p: &Partition, writer: impl Write) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
-    // audit:allow(lossy-cast): bounded by the u32 node id space
-    for v in 0..p.len() as u32 {
-        writeln!(w, "{}", p.subset_of(v))?;
+    let mut digits = [0; 20];
+    for &c in p.as_slice() {
+        w.write_all(u64_digits(u64::from(c), &mut digits))?;
+        w.write_all(b"\n")?;
     }
+    w.flush()?;
     Ok(())
 }
 
@@ -67,6 +70,14 @@ mod tests {
         write_partition_to(&p, &mut buf).unwrap();
         let q = read_partition_from(buf.as_slice()).unwrap();
         assert_eq!(p.as_slice(), q.as_slice());
+    }
+
+    #[test]
+    fn writes_one_decimal_id_per_line() {
+        let p = Partition::from_vec(vec![0, 9, 10, 4_294_967_294, 7]);
+        let mut buf = Vec::new();
+        write_partition_to(&p, &mut buf).unwrap();
+        assert_eq!(buf, b"0\n9\n10\n4294967294\n7\n");
     }
 
     #[test]

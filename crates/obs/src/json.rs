@@ -40,10 +40,31 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// The decimal digits of `v` as ASCII, written at the end of `buffer` —
+/// `u64::MAX` has 20 — without going through `core::fmt`: half the cost
+/// per number, which a partition of a million labels pays a million times.
+#[inline]
+pub fn u64_digits(mut v: u64, buffer: &mut [u8; 20]) -> &[u8] {
+    let mut at = buffer.len();
+    loop {
+        at -= 1;
+        buffer[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    &buffer[at..]
+}
+
 /// Appends `v` as a JSON number, exactly (no detour through `f64`).
+#[inline]
 pub fn write_u64(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    write!(out, "{v}").expect("writing to a String cannot fail");
+    // digit by digit: checking the slice as UTF-8 would cost what the
+    // loop saved
+    for &digit in u64_digits(v, &mut [0; 20]) {
+        out.push(char::from(digit));
+    }
 }
 
 /// Appends `"key":` for the next member of the object being written,
@@ -393,6 +414,25 @@ mod tests {
         write_str(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert!(validate(&out).is_ok());
+    }
+
+    #[test]
+    fn integers_are_written_as_core_fmt_writes_them() {
+        // golden: 0, every power of ten and its neighbours, u64::MAX
+        let mut values = vec![0, u64::MAX];
+        let mut power = 1u64;
+        loop {
+            values.extend([power - 1, power, power + 1]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        for v in values {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

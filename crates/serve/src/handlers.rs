@@ -25,7 +25,6 @@ use parcom_guard::{Budget, CancelToken, Termination};
 use parcom_io::{load_graph_auto, read_metis_bytes_budgeted, GraphFormat};
 use parcom_obs::json::{self, Value};
 use parcom_obs::Recorder;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Schema tag of every non-detect response body.
@@ -33,9 +32,11 @@ pub const SCHEMA: &str = "parcom-serve/v1";
 
 /// Schema tag of the `/detect` response body. Keys, in order: `schema`,
 /// `graph`, `spec`, `generation`, `nodes`, `edges`, `termination`,
-/// `communities`, `snapshot` (`{"folded_ops", "fold_ms"}`: the buffered
-/// edits this request folded in before detecting and what that cost;
-/// `0` / `0.0` when none were pending), `warm` (whether the run started
+/// `communities`, `snapshot` (`{"folded_ops", "fold_ms", "recycled"}`: the
+/// buffered edits this request folded in before detecting, what that cost
+/// and whether the fold wrote into the buffers of the CSR the previous fold
+/// retired instead of allocating; `0` / `0.0` / `false` when none were
+/// pending), `warm` (whether the run started
 /// from the graph's cached result for this spec), `base_generation` (the
 /// generation that result was computed at; `null` for a cold run), `report`
 /// (a full `parcom-run-report/v2`) and, on request, `partition`.
@@ -126,6 +127,12 @@ fn list_graphs(store: &GraphStore) -> Reply {
         // How stale each cached answer is: `generation - base_generation`
         // folds behind, `dirty` endpoints to re-evaluate (plus `pending`
         // operations not folded yet).
+        // What the graph holds in memory: its CSR, and — once edited —
+        // the retired CSR the next fold will write into.
+        json::write_key(&mut out, "resident_bytes");
+        json::write_u64(&mut out, stats.resident_bytes as u64);
+        json::write_key(&mut out, "spare_bytes");
+        json::write_u64(&mut out, stats.spare_bytes as u64);
         json::write_key(&mut out, "cached_specs");
         out.push('[');
         for (j, slot) in stats.warm.iter().enumerate() {
@@ -355,7 +362,7 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     let mut entry = lock_entry(&entry);
     // Bounded admission: shed before the WAL append so a refused batch
     // leaves no trace anywhere.
-    if entry.stats().pending + batch > MAX_PENDING_OPS {
+    if entry.pending() + batch > MAX_PENDING_OPS {
         return err(
             429,
             format!(
@@ -503,9 +510,10 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     let communities = (result.report.counter("communities"))
         .unwrap_or_else(|| result.partition.number_of_subsets() as u64);
     out.push_str(&format!(
-        ",\"communities\":{communities},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3}}},\"warm\":{},\"base_generation\":",
+        ",\"communities\":{communities},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3},\"recycled\":{}}},\"warm\":{},\"base_generation\":",
         snapshot.folded_ops,
         snapshot.fold_ms,
+        snapshot.recycled,
         base_generation.is_some()
     ));
     match base_generation {
@@ -528,7 +536,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
             if i > 0 {
                 out.push(',');
             }
-            write!(out, "{c}").expect("writing to a String cannot fail");
+            json::write_u64(&mut out, u64::from(c));
         }
         out.push(']');
     }

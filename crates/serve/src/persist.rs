@@ -23,10 +23,11 @@
 
 use crate::store::{lock_entry, GraphEntry, GraphStore};
 use crate::wal::{self, FsyncPolicy, WalWriter};
+use parcom_graph::relabel::Relabeling;
 use parcom_graph::Graph;
 use parcom_guard::Budget;
-use parcom_io::binfmt::{pcg_bytes_with_wal_seq, read_pcg_budgeted};
-use parcom_io::corpus::{fsync_dir, scan_corpus, state_paths, write_atomic, StatePaths};
+use parcom_io::binfmt::{read_pcg_budgeted, write_pcg_with_wal_seq};
+use parcom_io::corpus::{fsync_dir, scan_corpus, state_paths, StatePaths};
 use parcom_obs::Recorder;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -102,9 +103,8 @@ impl Durability {
             remove_if_exists(path)?;
         }
         let (graph, relabeling, _) = entry.current();
-        let bytes = pcg_bytes_with_wal_seq(&graph, relabeling.as_deref(), Some(entry.seq()))
-            .map_err(io_err)?;
-        write_atomic(&paths.pcg_tmp, &paths.pcg, &bytes, true)?;
+        stage(&paths.pcg_tmp, &graph, relabeling.as_deref(), entry.seq())?;
+        std::fs::rename(&paths.pcg_tmp, &paths.pcg)?;
         let wal = WalWriter::create(&paths.wal, entry.seq(), self.policy)?;
         fsync_dir(&self.dir)?;
         entry.attach_wal(wal);
@@ -118,12 +118,12 @@ impl Durability {
     /// lost; the checkpoint is simply retried later.
     pub fn checkpoint(&self, name: &str, entry: &mut GraphEntry) -> io::Result<()> {
         entry.rebuild();
+        // A checkpoint puts the graph at rest: give the second CSR back.
+        entry.drop_spare();
         let seq = entry.seq();
         let paths = self.paths(name);
         let (graph, relabeling, _) = entry.current();
-        let bytes =
-            pcg_bytes_with_wal_seq(&graph, relabeling.as_deref(), Some(seq)).map_err(io_err)?;
-        stage(&paths.pcg_tmp, &bytes)?;
+        stage(&paths.pcg_tmp, &graph, relabeling.as_deref(), seq)?;
         let wal = WalWriter::create(&paths.wal_tmp, seq, self.policy)?;
         parcom_guard::faultpoint!("serve/checkpoint-write");
         rename_if_exists(&paths.pcg, &paths.pcg_prev)?;
@@ -286,12 +286,14 @@ impl Durability {
     }
 }
 
-/// Stages checkpoint bytes at `tmp`, always fsynced: checkpoints are rare
-/// and a checkpoint that may vanish in a power cut is worthless, whatever
-/// the per-record WAL policy says.
-fn stage(tmp: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Stages the checkpoint of `graph` at WAL sequence `seq` at `tmp`,
+/// streamed from the CSR's arrays a piece at a time (no image of it is
+/// assembled in memory) and always fsynced: checkpoints are rare and a
+/// checkpoint that may vanish in a power cut is worthless, whatever the
+/// per-record WAL policy says.
+fn stage(tmp: &Path, graph: &Graph, relabeling: Option<&Relabeling>, seq: u64) -> io::Result<()> {
     let mut file = std::fs::File::create(tmp)?;
-    io::Write::write_all(&mut file, bytes)?;
+    write_pcg_with_wal_seq(graph, relabeling, Some(seq), &mut file).map_err(io_err)?;
     file.sync_data()
 }
 

@@ -7,7 +7,9 @@
 //! fresh CSR either when the buffer reaches [`REBUILD_BATCH`] operations,
 //! when a client forces it, or — always — before a detection snapshot, so
 //! every detection sees all acknowledged edits. The fold is a row merge
-//! ([`Graph::patched`]): untouched rows are copied, touched rows merged.
+//! ([`Graph::patched_into`]): untouched rows are copied, touched rows
+//! merged, into the buffers of the CSR the previous fold retired — the
+//! *spare* an edited graph keeps, so that a fold allocates nothing.
 //!
 //! Beside the CSR an entry keeps a few *warm slots*: per detector spec,
 //! the last partition a detection converged to, the generation it was
@@ -26,8 +28,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Pending-operation count that triggers an automatic rebuild at the end of
-/// an edge-batch request. A fold copies the whole CSR once (a memcpy plus
-/// the cache pass) whatever the batch size, so this is large enough to
+/// an edge-batch request. A fold copies the whole CSR once (a memcpy)
+/// whatever the batch size, so this is large enough to
 /// amortize that copy over many small batches, and small enough that the
 /// sort-and-merge of the touched rows stays a fraction of it.
 pub const REBUILD_BATCH: usize = 4096;
@@ -97,6 +99,10 @@ pub struct WarmStats {
 /// A named resident graph plus its mutation buffer.
 pub struct GraphEntry {
     graph: Arc<Graph>,
+    /// The CSR the last fold retired, if no snapshot still held it; the
+    /// next fold writes into its buffers. Owned, not shared: that is what
+    /// makes overwriting it safe. Checkpoint and eviction drop it.
+    spare: Option<Graph>,
     /// When the resident CSR is a relabeled view (loaded from a `.pcg`
     /// written with `--relabel`, or relabeled at load), the permutation
     /// back to original ids. Detection handlers map partitions through it
@@ -147,6 +153,10 @@ pub struct EntryStats {
     pub durable: bool,
     /// The warm slots: which specs have a cached result, and how stale.
     pub warm: Vec<WarmStats>,
+    /// Bytes of the resident CSR's five arrays.
+    pub resident_bytes: usize,
+    /// The same for the spare CSR kept for the next fold (0 without one).
+    pub spare_bytes: usize,
 }
 
 /// What a detection runs against: the CSR with every acknowledged edit
@@ -162,6 +172,18 @@ pub struct Snapshot {
     pub folded_ops: usize,
     /// Wall time of that fold in milliseconds (0.0 when nothing was pending).
     pub fold_ms: f64,
+    /// Whether that fold wrote into the spare's buffers, allocating nothing.
+    pub recycled: bool,
+}
+
+/// Bytes of the five arrays of `g`.
+fn csr_bytes(g: &Graph) -> usize {
+    let v = g.csr_view();
+    std::mem::size_of_val(v.offsets)
+        + std::mem::size_of_val(v.targets)
+        + std::mem::size_of_val(v.weights)
+        + std::mem::size_of_val(v.weighted_degrees)
+        + std::mem::size_of_val(v.self_loops)
 }
 
 /// Canonicalizes one operation's endpoint order so fold keys match the
@@ -181,6 +203,7 @@ impl GraphEntry {
     pub fn new(graph: Graph, relabeling: Option<Relabeling>) -> Self {
         Self {
             graph: Arc::new(graph),
+            spare: None,
             relabeling: relabeling.map(Arc::new),
             pending: Vec::new(),
             generation: 0,
@@ -256,13 +279,23 @@ impl GraphEntry {
         }
     }
 
+    /// Buffered operations not yet folded in.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Frees the spare CSR: a checkpoint puts the graph at rest, an eviction ends it.
+    pub fn drop_spare(&mut self) {
+        self.spare = None;
+    }
+
     /// Whether the buffer has reached the automatic rebuild threshold.
     pub fn rebuild_due(&self) -> bool {
         self.pending.len() >= REBUILD_BATCH
     }
 
     /// Folds the pending buffer into a fresh CSR by a row merge
-    /// ([`Graph::patched`]): the final state of each touched edge is
+    /// ([`Graph::patched_into`]): the final state of each touched edge is
     /// resolved in arrival order (last operation wins), then merged into
     /// the ≤ 2·|buffer| rows it touches while every other row is copied
     /// verbatim. Node ids beyond the current range grow the graph — `n`
@@ -273,11 +306,13 @@ impl GraphEntry {
     /// fully built, so a panic mid-rebuild (allocation failure, injected
     /// fault at `serve/store-rebuild`) leaves the resident graph, the
     /// pending buffer and the WAL exactly as they were — the rebuild can
-    /// simply be retried. The rebuilt CSR is bit-identical for a given
+    /// simply be retried; at worst the spare is gone, and the retry
+    /// allocates. The rebuilt CSR is bit-identical for a given
     /// (graph, buffered-op-sequence) pair regardless of thread count or
     /// rebuild batching: each fold leaves rows sorted by neighbor with the
-    /// surviving weights verbatim, and the caches are recomputed from the
-    /// arrays alone. Recovery replay relies on this.
+    /// surviving weights verbatim, and the caches are summed row by row
+    /// from the arrays alone, whatever buffers they were written into.
+    /// Recovery replay relies on this.
     ///
     /// Every fold, checkpoint and replay comes through here, so this is
     /// also where the warm slots learn what changed: each keeps the folded
@@ -285,8 +320,13 @@ impl GraphEntry {
     /// change under the cached partition) or when too much of the graph is
     /// dirty ([`WARM_DIRTY_SHARE`]).
     pub fn rebuild(&mut self) {
+        self.fold();
+    }
+
+    /// [`Self::rebuild`]; says whether the fold recycled the spare, allocating nothing.
+    fn fold(&mut self) -> bool {
         if self.pending.is_empty() {
-            return;
+            return false;
         }
         let n_old = self.graph.node_count();
         let mut n_new = n_old;
@@ -317,14 +357,14 @@ impl GraphEntry {
         // un-relabeled before the fold and the relabeling dropped: the
         // permutation is a load-time read optimization, and a mutated graph
         // no longer matches the degree order it was converted under.
-        let rebuilt = match &self.relabeling {
-            Some(r) => Relabeling::from_new_of_old(r.old_of_new().to_vec())
+        let unrelabeled = self.relabeling.as_ref().map(|r| {
+            Relabeling::from_new_of_old(r.old_of_new().to_vec())
                 .expect("the inverse of a permutation is a permutation")
                 .apply(&self.graph)
-                .patched(n_new, &edits),
-            None => self.graph.patched(n_new, &edits),
-        };
-        // Commit point: nothing above mutated the entry.
+        });
+        let base = unrelabeled.as_ref().unwrap_or(&self.graph);
+        let (rebuilt, recycled) = base.patched_into(n_new, &edits, self.spare.take());
+        // Commit point: nothing above mutated the entry but for the spare.
         if self.relabeling.take().is_some() {
             self.relabel_dropped = true;
             self.warm.clear();
@@ -338,9 +378,12 @@ impl GraphEntry {
             slot.dirty.len() <= dirty_cap
         });
         self.pending.clear();
-        self.graph = Arc::new(rebuilt);
+        // The next fold's buffers, unless a snapshot still reads them.
+        let retired = std::mem::replace(&mut self.graph, Arc::new(rebuilt));
+        self.spare = Arc::try_unwrap(retired).ok();
         self.generation += 1;
         self.rebuilds += 1;
+        recycled
     }
 
     /// The resident CSR (pending operations excluded), its relabeling (if
@@ -357,7 +400,7 @@ impl GraphEntry {
     pub fn snapshot(&mut self) -> Snapshot {
         let folded_ops = self.pending.len();
         let started = Instant::now();
-        self.rebuild();
+        let recycled = self.fold();
         let fold_ms = if folded_ops == 0 {
             0.0
         } else {
@@ -370,6 +413,7 @@ impl GraphEntry {
             generation,
             folded_ops,
             fold_ms,
+            recycled,
         }
     }
 
@@ -433,6 +477,8 @@ impl GraphEntry {
                     dirty: slot.dirty.len(),
                 })
                 .collect(),
+            resident_bytes: csr_bytes(&self.graph),
+            spare_bytes: self.spare.as_ref().map_or(0, csr_bytes),
         }
     }
 }
@@ -473,7 +519,9 @@ impl GraphStore {
     /// Evicts a named graph; `false` if it was not resident. In-flight
     /// detections keep their `Arc<Graph>` snapshot alive until they finish.
     pub fn remove(&self, name: &str) -> bool {
-        self.inner.write().unwrap().remove(name).is_some()
+        let removed = self.inner.write().unwrap().remove(name);
+        // A detection in flight keeps the entry alive, not its spare.
+        removed.inspect(|e| lock_entry(e).drop_spare()).is_some()
     }
 
     /// The entry for `name`, if resident.
@@ -582,6 +630,52 @@ mod tests {
         assert!(!store.remove("p"));
         // the snapshot outlives the eviction
         assert_eq!(g.node_count(), 5);
+    }
+
+    #[test]
+    fn a_held_snapshot_is_never_written_into_and_a_released_one_is_recycled() {
+        let bits = |g: &Graph| {
+            let v = g.csr_view();
+            let floats = [
+                v.weights,
+                v.weighted_degrees,
+                v.self_loops,
+                &[v.total_weight],
+            ];
+            let floats = floats.map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
+            (v.offsets.to_vec(), v.targets.to_vec(), floats, v.num_edges)
+        };
+        // Each fold adds one edge, far less than a fresh CSR's headroom.
+        let mut entry = GraphEntry::new(path_graph(1000), None);
+        let fold = |entry: &mut GraphEntry| {
+            let k = entry.stats().generation as Node;
+            entry.buffer_ops([EdgeOp::Insert(k, k + 500, 2.5)]);
+            entry.snapshot()
+        };
+        let held = fold(&mut entry);
+        assert!(!held.recycled && entry.stats().spare_bytes > 0);
+        let copy = bits(&held.graph);
+        // The spare (generation 0, capacity exact) is too small for the
+        // first fold, and the held CSR cannot become the second one's.
+        assert!(!fold(&mut entry).recycled);
+        assert_eq!(entry.stats().spare_bytes, 0);
+        assert!(!fold(&mut entry).recycled);
+        assert_eq!(bits(&held.graph), copy);
+        drop(held);
+
+        // With no reader left, a generation is retired by the next fold
+        // and written into by the one after it: same allocation, new
+        // contents.
+        let retired = fold(&mut entry).graph;
+        assert_eq!(retired.edge_count(), 999 + 4);
+        let address = retired.csr_view().targets.as_ptr();
+        drop(retired);
+        assert!(fold(&mut entry).recycled);
+        let reused = fold(&mut entry);
+        assert!(reused.recycled);
+        assert_eq!(reused.graph.csr_view().targets.as_ptr(), address);
+        assert_eq!(reused.graph.edge_count(), 999 + 6);
+        assert!(entry.stats().spare_bytes > 0);
     }
 
     #[test]

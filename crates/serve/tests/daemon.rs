@@ -212,6 +212,14 @@ fn full_lifecycle_over_unix_socket() {
     let snapshot = v.get("snapshot").unwrap();
     assert_eq!(get_u64(snapshot, "folded_ops"), 0);
     assert_eq!(snapshot.get("fold_ms").and_then(Value::as_f64), Some(0.0));
+    assert_eq!(
+        snapshot.get("recycled").and_then(Value::as_bool),
+        Some(false)
+    );
+    let keys: Vec<&str> = (snapshot.entries().unwrap().iter())
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(keys, ["folded_ops", "fold_ms", "recycled"]);
 
     // an already-expired deadline terminates with "deadline" but still
     // returns a valid (degraded) result
@@ -289,6 +297,9 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(graphs.len(), 1);
     assert_eq!(get_str(&graphs[0], "name"), "ring");
     assert_eq!(get_u64(&graphs[0], "rebuilds"), 2);
+    // an edited graph holds its CSR and the one the last fold retired
+    assert!(get_u64(&graphs[0], "resident_bytes") > 0);
+    assert!(get_u64(&graphs[0], "spare_bytes") > 0);
 
     let (status, _) = client.request("DELETE", "/graphs/ring", "");
     assert_eq!(status, 200);

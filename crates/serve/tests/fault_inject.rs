@@ -123,6 +123,58 @@ fn panicked_rebuild_never_corrupts_the_resident_graph_or_wal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The same panic on an entry that has been folded before, so that a
+/// spare CSR sits beside the resident one: the aborted fold must leave the
+/// graph, the pending buffer, the generation and the warm slots as they
+/// were, and the retry must produce the CSR an undisturbed entry does.
+#[test]
+fn panicked_rebuild_with_a_spare_present_changes_nothing_and_the_retry_is_bit_identical() {
+    let _serial = serial_guard();
+    FaultPlan::clear();
+    let mut entry = GraphEntry::new(seed_graph(), None);
+    for i in 0..2 {
+        entry.buffer_ops(batch(i));
+        entry.rebuild();
+    }
+    let partition = parcom_graph::Partition::singleton(seed_graph().node_count());
+    assert!(entry.store_result("plp:seed=1", 2, &partition));
+    entry.buffer_ops(batch(2));
+    let warm = |e: &GraphEntry| {
+        let slots = e.stats().warm;
+        (slots.iter())
+            .map(|s| (s.spec.clone(), s.base_generation, s.dirty))
+            .collect::<Vec<_>>()
+    };
+    let (before, slots) = (Graph::clone(&entry.current().0), warm(&entry));
+    assert!(entry.stats().spare_bytes > 0, "two folds leave a spare");
+
+    FaultPlan::arm("serve/store-rebuild", 1, FaultAction::Panic);
+    let aborted = catch_unwind(AssertUnwindSafe(|| entry.rebuild()));
+    assert!(aborted.is_err(), "armed rebuild should panic");
+    FaultPlan::clear();
+
+    let stats = entry.stats();
+    assert_eq!((stats.generation, stats.pending), (2, batch(2).len()));
+    assert_eq!(warm(&entry), slots);
+    assert!(csr_bit_identical(&entry.current().0, &before));
+
+    entry.rebuild();
+    assert_eq!(entry.stats().generation, 3);
+    let want = reference_csr(&[batch(0), batch(1), batch(2)]);
+    assert!(csr_bit_identical(&entry.current().0, &want));
+    let caches = |g: &Graph| {
+        let v = g.csr_view();
+        let floats = [v.weighted_degrees, v.self_loops, &[v.total_weight]];
+        (
+            floats.map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>()),
+            v.num_edges,
+        )
+    };
+    assert_eq!(caches(&entry.current().0), caches(&want));
+    // The slot learned the retried fold's endpoints (2, 9, 17), once.
+    assert_eq!(warm(&entry), [("plp:seed=1".to_string(), 2, 3)]);
+}
+
 /// A panic between the WAL record head and its payload (a genuinely torn
 /// tail) must wedge the writer fail-stop: the interrupted batch is never
 /// acknowledged and never recovered, later appends are refused rather

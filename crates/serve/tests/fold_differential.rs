@@ -287,3 +287,62 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
         }
     }
 }
+
+/// Nine folds through ONE entry, each snapshot against the reference fold
+/// of its predecessor: from the third on a fold writes into the buffers of
+/// the CSR retired two folds earlier, and what it writes must not depend
+/// on what they held.
+#[test]
+fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
+    use EdgeOp::{Insert, Remove};
+    let g = lfr(LfrParams::benchmark(5000, 0.3), 11).0;
+    let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+    let mut want = g.clone();
+    let mut entry = GraphEntry::new(g, None);
+    let mut recycled = Vec::new();
+    for step in 0..9 {
+        let (n, edges) = (want.node_count(), want.par_collect_edges());
+        let mut pick = |k: usize| {
+            (0..k)
+                .map(|_| edges[rng.below(edges.len())])
+                .collect::<Vec<_>>()
+        };
+        let batch: Vec<EdgeOp> = match step {
+            // growth: rows past the old node range, with id gaps
+            2 => (0..64)
+                .map(|i| Insert(i * 7, (n + 2 * i as usize) as Node, 1.5))
+                .collect(),
+            // a net-shrinking batch
+            3 => (pick(300).iter().map(|&(u, v, _)| Remove(u, v))).collect(),
+            // non-unit weights on new, overwritten and removed self-loops
+            4 => (pick(100).iter().enumerate())
+                .flat_map(|(i, &(u, v, w))| {
+                    [
+                        Insert(u, u, 0.1 + w / 3.0),
+                        Insert(v, v, 1e-17),
+                        Remove(u, u),
+                    ]
+                    .into_iter()
+                    .take(2 + i % 2)
+                })
+                .collect(),
+            // more new entries than any retired CSR's headroom holds
+            5 => (0..9000)
+                .map(|i| Insert(i % 4999, (i * 31 + 17) % 5000, 0.25 + f64::from(i % 7)))
+                .collect(),
+            _ => random_batch(&mut rng, &want, &edges),
+        };
+        want = fold_reference(&want, None, &batch);
+        entry.buffer_ops(batch);
+        let snapshot = entry.snapshot();
+        assert_bit_identical(&snapshot.graph, &want, &format!("fold {step}"));
+        recycled.push(snapshot.recycled);
+    }
+    assert!(want.node_count() > 5000 && entry.stats().rebuilds == 9);
+    // No spare yet; its capacity is exact; then every fold recycles, but
+    // the oversized one and the one that inherits the CSR before it.
+    assert_eq!(
+        recycled,
+        [false, false, true, true, true, false, false, true, true]
+    );
+}
