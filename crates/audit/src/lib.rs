@@ -217,15 +217,11 @@ pub const ORDERING_ALLOWED: &[&str] = &[
     "shims/rayon/src/pool.rs",
 ];
 
-/// Files in which `unsafe` is permitted. Every crate root carries
-/// `#![forbid(unsafe_code)]` (parcom-io downgrades to `deny` only under its
-/// `mmap` feature, parcom-serve under `signals`, the rayon shim always, each
-/// with one module-scoped `allow`), and this lint keeps the list of
-/// exceptions in one reviewable place.
+/// Files in which `unsafe` is permitted. Every crate forbids `unsafe_code`
+/// (parcom-serve downgrades to `deny` only under its `signals` feature,
+/// the rayon shim always, each with one module-scoped `allow`), and this
+/// lint keeps the list of exceptions in one reviewable place.
 pub const UNSAFE_ALLOWED: &[&str] = &[
-    // the feature-gated mapping module of the binary graph reopen path
-    // (DESIGN.md §15)
-    "crates/io/src/mmap.rs",
     // the daemon's signal-capture shim for graceful shutdown (DESIGN.md §16)
     "crates/serve/src/signal.rs",
     // the executor lends a region's stack-borrowing job to persistent
@@ -447,7 +443,7 @@ mod tests {
         // Scanned from inside the crate (`parcom-audit -- crates/serve`):
         // the path is relative to the crate, a suffix of the entry.
         assert!(path_allowed("src/signal.rs", UNSAFE_ALLOWED));
-        assert!(path_allowed("src/mmap.rs", UNSAFE_ALLOWED));
+        assert!(path_allowed("src/pool.rs", UNSAFE_ALLOWED));
         // Unrelated files stay disallowed either way.
         assert!(!path_allowed("crates/serve/src/wal.rs", UNSAFE_ALLOWED));
         assert!(!path_allowed("src/lib.rs", UNSAFE_ALLOWED));

@@ -2,7 +2,6 @@
 
 use crate::args::Args;
 use parcom_core::{compare, quality, Budget, CommunityDetector, CommunityGraph, DetectorSpec};
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::stats::{summarize, SummaryOptions};
 use parcom_graph::{Graph, Partition};
 use parcom_io::LoadedGraph;
@@ -30,48 +29,18 @@ macro_rules! say {
     };
 }
 
-/// Reads a graph, sniffing the format by magic first (`.pcg` binary) and
-/// extension second (`.metis`/`.graph`/`.pcg` = METIS text, everything
-/// else = edge list). Binary files written with `--relabel` come back with
-/// their [`Relabeling`] attached; commands that emit per-node output must
-/// map it to original ids.
-fn load_graph(path: &str) -> Result<LoadedGraph, Box<dyn Error>> {
-    load_graph_recorded(
+/// Reads a graph through [`parcom_io::load_graph_auto`], the loader shared
+/// with `parcom-serve`: magic first (`.pcg` binary), extension second
+/// (`.metis`/`.graph`/`.pcg` = METIS text, everything else = edge list).
+/// Binary files written with `--relabel` come back with their relabeling
+/// attached; commands that emit per-node output must map it to original
+/// ids.
+fn load_graph(path: &str) -> Result<LoadedGraph, parcom_io::IoError> {
+    parcom_io::load_graph_auto(
         path,
         &parcom_obs::Recorder::disabled(),
         &Budget::unlimited(),
     )
-}
-
-/// [`load_graph`] recording ingest phase spans (`ingest/load` for binary,
-/// `ingest/parse`/`ingest/build` for text) on `recorder` (a disabled
-/// recorder keeps the zero-overhead path) and enforcing the budget's
-/// ingest limits: METIS and binary headers exceeding them are rejected
-/// before allocation, edge lists after their (header-free) parse. Thin
-/// wrapper over [`parcom_io::load_graph_auto`], the ingest entry point
-/// shared with `parcom-serve`.
-fn load_graph_recorded(
-    path: &str,
-    recorder: &parcom_obs::Recorder,
-    budget: &Budget,
-) -> Result<LoadedGraph, Box<dyn Error>> {
-    Ok(parcom_io::load_graph_auto(path, recorder, budget)?)
-}
-
-/// Applies `--relabel`: reorders the graph hub-first unless the file
-/// already stored a relabeled view (then the stored permutation stands).
-fn maybe_relabel(
-    args: &Args,
-    graph: Graph,
-    relabeling: Option<Relabeling>,
-) -> (Graph, Option<Relabeling>) {
-    if args.switch("relabel") && relabeling.is_none() {
-        let r = Relabeling::degree_ordered(&graph);
-        let g = r.apply(&graph);
-        (g, Some(r))
-    } else {
-        (graph, relabeling)
-    }
 }
 
 /// Builds the requested algorithm through the [`DetectorSpec`] registry —
@@ -210,11 +179,14 @@ pub fn detect(args: &Args) -> CmdResult {
     } else {
         parcom_obs::Recorder::disabled()
     };
-    let loaded = load_graph_recorded(input, &ingest_rec, &make_limits())?;
+    let mut loaded = parcom_io::load_graph_auto(input, &ingest_rec, &make_limits())?;
     // Detection runs on the (possibly relabeled) resident view; per-node
     // output below is mapped back to original ids, so `--relabel` changes
     // cache behavior, never results.
-    let (g, relabeling) = maybe_relabel(args, loaded.graph, loaded.relabeling);
+    if args.switch("relabel") {
+        loaded.relabel();
+    }
+    let (g, relabeling) = (loaded.graph, loaded.relabeling);
     let mut algo = make_algorithm(args)?;
     let threads: usize = args.get_or("threads", 0)?;
 
@@ -302,8 +274,11 @@ pub fn detect(args: &Args) -> CmdResult {
 pub fn convert(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let out = args.require("out")?;
-    let loaded = load_graph(input)?;
-    let (g, relabeling) = maybe_relabel(args, loaded.graph, loaded.relabeling);
+    let mut loaded = load_graph(input)?;
+    if args.switch("relabel") {
+        loaded.relabel();
+    }
+    let (g, relabeling) = (loaded.graph, loaded.relabeling);
     parcom_io::write_pcg(&g, relabeling.as_ref(), out)?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     say!(

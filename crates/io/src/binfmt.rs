@@ -43,11 +43,10 @@
 //! METIS header admission; both checksums are verified before the graph is
 //! handed to callers.
 
-use crate::{at_path, IoError};
+use crate::{at_path, limit_error, GraphFormat, IoError, LoadedGraph};
 use parcom_graph::relabel::Relabeling;
 use parcom_graph::{CsrParts, Graph, Node};
 use parcom_guard::Budget;
-use parcom_obs::Recorder;
 use std::io::Write;
 use std::path::Path;
 
@@ -78,22 +77,8 @@ const ENTRY_LEN: usize = 24;
 /// the limits.
 const MAX_SECTIONS: u32 = 64;
 
-/// A graph loaded from the binary format, with the relabeling stored
-/// alongside it (when the file was written from a relabeled graph).
-#[derive(Debug)]
-pub struct PcgGraph {
-    /// The graph, in the file's (possibly relabeled) id space.
-    pub graph: Graph,
-    /// Permutation mapping original ids to the graph's ids, if any.
-    pub relabeling: Option<Relabeling>,
-    /// For daemon checkpoints: the last WAL sequence number folded into
-    /// this snapshot (recovery replays records strictly after it). `None`
-    /// for files written without a WAL context (e.g. `parcom convert`).
-    pub wal_seq: Option<u64>,
-}
-
 /// True if `bytes` starts with the `.pcg` magic — the sniff
-/// [`crate::load_graph_auto`] dispatches on.
+/// [`crate::load_graph_bytes`] dispatches on.
 pub fn is_pcg_magic(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
@@ -276,41 +261,17 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
 // ---------------------------------------------------------------------------
 // Writing.
 
-/// Serializes `g` (and its relabeling, if it is a relabeled view) in
-/// `parcom-graph-bin/v1` form.
-pub fn pcg_bytes(g: &Graph, relabeling: Option<&Relabeling>) -> Result<Vec<u8>, IoError> {
-    pcg_bytes_with_wal_seq(g, relabeling, None)
-}
-
-/// [`pcg_bytes`] with a WAL sequence section (see [`write_pcg_with_wal_seq`]).
-pub fn pcg_bytes_with_wal_seq(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    wal_seq: Option<u64>,
-) -> Result<Vec<u8>, IoError> {
-    let mut out = Vec::new();
-    write_pcg_with_wal_seq(g, relabeling, wal_seq, &mut out)?;
-    Ok(out)
-}
-
-/// Writes `g` in binary form to a writer.
-pub fn write_pcg_to(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    writer: impl Write,
-) -> Result<(), IoError> {
-    write_pcg_with_wal_seq(g, relabeling, None, writer)
-}
-
-/// [`write_pcg_to`] with a WAL sequence section — the daemon checkpoint
-/// writer: `wal_seq` records the last log record this snapshot covers, so
-/// recovery replays exactly the tail written after it.
+/// Writes `g` (and its relabeling, if it is a relabeled view) in
+/// `parcom-graph-bin/v1` form to a writer. `wal_seq` adds the WAL sequence
+/// section — the daemon checkpoint writer records the last log record the
+/// snapshot covers, so recovery replays exactly the tail written after it;
+/// `None` writes the plain file `parcom convert` does.
 ///
 /// The image is never assembled in memory: each section is converted
-/// [`PIECE_LEN`] bytes at a time straight from the graph's arrays, once
+/// `PIECE_LEN` bytes at a time straight from the graph's arrays, once
 /// for the checksums the header carries and once for the writer, so a
 /// checkpoint costs one piece beside the graph, not two more copies of it.
-pub fn write_pcg_with_wal_seq(
+pub fn write_pcg_to(
     g: &Graph,
     relabeling: Option<&Relabeling>,
     wal_seq: Option<u64>,
@@ -404,7 +365,7 @@ pub fn write_pcg(
     at_path(path, {
         (|| {
             let file = std::fs::File::create(path).map_err(IoError::from)?;
-            write_pcg_to(g, relabeling, std::io::BufWriter::new(file))
+            write_pcg_to(g, relabeling, None, std::io::BufWriter::new(file))
         })()
     })
 }
@@ -418,12 +379,13 @@ struct SectionEntry {
     len: usize,
 }
 
-/// Parses a `parcom-graph-bin/v1` image. Header claims are admitted
-/// against `budget` before any allocation proportional to them; both
-/// checksums are verified; the reassembled CSR passes the cheap structural
-/// checks of [`Graph::from_cached_parts`] (full validation in debug /
-/// `validate` builds).
-pub fn read_pcg_bytes_budgeted(bytes: &[u8], budget: &Budget) -> Result<PcgGraph, IoError> {
+/// Decodes a `parcom-graph-bin/v1` image — [`crate::load_graph_bytes`]'s
+/// binary branch. Header claims are admitted against `budget` before any
+/// allocation proportional to them; both checksums are verified; the
+/// reassembled CSR passes the cheap structural checks of
+/// [`Graph::from_cached_parts`] (full validation in debug / `validate`
+/// builds).
+pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoError> {
     if bytes.len() < HEAD_LEN + 8 {
         return Err(IoError::parse(format!(
             "file truncated: {} bytes, shorter than the {}-byte fixed header",
@@ -474,9 +436,10 @@ pub fn read_pcg_bytes_budgeted(bytes: &[u8], budget: &Budget) -> Result<PcgGraph
     let body_sum_stored = rd_u64(bytes, 56);
 
     if n > Node::MAX as usize {
-        return Err(IoError::parse(format!(
-            "header claims {n} nodes, more than the u32 id space"
-        )));
+        return Err(limit_error(
+            0,
+            format!("header claims {n} nodes, more than the u32 id space"),
+        ));
     }
     if adj > 2 * m {
         return Err(IoError::parse(format!(
@@ -485,9 +448,10 @@ pub fn read_pcg_bytes_budgeted(bytes: &[u8], budget: &Budget) -> Result<PcgGraph
     }
     // The same pre-allocation admission gate as the METIS header path.
     if budget.admits(n, m).is_err() {
-        return Err(IoError::parse(format!(
-            "header claims {n} nodes / {m} edges, exceeding the ingest limit"
-        )));
+        return Err(limit_error(
+            0,
+            format!("header claims {n} nodes / {m} edges, exceeding the ingest limit"),
+        ));
     }
 
     // Section table: every payload must lie fully inside the file, past the
@@ -579,46 +543,32 @@ pub fn read_pcg_bytes_budgeted(bytes: &[u8], budget: &Budget) -> Result<PcgGraph
     })
     .map_err(|e| IoError::parse(format!("inconsistent graph data: {e}")))?;
 
-    Ok(PcgGraph {
+    Ok(LoadedGraph {
         graph,
         relabeling,
+        format: GraphFormat::PcgBinary,
         wal_seq,
-    })
-}
-
-/// Reads a binary graph from `path` under a [`Budget`], recording an
-/// `ingest/load` phase span (with a `bytes` counter) on `recorder` — the
-/// binary counterpart of [`crate::read_metis_budgeted`]'s
-/// `ingest/parse`/`ingest/build` pair.
-///
-/// With the `mmap` feature the file is mapped instead of read, so reopen
-/// cost is page-cache lookups rather than a copy; the default build stays
-/// on the safe `std::fs::read` path.
-pub fn read_pcg_budgeted(
-    path: impl AsRef<Path>,
-    recorder: &Recorder,
-    budget: &Budget,
-) -> Result<PcgGraph, IoError> {
-    let path = path.as_ref();
-    at_path(path, {
-        (|| {
-            let span = recorder.span("ingest/load");
-            #[cfg(feature = "mmap")]
-            let bytes = crate::mmap::Mmap::map(path).map_err(IoError::from)?;
-            #[cfg(not(feature = "mmap"))]
-            let bytes = std::fs::read(path).map_err(IoError::from)?;
-            let out = read_pcg_bytes_budgeted(&bytes, budget)?;
-            span.counter("bytes", bytes.len() as u64);
-            span.close();
-            Ok(out)
-        })()
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{load_graph_auto, load_graph_bytes};
     use parcom_graph::GraphBuilder;
+    use parcom_obs::Recorder;
+
+    /// The file image `write_pcg_to` streams.
+    fn image(g: &Graph, relabeling: Option<&Relabeling>, wal_seq: Option<u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_pcg_to(g, relabeling, wal_seq, &mut out).unwrap();
+        out
+    }
+
+    /// An image through the one decoder, as recovery reads checkpoints.
+    fn load(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoError> {
+        load_graph_bytes(bytes, GraphFormat::PcgBinary, &Recorder::disabled(), budget)
+    }
 
     fn sample(weighted: bool) -> Graph {
         let mut b = GraphBuilder::new(6);
@@ -652,9 +602,9 @@ mod tests {
     #[test]
     fn roundtrip_unweighted() {
         let g = sample(false);
-        let bytes = pcg_bytes(&g, None).unwrap();
+        let bytes = image(&g, None, None);
         assert!(is_pcg_magic(&bytes));
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert!(loaded.relabeling.is_none());
     }
@@ -662,8 +612,8 @@ mod tests {
     #[test]
     fn roundtrip_weighted_and_self_loops() {
         let g = sample(true);
-        let bytes = pcg_bytes(&g, None).unwrap();
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let bytes = image(&g, None, None);
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
     }
 
@@ -696,17 +646,17 @@ mod tests {
         b.add_edge(3, 3, 2.0);
         let g = b.build();
         assert_eq!(g.csr_view().targets.len() % 2, 1);
-        let bytes = pcg_bytes_with_wal_seq(&g, None, Some(9)).unwrap();
+        let bytes = image(&g, None, Some(9));
         assert_eq!(bytes.len() % 8, 0);
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert_eq!(loaded.wal_seq, Some(9));
     }
 
     #[test]
     fn unweighted_graphs_omit_the_weights_section() {
-        let unweighted = pcg_bytes(&sample(false), None).unwrap();
-        let weighted = pcg_bytes(&sample(true), None).unwrap();
+        let unweighted = image(&sample(false), None, None);
+        let weighted = image(&sample(true), None, None);
         // Section counts differ by exactly the weights section.
         assert_eq!(rd_u32(&unweighted, 12) + 1, rd_u32(&weighted, 12));
     }
@@ -716,8 +666,8 @@ mod tests {
         let g = sample(true);
         let r = Relabeling::degree_ordered(&g);
         let h = r.apply(&g);
-        let bytes = pcg_bytes(&h, Some(&r)).unwrap();
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let bytes = image(&h, Some(&r), None);
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&h, &loaded.graph);
         let lr = loaded.relabeling.unwrap();
         assert_eq!(lr.new_of_old(), r.new_of_old());
@@ -727,21 +677,21 @@ mod tests {
     #[test]
     fn roundtrip_wal_seq_section() {
         let g = sample(true);
-        let bytes = pcg_bytes_with_wal_seq(&g, None, Some(417)).unwrap();
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let bytes = image(&g, None, Some(417));
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert_eq!(loaded.wal_seq, Some(417));
         // Files written without a WAL context read back as None.
-        let plain = pcg_bytes(&g, None).unwrap();
-        let loaded = read_pcg_bytes_budgeted(&plain, &Budget::unlimited()).unwrap();
+        let plain = image(&g, None, None);
+        let loaded = load(&plain, &Budget::unlimited()).unwrap();
         assert_eq!(loaded.wal_seq, None);
     }
 
     #[test]
     fn roundtrip_empty_graph() {
         let g = GraphBuilder::new(0).build();
-        let bytes = pcg_bytes(&g, None).unwrap();
-        let loaded = read_pcg_bytes_budgeted(&bytes, &Budget::unlimited()).unwrap();
+        let bytes = image(&g, None, None);
+        let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_eq!(loaded.graph.node_count(), 0);
         assert_eq!(loaded.graph.edge_count(), 0);
     }
@@ -755,7 +705,7 @@ mod tests {
         write_pcg(&g, None, &path).unwrap();
 
         let rec = Recorder::enabled();
-        let loaded = read_pcg_budgeted(&path, &rec, &Budget::unlimited()).unwrap();
+        let loaded = load_graph_auto(&path, &rec, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         let report = rec.finish("ingest");
         let load = report.phase("ingest/load").unwrap();
@@ -769,10 +719,11 @@ mod tests {
     #[test]
     fn budget_rejects_oversized_header_before_loading() {
         let g = sample(false);
-        let bytes = pcg_bytes(&g, None).unwrap();
+        let bytes = image(&g, None, None);
         let budget = Budget::unlimited().with_input_limits(2, 1000);
-        let err = read_pcg_bytes_budgeted(&bytes, &budget).unwrap_err();
+        let err = load(&bytes, &budget).unwrap_err();
         assert!(err.to_string().contains("exceeding the ingest limit"));
+        assert!(matches!(err.kind(), crate::IoErrorKind::Limit(_)), "{err}");
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! reader (DESIGN.md §10): chunks tokenize in parallel with zero per-line
 //! allocation into raw `(line, u, v, w)` records; a short sequential pass
 //! then interns node labels in chunk order, which reproduces the
-//! first-seen label numbering of the sequential reader exactly. The
-//! pre-parallel line-by-line reader is retained as
-//! [`read_edge_list_seq`], the differential-test reference.
+//! first-seen label numbering of the sequential reader exactly. Graphs
+//! are read through [`crate::load_graph_bytes`]; [`read_edge_list_chunked`]
+//! fixes the chunk count (and keeps the labels) for the differential
+//! tests, and the pre-parallel line-by-line reader is retained as
+//! [`read_edge_list_seq`], their reference.
 
 use crate::chunk::{self, Chunk};
-use crate::{at_path, parse_error, IoError};
+use crate::{limit_error, parse_error, IoError};
 use parcom_graph::hashing::FxHashMap;
 use parcom_graph::{Graph, GraphBuilder, Node};
-use parcom_obs::Recorder;
 use rayon::prelude::*;
-use std::io::{BufRead, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::BufRead;
 
 /// Result of reading an edge list: the graph plus the original node labels
 /// (indexed by compact node id).
@@ -78,17 +78,12 @@ fn parse_chunk(c: Chunk<'_>) -> Result<Vec<RawEdge>, IoError> {
     Ok(out)
 }
 
-/// Everything known after parsing, before CSR assembly.
-struct ParsedEdgeList {
-    builder: GraphBuilder,
-    labels: Vec<u64>,
-}
-
 /// Tokenizes in parallel (up to `parts` chunks), then interns labels
 /// sequentially in chunk = line order, preserving the first-seen
-/// numbering of the sequential reader.
+/// numbering of the sequential reader. Returns the loaded builder and the
+/// original labels by compact id.
 // audit:allow(budget-propagation): one bounded parallel tokenize per input file; the driver checks the budget between pipeline phases
-fn parse_edge_list(bytes: &[u8], parts: usize) -> Result<ParsedEdgeList, IoError> {
+pub(crate) fn parse(bytes: &[u8], parts: usize) -> Result<(GraphBuilder, Vec<u64>), IoError> {
     let chunks = chunk::chunk_lines(bytes, parts, 1);
     let per_chunk =
         chunk::first_error(chunks.into_par_iter().map(parse_chunk).collect::<Vec<_>>())?;
@@ -110,7 +105,7 @@ fn parse_edge_list(bytes: &[u8], parts: usize) -> Result<ParsedEdgeList, IoError
         let cu = intern(u);
         let cv = intern(v);
         if labels.len() > u32::MAX as usize {
-            return Err(parse_error(lineno, "more than u32::MAX distinct node ids"));
+            return Err(limit_error(lineno, "more than u32::MAX distinct node ids"));
         }
         edges.push((cu, cv, w));
     }
@@ -119,33 +114,18 @@ fn parse_edge_list(bytes: &[u8], parts: usize) -> Result<ParsedEdgeList, IoError
     // validation and canonicalization run in place.
     let mut builder = GraphBuilder::new(labels.len());
     builder.extend_edges(edges);
-    Ok(ParsedEdgeList { builder, labels })
+    Ok((builder, labels))
 }
 
-/// Reads an edge list from a byte buffer with an explicit chunk count.
-/// Exposed for the differential tests; [`read_edge_list_from`] picks the
-/// chunk count automatically.
+/// Reads an edge list from a byte buffer with an explicit chunk count,
+/// keeping the labels, for the differential tests; everything else reads
+/// through [`crate::load_graph_bytes`], which picks the chunk count itself.
 pub fn read_edge_list_chunked(bytes: &[u8], parts: usize) -> Result<EdgeListGraph, IoError> {
-    let parsed = parse_edge_list(bytes, parts)?;
+    let (builder, labels) = parse(bytes, parts)?;
     Ok(EdgeListGraph {
-        graph: parsed.builder.build(),
-        labels: parsed.labels,
+        graph: builder.build(),
+        labels,
     })
-}
-
-/// Reads an edge list from an in-memory buffer with an automatically
-/// chosen chunk count — the zero-copy core of [`read_edge_list_from`]
-/// and [`read_edge_list`].
-pub fn read_edge_list_bytes(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
-    read_edge_list_chunked(bytes, chunk::auto_parts(bytes.len()))
-}
-
-/// Reads an edge list from a reader (buffer + chunked parse; see the
-/// module docs).
-pub fn read_edge_list_from(mut reader: impl Read) -> Result<EdgeListGraph, IoError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    read_edge_list_bytes(&bytes)
 }
 
 /// The retained pre-parallel reader: line-by-line with a `String` per
@@ -202,7 +182,7 @@ pub fn read_edge_list_seq(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
         let cu = intern(u, &mut ids, &mut labels);
         let cv = intern(v, &mut ids, &mut labels);
         if labels.len() > u32::MAX as usize {
-            return Err(parse_error(lineno, "more than u32::MAX distinct node ids"));
+            return Err(limit_error(lineno, "more than u32::MAX distinct node ids"));
         }
         edges.push((cu, cv, w));
     }
@@ -217,85 +197,27 @@ pub fn read_edge_list_seq(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
     })
 }
 
-/// Reads an edge list from a file path. Errors carry the path (and line).
-pub fn read_edge_list(path: impl AsRef<Path>) -> Result<EdgeListGraph, IoError> {
-    read_edge_list_recorded(path, &Recorder::disabled())
-}
-
-/// Reads an edge list from a file path, recording `ingest/parse` and
-/// `ingest/build` phase spans (with byte/edge counters) on `recorder`.
-/// With a disabled recorder this is exactly [`read_edge_list`].
-pub fn read_edge_list_recorded(
-    path: impl AsRef<Path>,
-    recorder: &Recorder,
-) -> Result<EdgeListGraph, IoError> {
-    let path = path.as_ref();
-    at_path(path, {
-        (|| {
-            let parse_span = recorder.span("ingest/parse");
-            let bytes = std::fs::read(path).map_err(IoError::from)?;
-            let parsed = parse_edge_list(&bytes, chunk::auto_parts(bytes.len()))?;
-            parse_span.counter("bytes", bytes.len() as u64);
-            parse_span.counter("pending_edges", parsed.builder.pending_edges() as u64);
-            parse_span.close();
-
-            let build_span = recorder.span("ingest/build");
-            let graph = parsed.builder.build();
-            build_span.counter("edges", graph.edge_count() as u64);
-            build_span.close();
-            Ok(EdgeListGraph {
-                graph,
-                labels: parsed.labels,
-            })
-        })()
-    })
-}
-
-/// Writes a graph as an edge list (each undirected edge once, weights
-/// emitted unless all are 1).
-pub fn write_edge_list_to(g: &Graph, writer: impl Write) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    let weighted = g.nodes().any(|u| g.edges_of(u).any(|(_, wt)| wt != 1.0));
-    writeln!(
-        w,
-        "# parcom edge list: {} nodes, {} edges",
-        g.node_count(),
-        g.edge_count()
-    )?;
-    let mut result = Ok(());
-    g.for_edges(|u, v, wt| {
-        if result.is_err() {
-            return;
-        }
-        result = if weighted {
-            writeln!(w, "{u} {v} {wt}")
-        } else {
-            writeln!(w, "{u} {v}")
-        };
-    });
-    result?;
-    Ok(())
-}
-
-/// Writes an edge list to a file path. Errors carry the path.
-pub fn write_edge_list(g: &Graph, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let path = path.as_ref();
-    at_path(
-        path,
-        std::fs::File::create(path)
-            .map_err(IoError::from)
-            .and_then(|f| write_edge_list_to(g, f)),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{load_graph_auto, load_graph_bytes, GraphFormat, LoadedGraph};
+    use parcom_guard::Budget;
+    use parcom_obs::Recorder;
+
+    /// An edge list through the one decoder.
+    fn read(bytes: &[u8]) -> Result<LoadedGraph, IoError> {
+        load_graph_bytes(
+            bytes,
+            GraphFormat::EdgeList,
+            &Recorder::disabled(),
+            &Budget::unlimited(),
+        )
+    }
 
     #[test]
     fn parses_with_comments_and_gaps() {
         let input = "# SNAP-style\n10 20\n20 30\n% other comment\n10 30\n";
-        let el = read_edge_list_from(input.as_bytes()).unwrap();
+        let el = read_edge_list_chunked(input.as_bytes(), 1).unwrap();
         assert_eq!(el.graph.node_count(), 3);
         assert_eq!(el.graph.edge_count(), 3);
         assert_eq!(el.labels, vec![10, 20, 30]);
@@ -303,13 +225,13 @@ mod tests {
 
     #[test]
     fn parses_weights() {
-        let el = read_edge_list_from("0 1 2.5\n1 2 0.5\n".as_bytes()).unwrap();
+        let el = read("0 1 2.5\n1 2 0.5\n".as_bytes()).unwrap();
         assert_eq!(el.graph.edge_weight(0, 1), Some(2.5));
     }
 
     #[test]
     fn duplicate_edges_merge() {
-        let el = read_edge_list_from("0 1\n1 0\n".as_bytes()).unwrap();
+        let el = read("0 1\n1 0\n".as_bytes()).unwrap();
         assert_eq!(el.graph.edge_count(), 1);
         assert_eq!(el.graph.edge_weight(0, 1), Some(2.0));
     }
@@ -346,23 +268,23 @@ mod tests {
     #[test]
     fn roundtrip() {
         let (g, _) = parcom_generators::ring_of_cliques(3, 4);
-        let mut buf = Vec::new();
-        write_edge_list_to(&g, &mut buf).unwrap();
-        let el = read_edge_list_from(buf.as_slice()).unwrap();
+        let mut text = String::from("# ring of cliques\n");
+        g.for_edges(|u, v, _| text.push_str(&format!("{u} {v}\n")));
+        let el = read(text.as_bytes()).unwrap();
         assert_eq!(el.graph.node_count(), g.node_count());
         assert_eq!(el.graph.edge_count(), g.edge_count());
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        assert!(read_edge_list_from("0\n".as_bytes()).is_err());
-        assert!(read_edge_list_from("a b\n".as_bytes()).is_err());
-        assert!(read_edge_list_from("0 1 x\n".as_bytes()).is_err());
+        assert!(read("0\n".as_bytes()).is_err());
+        assert!(read("a b\n".as_bytes()).is_err());
+        assert!(read("0 1 x\n".as_bytes()).is_err());
     }
 
     #[test]
     fn empty_input_is_empty_graph() {
-        let el = read_edge_list_from("# nothing\n".as_bytes()).unwrap();
+        let el = read("# nothing\n".as_bytes()).unwrap();
         assert_eq!(el.graph.node_count(), 0);
     }
 
@@ -373,7 +295,7 @@ mod tests {
         let path = dir.join("g.txt");
         std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
         let rec = Recorder::enabled();
-        let el = read_edge_list_recorded(&path, &rec).unwrap();
+        let el = load_graph_auto(&path, &rec, &Budget::unlimited()).unwrap();
         assert_eq!(el.graph.edge_count(), 3);
         let report = rec.finish("ingest");
         assert!(report.phase("ingest/parse").is_some());

@@ -1,11 +1,3 @@
-// The workspace-wide no-unsafe rule, with one audited exception: the
-// `mmap` feature compiles `src/mmap.rs` (see DESIGN.md §15). `forbid`
-// cannot be overridden even by that one module, so the feature swaps it
-// for `deny`, which `mmap.rs` alone is allowed to lift; every other
-// module stays unsafe-free under both lints, and `parcom-audit` flags any
-// unsafe outside the allowlisted file.
-#![cfg_attr(not(feature = "mmap"), forbid(unsafe_code))]
-#![cfg_attr(feature = "mmap", deny(unsafe_code))]
 #![warn(missing_docs)]
 
 //! # parcom-io — graph and partition I/O
@@ -17,24 +9,21 @@
 //!   collection (reader and writer, weighted and unweighted).
 //! * [`edgelist`] — whitespace-separated edge lists (SNAP style), with
 //!   comment handling and automatic node-id compaction.
-//!
-//! Both graph readers use a parallel byte-chunked ingest pipeline
-//! (DESIGN.md §10): the file is read into one buffer, split on line
-//! boundaries into per-core chunks, parsed with zero per-line allocation,
-//! and assembled by the parallel CSR builder. The `*_recorded` entry
-//! points expose `ingest/parse` / `ingest/build` phase timings through
-//! `parcom-obs`. The pre-parallel readers are retained as
-//! [`metis::read_metis_seq`] / [`edgelist::read_edge_list_seq`] and pinned
-//! bit-identical by differential proptests.
 //! * [`binfmt`] — the `parcom-graph-bin/v1` binary graph format (`.pcg`):
 //!   checksummed, section-tabled CSR with the derived caches stored, so
 //!   reopening a converted graph is a contiguous read plus word-wise
-//!   conversion — no parsing, no CSR assembly (DESIGN.md §15). The `mmap`
-//!   feature maps instead of reading ([`mmap`]), the workspace's one
-//!   audited `unsafe` module.
+//!   conversion — no parsing, no CSR assembly (DESIGN.md §15).
 //! * [`partition_io`] — one community id per line, aligned with node ids.
 //! * [`dot`] — Graphviz export of community graphs (node size proportional
 //!   to community size, like the paper's PGPgiantcompo drawings).
+//!
+//! Every graph is decoded in one place, [`load_graph_bytes`]: it sniffs
+//! the `.pcg` magic, admits the input against the [`Budget`], and records
+//! the `ingest/*` spans. [`load_graph_auto`] is a file read plus the
+//! extension hint over it. The text decoders are a parallel byte-chunked
+//! pipeline (DESIGN.md §10); the pre-parallel readers are retained as
+//! [`metis::read_metis_seq`] / [`edgelist::read_edge_list_seq`] and pinned
+//! bit-identical by differential proptests.
 
 pub mod binfmt;
 pub(crate) mod chunk;
@@ -42,28 +31,21 @@ pub mod corpus;
 pub mod dot;
 pub mod edgelist;
 pub mod metis;
-#[cfg(feature = "mmap")]
-pub mod mmap;
 pub mod partition_io;
 
-pub use binfmt::{read_pcg_budgeted, write_pcg, PcgGraph};
+pub use binfmt::write_pcg;
 pub use corpus::{scan_corpus, state_paths, CorpusEntry, StatePaths};
 pub use dot::write_community_graph_dot;
-pub use edgelist::{read_edge_list, read_edge_list_recorded, write_edge_list};
-pub use metis::{
-    read_metis, read_metis_budgeted, read_metis_bytes_budgeted, read_metis_recorded, write_metis,
-    write_metis_to,
-};
+pub use metis::{write_metis, write_metis_to};
 pub use partition_io::{read_partition, write_partition};
 
 use parcom_graph::relabel::Relabeling;
-use parcom_graph::Graph;
+use parcom_graph::{Graph, GraphBuilder};
 use parcom_guard::Budget;
 use parcom_obs::Recorder;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
-/// Which on-disk format [`load_graph_auto`] found.
+/// The on-disk format of a graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphFormat {
     /// `parcom-graph-bin/v1` binary ([`binfmt`]), detected by magic.
@@ -85,9 +67,8 @@ impl GraphFormat {
     }
 }
 
-/// What [`load_graph_auto`] returns: the graph, the relabeling stored
-/// with it (binary files written with `parcom convert --relabel`), and
-/// the detected format.
+/// What the loader returns: the graph, what the file stored beside it,
+/// and the format it was decoded as.
 #[derive(Debug)]
 pub struct LoadedGraph {
     /// The graph, in the file's (possibly relabeled) id space.
@@ -96,85 +77,135 @@ pub struct LoadedGraph {
     /// Callers that emit partitions must map them back through
     /// [`Relabeling::to_original`].
     pub relabeling: Option<Relabeling>,
-    /// The format the file was detected as.
+    /// The format the input was decoded as.
     pub format: GraphFormat,
+    /// For daemon checkpoints: the last WAL sequence number folded into
+    /// the snapshot (recovery replays records strictly after it). `None`
+    /// for everything else, `parcom convert` output included.
+    pub wal_seq: Option<u64>,
 }
 
-/// Reads a graph from `path`, sniffing the format by content first and
-/// extension second: a file starting with the `.pcg` magic bytes is
-/// binary *whatever its name*; otherwise `.metis`/`.graph`/`.pcg` parse
-/// as METIS (a text graph renamed `.pcg` still loads) and everything else
-/// as an edge list. Ingest spans (`ingest/load` or
-/// `ingest/parse`/`ingest/build`) are recorded on `recorder`, and the
-/// budget's input limits are enforced: METIS and binary headers are
-/// rejected *before* allocation, edge lists (which have no header to
-/// admit against) after their parse. The single ingest entry point shared
-/// by the CLI and `parcom-serve`, so both front ends admit and instrument
-/// identically.
+impl LoadedGraph {
+    /// Reorders the graph hub-first ([`Relabeling::degree_ordered`])
+    /// unless the file already stored a relabeled view, whose permutation
+    /// then stands.
+    pub fn relabel(&mut self) {
+        if self.relabeling.is_none() {
+            let r = Relabeling::degree_ordered(&self.graph);
+            self.graph = r.apply(&self.graph);
+            self.relabeling = Some(r);
+        }
+    }
+}
+
+/// Reads the graph at `path`: [`load_graph_bytes`] over the file's bytes,
+/// with the extension as the fallback format (`.metis`/`.graph`/`.pcg`
+/// parse as METIS, so a text graph renamed `.pcg` still loads; everything
+/// else as an edge list) and the path attached to every error. The ingest
+/// entry point of the CLI and of the daemon's `PUT {"path"}`.
 pub fn load_graph_auto(
     path: impl AsRef<Path>,
     recorder: &Recorder,
     budget: &Budget,
 ) -> Result<LoadedGraph, IoError> {
     let path = path.as_ref();
-    if at_path(path, sniff_pcg(path))? {
-        let loaded = binfmt::read_pcg_budgeted(path, recorder, budget)?;
-        return Ok(LoadedGraph {
-            graph: loaded.graph,
-            relabeling: loaded.relabeling,
-            format: GraphFormat::PcgBinary,
-        });
-    }
-    let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-    if matches!(ext, "metis" | "graph" | "pcg") {
-        let graph = read_metis_budgeted(path, recorder, budget)?;
-        Ok(LoadedGraph {
-            graph,
-            relabeling: None,
-            format: GraphFormat::Metis,
-        })
-    } else {
-        let graph = read_edge_list_recorded(path, recorder)?.graph;
-        if budget
-            .admits(graph.node_count(), graph.edge_count())
-            .is_err()
-        {
-            return Err(IoError::parse(format!(
-                "graph has {} nodes / {} edges, exceeding the ingest limit",
-                graph.node_count(),
-                graph.edge_count()
-            ))
-            .with_path(path));
-        }
-        Ok(LoadedGraph {
-            graph,
-            relabeling: None,
-            format: GraphFormat::EdgeList,
-        })
-    }
+    let fallback = match path.extension().and_then(|e| e.to_str()) {
+        Some("metis" | "graph" | "pcg") => GraphFormat::Metis,
+        _ => GraphFormat::EdgeList,
+    };
+    at_path(
+        path,
+        std::fs::read(path)
+            .map_err(IoError::from)
+            .and_then(|bytes| load_graph_bytes(&bytes, fallback, recorder, budget)),
+    )
 }
 
-/// Reads just enough of `path` to test for the binary magic. A file
-/// shorter than the magic is simply not binary, not an error.
-fn sniff_pcg(path: &Path) -> Result<bool, IoError> {
-    let mut file = std::fs::File::open(path).map_err(IoError::from)?;
-    let mut head = [0u8; 8];
-    let mut filled = 0;
-    while filled < head.len() {
-        let got = file.read(&mut head[filled..]).map_err(IoError::from)?;
-        if got == 0 {
-            return Ok(false);
+/// Decodes a graph from `bytes` — the one place any graph is decoded.
+///
+/// Bytes starting with the `.pcg` magic are binary whatever `fallback`
+/// says; anything else decodes as `fallback`, so a caller that passes
+/// [`GraphFormat::PcgBinary`] gets the typed "bad magic" error for a
+/// damaged binary, never a text parse of it. The budget's input limits
+/// are enforced per format: METIS and binary headers are admitted
+/// *before* allocation, edge lists (no header) after their build. Spans on
+/// `recorder`: `ingest/load` (counter `bytes`) for binary, `ingest/parse`
+/// (`bytes`, `pending_edges`) then `ingest/build` (`edges`) for text.
+pub fn load_graph_bytes(
+    bytes: &[u8],
+    fallback: GraphFormat,
+    recorder: &Recorder,
+    budget: &Budget,
+) -> Result<LoadedGraph, IoError> {
+    let format = if binfmt::is_pcg_magic(bytes) {
+        GraphFormat::PcgBinary
+    } else {
+        fallback
+    };
+    let parts = chunk::auto_parts(bytes.len());
+    let graph = match format {
+        GraphFormat::PcgBinary => {
+            let span = recorder.span("ingest/load");
+            let loaded = binfmt::decode(bytes, budget)?;
+            span.counter("bytes", bytes.len() as u64);
+            return Ok(loaded);
         }
-        filled += got;
-    }
-    Ok(binfmt::is_pcg_magic(&head))
+        GraphFormat::Metis => parse_then_build(
+            bytes,
+            recorder,
+            || metis::parse(bytes, parts, budget),
+            |builder, claimed| metis::finish(builder, claimed, || chunk::line_count(bytes)),
+        )?,
+        GraphFormat::EdgeList => {
+            let graph = parse_then_build(
+                bytes,
+                recorder,
+                || edgelist::parse(bytes, parts),
+                |builder, _labels| Ok(builder.build()),
+            )?;
+            let (n, m) = (graph.node_count(), graph.edge_count());
+            if budget.admits(n, m).is_err() {
+                return Err(limit_error(
+                    0,
+                    format!("graph has {n} nodes / {m} edges, exceeding the ingest limit"),
+                ));
+            }
+            graph
+        }
+    };
+    Ok(LoadedGraph {
+        graph,
+        relabeling: None,
+        format,
+        wal_seq: None,
+    })
+}
+
+/// A text decode's two spans: `parse` fills a builder (plus what the
+/// format needs to check the result), `build` assembles and checks it.
+fn parse_then_build<P>(
+    bytes: &[u8],
+    recorder: &Recorder,
+    parse: impl FnOnce() -> Result<(GraphBuilder, P), IoError>,
+    build: impl FnOnce(GraphBuilder, P) -> Result<Graph, IoError>,
+) -> Result<Graph, IoError> {
+    let span = recorder.span("ingest/parse");
+    let (builder, extra) = parse()?;
+    span.counter("bytes", bytes.len() as u64);
+    span.counter("pending_edges", builder.pending_edges() as u64);
+    span.close();
+
+    let span = recorder.span("ingest/build");
+    let graph = build(builder, extra)?;
+    span.counter("edges", graph.edge_count() as u64);
+    Ok(graph)
 }
 
 /// The error of every reader and writer in this crate: one uniform shape
 /// carrying *what* went wrong ([`kind`](Self::kind)) and *where* — the
 /// file path (attached by the path-based entry points such as
-/// [`read_metis`]) and the 1-based line number (attached by the parsers
-/// when the offending line is known).
+/// [`load_graph_auto`]) and the 1-based line number (attached by the
+/// parsers when the offending line is known).
 ///
 /// `Display` leads with the location in the conventional
 /// `path:line: message` form, so errors surface directly usable context:
@@ -196,6 +227,9 @@ pub enum IoErrorKind {
     Io(std::io::Error),
     /// The input violates the expected format.
     Parse(String),
+    /// The input is larger than the ingest budget admits or than the u32
+    /// node id space holds — too big, not malformed (the daemon's `413`).
+    Limit(String),
 }
 
 impl IoError {
@@ -249,7 +283,7 @@ impl std::fmt::Display for IoError {
         }
         match &self.kind {
             IoErrorKind::Io(e) => write!(f, "i/o error: {e}"),
-            IoErrorKind::Parse(message) => write!(f, "{message}"),
+            IoErrorKind::Parse(message) | IoErrorKind::Limit(message) => write!(f, "{message}"),
         }
     }
 }
@@ -258,7 +292,7 @@ impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match &self.kind {
             IoErrorKind::Io(e) => Some(e),
-            IoErrorKind::Parse(_) => None,
+            IoErrorKind::Parse(_) | IoErrorKind::Limit(_) => None,
         }
     }
 }
@@ -273,15 +307,24 @@ impl From<std::io::Error> for IoError {
     }
 }
 
-/// A parse error at a known line; `line == 0` means "no meaningful line"
-/// (e.g. whole-file consistency checks).
-pub(crate) fn parse_error(line: usize, message: impl Into<String>) -> IoError {
-    let e = IoError::parse(message);
-    if line > 0 {
-        e.with_line(line)
-    } else {
-        e
+/// An error of `kind` at a known line; `line == 0` means "no meaningful
+/// line" (e.g. whole-file consistency checks, binary headers).
+fn located(line: usize, kind: IoErrorKind) -> IoError {
+    IoError {
+        path: None,
+        line: (line > 0).then_some(line),
+        kind,
     }
+}
+
+/// A parse error at a known line (see [`located`]).
+pub(crate) fn parse_error(line: usize, message: impl Into<String>) -> IoError {
+    located(line, IoErrorKind::Parse(message.into()))
+}
+
+/// A budget or id-space rejection at a known line (see [`located`]).
+pub(crate) fn limit_error(line: usize, message: impl Into<String>) -> IoError {
+    located(line, IoErrorKind::Limit(message.into()))
 }
 
 /// Attaches a path to the error of a fallible I/O operation — the common

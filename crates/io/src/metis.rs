@@ -10,16 +10,17 @@
 //! counts adjacency lines per chunk so a prefix sum can assign every chunk
 //! its absolute starting node id and line number; the second pass parses.
 //! Small inputs (or a single-thread pool) fall back to one chunk, which
-//! runs the same parser inline. The pre-parallel line-by-line reader is
-//! retained as [`read_metis_seq`], the differential-test reference.
+//! runs the same parser inline. Graphs are read through
+//! [`crate::load_graph_bytes`]; [`read_metis_chunked`] fixes the chunk
+//! count for the differential tests, and the pre-parallel line-by-line
+//! reader is retained as [`read_metis_seq`], their reference.
 
 use crate::chunk::{self, Chunk};
-use crate::{at_path, parse_error, IoError};
+use crate::{at_path, limit_error, parse_error, IoError};
 use parcom_graph::{Graph, GraphBuilder, Node};
 use parcom_guard::Budget;
-use parcom_obs::Recorder;
 use rayon::prelude::*;
-use std::io::{BufRead, BufWriter, Read, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
 /// Rejects implausible or budget-exceeding header claims *before* any
@@ -34,7 +35,7 @@ fn admit_header(n: usize, m: usize, lineno: usize, budget: &Budget) -> Result<()
         ));
     }
     if budget.admits(n, m).is_err() {
-        return Err(parse_error(
+        return Err(limit_error(
             lineno,
             format!("header claims {n} nodes / {m} edges, exceeding the ingest limit"),
         ));
@@ -90,7 +91,7 @@ fn parse_header(bytes: &[u8]) -> Result<Header, IoError> {
             }
         };
         if n > u32::MAX as usize {
-            return Err(parse_error(
+            return Err(limit_error(
                 lineno,
                 format!("node count {n} exceeds the u32 id space"),
             ));
@@ -283,15 +284,14 @@ fn parse_body_chunk(
     Ok((edges, data_lines))
 }
 
-/// Everything known after parsing, before CSR assembly.
-struct ParsedMetis {
-    builder: GraphBuilder,
-    claimed_edges: usize,
-}
-
 /// Parses header and body into a loaded [`GraphBuilder`] using up to
-/// `parts` chunks.
-fn parse_metis(bytes: &[u8], parts: usize, budget: &Budget) -> Result<ParsedMetis, IoError> {
+/// `parts` chunks; also returns the header's edge count, which
+/// [`finish`] checks the assembled graph against.
+pub(crate) fn parse(
+    bytes: &[u8],
+    parts: usize,
+    budget: &Budget,
+) -> Result<(GraphBuilder, usize), IoError> {
     let header = parse_header(bytes)?;
     let (n, m) = (header.n, header.m);
     admit_header(n, m, header.body_first_line - 1, budget)?;
@@ -350,23 +350,23 @@ fn parse_metis(bytes: &[u8], parts: usize, budget: &Budget) -> Result<ParsedMeti
     for v in per_chunk {
         builder.extend_canonical(v);
     }
-    Ok(ParsedMetis {
-        builder,
-        claimed_edges: m,
-    })
+    Ok((builder, m))
 }
 
 /// Assembles the graph and applies the whole-file consistency check.
 /// `last_line` is consulted only on the (cold) mismatch path, so callers
 /// pass it lazily and the happy path never counts lines.
-fn finish_metis(parsed: ParsedMetis, last_line: impl FnOnce() -> usize) -> Result<Graph, IoError> {
-    let g = parsed.builder.build();
-    if g.edge_count() != parsed.claimed_edges {
+pub(crate) fn finish(
+    builder: GraphBuilder,
+    claimed_edges: usize,
+    last_line: impl FnOnce() -> usize,
+) -> Result<Graph, IoError> {
+    let g = builder.build();
+    if g.edge_count() != claimed_edges {
         return Err(parse_error(
             last_line(),
             format!(
-                "header claims {} edges, file defines {}",
-                parsed.claimed_edges,
+                "header claims {claimed_edges} edges, file defines {}",
                 g.edge_count()
             ),
         ));
@@ -374,38 +374,12 @@ fn finish_metis(parsed: ParsedMetis, last_line: impl FnOnce() -> usize) -> Resul
     Ok(g)
 }
 
-/// Reads a METIS graph from a byte buffer with an explicit chunk count.
-/// Exposed for the differential tests; [`read_metis_from`] picks the
-/// chunk count automatically.
+/// Reads a METIS graph from a byte buffer with an explicit chunk count and
+/// no budget, for the differential tests; everything else reads through
+/// [`crate::load_graph_bytes`], which picks the chunk count itself.
 pub fn read_metis_chunked(bytes: &[u8], parts: usize) -> Result<Graph, IoError> {
-    finish_metis(parse_metis(bytes, parts, &Budget::unlimited())?, || {
-        chunk::line_count(bytes)
-    })
-}
-
-/// Reads a METIS graph from a byte buffer under a [`Budget`]: header
-/// claims exceeding the budget's input limits are rejected *before* any
-/// allocation proportional to them happens.
-pub fn read_metis_bytes_budgeted(bytes: &[u8], budget: &Budget) -> Result<Graph, IoError> {
-    finish_metis(
-        parse_metis(bytes, chunk::auto_parts(bytes.len()), budget)?,
-        || chunk::line_count(bytes),
-    )
-}
-
-/// Reads a METIS graph from an in-memory buffer with an automatically
-/// chosen chunk count — the zero-copy core of [`read_metis_from`] and
-/// [`read_metis`].
-pub fn read_metis_bytes(bytes: &[u8]) -> Result<Graph, IoError> {
-    read_metis_chunked(bytes, chunk::auto_parts(bytes.len()))
-}
-
-/// Reads a graph in METIS format from a reader (buffer + chunked parse;
-/// see the module docs).
-pub fn read_metis_from(mut reader: impl Read) -> Result<Graph, IoError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    read_metis_bytes(&bytes)
+    let (builder, claimed) = parse(bytes, parts, &Budget::unlimited())?;
+    finish(builder, claimed, || chunk::line_count(bytes))
 }
 
 /// The retained pre-parallel reader: line-by-line with a `String` per
@@ -451,7 +425,7 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
     };
 
     if n > u32::MAX as usize {
-        return Err(parse_error(
+        return Err(limit_error(
             header_lineno,
             format!("node count {n} exceeds the u32 id space"),
         ));
@@ -527,45 +501,6 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
     Ok(g)
 }
 
-/// Reads a METIS graph from a file path. Errors carry the path (and line).
-pub fn read_metis(path: impl AsRef<Path>) -> Result<Graph, IoError> {
-    read_metis_recorded(path, &Recorder::disabled())
-}
-
-/// Reads a METIS graph from a file path, recording `ingest/parse` and
-/// `ingest/build` phase spans (with byte/edge counters) on `recorder`.
-/// With a disabled recorder this is exactly [`read_metis`].
-pub fn read_metis_recorded(path: impl AsRef<Path>, recorder: &Recorder) -> Result<Graph, IoError> {
-    read_metis_budgeted(path, recorder, &Budget::unlimited())
-}
-
-/// Reads a METIS graph from a file path under a [`Budget`], recording
-/// ingest phase spans on `recorder`. Header claims exceeding the budget's
-/// input limits are rejected before allocation, with `path:line` context.
-pub fn read_metis_budgeted(
-    path: impl AsRef<Path>,
-    recorder: &Recorder,
-    budget: &Budget,
-) -> Result<Graph, IoError> {
-    let path = path.as_ref();
-    at_path(path, {
-        (|| {
-            let parse_span = recorder.span("ingest/parse");
-            let bytes = std::fs::read(path).map_err(IoError::from)?;
-            let parsed = parse_metis(&bytes, chunk::auto_parts(bytes.len()), budget)?;
-            parse_span.counter("bytes", bytes.len() as u64);
-            parse_span.counter("pending_edges", parsed.builder.pending_edges() as u64);
-            parse_span.close();
-
-            let build_span = recorder.span("ingest/build");
-            let g = finish_metis(parsed, || chunk::line_count(&bytes))?;
-            build_span.counter("edges", g.edge_count() as u64);
-            build_span.close();
-            Ok(g)
-        })()
-    })
-}
-
 /// Writes a graph in METIS format to a writer. Weights are emitted unless
 /// every edge weight is exactly 1.
 pub fn write_metis_to(g: &Graph, writer: impl Write) -> Result<(), IoError> {
@@ -610,12 +545,23 @@ pub fn write_metis(g: &Graph, path: impl AsRef<Path>) -> Result<(), IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{load_graph_auto, load_graph_bytes, GraphFormat};
     use parcom_generators::ring_of_cliques;
+    use parcom_obs::Recorder;
+
+    /// METIS text through the one decoder, under `budget`.
+    fn read_budgeted(bytes: &[u8], budget: &Budget) -> Result<Graph, IoError> {
+        load_graph_bytes(bytes, GraphFormat::Metis, &Recorder::disabled(), budget).map(|l| l.graph)
+    }
+
+    fn read(bytes: &[u8]) -> Result<Graph, IoError> {
+        read_budgeted(bytes, &Budget::unlimited())
+    }
 
     #[test]
     fn parses_simple_file() {
         let input = "% a triangle plus pendant\n4 4\n2 3\n1 3\n1 2 4\n3\n";
-        let g = read_metis_from(input.as_bytes()).unwrap();
+        let g = read(input.as_bytes()).unwrap();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
         assert!(g.has_edge(0, 1) && g.has_edge(2, 3));
@@ -624,7 +570,7 @@ mod tests {
     #[test]
     fn parses_weighted_file() {
         let input = "3 2 1\n2 5.5\n1 5.5 3 2\n2 2\n";
-        let g = read_metis_from(input.as_bytes()).unwrap();
+        let g = read(input.as_bytes()).unwrap();
         assert_eq!(g.edge_weight(0, 1), Some(5.5));
         assert_eq!(g.edge_weight(1, 2), Some(2.0));
     }
@@ -650,7 +596,7 @@ mod tests {
         let (g, _) = ring_of_cliques(4, 5);
         let mut buf = Vec::new();
         write_metis_to(&g, &mut buf).unwrap();
-        let g2 = read_metis_from(buf.as_slice()).unwrap();
+        let g2 = read(&buf).unwrap();
         assert_eq!(g.node_count(), g2.node_count());
         assert_eq!(g.edge_count(), g2.edge_count());
         for u in g.nodes() {
@@ -666,20 +612,20 @@ mod tests {
         let g = b.build();
         let mut buf = Vec::new();
         write_metis_to(&g, &mut buf).unwrap();
-        let g2 = read_metis_from(buf.as_slice()).unwrap();
+        let g2 = read(&buf).unwrap();
         assert_eq!(g2.edge_weight(0, 1), Some(2.5));
         assert_eq!(g2.edge_weight(1, 2), Some(0.5));
     }
 
     #[test]
     fn rejects_bad_header() {
-        assert!(read_metis_from("5\n".as_bytes()).is_err());
-        assert!(read_metis_from("".as_bytes()).is_err());
+        assert!(read("5\n".as_bytes()).is_err());
+        assert!(read("".as_bytes()).is_err());
     }
 
     #[test]
     fn rejects_out_of_range_neighbor() {
-        let err = read_metis_from("2 1\n3\n1\n".as_bytes()).unwrap_err();
+        let err = read("2 1\n3\n1\n".as_bytes()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("out of range"), "{msg}");
     }
@@ -688,7 +634,7 @@ mod tests {
     fn rejects_edge_count_mismatch() {
         // 2 claimed edges are plausible on 3 nodes, so the header is
         // admitted and the whole-file consistency check catches it
-        let err = read_metis_from("3 2\n2\n1\n\n".as_bytes()).unwrap_err();
+        let err = read("3 2\n2\n1\n\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("header claims"), "{err}");
         assert!(err.to_string().contains("file defines"), "{err}");
         // the whole-file check carries the last line's number (satellite
@@ -698,7 +644,7 @@ mod tests {
 
     #[test]
     fn missing_adjacency_lines_carry_last_line() {
-        let err = read_metis_from("4 2\n2\n1\n".as_bytes()).unwrap_err();
+        let err = read("4 2\n2\n1\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("expected 4 adjacency"), "{err}");
         assert_eq!(err.line(), Some(3), "{err}");
         let err = read_metis_seq("4 2\n2\n1\n".as_bytes()).unwrap_err();
@@ -709,7 +655,7 @@ mod tests {
     #[test]
     fn rejects_more_edges_than_complete_graph() {
         // 3 nodes admit at most 6 edges (self-loops included)
-        let err = read_metis_from("3 7\n2\n1\n\n".as_bytes()).unwrap_err();
+        let err = read("3 7\n2\n1\n\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("complete graph"), "{err}");
         assert_eq!(err.line(), Some(1), "{err}");
         let err = read_metis_seq("3 7\n2\n1\n\n".as_bytes()).unwrap_err();
@@ -723,22 +669,26 @@ mod tests {
         // body is deliberately garbage: rejection must happen on the
         // header alone, before any body parsing or allocation
         let bytes = b"101 50\nthis is not a valid body\n";
-        let err = read_metis_bytes_budgeted(bytes, &budget).unwrap_err();
+        let err = read_budgeted(bytes, &budget).unwrap_err();
         assert!(err.to_string().contains("ingest limit"), "{err}");
         assert_eq!(err.line(), Some(1), "{err}");
+        assert!(matches!(err.kind(), crate::IoErrorKind::Limit(_)), "{err}");
+        // a node count past the u32 id space is the same kind of rejection
+        let err = read(b"4294967296 0\n").unwrap_err();
+        assert!(matches!(err.kind(), crate::IoErrorKind::Limit(_)), "{err}");
         // within limits, the same reader accepts a well-formed file
-        let g = read_metis_bytes_budgeted(b"2 1\n2\n1\n", &budget).unwrap();
+        let g = read_budgeted(b"2 1\n2\n1\n", &budget).unwrap();
         assert_eq!(g.edge_count(), 1);
     }
 
     #[test]
     fn rejects_node_weight_formats() {
-        assert!(read_metis_from("2 1 11\n2\n1\n".as_bytes()).is_err());
+        assert!(read("2 1 11\n2\n1\n".as_bytes()).is_err());
     }
 
     #[test]
     fn empty_lines_are_isolated_nodes() {
-        let g = read_metis_from("3 1\n2\n1\n\n".as_bytes()).unwrap();
+        let g = read("3 1\n2\n1\n\n".as_bytes()).unwrap();
         assert_eq!(g.degree(2), 0);
     }
 
@@ -761,7 +711,9 @@ mod tests {
         let path = dir.join("g.metis");
         let (g, _) = ring_of_cliques(3, 4);
         write_metis(&g, &path).unwrap();
-        let g2 = read_metis(&path).unwrap();
+        let g2 = load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited())
+            .unwrap()
+            .graph;
         assert_eq!(g.edge_count(), g2.edge_count());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -774,7 +726,9 @@ mod tests {
         let (g, _) = ring_of_cliques(3, 4);
         write_metis(&g, &path).unwrap();
         let rec = Recorder::enabled();
-        let g2 = read_metis_recorded(&path, &rec).unwrap();
+        let g2 = load_graph_auto(&path, &rec, &Budget::unlimited())
+            .unwrap()
+            .graph;
         assert_eq!(g.edge_count(), g2.edge_count());
         let report = rec.finish("ingest");
         let parse = report.phase("ingest/parse").expect("parse phase");

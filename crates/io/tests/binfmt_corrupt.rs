@@ -7,8 +7,10 @@
 
 use parcom_graph::GraphBuilder;
 use parcom_guard::Budget;
-use parcom_io::binfmt::{self, read_pcg_budgeted};
-use parcom_io::{load_graph_auto, write_pcg, GraphFormat, IoError, IoErrorKind};
+use parcom_io::binfmt;
+use parcom_io::{
+    load_graph_auto, load_graph_bytes, write_pcg, GraphFormat, IoError, IoErrorKind, LoadedGraph,
+};
 use parcom_obs::Recorder;
 use std::path::{Path, PathBuf};
 
@@ -34,18 +36,37 @@ fn valid_pcg(name: &str) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
-fn load(path: &Path) -> Result<binfmt::PcgGraph, IoError> {
-    read_pcg_budgeted(path, &Recorder::disabled(), &Budget::unlimited())
+/// Reads `path` the way daemon recovery reads a checkpoint: binary or a
+/// typed error, never a text parse of a damaged file.
+fn load_budgeted(path: &Path, budget: &Budget) -> Result<LoadedGraph, IoError> {
+    let bytes = std::fs::read(path).unwrap();
+    load_graph_bytes(
+        &bytes,
+        GraphFormat::PcgBinary,
+        &Recorder::disabled(),
+        budget,
+    )
+    .map_err(|e| e.with_path(path))
+}
+
+fn load(path: &Path) -> Result<LoadedGraph, IoError> {
+    load_budgeted(path, &Budget::unlimited())
 }
 
 /// The error must be a parse error carrying the path, displayed as
 /// `path: message`, with `message` containing `needle`.
 fn assert_corrupt(err: &IoError, path: &Path, needle: &str) {
-    assert_eq!(err.path(), Some(path), "missing path context: {err}");
     assert!(
         matches!(err.kind(), IoErrorKind::Parse(_)),
         "wrong kind: {err}"
     );
+    assert_rejected(err, path, needle);
+}
+
+/// The error carries the path, displayed as `path: message`, with
+/// `message` containing `needle`.
+fn assert_rejected(err: &IoError, path: &Path, needle: &str) {
+    assert_eq!(err.path(), Some(path), "missing path context: {err}");
     let display = err.to_string();
     let prefix = format!("{}: ", path.display());
     assert!(
@@ -128,8 +149,10 @@ fn section_overflowing_the_file_is_rejected() {
 fn ingest_limit_rejects_the_header_with_path_context() {
     let (path, _) = valid_pcg("limit.pcg");
     let tight = Budget::unlimited().with_input_limits(2, 1);
-    let err = read_pcg_budgeted(&path, &Recorder::disabled(), &tight).unwrap_err();
-    assert_corrupt(&err, &path, "exceeding the ingest limit");
+    let err = load_budgeted(&path, &tight).unwrap_err();
+    assert_rejected(&err, &path, "exceeding the ingest limit");
+    // too big, not corrupt: the typed kind the daemon answers 413 for
+    assert!(matches!(err.kind(), IoErrorKind::Limit(_)), "{err}");
 }
 
 // ---------------------------------------------------------------------------

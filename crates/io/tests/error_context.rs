@@ -3,9 +3,12 @@
 //! the parser knows it), and `Display` leads with `path:line:`.
 
 use parcom_core::Budget;
-use parcom_io::{read_edge_list, read_metis, read_partition, IoError, IoErrorKind};
+use parcom_io::{
+    load_graph_auto, load_graph_bytes, read_partition, GraphFormat, IoError, IoErrorKind,
+    LoadedGraph,
+};
 use parcom_obs::Recorder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn write_temp(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("parcom_io_error_context");
@@ -15,8 +18,13 @@ fn write_temp(name: &str, contents: &str) -> PathBuf {
     path
 }
 
+/// A graph file through the path door, unlimited.
+fn load(path: &Path) -> Result<LoadedGraph, IoError> {
+    load_graph_auto(path, &Recorder::disabled(), &Budget::unlimited())
+}
+
 /// The error must name the path and the 1-based line, in `path:line:` form.
-fn assert_context(err: &IoError, path: &std::path::Path, line: usize) {
+fn assert_located(err: &IoError, path: &Path, line: usize) {
     assert_eq!(err.path(), Some(path), "missing path context: {err}");
     assert_eq!(err.line(), Some(line), "wrong line context: {err}");
     let display = err.to_string();
@@ -25,27 +33,32 @@ fn assert_context(err: &IoError, path: &std::path::Path, line: usize) {
         display.starts_with(&expected_prefix),
         "`{display}` does not start with `{expected_prefix}`"
     );
+}
+
+/// [`assert_located`], and the error is a parse error.
+fn assert_context(err: &IoError, path: &Path, line: usize) {
+    assert_located(err, path, line);
     assert!(matches!(err.kind(), IoErrorKind::Parse(_)));
 }
 
 #[test]
 fn edgelist_errors_carry_path_and_line() {
     let path = write_temp("bad.edges", "# fine\n0 1\nnot numbers\n");
-    let err = read_edge_list(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert_context(&err, &path, 3);
 }
 
 #[test]
 fn metis_errors_carry_path_and_line() {
     let path = write_temp("bad.metis", "2 1\n2\nbogus\n");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert_context(&err, &path, 3);
 }
 
 #[test]
 fn metis_header_errors_point_at_the_header() {
     let path = write_temp("bad_header.metis", "% comment\nonly-one-field\n");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert_context(&err, &path, 2);
 }
 
@@ -59,7 +72,7 @@ fn partition_errors_carry_path_and_line() {
 #[test]
 fn missing_file_carries_path_but_no_line() {
     let path = std::env::temp_dir().join("parcom_io_error_context/does_not_exist.graph");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert_eq!(err.path(), Some(path.as_path()));
     assert_eq!(err.line(), None);
     assert!(matches!(err.kind(), IoErrorKind::Io(_)));
@@ -76,12 +89,12 @@ fn whole_file_checks_carry_the_last_line() {
     // read; the error still anchors at the last line read so the message
     // keeps the `path:line:` shape
     let path = write_temp("mismatch.metis", "3 2\n2\n1\n\n");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert!(err.to_string().contains("header claims"));
     assert_context(&err, &path, 4);
 
     let path = write_temp("short.metis", "4 2\n2\n1\n");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert!(err.to_string().contains("expected 4 adjacency lines"));
     assert_context(&err, &path, 3);
 }
@@ -92,22 +105,40 @@ fn ingest_limit_rejections_carry_path_and_line() {
     // must reject before parsing the (bogus) body, with full context
     let path = write_temp("huge.metis", "% big\n5000 10\nnot a body\n");
     let budget = Budget::unlimited().with_input_limits(1000, 100_000);
-    let err = parcom_io::read_metis_budgeted(&path, &Recorder::disabled(), &budget).unwrap_err();
+    let err = load_graph_auto(&path, &Recorder::disabled(), &budget).unwrap_err();
     assert!(err.to_string().contains("ingest limit"), "{err}");
-    assert_context(&err, &path, 2);
+    // too big, not malformed: the typed kind the daemon answers 413 for
+    assert_located(&err, &path, 2);
+    assert!(matches!(err.kind(), IoErrorKind::Limit(_)), "{err}");
+
+    // an edge list has no header: it is admitted after its build, with
+    // the path but no line
+    let path = write_temp("huge.edges", "0 1\n1 2\n2 3\n");
+    let budget = Budget::unlimited().with_input_limits(2, 100);
+    let err = load_graph_auto(&path, &Recorder::disabled(), &budget).unwrap_err();
+    assert!(err.to_string().contains("ingest limit"), "{err}");
+    assert!(matches!(err.kind(), IoErrorKind::Limit(_)), "{err}");
+    assert_eq!(err.path(), Some(path.as_path()));
+    assert_eq!(err.line(), None);
 }
 
 #[test]
 fn implausible_edge_claims_carry_path_and_line() {
     let path = write_temp("corrupt.metis", "2 9\n2\n1\n");
-    let err = read_metis(&path).unwrap_err();
+    let err = load(&path).unwrap_err();
     assert!(err.to_string().contains("complete graph"), "{err}");
     assert_context(&err, &path, 1);
 }
 
 #[test]
 fn reader_entry_points_have_line_but_no_path() {
-    let err = parcom_io::metis::read_metis_from("2 1\n2\nbogus\n".as_bytes()).unwrap_err();
+    let err = load_graph_bytes(
+        b"2 1\n2\nbogus\n",
+        GraphFormat::Metis,
+        &Recorder::disabled(),
+        &Budget::unlimited(),
+    )
+    .unwrap_err();
     assert_eq!(err.path(), None);
     assert_eq!(err.line(), Some(3));
     assert!(err.to_string().starts_with("line 3: "), "{err}");
@@ -119,6 +150,6 @@ fn good_files_round_trip_through_paths() {
     let path = std::env::temp_dir().join("parcom_io_error_context/ok.metis");
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     parcom_io::write_metis(&g, &path).unwrap();
-    let g2 = read_metis(&path).unwrap();
+    let g2 = load(&path).unwrap().graph;
     assert_eq!(g.edge_count(), g2.edge_count());
 }

@@ -6,21 +6,33 @@
 #![cfg(feature = "fault-inject")]
 
 use parcom_core::{Budget, CancelToken, CommunityDetector, Plm, Termination};
+use parcom_graph::Graph;
 use parcom_guard::fault::{serial_guard, FaultAction, FaultPlan};
-use parcom_io::metis::read_metis_from;
+use parcom_io::{load_graph_bytes, GraphFormat, IoError};
+use parcom_obs::Recorder;
 use std::panic::catch_unwind;
 
 const FILE: &str = "4 4\n2 3\n1 3\n1 2 4\n3\n";
+
+fn read_metis(text: &str) -> Result<Graph, IoError> {
+    load_graph_bytes(
+        text.as_bytes(),
+        GraphFormat::Metis,
+        &Recorder::disabled(),
+        &Budget::unlimited(),
+    )
+    .map(|l| l.graph)
+}
 
 #[test]
 fn chunk_parse_panic_unwinds_and_reader_recovers() {
     let _g = serial_guard();
     FaultPlan::clear();
     FaultPlan::arm("io/chunk-parse", 1, FaultAction::Panic);
-    assert!(catch_unwind(|| read_metis_from(FILE.as_bytes())).is_err());
+    assert!(catch_unwind(|| read_metis(FILE)).is_err());
     FaultPlan::clear();
     // the unwind left nothing poisoned: the same parse succeeds
-    let g = read_metis_from(FILE.as_bytes()).unwrap();
+    let g = read_metis(FILE).unwrap();
     assert_eq!(g.node_count(), 4);
     assert_eq!(g.edge_count(), 4);
 }
@@ -32,7 +44,7 @@ fn chunk_parse_cancel_aborts_the_downstream_run() {
     let token = CancelToken::new();
     FaultPlan::arm("io/chunk-parse", 1, FaultAction::Cancel(token.clone()));
     // the cancel is cooperative: ingest itself completes...
-    let g = read_metis_from(FILE.as_bytes()).unwrap();
+    let g = read_metis(FILE).unwrap();
     assert!(token.is_cancelled());
     assert_eq!(FaultPlan::crossings("io/chunk-parse"), 1);
     // ...and the guarded detection sharing the token aborts at preflight

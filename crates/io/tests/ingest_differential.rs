@@ -1,14 +1,23 @@
-//! Differential property tests for the parallel ingest pipeline: on any
-//! input — valid or corrupted — the chunked parsers must behave
-//! *identically* to the retained sequential references for every chunk
-//! count: same graph bit-for-bit (offsets, targets, weight bit patterns,
-//! label order) on success, same error line and message on failure.
+//! Differential property tests for the ingest pipeline. On any input —
+//! valid or corrupted — the chunked parsers must behave *identically* to
+//! the retained sequential references for every chunk count: same graph
+//! bit-for-bit (offsets, targets, weight bit patterns, label order) on
+//! success, same error line and message on failure. And the two doors
+//! into the one decoder — `load_graph_auto(path)` and
+//! `load_graph_bytes(bytes)` — must agree on every format: the same CSR
+//! by bits, relabeling and WAL sequence, or the same error kind, line and
+//! message apart from the path prefix.
 
+use parcom_graph::relabel::Relabeling;
 use parcom_graph::{Graph, GraphBuilder};
+use parcom_guard::Budget;
+use parcom_io::binfmt::write_pcg_to;
 use parcom_io::edgelist::{read_edge_list_chunked, read_edge_list_seq};
 use parcom_io::metis::{read_metis_chunked, read_metis_seq};
-use parcom_io::IoError;
+use parcom_io::{load_graph_auto, load_graph_bytes, GraphFormat, IoError, LoadedGraph};
+use parcom_obs::Recorder;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 const PARTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -161,6 +170,116 @@ fn corrupt(text: &str, line_pick: usize, kind: usize) -> String {
     out.join("\n") + "\n"
 }
 
+/// All seven parts of the CSR, floats by bit pattern.
+fn assert_same_csr(a: &Graph, b: &Graph, ctx: &str) {
+    let (a, b) = (a.csr_view(), b.csr_view());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.offsets, b.offsets, "{ctx}: offsets");
+    assert_eq!(a.targets, b.targets, "{ctx}: targets");
+    assert_eq!(bits(a.weights), bits(b.weights), "{ctx}: weights");
+    assert_eq!(
+        bits(a.weighted_degrees),
+        bits(b.weighted_degrees),
+        "{ctx}: weighted degrees"
+    );
+    assert_eq!(bits(a.self_loops), bits(b.self_loops), "{ctx}: self-loops");
+    assert_eq!(
+        a.total_weight.to_bits(),
+        b.total_weight.to_bits(),
+        "{ctx}: total weight"
+    );
+    assert_eq!(a.num_edges, b.num_edges, "{ctx}: edge count");
+}
+
+/// Writes `bytes` to `file` in a per-process temp dir, then loads it
+/// through both doors — the path door, and the bytes door with the
+/// fallback the path door derives from the extension — and asserts they
+/// agree.
+fn assert_doors_agree(file: &str, bytes: &[u8], fallback: GraphFormat, budget: &Budget) {
+    let dir = std::env::temp_dir().join(format!("parcom_doors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path: PathBuf = dir.join(file);
+    std::fs::write(&path, bytes).unwrap();
+    let by_path = load_graph_auto(&path, &Recorder::disabled(), budget);
+    let by_bytes = load_graph_bytes(bytes, fallback, &Recorder::disabled(), budget);
+    same_load(&path, by_path, by_bytes);
+}
+
+fn same_load(
+    path: &Path,
+    by_path: Result<LoadedGraph, IoError>,
+    by_bytes: Result<LoadedGraph, IoError>,
+) {
+    let ctx = path.display().to_string();
+    match (by_path, by_bytes) {
+        (Ok(a), Ok(b)) => {
+            assert_same_csr(&a.graph, &b.graph, &ctx);
+            assert_eq!(a.format, b.format, "{ctx}: format");
+            assert_eq!(a.wal_seq, b.wal_seq, "{ctx}: wal seq");
+            assert_eq!(
+                a.relabeling.as_ref().map(Relabeling::new_of_old),
+                b.relabeling.as_ref().map(Relabeling::new_of_old),
+                "{ctx}: relabeling"
+            );
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(
+                std::mem::discriminant(a.kind()),
+                std::mem::discriminant(b.kind()),
+                "{ctx}: error kinds differ: {a} / {b}"
+            );
+            assert_eq!(a.line(), b.line(), "{ctx}: error lines differ");
+            assert_eq!(a.path(), Some(path), "{ctx}: path door must name the file");
+            assert_eq!(b.path(), None, "{ctx}: bytes door has no file");
+            assert_eq!(
+                a.to_string(),
+                b.with_path(path).to_string(),
+                "{ctx}: messages differ apart from the path prefix"
+            );
+        }
+        (a, b) => panic!(
+            "{ctx}: doors diverge: path={:?} bytes={:?}",
+            a.map(|l| l.graph.edge_count()),
+            b.map(|l| l.graph.edge_count())
+        ),
+    }
+}
+
+/// The `.pcg` image of `g`: plain, or degree-relabeled with a WAL sequence
+/// (the shape of a daemon checkpoint of a relabeled load).
+fn render_pcg(g: &Graph, relabeled: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    if relabeled {
+        let r = Relabeling::degree_ordered(g);
+        write_pcg_to(&r.apply(g), Some(&r), Some(7), &mut out).unwrap();
+    } else {
+        write_pcg_to(g, None, None, &mut out).unwrap();
+    }
+    out
+}
+
+/// Damages a binary image: `kind` 0 flips a byte at `at`, 1 truncates
+/// there, 2 leaves it intact.
+fn damage(mut bytes: Vec<u8>, at: usize, kind: usize) -> Vec<u8> {
+    let at = at % bytes.len();
+    match kind {
+        0 => bytes[at] ^= 0x5a,
+        1 => bytes.truncate(at),
+        _ => {}
+    }
+    bytes
+}
+
+/// Unlimited, or input limits about half the graph's size, so admission
+/// rejections are compared too.
+fn pick_budget(n: usize, tight: bool) -> Budget {
+    if tight {
+        Budget::unlimited().with_input_limits(n / 2 + 1, usize::MAX)
+    } else {
+        Budget::unlimited()
+    }
+}
+
 proptest! {
     #[test]
     fn metis_chunked_matches_sequential((n, edges, weighted, ce) in arb_metis()) {
@@ -220,6 +339,45 @@ proptest! {
             assert_eq!(e1.line(), e2.line(), "parts={parts}");
             assert_eq!(e1.to_string(), e2.to_string(), "parts={parts}");
         }
+    }
+
+    #[test]
+    fn text_doors_agree(
+        (n, edges, weighted, ce) in arb_metis(),
+        (el_edges, el_ce) in arb_edgelist(),
+        line_pick in 0usize..100,
+        kind in 0usize..5,
+        tight in 0u32..2,
+    ) {
+        // kind 4 keeps the files valid; the rest corrupt one line
+        let metis = render_metis(n, &edges, weighted, ce);
+        let edge_list = render_edgelist(&el_edges, el_ce);
+        let (metis, edge_list) = if kind == 4 {
+            (metis, edge_list)
+        } else {
+            (corrupt(&metis, line_pick, kind), corrupt(&edge_list, line_pick, kind))
+        };
+        let budget = pick_budget(n, tight == 1);
+        assert_doors_agree("g.metis", metis.as_bytes(), GraphFormat::Metis, &budget);
+        assert_doors_agree("g.edges", edge_list.as_bytes(), GraphFormat::EdgeList, &budget);
+    }
+
+    #[test]
+    fn binary_doors_agree(
+        (n, edges, weighted, ce) in arb_metis(),
+        relabeled in 0u32..2,
+        at in 0usize..4096,
+        kind in 0usize..3,
+        tight in 0u32..2,
+    ) {
+        let g = read_metis_seq(render_metis(n, &edges, weighted, ce).as_bytes()).unwrap();
+        let bytes = damage(render_pcg(&g, relabeled == 1), at, kind);
+        let budget = pick_budget(n, tight == 1);
+        // `.pcg` falls back to METIS, so a damaged magic parses as text
+        // through both doors alike
+        assert_doors_agree("g.pcg", &bytes, GraphFormat::Metis, &budget);
+        // and one named otherwise as an edge list
+        assert_doors_agree("g.bin", &bytes, GraphFormat::EdgeList, &budget);
     }
 
     /// Inputs far below `MIN_PARALLEL_BYTES` still honor explicit chunk

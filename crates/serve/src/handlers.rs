@@ -19,10 +19,9 @@ use crate::persist::CHECKPOINT_OPS;
 use crate::store::{lock_entry, EdgeOp, GraphStore, MAX_PENDING_OPS};
 use crate::ServerCtx;
 use parcom_core::DetectorSpec;
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::Node;
 use parcom_guard::{Budget, CancelToken, Termination};
-use parcom_io::{load_graph_auto, read_metis_bytes_budgeted, GraphFormat};
+use parcom_io::{load_graph_auto, load_graph_bytes, GraphFormat, IoErrorKind};
 use parcom_obs::json::{self, Value};
 use parcom_obs::Recorder;
 use std::time::Duration;
@@ -164,9 +163,9 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
         Ok(v) => v,
         Err(reply) => return reply,
     };
-    // Header admission happens inside the budgeted readers, before the
-    // graph is allocated — an oversized corpus is refused at a few bytes of
-    // cost, not after filling memory.
+    // Both bodies go through the one loader: header admission happens
+    // there, before the graph is allocated — an oversized corpus is
+    // refused at a few bytes of cost, not after filling memory.
     let budget = ctx.config.ingest_budget();
     let recorder = Recorder::enabled();
     let loaded = match (v.get("path"), v.get("content")) {
@@ -175,23 +174,20 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
             None => return err(400, "\"path\" must be a string"),
         },
         (None, Some(content)) => match content.as_str() {
-            Some(text) => read_metis_bytes_budgeted(text.as_bytes(), &budget).map(|graph| {
-                parcom_io::LoadedGraph {
-                    graph,
-                    relabeling: None,
-                    format: GraphFormat::Metis,
-                }
-            }),
+            Some(text) => load_graph_bytes(text.as_bytes(), GraphFormat::Metis, &recorder, &budget),
             None => return err(400, "\"content\" must be a METIS string"),
         },
         _ => return err(400, "body must have exactly one of \"path\" or \"content\""),
     };
-    let loaded = match loaded {
+    let mut loaded = match loaded {
         Ok(l) => l,
         Err(e) => {
-            let message = e.to_string();
-            let status = if message.contains("exceed") { 413 } else { 422 };
-            return err(status, format!("load failed: {message}"));
+            // Too big is 413, anything else the loader refuses is 422.
+            let status = match e.kind() {
+                IoErrorKind::Limit(_) => 413,
+                _ => 422,
+            };
+            return err(status, format!("load failed: {e}"));
         }
     };
     // Ingest observability, surfaced to clients and asserted by CI's
@@ -205,28 +201,21 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
         .filter_map(|p| p.counter("bytes"))
         .sum();
 
-    let (mut graph, mut relabeling) = (loaded.graph, loaded.relabeling);
     // Optional load-time relabel: `{"relabel": true}` reorders the resident
     // view hub-first (no-op when the file already stores a relabeled view).
     match v.get("relabel").map(Value::as_bool) {
-        Some(Some(true)) => {
-            if relabeling.is_none() {
-                let r = Relabeling::degree_ordered(&graph);
-                graph = r.apply(&graph);
-                relabeling = Some(r);
-            }
-        }
+        Some(Some(true)) => loaded.relabel(),
         Some(Some(false)) | None => {}
         Some(None) => return err(400, "\"relabel\" must be a boolean"),
     }
 
-    let (nodes, edges) = (graph.node_count(), graph.edge_count());
-    let relabeled = relabeling.is_some();
+    let (nodes, edges) = (loaded.graph.node_count(), loaded.graph.edge_count());
+    let relabeled = loaded.relabeling.is_some();
     let format = loaded.format.as_str();
     // Durable mode persists the entry (checkpoint + fresh WAL) *before*
     // it becomes visible in the store, so no acknowledged graph can exist
     // in memory without its on-disk state set.
-    let mut entry = crate::store::GraphEntry::new(graph, relabeling);
+    let mut entry = crate::store::GraphEntry::new(loaded.graph, loaded.relabeling);
     let durable = if let Some(durability) = &ctx.durability {
         if let Err(e) = durability.persist_new(name, &mut entry) {
             return err(500, format!("could not persist `{name}`: {e}"));

@@ -26,8 +26,9 @@ use crate::wal::{self, FsyncPolicy, WalWriter};
 use parcom_graph::relabel::Relabeling;
 use parcom_graph::Graph;
 use parcom_guard::Budget;
-use parcom_io::binfmt::{read_pcg_budgeted, write_pcg_with_wal_seq};
+use parcom_io::binfmt::write_pcg_to;
 use parcom_io::corpus::{fsync_dir, scan_corpus, state_paths, StatePaths};
+use parcom_io::{load_graph_bytes, GraphFormat, IoError, LoadedGraph};
 use parcom_obs::Recorder;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -174,14 +175,9 @@ impl Durability {
         paths: &StatePaths,
         report: &mut RecoveryReport,
     ) -> Result<GraphEntry, String> {
-        // Recovery admits whatever the checkpoint holds: resident graphs
-        // may legitimately have grown past the ingest limits via
-        // acknowledged mutations.
-        let budget = Budget::unlimited();
-        let recorder = Recorder::disabled();
-        let (snapshot, fallback) = match read_pcg_budgeted(&paths.pcg, &recorder, &budget) {
+        let (snapshot, fallback) = match read_checkpoint(&paths.pcg) {
             Ok(snapshot) => (snapshot, false),
-            Err(primary) => match read_pcg_budgeted(&paths.pcg_prev, &recorder, &budget) {
+            Err(primary) => match read_checkpoint(&paths.pcg_prev) {
                 Ok(snapshot) => (snapshot, true),
                 Err(secondary) => {
                     return Err(format!(
@@ -286,6 +282,25 @@ impl Durability {
     }
 }
 
+/// Reads a checkpoint through the one loader. The fallback format is
+/// binary, so a damaged magic is the typed "bad magic" error and never a
+/// text parse; the budget is unlimited because resident graphs may
+/// legitimately have grown past the ingest limits via acknowledged
+/// mutations.
+fn read_checkpoint(path: &Path) -> Result<LoadedGraph, IoError> {
+    std::fs::read(path)
+        .map_err(IoError::from)
+        .and_then(|bytes| {
+            load_graph_bytes(
+                &bytes,
+                GraphFormat::PcgBinary,
+                &Recorder::disabled(),
+                &Budget::unlimited(),
+            )
+        })
+        .map_err(|e| e.with_path(path))
+}
+
 /// Stages the checkpoint of `graph` at WAL sequence `seq` at `tmp`,
 /// streamed from the CSR's arrays a piece at a time (no image of it is
 /// assembled in memory) and always fsynced: checkpoints are rare and a
@@ -293,7 +308,7 @@ impl Durability {
 /// per-record WAL policy says.
 fn stage(tmp: &Path, graph: &Graph, relabeling: Option<&Relabeling>, seq: u64) -> io::Result<()> {
     let mut file = std::fs::File::create(tmp)?;
-    write_pcg_with_wal_seq(graph, relabeling, Some(seq), &mut file).map_err(io_err)?;
+    write_pcg_to(graph, relabeling, Some(seq), &mut file).map_err(io_err)?;
     file.sync_data()
 }
 

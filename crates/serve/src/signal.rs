@@ -6,10 +6,10 @@
 //! flag. The daemon's shutdown watcher polls [`requested`] and runs the
 //! actual drain/flush/checkpoint sequence on a normal thread.
 //!
-//! This is the workspace's second audited `unsafe` module (after
-//! `parcom-io/src/mmap.rs`); the crate root swaps `forbid(unsafe_code)`
-//! for `deny` under this feature so the lifts below stay reviewable, and
-//! `parcom-audit` allowlists exactly this file.
+//! This is one of the workspace's two audited `unsafe` modules (with the
+//! executor's `shims/rayon/src/pool.rs`); the crate root swaps
+//! `forbid(unsafe_code)` for `deny` under this feature so the lifts below
+//! stay reviewable, and `parcom-audit` allowlists exactly this file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -68,7 +68,14 @@ fn batch(i: u64) -> (String, Vec<EdgeOp>) {
 fn reference_csr(batches: &[Vec<EdgeOp>]) -> Graph {
     let mut metis = Vec::new();
     parcom_io::write_metis_to(&seed_graph(), &mut metis).unwrap();
-    let g = parcom_io::read_metis_bytes_budgeted(&metis, &Budget::unlimited()).unwrap();
+    let g = parcom_io::load_graph_bytes(
+        &metis,
+        parcom_io::GraphFormat::Metis,
+        &Recorder::disabled(),
+        &Budget::unlimited(),
+    )
+    .unwrap()
+    .graph;
     let mut entry = GraphEntry::new(g, None);
     for ops in batches {
         entry.buffer_ops(ops.iter().copied());
@@ -94,7 +101,7 @@ fn recover_and_read(state_dir: &Path, socket: &Path) -> (Graph, u64) {
     let (status, v) = client.request("POST", "/graphs/ring/checkpoint", "");
     assert_eq!(status, 200, "{v:?}");
     drop(daemon);
-    let snapshot = parcom_io::read_pcg_budgeted(
+    let snapshot = parcom_io::load_graph_auto(
         parcom_io::state_paths(state_dir, "ring").pcg,
         &Recorder::enabled(),
         &Budget::unlimited(),

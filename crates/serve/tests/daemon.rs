@@ -309,6 +309,57 @@ fn full_lifecycle_over_unix_socket() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An inline-content `PUT` goes through the same loader as a path: it is
+/// measured like one, and its status comes from the error's kind — too
+/// big is 413, malformed is 422, whatever words the body contains.
+#[test]
+fn inline_content_is_measured_and_rejected_by_kind() {
+    let dir = std::env::temp_dir().join(format!("parcom_serve_inline_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("daemon.sock");
+    let server = Server::bind(ServeConfig {
+        socket: Some(socket.clone()),
+        max_edges: 2000,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&socket);
+    let put = |client: &mut Client, name: &str, content: &str| {
+        let mut body = String::from("{\"content\":");
+        json::write_str(&mut body, content);
+        body.push('}');
+        client.request("PUT", &format!("/graphs/{name}"), &body)
+    };
+    let metis = |g: &parcom_graph::Graph| {
+        let mut text = Vec::new();
+        parcom_io::write_metis_to(g, &mut text).unwrap();
+        String::from_utf8(text).unwrap()
+    };
+
+    // 1840 edges, inside the limit: a real load time and byte count
+    let text = metis(&parcom_generators::ring_of_cliques(40, 10).0);
+    let (status, v) = put(&mut client, "in", &text);
+    assert_eq!(status, 201, "{v:?}");
+    assert_eq!(get_str(&v, "format"), "metis");
+    assert_eq!(get_u64(&v, "load_bytes"), text.len() as u64, "{v:?}");
+    let load_ms = v.get("load_ms").and_then(Value::as_f64).unwrap();
+    assert!(load_ms > 0.0, "{v:?}");
+
+    // malformed, and the message happens to say "exceed": still 422
+    let (status, v) = put(&mut client, "bad", "2 1\nexceed\n1\n");
+    assert_eq!(status, 422, "{v:?}");
+    assert!(get_str(&v, "error").contains("bad neighbor id"), "{v:?}");
+
+    // 2300 edges, over --max-edges: refused at the header with 413
+    let text = metis(&parcom_generators::ring_of_cliques(50, 10).0);
+    let (status, v) = put(&mut client, "big", &text);
+    assert_eq!(status, 413, "{v:?}");
+    assert!(get_str(&v, "error").contains("ingest limit"), "{v:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The spec every warm-start test detects with (PLP is the detector that
 /// can start from a base).
 const PLP: &str = "plp:seed=1";

@@ -6,9 +6,11 @@
 //!
 //! Run with: `cargo run --release --example web_graph_pipeline`
 
+use parcom::community::Budget;
 use parcom::community::{quality::modularity, CommunityDetector, CommunityGraph, Plm, Plp};
 use parcom::generators::{rmat, RmatParams};
 use parcom::io;
+use parcom_obs::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = std::env::temp_dir().join("parcom_web_pipeline");
@@ -26,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. persist and reload (METIS, the DIMACS corpus format)
     let path = out_dir.join("web.metis");
     io::write_metis(&graph, &path)?;
-    let reloaded = io::read_metis(&path)?;
+    let reloaded = io::load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited())?.graph;
     assert_eq!(reloaded.edge_count(), graph.edge_count());
     println!("round-tripped through {}", path.display());
 

@@ -4,7 +4,17 @@
 use parcom::community::compare::jaccard_index;
 use parcom::community::{quality::modularity, CommunityDetector, CommunityGraph, Epp, Plm, Plp};
 use parcom::generators::{lfr, planted_partition, LfrParams, PlantedPartitionParams};
-use parcom::io;
+use parcom::graph::Graph;
+use parcom::io::{self, load_graph_bytes, GraphFormat};
+use parcom_guard::Budget;
+use parcom_obs::Recorder;
+
+/// Text of `format` through the one decoder.
+fn decode(bytes: &[u8], format: GraphFormat) -> Graph {
+    load_graph_bytes(bytes, format, &Recorder::disabled(), &Budget::unlimited())
+        .unwrap()
+        .graph
+}
 
 #[test]
 fn generate_persist_detect_pipeline() {
@@ -21,7 +31,7 @@ fn generate_persist_detect_pipeline() {
     // METIS round trip
     let mut buf = Vec::new();
     io::metis::write_metis_to(&g, &mut buf).unwrap();
-    let reloaded = io::metis::read_metis_from(buf.as_slice()).unwrap();
+    let reloaded = decode(&buf, GraphFormat::Metis);
     assert_eq!(reloaded.edge_count(), g.edge_count());
 
     // detection on the reloaded graph recovers the planted structure
@@ -48,13 +58,13 @@ fn partition_roundtrip_preserves_solution() {
 #[test]
 fn edge_list_roundtrip_preserves_quality() {
     let (g, _) = lfr(LfrParams::benchmark(600, 0.2), 3);
-    let mut buf = Vec::new();
-    io::edgelist::write_edge_list_to(&g, &mut buf).unwrap();
-    let el = io::edgelist::read_edge_list_from(buf.as_slice()).unwrap();
+    let mut text = String::from("# lfr\n");
+    g.for_edges(|u, v, w| text.push_str(&format!("{u} {v} {w}\n")));
+    let reloaded = decode(text.as_bytes(), GraphFormat::EdgeList);
     // labels were already compact, so grouping carries over directly
     let zeta = Plm::new().detect(&g);
-    let zeta2 = Plm::new().detect(&el.graph);
-    assert!((modularity(&g, &zeta) - modularity(&el.graph, &zeta2)).abs() < 0.05);
+    let zeta2 = Plm::new().detect(&reloaded);
+    assert!((modularity(&g, &zeta) - modularity(&reloaded, &zeta2)).abs() < 0.05);
 }
 
 #[test]

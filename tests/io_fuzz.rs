@@ -2,15 +2,29 @@
 //! hang or produce inconsistent graphs — on arbitrary and adversarial
 //! input.
 
-use parcom::io::{edgelist, metis, partition_io};
+use parcom::graph::Graph;
+use parcom::io::{load_graph_bytes, partition_io, GraphFormat, IoError};
+use parcom_guard::Budget;
+use parcom_obs::Recorder;
 use proptest::prelude::*;
+
+/// Text of `format` through the one decoder.
+fn decode(input: &str, format: GraphFormat) -> Result<Graph, IoError> {
+    load_graph_bytes(
+        input.as_bytes(),
+        format,
+        &Recorder::disabled(),
+        &Budget::unlimited(),
+    )
+    .map(|l| l.graph)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn metis_reader_never_panics(input in ".{0,400}") {
-        let _ = metis::read_metis_from(input.as_bytes());
+        let _ = decode(&input, GraphFormat::Metis);
     }
 
     #[test]
@@ -25,15 +39,15 @@ proptest! {
             input.push_str(&line.join(" "));
             input.push('\n');
         }
-        if let Ok(g) = metis::read_metis_from(input.as_bytes()) {
+        if let Ok(g) = decode(&input, GraphFormat::Metis) {
             prop_assert!(g.check_consistency());
         }
     }
 
     #[test]
     fn edge_list_reader_never_panics(input in ".{0,400}") {
-        if let Ok(el) = edgelist::read_edge_list_from(input.as_bytes()) {
-            prop_assert!(el.graph.check_consistency());
+        if let Ok(g) = decode(&input, GraphFormat::EdgeList) {
+            prop_assert!(g.check_consistency());
         }
     }
 
@@ -45,9 +59,9 @@ proptest! {
             .iter()
             .map(|(u, v)| format!("{u} {v}\n"))
             .collect();
-        let el = edgelist::read_edge_list_from(input.as_bytes()).unwrap();
-        prop_assert!(el.graph.check_consistency());
-        prop_assert!(el.graph.node_count() <= 2 * pairs.len());
+        let g = decode(&input, GraphFormat::EdgeList).unwrap();
+        prop_assert!(g.check_consistency());
+        prop_assert!(g.node_count() <= 2 * pairs.len());
     }
 
     #[test]
@@ -76,14 +90,14 @@ fn metis_truncated_inputs_error_cleanly() {
         "1 0\n2\n",      // neighbor beyond n
         "abc def\n",     // garbage header
     ] {
-        let r = metis::read_metis_from(input.as_bytes());
+        let r = decode(input, GraphFormat::Metis);
         assert!(r.is_err(), "input {input:?} should fail");
     }
 }
 
 #[test]
 fn io_error_messages_carry_line_numbers() {
-    let err = metis::read_metis_from("2 1\nxyz\n1\n".as_bytes()).unwrap_err();
+    let err = decode("2 1\nxyz\n1\n", GraphFormat::Metis).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("line 2"), "unhelpful error: {msg}");
 }
