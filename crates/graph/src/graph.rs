@@ -14,6 +14,10 @@
 //! * `volume(u)` = weighted_degree(u) + self_loop_weight(u), i.e. self-loops
 //!   count **twice** — exactly the paper's `vol(u)`. Consequently
 //!   `Σ_u volume(u) = 2 ω(E)`.
+//!
+//! Every `Graph` is made by one constructor tail (`from_rows`), and every
+//! cache it holds — degrees, self-loops, ω(E), m — is derived from its own
+//! arrays there; no caller, and no file, supplies one.
 
 use crate::parallel::{split_by_ranges, weighted_ranges, DYNAMIC_PIECES};
 use rayon::prelude::*;
@@ -57,29 +61,8 @@ pub struct Graph {
     num_edges: usize,
 }
 
-/// Owned CSR arrays plus the derived caches — the exact fields of [`Graph`],
-/// exposed so a deserializer can hand a fully-materialized graph to
-/// [`Graph::from_cached_parts`] without re-deriving anything.
-#[derive(Clone, Debug)]
-pub struct CsrParts {
-    /// Row offsets; length `n + 1`, `offsets[0] == 0`.
-    pub offsets: Vec<usize>,
-    /// Concatenated, per-row-sorted neighbor lists.
-    pub targets: Vec<Node>,
-    /// Edge weights parallel to `targets`.
-    pub weights: Vec<f64>,
-    /// Per-node sum of incident weights (self-loop once); length `n`.
-    pub weighted_degrees: Vec<f64>,
-    /// Per-node self-loop weight; length `n`.
-    pub self_loops: Vec<f64>,
-    /// ω(E): total edge weight, self-loops counted once.
-    pub total_weight: f64,
-    /// Number of undirected edges (self-loops count one).
-    pub num_edges: usize,
-}
-
 /// Borrowed view of every CSR array and derived cache of a [`Graph`] — what a
-/// serializer reads to write the graph without re-deriving anything.
+/// serializer or a footprint count reads.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrView<'a> {
     /// Row offsets; length `n + 1`.
@@ -106,6 +89,114 @@ struct CsrRows {
     weights: Vec<f64>,
     weighted_degrees: Vec<f64>,
     self_loops: Vec<f64>,
+}
+
+/// The caches of row `row` — its weighted degree, its self-loop weight and
+/// its number of loop entries — summed entry by entry in CSR order: the one
+/// definition every construction path and [`Graph::validate`] share, so a
+/// cache equals its recomputation bit for bit.
+#[inline]
+fn row_sums(row: usize, targets: &[Node], weights: &[f64]) -> (f64, f64, usize) {
+    let (mut degree, mut self_loop, mut loops) = (0.0, 0.0, 0usize);
+    for (&t, &w) in targets.iter().zip(weights) {
+        degree += w;
+        if t as usize == row {
+            self_loop += w;
+            loops += 1;
+        }
+    }
+    (degree, self_loop, loops)
+}
+
+/// ω(E) from the per-node caches: non-loop edges are stored twice, loops
+/// once. Summed sequentially in node order — a parallel reduction would tie
+/// the value to the split points. A row has at most one loop entry, so
+/// adding `self_loops[u]` (0.0 elsewhere) is the entry-by-entry sum.
+fn total_weight(weighted_degrees: &[f64], self_loops: &[f64]) -> f64 {
+    let (mut directed_weight, mut loop_total) = (0.0, 0.0);
+    for (wd, sl) in weighted_degrees.iter().zip(self_loops) {
+        directed_weight += wd;
+        loop_total += sl;
+    }
+    (directed_weight - loop_total) / 2.0 + loop_total
+}
+
+/// The invariants of the three CSR arrays. The O(n + m) ones that keep
+/// later code from panicking always run: array lengths, offsets starting
+/// at 0, never decreasing and ending at `targets.len()`, every target id in
+/// range. `rows` adds the per-row ones: rows strictly sorted (no duplicate
+/// targets), weights finite and non-negative, and every non-loop entry
+/// `(u → v, w)` mirrored by `(v → u, w)` — self-loops appear once, in their
+/// own row (the workspace's self-loop convention).
+// audit:allow(budget-propagation): one linear pass per construction, over arrays the loader admitted against the budget
+fn check_arrays(
+    offsets: &[usize],
+    targets: &[Node],
+    weights: &[f64],
+    rows: bool,
+) -> Result<(), String> {
+    let Some(&end) = offsets.last() else {
+        return Err("offsets must have length n + 1 (is empty)".into());
+    };
+    let n = offsets.len() - 1;
+    if offsets[0] != 0 {
+        return Err(format!("offsets[0] = {} (want 0)", offsets[0]));
+    }
+    if targets.len() != weights.len() {
+        return Err(format!(
+            "targets/weights length mismatch: {} vs {}",
+            targets.len(),
+            weights.len()
+        ));
+    }
+    if end != targets.len() {
+        return Err(format!(
+            "offsets end at {end} but there are {} adjacency entries",
+            targets.len()
+        ));
+    }
+    if let Some(u) = (0..n).find(|&u| offsets[u] > offsets[u + 1]) {
+        return Err(format!(
+            "offsets not monotone at node {u}: {} > {}",
+            offsets[u],
+            offsets[u + 1]
+        ));
+    }
+    if let Some(&v) = targets.iter().find(|&&v| v as usize >= n) {
+        return Err(format!("out-of-range target {v} (n = {n})"));
+    }
+    if !rows {
+        return Ok(());
+    }
+    let row = |u: usize| offsets[u]..offsets[u + 1];
+    for u in 0..n {
+        let (row_targets, row_weights) = (&targets[row(u)], &weights[row(u)]);
+        if let Some(p) = row_targets.windows(2).find(|p| p[0] >= p[1]) {
+            return Err(format!(
+                "row of node {u} not strictly sorted: {} then {}",
+                p[0], p[1]
+            ));
+        }
+        for (&v, &w) in row_targets.iter().zip(row_weights) {
+            if !w.is_finite() || w < 0.0 {
+                return Err(format!(
+                    "edge {{{u}, {v}}} has invalid weight {w} (want finite, non-negative)"
+                ));
+            }
+            if v as usize == u {
+                continue;
+            }
+            let back = row(v as usize);
+            let mirror = (targets[back.clone()].binary_search(&(u as Node)).ok())
+                .map(|i| weights[back.start + i]);
+            if mirror != Some(w) {
+                return Err(format!(
+                    "asymmetric edge: {u} → {v} has weight {w}, reverse entry {mirror:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `buffer` emptied and able to hold `len` elements. One too small is
@@ -155,18 +246,11 @@ impl CsrRows {
         self.weights.extend_from_slice(weights);
     }
 
-    /// Closes the open row, summing its caches entry by entry in CSR order
-    /// as [`Graph::from_csr`] does.
+    /// Closes the open row, summing its caches as [`Graph::from_csr`] does.
     fn end_row(&mut self) {
         let row = self.weighted_degrees.len();
         let start = self.offsets[row];
-        let (mut degree, mut self_loop) = (0.0, 0.0);
-        for (&t, &w) in self.targets[start..].iter().zip(&self.weights[start..]) {
-            degree += w;
-            if t as usize == row {
-                self_loop += w;
-            }
-        }
+        let (degree, self_loop, _) = row_sums(row, &self.targets[start..], &self.weights[start..]);
         self.weighted_degrees.push(degree);
         self.self_loops.push(self_loop);
         self.offsets.push(self.targets.len());
@@ -200,10 +284,12 @@ impl CsrRows {
 }
 
 impl Graph {
-    /// Assembles a graph from raw CSR arrays. Rows must be sorted by target
-    /// and free of duplicate targets; every non-loop edge must appear in both
-    /// endpoint rows with equal weight. [`crate::GraphBuilder`] guarantees
-    /// this; `debug_assert`s verify it in test builds.
+    /// Assembles a graph from raw CSR arrays, deriving every cache from
+    /// them. Rows must be sorted by target and free of duplicate targets;
+    /// every non-loop edge must appear in both endpoint rows with equal
+    /// weight. The builder, coarsening and relabeling guarantee this; an
+    /// untrusted source goes through [`Self::try_from_csr`].
+    // audit:allow(budget-propagation): one linear pass per construction, over arrays the loader admitted against the budget
     pub(crate) fn from_csr(offsets: Vec<usize>, targets: Vec<Node>, weights: Vec<f64>) -> Self {
         let n = offsets.len() - 1;
         debug_assert_eq!(targets.len(), weights.len());
@@ -233,13 +319,10 @@ impl Graph {
                 .map(|((rows, degrees), loops)| {
                     let mut num_loops = 0usize;
                     for (u, (wd, sl)) in rows.clone().zip(degrees.iter_mut().zip(loops)) {
-                        for i in offsets[u]..offsets[u + 1] {
-                            *wd += weights[i];
-                            if targets[i] as usize == u {
-                                *sl += weights[i];
-                                num_loops += 1;
-                            }
-                        }
+                        let row = offsets[u]..offsets[u + 1];
+                        let row_loops;
+                        (*wd, *sl, row_loops) = row_sums(u, &targets[row.clone()], &weights[row]);
+                        num_loops += row_loops;
                     }
                     num_loops
                 })
@@ -251,19 +334,9 @@ impl Graph {
     /// The graph of five finished arrays, `num_loops` of whose entries are
     /// self-loops: the one place the two totals are computed.
     fn from_rows(rows: CsrRows, num_loops: usize) -> Self {
-        // The float totals are summed sequentially in node order — a
-        // parallel reduction would tie them to the split points. A row has
-        // at most one loop entry, so adding `self_loops[u]` (0.0 elsewhere)
-        // is the entry-by-entry sum.
-        let mut loop_total = 0.0;
-        let mut directed_weight = 0.0;
-        for (wd, sl) in rows.weighted_degrees.iter().zip(&rows.self_loops) {
-            directed_weight += wd;
-            loop_total += sl;
-        }
         let g = Self {
+            total_weight: total_weight(&rows.weighted_degrees, &rows.self_loops),
             // Non-loop edges are stored twice, loops once.
-            total_weight: (directed_weight - loop_total) / 2.0 + loop_total,
             num_edges: (rows.targets.len() - num_loops) / 2 + num_loops,
             offsets: rows.offsets,
             targets: rows.targets,
@@ -377,79 +450,24 @@ impl Graph {
         (Self::from_rows(out, num_loops), in_place)
     }
 
-    /// Assembles a graph from raw CSR arrays *plus* the derived caches,
-    /// skipping the O(n + m) cache recomputation of [`Self::from_csr`] —
-    /// the zero-parse reopen path of the binary graph format
-    /// (`parcom_io::binfmt`). The caches are trusted (the binary format
-    /// checksums them); what is re-verified is every invariant whose
-    /// violation could panic later code: array lengths, monotone offsets
-    /// ending at `targets.len()`, and every target id in range. In debug
-    /// builds and under the `validate` feature the full [`Self::validate`]
-    /// runs as well, so tests exercise the complete contract.
-    pub fn from_cached_parts(parts: CsrParts) -> Result<Self, String> {
-        let CsrParts {
-            offsets,
-            targets,
-            weights,
-            weighted_degrees,
-            self_loops,
-            total_weight,
-            num_edges,
-        } = parts;
-        if offsets.is_empty() {
-            return Err("offsets must have length n + 1 (is empty)".into());
-        }
-        let n = offsets.len() - 1;
-        if offsets[0] != 0 {
-            return Err(format!("offsets[0] = {} (want 0)", offsets[0]));
-        }
-        if targets.len() != weights.len() {
-            return Err(format!(
-                "targets/weights length mismatch: {} vs {}",
-                targets.len(),
-                weights.len()
-            ));
-        }
-        if *offsets.last().unwrap() != targets.len() {
-            return Err(format!(
-                "offsets end at {} but there are {} adjacency entries",
-                offsets.last().unwrap(),
-                targets.len()
-            ));
-        }
-        if weighted_degrees.len() != n || self_loops.len() != n {
-            return Err(format!(
-                "degree caches have length {}/{} for {n} nodes",
-                weighted_degrees.len(),
-                self_loops.len()
-            ));
-        }
-        if let Some(u) = (0..n).find(|&u| offsets[u] > offsets[u + 1]) {
-            return Err(format!(
-                "offsets not monotone at node {u}: {} > {}",
-                offsets[u],
-                offsets[u + 1]
-            ));
-        }
-        if let Some(&v) = targets.iter().find(|&&v| v as usize >= n) {
-            return Err(format!("target id {v} out of range (n = {n})"));
-        }
-        let g = Self {
-            offsets,
-            targets,
-            weights,
-            weighted_degrees,
-            self_loops,
-            total_weight,
-            num_edges,
-        };
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        g.validate()?;
-        Ok(g)
+    /// `from_csr` for arrays from an untrusted source — what the
+    /// binary graph format (`parcom_io::binfmt`) decodes. The checks whose
+    /// failure would panic later code always run first: array lengths,
+    /// offsets that start at 0, never decrease and end at `targets.len()`,
+    /// and every target id in range. Debug builds and the `validate`
+    /// feature add the per-row checks of [`Self::validate`]. Every cache is
+    /// then derived from the arrays; none is taken on trust.
+    pub fn try_from_csr(
+        offsets: Vec<usize>,
+        targets: Vec<Node>,
+        weights: Vec<f64>,
+    ) -> Result<Self, String> {
+        let rows = cfg!(any(debug_assertions, feature = "validate"));
+        check_arrays(&offsets, &targets, &weights, rows)?;
+        Ok(Self::from_csr(offsets, targets, weights))
     }
 
-    /// Borrows every CSR array and derived cache at once — what a binary
-    /// serializer needs to write the graph without re-deriving anything.
+    /// Borrows every CSR array and derived cache at once.
     pub fn csr_view(&self) -> CsrView<'_> {
         CsrView {
             offsets: &self.offsets,
@@ -616,102 +634,41 @@ impl Graph {
     ///   mirror entry `(v → u, w)`; self-loops appear exactly once, in
     ///   their own row (the workspace's self-loop convention);
     /// * the cached `weighted_degrees`, `self_loops`, `total_weight` and
-    ///   `num_edges` agree with a recomputation from the raw arrays.
+    ///   `num_edges` equal, bit for bit, their recomputation from the raw
+    ///   arrays — every construction path derives them with the same
+    ///   arithmetic, so there is no rounding to allow for.
     ///
-    /// Compiled only in debug builds or with the `validate` feature; the
-    /// parallel algorithms call it as a postcondition through
-    /// [`Self::check_consistency`]-style debug hooks.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// Every construction path runs it as a postcondition in debug builds
+    /// or with the `validate` feature.
     pub fn validate(&self) -> Result<(), String> {
+        check_arrays(&self.offsets, &self.targets, &self.weights, true)?;
         let n = self.node_count();
-        if self.offsets.len() != n + 1 {
-            return Err(format!(
-                "offsets has length {} for {n} nodes (want n + 1)",
-                self.offsets.len()
-            ));
-        }
-        if self.offsets[0] != 0 {
-            return Err(format!("offsets[0] = {} (want 0)", self.offsets[0]));
-        }
-        if self.targets.len() != self.weights.len() {
-            return Err(format!(
-                "targets/weights length mismatch: {} vs {}",
-                self.targets.len(),
-                self.weights.len()
-            ));
-        }
-        if *self.offsets.last().unwrap() != self.targets.len() {
-            return Err(format!(
-                "offsets end at {} but there are {} adjacency entries",
-                self.offsets.last().unwrap(),
-                self.targets.len()
-            ));
-        }
         if self.weighted_degrees.len() != n || self.self_loops.len() != n {
             return Err("cached degree arrays have wrong length".into());
         }
-        let mut loop_total = 0.0;
-        let mut directed_weight = 0.0;
         let mut num_loops = 0usize;
         for u in 0..n {
-            if self.offsets[u] > self.offsets[u + 1] {
+            let row = self.offsets[u]..self.offsets[u + 1];
+            let (degree, self_loop, loops) =
+                row_sums(u, &self.targets[row.clone()], &self.weights[row]);
+            num_loops += loops;
+            if self.weighted_degrees[u].to_bits() != degree.to_bits() {
                 return Err(format!(
-                    "offsets not monotone at node {u}: {} > {}",
-                    self.offsets[u],
-                    self.offsets[u + 1]
-                ));
-            }
-            let row = &self.targets[self.offsets[u]..self.offsets[u + 1]];
-            let row_weights = &self.weights[self.offsets[u]..self.offsets[u + 1]];
-            if let Some(w) = row.windows(2).find(|w| w[0] >= w[1]) {
-                return Err(format!(
-                    "row of node {u} not strictly sorted: {} then {}",
-                    w[0], w[1]
-                ));
-            }
-            let mut wd = 0.0;
-            for (&v, &w) in row.iter().zip(row_weights) {
-                if v as usize >= n {
-                    return Err(format!("node {u} has out-of-range neighbor {v} (n = {n})"));
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!(
-                        "edge {{{u}, {v}}} has invalid weight {w} (want finite, non-negative)"
-                    ));
-                }
-                wd += w;
-                if v as usize == u {
-                    loop_total += w;
-                    num_loops += 1;
-                } else if self.edge_weight(v, u as Node) != Some(w) {
-                    return Err(format!(
-                        "asymmetric edge: {u} → {v} has weight {w}, reverse entry {:?}",
-                        self.edge_weight(v, u as Node)
-                    ));
-                }
-            }
-            directed_weight += wd;
-            if (self.weighted_degrees[u] - wd).abs() > 1e-9 * wd.abs().max(1.0) {
-                return Err(format!(
-                    "cached weighted_degree of {u} is {} (recomputed {wd})",
+                    "cached weighted_degree of {u} is {} (recomputed {degree})",
                     self.weighted_degrees[u]
                 ));
             }
-            let self_loop: f64 = row
-                .iter()
-                .zip(row_weights)
-                .filter(|(&v, _)| v as usize == u)
-                .map(|(_, &w)| w)
-                .sum();
-            if (self.self_loops[u] - self_loop).abs() > 1e-9 * self_loop.abs().max(1.0) {
+            if self.self_loops[u].to_bits() != self_loop.to_bits() {
                 return Err(format!(
                     "cached self-loop weight of {u} is {} (recomputed {self_loop})",
                     self.self_loops[u]
                 ));
             }
         }
-        let total = (directed_weight - loop_total) / 2.0 + loop_total;
-        if (self.total_weight - total).abs() > 1e-9 * total.abs().max(1.0) {
+        // The per-node caches are now known exact, so the totals recompute
+        // from them as `from_rows` computes them.
+        let total = total_weight(&self.weighted_degrees, &self.self_loops);
+        if self.total_weight.to_bits() != total.to_bits() {
             return Err(format!(
                 "cached total_weight is {} (recomputed {total})",
                 self.total_weight
@@ -727,34 +684,9 @@ impl Graph {
         Ok(())
     }
 
-    /// Structural invariants; used by tests and `debug_assert` on build.
+    /// Whether [`Self::validate`] passes.
     pub fn check_consistency(&self) -> bool {
-        let n = self.node_count();
-        if self.offsets.len() != n + 1 || self.offsets[0] != 0 {
-            return false;
-        }
-        for u in 0..n {
-            if self.offsets[u] > self.offsets[u + 1] {
-                return false;
-            }
-            let row = &self.targets[self.offsets[u]..self.offsets[u + 1]];
-            // sorted, no duplicates, in range
-            if !row.windows(2).all(|w| w[0] < w[1]) {
-                return false;
-            }
-            if row.iter().any(|&v| v as usize >= n) {
-                return false;
-            }
-        }
-        // symmetry
-        for u in 0..n as Node {
-            for (v, w) in self.edges_of(u) {
-                if v != u && self.edge_weight(v, u) != Some(w) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.validate().is_ok()
     }
 }
 
@@ -836,6 +768,50 @@ mod validate_tests {
         let mut g = intact();
         g.self_loops[0] = 1.0;
         assert!(g.validate().unwrap_err().contains("self-loop"));
+    }
+
+    #[test]
+    fn rejects_a_cache_one_ulp_off() {
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut g = intact();
+        g.total_weight = ulp_up(g.total_weight);
+        assert!(g.validate().unwrap_err().contains("total_weight"));
+        let mut g = intact();
+        g.weighted_degrees[2] = ulp_up(g.weighted_degrees[2]);
+        assert!(g.validate().unwrap_err().contains("weighted_degree"));
+    }
+
+    #[test]
+    fn try_from_csr_derives_every_cache() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 0.1);
+        b.add_edge(1, 2, 0.2);
+        b.add_edge(2, 2, 0.7);
+        b.add_edge(0, 3, 0.3);
+        let want = b.build();
+        let v = want.csr_view();
+        let got = Graph::try_from_csr(v.offsets.to_vec(), v.targets.to_vec(), v.weights.to_vec())
+            .unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let g = got.csr_view();
+        assert_eq!(bits(g.weighted_degrees), bits(v.weighted_degrees));
+        assert_eq!(bits(g.self_loops), bits(v.self_loops));
+        assert_eq!(g.total_weight.to_bits(), v.total_weight.to_bits());
+        assert_eq!(g.num_edges, v.num_edges);
+    }
+
+    #[test]
+    fn try_from_csr_rejects_arrays_that_would_panic() {
+        let rejects = |offsets: Vec<usize>, targets: Vec<u32>, weights: Vec<f64>, needle| {
+            let err = Graph::try_from_csr(offsets, targets, weights).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        };
+        rejects(vec![], vec![], vec![], "is empty");
+        rejects(vec![1, 1], vec![0], vec![1.0], "offsets[0]");
+        rejects(vec![0, 1], vec![0], vec![], "length mismatch");
+        rejects(vec![0, 1, 3], vec![1], vec![1.0], "end at");
+        rejects(vec![0, 2, 1, 2], vec![1, 0], vec![1.0, 1.0], "monotone");
+        rejects(vec![0, 1, 2], vec![1, 5], vec![1.0, 1.0], "out-of-range");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use builder::GraphBuilder;
 pub use coarsening::{coarsen, coarsen_with, Coarsening};
 pub use coloring::Coloring;
 pub use cores::CoreDecomposition;
-pub use graph::{CsrParts, CsrView, Graph, Node};
+pub use graph::{CsrView, Graph, Node};
 pub use partition::{AtomicPartition, Partition};
 pub use relabel::Relabeling;
 pub use scratch::{ScratchPool, SparseWeightMap};

@@ -14,7 +14,7 @@
 //! original ids at the emission boundary via [`Relabeling::to_original`], so
 //! callers never observe the reordering.
 
-use crate::graph::{CsrParts, Graph, Node};
+use crate::graph::{Graph, Node};
 use crate::parallel::{chunk_ranges, default_threads, exclusive_prefix_sum, split_by_ranges};
 use crate::partition::Partition;
 use rayon::prelude::*;
@@ -134,7 +134,9 @@ impl Relabeling {
     /// The rebuild is cache-blocked: new-id node ranges are processed in
     /// contiguous chunks, each chunk writing its own disjoint slice of the
     /// new adjacency arrays (no atomics, no post-hoc stitching). Rows are
-    /// re-sorted per node since the target mapping permutes their order.
+    /// re-sorted per node since the target mapping permutes their order,
+    /// and the caches are summed from the permuted rows like any other
+    /// graph's.
     pub fn apply(&self, g: &Graph) -> Graph {
         let n = g.node_count();
         assert_eq!(
@@ -195,31 +197,7 @@ impl Relabeling {
                     }
                 });
         }
-
-        // Per-node caches permute directly; the totals are order-free.
-        let weighted_degrees: Vec<f64> = self
-            .old_of_new
-            .iter()
-            .map(|&old| g.weighted_degree(old))
-            .collect();
-        let self_loops: Vec<f64> = self
-            .old_of_new
-            .iter()
-            .map(|&old| g.self_loop_weight(old))
-            .collect();
-
-        match Graph::from_cached_parts(CsrParts {
-            offsets,
-            targets,
-            weights,
-            weighted_degrees,
-            self_loops,
-            total_weight: g.total_edge_weight(),
-            num_edges: g.edge_count(),
-        }) {
-            Ok(g) => g,
-            Err(e) => panic!("relabeling produced an inconsistent CSR graph: {e}"),
-        }
+        Graph::from_csr(offsets, targets, weights)
     }
 
     /// Maps a partition over the *relabeled* graph back to original ids:

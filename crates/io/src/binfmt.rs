@@ -2,11 +2,13 @@
 //!
 //! Text ingest (METIS, edge lists) pays a parse on every open; the binary
 //! format is the resident daemon's restart path and the bench harness's
-//! reopen path, so it stores exactly what [`parcom_graph::Graph`] holds in
-//! memory — CSR arrays *plus* the derived caches (weighted degrees,
-//! self-loop weights, totals) — and loading is a single contiguous read
-//! followed by word-wise conversion into section-sliced buffers. No
-//! tokenizing, no CSR assembly, no cache recomputation.
+//! reopen path, so it stores the CSR arrays [`parcom_graph::Graph`] holds
+//! in memory, and loading is a single contiguous read followed by
+//! word-wise conversion into section-sliced buffers. No tokenizing and no
+//! CSR assembly. The derived values — weighted degrees, self-loop weights,
+//! ω(E) and m — are recomputed from the arrays by
+//! [`Graph::try_from_csr`], the graph's own constructor, in one O(m) pass:
+//! a file can carry them, but it is never trusted for them.
 //!
 //! ## Layout
 //!
@@ -16,9 +18,9 @@
 //! [12..16]  section count      u32 le
 //! [16..24]  flags              u64 le        (bit 0: graph is relabeled)
 //! [24..32]  n  (nodes)         u64 le
-//! [32..40]  m  (edges)         u64 le
+//! [32..40]  m  (edges)         u64 le        (must match the adjacency)
 //! [40..48]  adjacency length   u64 le        (Σ row lengths)
-//! [48..56]  total edge weight  f64 le bits
+//! [48..56]  total edge weight  f64 le bits   (informational; never read)
 //! [56..64]  body checksum      u64 le        (fold of per-section sums)
 //! [64..64+24c]  section table: {id u32, reserved u32, offset u64, len u64}
 //! [..+8]    header checksum    u64 le        (over all bytes before it)
@@ -27,25 +29,29 @@
 //!
 //! Sections (little-endian payloads): `1` row offsets `u64×(n+1)`, `2`
 //! targets `u32×adj`, `3` edge weights `f64×adj` (omitted when every
-//! weight is 1), `4` weighted degrees `f64×n`, `5` self-loop weights
-//! `f64×n`, `6` relabeling permutation `u32×n` (`new_of_old`; present iff
+//! weight is 1), `6` relabeling permutation `u32×n` (`new_of_old`; present iff
 //! flag bit 0 is set — see [`parcom_graph::relabel`]), `7` WAL sequence
 //! `u64` (daemon checkpoints only: the last write-ahead-log record folded
 //! into this snapshot, so recovery knows where replay resumes; absent in
-//! files written by `parcom convert`). Unknown section ids are carried in
-//! the table and checksummed but otherwise ignored, so readers of this
-//! version skip sections a future writer might add.
+//! files written by `parcom convert`). Ids `4` and `5` are retired: older
+//! writers stored the weighted degrees and self-loop weights there
+//! (`f64×n` each). Unknown section ids — 4 and 5 among them — are carried
+//! in the table and checksummed but otherwise ignored, so every v1 file
+//! ever written still loads, and readers of this version skip sections a
+//! future writer might add.
 //!
 //! The magic follows the PNG convention: a high bit to catch 7-bit
 //! transmission damage, `\r\n` to catch newline translation, `\x1a` to
 //! stop accidental terminal dumps. Header claims are admitted against the
 //! ingest [`Budget`] *before* any proportional allocation, mirroring the
 //! METIS header admission; both checksums are verified before the graph is
-//! handed to callers.
+//! handed to callers. The checksums catch damage, not lies — the algorithm
+//! is public — so a header whose m disagrees with the adjacency it
+//! describes is rejected as a typed error.
 
 use crate::{at_path, limit_error, GraphFormat, IoError, LoadedGraph};
 use parcom_graph::relabel::Relabeling;
-use parcom_graph::{CsrParts, Graph, Node};
+use parcom_graph::{Graph, Node};
 use parcom_guard::Budget;
 use std::io::Write;
 use std::path::Path;
@@ -64,8 +70,6 @@ const FLAG_RELABELED: u64 = 1;
 const SEC_OFFSETS: u32 = 1;
 const SEC_TARGETS: u32 = 2;
 const SEC_WEIGHTS: u32 = 3;
-const SEC_WDEG: u32 = 4;
-const SEC_SLOOP: u32 = 5;
 const SEC_PERM: u32 = 6;
 const SEC_WALSEQ: u32 = 7;
 
@@ -266,18 +270,12 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
 /// section — the daemon checkpoint writer records the last log record the
 /// snapshot covers, so recovery replays exactly the tail written after it;
 /// `None` writes the plain file `parcom convert` does.
-///
-/// The image is never assembled in memory: each section is converted
-/// `PIECE_LEN` bytes at a time straight from the graph's arrays, once
-/// for the checksums the header carries and once for the writer, so a
-/// checkpoint costs one piece beside the graph, not two more copies of it.
 pub fn write_pcg_to(
     g: &Graph,
     relabeling: Option<&Relabeling>,
     wal_seq: Option<u64>,
-    mut writer: impl Write,
+    writer: impl Write,
 ) -> Result<(), IoError> {
-    let view = g.csr_view();
     let n = g.node_count();
     if let Some(r) = relabeling {
         if r.len() != n {
@@ -287,27 +285,45 @@ pub fn write_pcg_to(
             )));
         }
     }
-    let weighted = view.weights.iter().any(|&w| w != 1.0);
+    write_sections(g, &sections(g, relabeling, wal_seq), writer)
+}
 
-    let mut sections: Vec<(u32, Payload<'_>)> = Vec::with_capacity(7);
+/// The sections [`write_pcg_to`] writes, in file order.
+fn sections<'a>(
+    g: &'a Graph,
+    relabeling: Option<&'a Relabeling>,
+    wal_seq: Option<u64>,
+) -> Vec<(u32, Payload<'a>)> {
+    let view = g.csr_view();
+    let mut sections = Vec::with_capacity(5);
     sections.push((SEC_OFFSETS, Payload::U64s(view.offsets)));
     sections.push((SEC_TARGETS, Payload::U32s(view.targets)));
-    if weighted {
+    if view.weights.iter().any(|&w| w != 1.0) {
         sections.push((SEC_WEIGHTS, Payload::F64s(view.weights)));
     }
-    sections.push((SEC_WDEG, Payload::F64s(view.weighted_degrees)));
-    sections.push((SEC_SLOOP, Payload::F64s(view.self_loops)));
     if let Some(r) = relabeling {
         sections.push((SEC_PERM, Payload::U32s(r.new_of_old())));
     }
     if let Some(seq) = wal_seq {
         sections.push((SEC_WALSEQ, Payload::Word(seq)));
     }
+    sections
+}
 
+/// Streams the image of `g` with `sections` to `writer`. The image is
+/// never assembled in memory: each section is converted `PIECE_LEN` bytes
+/// at a time straight from the graph's arrays, once for the checksums the
+/// header carries and once for the writer, so a checkpoint costs one piece
+/// beside the graph, not two more copies of it.
+fn write_sections(
+    g: &Graph,
+    sections: &[(u32, Payload<'_>)],
+    mut writer: impl Write,
+) -> Result<(), IoError> {
     let count = sections.len();
     let header_len = HEAD_LEN + ENTRY_LEN * count + 8;
     let mut flags = 0u64;
-    if relabeling.is_some() {
+    if sections.iter().any(|(id, _)| *id == SEC_PERM) {
         flags |= FLAG_RELABELED;
     }
 
@@ -316,7 +332,7 @@ pub fn write_pcg_to(
     let mut table = Vec::with_capacity(count);
     let mut cursor = header_len;
     let mut body_sum = 0u64;
-    for (id, payload) in &sections {
+    for (id, payload) in sections {
         table.push((*id, cursor as u64, payload.len() as u64));
         let mut sum = Checksum::new();
         payload.pieces(&mut piece, |bytes| {
@@ -332,10 +348,10 @@ pub fn write_pcg_to(
     head.extend_from_slice(&VERSION.to_le_bytes());
     head.extend_from_slice(&(count as u32).to_le_bytes());
     head.extend_from_slice(&flags.to_le_bytes());
-    head.extend_from_slice(&(n as u64).to_le_bytes());
-    head.extend_from_slice(&(view.num_edges as u64).to_le_bytes());
-    head.extend_from_slice(&(view.targets.len() as u64).to_le_bytes());
-    head.extend_from_slice(&view.total_weight.to_bits().to_le_bytes());
+    head.extend_from_slice(&(g.node_count() as u64).to_le_bytes());
+    head.extend_from_slice(&(g.edge_count() as u64).to_le_bytes());
+    head.extend_from_slice(&(g.csr_view().targets.len() as u64).to_le_bytes());
+    head.extend_from_slice(&g.total_edge_weight().to_bits().to_le_bytes());
     head.extend_from_slice(&body_sum.to_le_bytes());
     for (id, offset, len) in &table {
         head.extend_from_slice(&id.to_le_bytes());
@@ -347,7 +363,7 @@ pub fn write_pcg_to(
     head.extend_from_slice(&header_sum.to_le_bytes());
     debug_assert_eq!(head.len(), header_len);
     writer.write_all(&head)?;
-    for (_, payload) in &sections {
+    for (_, payload) in sections {
         payload.pieces(&mut piece, |bytes| writer.write_all(bytes))?;
         let padding = payload.len().div_ceil(8) * 8 - payload.len();
         writer.write_all(&[0u8; 8][..padding])?;
@@ -382,9 +398,8 @@ struct SectionEntry {
 /// Decodes a `parcom-graph-bin/v1` image — [`crate::load_graph_bytes`]'s
 /// binary branch. Header claims are admitted against `budget` before any
 /// allocation proportional to them; both checksums are verified; the
-/// reassembled CSR passes the cheap structural checks of
-/// [`Graph::from_cached_parts`] (full validation in debug / `validate`
-/// builds).
+/// arrays go through [`Graph::try_from_csr`], which derives every cache
+/// from them, and the header's m must equal the one they define.
 pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoError> {
     if bytes.len() < HEAD_LEN + 8 {
         return Err(IoError::parse(format!(
@@ -432,7 +447,6 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
         .map_err(|_| IoError::parse("edge count does not fit this platform"))?;
     let adj = usize::try_from(rd_u64(bytes, 40))
         .map_err(|_| IoError::parse("adjacency length does not fit this platform"))?;
-    let total_weight = f64::from_bits(rd_u64(bytes, 48));
     let body_sum_stored = rd_u64(bytes, 56);
 
     if n > Node::MAX as usize {
@@ -441,7 +455,7 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
             format!("header claims {n} nodes, more than the u32 id space"),
         ));
     }
-    if adj > 2 * m {
+    if m.checked_mul(2).is_some_and(|entries| adj > entries) {
         return Err(IoError::parse(format!(
             "header claims adjacency length {adj}, inconsistent with {m} edges"
         )));
@@ -504,21 +518,27 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
         Ok(&bytes[e.offset..e.offset + e.len])
     };
 
-    let n_plus_1 = n
-        .checked_add(1)
-        .ok_or_else(|| IoError::parse("node count overflows"))?;
-    let offsets = from_le_u64s(sized(SEC_OFFSETS, "offsets", n_plus_1 * 8)?);
-    let targets = from_le_u32s(sized(SEC_TARGETS, "targets", adj * 4)?);
+    // Section sizes in bytes; a header count that overflows one describes
+    // no file.
+    let bytes_of = |count: Option<usize>, width: usize| {
+        count
+            .and_then(|c| c.checked_mul(width))
+            .ok_or_else(|| IoError::parse("header counts overflow the section sizes"))
+    };
+    let offsets = from_le_u64s(sized(
+        SEC_OFFSETS,
+        "offsets",
+        bytes_of(n.checked_add(1), 8)?,
+    )?);
+    let targets = from_le_u32s(sized(SEC_TARGETS, "targets", bytes_of(Some(adj), 4)?)?);
     let weights = match section(SEC_WEIGHTS) {
-        Some(_) => from_le_f64s(sized(SEC_WEIGHTS, "weights", adj * 8)?),
+        Some(_) => from_le_f64s(sized(SEC_WEIGHTS, "weights", bytes_of(Some(adj), 8)?)?),
         // Unweighted graphs omit the section; every weight is 1.
         None => vec![1.0; adj],
     };
-    let weighted_degrees = from_le_f64s(sized(SEC_WDEG, "weighted-degrees", n * 8)?);
-    let self_loops = from_le_f64s(sized(SEC_SLOOP, "self-loops", n * 8)?);
 
     let relabeling = if flags & FLAG_RELABELED != 0 {
-        let perm = from_le_u32s(sized(SEC_PERM, "relabeling", n * 4)?);
+        let perm = from_le_u32s(sized(SEC_PERM, "relabeling", bytes_of(Some(n), 4)?)?);
         Some(
             Relabeling::from_new_of_old(perm)
                 .map_err(|e| IoError::parse(format!("stored relabeling is invalid: {e}")))?,
@@ -532,16 +552,14 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
         None => None,
     };
 
-    let graph = Graph::from_cached_parts(CsrParts {
-        offsets,
-        targets,
-        weights,
-        weighted_degrees,
-        self_loops,
-        total_weight,
-        num_edges: m,
-    })
-    .map_err(|e| IoError::parse(format!("inconsistent graph data: {e}")))?;
+    let graph = Graph::try_from_csr(offsets, targets, weights)
+        .map_err(|e| IoError::parse(format!("inconsistent graph data: {e}")))?;
+    if graph.edge_count() != m {
+        return Err(IoError::parse(format!(
+            "header claims {m} edges, the adjacency defines {}",
+            graph.edge_count()
+        )));
+    }
 
     Ok(LoadedGraph {
         graph,
@@ -651,6 +669,70 @@ mod tests {
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert_eq!(loaded.wal_seq, Some(9));
+    }
+
+    /// The image an older writer produced: today's sections plus the
+    /// retired weighted degrees (4) and self-loop weights (5) after the
+    /// weights, holding `caches`.
+    fn legacy_image(g: &Graph, relabeling: Option<&Relabeling>, caches: [&[f64]; 2]) -> Vec<u8> {
+        let mut s = sections(g, relabeling, None);
+        let at = (s.iter().position(|(id, _)| *id > SEC_WEIGHTS)).unwrap_or(s.len());
+        let retired = [(4, Payload::F64s(caches[0])), (5, Payload::F64s(caches[1]))];
+        s.splice(at..at, retired);
+        let mut out = Vec::new();
+        write_sections(g, &s, &mut out).unwrap();
+        out
+    }
+
+    /// All seven `csr_view` parts, floats compared by their bits.
+    fn assert_bit_identical(a: &Graph, b: &Graph) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (a.csr_view(), b.csr_view());
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.targets, b.targets);
+        assert_eq!(bits(a.weights), bits(b.weights));
+        assert_eq!(bits(a.weighted_degrees), bits(b.weighted_degrees));
+        assert_eq!(bits(a.self_loops), bits(b.self_loops));
+        assert_eq!(a.total_weight.to_bits(), b.total_weight.to_bits());
+        assert_eq!(a.num_edges, b.num_edges);
+    }
+
+    #[test]
+    fn files_with_the_retired_cache_sections_still_load() {
+        // Weights whose sums round, so only the same arithmetic in the
+        // same order reproduces the caches.
+        let mut b = GraphBuilder::new(7);
+        for (u, v, w) in [
+            (0, 1, 0.1),
+            (1, 2, 0.2),
+            (2, 0, 0.7),
+            (2, 3, 0.3),
+            (3, 4, 1.1),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(4, 4, 0.6);
+        b.add_edge(5, 6, 1.0 / 3.0);
+        let g = b.build();
+        let r = Relabeling::degree_ordered(&g);
+        let h = r.apply(&g);
+        for (graph, relabeling) in [(&g, None), (&h, Some(&r))] {
+            let v = graph.csr_view();
+            let legacy = legacy_image(graph, relabeling, [v.weighted_degrees, v.self_loops]);
+            let current = image(graph, relabeling, None);
+            assert_eq!(legacy.len(), current.len() + 16 * 7 + 2 * ENTRY_LEN);
+            // Stale contents change nothing: the sections are never read.
+            let zeros = vec![0.0; 7];
+            let stale = legacy_image(graph, relabeling, [&zeros, &zeros]);
+            for bytes in [&legacy, &stale, &current] {
+                let loaded = load(bytes, &Budget::unlimited()).unwrap();
+                assert_bit_identical(graph, &loaded.graph);
+                assert_eq!(
+                    loaded.relabeling.map(|l| l.new_of_old().to_vec()),
+                    relabeling.map(|r| r.new_of_old().to_vec())
+                );
+            }
+        }
     }
 
     #[test]

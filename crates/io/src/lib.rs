@@ -10,9 +10,9 @@
 //! * [`edgelist`] — whitespace-separated edge lists (SNAP style), with
 //!   comment handling and automatic node-id compaction.
 //! * [`binfmt`] — the `parcom-graph-bin/v1` binary graph format (`.pcg`):
-//!   checksummed, section-tabled CSR with the derived caches stored, so
-//!   reopening a converted graph is a contiguous read plus word-wise
-//!   conversion — no parsing, no CSR assembly (DESIGN.md §15).
+//!   checksummed, section-tabled CSR arrays, so reopening a converted
+//!   graph is a contiguous read plus word-wise conversion and one pass
+//!   deriving the caches — no parsing, no CSR assembly (DESIGN.md §15).
 //! * [`partition_io`] — one community id per line, aligned with node ids.
 //! * [`dot`] — Graphviz export of community graphs (node size proportional
 //!   to community size, like the paper's PGPgiantcompo drawings).

@@ -156,6 +156,57 @@ fn ingest_limit_rejects_the_header_with_path_context() {
 }
 
 // ---------------------------------------------------------------------------
+// Lies: well-formed files whose header claims what the arrays deny. The
+// checksums are a public algorithm, so they are recomputed; what the
+// loader believes must come from the arrays, or the load must fail typed.
+
+/// `bytes` with the u64 header field at `at` set to `value` and the header
+/// checksum, which follows the section table, recomputed.
+fn lying(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let sections = u32::from_le_bytes(out[12..16].try_into().unwrap()) as usize;
+    let sum_at = 64 + 24 * sections;
+    let sum = binfmt::checksum64(&out[..sum_at]);
+    out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Header offsets of m and of ω(E).
+const EDGES_AT: usize = 32;
+const TOTAL_WEIGHT_AT: usize = 48;
+
+#[test]
+fn header_overstating_m_is_a_typed_error() {
+    let (path, bytes) = valid_pcg("lie_m.pcg");
+    let m = load(&path).unwrap().graph.edge_count() as u64;
+    // 2^63 and up overflow `2 * m`
+    for claim in [m + 1, 1_000_000, 1 << 63, u64::MAX] {
+        std::fs::write(&path, lying(&bytes, EDGES_AT, claim)).unwrap();
+        let err = load(&path).unwrap_err();
+        assert_corrupt(&err, &path, &format!("header claims {claim} edges"));
+    }
+}
+
+#[test]
+fn header_total_weight_is_never_trusted() {
+    let (path, bytes) = valid_pcg("lie_weight.pcg");
+    let want = load(&path).unwrap().graph;
+    // seven unit edges, 2.5 and the 0.5 loop
+    assert_eq!(want.total_edge_weight(), 10.0);
+    for claim in [0.5, 0.0, -1.0, f64::NAN, 1e300] {
+        std::fs::write(&path, lying(&bytes, TOTAL_WEIGHT_AT, f64::to_bits(claim))).unwrap();
+        let got = load(&path).unwrap().graph;
+        assert_eq!(
+            got.total_edge_weight().to_bits(),
+            want.total_edge_weight().to_bits(),
+            "header claimed {claim}"
+        );
+        assert_eq!(got.edge_count(), want.edge_count());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Format sniffing: magic bytes first, extension second.
 
 #[test]

@@ -120,7 +120,8 @@ fn list_graphs(store: &GraphStore) -> Reply {
         json::write_str(&mut out, &name);
         out.push_str(&format!(
             ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"rebuilds\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}",
-            stats.nodes, stats.edges, stats.pending, stats.generation, stats.rebuilds,
+            // `rebuilds` is the generation under its older name: both count folds.
+            stats.nodes, stats.edges, stats.pending, stats.generation, stats.generation,
             stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
         ));
         // How stale each cached answer is: `generation - base_generation`

@@ -112,7 +112,6 @@ pub struct GraphEntry {
     /// Bumped on every rebuild; lets clients correlate detection results
     /// with the graph version they ran against.
     generation: u64,
-    rebuilds: u64,
     /// Sequence number of the last acknowledged batch: the WAL record
     /// sequence when durable, a plain batch counter otherwise.
     seq: u64,
@@ -139,10 +138,8 @@ pub struct EntryStats {
     pub edges: usize,
     /// Buffered operations not yet folded in.
     pub pending: usize,
-    /// Current generation (rebuild counter of the resident CSR).
+    /// Current generation: the number of rebuilds since load.
     pub generation: u64,
-    /// Total rebuilds since load.
-    pub rebuilds: u64,
     /// Whether the resident CSR is a relabeled (cache-ordered) view.
     pub relabeled: bool,
     /// Whether a rebuild dropped a relabeling this entry once had.
@@ -207,7 +204,6 @@ impl GraphEntry {
             relabeling: relabeling.map(Arc::new),
             pending: Vec::new(),
             generation: 0,
-            rebuilds: 0,
             seq: 0,
             wal: None,
             relabel_dropped: false,
@@ -382,7 +378,6 @@ impl GraphEntry {
         let retired = std::mem::replace(&mut self.graph, Arc::new(rebuilt));
         self.spare = Arc::try_unwrap(retired).ok();
         self.generation += 1;
-        self.rebuilds += 1;
         recycled
     }
 
@@ -465,7 +460,6 @@ impl GraphEntry {
             edges: self.graph.edge_count(),
             pending: self.pending.len(),
             generation: self.generation,
-            rebuilds: self.rebuilds,
             relabeled: self.relabeling.is_some(),
             relabel_dropped: self.relabel_dropped,
             seq: self.seq,

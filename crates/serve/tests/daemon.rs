@@ -360,6 +360,53 @@ fn inline_content_is_measured_and_rejected_by_kind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `.pcg` whose checksums hold but whose header overstates m is refused
+/// as malformed, and a refused `PUT` by path leaves the store as it was —
+/// the graph it would have replaced included.
+#[test]
+fn a_pcg_lying_about_its_edge_count_is_refused_without_touching_the_store() {
+    let dir = std::env::temp_dir().join(format!("parcom_serve_liar_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("daemon.sock");
+    let server = Server::bind(ServeConfig {
+        socket: Some(socket.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let ctx = server.ctx();
+    ctx.store
+        .insert("ring", parcom_generators::ring_of_cliques(4, 5).0, None);
+    std::thread::spawn(move || server.run());
+
+    // m sits at header bytes 32..40; the header checksum follows the
+    // section table
+    let path = dir.join("liar.pcg");
+    let (g, _) = parcom_generators::ring_of_cliques(6, 5);
+    parcom_io::write_pcg(&g, None, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[32..40].copy_from_slice(&1_000_000u64.to_le_bytes());
+    let sum_at = 64 + 24 * u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let sum = parcom_io::binfmt::checksum64(&bytes[..sum_at]);
+    bytes[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut client = Client::connect(&socket);
+    let (_, before) = client.request("GET", "/graphs", "");
+    let body = format!("{{\"path\":\"{}\"}}", path.display());
+    for name in ["ring", "liar"] {
+        let (status, v) = client.request("PUT", &format!("/graphs/{name}"), &body);
+        assert_eq!(status, 422, "{v:?}");
+        assert!(
+            get_str(&v, "error").contains("header claims 1000000 edges"),
+            "{v:?}"
+        );
+    }
+    let (_, after) = client.request("GET", "/graphs", "");
+    assert_eq!(after, before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The spec every warm-start test detects with (PLP is the detector that
 /// can start from a base).
 const PLP: &str = "plp:seed=1";

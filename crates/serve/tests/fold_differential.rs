@@ -157,7 +157,7 @@ fn degenerate_batches_match_the_reference_fold() {
         let want = fold_reference(&base(), None, ops);
         let entry = fold(&base(), std::slice::from_ref(ops), true);
         let stats = entry.stats();
-        assert_eq!((stats.generation, stats.rebuilds, stats.pending), (1, 1, 0));
+        assert_eq!((stats.generation, stats.pending), (1, 0));
         assert_bit_identical(&entry.current().0, &want, what);
     }
 
@@ -265,7 +265,10 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
                 assert_bit_identical(&fold_reference(g, None, &all), &want, &what);
                 let once = fold(g, &batches, true);
                 let stepwise = fold(g, &batches, false);
-                assert_eq!((once.stats().rebuilds, stepwise.stats().rebuilds), (1, 4));
+                assert_eq!(
+                    (once.stats().generation, stepwise.stats().generation),
+                    (1, 4)
+                );
                 assert_bit_identical(&once.current().0, &want, &format!("{what} one fold"));
                 assert_bit_identical(&stepwise.current().0, &want, &format!("{what} 4 folds"));
             });
@@ -338,7 +341,7 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
         assert_bit_identical(&snapshot.graph, &want, &format!("fold {step}"));
         recycled.push(snapshot.recycled);
     }
-    assert!(want.node_count() > 5000 && entry.stats().rebuilds == 9);
+    assert!(want.node_count() > 5000 && entry.stats().generation == 9);
     // No spare yet; its capacity is exact; then every fold recycles, but
     // the oversized one and the one that inherits the CSR before it.
     assert_eq!(
