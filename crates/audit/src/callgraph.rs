@@ -1,17 +1,22 @@
-//! Workspace-level, name-based call graph and the interprocedural
-//! `budget-propagation` walk.
+//! Workspace-level, name-based call graph and its two walks:
+//! `budget-propagation` and the `unreachable-pub` census.
 //!
-//! Resolution is deliberately modest: a call site `name(…)` resolves to
-//! the workspace function of that name **iff the name has exactly one
-//! definition** across the scanned files. Ambiguous names (`new`, `run`,
-//! trait methods implemented many times) are skipped rather than guessed —
-//! a lint must not hallucinate edges. That still closes the hole the
-//! intra-function `budget-check` rule cannot see: helpers extracted from
-//! a detector's `run` body have workspace-unique names in practice, and the
-//! walk follows them transitively.
+//! The two walks resolve names in opposite directions, each toward the
+//! side that cannot produce a false finding:
+//! - `budget-propagation` resolves a call site `name(…)` to the workspace
+//!   function of that name **iff the name has exactly one definition**
+//!   across the scanned files. Ambiguous names (`new`, `run`, trait methods
+//!   implemented many times) are skipped rather than guessed — a lint must
+//!   not hallucinate edges. That still closes the hole the intra-function
+//!   `budget-check` rule cannot see: helpers extracted from a detector's
+//!   `run` body have workspace-unique names in practice, and the walk
+//!   follows them transitively.
+//! - `unreachable-pub` lets every identifier reach *every* definition of
+//!   that name, so it can miss dead code but never calls live code dead.
 
+use crate::lexer::{Token, TokenKind};
 use crate::model::{FileModel, FnItem};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A function definition: (file index, fn index within the file).
 pub type DefId = (usize, usize);
@@ -173,6 +178,136 @@ pub fn propagate_budgets(graph: &CallGraph<'_>) -> Vec<PropagationFinding> {
         fa.cmp(&fb)
     });
     findings
+}
+
+/// True when a (scan-root-relative) path lies under one of the
+/// [`crate::REACH_ROOTS`] prefixes. A prefix match, not a suffix one: a
+/// scan rooted inside one crate sees no root file at all.
+pub fn is_reach_root(path: &str) -> bool {
+    crate::REACH_ROOTS.iter().any(|p| path.starts_with(p))
+}
+
+/// True when the `fn` keyword at `fn_tok` is declared bare `pub` (through
+/// `const`/`async`/`unsafe`/`extern "C"` qualifiers); `pub(crate)` and
+/// narrower are not.
+fn is_bare_pub(toks: &[Token], fn_tok: usize) -> bool {
+    toks[..fn_tok]
+        .iter()
+        .rev()
+        .find(|t| {
+            t.kind != TokenKind::Str
+                && !["const", "async", "unsafe", "extern"].contains(&t.text.as_str())
+        })
+        .is_some_and(|t| t.is_ident("pub"))
+}
+
+/// True when the item whose `{` opens scope `s` is a trait impl
+/// (`impl … for … {`): its methods are called through the trait (`{}`
+/// formatting calls `fmt`), so their names need not appear anywhere.
+fn is_trait_impl_scope(model: &FileModel, s: usize) -> bool {
+    let open = model.scopes.scopes[s].open;
+    if s == 0 || open == usize::MAX {
+        return false;
+    }
+    let toks = &model.lex.tokens;
+    let start = toks[..open]
+        .iter()
+        .rposition(|t| t.is_punct(";") || t.is_open('{') || t.is_close('}'))
+        .map_or(0, |j| j + 1);
+    let header = &toks[start..open];
+    header.iter().any(|t| t.is_ident("impl")) && header.iter().any(|t| t.is_ident("for"))
+}
+
+/// The names a root contributes before the walk starts. A root file
+/// contributes every identifier in it, test code included. A library file
+/// contributes the identifiers of its non-test items outside any `fn`
+/// (a `static` registry's build closures, a `const` initializer) — but not
+/// of `use` items, so a re-export alone reaches nothing — plus the names of
+/// its trait-impl methods.
+fn seed_names<'a>(model: &'a FileModel, out: &mut Vec<&'a str>) {
+    let toks = &model.lex.tokens;
+    if is_reach_root(&model.path) {
+        out.extend(
+            toks.iter()
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text.as_str()),
+        );
+        return;
+    }
+    let mut in_fn = vec![false; toks.len()];
+    for f in &model.fns {
+        let end = f.body_close.min(toks.len() - 1);
+        in_fn[f.fn_tok..=end].fill(true);
+        if !f.is_test && is_trait_impl_scope(model, model.scopes.at(f.fn_tok)) {
+            out.push(&f.name);
+        }
+    }
+    let mut k = 0;
+    while k < toks.len() {
+        let t = &toks[k];
+        if in_fn[k] || model.scopes.in_test(k) {
+            k += 1;
+        } else if t.is_ident("use") {
+            k += toks[k..]
+                .iter()
+                .position(|t| t.is_punct(";"))
+                .unwrap_or(toks.len() - k);
+        } else {
+            if t.kind == TokenKind::Ident {
+                out.push(&t.text);
+            }
+            k += 1;
+        }
+    }
+}
+
+/// The `unreachable-pub` census: every non-test `pub fn` outside a root
+/// file whose name no root reaches, in (file, line) order. The walk starts
+/// from [`seed_names`] and lets each reached name reach every non-test
+/// definition of that name, whose bodies' identifiers are reached in turn
+/// — calls, paths and fn-pointer uses (`map(Value::as_bool)`) alike. The
+/// over-approximation only ever keeps code alive. Empty when the scanned
+/// tree holds no root file (a scan rooted inside one library crate).
+pub fn unreachable_pubs(graph: &CallGraph<'_>) -> Vec<DefId> {
+    if !graph.models.iter().any(|m| is_reach_root(&m.path)) {
+        return Vec::new();
+    }
+    let mut queue = Vec::new();
+    for m in graph
+        .models
+        .iter()
+        .filter(|m| is_reach_root(&m.path) || !m.is_test_file())
+    {
+        seed_names(m, &mut queue);
+    }
+    let mut reached: HashSet<&str> = queue.iter().copied().collect();
+    while let Some(name) = queue.pop() {
+        for &id in graph.by_name.get(name).into_iter().flatten() {
+            let f = graph.item(id);
+            let Some(open) = f.body_open else { continue };
+            for t in &graph.file(id).lex.tokens[open..f.body_close] {
+                if t.kind == TokenKind::Ident && reached.insert(&t.text) {
+                    queue.push(&t.text);
+                }
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    for (fi, m) in graph.models.iter().enumerate() {
+        if m.is_test_file() || is_reach_root(&m.path) {
+            continue;
+        }
+        for (gi, f) in m.fns.iter().enumerate() {
+            if !f.is_test
+                && !reached.contains(f.name.as_str())
+                && is_bare_pub(&m.lex.tokens, f.fn_tok)
+            {
+                out.push((fi, gi));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -94,14 +94,6 @@ impl LexedFile {
     pub fn is_comment_only_line(&self, line: u32) -> bool {
         self.tokens.binary_search_by(|t| t.line.cmp(&line)).is_err()
     }
-
-    /// Comment text on 1-based `line`, or `""` past the end.
-    pub fn comment_on(&self, line: u32) -> &str {
-        self.comments
-            .get(line as usize - 1)
-            .map(String::as_str)
-            .unwrap_or("")
-    }
 }
 
 /// Two- and three-char operators joined into single [`TokenKind::Punct`]
@@ -428,8 +420,8 @@ mod tests {
     fn strings_and_comments_are_stripped() {
         let l = lex("let x = \"static mut\"; // static mut here\n/* unsafe */ let y = 1;\n");
         assert!(l.tokens.iter().all(|t| t.text != "static"));
-        assert!(l.comment_on(1).contains("static mut"));
-        assert!(l.comment_on(2).contains("unsafe"));
+        assert!(l.comments[0].contains("static mut"));
+        assert!(l.comments[1].contains("unsafe"));
         assert!(l.tokens.iter().any(|t| t.is_ident("y") && t.line == 2));
     }
 
@@ -468,7 +460,7 @@ mod tests {
         assert_eq!(a.line, 2, "token after the nested comment stays on line 2");
         let b = l.tokens.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!((b.line, b.col), (3, 5));
-        assert!(l.comment_on(1).contains("inner"));
+        assert!(l.comments[0].contains("inner"));
         assert!(!l.tokens.iter().any(|t| t.text == "still"));
     }
 

@@ -9,7 +9,7 @@
 //! braces become a scope tree ([`scopes`]), `fn` items with their loops,
 //! call sites and `budget: &Budget` parameters become a per-file model
 //! ([`model`]), and a workspace-level name-based call graph
-//! ([`callgraph`]) supports one interprocedural rule. That is enough for
+//! ([`callgraph`]) supports two workspace rules. That is enough for
 //! discipline rules — and it keeps the audit dependency-free and fast
 //! enough to run on every push.
 //!
@@ -28,6 +28,7 @@
 //! | `lock-across-parallel` | no `.lock()`/`.borrow_mut()` guard live across a parallel call |
 //! | `panic-in-parallel` | no `unwrap`/`expect`/`panic!` inside rayon closures outside tests |
 //! | `ordering-escalation` | allowlisted atomics stay at the documented `Relaxed`/`Acquire` strength |
+//! | `unreachable-pub` | every `pub fn` is reached from a [`REACH_ROOTS`] file, or says why it exists |
 //!
 //! ## Allow markers
 //!
@@ -111,11 +112,16 @@ pub enum Rule {
     /// `SeqCst`). The allowlist says *where* atomics may live; this rule
     /// pins *how strong* they may be without a fresh review.
     OrderingEscalation,
+    /// A non-test `pub fn` that no root ([`REACH_ROOTS`]) reaches through
+    /// the name-based walk: dead surface, or a reference implementation or
+    /// test fixture that must say so with a marker naming what it serves.
+    /// Below `pub`, rustc's `dead_code` lint already does this job.
+    UnreachablePub,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 12] = [
         Rule::AtomicOrdering,
         Rule::StaticMut,
         Rule::UnsafeCode,
@@ -127,6 +133,7 @@ impl Rule {
         Rule::LockAcrossParallel,
         Rule::PanicInParallel,
         Rule::OrderingEscalation,
+        Rule::UnreachablePub,
     ];
 
     /// The kebab-case name used in diagnostics and `audit:allow(..)`.
@@ -143,6 +150,7 @@ impl Rule {
             Rule::LockAcrossParallel => "lock-across-parallel",
             Rule::PanicInParallel => "panic-in-parallel",
             Rule::OrderingEscalation => "ordering-escalation",
+            Rule::UnreachablePub => "unreachable-pub",
         }
     }
 
@@ -229,6 +237,21 @@ pub const UNSAFE_ALLOWED: &[&str] = &[
     "shims/rayon/src/pool.rs",
 ];
 
+/// Where the `unreachable-pub` walk starts: every identifier in a file
+/// under one of these workspace-relative prefixes is a root, test code
+/// included — the consumers that define what the libraries are *for*.
+/// `benchmark/` is the frozen-symbol consumer (its self-tests are what
+/// keep `karate_club` reached); `crates/bench/` counts until its figure
+/// targets are ported.
+pub const REACH_ROOTS: &[&str] = &[
+    "crates/cli/",
+    "crates/serve/src/bin/",
+    "crates/audit/src/main.rs",
+    "examples/",
+    "benchmark/",
+    "crates/bench/",
+];
+
 /// True when a path (normalized to `/` separators) ends in one of the
 /// allowlisted suffixes — or when an allowlist entry ends in the path,
 /// which happens when the scan is rooted inside the crate (auditing
@@ -296,28 +319,28 @@ fn apply_file_rules(model: &FileModel) -> FileScan {
     scan
 }
 
-/// Runs `budget-propagation` over a set of models and folds its findings
-/// into the per-file scans (marker accounting included).
-fn apply_propagation(models: &[FileModel], scans: &mut [FileScan]) {
-    let t0 = Instant::now();
-    let idx = Rule::BudgetPropagation.idx();
-    for (fi, raw) in rules::budget::propagation(models) {
-        let model = &models[fi];
-        match model.find_allow(Rule::BudgetPropagation.name(), raw.line) {
-            Some(marker) => {
-                scans[fi].used_markers.push(marker);
-                scans[fi].stats[idx].suppressed += 1;
-            }
-            None => {
-                scans[fi].stats[idx].fired += 1;
-                scans[fi]
-                    .violations
-                    .push(make_violation(model, Rule::BudgetPropagation, raw));
+/// Runs the [`rules::WORKSPACE_RULES`] over a set of models and folds
+/// their findings into the per-file scans (marker accounting included).
+fn apply_workspace_rules(models: &[FileModel], scans: &mut [FileScan]) {
+    for &(rule, run) in rules::WORKSPACE_RULES {
+        let t0 = Instant::now();
+        let idx = rule.idx();
+        for (fi, raw) in run(models) {
+            let model = &models[fi];
+            match model.find_allow(rule.name(), raw.line) {
+                Some(marker) => {
+                    scans[fi].used_markers.push(marker);
+                    scans[fi].stats[idx].suppressed += 1;
+                }
+                None => {
+                    scans[fi].stats[idx].fired += 1;
+                    scans[fi].violations.push(make_violation(model, rule, raw));
+                }
             }
         }
-    }
-    if let Some(first) = scans.first_mut() {
-        first.stats[idx].micros += t0.elapsed().as_micros() as u64;
+        if let Some(first) = scans.first_mut() {
+            first.stats[idx].micros += t0.elapsed().as_micros() as u64;
+        }
     }
 }
 
@@ -328,12 +351,13 @@ fn sort_violations(violations: &mut [Violation]) {
 
 /// Scans one file's source text. `path` selects path-dependent rules (the
 /// `Ordering` allowlist, `crates/io` for `io-unwrap`) and is echoed into
-/// diagnostics; the file is not re-read from disk. The interprocedural
-/// `budget-propagation` rule runs over this single file's call graph.
+/// diagnostics; the file is not re-read from disk. The workspace rules
+/// run over this single file's call graph.
+// audit:allow(unreachable-pub): the single-file harness of the per-rule fixture tests (tests/lint_rules.rs)
 pub fn scan_source(path: &str, source: &str) -> Vec<Violation> {
     let models = [FileModel::build(path, source)];
     let mut scans = [apply_file_rules(&models[0])];
-    apply_propagation(&models, &mut scans);
+    apply_workspace_rules(&models, &mut scans);
     let [scan] = scans;
     let mut violations = scan.violations;
     sort_violations(&mut violations);
@@ -372,8 +396,11 @@ pub fn scan_workspace_report(root: &Path) -> std::io::Result<AuditReport> {
         .map(|(rel, src)| FileModel::build(rel, src))
         .collect();
     let mut scans: Vec<FileScan> = models.par_iter().map(apply_file_rules).collect();
-    apply_propagation(&models, &mut scans);
+    apply_workspace_rules(&models, &mut scans);
 
+    // A tree with no root file runs no census (a crate-rooted sub-scan),
+    // so its `unreachable-pub` markers are neither used nor unused there.
+    let census = models.iter().any(|m| callgraph::is_reach_root(&m.path));
     let mut violations = Vec::new();
     let mut unused_allows = Vec::new();
     let mut stats = vec![RuleStat::default(); Rule::ALL.len()];
@@ -385,7 +412,8 @@ pub fn scan_workspace_report(root: &Path) -> std::io::Result<AuditReport> {
             stats[i].micros += s.micros;
         }
         for (mi, marker) in model.allows.iter().enumerate() {
-            if !scan.used_markers.contains(&mi) {
+            let judged = census || marker.rule != Rule::UnreachablePub.name();
+            if judged && !scan.used_markers.contains(&mi) {
                 unused_allows.push(UnusedAllow {
                     file: model.path.clone(),
                     line: marker.line,
@@ -405,13 +433,6 @@ pub fn scan_workspace_report(root: &Path) -> std::io::Result<AuditReport> {
         stats,
         elapsed_micros: t0.elapsed().as_micros() as u64,
     })
-}
-
-/// Recursively scans every `.rs` file under `root`, returning all
-/// violations sorted by path and line. Thin wrapper over
-/// [`scan_workspace_report`] for callers that only gate on findings.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(scan_workspace_report(root)?.violations)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {

@@ -217,9 +217,11 @@ impl FileModel {
         self.is_test_file() || self.scopes.in_test(tok)
     }
 
-    /// Integration tests and benches are test code wholesale.
+    /// Integration tests and benches are test code wholesale, the
+    /// scan root's own `tests/` included.
     pub fn is_test_file(&self) -> bool {
-        self.path.contains("/tests/") || self.path.contains("/benches/")
+        let under = |dir: &str| self.path.starts_with(&dir[1..]) || self.path.contains(dir);
+        under("/tests/") || under("/benches/")
     }
 }
 

@@ -4,8 +4,8 @@
 //! registered in [`FILE_RULES`]; the framework in `lib.rs` owns
 //! allow-marker filtering, per-line dedup, excerpts, per-rule timing and
 //! marker-usage accounting, so a rule only states *where it fires*. The
-//! one interprocedural rule (`budget-propagation`) runs over all file
-//! models at once and lives in [`budget::propagation`].
+//! two workspace rules (`budget-propagation`, `unreachable-pub`) run over
+//! all file models at once and are registered in [`WORKSPACE_RULES`].
 //!
 //! To add a rule: add a variant to [`crate::Rule`] (name + doc), write
 //! the `fn(&FileModel) -> Vec<RawViolation>` here, register it in
@@ -16,6 +16,7 @@ pub mod basic;
 pub mod budget;
 pub mod orderings;
 pub mod parallel;
+pub mod reach;
 
 use crate::callgraph::ChainLink;
 use crate::model::FileModel;
@@ -57,9 +58,17 @@ impl RawViolation {
 /// Signature of an intra-file rule.
 pub type FileRuleFn = fn(&FileModel) -> Vec<RawViolation>;
 
+/// Signature of a rule over every file at once: `(file index, finding)`
+/// pairs.
+pub type WorkspaceRuleFn = fn(&[FileModel]) -> Vec<(usize, RawViolation)>;
+
+/// The rules that need the workspace call graph.
+pub const WORKSPACE_RULES: &[(Rule, WorkspaceRuleFn)] = &[
+    (Rule::BudgetPropagation, budget::propagation),
+    (Rule::UnreachablePub, reach::unreachable_pub),
+];
+
 /// Every intra-file rule with its [`Rule`] tag, in reporting order.
-/// `budget-propagation` is absent: it needs the workspace call graph and
-/// is dispatched separately (see `lib.rs`).
 pub const FILE_RULES: &[(Rule, FileRuleFn)] = &[
     (Rule::AtomicOrdering, orderings::atomic_ordering),
     (Rule::StaticMut, basic::static_mut),

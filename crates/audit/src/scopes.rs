@@ -83,20 +83,6 @@ impl ScopeTree {
     pub fn at(&self, tok: usize) -> usize {
         self.scope_of.get(tok).copied().unwrap_or(0)
     }
-
-    /// True when scope `inner` is `outer` or nested inside it.
-    pub fn is_within(&self, mut inner: usize, outer: usize) -> bool {
-        loop {
-            if inner == outer {
-                return true;
-            }
-            let p = self.scopes[inner].parent;
-            if p == inner {
-                return false;
-            }
-            inner = p;
-        }
-    }
 }
 
 /// Decides whether the item header introducing the `{` at token `open`
@@ -156,8 +142,7 @@ mod tests {
         assert_eq!(t.scopes[1].depth, 1);
         assert_eq!(t.scopes[2].depth, 2);
         assert_eq!(t.scopes[2].parent, 1);
-        assert!(t.is_within(2, 1));
-        assert!(!t.is_within(3, 1));
+        assert_eq!(t.scopes[3].parent, 0);
     }
 
     #[test]

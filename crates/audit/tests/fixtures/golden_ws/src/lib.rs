@@ -18,3 +18,20 @@ fn sizes(v: &[u64]) -> u32 {
 
 // audit:allow(static-mut): stale marker, suppresses nothing
 fn anchor() {}
+
+// unreachable-pub census (the root is examples/demo.rs): fires
+pub fn orphan() {}
+
+// audit:allow(unreachable-pub): the reference the census keeps on purpose
+pub fn reference() {}
+
+// reached only as a fn pointer from the root: does not fire
+pub fn as_pointer(x: &u64) -> bool {
+    *x > 0
+}
+
+// reached only through a `use` re-export: fires
+mod inner {
+    pub fn reexported_only() {}
+}
+pub use inner::reexported_only;

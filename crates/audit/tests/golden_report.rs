@@ -6,7 +6,7 @@
 //! (timings, thread count, absolute root path) are scrubbed to zero /
 //! empty before comparison; everything else is byte-for-byte.
 
-use parcom_audit::scan_workspace_report;
+use parcom_audit::{scan_workspace_report, Rule};
 use std::path::Path;
 
 /// Zeroes the run-dependent values while leaving structure intact.
@@ -66,4 +66,17 @@ fn golden_workspace_evidence_survives_the_json_round() {
     assert!(json.contains(
         "\"unused_allows\":[{\"file\":\"src/lib.rs\",\"line\":19,\"rule\":\"static-mut\"}]"
     ));
+    // the census from examples/demo.rs: `as_pointer` is reached as a fn
+    // pointer, `reference` is marker-kept, a `use` re-export reaches nothing
+    let census: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == Rule::UnreachablePub)
+        .map(|v| v.excerpt.as_str())
+        .collect();
+    assert_eq!(
+        census,
+        ["pub fn orphan() {}", "pub fn reexported_only() {}"]
+    );
+    assert_eq!(report.stats[Rule::UnreachablePub.idx()].suppressed, 1);
 }

@@ -1,8 +1,8 @@
 //! One test per lint rule: each committed fixture must trip exactly its
-//! rule, the escape-hatch fixture must scan clean, and the workspace
-//! itself must be violation-free.
+//! rule, and the escape-hatch fixture must scan clean. The workspace's own
+//! scan is `workspace_clean.rs`.
 
-use parcom_audit::{scan_source, scan_workspace, Rule};
+use parcom_audit::{scan_source, Rule};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -146,6 +146,14 @@ fn budget_propagation_accepts_threaded_and_allow_marked_helpers() {
 }
 
 #[test]
+fn unreachable_pub_is_silent_without_a_root_file() {
+    // a scan with no CLI, daemon, example or benchmark file (here: one
+    // library file) has nothing to measure reachability from
+    let fired = rules_fired("crates/core/src/sneaky.rs", "pub fn nobody_calls_me() {}\n");
+    assert!(fired.is_empty(), "{fired:?}");
+}
+
+#[test]
 fn detects_lock_guard_live_across_parallel_region() {
     let violations = scan_source(
         "crates/core/src/sneaky.rs",
@@ -204,19 +212,4 @@ fn allow_markers_cover_attributed_items_and_multiline_statements() {
         &fixture("allow_above_attribute.rs"),
     );
     assert!(fired.is_empty(), "{fired:?}");
-}
-
-#[test]
-fn workspace_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let violations = scan_workspace(&root).expect("workspace scan");
-    assert!(
-        violations.is_empty(),
-        "workspace has audit violations:\n{}",
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }

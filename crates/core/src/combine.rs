@@ -44,6 +44,7 @@ pub fn core_communities(solutions: &[Partition]) -> Partition {
 
 /// Exact (collision-free) combine via tuple interning. Slower; used in tests
 /// to validate [`core_communities`].
+// audit:allow(unreachable-pub): the collision-free reference `core_communities` is checked against (tests/invariants_proptest.rs)
 pub fn core_communities_exact(solutions: &[Partition]) -> Partition {
     assert!(!solutions.is_empty());
     let n = solutions[0].len();

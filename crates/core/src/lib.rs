@@ -31,7 +31,6 @@ pub mod cggc;
 pub mod cnm;
 pub mod combine;
 pub mod community_graph;
-pub mod community_stats;
 pub mod compare;
 pub mod epp;
 pub mod louvain;
@@ -47,7 +46,6 @@ pub use algorithm::{CommunityDetector, GuardedResult, StartState};
 pub use cggc::Cggc;
 pub use cnm::Cnm;
 pub use community_graph::CommunityGraph;
-pub use community_stats::{community_stats, partition_summary, CommunityStat, PartitionSummary};
 pub use epp::{Epp, EppIterated};
 pub use louvain::Louvain;
 pub use moves::MoveStrategy;

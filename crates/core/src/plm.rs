@@ -336,6 +336,7 @@ impl CommunityDetector for Plm {
 /// number of moves performed. Shared state during the sweep is the atomic
 /// label array, one atomic volume accumulator per community and one active
 /// flag per node — label and volume reads may be stale by design.
+// audit:allow(unreachable-pub): Algorithm 2 alone, for the move-phase invariant proptests (tests/invariants_proptest.rs) and the strategy tests in moves.rs
 pub fn move_phase(g: &Graph, zeta: &mut Partition, gamma: f64, max_iterations: usize) -> u64 {
     move_phase_pooled(
         g,

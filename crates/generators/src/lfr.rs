@@ -225,29 +225,29 @@ pub fn lfr(params: LfrParams, seed: u64) -> (Graph, Partition) {
     (b.build(), Partition::from_vec(community_of))
 }
 
-/// Fraction of edge endpoints that leave their ground-truth community — the
-/// empirical mixing of a generated instance (should track the requested μ).
-pub fn empirical_mixing(g: &Graph, truth: &Partition) -> f64 {
-    let mut cut = 0.0;
-    let mut total = 0.0;
-    g.for_edges(|u, v, w| {
-        if u != v {
-            total += w;
-            if !truth.in_same_subset(u, v) {
-                cut += w;
-            }
-        }
-    });
-    if total == 0.0 {
-        0.0
-    } else {
-        cut / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of edge endpoints that leave their ground-truth community — the
+    /// empirical mixing of a generated instance (should track the requested μ).
+    fn empirical_mixing(g: &Graph, truth: &Partition) -> f64 {
+        let mut cut = 0.0;
+        let mut total = 0.0;
+        g.for_edges(|u, v, w| {
+            if u != v {
+                total += w;
+                if !truth.in_same_subset(u, v) {
+                    cut += w;
+                }
+            }
+        });
+        if total == 0.0 {
+            0.0
+        } else {
+            cut / total
+        }
+    }
 
     #[test]
     fn community_sizes_cover_all_nodes() {

@@ -13,7 +13,6 @@ use rand::Rng;
 pub struct PowerLaw {
     min: u64,
     max: u64,
-    exponent: f64,
     // precomputed CDF endpoints of the continuous relaxation
     lo_pow: f64,
     hi_pow: f64,
@@ -31,7 +30,6 @@ impl PowerLaw {
         Self {
             min,
             max,
-            exponent,
             lo_pow: (min as f64).powf(one_minus_exp),
             hi_pow: ((max + 1) as f64).powf(one_minus_exp),
             one_minus_exp,
@@ -49,12 +47,18 @@ impl PowerLaw {
     pub fn sample_n(&self, rng: &mut impl Rng, n: usize) -> Vec<u64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{rngs::SmallRng, SeedableRng};
 
     /// Analytic mean of the continuous relaxation (close to the discrete
-    /// mean; used to pick degree bounds for a target average degree).
-    pub fn approx_mean(&self) -> f64 {
-        let a = self.exponent;
-        let (lo, hi) = (self.min as f64, (self.max + 1) as f64);
+    /// mean).
+    fn approx_mean(pl: &PowerLaw) -> f64 {
+        let a = 1.0 - pl.one_minus_exp;
+        let (lo, hi) = (pl.min as f64, (pl.max + 1) as f64);
         if (a - 2.0).abs() < 1e-9 {
             // ∫ x·x^-2 = ln x
             (hi.ln() - lo.ln()) / ((hi.powf(-1.0) - lo.powf(-1.0)) / -1.0)
@@ -64,12 +68,6 @@ impl PowerLaw {
             num / den
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
     fn samples_stay_in_range() {
@@ -106,7 +104,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let samples = pl.sample_n(&mut rng, 50_000);
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        let expect = pl.approx_mean();
+        let expect = approx_mean(&pl);
         assert!(
             (mean - expect).abs() / expect < 0.1,
             "empirical {mean} vs analytic {expect}"

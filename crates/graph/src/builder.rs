@@ -429,6 +429,7 @@ impl GraphBuilder {
     }
 
     /// Convenience: build a graph straight from an unweighted edge list.
+    // audit:allow(unreachable-pub): the graph literal of the unit and integration tests
     pub fn from_edges(n: usize, edges: &[(Node, Node)]) -> Graph {
         let mut b = Self::with_capacity(n, edges.len());
         for &(u, v) in edges {
@@ -438,6 +439,7 @@ impl GraphBuilder {
     }
 
     /// Convenience: build a graph from a weighted edge list.
+    // audit:allow(unreachable-pub): the weighted graph literal of the builder and fold_differential tests
     pub fn from_weighted_edges(n: usize, edges: &[(Node, Node, f64)]) -> Graph {
         let mut b = Self::with_capacity(n, edges.len());
         for &(u, v, w) in edges {

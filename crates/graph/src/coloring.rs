@@ -206,14 +206,6 @@ impl Coloring {
         &self.followers
     }
 
-    /// The color of `u`, or `None` when `u` is a follower.
-    pub fn color_of(&self, u: Node) -> Option<u32> {
-        match self.colors[u as usize] {
-            UNCOLORED => None,
-            c => Some(c),
-        }
-    }
-
     /// Checks the coloring invariants against `g`: classes plus followers
     /// partition the node set, no two adjacent nodes share a color, and no
     /// follower neighbors another follower.
@@ -282,7 +274,6 @@ mod tests {
         let c = Coloring::compute(&g);
         c.validate(&g).unwrap();
         assert_eq!(c.followers(), &[0, 3]);
-        assert_eq!(c.color_of(0), None);
         assert!(c.num_colors() >= 2, "adjacent 1-2 need distinct colors");
     }
 
@@ -301,7 +292,6 @@ mod tests {
         let g = GraphBuilder::from_edges(2, &[(0, 1)]);
         let c = Coloring::compute(&g);
         c.validate(&g).unwrap();
-        assert!(c.color_of(0).is_some());
         assert_eq!(c.followers(), &[1]);
     }
 

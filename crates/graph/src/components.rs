@@ -2,7 +2,7 @@
 //!
 //! Union-find with path halving and union by size; edges are scanned once.
 
-use crate::graph::{Graph, Node};
+use crate::graph::Graph;
 use crate::partition::Partition;
 
 /// Disjoint-set forest over node ids.
@@ -44,12 +44,6 @@ impl UnionFind {
         self.size[ra as usize] += self.size[rb as usize];
         true
     }
-
-    /// Size of `x`'s set.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 /// Result of a connected-components run.
@@ -78,21 +72,6 @@ impl ConnectedComponents {
         let count = assignment.compact();
         Self { assignment, count }
     }
-
-    /// Node ids of the largest component (ties broken by lowest id).
-    pub fn largest_component(&self) -> Vec<Node> {
-        let sizes = self.assignment.subset_sizes();
-        let Some((best, _)) = sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, s)| (*s, std::cmp::Reverse(i)))
-        else {
-            return Vec::new();
-        };
-        (0..self.assignment.len() as Node) // audit:allow(lossy-cast): bounded by the u32 node id space
-            .filter(|&v| self.assignment.subset_of(v) as usize == best)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +84,6 @@ mod tests {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let cc = ConnectedComponents::run(&g);
         assert_eq!(cc.count, 1);
-        assert_eq!(cc.largest_component().len(), 4);
     }
 
     #[test]
@@ -125,13 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_found() {
-        let g = GraphBuilder::from_edges(7, &[(0, 1), (2, 3), (3, 4), (4, 5)]);
-        let cc = ConnectedComponents::run(&g);
-        assert_eq!(cc.largest_component(), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
     fn self_loops_do_not_connect() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 0, 1.0);
@@ -145,7 +116,6 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         let cc = ConnectedComponents::run(&g);
         assert_eq!(cc.count, 0);
-        assert!(cc.largest_component().is_empty());
     }
 
     #[test]
@@ -153,10 +123,8 @@ mod tests {
         let mut uf = UnionFind::new(4);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.set_size(0), 2);
         assert!(uf.union(2, 3));
         assert!(uf.union(0, 3));
-        assert_eq!(uf.set_size(2), 4);
         assert_eq!(uf.find(0), uf.find(3));
     }
 }

@@ -23,7 +23,8 @@
 //!   replacing hash maps in the label/move kernels' neighborhood
 //!   aggregation, with a pool ([`ScratchPool`]) for per-thread reuse.
 //! * Analytics used by the experiments: connected components, local
-//!   clustering coefficients, degree statistics (Table I columns).
+//!   clustering coefficients, degree statistics and degree assortativity
+//!   (Table I columns and companions).
 //!
 //! Node identifiers are `u32` ([`Node`]); edge weights are `f64`.
 
@@ -34,7 +35,6 @@ pub mod clustering;
 pub mod coarsening;
 pub mod coloring;
 pub mod components;
-pub mod cores;
 pub mod graph;
 pub mod hashing;
 pub mod parallel;
@@ -42,7 +42,6 @@ pub mod partition;
 pub mod relabel;
 pub mod scratch;
 pub mod stats;
-pub mod subgraph;
 pub mod traversal;
 
 pub use assortativity::degree_assortativity;
@@ -50,12 +49,10 @@ pub use atomicf64::AtomicF64;
 pub use builder::GraphBuilder;
 pub use coarsening::{coarsen, coarsen_with, Coarsening};
 pub use coloring::Coloring;
-pub use cores::CoreDecomposition;
 pub use graph::{CsrView, Graph, Node};
 pub use partition::{AtomicPartition, Partition};
 pub use relabel::Relabeling;
 pub use scratch::{ScratchPool, SparseWeightMap};
-pub use subgraph::{induced_subgraph, largest_component_subgraph, Subgraph};
 
 /// Commonly used items, for glob import.
 pub mod prelude {

@@ -43,6 +43,7 @@ impl Partition {
     }
 
     /// All nodes in one community.
+    // audit:allow(unreachable-pub): the one-community partition of the quality, coarsening and CNM tests
     pub fn all_in_one(n: usize) -> Self {
         Self {
             data: vec![0; n],
@@ -184,6 +185,7 @@ impl Partition {
     }
 
     /// Sizes of communities, indexed by community id (length `upper_bound()`).
+    // audit:allow(unreachable-pub): the community-size oracle of the generator tests (tests/generator_properties.rs)
     pub fn subset_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.upper as usize];
         for &c in &self.data {

@@ -98,14 +98,6 @@ impl Relabeling {
         self.new_of_old.is_empty()
     }
 
-    /// True if the permutation maps every node to itself.
-    pub fn is_identity(&self) -> bool {
-        self.new_of_old
-            .iter()
-            .enumerate()
-            .all(|(old, &new)| old as Node == new)
-    }
-
     /// `new_of_old[old] = new` — the map the binary format persists.
     pub fn new_of_old(&self) -> &[Node] {
         &self.new_of_old
@@ -114,18 +106,6 @@ impl Relabeling {
     /// `old_of_new[new] = old`.
     pub fn old_of_new(&self) -> &[Node] {
         &self.old_of_new
-    }
-
-    /// New id of an original node.
-    #[inline]
-    pub fn to_new_id(&self, old: Node) -> Node {
-        self.new_of_old[old as usize]
-    }
-
-    /// Original id of a new node.
-    #[inline]
-    pub fn to_old_id(&self, new: Node) -> Node {
-        self.old_of_new[new as usize]
     }
 
     /// Applies the permutation to a graph: node `old` of `g` becomes node
@@ -246,13 +226,9 @@ mod tests {
     fn degree_ordered_puts_hub_first() {
         let g = star_plus_path();
         let r = Relabeling::degree_ordered(&g);
-        assert_eq!(r.to_new_id(3), 0, "hub gets new id 0");
-        // Ties (degree-2 nodes 0 and 1, then degree-1 nodes 2 and 4) break
-        // by original id.
-        assert_eq!(r.to_new_id(0), 1);
-        assert_eq!(r.to_new_id(1), 2);
-        assert_eq!(r.to_new_id(2), 3);
-        assert_eq!(r.to_new_id(4), 4);
+        // The hub (3) gets new id 0; ties (degree-2 nodes 0 and 1, then
+        // degree-1 nodes 2 and 4) break by original id.
+        assert_eq!(r.new_of_old(), &[1, 2, 3, 0, 4]);
     }
 
     #[test]
@@ -265,14 +241,18 @@ mod tests {
         assert_eq!(h.total_edge_weight(), g.total_edge_weight());
         // audit:allow(lossy-cast): bounded by the u32 node id space
         for old in 0..g.node_count() as Node {
-            let new = r.to_new_id(old);
+            let new = r.new_of_old()[old as usize];
             assert_eq!(h.degree(new), g.degree(old));
             assert_eq!(h.weighted_degree(new), g.weighted_degree(old));
-            let mut want: Vec<Node> = g.neighbors(old).iter().map(|&v| r.to_new_id(v)).collect();
+            let mut want: Vec<Node> = g
+                .neighbors(old)
+                .iter()
+                .map(|&v| r.new_of_old()[v as usize])
+                .collect();
             want.sort_unstable();
             assert_eq!(h.neighbors(new), &want[..]);
             for &v_new in h.neighbors(new) {
-                let v_old = r.to_old_id(v_new);
+                let v_old = r.old_of_new()[v_new as usize];
                 assert_eq!(h.edge_weight(new, v_new), g.edge_weight(old, v_old));
             }
         }
@@ -282,7 +262,7 @@ mod tests {
     fn identity_roundtrip() {
         let g = star_plus_path();
         let r = Relabeling::identity(g.node_count());
-        assert!(r.is_identity());
+        assert_eq!(r.new_of_old(), &[0, 1, 2, 3, 4]);
         let h = r.apply(&g);
         // audit:allow(lossy-cast): bounded by the u32 node id space
         for u in 0..g.node_count() as Node {
@@ -298,7 +278,10 @@ mod tests {
         let on_old = r.to_original(&on_new);
         assert_eq!(r.to_new(&on_old), on_new);
         for old in 0..5 {
-            assert_eq!(on_old.subset_of(old), on_new.subset_of(r.to_new_id(old)));
+            assert_eq!(
+                on_old.subset_of(old),
+                on_new.subset_of(r.new_of_old()[old as usize])
+            );
         }
     }
 
@@ -331,7 +314,7 @@ mod tests {
         let g = b.build();
         let r = Relabeling::degree_ordered(&g);
         let h = r.apply(&g);
-        let new0 = r.to_new_id(0);
+        let new0 = r.new_of_old()[0];
         assert_eq!(h.self_loop_weight(new0), 3.0);
         assert_eq!(h.total_edge_weight(), g.total_edge_weight());
         assert_eq!(h.volume(new0), g.volume(0));

@@ -58,15 +58,6 @@ pub fn average_degree(g: &Graph) -> f64 {
     endpoint_slots as f64 / g.node_count() as f64
 }
 
-/// Degree histogram: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in g.nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,12 +83,6 @@ mod tests {
     fn average_degree_path() {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
         assert!((average_degree(&g) - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_star() {
-        let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(degree_histogram(&g), vec![0, 3, 0, 1]);
     }
 
     #[test]

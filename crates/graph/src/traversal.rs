@@ -1,13 +1,13 @@
 //! Breadth-first traversal utilities.
 //!
-//! Used by tests (small-world diameter sanity checks on generators) and by
-//! downstream analyses; not on any algorithm hot path.
+//! The diameter oracle of the generators' shape tests (grid,
+//! Watts–Strogatz); not on any algorithm hot path.
 
 use crate::graph::{Graph, Node};
 use std::collections::VecDeque;
 
 /// Hop distance from `source` to every node (`u32::MAX` if unreachable).
-pub fn bfs_distances(g: &Graph, source: Node) -> Vec<u32> {
+fn bfs_distances(g: &Graph, source: Node) -> Vec<u32> {
     let n = g.node_count();
     let mut dist = vec![u32::MAX; n];
     let mut queue = VecDeque::new();
@@ -27,20 +27,13 @@ pub fn bfs_distances(g: &Graph, source: Node) -> Vec<u32> {
 
 /// Largest finite BFS distance from `source` (eccentricity within its
 /// component).
+// audit:allow(unreachable-pub): the grid and Watts–Strogatz generator tests' diameter oracle
 pub fn eccentricity(g: &Graph, source: Node) -> u32 {
     bfs_distances(g, source)
         .into_iter()
         .filter(|&d| d != u32::MAX)
         .max()
         .unwrap_or(0)
-}
-
-/// Nodes reachable from `source`, including itself.
-pub fn reachable_count(g: &Graph, source: Node) -> usize {
-    bfs_distances(g, source)
-        .into_iter()
-        .filter(|&d| d != u32::MAX)
-        .count()
 }
 
 #[cfg(test)]
@@ -61,7 +54,6 @@ mod tests {
         let g = GraphBuilder::from_edges(3, &[(0, 1)]);
         let d = bfs_distances(&g, 0);
         assert_eq!(d[2], u32::MAX);
-        assert_eq!(reachable_count(&g, 0), 2);
     }
 
     #[test]
@@ -73,7 +65,6 @@ mod tests {
     #[test]
     fn isolated_source() {
         let g = GraphBuilder::new(2).build();
-        assert_eq!(reachable_count(&g, 0), 1);
         assert_eq!(eccentricity(&g, 0), 0);
     }
 }

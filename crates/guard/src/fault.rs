@@ -128,6 +128,7 @@ mod enabled {
         /// the site name (splitmix64 over the seed xor a site hash), so a
         /// seeded test matrix exercises varying crossings without
         /// hand-picking each K.
+        // audit:allow(unreachable-pub): fault-plan helper of the fault_inject and crash_recovery matrices
         pub fn derive_k(seed: u64, site: &str, max: u64) -> u64 {
             assert!(max >= 1);
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -146,6 +147,7 @@ mod enabled {
 
     /// Serializes tests that arm the global plan. Poison-tolerant, because
     /// panic-injection tests panic while holding it by design.
+    // audit:allow(unreachable-pub): fault-plan helper: serializes the fault_inject tests that arm the global plan
     pub fn serial_guard() -> MutexGuard<'static, ()> {
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
         GATE.get_or_init(|| Mutex::new(()))

@@ -130,12 +130,6 @@ impl Budget {
         self
     }
 
-    /// Sets an absolute deadline.
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Caps the total number of sweeps (label-propagation iterations, move
     /// sweeps, merge batches...) counted across the whole run via
     /// [`check_sweep`](Budget::check_sweep).
@@ -166,11 +160,6 @@ impl Budget {
     /// The absolute deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// Sweeps recorded so far via [`check_sweep`](Budget::check_sweep).
-    pub fn sweeps_used(&self) -> u64 {
-        self.sweeps.load(Ordering::Relaxed)
     }
 
     /// The cheap cooperative check: has the token fired, has the deadline
@@ -266,7 +255,7 @@ mod tests {
             assert_eq!(b.check_sweep(), Ok(()));
         }
         assert_eq!(b.admits(usize::MAX, usize::MAX), Ok(()));
-        assert_eq!(b.sweeps_used(), 1000);
+        assert_eq!(b.sweeps.load(Ordering::Relaxed), 1000);
     }
 
     #[test]

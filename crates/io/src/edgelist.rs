@@ -83,7 +83,10 @@ fn parse_chunk(c: Chunk<'_>) -> Result<Vec<RawEdge>, IoError> {
 /// numbering of the sequential reader. Returns the loaded builder and the
 /// original labels by compact id.
 // audit:allow(budget-propagation): one bounded parallel tokenize per input file; the driver checks the budget between pipeline phases
-pub(crate) fn parse(bytes: &[u8], parts: usize) -> Result<(GraphBuilder, Vec<u64>), IoError> {
+pub(crate) fn tokenize_and_intern(
+    bytes: &[u8],
+    parts: usize,
+) -> Result<(GraphBuilder, Vec<u64>), IoError> {
     let chunks = chunk::chunk_lines(bytes, parts, 1);
     let per_chunk =
         chunk::first_error(chunks.into_par_iter().map(parse_chunk).collect::<Vec<_>>())?;
@@ -120,8 +123,9 @@ pub(crate) fn parse(bytes: &[u8], parts: usize) -> Result<(GraphBuilder, Vec<u64
 /// Reads an edge list from a byte buffer with an explicit chunk count,
 /// keeping the labels, for the differential tests; everything else reads
 /// through [`crate::load_graph_bytes`], which picks the chunk count itself.
+// audit:allow(unreachable-pub): the explicit-chunk-count side of ingest_differential.rs
 pub fn read_edge_list_chunked(bytes: &[u8], parts: usize) -> Result<EdgeListGraph, IoError> {
-    let (builder, labels) = parse(bytes, parts)?;
+    let (builder, labels) = tokenize_and_intern(bytes, parts)?;
     Ok(EdgeListGraph {
         graph: builder.build(),
         labels,
@@ -131,6 +135,7 @@ pub fn read_edge_list_chunked(bytes: &[u8], parts: usize) -> Result<EdgeListGrap
 /// The retained pre-parallel reader: line-by-line with a `String` per
 /// line, sequential counting-sort assembly. The differential proptests
 /// pin the chunked parser against this.
+// audit:allow(unreachable-pub): the sequential reference reader of ingest_differential.rs
 pub fn read_edge_list_seq(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
     let mut ids: FxHashMap<u64, Node> = FxHashMap::default();
     let mut labels: Vec<u64> = Vec::new();

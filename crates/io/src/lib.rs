@@ -160,7 +160,7 @@ pub fn load_graph_bytes(
             let graph = parse_then_build(
                 bytes,
                 recorder,
-                || edgelist::parse(bytes, parts),
+                || edgelist::tokenize_and_intern(bytes, parts),
                 |builder, _labels| Ok(builder.build()),
             )?;
             let (n, m) = (graph.node_count(), graph.edge_count());
@@ -240,12 +240,6 @@ impl IoError {
             line: None,
             kind: IoErrorKind::Parse(message.into()),
         }
-    }
-
-    /// Attaches the 1-based line number of the offending line.
-    pub fn with_line(mut self, line: usize) -> Self {
-        self.line = Some(line);
-        self
     }
 
     /// Attaches the file the error occurred in. Called by the path-based

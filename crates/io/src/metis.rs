@@ -377,6 +377,7 @@ pub(crate) fn finish(
 /// Reads a METIS graph from a byte buffer with an explicit chunk count and
 /// no budget, for the differential tests; everything else reads through
 /// [`crate::load_graph_bytes`], which picks the chunk count itself.
+// audit:allow(unreachable-pub): the explicit-chunk-count side of ingest_differential.rs
 pub fn read_metis_chunked(bytes: &[u8], parts: usize) -> Result<Graph, IoError> {
     let (builder, claimed) = parse(bytes, parts, &Budget::unlimited())?;
     finish(builder, claimed, || chunk::line_count(bytes))
@@ -385,6 +386,7 @@ pub fn read_metis_chunked(bytes: &[u8], parts: usize) -> Result<Graph, IoError> 
 /// The retained pre-parallel reader: line-by-line with a `String` per
 /// line, sequential counting-sort assembly. The differential proptests
 /// pin the chunked parser against this.
+// audit:allow(unreachable-pub): the sequential reference reader of ingest_differential.rs
 pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
     let mut lines = bytes.lines().enumerate();
 

@@ -273,5 +273,5 @@ fn relabeled_file_roundtrips_through_auto_loading() {
         .expect("relabeling must survive the roundtrip");
     assert_eq!(stored.new_of_old(), r.new_of_old());
     // The loaded graph is the relabeled view.
-    assert_eq!(loaded.graph.degree(0), g.degree(r.to_old_id(0)));
+    assert_eq!(loaded.graph.degree(0), g.degree(r.old_of_new()[0]));
 }

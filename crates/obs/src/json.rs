@@ -158,11 +158,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// Nesting bound of [`parse`]: serve decodes untrusted request bodies, so
@@ -464,7 +459,7 @@ mod tests {
     fn parses_nested_values() {
         let v = parse("{\"a\": [1, 2.5, {\"b\": \"x\\ny\"}], \"c\": true, \"d\": null}").unwrap();
         assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert!(v.get("d").unwrap().is_null());
+        assert_eq!(v.get("d"), Some(&Value::Null));
         let a = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(a[0].as_u64(), Some(1));
         assert_eq!(a[1].as_f64(), Some(2.5));

@@ -29,11 +29,10 @@
 //!
 //! Instrumentation must never tax a production run that does not want it:
 //!
+//! * **Code:** [`Recorder::disabled`] is the no-op recorder every
+//!   un-instrumented entry point (`detect`) runs under.
 //! * **Env:** `PARCOM_OBS=0` (also `off`/`false`/`no`) makes
 //!   [`Recorder::from_env`] return the disabled recorder.
-//! * **Compile time:** building this crate with the `disabled` feature
-//!   makes *every* constructor return the disabled recorder, so the
-//!   optimizer erases the instrumentation entirely.
 //!
 //! A disabled recorder records nothing: spans are no-op guards, counters
 //! and series are discarded, and [`Recorder::finish`] returns an empty

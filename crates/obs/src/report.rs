@@ -56,17 +56,9 @@ impl PhaseReport {
 
     /// Summed wall time of the direct children. Nesting discipline means
     /// this never exceeds `wall_seconds` (children run inside the parent).
+    // audit:allow(unreachable-pub): the nesting invariant the timer, report and PLM report tests assert
     pub fn children_wall_seconds(&self) -> f64 {
         self.children.iter().map(|c| c.wall_seconds).sum()
-    }
-
-    /// Every phase in this subtree (self included, pre-order).
-    pub fn walk(&self) -> Vec<&PhaseReport> {
-        let mut out = vec![self];
-        for c in &self.children {
-            out.extend(c.walk());
-        }
-        out
     }
 
     fn write_json(&self, out: &mut String) {
@@ -158,17 +150,6 @@ impl RunReport {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-    }
-
-    /// Summed wall time of the top-level phases.
-    pub fn total_phase_seconds(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall_seconds).sum()
-    }
-
-    /// Every phase in the report (all trees, pre-order), for assertions
-    /// and ad-hoc analysis. Sub-reports are not descended into.
-    pub fn all_phases(&self) -> Vec<&PhaseReport> {
-        self.phases.iter().flat_map(|p| p.walk()).collect()
     }
 
     /// Serializes the report as one JSON object (schema
@@ -287,7 +268,6 @@ mod tests {
         let outer = r.phase("outer").unwrap();
         assert_eq!(outer.child("inner").unwrap().wall_seconds, 1.5);
         assert!(outer.children_wall_seconds() <= outer.wall_seconds);
-        assert_eq!(r.all_phases().len(), 2);
         assert!(!r.is_empty());
         assert!(RunReport::empty("Y").is_empty());
     }

@@ -8,11 +8,10 @@
 //! trees. Counters and series attach to the *innermost open* span (or to
 //! the run itself when no span is open).
 //!
-//! The disabled recorder (`Recorder::disabled()`, `PARCOM_OBS=0`, or the
-//! `disabled` cargo feature) carries `None` and every operation is an
-//! early-out on that discriminant — no clock reads, no allocation, no
-//! locking. This is the "zero-cost when off" contract the hot loops rely
-//! on.
+//! The disabled recorder (`Recorder::disabled()` or `PARCOM_OBS=0`)
+//! carries `None` and every operation is an early-out on that
+//! discriminant — no clock reads, no allocation, no locking. This is the
+//! "zero-cost when off" contract the hot loops rely on.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -122,16 +121,10 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recording recorder. With the `disabled` cargo feature this still
-    /// returns the no-op recorder, so the feature globally kills
-    /// instrumentation regardless of call sites.
+    /// A recording recorder.
     pub fn enabled() -> Self {
-        if cfg!(feature = "disabled") {
-            Self::disabled()
-        } else {
-            Self {
-                inner: Some(Arc::new(Mutex::new(State::new()))),
-            }
+        Self {
+            inner: Some(Arc::new(Mutex::new(State::new()))),
         }
     }
 

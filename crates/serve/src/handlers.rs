@@ -124,15 +124,15 @@ fn list_graphs(store: &GraphStore) -> Reply {
             stats.nodes, stats.edges, stats.pending, stats.generation, stats.generation,
             stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
         ));
-        // How stale each cached answer is: `generation - base_generation`
-        // folds behind, `dirty` endpoints to re-evaluate (plus `pending`
-        // operations not folded yet).
         // What the graph holds in memory: its CSR, and — once edited —
         // the retired CSR the next fold will write into.
         json::write_key(&mut out, "resident_bytes");
         json::write_u64(&mut out, stats.resident_bytes as u64);
         json::write_key(&mut out, "spare_bytes");
         json::write_u64(&mut out, stats.spare_bytes as u64);
+        // How stale each cached answer is: `generation - base_generation`
+        // folds behind, `dirty` endpoints to re-evaluate (plus `pending`
+        // operations not folded yet).
         json::write_key(&mut out, "cached_specs");
         out.push('[');
         for (j, slot) in stats.warm.iter().enumerate() {

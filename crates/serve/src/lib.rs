@@ -224,16 +224,6 @@ impl Server {
         Arc::clone(&self.ctx)
     }
 
-    /// The first bound TCP address, when listening on TCP — lets callers
-    /// bind port 0 and discover the ephemeral port.
-    pub fn local_tcp_addr(&self) -> Option<std::net::SocketAddr> {
-        self.listeners.iter().find_map(|l| match l {
-            Listener::Tcp(t) => t.local_addr().ok(),
-            #[cfg(unix)]
-            Listener::Unix(_) => None,
-        })
-    }
-
     /// Serves forever: accepts on every bound listener, one thread per
     /// connection, with recovery running in the background until the gate
     /// turns ready. Only returns if *all* accept loops fail.

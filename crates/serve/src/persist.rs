@@ -334,6 +334,7 @@ fn io_err(e: parcom_io::IoError) -> io::Error {
 
 /// A reference graph check used by tests and the recovery docs: whether
 /// two graphs are bit-identical as CSRs (offsets, targets, weight bits).
+// audit:allow(unreachable-pub): the bit-identity check of the crash_recovery and fault_inject tests
 pub fn csr_bit_identical(a: &Graph, b: &Graph) -> bool {
     let (av, bv) = (a.csr_view(), b.csr_view());
     av.offsets == bv.offsets

@@ -52,8 +52,3 @@ pub fn install() {
 pub fn requested() -> bool {
     REQUESTED.load(Ordering::Relaxed) // audit:allow(atomic-ordering)
 }
-
-/// Test hook: simulates a received signal without raising one.
-pub fn request_now() {
-    REQUESTED.store(true, Ordering::Relaxed); // audit:allow(atomic-ordering)
-}

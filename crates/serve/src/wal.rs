@@ -256,11 +256,6 @@ impl WalWriter {
     pub fn last_seq(&self) -> u64 {
         self.last_seq
     }
-
-    /// Whether an earlier append failed mid-record, wedging the writer.
-    pub fn is_wedged(&self) -> bool {
-        self.wedged
-    }
 }
 
 /// The outcome of replaying one log file.

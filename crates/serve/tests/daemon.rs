@@ -427,7 +427,7 @@ fn detect(client: &mut Client, graph: &str, spec: &str, extra: &str) -> Value {
 fn base_of(v: &Value) -> Option<u64> {
     let base = v.get("base_generation").unwrap();
     let warm = get_bool(v, "warm");
-    assert_eq!(warm, !base.is_null(), "{v:?}");
+    assert_eq!(warm, *base != Value::Null, "{v:?}");
     let counters = v.get("report").and_then(|r| r.get("counters")).unwrap();
     assert_eq!(get_u64(counters, "warm"), warm as u64, "{v:?}");
     if !warm {

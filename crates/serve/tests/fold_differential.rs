@@ -35,7 +35,7 @@ fn fold_reference(graph: &Graph, relabeling: Option<&Relabeling>, pending: &[Edg
     let mut edges = graph.par_collect_edges();
     if let Some(r) = relabeling {
         for e in edges.iter_mut() {
-            let (u, v) = (r.to_old_id(e.0), r.to_old_id(e.1));
+            let (u, v) = (r.old_of_new()[e.0 as usize], r.old_of_new()[e.1 as usize]);
             (e.0, e.1) = (u.min(v), u.max(v));
         }
     }

@@ -49,6 +49,7 @@ pub struct ProptestConfig {
 
 impl ProptestConfig {
     /// A config running `cases` random cases.
+    // audit:allow(unreachable-pub): the proptest suites set their case counts through it (mirrors proptest's API)
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }

@@ -13,7 +13,7 @@
 //! This facade re-exports the workspace crates under stable module names:
 //!
 //! * [`graph`] — CSR graphs, partitions, parallel coarsening, analytics
-//!   (components, clustering coefficients, k-cores, assortativity).
+//!   (components, clustering coefficients, assortativity).
 //! * [`generators`] — LFR, R-MAT/Kronecker, planted partition,
 //!   Barabási–Albert, Watts–Strogatz, grids, cliques.
 //! * [`community`] — the detection algorithms and quality/similarity

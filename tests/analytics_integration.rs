@@ -1,101 +1,8 @@
-//! Integration of the analytics layer (k-cores, subgraphs, assortativity,
-//! per-community statistics) with the generators and detectors.
+//! Integration of the degree-assortativity analytic (a Table I companion)
+//! with the generators.
 
-use parcom::community::community_stats::{community_stats, partition_summary};
-use parcom::community::{quality::modularity, CommunityDetector, Plm};
-use parcom::generators::{barabasi_albert, lfr, ring_of_cliques, watts_strogatz, LfrParams};
+use parcom::generators::{barabasi_albert, lfr, LfrParams};
 use parcom::graph::assortativity::degree_assortativity;
-use parcom::graph::cores::CoreDecomposition;
-use parcom::graph::subgraph::{induced_subgraph, largest_component_subgraph};
-
-#[test]
-fn ba_graph_has_deep_cores_around_hubs() {
-    let g = barabasi_albert(2000, 3, 1);
-    let d = CoreDecomposition::run(&g);
-    assert!(d.degeneracy >= 3, "BA(m=3) degeneracy is at least 3");
-    // every node survives to the attachment-count core
-    assert!(d.core.iter().all(|&c| c >= 3));
-}
-
-#[test]
-fn lattice_cores_are_shallow() {
-    let g = watts_strogatz(500, 2, 0.0, 2);
-    let d = CoreDecomposition::run(&g);
-    // 4-regular ring lattice: every node in exactly the 4-core? No: peeling
-    // the ring from anywhere cascades; k-core = min degree bound
-    assert!(d.degeneracy <= 4);
-}
-
-#[test]
-fn detected_communities_have_low_conductance() {
-    let (g, _) = lfr(LfrParams::benchmark(2000, 0.2), 3);
-    let zeta = Plm::new().detect(&g);
-    let summary = partition_summary(&g, &zeta);
-    assert!(summary.count > 1);
-    assert!(
-        summary.mean_conductance < 0.4,
-        "strong LFR communities should have low conductance, got {}",
-        summary.mean_conductance
-    );
-}
-
-#[test]
-fn conductance_tracks_mixing() {
-    let (easy_g, easy_t) = lfr(LfrParams::benchmark(2000, 0.1), 4);
-    let (hard_g, hard_t) = lfr(LfrParams::benchmark(2000, 0.5), 4);
-    let easy = partition_summary(&easy_g, &easy_t).mean_conductance;
-    let hard = partition_summary(&hard_g, &hard_t).mean_conductance;
-    assert!(
-        easy < hard,
-        "conductance must grow with mixing: {easy} vs {hard}"
-    );
-}
-
-#[test]
-fn community_stats_conserve_graph_totals() {
-    let (g, _) = lfr(LfrParams::benchmark(1000, 0.3), 5);
-    let zeta = Plm::new().detect(&g);
-    let stats = community_stats(&g, &zeta);
-    let total_size: usize = stats.iter().map(|s| s.size).sum();
-    assert_eq!(total_size, g.node_count());
-    let total_volume: f64 = stats.iter().map(|s| s.volume).sum();
-    assert!((total_volume - 2.0 * g.total_edge_weight()).abs() < 1e-6);
-    // each cut edge counted once per side: Σ cut = 2 · inter-community weight
-    let intra: f64 = stats.iter().map(|s| s.intra_weight).sum();
-    let cut: f64 = stats.iter().map(|s| s.cut_weight).sum();
-    assert!((intra + cut / 2.0 - g.total_edge_weight()).abs() < 1e-6);
-}
-
-#[test]
-fn detection_on_largest_component_subgraph() {
-    // R-MAT-like fragmentation: detect on the giant component only
-    let g = parcom::generators::rmat(
-        parcom::generators::RmatParams::paper_with_edge_factor(10, 8),
-        6,
-    );
-    let sub = largest_component_subgraph(&g);
-    assert!(sub.graph.node_count() > 0);
-    assert!(sub.graph.node_count() <= g.node_count());
-    let zeta = Plm::new().detect(&sub.graph);
-    assert_eq!(zeta.len(), sub.graph.node_count());
-    // map back to original ids without panicking
-    // audit:allow(lossy-cast): bounded by the u32 node id space
-    for v in 0..sub.graph.node_count() as u32 {
-        let orig = sub.to_original[v as usize];
-        assert_eq!(sub.from_original[orig as usize], Some(v));
-    }
-}
-
-#[test]
-fn induced_community_subgraph_is_denser_than_graph() {
-    let (g, truth) = ring_of_cliques(6, 10);
-    let members: Vec<u32> = (0..10).collect();
-    let sub = induced_subgraph(&g, &members);
-    // a clique: internal density 1
-    let n = sub.graph.node_count();
-    assert_eq!(sub.graph.edge_count(), n * (n - 1) / 2);
-    let _ = truth;
-}
 
 #[test]
 fn assortativity_separates_categories() {
@@ -106,16 +13,4 @@ fn assortativity_separates_categories() {
     assert!(ba < lf + 0.05, "BA {ba} vs LFR {lf}");
     assert!(ba < 0.05);
     assert!(lf.abs() < 0.3);
-}
-
-#[test]
-fn modularity_and_conductance_agree_on_better_partitions() {
-    let (g, truth) = ring_of_cliques(8, 8);
-    let good = partition_summary(&g, &truth);
-    let bad = partition_summary(
-        &g,
-        &parcom::graph::Partition::from_vec((0..g.node_count() as u32).map(|v| v % 8).collect()), // audit:allow(lossy-cast): bounded by the u32 node id space
-    );
-    assert!(good.mean_conductance < bad.mean_conductance);
-    assert!(modularity(&g, &truth) > 0.0);
 }
