@@ -206,15 +206,20 @@ pub fn detect(args: &Args) -> CmdResult {
     // zero-overhead path
     let run = |algo: &mut Box<dyn CommunityDetector + Send>| {
         let start = std::time::Instant::now();
-        let (zeta, report, termination) = if reported {
+        let (zeta, report, termination, aggregates) = if reported {
             let r = algo.detect_guarded(&g, &budget);
-            (r.partition, r.report, Some(r.termination))
+            (r.partition, r.report, Some(r.termination), r.aggregates)
         } else {
-            (algo.detect(&g), parcom_obs::RunReport::default(), None)
+            (
+                algo.detect(&g),
+                parcom_obs::RunReport::default(),
+                None,
+                None,
+            )
         };
-        (zeta, report, termination, start.elapsed())
+        (zeta, report, termination, aggregates, start.elapsed())
     };
-    let (zeta, mut report, termination, elapsed) = if threads > 0 {
+    let (zeta, mut report, termination, aggregates, elapsed) = if threads > 0 {
         parcom_graph::parallel::with_threads(threads, || run(&mut algo))
     } else {
         run(&mut algo)
@@ -231,13 +236,24 @@ pub fn detect(args: &Args) -> CmdResult {
         },
         _ => String::new(),
     };
-    let (modularity, coverage) = quality::modularity_and_coverage(&g, &zeta);
+    // A reported run hands out the aggregates its report read Q off (they
+    // do not depend on γ): the summary's γ = 1 figures cost O(k), not a
+    // second scan. The plain path scans once.
+    let (modularity, coverage, communities) = match &aggregates {
+        Some(agg) => {
+            let total = g.total_edge_weight();
+            (agg.modularity(total, 1.0), agg.coverage(total), agg.len())
+        }
+        None => {
+            let (modularity, coverage) = quality::modularity_and_coverage(&g, &zeta);
+            (modularity, coverage, zeta.number_of_subsets())
+        }
+    };
     let summary = format!(
-        "{} on {input}: n={} m={} -> {} communities, modularity {:.4}, coverage {:.4}, {:.3}s ({:.1}M edges/s){termination_note}",
+        "{} on {input}: n={} m={} -> {communities} communities, modularity {:.4}, coverage {:.4}, {:.3}s ({:.1}M edges/s){termination_note}",
         algo.name(),
         g.node_count(),
         g.edge_count(),
-        zeta.number_of_subsets(),
         modularity,
         coverage,
         elapsed.as_secs_f64(),

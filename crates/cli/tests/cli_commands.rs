@@ -277,3 +277,57 @@ fn usage_lists_the_knob_flags_and_a_retired_move_value_exits_1() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_reported_summary_reads_gamma_one_figures_off_the_runs_aggregates() {
+    let dir = tmp_dir("summary");
+    let (graph, part) = (dir.join("g.metis"), dir.join("z.part"));
+    commands::generate(&args(&[
+        "generate",
+        "--model",
+        "lfr",
+        "--n",
+        "400",
+        "--out",
+        graph.to_str().unwrap(),
+    ]))
+    .unwrap();
+    // a budget makes the run guarded and reported; γ = 0.5 is what the
+    // detector optimises, the summary still speaks of γ = 1
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_parcom"))
+        .args([
+            "detect",
+            "--input",
+            graph.to_str().unwrap(),
+            "--algo",
+            "plm",
+        ])
+        .args(["--gamma", "0.5", "--max-sweeps", "1000", "--threads", "1"])
+        .args(["--out", part.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let summary = stdout.lines().next().unwrap();
+
+    let g = parcom_io::load_graph_auto(
+        graph.to_str().unwrap(),
+        &parcom_obs::Recorder::disabled(),
+        &parcom_core::Budget::unlimited(),
+    )
+    .unwrap()
+    .graph;
+    let zeta = parcom_io::read_partition(part.to_str().unwrap()).unwrap();
+    let (q, cov) = parcom_core::quality::modularity_and_coverage(&g, &zeta);
+    let want = format!(
+        "-> {} communities, modularity {q:.4}, coverage {cov:.4},",
+        zeta.number_of_subsets()
+    );
+    assert!(summary.contains(&want), "{summary} vs {want}");
+    let at_half = parcom_core::quality::modularity_gamma(&g, &zeta, 0.5);
+    assert!(
+        !summary.contains(&format!("modularity {at_half:.4}")),
+        "{summary}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,7 @@
 //! singletons; [`CommunityDetector::start_from`] hands the next run a
 //! [`StartState`] instead, whichever entry point makes it.
 
-use crate::quality::modularity_gamma;
+use crate::quality::{community_aggregates, CommunityAggregates};
 use parcom_graph::{Graph, Node, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{Recorder, RunReport};
@@ -29,6 +29,12 @@ pub struct GuardedResult {
     pub termination: Termination,
     /// The instrumented run report, with termination cause recorded.
     pub report: RunReport,
+    /// ω(C) and vol(C) of `partition` on the graph it was detected on,
+    /// indexed by its community ids (every detector returns dense ids, so
+    /// their count is the community count): carried by the run when it
+    /// could, else from the report's scan. `None` when neither happened —
+    /// the run was refused up front or recorded nothing.
+    pub aggregates: Option<CommunityAggregates>,
 }
 
 impl GuardedResult {
@@ -40,6 +46,7 @@ impl GuardedResult {
         termination: Termination,
         cut_phase: Option<String>,
         mut report: RunReport,
+        aggregates: Option<CommunityAggregates>,
     ) -> Self {
         report.termination = Some(termination.as_str().to_string());
         report.cut_phase = cut_phase.filter(|_| termination.interrupted());
@@ -47,6 +54,7 @@ impl GuardedResult {
             partition,
             termination,
             report,
+            aggregates,
         }
     }
 }
@@ -58,7 +66,8 @@ impl GuardedResult {
 /// run costs what the change cost, not what the graph costs.
 ///
 /// `base` may be shorter than the graph (the graph grew): nodes past its
-/// end start as fresh singletons. It must not be longer.
+/// end start as fresh singletons ([`start_label`](crate::quality::start_label)).
+/// It must not be longer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StartState {
     /// The community assignment to start from.
@@ -67,15 +76,25 @@ pub struct StartState {
     /// removed or reweighted since `base` was computed. Order and
     /// duplicates do not matter.
     pub frontier: Vec<Node>,
+    /// ω(C) and vol(C) of `base` — grown nodes in their singletons — on
+    /// the graph the run is given, when known
+    /// ([`CommunityAggregates::apply_edits`] keeps them so across edits).
+    /// A detector that can carries them to its result, and the report
+    /// reads modularity off them instead of scanning every edge.
+    pub aggregates: Option<CommunityAggregates>,
 }
 
 /// Runs `detector` under `rec` and builds the report every entry point
-/// hands out: the root counters `nodes`/`edges`/`warm`/`frontier`/
-/// `communities`, the modularity metric at the detector's own γ, and the
-/// termination cause with — for interrupted runs — the cut phase. `warm`
-/// is 1 when the run starts from a [`StartState`], and `frontier` is how
-/// many nodes it starts with — all of them when cold. Under a disabled
-/// recorder this is the bare `run` plus an empty report.
+/// hands out: the root counters `nodes`/`edges`/`warm`/`carried`/
+/// `frontier`/`communities`, the modularity metric at the detector's own
+/// γ, and the termination cause with — for interrupted runs — the cut
+/// phase. `warm` is 1 when the run starts from a [`StartState`], and
+/// `frontier` is how many nodes it starts with — all of them when cold.
+/// `carried` is 1 when the detector carried its result's aggregates
+/// ([`CommunityDetector::carried_aggregates`]): Q and `communities` then
+/// cost O(k), and only a run that carried none pays the O(n + m) scan.
+/// Under a disabled recorder this is the bare `run` plus an empty report,
+/// and the result has aggregates only if they were carried.
 fn reported_run<D: CommunityDetector + ?Sized>(
     detector: &mut D,
     g: &Graph,
@@ -87,12 +106,25 @@ fn reported_run<D: CommunityDetector + ?Sized>(
     let start = detector.start_slot().and_then(|slot| slot.as_ref());
     let frontier = start.map_or(g.node_count(), |s| s.frontier.len());
     rec.counter("warm", start.is_some() as u64);
+    // settled after the run; recorded now to sit beside `warm`
+    rec.counter("carried", 0);
     rec.counter("frontier", frontier as u64);
     let (partition, termination, cut_phase) = detector.run(g, &rec, budget);
-    // two scans of the result that only a report needs
-    if rec.is_enabled() {
-        rec.counter("communities", partition.number_of_subsets() as u64);
-        let q = modularity_gamma(g, &partition, detector.gamma());
+    let aggregates = match detector.carried_aggregates() {
+        Some(carried) => {
+            rec.counter("carried", 1);
+            rec.counter("communities", carried.len() as u64);
+            Some(carried)
+        }
+        // two scans of the result that only a report needs
+        None if rec.is_enabled() => {
+            rec.counter("communities", partition.number_of_subsets() as u64);
+            Some(community_aggregates(g, &partition))
+        }
+        None => None,
+    };
+    if let Some(agg) = aggregates.as_ref().filter(|_| rec.is_enabled()) {
+        let q = agg.modularity(g.total_edge_weight(), detector.gamma());
         rec.metric("modularity", q);
     }
     GuardedResult::new(
@@ -100,6 +132,7 @@ fn reported_run<D: CommunityDetector + ?Sized>(
         termination,
         cut_phase,
         rec.finish(detector.name()),
+        aggregates,
     )
 }
 
@@ -173,6 +206,14 @@ pub trait CommunityDetector {
         }
     }
 
+    /// Takes the ω(C)/vol(C) aggregates of the partition the last run
+    /// returned, on the graph it ran on, if the run carried them there
+    /// from its [`StartState`]'s — so a report needs no scan. The default,
+    /// `None`, says the detector never carries them.
+    fn carried_aggregates(&mut self) -> Option<CommunityAggregates> {
+        None
+    }
+
     /// Reseeds the algorithm's randomness. The default is a no-op:
     /// deterministic algorithms (CNM, PAM) have nothing to reseed.
     fn set_seed(&mut self, seed: u64) {
@@ -215,7 +256,8 @@ pub trait CommunityDetector {
         };
         if let Some(termination) = early {
             let zeta = Partition::singleton(g.node_count());
-            return GuardedResult::new(zeta, termination, None, RunReport::empty(self.name()));
+            let report = RunReport::empty(self.name());
+            return GuardedResult::new(zeta, termination, None, report, None);
         }
         reported_run(self, g, Recorder::from_env(), budget)
     }
@@ -239,6 +281,10 @@ impl<T: CommunityDetector + ?Sized> CommunityDetector for Box<T> {
 
     fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
         (**self).start_slot()
+    }
+
+    fn carried_aggregates(&mut self) -> Option<CommunityAggregates> {
+        (**self).carried_aggregates()
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -309,8 +355,10 @@ mod tests {
         assert_eq!(report.counter("nodes"), Some(3));
         assert_eq!(report.counter("edges"), Some(2));
         assert_eq!(report.counter("communities"), Some(1));
-        // a detector without a start slot refuses a base and runs cold
+        // a detector without a start slot refuses a base and runs cold,
+        // and one that carries no aggregates is scanned
         assert_eq!(report.counter("warm"), Some(0));
+        assert_eq!(report.counter("carried"), Some(0));
         assert_eq!(report.counter("frontier"), Some(3));
         // evaluated at the detector's own resolution, not at 1
         assert_eq!(report.metric("modularity"), Some(0.5));
@@ -324,6 +372,7 @@ mod tests {
         let start = StartState {
             base: Partition::singleton(3),
             frontier: vec![0],
+            aggregates: None,
         };
         let mut boxed: Box<dyn CommunityDetector> = Box::new(Trivial { seed: 0 });
         assert!(!boxed.start_from(start));

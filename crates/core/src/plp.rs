@@ -17,9 +17,13 @@
 //! The active set is what makes PLP incremental, and a [`StartState`]
 //! carries it across runs: labels start from an earlier run's result and
 //! only the nodes an edit touched start active. The ordinary cold run is
-//! the same loop started from singletons with every node active.
+//! the same loop started from singletons with every node active. A start
+//! state with the base's aggregates gets them back patched for the result
+//! ([`CommunityDetector::carried_aggregates`]), so a warm run's report
+//! costs what its movers cost, not a scan of the graph.
 
 use crate::algorithm::{CommunityDetector, StartState};
+use crate::quality::{compact_carrying, CommunityAggregates};
 use parcom_graph::{AtomicPartition, Graph, Node, Partition, ScratchPool};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{CounterCell, LocalCount, Recorder};
@@ -76,6 +80,9 @@ pub struct Plp {
     /// [`CommunityDetector::start_from`] and taken by that run; `None`
     /// starts from singletons.
     pub start: Option<StartState>,
+    /// The last run's result aggregates, when its start state had the
+    /// base's; taken by [`CommunityDetector::carried_aggregates`].
+    pub carried: Option<CommunityAggregates>,
 }
 
 impl Default for Plp {
@@ -87,6 +94,7 @@ impl Default for Plp {
             seed_perturbation: SeedPerturbation::None,
             seed: 1,
             start: None,
+            carried: None,
         }
     }
 }
@@ -116,29 +124,42 @@ impl Plp {
     /// expiry the loop stops after the last completed iteration; the label
     /// array at any iteration boundary is a valid assignment, so the
     /// degraded result is simply the labels so far, compacted.
+    ///
+    /// With the base's aggregates in `start`, the result's come back too:
+    /// patched for every node whose final label differs from its start
+    /// label, and renumbered by both compactions.
     fn propagate(
         &mut self,
         g: &Graph,
         start: Option<StartState>,
         rec: &Recorder,
         budget: &Budget,
-    ) -> (Partition, Termination) {
+    ) -> (Partition, Termination, Option<CommunityAggregates>) {
         let n = g.node_count();
         // One loop for both: a cold run is the warm run whose base is
         // empty — every node lies past its end and gets a fresh singleton
         // label, its own id — and whose frontier is every node.
-        let (mut base, frontier) = match start {
-            Some(s) => (s.base, Some(s.frontier)),
-            None => (Partition::singleton(0), None),
+        let (mut base, frontier, mut aggregates) = match start {
+            Some(s) => (s.base, Some(s.frontier), s.aggregates),
+            None => (Partition::singleton(0), None, None),
         };
         assert!(
             base.len() <= n,
             "start state covers {} nodes, the graph has {n}",
             base.len()
         );
+        if let Some(agg) = &aggregates {
+            let covered = base.upper_bound() as usize + (n - base.len());
+            assert_eq!(
+                agg.len(),
+                covered,
+                "start aggregates cover {} communities, the base and the grown nodes {covered}",
+                agg.len()
+            );
+        }
         // Labels index the tally maps, so keep them near the node count.
         if base.upper_bound() as usize > base.len() {
-            base.compact();
+            compact_carrying(&mut base, aggregates.as_mut());
         }
         let grown = base.upper_bound()..base.upper_bound() + (n - base.len()) as u32;
         let mut label_bound = grown.end;
@@ -292,12 +313,15 @@ impl Plp {
             panic!("PLP postcondition violated: {e}");
         }
         let mut result = labels.to_partition();
-        result.compact();
+        if let Some(agg) = &mut aggregates {
+            agg.apply_moves(g, &base, &result);
+        }
+        compact_carrying(&mut result, aggregates.as_mut());
         #[cfg(any(debug_assertions, feature = "validate"))]
         if let Err(e) = result.validate_dense() {
             panic!("PLP postcondition violated: {e}");
         }
-        (result, termination)
+        (result, termination, aggregates)
     }
 }
 
@@ -321,12 +345,17 @@ impl CommunityDetector for Plp {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
         let start = self.start.take();
-        let (zeta, termination) = self.propagate(g, start, rec, budget);
+        let (zeta, termination, aggregates) = self.propagate(g, start, rec, budget);
+        self.carried = aggregates;
         (zeta, termination, Some("label-propagation".into()))
     }
 
     fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
         Some(&mut self.start)
+    }
+
+    fn carried_aggregates(&mut self) -> Option<CommunityAggregates> {
+        self.carried.take()
     }
 }
 
@@ -433,6 +462,7 @@ mod tests {
         assert!(plp.start_from(StartState {
             base: base.clone(),
             frontier: Vec::new(),
+            aggregates: None,
         }));
         let (again, report) = plp.detect_with_report(&g);
         assert_eq!(again, base);
@@ -462,6 +492,7 @@ mod tests {
         plp.start_from(StartState {
             base: base.clone(),
             frontier: vec![0, far],
+            aggregates: None,
         });
         let (zeta, report) = plp.detect_with_report(&edited);
         assert!(zeta.in_same_subset(0, far), "the heavy edge must win");
@@ -489,6 +520,7 @@ mod tests {
         plp.start_from(StartState {
             base: truth,
             frontier,
+            aggregates: None,
         });
         let zeta = plp.detect(&edited);
         assert_eq!(zeta.len(), 14);
@@ -501,6 +533,64 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_run_carries_the_aggregates_a_scan_would_find() {
+        use crate::quality::{community_aggregates, modularity_gamma, start_label};
+        let (g, _) = lfr(LfrParams::benchmark(600, 0.3), 9);
+        let truth = Plp::new().detect(&g);
+        // a base with id gaps (so it is compacted first) that is one node
+        // short; the edit grows the graph, strands node 7 and rewires 8
+        let base = Partition::from_vec(truth.as_slice()[..599].iter().map(|&c| 3 * c).collect());
+        let mut edits: Vec<_> = g
+            .neighbors(7)
+            .iter()
+            .map(|&u| (7.min(u), 7.max(u), None))
+            .collect();
+        edits.extend([(7, 7, Some(2.0)), (8, 601, Some(1.0)), (0, 8, Some(5.0))]);
+        let edited = g.patched(602, &edits);
+        let from = Partition::from_vec((0..600).map(|v| start_label(&base, v)).collect());
+        let mut aggregates = community_aggregates(&g, &from);
+        aggregates.apply_edits(&base, &g, 602, &edits);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base,
+            frontier: edits.iter().flat_map(|&(u, v, _)| [u, v]).collect(),
+            aggregates: Some(aggregates),
+        });
+        let r = plp.detect_guarded(&edited, &crate::Budget::unlimited());
+        assert_eq!(r.report.counter("carried"), Some(1));
+        let carried = r
+            .aggregates
+            .expect("a warm run with aggregates carries them");
+        assert_eq!(carried, community_aggregates(&edited, &r.partition));
+        let q = r.report.metric("modularity").unwrap();
+        assert_eq!(
+            q.to_bits(),
+            modularity_gamma(&edited, &r.partition, 1.0).to_bits()
+        );
+        assert_eq!(
+            r.report.counter("communities"),
+            Some(r.partition.number_of_subsets() as u64)
+        );
+        // the stranded node sits alone, and nothing is left for a later run
+        assert!((0..602).all(|v| v == 7 || !r.partition.in_same_subset(7, v)));
+        assert_eq!(plp.carried_aggregates(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "start aggregates cover")]
+    fn rejects_aggregates_that_do_not_cover_the_start() {
+        let (g, truth) = ring_of_cliques(2, 3);
+        let aggregates = crate::quality::community_aggregates(&g, &truth);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: Partition::from_vec(truth.as_slice()[..5].to_vec()),
+            frontier: Vec::new(),
+            aggregates: Some(aggregates),
+        });
+        plp.detect(&g);
+    }
+
+    #[test]
     #[should_panic(expected = "start state covers")]
     fn rejects_a_base_longer_than_the_graph() {
         let (g, _) = ring_of_cliques(2, 3);
@@ -508,6 +598,7 @@ mod tests {
         plp.start_from(StartState {
             base: Partition::singleton(7),
             frontier: Vec::new(),
+            aggregates: None,
         });
         plp.detect(&g);
     }

@@ -10,18 +10,37 @@
 //!
 //! γ is the resolution parameter of §III-B: γ = 1 is standard modularity,
 //! γ → 0 favors one community, large γ favors singletons.
+//!
+//! The scan ([`community_aggregates`]) costs O(n + m). A warm run does not
+//! need it: its [`CommunityAggregates`] are carried from the base it
+//! started from and patched — by [`CommunityAggregates::apply_edits`] for
+//! each edge an edit changed, by the mover patch for each node whose label
+//! changed, and through the compaction that renumbers the result — so Q
+//! costs O(k) to read off. On integer weights every sum involved is exact
+//! in `f64`, so the carried aggregates equal the scan's bit for bit.
 
-use parcom_graph::{Graph, Partition};
+use parcom_graph::{Graph, Node, Partition};
 use rayon::prelude::*;
 
 /// Per-community aggregates needed by modularity: intra-community edge
-/// weight ω(C) and community volume vol(C).
-#[derive(Clone, Debug)]
+/// weight ω(C) and community volume vol(C), indexed by community id.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CommunityAggregates {
     /// ω(C): weight of edges inside each community (self-loops once).
     pub intra_weight: Vec<f64>,
     /// vol(C): summed node volumes (self-loops twice).
     pub volume: Vec<f64>,
+}
+
+/// The label a run started from `base` gives node `v`: its base label, or
+/// — for a node past the base's end, one the graph grew by — a fresh
+/// singleton id, counting up from the base's upper bound in node order.
+#[inline]
+pub fn start_label(base: &Partition, v: Node) -> u32 {
+    match base.as_slice().get(v as usize) {
+        Some(&c) => c,
+        None => base.upper_bound() + (v as usize - base.len()) as u32,
+    }
 }
 
 /// Computes ω(C) and vol(C) for every community id below
@@ -70,9 +89,39 @@ pub fn community_aggregates(g: &Graph, zeta: &Partition) -> CommunityAggregates 
 }
 
 impl CommunityAggregates {
+    /// All-zero aggregates for `k` community ids.
+    fn zeros(k: usize) -> Self {
+        Self {
+            intra_weight: vec![0.0; k],
+            volume: vec![0.0; k],
+        }
+    }
+
+    /// How many community ids the aggregates cover. For the aggregates of
+    /// a dense partition (every detector's result) that is its community
+    /// count.
+    pub fn len(&self) -> usize {
+        self.volume.len()
+    }
+
+    /// Whether no community id is covered.
+    pub fn is_empty(&self) -> bool {
+        self.volume.is_empty()
+    }
+
+    /// Covers `k` ids: new ones are empty communities, and only empty
+    /// ones may be cut off.
+    fn resize(&mut self, k: usize) {
+        self.intra_weight.resize(k, 0.0);
+        self.volume.resize(k, 0.0);
+    }
+
     /// Σ_C [ ω(C)/ω(E) − γ · vol(C)² / (4 ω(E)²) ] for a graph of total edge
-    /// weight `total`.
-    fn modularity(&self, total: f64, gamma: f64) -> f64 {
+    /// weight `total`; 0 for a graph without edges.
+    pub fn modularity(&self, total: f64, gamma: f64) -> f64 {
+        if total == 0.0 {
+            return 0.0;
+        }
         let mut score = 0.0;
         for c in 0..self.volume.len() {
             let cov = self.intra_weight[c] / total;
@@ -86,10 +135,145 @@ impl CommunityAggregates {
         score
     }
 
-    /// Σ_C ω(C) / ω(E).
-    fn coverage(&self, total: f64) -> f64 {
+    /// Σ_C ω(C) / ω(E); 0 for a graph without edges.
+    pub fn coverage(&self, total: f64) -> f64 {
+        if total == 0.0 {
+            return 0.0;
+        }
         self.intra_weight.iter().sum::<f64>() / total
     }
+
+    /// The edit patch: turns the aggregates of `zeta` on `old` into those
+    /// of the same partition on the graph `old` becomes under `edits`
+    /// ([`Graph::patched`]'s resolved form: one entry per edge, `Some(w)`
+    /// sets its weight, `None` removes it) with `n_new` nodes. Nodes past
+    /// `zeta`'s end are in the singleton communities [`start_label`] gives
+    /// them, which is how a run started from `zeta` labels them; the ids of
+    /// the nodes the edit adds are appended here.
+    ///
+    /// Each edit changes one edge's weight by `Δ = w_new − w_old`, read off
+    /// `old` in O(log d): vol gains Δ at both endpoints' communities (2Δ
+    /// for a self-loop), and ω gains Δ when both endpoints share one.
+    /// O(|edits| · log d) in all, whatever the size of the graph.
+    pub fn apply_edits(
+        &mut self,
+        zeta: &Partition,
+        old: &Graph,
+        n_new: usize,
+        edits: &[(Node, Node, Option<f64>)],
+    ) {
+        let n_old = old.node_count();
+        let cover = |n: usize| zeta.upper_bound() as usize + (n - zeta.len());
+        debug_assert_eq!(
+            self.len(),
+            cover(n_old),
+            "aggregates do not cover the graph"
+        );
+        self.resize(cover(n_new));
+        for &(u, v, w) in edits {
+            let w_old = if (u.max(v) as usize) < n_old {
+                old.edge_weight(u, v)
+            } else {
+                None
+            };
+            let delta = w.unwrap_or(0.0) - w_old.unwrap_or(0.0);
+            if delta == 0.0 {
+                continue;
+            }
+            // a self-loop lands in one community twice: 2Δ of volume
+            let (cu, cv) = (start_label(zeta, u) as usize, start_label(zeta, v) as usize);
+            self.volume[cu] += delta;
+            self.volume[cv] += delta;
+            if cu == cv {
+                self.intra_weight[cu] += delta;
+            }
+        }
+    }
+
+    /// The mover patch: turns the aggregates of the labels a run on `g`
+    /// started from — `from`, nodes past its end labelled by
+    /// [`start_label`] — into those of `to`, the labels it ended with, and
+    /// leaves them covering exactly `to`'s ids. One O(n) compare finds the
+    /// movers; each costs O(deg). Movers are replayed one by one in node
+    /// order, so a neighbour's current label is its final one if it moved
+    /// already, its start label otherwise.
+    // audit:allow(budget-propagation): one bounded pass over the result, cheaper than the sweep the run's budget already admitted
+    pub(crate) fn apply_moves(&mut self, g: &Graph, from: &Partition, to: &Partition) {
+        let ub = to.upper_bound() as usize;
+        self.resize(self.len().max(ub));
+        let current = |u: Node, mover: Node| {
+            if u < mover {
+                to.subset_of(u)
+            } else {
+                start_label(from, u)
+            }
+        };
+        for v in g.nodes() {
+            let (a, b) = (start_label(from, v), to.subset_of(v));
+            if a == b {
+                continue;
+            }
+            let (mut to_a, mut to_b) = (0.0, 0.0);
+            for (u, w) in g.edges_of(v) {
+                if u == v {
+                    // a self-loop is inside whichever community v is in
+                    to_a += w;
+                    to_b += w;
+                    continue;
+                }
+                let c = current(u, v);
+                if c == a {
+                    to_a += w;
+                } else if c == b {
+                    to_b += w;
+                }
+            }
+            let (a, b) = (a as usize, b as usize);
+            self.volume[a] -= g.volume(v);
+            self.volume[b] += g.volume(v);
+            self.intra_weight[a] -= to_a;
+            self.intra_weight[b] += to_b;
+        }
+        // every id at or past `to`'s bound has lost all its members
+        self.resize(ub);
+    }
+}
+
+/// [`Partition::compact`] that carries `agg`, when there is one, along:
+/// renumbers `zeta`'s community ids to `0..k` in order of first appearance
+/// — the same numbering `compact` gives — and permutes `agg` to match,
+/// dropping the ids no node uses. Ids `agg` covers past `zeta`'s upper
+/// bound (the singletons of nodes a run will add past `zeta`'s end) keep
+/// their order after the `k` renumbered ones.
+pub(crate) fn compact_carrying(zeta: &mut Partition, agg: Option<&mut CommunityAggregates>) {
+    let Some(agg) = agg else {
+        zeta.compact();
+        return;
+    };
+    const UNSEEN: u32 = u32::MAX;
+    let ub = zeta.upper_bound() as usize;
+    assert!(agg.len() >= ub, "aggregates do not cover the partition");
+    let mut remap = vec![UNSEEN; ub];
+    let mut next = 0u32;
+    let mut labels = std::mem::replace(zeta, Partition::singleton(0)).into_vec();
+    for c in labels.iter_mut() {
+        let slot = &mut remap[*c as usize];
+        if *slot == UNSEEN {
+            *slot = next;
+            next += 1;
+        }
+        *c = *slot;
+    }
+    *zeta = Partition::from_vec(labels);
+    let k = next as usize;
+    let mut out = CommunityAggregates::zeros(k + agg.len() - ub);
+    for (c, &to) in remap.iter().enumerate().filter(|&(_, &to)| to != UNSEEN) {
+        out.intra_weight[to as usize] = agg.intra_weight[c];
+        out.volume[to as usize] = agg.volume[c];
+    }
+    out.intra_weight[k..].copy_from_slice(&agg.intra_weight[ub..]);
+    out.volume[k..].copy_from_slice(&agg.volume[ub..]);
+    *agg = out;
 }
 
 /// Modularity with resolution parameter `gamma` (γ = 1 is Eq. III.1).
@@ -269,6 +453,94 @@ mod tests {
             (delta - direct).abs() < 1e-12,
             "delta {delta} vs direct {direct}"
         );
+    }
+
+    /// `zeta` with the nodes past its end in [`start_label`]'s singletons.
+    fn extended(zeta: &Partition, n: usize) -> Partition {
+        Partition::from_vec((0..n as Node).map(|v| start_label(zeta, v)).collect())
+    }
+
+    fn assert_same_bits(got: &CommunityAggregates, want: &CommunityAggregates, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.intra_weight),
+            bits(&want.intra_weight),
+            "{what}: ω"
+        );
+        assert_eq!(bits(&got.volume), bits(&want.volume), "{what}: vol");
+    }
+
+    #[test]
+    fn the_edit_patch_matches_a_scan_of_the_patched_graph() {
+        let g = two_triangles();
+        // one node short of the graph: node 5 is a singleton past the end
+        let zeta = Partition::from_vec(vec![0, 0, 0, 1, 1]);
+        let edits = [
+            (0, 1, None),      // an intra edge goes
+            (1, 3, Some(2.0)), // an inter edge comes
+            (2, 3, Some(4.0)), // an inter edge is reweighted
+            (4, 4, Some(3.0)), // a self-loop comes
+            (3, 5, None),      // node 5 loses an edge
+            (0, 7, Some(1.0)), // the graph grows by 6 and 7
+            (6, 6, Some(2.0)), // with a self-loop on the gap node
+            (1, 8, None),      // a remove past the end changes nothing
+        ];
+        let mut agg = community_aggregates(&g, &extended(&zeta, 6));
+        agg.apply_edits(&zeta, &g, 8, &edits);
+        let patched = g.patched(8, &edits[..7]);
+        let want = community_aggregates(&patched, &extended(&zeta, 8));
+        assert_same_bits(&agg, &want, "patched");
+    }
+
+    #[test]
+    fn the_mover_patch_and_the_carried_compaction_match_a_scan() {
+        let mut b = GraphBuilder::new(7);
+        for (u, v, w) in [
+            (0, 1, 1.0),
+            (1, 2, 2.0),
+            (0, 2, 1.0),
+            (2, 3, 3.0),
+            (3, 4, 1.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(4, 4, 5.0);
+        b.add_edge(5, 6, 1.0);
+        let g = b.build();
+        // ids with gaps, two nodes past the end, movers in both directions,
+        // one node moving into a fresh id and community 9 emptied
+        let from = Partition::from_vec(vec![9, 9, 4, 4, 2]);
+        let mut to = Partition::from_vec(vec![4, 4, 4, 2, 2, 11, 2]);
+        let mut agg = community_aggregates(&g, &extended(&from, 7));
+        agg.apply_moves(&g, &from, &to);
+        assert_same_bits(&agg, &community_aggregates(&g, &to), "moved");
+        let mut plain = to.clone();
+        compact_carrying(&mut plain, None);
+        compact_carrying(&mut to, Some(&mut agg));
+        assert_eq!(to, plain, "the same numbering as compact()");
+        assert_same_bits(&agg, &community_aggregates(&g, &to), "compacted");
+
+        // ids past the partition's bound follow the renumbered ones
+        let mut base = Partition::from_vec(vec![5, 3, 5]);
+        let mut agg = community_aggregates(&g, &extended(&base, 7));
+        compact_carrying(&mut base, Some(&mut agg));
+        assert_eq!(base.as_slice(), [0, 1, 0]);
+        assert_same_bits(&agg, &community_aggregates(&g, &extended(&base, 7)), "tail");
+    }
+
+    #[test]
+    fn aggregates_read_off_what_the_scan_reports() {
+        let g = two_triangles();
+        let zeta = Partition::from_vec(vec![0, 0, 0, 1, 1, 1]);
+        let agg = community_aggregates(&g, &zeta);
+        let total = g.total_edge_weight();
+        assert_eq!(agg.len(), 2);
+        assert_eq!(agg.modularity(total, 0.5), modularity_gamma(&g, &zeta, 0.5));
+        assert_eq!(
+            (agg.modularity(total, 1.0), agg.coverage(total)),
+            modularity_and_coverage(&g, &zeta)
+        );
+        assert_eq!((agg.modularity(0.0, 1.0), agg.coverage(0.0)), (0.0, 0.0));
     }
 
     #[test]

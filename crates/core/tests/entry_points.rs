@@ -5,7 +5,7 @@
 
 mod util;
 
-use parcom_core::quality::modularity_gamma;
+use parcom_core::quality::{community_aggregates, modularity_gamma};
 use parcom_core::spec::{AlgoInfo, DEFAULT_ENSEMBLE, REGISTRY};
 use parcom_core::{Budget, CommunityDetector, DetectorSpec, RunReport, StartState, Termination};
 use parcom_generators::{karate_club, lfr, LfrParams};
@@ -44,8 +44,18 @@ fn graphs() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn check_report(report: &RunReport, g: &Graph, zeta: &Partition, gamma: f64, what: &str) {
+/// `carried`: whether the run must have carried its aggregates instead of
+/// scanning for them — held to the same 1e-12 either way.
+fn check_report(
+    report: &RunReport,
+    g: &Graph,
+    zeta: &Partition,
+    gamma: f64,
+    carried: bool,
+    what: &str,
+) {
     assert_eq!(report.termination.as_deref(), Some("converged"), "{what}");
+    assert_eq!(report.counter("carried"), Some(carried as u64), "{what}");
     assert_eq!(report.cut_phase, None, "{what}");
     assert_eq!(
         report.counter("nodes"),
@@ -83,12 +93,15 @@ fn the_three_entry_points_agree_for_every_spec() {
                 let plain = build(info.name).detect(&g);
                 let (zeta, report) = build(info.name).detect_with_report(&g);
                 assert_eq!(plain.as_slice(), zeta.as_slice(), "{what}: with_report");
-                check_report(&report, &g, &zeta, gamma, &what);
+                check_report(&report, &g, &zeta, gamma, false, &what);
 
                 let r = build(info.name).detect_guarded(&g, &Budget::unlimited());
                 assert_eq!(r.termination, Termination::Converged, "{what}");
                 assert_eq!(plain.as_slice(), r.partition.as_slice(), "{what}: guarded");
-                check_report(&r.report, &g, &r.partition, gamma, &what);
+                check_report(&r.report, &g, &r.partition, gamma, false, &what);
+                // the scan's aggregates go out with the result
+                let scanned = community_aggregates(&g, &r.partition);
+                assert_eq!(r.aggregates, Some(scanned), "{what}");
             });
         }
     }
@@ -127,9 +140,15 @@ fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
         for info in REGISTRY {
             with_threads(1, || {
                 let what = format!("{} from a base on {graph_name}", info.name);
+                let base = build(info.name).detect(&g);
+                // the base's aggregates, patched for the edit as a
+                // resident graph's fold patches them
+                let mut aggregates = community_aggregates(&g, &base);
+                aggregates.apply_edits(&base, &g, n_new, &edits);
                 let start = StartState {
-                    base: build(info.name).detect(&g),
+                    base,
                     frontier: endpoints(&edits),
+                    aggregates: Some(aggregates),
                 };
                 let started = |detector: &mut Box<dyn CommunityDetector + Send>| {
                     let accepted = detector.start_from(start.clone());
@@ -149,7 +168,17 @@ fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
                     r.partition.upper_bound() as usize,
                     "{what}"
                 );
-                check_report(&r.report, &edited, &r.partition, gamma, &what);
+                check_report(&r.report, &edited, &r.partition, gamma, warm, &what);
+                let scanned = community_aggregates(&edited, &r.partition);
+                let carried = r.aggregates.as_ref().expect("carried or scanned");
+                for (got, want) in [
+                    (&carried.intra_weight, &scanned.intra_weight),
+                    (&carried.volume, &scanned.volume),
+                ] {
+                    // unit weights: every sum is exact, carried or not
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "{what}: aggregates");
+                }
                 assert_eq!(r.report.counter("warm"), Some(warm as u64), "{what}");
                 let frontier = if warm { start.frontier.len() } else { n_new };
                 assert_eq!(

@@ -59,6 +59,7 @@ fn warm_chain(n: usize, batches: usize, batch: usize, threads: usize, seed: u64)
             warm.start_from(StartState {
                 base: zeta,
                 frontier: endpoints(&edits),
+                aggregates: None,
             });
             let (next, report) = warm.detect_with_report(&g);
             assert_eq!(report.counter("warm"), Some(1));

@@ -553,7 +553,6 @@ impl Graph {
     }
 
     /// Weight of the edge `{u, v}`, or `None` if absent. O(log deg(u)).
-    // audit:allow(unreachable-pub): the edge-lookup oracle of the builder, coarsening, relabel and fold differential tests
     pub fn edge_weight(&self, u: Node, v: Node) -> Option<f64> {
         let (t, w) = self.neighbors_and_weights(u);
         t.binary_search(&v).ok().map(|i| w[i])

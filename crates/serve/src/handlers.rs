@@ -468,11 +468,17 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     let base_generation =
         start.and_then(|(generation, start)| detector.start_from(start).then_some(generation));
     let graph = &snapshot.graph;
-    let result = detector.detect_guarded(graph, &budget);
+    let mut result = detector.detect_guarded(graph, &budget);
     // Only a finished run is a base worth starting from, and only for a
     // detector that can start from one.
     if result.termination == Termination::Converged && detector.start_slot().is_some() {
-        lock_entry(&entry).store_result(&spec_key, snapshot.generation, &result.partition);
+        let aggregates = result.aggregates.take();
+        lock_entry(&entry).store_result(
+            &spec_key,
+            snapshot.generation,
+            &result.partition,
+            aggregates,
+        );
     }
 
     // A partition entry is a community id below n plus a comma.

@@ -5,7 +5,7 @@
 //! access); the surface is exactly what the daemon's API needs and nothing
 //! more — no TLS, no compression, no multipart.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 
 /// Hard cap on the request line + headers. A well-formed request to this
 /// API fits in a few hundred bytes; anything larger is hostile or lost.
@@ -238,8 +238,12 @@ pub fn respond_json(
 
 /// Writes a JSON response with `Transfer-Encoding: chunked`, streaming the
 /// body in [`CHUNK_BYTES`] pieces — the response path of `/detect`, whose
-/// reports and partition arrays can run to many megabytes.
+/// reports and partition arrays can run to many megabytes. A buffer of one
+/// frame (size line, piece, CRLF) sits in front of `w`, so each piece goes
+/// out in one write with its framing instead of four, and the head rides
+/// along with the first.
 pub fn respond_chunked_json(w: &mut dyn Write, status: u16, body: &str) -> io::Result<()> {
+    let mut w = BufWriter::with_capacity(CHUNK_BYTES + 16, w);
     write!(
         w,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n{}Connection: keep-alive\r\n\r\n",
@@ -344,5 +348,48 @@ mod tests {
             rest = &tail[size + 2..];
         }
         assert_eq!(decoded, body);
+    }
+
+    /// Records every `write` call it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_chunked_reply_takes_one_write_per_chunk() {
+        for len in [0, 10, CHUNK_BYTES, 542 * 1024 + 7] {
+            let body = "z".repeat(len);
+            let mut counted = CountingWriter::default();
+            respond_chunked_json(&mut counted, 200, &body).unwrap();
+            let chunks = len.div_ceil(CHUNK_BYTES);
+            assert!(
+                counted.writes <= chunks + 2,
+                "{len} bytes: {} writes for {chunks} chunks",
+                counted.writes
+            );
+            // byte for byte what the piece-by-piece writes produced
+            let mut want = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n".to_vec();
+            for chunk in body.as_bytes().chunks(CHUNK_BYTES) {
+                want.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                want.extend_from_slice(chunk);
+                want.extend_from_slice(b"\r\n");
+            }
+            want.extend_from_slice(b"0\r\n\r\n");
+            assert_eq!(counted.bytes, want, "{len} bytes");
+        }
     }
 }

@@ -12,14 +12,17 @@
 //! *spare* an edited graph keeps, so that a fold allocates nothing.
 //!
 //! Beside the CSR an entry keeps a few *warm slots*: per detector spec,
-//! the last partition a detection converged to, the generation it was
-//! computed at and the endpoints of every edit folded in since. The next
-//! detection with that spec starts from there ([`StartState`]) and
-//! re-evaluates only those endpoints. Slots are derived, memory-only
-//! state: nothing of them is logged or checkpointed, and a restarted
-//! daemon starts with none.
+//! the last partition a detection converged to, its community aggregates
+//! (ω(C), vol(C)) on the current CSR, the generation it was computed at
+//! and the endpoints of every edit folded in since. The next detection
+//! with that spec starts from there ([`StartState`]), re-evaluates only
+//! those endpoints and reads its modularity off the aggregates instead of
+//! scanning every edge. Slots are derived, memory-only state: nothing of
+//! them is logged or checkpointed, and a restarted daemon starts with
+//! none.
 
 use crate::wal::WalWriter;
+use parcom_core::quality::CommunityAggregates;
 use parcom_core::StartState;
 use parcom_graph::relabel::Relabeling;
 use parcom_graph::{Graph, Node, Partition};
@@ -81,6 +84,10 @@ struct WarmSlot {
     generation: u64,
     /// In the ids of the resident view (relabeled or not).
     partition: Partition,
+    /// ω(C) and vol(C) of `partition` on the *current* CSR — nodes added
+    /// since in their singletons, as a run started from it labels them —
+    /// patched by every fold. `None` when the result came without them.
+    aggregates: Option<CommunityAggregates>,
     /// Endpoints of every edit folded in after `generation`, sorted, each
     /// once: the frontier of the next warm start.
     dirty: Vec<Node>,
@@ -312,9 +319,11 @@ impl GraphEntry {
     ///
     /// Every fold, checkpoint and replay comes through here, so this is
     /// also where the warm slots learn what changed: each keeps the folded
-    /// edits' endpoints, or is dropped — when the relabeling is (node ids
-    /// change under the cached partition) or when too much of the graph is
-    /// dirty ([`WARM_DIRTY_SHARE`]).
+    /// edits' endpoints and patches its aggregates by them
+    /// ([`CommunityAggregates::apply_edits`], O(|edits| · log d)), or is
+    /// dropped — when the relabeling is (node ids change under the cached
+    /// partition) or when too much of the graph is dirty
+    /// ([`WARM_DIRTY_SHARE`]).
     pub fn rebuild(&mut self) {
         self.fold();
     }
@@ -371,7 +380,13 @@ impl GraphEntry {
             slot.dirty.extend_from_slice(&touched);
             slot.dirty.sort_unstable();
             slot.dirty.dedup();
-            slot.dirty.len() <= dirty_cap
+            let keep = slot.dirty.len() <= dirty_cap;
+            if let Some(agg) = slot.aggregates.as_mut().filter(|_| keep) {
+                // slots survive only an unrelabeled fold: `base` is the
+                // retiring CSR, weights before the edit
+                agg.apply_edits(&slot.partition, base, n_new, &edits);
+            }
+            keep
         });
         self.pending.clear();
         // The next fold's buffers, unless a snapshot still reads them.
@@ -414,23 +429,34 @@ impl GraphEntry {
 
     /// Where a detection with `spec` on the current CSR can start: the
     /// slot's generation and its partition with the endpoints dirtied
-    /// since. `None` when nothing is cached for `spec`.
+    /// since and its aggregates. `None` when nothing is cached for `spec`.
+    /// The slot keeps its own copy — the aggregates cost 16 bytes per
+    /// community — so a run that is cut short, or one running beside it,
+    /// leaves it whole.
     pub fn warm_start(&self, spec: &str) -> Option<(u64, StartState)> {
         let slot = self.warm.iter().find(|slot| slot.spec == spec)?;
         let start = StartState {
             base: slot.partition.clone(),
             frontier: slot.dirty.clone(),
+            aggregates: slot.aggregates.clone(),
         };
         Some((slot.generation, start))
     }
 
     /// Caches `partition` — a *converged* result of `spec` on the CSR of
-    /// `generation` — as the base of the next detection with that spec.
-    /// A result of an older generation is discarded (`false`): the
-    /// endpoints folded in meanwhile are not known to it, and storing it
-    /// as current would hide them from every later warm start. The slot
-    /// already there, if any, stays and keeps counting.
-    pub fn store_result(&mut self, spec: &str, generation: u64, partition: &Partition) -> bool {
+    /// `generation` — and its `aggregates` on that CSR as the base of the
+    /// next detection with that spec. A result of an older generation is
+    /// discarded (`false`): the endpoints folded in meanwhile are not
+    /// known to it, and storing it as current would hide them from every
+    /// later warm start. The slot already there, if any, stays and keeps
+    /// counting.
+    pub fn store_result(
+        &mut self,
+        spec: &str,
+        generation: u64,
+        partition: &Partition,
+        aggregates: Option<CommunityAggregates>,
+    ) -> bool {
         if generation != self.generation {
             return false;
         }
@@ -448,6 +474,7 @@ impl GraphEntry {
             spec: spec.to_string(),
             generation,
             partition: partition.clone(),
+            aggregates,
             dirty: Vec::new(),
         });
         true
@@ -707,6 +734,58 @@ mod tests {
         assert!(!g2.has_edge(0, 1));
         assert!(g2.has_edge(3, 0));
         assert_eq!(g2.degree(3), 4);
+    }
+
+    #[test]
+    fn a_stale_result_and_a_cut_run_leave_the_slot_aggregates_alone() {
+        use parcom_guard::CancelToken;
+        let spec = parcom_core::DetectorSpec::parse("plp:seed=1")
+            .unwrap()
+            .to_string();
+        let store = GraphStore::new();
+        store.insert(
+            "g",
+            parcom_generators::lfr(parcom_generators::LfrParams::benchmark(600, 0.3), 3).0,
+            None,
+        );
+        let detect = |extra: &str| {
+            let body = format!("{{\"graph\":\"g\",\"spec\":\"{spec}\"{extra}}}");
+            crate::handlers::detect(&store, body.as_bytes(), CancelToken::new())
+        };
+        let entry = store.get("g").unwrap();
+        let aggregates = || {
+            let (_, start) = lock_entry(&entry).warm_start(&spec).expect("a slot");
+            start.aggregates.expect("aggregates")
+        };
+        assert_eq!(detect("").0, 200);
+        let stored = aggregates();
+
+        // a result computed before a fold is refused, aggregates and all
+        {
+            let mut e = lock_entry(&entry);
+            let held = e.snapshot();
+            e.buffer_ops([EdgeOp::Insert(0, 300, 1.0), EdgeOp::Insert(1, 600, 2.0)]);
+            e.rebuild();
+            let late = CommunityAggregates {
+                intra_weight: vec![1.0],
+                volume: vec![2.0],
+            };
+            let zeta = Partition::all_in_one(600);
+            assert!(!e.store_result(&spec, held.generation, &zeta, Some(late)));
+        }
+        let patched = aggregates();
+        assert_ne!(patched, stored, "the fold patched them");
+        assert_eq!(patched.len(), stored.len() + 1, "node 600 in a singleton");
+
+        // a run denied its first sweep stores nothing
+        let (status, reply) = detect(",\"budget\":{\"max_sweeps\":0}");
+        assert_eq!(status, 200);
+        assert!(
+            reply.contains("\"termination\":\"iteration-cap\""),
+            "{reply}"
+        );
+        assert_eq!(aggregates(), patched);
+        assert_eq!(lock_entry(&entry).warm_start(&spec).unwrap().0, 0);
     }
 
     #[test]

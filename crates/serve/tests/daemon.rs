@@ -656,17 +656,17 @@ fn a_result_older_than_the_graph_is_never_stored_as_current() {
     // keeps its base and learns the new endpoints
     let snapshot = entry.snapshot();
     let zeta = plp().detect(&snapshot.graph);
-    assert!(entry.store_result(PLP, snapshot.generation, &zeta));
+    assert!(entry.store_result(PLP, snapshot.generation, &zeta, None));
     let held = entry.snapshot();
     entry.buffer_ops([EdgeOp::Insert(7, 400, 1.0), EdgeOp::Remove(9, 8)]);
     entry.rebuild();
-    assert!(!entry.store_result(PLP, held.generation, &zeta));
+    assert!(!entry.store_result(PLP, held.generation, &zeta, None));
     assert_eq!(frontier(&entry), Some((0, vec![7, 8, 9, 400])));
 
     // a result of the current generation replaces it, dirty list and all
     let current = entry.snapshot();
     let zeta = plp().detect(&current.graph);
-    assert!(entry.store_result(PLP, current.generation, &zeta));
+    assert!(entry.store_result(PLP, current.generation, &zeta, None));
     assert_eq!(frontier(&entry), Some((1, vec![])));
 
     // without a slot (a first, cold detect): nothing is stored at all
@@ -674,7 +674,7 @@ fn a_result_older_than_the_graph_is_never_stored_as_current() {
     let held = fresh.snapshot();
     fresh.buffer_ops([EdgeOp::Insert(7, 400, 1.0)]);
     fresh.rebuild();
-    assert!(!fresh.store_result(PLP, held.generation, &zeta));
+    assert!(!fresh.store_result(PLP, held.generation, &zeta, None));
     assert!(fresh.warm_start(PLP).is_none());
 
     // a fold that dirties more than the fixed share of the graph drops
