@@ -42,7 +42,8 @@ pub fn write_f64(out: &mut String, v: f64) {
 
 /// The decimal digits of `v` as ASCII, written at the end of `buffer` —
 /// `u64::MAX` has 20 — without going through `core::fmt`: half the cost
-/// per number, which a partition of a million labels pays a million times.
+/// per number. A partition's text pays it once per community id
+/// (`parcom_io::partition_io::render_partition`).
 #[inline]
 pub fn u64_digits(mut v: u64, buffer: &mut [u8; 20]) -> &[u8] {
     let mut at = buffer.len();

@@ -21,6 +21,7 @@ use crate::ServerCtx;
 use parcom_core::DetectorSpec;
 use parcom_graph::Node;
 use parcom_guard::{Budget, CancelToken, Termination};
+use parcom_io::partition_io::render_partition;
 use parcom_io::{load_graph_auto, load_graph_bytes, GraphFormat, IoErrorKind};
 use parcom_obs::json::{self, Value};
 use parcom_obs::Recorder;
@@ -481,13 +482,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         );
     }
 
-    // A partition entry is a community id below n plus a comma.
-    let partition_bytes = if include_partition {
-        graph.node_count() * (graph.node_count().to_string().len() + 1)
-    } else {
-        0
-    };
-    let mut out = String::with_capacity(4096 + partition_bytes);
+    let mut out = String::with_capacity(4096);
     out.push_str("{\"schema\":");
     json::write_str(&mut out, DETECT_SCHEMA);
     out.push_str(",\"graph\":");
@@ -527,14 +522,17 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
             Some(r) => r.to_original(&result.partition),
             None => result.partition,
         };
-        out.push_str(",\"partition\":[");
-        for (i, &c) in emitted.as_slice().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_u64(&mut out, u64::from(c));
+        // Rendered into the same buffer, which grows by at most the text's
+        // bound; every label ends in a comma, and the last one's closes
+        // the array instead.
+        let mut bytes = out.into_bytes();
+        bytes.extend_from_slice(b",\"partition\":[");
+        render_partition(&emitted, b',', &mut bytes);
+        if !emitted.is_empty() {
+            bytes.pop();
         }
-        out.push(']');
+        bytes.push(b']');
+        out = String::from_utf8(bytes).expect("partition text is ASCII digits and commas");
     }
     out.push('}');
     let status = if result.termination == Termination::InputRejected {

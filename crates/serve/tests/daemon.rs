@@ -629,6 +629,37 @@ fn dropping_the_relabeling_drops_the_slots_with_it() {
     assert_eq!(base_of(&detect(&mut client, "r", PLP, "")), Some(1));
 }
 
+/// The reply's `partition` array is the stored result in original ids,
+/// byte for byte what `core::fmt` makes of it.
+#[test]
+fn a_relabeled_entry_answers_its_partition_in_original_ids_as_core_fmt_renders_it() {
+    let (ctx, socket) = boot("render");
+    let path = std::env::temp_dir().join(format!("parcom_serve_render_{}.pcg", std::process::id()));
+    let g = lfr(600);
+    let r = Relabeling::degree_ordered(&g);
+    parcom_io::write_pcg(&r.apply(&g), Some(&r), &path).unwrap();
+    let mut client = Client::connect(&socket);
+    let body = format!("{{\"path\":\"{}\"}}", path.display());
+    let (status, v) = client.request("PUT", "/graphs/pcg", &body);
+    assert_eq!(status, 201, "{v:?}");
+    assert!(get_bool(&v, "relabeled"), "{v:?}");
+
+    let (status, text) = client.request_text("POST", "/detect", &detect_body("pcg", PLP, ""));
+    assert_eq!(status, 200, "{text}");
+    let entry = ctx.store.get("pcg").unwrap();
+    let (stored, relabeling) = {
+        let entry = parcom_serve::store::lock_entry(&entry);
+        let (_, relabeling, _) = entry.current();
+        (entry.warm_start(PLP).unwrap().1.base, relabeling.unwrap())
+    };
+    let original = relabeling.to_original(&stored);
+    assert_ne!(original.as_slice(), stored.as_slice(), "the ids must move");
+    let labels: Vec<String> = original.as_slice().iter().map(|c| format!("{c}")).collect();
+    let array = format!(",\"partition\":[{}]}}", labels.join(","));
+    assert!(text.ends_with(&array), "{text}");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn a_hung_up_detect_leaves_the_previous_slot_intact() {
     let (ctx, socket) = boot("warmhangup");

@@ -119,6 +119,21 @@ impl Client {
 
     /// Reads the next response off the connection.
     pub fn read_response(&mut self) -> io::Result<(u16, Value)> {
+        let (status, text) = self.read_response_text()?;
+        let value =
+            json::parse(&text).map_err(|e| io::Error::other(format!("bad body `{text}`: {e}")))?;
+        Ok((status, value))
+    }
+
+    /// One exchange whose body comes back as the bytes the server sent.
+    pub fn request_text(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
+        (self.send(&[(method, path, body)]))
+            .and_then(|()| self.read_response_text())
+            .unwrap_or_else(|e| panic!("{method} {path} failed: {e}"))
+    }
+
+    /// Reads the next response off the connection, body unparsed.
+    pub fn read_response_text(&mut self) -> io::Result<(u16, String)> {
         let status_line = self.take_line()?;
         let status: u16 = status_line
             .split(' ')
@@ -167,9 +182,7 @@ impl Client {
             self.take(n)?
         };
         let text = String::from_utf8(body).map_err(|_| io::Error::other("non-UTF-8 body"))?;
-        let value =
-            json::parse(&text).map_err(|e| io::Error::other(format!("bad body `{text}`: {e}")))?;
-        Ok((status, value))
+        Ok((status, text))
     }
 }
 
