@@ -49,8 +49,9 @@ const PIECE: usize = 4096;
 ///
 /// Labels are community ids, and every detector's result is compact, so
 /// the text of each id in `0..upper_bound()` is built once into a table of
-/// fixed-width entries, and a node costs one [`ENTRY`]-byte copy plus an
-/// advance by the entry's length. A partition whose ids run above its
+/// fixed-width entries, and a node costs one copy of its entry's text.
+/// The table holds [`ENTRY`] × `upper_bound()` bytes while the render
+/// runs: at most 12n, for singletons. A partition whose ids run above its
 /// length (a file with sparse ids) renders label by label instead, as
 /// `Partition::compact` hashes there rather than build a flat table.
 struct LabelText {
@@ -112,20 +113,19 @@ impl LabelText {
         out.reserve_exact(labels.len() * self.width);
         match &self.table {
             Some(table) => {
-                // A whole-entry copy runs up to ENTRY − 2 bytes past the
-                // label's text, which are cut off again and overwritten by
-                // the next copy. Every entry is at least 2 bytes, so while
-                // ENTRY / 2 labels follow, the reserve has room for a whole
-                // entry and never grows; the last ones copy just their text.
-                let whole = labels.len().saturating_sub(ENTRY / 2);
-                for &c in &labels[..whole] {
+                // A whole-entry copy cut back to the entry's length beats a
+                // copy of variable length (EXPERIMENTS.md); where the
+                // reserve has no room for a whole entry, only the text is
+                // copied, so the reserve never grows.
+                for &c in labels {
                     let entry = &table[c as usize];
-                    out.extend_from_slice(entry);
-                    out.truncate(out.len() - ENTRY + usize::from(entry[ENTRY - 1]));
-                }
-                for &c in &labels[whole..] {
-                    let entry = &table[c as usize];
-                    out.extend_from_slice(&entry[..usize::from(entry[ENTRY - 1])]);
+                    let len = usize::from(entry[ENTRY - 1]);
+                    if out.capacity() - out.len() >= ENTRY {
+                        out.extend_from_slice(entry);
+                        out.truncate(out.len() - ENTRY + len);
+                    } else {
+                        out.extend_from_slice(&entry[..len]);
+                    }
                 }
             }
             None => {

@@ -16,18 +16,17 @@
 # their quartiles, the pairs the change won, and "apart" where the medians
 # differ by more than the parent's quartile distance.
 #
-# Environment: PAIRS_DIR (default .bench_pairs at the root), PAIRS_SECONDS
-# (default 15), PAIRS_TRACE (default 0; 1 runs traced and tabulates the
-# per-layer metrics instead).
+# Environment: PAIRS_DIR (default .bench_pairs at the root), PAIRS_TRACE
+# (default 0; 1 runs traced and tabulates the per-layer metrics instead).
 set -euo pipefail
 if [ $# -lt 3 ]; then
-  sed -n '2,21p' "$0" >&2
+  sed -n '2,20p' "$0" >&2
   exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 rev="$1" workload="$2"
 shift 2
-seconds="${PAIRS_SECONDS:-15}" trace="${PAIRS_TRACE:-0}"
+trace="${PAIRS_TRACE:-0}"
 pairs="${PAIRS_DIR:-$root/.bench_pairs}"
 commit="$(git -C "$root" rev-parse --short "$rev^{commit}")"
 tree="$pairs/$commit/tree"
@@ -47,7 +46,7 @@ run() { # side seed
     dir="$tree" target="$pairs/$commit/target"
   fi
   CARGO_TARGET_DIR="$target" "$dir/benchmark/run.sh" --workload "$workload" \
-    --seed "$2" --seconds "$seconds" --trace "$trace" | tail -n 1 > "$out/$1-$2$suffix.json"
+    --seed "$2" --seconds 15 --trace "$trace" | tail -n 1 > "$out/$1-$2$suffix.json"
 }
 
 i=0
