@@ -2,17 +2,14 @@
 //!
 //! * PLP update threshold θ (§III-A: θ = n·10⁻⁵ cuts the long iteration
 //!   tail without hurting quality),
-//! * PLP explicit randomization (§III-A/§V-D: no quality gain, slower),
-//! * PLP seed perturbation for ensemble diversity (§V-D: not reproducible),
 //! * PLM resolution parameter γ (§III-B: community size control),
 //! * one-level EPP vs the iterated EML scheme (§III-D: iteration does not
 //!   pay off).
 
 use parcom_bench::harness::{fmt_secs, print_table, run_measured, time};
 use parcom_bench::standard_suite;
-use parcom_core::compare::jaccard_dissimilarity;
 use parcom_core::quality::{modularity, modularity_gamma};
-use parcom_core::{CommunityDetector, Epp, EppIterated, Plm, Plp, SeedPerturbation};
+use parcom_core::{CommunityDetector, Epp, EppIterated, Plm, Plp};
 
 fn main() {
     let suite = standard_suite();
@@ -50,77 +47,7 @@ fn main() {
         &rows,
     );
 
-    // 2. PLP explicit randomization
-    let mut rows = Vec::new();
-    for explicit in [false, true] {
-        let mut plp = Plp {
-            explicit_randomization: explicit,
-            ..Plp::default()
-        };
-        let (zeta, t) = time(|| plp.detect(&g));
-        rows.push(vec![
-            explicit.to_string(),
-            fmt_secs(t),
-            format!("{:.4}", modularity(&g, &zeta)),
-        ]);
-    }
-    print_table(
-        "Ablation: PLP explicit node-order randomization (§III-A)",
-        &["explicit", "time_s", "modularity"],
-        &rows,
-    );
-
-    // 3. PLP seed perturbation: base diversity and effect on EPP quality
-    let mut rows = Vec::new();
-    for (label, perturbation) in [
-        ("none", SeedPerturbation::None),
-        ("deactivate 10%", SeedPerturbation::DeactivateFraction(0.1)),
-        (
-            "activate-only 50%",
-            SeedPerturbation::ActivateOnlyFraction(0.5),
-        ),
-    ] {
-        let bases: Vec<_> = (0..4)
-            .map(|i| {
-                Plp {
-                    seed_perturbation: perturbation,
-                    seed: i as u64 + 1,
-                    ..Plp::default()
-                }
-                .detect(&g)
-            })
-            .collect();
-        let mut diversity = Vec::new();
-        for i in 0..bases.len() {
-            for j in (i + 1)..bases.len() {
-                diversity.push(jaccard_dissimilarity(&bases[i], &bases[j]));
-            }
-        }
-        let avg_div = diversity.iter().sum::<f64>() / diversity.len() as f64;
-        let base_boxes: Vec<Box<dyn CommunityDetector + Send>> = (0..4)
-            .map(|i| {
-                Box::new(Plp {
-                    seed_perturbation: perturbation,
-                    seed: i as u64 + 1,
-                    ..Plp::default()
-                }) as Box<dyn CommunityDetector + Send>
-            })
-            .collect();
-        let mut epp = Epp::new(base_boxes, Box::new(Plm::new()));
-        let (_, m) = run_measured(&mut epp, &g, inst.name);
-        rows.push(vec![
-            label.to_string(),
-            format!("{avg_div:.3}"),
-            format!("{:.4}", m.modularity),
-        ]);
-    }
-    print_table(
-        "Ablation: PLP seed perturbation and ensemble diversity (§V-D)",
-        &["perturbation", "avg_dissimilarity", "EPP_modularity"],
-        &rows,
-    );
-
-    // 4. PLM resolution parameter γ
+    // 2. PLM resolution parameter γ
     let mut rows = Vec::new();
     for gamma in [0.25, 0.5, 1.0, 2.0, 4.0] {
         let mut plm = Plm::with_gamma(gamma);
@@ -139,7 +66,7 @@ fn main() {
         &rows,
     );
 
-    // 5. one-level EPP vs iterated EML
+    // 3. one-level EPP vs iterated EML
     let mut rows = Vec::new();
     for name in ["coauthors-lfr", "livejournal-lfr", "uk2002-lfr"] {
         let inst = suite.iter().find(|i| i.name == name).unwrap();

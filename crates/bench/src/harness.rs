@@ -20,8 +20,7 @@ pub struct Measurement {
     pub modularity: f64,
     /// Number of detected communities.
     pub communities: usize,
-    /// Structured phase report from the run (empty when `PARCOM_OBS`
-    /// disables instrumentation).
+    /// Structured phase report from the run.
     pub report: RunReport,
 }
 

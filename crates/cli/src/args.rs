@@ -16,7 +16,6 @@
 //! | `--report json` | detect | emit the structured `RunReport` as JSON on stdout; the human summary moves to stderr. The report's leading phases are `ingest/parse` and `ingest/build` (graph file ingest timings, with `bytes`/`edges` counters), followed by the algorithm's own phases |
 //! | `--gamma X` | detect | resolution parameter, for algorithms whose spec accepts the `gamma` knob |
 //! | `--ensemble B` | detect | ensemble size, for algorithms whose spec accepts the `ensemble` knob |
-//! | `--randomized` | detect | randomized node order, for algorithms whose spec accepts the `randomized` knob |
 //! | `--move racy\|coloring` | detect | PLM move-phase strategy, for algorithms whose spec accepts the `move` knob (`plm`, `plmr`, `epp`, `eppr`); `coloring` produces bit-identical partitions at any `--threads` (DESIGN.md §14) |
 //! | `--timeout SECS` | detect | cooperative wall-clock budget: the run stops at the next sweep/level boundary after `SECS` seconds and returns the best valid partition so far; the termination cause lands in the summary and in `--report json` |
 //! | `--max-sweeps N` | detect | cap on total sweeps/levels across the run, with the same graceful degradation |
@@ -89,6 +88,11 @@ impl Args {
     /// A string flag, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
+    }
+
+    /// The names of all flags given, in name order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
     }
 
     /// A required string flag.

@@ -43,23 +43,46 @@ fn load_graph(path: &str) -> Result<LoadedGraph, parcom_io::IoError> {
     )
 }
 
+/// Every flag `parcom detect` reads, its knob flags included.
+const DETECT_FLAGS: &[&str] = &[
+    "input",
+    "algo",
+    "out",
+    "threads",
+    "seed",
+    "report",
+    "gamma",
+    "ensemble",
+    "move",
+    "timeout",
+    "max-sweeps",
+    "max-nodes",
+    "max-edges",
+    "relabel",
+];
+
 /// Builds the requested algorithm through the [`DetectorSpec`] registry —
 /// the single construction path shared with `parcom-serve`. An unknown
 /// `--algo` errors with the full list of registered names; a knob the
 /// algorithm does not accept (e.g. `--gamma` on `plp`) errors with the
-/// knobs it does. `--seed` is applied uniformly through
+/// knobs it does, and so does a flag `detect` does not read at all (e.g.
+/// a retired knob). `--seed` is applied uniformly through
 /// [`CommunityDetector::set_seed`]; algorithms without randomized state
 /// ignore it.
 fn make_algorithm(args: &Args) -> Result<Box<dyn CommunityDetector + Send>, Box<dyn Error>> {
     let mut spec = DetectorSpec::new(args.require("algo")?)?;
+    if let Some(key) = args.names().find(|name| !DETECT_FLAGS.contains(name)) {
+        return Err(parcom_core::SpecError::UnknownKnob {
+            algo: spec.algo,
+            key: key.into(),
+        }
+        .into());
+    }
     if args.get("gamma").is_some() {
         spec = spec.with_gamma(args.get_or("gamma", 1.0)?);
     }
     if args.get("ensemble").is_some() {
         spec = spec.with_ensemble(args.get_or("ensemble", 4)?);
-    }
-    if args.get("randomized").is_some() {
-        spec = spec.with_randomized(args.switch("randomized"));
     }
     if let Some(raw) = args.get("move") {
         let strategy = parcom_core::MoveStrategy::from_wire(raw).map_err(|m| {

@@ -66,7 +66,6 @@ fn knob_flags() -> String {
             Knob::Ensemble => format!("[--{} B]", knob.name()),
             Knob::Gamma => format!("[--{} X]", knob.name()),
             Knob::Move => format!("[--{} {}]", knob.name(), MoveStrategy::wire_list()),
-            Knob::Randomized => format!("[--{}]", knob.name()),
         })
         .collect();
     flags.join(" ")

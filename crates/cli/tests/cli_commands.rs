@@ -265,7 +265,7 @@ fn usage_lists_the_knob_flags_and_a_retired_move_value_exits_1() {
     };
     let usage = String::from_utf8(parcom(&["help"]).stderr).unwrap();
     assert!(usage.contains("[--move racy|coloring]"), "{usage}");
-    assert!(usage.contains("[--randomized]"), "{usage}");
+    assert!(!usage.contains("randomized"), "{usage}");
 
     let dir = tmp_dir("move");
     let graph = dir.join("g.metis");
@@ -289,6 +289,14 @@ fn usage_lists_the_knob_flags_and_a_retired_move_value_exits_1() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
         stderr.contains("bad value for `move`: expected one of racy|coloring, got `sync`"),
+        "{stderr}"
+    );
+    // a retired knob flag is an unknown knob, not a silently ignored flag
+    let out = parcom(&["detect", "--input", input, "--algo", "plp", "--randomized"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("algorithm `plp` accepts no knob `randomized` (accepted: seed)"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

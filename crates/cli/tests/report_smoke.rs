@@ -24,7 +24,6 @@ fn detect_report_json_emits_a_valid_run_report() {
         .args(["detect", "--algo", "plm", "--report", "json"])
         .arg("--input")
         .arg(&graph)
-        .env_remove("PARCOM_OBS")
         .output()
         .expect("binary runs");
     assert!(
@@ -75,7 +74,6 @@ fn detect_with_max_sweeps_reports_termination() {
         ])
         .arg("--input")
         .arg(&graph)
-        .env_remove("PARCOM_OBS")
         .output()
         .expect("binary runs");
     // a budget expiry degrades gracefully: exit 0, valid JSON, cause named
@@ -110,7 +108,6 @@ fn detect_with_generous_timeout_converges() {
         ])
         .arg("--input")
         .arg(&graph)
-        .env_remove("PARCOM_OBS")
         .output()
         .expect("binary runs");
     assert!(out.status.success());

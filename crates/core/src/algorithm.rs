@@ -235,10 +235,9 @@ pub trait CommunityDetector {
 
     /// Detects communities and returns the structured run report: the
     /// algorithm's phases, the input size and community count, the
-    /// modularity reached and `termination == "converged"`. Honors the
-    /// `PARCOM_OBS` kill switch via [`Recorder::from_env`].
+    /// modularity reached and `termination == "converged"`.
     fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
-        let r = reported_run(self, g, Recorder::from_env(), &Budget::unlimited());
+        let r = reported_run(self, g, Recorder::enabled(), &Budget::unlimited());
         (r.partition, r.report)
     }
 
@@ -259,7 +258,7 @@ pub trait CommunityDetector {
             let report = RunReport::empty(self.name());
             return GuardedResult::new(zeta, termination, None, report, None);
         }
-        reported_run(self, g, Recorder::from_env(), budget)
+        reported_run(self, g, Recorder::enabled(), budget)
     }
 }
 

@@ -51,7 +51,7 @@ pub use louvain::Louvain;
 pub use moves::MoveStrategy;
 pub use pam::Pam;
 pub use plm::{move_phase, Plm};
-pub use plp::{Plp, SeedPerturbation};
+pub use plp::Plp;
 pub use rg::Rg;
 pub use spec::{DetectorSpec, SpecError};
 

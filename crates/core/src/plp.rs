@@ -31,21 +31,6 @@ use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Initial activation perturbations for ensemble diversity (§V-D: the paper
-/// "perturb[s] the communities initially by randomly choosing a small number
-/// of seed nodes and deactivating them, or activating only this seed set").
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum SeedPerturbation {
-    /// All nodes start active (the default).
-    #[default]
-    None,
-    /// A random fraction of nodes starts *inactive* (re-activated only when
-    /// a neighbor updates).
-    DeactivateFraction(f64),
-    /// Only a random fraction of nodes starts active.
-    ActivateOnlyFraction(f64),
-}
-
 /// Configuration of PLP.
 ///
 /// # Examples
@@ -68,13 +53,7 @@ pub struct Plp {
     pub theta_fraction: f64,
     /// Hard iteration cap (the paper observes convergence within ~100).
     pub max_iterations: usize,
-    /// Explicitly shuffle the node processing order each iteration. The
-    /// paper makes this optional and finds implicit randomization through
-    /// parallelism sufficient (§III-A); benches reproduce that ablation.
-    pub explicit_randomization: bool,
-    /// Initial activation perturbation (§V-D ensemble diversity study).
-    pub seed_perturbation: SeedPerturbation,
-    /// Seed for the optional shuffle and tie-breaking.
+    /// Seed for the fallback shuffle and tie-breaking.
     pub seed: u64,
     /// Where the next run starts, set through
     /// [`CommunityDetector::start_from`] and taken by that run; `None`
@@ -90,8 +69,6 @@ impl Default for Plp {
         Self {
             theta_fraction: 1e-5,
             max_iterations: 100,
-            explicit_randomization: false,
-            seed_perturbation: SeedPerturbation::None,
             seed: 1,
             start: None,
             carried: None,
@@ -181,35 +158,14 @@ impl Plp {
         let mut order: Vec<Node> = (0..n as Node).collect();
         let mut rng = SmallRng::seed_from_u64(self.seed);
 
-        match self.seed_perturbation {
-            SeedPerturbation::None => {}
-            SeedPerturbation::DeactivateFraction(f) => {
-                assert!((0.0..=1.0).contains(&f), "fraction must be in [0, 1]");
-                let count = (f * n as f64).round() as usize;
-                for idx in rand::seq::index::sample(&mut rng, n.max(1), count.min(n)) {
-                    active[idx].store(false, Ordering::Relaxed);
-                }
-            }
-            SeedPerturbation::ActivateOnlyFraction(f) => {
-                assert!((0.0..=1.0).contains(&f), "fraction must be in [0, 1]");
-                for a in &active {
-                    a.store(false, Ordering::Relaxed);
-                }
-                let count = (f * n as f64).round() as usize;
-                for idx in rand::seq::index::sample(&mut rng, n.max(1), count.min(n)) {
-                    active[idx].store(true, Ordering::Relaxed);
-                }
-            }
-        }
-
         // The paper's default relies on *implicit* randomization through
         // asynchronous parallel updates (§III-A). That source vanishes when
         // only one worker thread exists or the graph is so small that each
         // thread processes a single contiguous chunk in node order — label
         // flooding across community bridges then becomes deterministic. In
-        // that regime, fall back to the explicit shuffle.
+        // that regime, shuffle the node order every iteration instead.
         let threads = rayon::current_num_threads();
-        let shuffle = self.explicit_randomization || threads <= 1 || n < 64 * threads;
+        let shuffle = threads <= 1 || n < 64 * threads;
 
         // The per-thread scratch maps tallying weight-per-label are indexed
         // by label; the pool recycles them across iterations.
@@ -327,11 +283,7 @@ impl Plp {
 
 impl CommunityDetector for Plp {
     fn name(&self) -> String {
-        if self.explicit_randomization {
-            "PLP(randomized)".into()
-        } else {
-            "PLP".into()
-        }
+        "PLP".into()
     }
 
     fn set_seed(&mut self, seed: u64) {
@@ -427,19 +379,6 @@ mod tests {
         assert!(!zeta.in_same_subset(2, 3));
         assert!(!zeta.in_same_subset(3, 4));
         assert!(zeta.in_same_subset(0, 1));
-    }
-
-    #[test]
-    fn explicit_randomization_also_converges() {
-        let (g, _) = ring_of_cliques(6, 8);
-        let mut plp = Plp {
-            explicit_randomization: true,
-            seed: 99,
-            ..Plp::default()
-        };
-        let zeta = plp.detect(&g);
-        assert!(modularity(&g, &zeta) > 0.6);
-        assert_eq!(plp.name(), "PLP(randomized)");
     }
 
     fn counters(report: &parcom_obs::RunReport) -> (u64, u64, u64) {
@@ -626,40 +565,6 @@ mod tests {
         let zeta = plp.detect(&g);
         assert!(zeta.in_same_subset(0, 1), "heavy edge ignored: {zeta:?}");
         assert!(zeta.in_same_subset(2, 3));
-    }
-
-    #[test]
-    fn seed_deactivation_still_converges() {
-        let (g, _) = ring_of_cliques(6, 8);
-        let mut plp = Plp {
-            seed_perturbation: SeedPerturbation::DeactivateFraction(0.2),
-            ..Plp::default()
-        };
-        let zeta = plp.detect(&g);
-        assert!(modularity(&g, &zeta) > 0.6);
-    }
-
-    #[test]
-    fn activate_only_fraction_converges() {
-        let (g, _) = ring_of_cliques(6, 8);
-        let mut plp = Plp {
-            seed_perturbation: SeedPerturbation::ActivateOnlyFraction(0.3),
-            ..Plp::default()
-        };
-        let zeta = plp.detect(&g);
-        // activation spreads from the seed set through updates
-        assert!(modularity(&g, &zeta) > 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn rejects_bad_perturbation_fraction() {
-        let (g, _) = ring_of_cliques(2, 3);
-        let mut plp = Plp {
-            seed_perturbation: SeedPerturbation::DeactivateFraction(1.5),
-            ..Plp::default()
-        };
-        plp.detect(&g);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! * **string** — `plm:gamma=1.5,seed=7` (knob order is canonicalized
 //!   by [`Display`](std::fmt::Display): `ensemble`, `gamma`, `move`,
-//!   `randomized`, `seed`);
+//!   `seed`);
 //! * **JSON** — `{"algo":"plm","gamma":1.5,"seed":7}` (a flat object).
 //!
 //! Validation happens on entry ([`DetectorSpec::parse`] /
@@ -44,9 +44,6 @@ pub enum Knob {
     /// PLM move-phase strategy `racy|coloring` (`plm`, `plmr`, and
     /// forwarded to the PLM final of `epp`/`eppr`); see DESIGN.md §14.
     Move,
-    /// Explicit per-iteration shuffle instead of relying on parallel
-    /// scheduling randomness (`plp`; the paper's §III-A ablation).
-    Randomized,
 }
 
 impl Knob {
@@ -56,7 +53,6 @@ impl Knob {
             Knob::Ensemble => "ensemble",
             Knob::Gamma => "gamma",
             Knob::Move => "move",
-            Knob::Randomized => "randomized",
         }
     }
 }
@@ -92,13 +88,8 @@ pub const REGISTRY: &[AlgoInfo] = &[
         name: "plp",
         family: "propagation",
         summary: "parallel label propagation (§III-A)",
-        knobs: &[Knob::Randomized],
-        build: |s| {
-            Box::new(Plp {
-                explicit_randomization: s.randomized.unwrap_or(false),
-                ..Plp::default()
-            })
-        },
+        knobs: &[],
+        build: |_| Box::new(Plp::new()),
     },
     AlgoInfo {
         name: "plm",
@@ -302,8 +293,6 @@ pub struct DetectorSpec {
     pub gamma: Option<f64>,
     /// Ensemble size (only for ensemble algorithms).
     pub ensemble: Option<usize>,
-    /// PLP explicit randomization.
-    pub randomized: Option<bool>,
     /// PLM move-phase strategy (only for PLM-backed algorithms).
     pub move_strategy: Option<MoveStrategy>,
 }
@@ -318,7 +307,6 @@ impl DetectorSpec {
             seed: None,
             gamma: None,
             ensemble: None,
-            randomized: None,
             move_strategy: None,
         })
     }
@@ -341,12 +329,6 @@ impl DetectorSpec {
         self
     }
 
-    /// Sets the PLP explicit-randomization knob.
-    pub fn with_randomized(mut self, randomized: bool) -> Self {
-        self.randomized = Some(randomized);
-        self
-    }
-
     /// Sets the PLM move-phase strategy knob.
     pub fn with_move(mut self, strategy: MoveStrategy) -> Self {
         self.move_strategy = Some(strategy);
@@ -363,10 +345,9 @@ impl DetectorSpec {
     /// Checks knob applicability and value domains against the registry.
     pub fn validate(&self) -> Result<(), SpecError> {
         let info = self.info()?;
-        let set: [(Knob, bool); 4] = [
+        let set: [(Knob, bool); 3] = [
             (Knob::Gamma, self.gamma.is_some()),
             (Knob::Ensemble, self.ensemble.is_some()),
-            (Knob::Randomized, self.randomized.is_some()),
             (Knob::Move, self.move_strategy.is_some()),
         ];
         for (knob, is_set) in set {
@@ -516,13 +497,6 @@ impl DetectorSpec {
             "move" if info.accepts(Knob::Move) => {
                 self.move_strategy = Some(MoveStrategy::from_wire(raw).map_err(bad)?);
             }
-            "randomized" if info.accepts(Knob::Randomized) => {
-                self.randomized = Some(match raw {
-                    "true" | "1" | "yes" => true,
-                    "false" | "0" | "no" => false,
-                    _ => return Err(bad(format!("expected true/false, got `{raw}`"))),
-                });
-            }
             _ => {
                 return Err(SpecError::UnknownKnob {
                     algo: info.name,
@@ -548,9 +522,6 @@ impl DetectorSpec {
             out.push_str(",\"move\":");
             json::write_str(&mut out, m.wire_name());
         }
-        if let Some(r) = self.randomized {
-            out.push_str(&format!(",\"randomized\":{r}"));
-        }
         if let Some(s) = self.seed {
             out.push_str(&format!(",\"seed\":{s}"));
         }
@@ -561,7 +532,7 @@ impl DetectorSpec {
 
 impl std::fmt::Display for DetectorSpec {
     /// The canonical string wire form: knobs in `ensemble`, `gamma`,
-    /// `move`, `randomized`, `seed` order, set knobs only.
+    /// `move`, `seed` order, set knobs only.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.algo)?;
         let mut sep = ':';
@@ -575,10 +546,6 @@ impl std::fmt::Display for DetectorSpec {
         }
         if let Some(m) = self.move_strategy {
             write!(f, "{sep}move={m}")?;
-            sep = ',';
-        }
-        if let Some(r) = self.randomized {
-            write!(f, "{sep}randomized={r}")?;
             sep = ',';
         }
         if let Some(s) = self.seed {
@@ -624,7 +591,7 @@ mod tests {
         let err = DetectorSpec::parse("plp:gamma=1.5").unwrap_err();
         assert!(matches!(err, SpecError::UnknownKnob { .. }), "{err:?}");
         let msg = err.to_string();
-        assert!(msg.contains("randomized") && msg.contains("seed"), "{msg}");
+        assert!(msg.ends_with("(accepted: seed)"), "{msg}");
     }
 
     #[test]

@@ -22,9 +22,6 @@ fn full_spec(name: &str) -> DetectorSpec {
     if info.accepts(Knob::Ensemble) {
         spec = spec.with_ensemble(3);
     }
-    if info.accepts(Knob::Randomized) {
-        spec = spec.with_randomized(true);
-    }
     if info.accepts(Knob::Move) {
         spec = spec.with_move(MoveStrategy::Coloring);
     }
@@ -92,9 +89,15 @@ fn golden_wire_forms() {
         spec.to_json(),
         "{\"algo\":\"epp\",\"ensemble\":8,\"seed\":3}"
     );
-    let spec = DetectorSpec::new("plp").unwrap().with_randomized(true);
-    assert_eq!(spec.to_string(), "plp:randomized=true");
-    assert_eq!(spec.to_json(), "{\"algo\":\"plp\",\"randomized\":true}");
+    let spec = DetectorSpec::new("plmr")
+        .unwrap()
+        .with_gamma(0.5)
+        .with_move(MoveStrategy::Coloring);
+    assert_eq!(spec.to_string(), "plmr:gamma=0.5,move=coloring");
+    assert_eq!(
+        spec.to_json(),
+        "{\"algo\":\"plmr\",\"gamma\":0.5,\"move\":\"coloring\"}"
+    );
     assert_eq!(DetectorSpec::new("cnm").unwrap().to_string(), "cnm");
 }
 
@@ -204,8 +207,19 @@ fn inapplicable_knob_errors_name_the_accepted_set() {
     let err = DetectorSpec::parse("plp:gamma=1.5").err().unwrap();
     assert!(matches!(err, SpecError::UnknownKnob { algo: "plp", .. }));
     let message = err.to_string();
-    assert!(message.contains("randomized"), "{message}");
-    assert!(message.contains("seed"), "{message}");
+    assert!(message.ends_with("(accepted: seed)"), "{message}");
+    // the retired `randomized` knob, in both wire forms
+    for err in [
+        DetectorSpec::parse("plp:randomized=true").err().unwrap(),
+        DetectorSpec::parse_json("{\"algo\":\"plp\",\"randomized\":true}")
+            .err()
+            .unwrap(),
+    ] {
+        assert!(
+            matches!(err, SpecError::UnknownKnob { algo: "plp", ref key } if key == "randomized")
+        );
+        assert!(err.to_string().ends_with("(accepted: seed)"), "{err}");
+    }
     // ensemble on a single-run algorithm
     let err = DetectorSpec::parse("louvain:ensemble=4").err().unwrap();
     assert!(matches!(

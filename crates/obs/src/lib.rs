@@ -25,18 +25,13 @@
 //!   with hand-rolled JSON serialization ([`json`], schema
 //!   `parcom-run-report/v2`).
 //!
-//! ## Kill switches
+//! ## The disabled recorder
 //!
 //! Instrumentation must never tax a production run that does not want it:
-//!
-//! * **Code:** [`Recorder::disabled`] is the no-op recorder every
-//!   un-instrumented entry point (`detect`) runs under.
-//! * **Env:** `PARCOM_OBS=0` (also `off`/`false`/`no`) makes
-//!   [`Recorder::from_env`] return the disabled recorder.
-//!
-//! A disabled recorder records nothing: spans are no-op guards, counters
-//! and series are discarded, and [`Recorder::finish`] returns an empty
-//! report carrying only the algorithm name.
+//! [`Recorder::disabled`] is the no-op recorder every un-instrumented
+//! entry point (`detect`) runs under. It records nothing: spans are no-op
+//! guards, counters and series are discarded, and [`Recorder::finish`]
+//! returns an empty report carrying only the algorithm name.
 
 pub mod counters;
 pub mod json;

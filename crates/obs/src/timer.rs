@@ -8,10 +8,10 @@
 //! trees. Counters and series attach to the *innermost open* span (or to
 //! the run itself when no span is open).
 //!
-//! The disabled recorder (`Recorder::disabled()` or `PARCOM_OBS=0`)
-//! carries `None` and every operation is an early-out on that
-//! discriminant — no clock reads, no allocation, no locking. This is the
-//! "zero-cost when off" contract the hot loops rely on.
+//! The disabled recorder (`Recorder::disabled()`) carries `None` and every
+//! operation is an early-out on that discriminant — no clock reads, no
+//! allocation, no locking. This is the "zero-cost when off" contract the
+//! hot loops rely on.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -133,15 +133,6 @@ impl Recorder {
         Self { inner: None }
     }
 
-    /// An enabled recorder unless the `PARCOM_OBS` environment variable
-    /// turns instrumentation off (`0`, `off`, `false`, `no`, any case).
-    pub fn from_env() -> Self {
-        match std::env::var("PARCOM_OBS") {
-            Ok(v) if env_disables(&v) => Self::disabled(),
-            _ => Self::enabled(),
-        }
-    }
-
     /// True when this recorder is actually recording. Use to skip work
     /// that only exists to feed the report (e.g. collecting sub-reports).
     #[inline]
@@ -256,13 +247,6 @@ impl Default for Recorder {
     fn default() -> Self {
         Self::disabled()
     }
-}
-
-fn env_disables(v: &str) -> bool {
-    matches!(
-        v.trim().to_ascii_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
 }
 
 /// Guard for an open phase; closes the phase (recording its wall time)
@@ -416,16 +400,6 @@ mod tests {
         let report = rec.clone().finish("t");
         assert!(report.phase("open").unwrap().wall_seconds > 0.0);
         drop(span);
-    }
-
-    #[test]
-    fn env_kill_switch_values() {
-        for v in ["0", "off", "FALSE", " no "] {
-            assert!(env_disables(v), "{v}");
-        }
-        for v in ["1", "on", "", "yes"] {
-            assert!(!env_disables(v), "{v}");
-        }
     }
 
     #[test]

@@ -241,14 +241,26 @@ pub fn respond_json(
 /// reports and partition arrays can run to many megabytes. A buffer of one
 /// frame (size line, piece, CRLF) sits in front of `w`, so each piece goes
 /// out in one write with its framing instead of four, and the head rides
-/// along with the first.
+/// along with the first. The reply announces a kept-alive connection.
 pub fn respond_chunked_json(w: &mut dyn Write, status: u16, body: &str) -> io::Result<()> {
+    write_chunked_json(w, status, body, true)
+}
+
+/// [`respond_chunked_json`] with the `Connection` header of the caller's
+/// choice, as [`respond_json`] takes it.
+pub(crate) fn write_chunked_json(
+    w: &mut dyn Write,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+) -> io::Result<()> {
     let mut w = BufWriter::with_capacity(CHUNK_BYTES + 16, w);
     write!(
         w,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n{}Connection: keep-alive\r\n\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n{}Connection: {}\r\n\r\n",
         status_text(status),
         retry_after(status),
+        if keep_alive { "keep-alive" } else { "close" },
     )?;
     for chunk in body.as_bytes().chunks(CHUNK_BYTES) {
         write!(w, "{:x}\r\n", chunk.len())?;

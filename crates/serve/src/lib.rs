@@ -63,7 +63,7 @@ pub mod signal;
 
 use conn::Conn;
 use gate::{DetectPermit, Gate, RequestPermit};
-use http::{error_body, respond_chunked_json, respond_json, ReadError, Request, RequestReader};
+use http::{error_body, respond_json, write_chunked_json, ReadError, Request, RequestReader};
 use parcom_guard::{Budget, CancelToken};
 use persist::Durability;
 use std::io;
@@ -361,6 +361,9 @@ impl<'scope> DetectJob<'scope> {
         permits: (Option<RequestPermit>, DetectPermit),
     ) -> io::Result<Self> {
         let mut writer = conn.try_clone_conn()?;
+        // the connection loop closes the socket after this reply when the
+        // client asked it to, and the reply must say so
+        let keep_alive = !request.wants_close();
         let token = CancelToken::new();
         let job_token = token.clone();
         let handle = std::thread::Builder::new()
@@ -377,7 +380,7 @@ impl<'scope> DetectJob<'scope> {
                 // The detect slot bounds compute, and is free again before
                 // the client can have read the answer and sent its next.
                 drop(detect_permit);
-                respond_chunked_json(&mut *writer, status, &body).is_ok()
+                write_chunked_json(&mut *writer, status, &body, keep_alive).is_ok()
             })?;
         Ok(Self { token, handle })
     }

@@ -93,6 +93,26 @@ fn hang_up_mid_detect_cancels_the_run_and_returns_the_permit() {
 }
 
 #[test]
+fn a_detect_asking_to_close_is_answered_with_connection_close() {
+    use std::io::{Read, Write};
+    let (_ctx, socket) = boot("close");
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    write!(
+        stream,
+        "POST /detect HTTP/1.1\r\nHost: parcom\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{QUICK_DETECT}",
+        QUICK_DETECT.len()
+    )
+    .unwrap();
+    // the daemon closes the socket after the reply, so this ends
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let head = &reply[..reply.find("\r\n\r\n").expect("a complete head")];
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(head.contains("\r\nConnection: close"), "{head}");
+    assert!(!head.contains("keep-alive"), "{head}");
+}
+
+#[test]
 fn request_pipelined_behind_a_running_detect_is_answered_after_it() {
     let (ctx, socket) = boot("pipeline");
     let mut client = Client::connect(&socket);
@@ -246,6 +266,18 @@ fn full_lifecycle_over_unix_socket() {
     let error = get_str(&v, "error");
     assert!(
         error.contains("expected one of racy|coloring, got `sync`"),
+        "{error}"
+    );
+    // so is a retired knob
+    let (status, v) = client.request(
+        "POST",
+        "/detect",
+        "{\"graph\":\"ring\",\"spec\":\"plp:randomized=true\"}",
+    );
+    assert_eq!(status, 422);
+    let error = get_str(&v, "error");
+    assert!(
+        error.contains("algorithm `plp` accepts no knob `randomized` (accepted: seed)"),
         "{error}"
     );
     let (status, v) = client.request(

@@ -1,8 +1,7 @@
 //! Ensemble tuning: the §V-D analysis. Measures (1) the diversity of PLP
-//! base solutions via Jaccard dissimilarity, (2) how EPP quality moves with
-//! the ensemble size b, and (3) the effect of explicit PLP randomization in
-//! an ensemble setting — the ablations behind the paper's choice of b = 4
-//! with implicitly randomized bases.
+//! base solutions via Jaccard dissimilarity and (2) how EPP quality moves
+//! with the ensemble size b — the ablations behind the paper's choice of
+//! b = 4 with implicitly randomized bases.
 //!
 //! Run with: `cargo run --release --example ensemble_tuning`
 
@@ -45,29 +44,6 @@ fn main() {
             "  b={b}: modularity {:.4}, {} communities, {:.0} ms",
             modularity(&graph, &zeta),
             zeta.number_of_subsets(),
-            start.elapsed().as_secs_f64() * 1e3
-        );
-    }
-
-    // (3) explicit randomization ablation (paper: no significant gain,
-    // slower on large graphs — so it is off by default)
-    println!("\nexplicit PLP randomization in the ensemble:");
-    for explicit in [false, true] {
-        let bases: Vec<Box<dyn CommunityDetector + Send>> = (0..4)
-            .map(|i| {
-                Box::new(Plp {
-                    explicit_randomization: explicit,
-                    seed: i as u64 + 1,
-                    ..Plp::default()
-                }) as Box<dyn CommunityDetector + Send>
-            })
-            .collect();
-        let mut epp = Epp::new(bases, Box::new(parcom::community::Plm::new()));
-        let start = std::time::Instant::now();
-        let zeta = epp.detect(&graph);
-        println!(
-            "  explicit={explicit}: modularity {:.4}, {:.0} ms",
-            modularity(&graph, &zeta),
             start.elapsed().as_secs_f64() * 1e3
         );
     }

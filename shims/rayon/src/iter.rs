@@ -8,15 +8,14 @@
 //!
 //! # Determinism rules
 //!
-//! Every chunk boundary is a function of `(len, min_len, T)` — the base
-//! length, the pipeline's `with_min_len`, and `current_num_threads()` —
-//! and never of timing. What timing decides is only *which thread* runs a
-//! chunk.
+//! Every chunk boundary is a function of `(len, T)` — the base length and
+//! `current_num_threads()` — and never of timing. What timing decides is
+//! only *which thread* runs a chunk.
 //!
 //! * `for_each`, `for_each_init` and `collect` (over `map` / `filter` /
 //!   `flat_map_iter`) use `CHUNKS_PER_THREAD · T` = 8·T chunks, at most
-//!   `⌈len / min_len⌉`. `collect` merges the per-chunk results in chunk
-//!   order, so its output is the sequential one whoever ran what.
+//!   `len`. `collect` merges the per-chunk results in chunk order, so its
+//!   output is the sequential one whoever ran what.
 //!   `for_each_init` calls `init` once per *participating thread* per call
 //!   — at most T times, lazily, never once per chunk — and drops that state
 //!   on the same thread before the call returns.
@@ -24,8 +23,8 @@
 //!   parts, one accumulator each, combined in input order: their per-part
 //!   state is a caller-supplied accumulator that may be large, and a float
 //!   reduction stays bit-reproducible at a fixed T.
-//! * With T = 1, or when `len` and `min_len` allow only one chunk, the
-//!   whole pipeline runs inline on the caller: no pool is touched.
+//! * With T = 1, or when `len` allows only one chunk, the whole pipeline
+//!   runs inline on the caller: no pool is touched.
 
 use crate::pool::{self, lock};
 use std::sync::{Mutex, PoisonError};
@@ -54,10 +53,9 @@ where
     R: Send,
 {
     let len = p.base_len();
-    let min = p.min_split_len().max(1);
     let threads = crate::current_num_threads();
     let chunks = if threads > 1 {
-        (threads * chunks_per_thread).min(len.div_ceil(min))
+        (threads * chunks_per_thread).min(len)
     } else {
         1
     };
@@ -122,11 +120,6 @@ pub trait ParallelIterator: Sized + Send {
     /// base length; it is only used to pick split points.
     fn base_len(&self) -> usize;
 
-    /// Minimum number of base elements worth making a chunk of.
-    fn min_split_len(&self) -> usize {
-        1
-    }
-
     /// Splits the pipeline at `index` (in base elements).
     fn split_at(self, index: usize) -> (Self, Self);
 
@@ -158,11 +151,6 @@ pub trait ParallelIterator: Sized + Send {
         F: Fn(Self::Item) -> I + Clone + Send + Sync,
     {
         FlatMapIter { base: self, f }
-    }
-
-    /// Requests at least `min` base elements per chunk.
-    fn with_min_len(self, min: usize) -> WithMinLen<Self> {
-        WithMinLen { base: self, min }
     }
 
     /// Runs `f` on every item.
@@ -325,11 +313,6 @@ pub trait ParallelSliceMut<T: Send> {
     fn par_sort_unstable(&mut self)
     where
         T: Ord;
-
-    /// Sorts (unstable) by a comparator.
-    fn par_sort_unstable_by<F>(&mut self, compare: F)
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Sync;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -338,13 +321,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         T: Ord,
     {
         self.sort_unstable();
-    }
-
-    fn par_sort_unstable_by<F>(&mut self, compare: F)
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-    {
-        self.sort_unstable_by(|a, b| compare(a, b));
     }
 }
 
@@ -364,10 +340,6 @@ where
 
     fn base_len(&self) -> usize {
         self.base.base_len()
-    }
-
-    fn min_split_len(&self) -> usize {
-        self.base.min_split_len()
     }
 
     fn split_at(self, index: usize) -> (Self, Self) {
@@ -411,10 +383,6 @@ where
         self.base.base_len()
     }
 
-    fn min_split_len(&self) -> usize {
-        self.base.min_split_len()
-    }
-
     fn split_at(self, index: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(index);
         (
@@ -453,10 +421,6 @@ where
         self.base.base_len()
     }
 
-    fn min_split_len(&self) -> usize {
-        self.base.min_split_len()
-    }
-
     fn split_at(self, index: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(index);
         (
@@ -472,44 +436,6 @@ where
         self.base.seq().flat_map(self.f)
     }
 }
-
-/// Pipeline stage produced by [`ParallelIterator::with_min_len`].
-pub struct WithMinLen<P> {
-    base: P,
-    min: usize,
-}
-
-impl<P: ParallelIterator> ParallelIterator for WithMinLen<P> {
-    type Item = P::Item;
-
-    fn base_len(&self) -> usize {
-        self.base.base_len()
-    }
-
-    fn min_split_len(&self) -> usize {
-        self.base.min_split_len().max(self.min)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (
-            WithMinLen {
-                base: l,
-                min: self.min,
-            },
-            WithMinLen {
-                base: r,
-                min: self.min,
-            },
-        )
-    }
-
-    fn seq(self) -> impl Iterator<Item = P::Item> {
-        self.base.seq()
-    }
-}
-
-impl<P: ParallelIterator> IndexedParallelIterator for WithMinLen<P> {}
 
 /// Deferred fold produced by [`ParallelIterator::fold`]; finish it with
 /// [`Fold::reduce`].
