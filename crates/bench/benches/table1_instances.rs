@@ -5,7 +5,7 @@
 use parcom_bench::harness::print_table;
 use parcom_bench::standard_suite;
 use parcom_graph::assortativity::degree_assortativity;
-use parcom_graph::stats::{summarize, SummaryOptions};
+use parcom_graph::stats::summarize;
 
 fn main() {
     println!("Table II (platform substitution): paper used 2x8-core Xeon E5-2680, 256 GB RAM.");
@@ -17,7 +17,7 @@ fn main() {
     let mut rows = Vec::new();
     for inst in standard_suite() {
         let (g, truth) = inst.build();
-        let s = summarize(&g, SummaryOptions::default());
+        let s = summarize(&g);
         rows.push(vec![
             inst.name.to_string(),
             inst.paper_counterpart.to_string(),

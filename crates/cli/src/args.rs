@@ -5,18 +5,21 @@
 //! value is a boolean switch. Positional arguments beyond the command word
 //! are rejected.
 //!
-//! Flags shared across subcommands:
+//! Flags shared across subcommands. `detect` reads its pipeline flags
+//! itself and hands every other flag — the knob rows below — to
+//! `DetectorSpec::set_knob`, the parser of the spec's wire forms, so a
+//! flag the algorithm does not accept fails naming the accepted knobs:
 //!
 //! | flag | commands | meaning |
 //! |------|----------|---------|
 //! | `--input FILE` | detect, stats, cg, convert | graph file (`.pcg` magic = parcom binary, `.metis`/`.graph` = METIS, else edge list; format sniffed by content first) |
 //! | `--algo NAME` | detect | a name from the `parcom_core::spec` registry (`parcom detect` with a bad name prints the current list); knob applicability is validated there too |
 //! | `--threads N` | detect | run inside a pool of `N` workers (0 = the default pool) |
-//! | `--seed S` | generate, detect | seed applied uniformly via `CommunityDetector::set_seed` (default 1) |
+//! | `--seed S` | generate, detect | seed; for `detect` a knob applied uniformly via `CommunityDetector::set_seed` (default 1) |
 //! | `--report json` | detect | emit the structured `RunReport` as JSON on stdout; the human summary moves to stderr. The report's leading phases are `ingest/parse` and `ingest/build` (graph file ingest timings, with `bytes`/`edges` counters), followed by the algorithm's own phases |
-//! | `--gamma X` | detect | resolution parameter, for algorithms whose spec accepts the `gamma` knob |
-//! | `--ensemble B` | detect | ensemble size, for algorithms whose spec accepts the `ensemble` knob |
-//! | `--move racy\|coloring` | detect | PLM move-phase strategy, for algorithms whose spec accepts the `move` knob (`plm`, `plmr`, `epp`, `eppr`); `coloring` produces bit-identical partitions at any `--threads` (DESIGN.md §14) |
+//! | `--gamma X` | detect | knob: resolution parameter, for algorithms whose spec accepts `gamma` |
+//! | `--ensemble B` | detect | knob: ensemble size, for algorithms whose spec accepts `ensemble` |
+//! | `--move racy\|coloring` | detect | knob: PLM move-phase strategy, for algorithms whose spec accepts `move` (`plm`, `plmr`, `epp`, `eppr`); `coloring` produces bit-identical partitions at any `--threads` (DESIGN.md §14) |
 //! | `--timeout SECS` | detect | cooperative wall-clock budget: the run stops at the next sweep/level boundary after `SECS` seconds and returns the best valid partition so far; the termination cause lands in the summary and in `--report json` |
 //! | `--max-sweeps N` | detect | cap on total sweeps/levels across the run, with the same graceful degradation |
 //! | `--max-nodes N` / `--max-edges M` | detect, serve | ingest limits: reject input whose header claims more, before allocating |
@@ -90,9 +93,9 @@ impl Args {
         self.flags.get(name).map(String::as_str)
     }
 
-    /// The names of all flags given, in name order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
+    /// Every flag given with its value, in name order.
+    pub fn flags(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.flags.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// A required string flag.

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use parcom_core::{compare, quality, Budget, CommunityDetector, CommunityGraph, DetectorSpec};
-use parcom_graph::stats::{summarize, SummaryOptions};
+use parcom_graph::stats::summarize;
 use parcom_graph::{Graph, Partition};
 use parcom_io::LoadedGraph;
 use std::error::Error;
@@ -43,17 +43,13 @@ fn load_graph(path: &str) -> Result<LoadedGraph, parcom_io::IoError> {
     )
 }
 
-/// Every flag `parcom detect` reads, its knob flags included.
+/// The flags `parcom detect` reads itself; every other flag is a knob.
 const DETECT_FLAGS: &[&str] = &[
     "input",
     "algo",
     "out",
     "threads",
-    "seed",
     "report",
-    "gamma",
-    "ensemble",
-    "move",
     "timeout",
     "max-sweeps",
     "max-nodes",
@@ -62,38 +58,20 @@ const DETECT_FLAGS: &[&str] = &[
 ];
 
 /// Builds the requested algorithm through the [`DetectorSpec`] registry —
-/// the single construction path shared with `parcom-serve`. An unknown
-/// `--algo` errors with the full list of registered names; a knob the
-/// algorithm does not accept (e.g. `--gamma` on `plp`) errors with the
-/// knobs it does, and so does a flag `detect` does not read at all (e.g.
-/// a retired knob). `--seed` is applied uniformly through
+/// the single construction path shared with `parcom-serve`. Every flag
+/// outside [`DETECT_FLAGS`] goes to [`DetectorSpec::set_knob`], the parser
+/// of the string and JSON wire forms: an unknown `--algo` errors with the
+/// full list of registered names, and a flag the algorithm does not accept
+/// (e.g. `--gamma` on `plp`, or a retired knob) errors with the knobs it
+/// does. `--seed` defaults to 1 and is applied uniformly through
 /// [`CommunityDetector::set_seed`]; algorithms without randomized state
 /// ignore it.
 fn make_algorithm(args: &Args) -> Result<Box<dyn CommunityDetector + Send>, Box<dyn Error>> {
     let mut spec = DetectorSpec::new(args.require("algo")?)?;
-    if let Some(key) = args.names().find(|name| !DETECT_FLAGS.contains(name)) {
-        return Err(parcom_core::SpecError::UnknownKnob {
-            algo: spec.algo,
-            key: key.into(),
-        }
-        .into());
+    spec.set_knob("seed", "1")?;
+    for (key, raw) in args.flags().filter(|(key, _)| !DETECT_FLAGS.contains(key)) {
+        spec.set_knob(key, raw)?;
     }
-    if args.get("gamma").is_some() {
-        spec = spec.with_gamma(args.get_or("gamma", 1.0)?);
-    }
-    if args.get("ensemble").is_some() {
-        spec = spec.with_ensemble(args.get_or("ensemble", 4)?);
-    }
-    if let Some(raw) = args.get("move") {
-        let strategy = parcom_core::MoveStrategy::from_wire(raw).map_err(|m| {
-            parcom_core::SpecError::BadValue {
-                key: "move".into(),
-                message: m,
-            }
-        })?;
-        spec = spec.with_move(strategy);
-    }
-    spec = spec.with_seed(args.get_or("seed", 1)?);
     Ok(spec.build()?)
 }
 
@@ -337,7 +315,7 @@ pub fn convert(args: &Args) -> CmdResult {
 pub fn stats(args: &Args) -> CmdResult {
     let input = args.require("input")?;
     let g = load_graph(input)?.graph;
-    let s = summarize(&g, SummaryOptions::default());
+    let s = summarize(&g);
     say!("graph {input}");
     say!("  nodes:       {}", s.nodes);
     say!("  edges:       {}", s.edges);

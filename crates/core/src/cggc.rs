@@ -7,27 +7,24 @@
 //! qualitatively at the top of the field and, like the originals, expensive.
 
 use crate::algorithm::CommunityDetector;
-use crate::epp::{Ensemble, Member};
+use crate::epp::{Ensemble, Member, MAX_ROUNDS};
 use crate::rg::Rg;
 use parcom_graph::{Graph, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::Recorder;
 
-/// The core groups ensemble over RG.
+/// Sample size of the RG ensemble members; the final RG samples 2.
+const MEMBER_SAMPLE_SIZE: usize = 1;
+
+/// The core groups ensemble over RG, at standard modularity (γ = 1).
 #[derive(Clone, Debug)]
 pub struct Cggc {
     /// Ensemble size per level.
     pub ensemble_size: usize,
     /// Iterate the ensemble step until consensus quality stalls (CGGCi).
     pub iterated: bool,
-    /// Sample size of the RG base runs.
-    pub rg_sample_size: usize,
-    /// Resolution parameter.
-    pub gamma: f64,
     /// Base RNG seed; run `i` at level `l` derives its own stream.
     pub seed: u64,
-    /// Cap on ensemble iterations (CGGCi).
-    pub max_levels: usize,
 }
 
 impl Cggc {
@@ -36,10 +33,7 @@ impl Cggc {
         Self {
             ensemble_size,
             iterated: false,
-            rg_sample_size: 1,
-            gamma: 1.0,
             seed: 1,
-            max_levels: 16,
         }
     }
 
@@ -61,10 +55,6 @@ impl CommunityDetector for Cggc {
         self.seed = seed;
     }
 
-    fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
     /// The [`Ensemble`] scheme with RG members and a more thorough RG
     /// (sample size 2, its own stream) as the final algorithm.
     fn run(
@@ -75,16 +65,16 @@ impl CommunityDetector for Cggc {
     ) -> (Partition, Termination, Option<String>) {
         let rg = |sample_size, seed| Rg {
             sample_size,
-            gamma: self.gamma,
             seed,
+            ..Rg::default()
         };
         let mut members: Vec<Member> = (0..self.ensemble_size)
-            .map(|_| Box::new(rg(self.rg_sample_size, self.seed)) as _)
+            .map(|_| Box::new(rg(MEMBER_SAMPLE_SIZE, self.seed)) as _)
             .collect();
         Ensemble {
             members: &mut members,
             finish: &mut rg(2, self.seed.wrapping_mul(0x9e3779b9).wrapping_add(7)),
-            max_rounds: if self.iterated { self.max_levels } else { 1 },
+            max_rounds: if self.iterated { MAX_ROUNDS } else { 1 },
             seed: self.seed,
         }
         .run(g, rec, budget)

@@ -13,17 +13,14 @@ use parcom_guard::{Budget, Pacer, Termination};
 use parcom_obs::Recorder;
 use std::collections::BinaryHeap;
 
-/// The CNM greedy modularity agglomerator.
+/// The CNM greedy modularity agglomerator, at standard modularity (γ = 1).
 #[derive(Clone, Debug, Default)]
-pub struct Cnm {
-    /// Resolution parameter (1 = standard modularity).
-    pub gamma: f64,
-}
+pub struct Cnm;
 
 impl Cnm {
     /// CNM with standard modularity.
     pub fn new() -> Self {
-        Self { gamma: 1.0 }
+        Self
     }
 }
 
@@ -53,10 +50,6 @@ impl CommunityDetector for Cnm {
         "CNM".into()
     }
 
-    fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
     /// The greedy merge loop. The budget is paced at one check per
     /// `MERGE_CHECK_INTERVAL` heap pops; CNM only ever executes
     /// improving merges, so the state at *any* interruption point is the
@@ -76,7 +69,7 @@ impl CommunityDetector for Cnm {
             return (Partition::singleton(n), Termination::Converged, None);
         }
         let seed_span = rec.span("seed-heap");
-        let mut state = MergeState::new(g, self.gamma);
+        let mut state = MergeState::new(g, 1.0);
         let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
 
         // bounded O(m) seeding pass; the paced budget checks start with the
@@ -194,6 +187,21 @@ mod tests {
         let (g, _) = ring_of_cliques(2, 5);
         let zeta = Cnm::new().detect(&g);
         assert_eq!(zeta.number_of_subsets(), 2);
+    }
+
+    #[test]
+    fn default_is_standard_modularity() {
+        // two triangles joined by an edge: at γ = 1 each triangle is a
+        // community; at γ = 0 every merge gains and they become one
+        let g =
+            GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
+        // through the trait, as generic code builds it
+        fn by_trait<D: Default>() -> D {
+            D::default()
+        }
+        let by_default = by_trait::<Cnm>().detect(&g);
+        assert_eq!(by_default, Cnm::new().detect(&g));
+        assert_eq!(by_default.number_of_subsets(), 2);
     }
 
     #[test]

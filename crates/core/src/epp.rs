@@ -26,6 +26,9 @@ use rayon::prelude::*;
 
 pub(crate) type Member = Box<dyn CommunityDetector + Send>;
 
+/// Cap on the rounds of an iterated ensemble (EML, CGGCi).
+pub(crate) const MAX_ROUNDS: usize = 16;
+
 /// `coarse`, a solution of the coarsest graph of `chain`, on the graph the
 /// chain started from.
 fn prolong_through(chain: &[Coarsening], coarse: Partition) -> Partition {
@@ -285,8 +288,6 @@ impl CommunityDetector for Epp {
 pub struct EppIterated {
     /// Ensemble size per level.
     pub ensemble_size: usize,
-    /// Cap on ensemble recursion depth.
-    pub max_levels: usize,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -297,7 +298,6 @@ impl EppIterated {
         assert!(ensemble_size >= 1, "ensemble needs at least one base");
         Self {
             ensemble_size,
-            max_levels: 16,
             seed: 1,
         }
     }
@@ -312,7 +312,7 @@ impl CommunityDetector for EppIterated {
         self.seed = seed;
     }
 
-    /// Up to `max_levels` rounds of the [`Ensemble`] scheme.
+    /// Up to `MAX_ROUNDS` rounds of the [`Ensemble`] scheme.
     fn run(
         &mut self,
         g: &Graph,
@@ -322,7 +322,7 @@ impl CommunityDetector for EppIterated {
         Ensemble {
             members: &mut plp_members(self.ensemble_size),
             finish: &mut Plm::new(),
-            max_rounds: self.max_levels,
+            max_rounds: MAX_ROUNDS,
             seed: self.seed,
         }
         .run(g, rec, budget)

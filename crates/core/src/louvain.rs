@@ -16,27 +16,19 @@ use parcom_guard::{Budget, Termination};
 use parcom_obs::Recorder;
 use rand::{rngs::SmallRng, SeedableRng};
 
-/// The sequential Louvain baseline.
+/// Louvain's cap on full sweeps per level.
+const MAX_SWEEPS: usize = 64;
+
+/// The sequential Louvain baseline, at standard modularity (γ = 1).
 #[derive(Clone, Debug)]
 pub struct Louvain {
-    /// Resolution parameter (1 = standard modularity).
-    pub gamma: f64,
     /// RNG seed for the per-pass node shuffles.
     pub seed: u64,
-    /// Cap on full sweeps per level.
-    pub max_sweeps: usize,
-    /// Cap on hierarchy depth.
-    pub max_levels: usize,
 }
 
 impl Default for Louvain {
     fn default() -> Self {
-        Self {
-            gamma: 1.0,
-            seed: 1,
-            max_sweeps: 64,
-            max_levels: 64,
-        }
+        Self { seed: 1 }
     }
 }
 
@@ -56,10 +48,6 @@ impl CommunityDetector for Louvain {
         self.seed = seed;
     }
 
-    fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
     fn run(
         &mut self,
         g: &Graph,
@@ -67,10 +55,9 @@ impl CommunityDetector for Louvain {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
         Levels {
-            gamma: self.gamma,
+            gamma: 1.0,
             refine: false,
-            max_move_iterations: self.max_sweeps,
-            max_levels: self.max_levels,
+            max_move_iterations: MAX_SWEEPS,
             schedule: Schedule::Shuffled(SmallRng::seed_from_u64(self.seed)),
         }
         .run_levels(g, rec, budget)

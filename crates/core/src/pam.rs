@@ -17,15 +17,14 @@ use parcom_guard::{Budget, Termination};
 use parcom_obs::Recorder;
 use rayon::prelude::*;
 
-/// Matching-based parallel agglomerator.
+/// Cap on contraction levels.
+const MAX_LEVELS: usize = 64;
+
+/// Matching-based parallel agglomerator, at standard modularity (γ = 1).
 #[derive(Clone, Debug)]
 pub struct Pam {
     /// Allow satellites to join matched hubs (CLU_TBB's adaptation).
     pub star_adaptation: bool,
-    /// Resolution parameter.
-    pub gamma: f64,
-    /// Cap on contraction levels.
-    pub max_levels: usize,
 }
 
 impl Pam {
@@ -33,8 +32,6 @@ impl Pam {
     pub fn new() -> Self {
         Self {
             star_adaptation: true,
-            gamma: 1.0,
-            max_levels: 64,
         }
     }
 
@@ -42,7 +39,6 @@ impl Pam {
     pub fn cel() -> Self {
         Self {
             star_adaptation: false,
-            ..Self::new()
         }
     }
 }
@@ -60,10 +56,6 @@ impl CommunityDetector for Pam {
         } else {
             "CEL".into()
         }
-    }
-
-    fn gamma(&self) -> f64 {
-        self.gamma
     }
 
     /// The contraction hierarchy. The budget is tested once per level (a
@@ -86,12 +78,12 @@ impl CommunityDetector for Pam {
         // Matching forces many simultaneous merges per level, some marginal;
         // like the original, keep the best level of the hierarchy.
         let mut best_partition = Partition::singleton(n);
-        let mut best_q = crate::quality::modularity_gamma(g, &best_partition, self.gamma);
+        let mut best_q = crate::quality::modularity(g, &best_partition);
 
         let mut termination = Termination::Converged;
         let mut cut_phase = None;
 
-        for level in 0..self.max_levels {
+        for level in 0..MAX_LEVELS {
             if let Err(t) = budget.check_sweep() {
                 termination = t;
                 cut_phase = Some(format!("level-{level}/match"));
@@ -109,7 +101,6 @@ impl CommunityDetector for Pam {
             // endpoints rank a tied pair identically, so regular structures
             // (grids, cliques) still produce large handshake matchings
             // instead of degenerating to one pair per level.
-            let gamma = self.gamma;
             let pair_hash = |a: u32, b: u32| -> u64 {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                 let mut x = ((lo as u64) << 32) | hi as u64;
@@ -126,8 +117,8 @@ impl CommunityDetector for Pam {
                         if v == u {
                             continue;
                         }
-                        let delta = w / total
-                            - gamma * g_ref.volume(u) * g_ref.volume(v) / (2.0 * total * total);
+                        let delta =
+                            w / total - g_ref.volume(u) * g_ref.volume(v) / (2.0 * total * total);
                         if delta <= 0.0 {
                             continue;
                         }
@@ -211,7 +202,7 @@ impl CommunityDetector for Pam {
             current = contraction.coarse;
 
             let level_solution = Partition::from_vec(overall.clone());
-            let q = crate::quality::modularity_gamma(g, &level_solution, self.gamma);
+            let q = crate::quality::modularity(g, &level_solution);
             if q > best_q {
                 best_q = q;
                 best_partition = level_solution;

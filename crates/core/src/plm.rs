@@ -67,11 +67,6 @@ pub struct Plm {
     pub gamma: f64,
     /// Adds the refinement move phase after each prolongation (PLMR).
     pub refine: bool,
-    /// Cap on move-phase sweeps per level (guards the theoretical
-    /// non-termination of parallel moves on stale data).
-    pub max_move_iterations: usize,
-    /// Cap on the coarsening hierarchy depth.
-    pub max_levels: usize,
     /// How the move phase schedules concurrent node moves (DESIGN.md §14):
     /// the paper's racy default, or coloring-isolated classes, which are
     /// bit-deterministic at any thread count.
@@ -83,8 +78,6 @@ impl Default for Plm {
         Self {
             gamma: 1.0,
             refine: false,
-            max_move_iterations: 32,
-            max_levels: 64,
             move_strategy: MoveStrategy::Racy,
         }
     }
@@ -122,6 +115,14 @@ impl Plm {
     }
 }
 
+/// PLM's cap on move-phase sweeps per level: guards the theoretical
+/// non-termination of parallel moves on stale data.
+const MAX_MOVE_SWEEPS: usize = 32;
+
+/// Cap on the depth of the coarsening hierarchy, for every detector that
+/// runs on [`Levels`].
+const MAX_LEVELS: usize = 64;
+
 /// How a level's move phase visits the nodes.
 pub(crate) enum Schedule {
     /// One of PLM's two parallel strategies.
@@ -138,7 +139,6 @@ pub(crate) struct Levels {
     pub gamma: f64,
     pub refine: bool,
     pub max_move_iterations: usize,
-    pub max_levels: usize,
     pub schedule: Schedule,
 }
 
@@ -228,7 +228,7 @@ impl Levels {
             return (zeta, move_term, Some(format!("level-{depth}/move-phase")));
         }
 
-        if moves > 0 && depth < self.max_levels {
+        if moves > 0 && depth < MAX_LEVELS {
             // Level boundary: don't start a contraction the budget no
             // longer covers.
             if let Err(t) = budget.check() {
@@ -321,8 +321,7 @@ impl CommunityDetector for Plm {
         Levels {
             gamma: self.gamma,
             refine: self.refine,
-            max_move_iterations: self.max_move_iterations,
-            max_levels: self.max_levels,
+            max_move_iterations: MAX_MOVE_SWEEPS,
             schedule: Schedule::Strategy(self.move_strategy),
         }
         .run_levels(g, rec, budget)

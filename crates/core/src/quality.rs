@@ -250,29 +250,18 @@ pub(crate) fn compact_carrying(zeta: &mut Partition, agg: Option<&mut CommunityA
         zeta.compact();
         return;
     };
-    const UNSEEN: u32 = u32::MAX;
     let ub = zeta.upper_bound() as usize;
     assert!(agg.len() >= ub, "aggregates do not cover the partition");
-    let mut remap = vec![UNSEEN; ub];
-    let mut next = 0u32;
-    let mut labels = std::mem::replace(zeta, Partition::singleton(0)).into_vec();
-    for c in labels.iter_mut() {
-        let slot = &mut remap[*c as usize];
-        if *slot == UNSEEN {
-            *slot = next;
-            next += 1;
-        }
-        *c = *slot;
-    }
-    *zeta = Partition::from_vec(labels);
-    let k = next as usize;
-    let mut out = CommunityAggregates::zeros(k + agg.len() - ub);
-    for (c, &to) in remap.iter().enumerate().filter(|&(_, &to)| to != UNSEEN) {
-        out.intra_weight[to as usize] = agg.intra_weight[c];
-        out.volume[to as usize] = agg.volume[c];
-    }
-    out.intra_weight[k..].copy_from_slice(&agg.intra_weight[ub..]);
-    out.volume[k..].copy_from_slice(&agg.volume[ub..]);
+    let tail = agg.len() - ub;
+    let mut out = CommunityAggregates::zeros(agg.len());
+    let k = zeta.compact_with(|from, to| {
+        out.intra_weight[to as usize] = agg.intra_weight[from as usize];
+        out.volume[to as usize] = agg.volume[from as usize];
+    });
+    out.intra_weight[k..k + tail].copy_from_slice(&agg.intra_weight[ub..]);
+    out.volume[k..k + tail].copy_from_slice(&agg.volume[ub..]);
+    out.intra_weight.truncate(k + tail);
+    out.volume.truncate(k + tail);
     *agg = out;
 }
 

@@ -114,7 +114,6 @@ pub const REGISTRY: &[AlgoInfo] = &[
                 refine: true,
                 gamma: s.gamma.unwrap_or(1.0),
                 move_strategy: s.move_strategy.unwrap_or_default(),
-                ..Plm::default()
             })
         },
     },
@@ -281,7 +280,8 @@ impl std::error::Error for SpecError {}
 
 /// A declarative detector request: the algorithm plus its knob settings.
 /// `None` knobs mean "the algorithm's default". Construct via
-/// [`DetectorSpec::new`] + the `with_*` setters, or parse a wire form.
+/// [`DetectorSpec::new`] + [`DetectorSpec::set_knob`], or parse a wire
+/// form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectorSpec {
     /// Canonical algorithm name (a [`REGISTRY`] entry's name).
@@ -309,30 +309,6 @@ impl DetectorSpec {
             ensemble: None,
             move_strategy: None,
         })
-    }
-
-    /// Sets the seed knob.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the γ knob.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        self.gamma = Some(gamma);
-        self
-    }
-
-    /// Sets the ensemble-size knob.
-    pub fn with_ensemble(mut self, ensemble: usize) -> Self {
-        self.ensemble = Some(ensemble);
-        self
-    }
-
-    /// Sets the PLM move-phase strategy knob.
-    pub fn with_move(mut self, strategy: MoveStrategy) -> Self {
-        self.move_strategy = Some(strategy);
-        self
     }
 
     /// The registry entry this spec names.
@@ -467,9 +443,10 @@ impl DetectorSpec {
         Ok(spec)
     }
 
-    /// Sets one knob from its wire key and raw value. Knob applicability
+    /// Sets one knob from its wire key and raw value — the one knob parser
+    /// behind both wire forms and the CLI's knob flags. Knob applicability
     /// is checked immediately so error messages carry the algorithm.
-    fn set_knob(&mut self, key: &str, raw: &str) -> Result<(), SpecError> {
+    pub fn set_knob(&mut self, key: &str, raw: &str) -> Result<(), SpecError> {
         let info = self.info()?;
         let bad = |message: String| SpecError::BadValue {
             key: key.into(),
@@ -596,12 +573,14 @@ mod tests {
 
     #[test]
     fn hand_assembled_specs_cannot_bypass_validation() {
-        let spec = DetectorSpec::new("cnm").unwrap().with_ensemble(8);
+        let mut spec = DetectorSpec::new("cnm").unwrap();
+        spec.ensemble = Some(8);
         assert!(matches!(
             spec.build().err().unwrap(),
             SpecError::UnknownKnob { .. }
         ));
-        let spec = DetectorSpec::new("plm").unwrap().with_gamma(-1.0);
+        let mut spec = DetectorSpec::new("plm").unwrap();
+        spec.gamma = Some(-1.0);
         assert!(matches!(
             spec.build().err().unwrap(),
             SpecError::BadValue { .. }

@@ -21,8 +21,9 @@ const WARM_CAPABLE: &[&str] = &["plp"];
 
 /// A fresh detector for `name`, seed fixed.
 fn build(name: &str) -> Box<dyn CommunityDetector + Send> {
-    let spec = DetectorSpec::new(name).expect("registered name");
-    spec.with_seed(7).build().expect("default knobs are valid")
+    let mut spec = DetectorSpec::new(name).expect("registered name");
+    spec.seed = Some(7);
+    spec.build().expect("default knobs are valid")
 }
 
 fn graphs() -> Vec<(&'static str, Graph)> {
@@ -211,10 +212,9 @@ fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
 fn reported_modularity_uses_the_detectors_own_gamma() {
     let (g, _) = karate_club();
     for name in ["plm", "plmr", "rg"] {
-        let spec = DetectorSpec::new(name).unwrap().with_gamma(0.5);
+        let spec = DetectorSpec::parse(&format!("{name}:gamma=0.5,seed=7")).unwrap();
         let r = with_threads(1, || {
-            spec.with_seed(7)
-                .build()
+            spec.build()
                 .unwrap()
                 .detect_guarded(&g, &Budget::unlimited())
         });

@@ -15,15 +15,16 @@ use parcom_obs::json;
 /// A spec exercising every knob `info` accepts, with distinctive values.
 fn full_spec(name: &str) -> DetectorSpec {
     let info = parcom_core::spec::lookup(name).expect("registered");
-    let mut spec = DetectorSpec::new(name).unwrap().with_seed(42);
+    let mut spec = DetectorSpec::new(name).unwrap();
+    spec.seed = Some(42);
     if info.accepts(Knob::Gamma) {
-        spec = spec.with_gamma(1.5);
+        spec.gamma = Some(1.5);
     }
     if info.accepts(Knob::Ensemble) {
-        spec = spec.with_ensemble(3);
+        spec.ensemble = Some(3);
     }
     if info.accepts(Knob::Move) {
-        spec = spec.with_move(MoveStrategy::Coloring);
+        spec.move_strategy = Some(MoveStrategy::Coloring);
     }
     spec
 }
@@ -80,19 +81,17 @@ fn json_string_and_object_forms_are_interchangeable() {
 fn golden_wire_forms() {
     // pin the exact canonical serializations; a change here is a wire
     // format break that serve clients would notice
-    let spec = DetectorSpec::new("epp")
-        .unwrap()
-        .with_ensemble(8)
-        .with_seed(3);
+    let mut spec = DetectorSpec::new("epp").unwrap();
+    spec.ensemble = Some(8);
+    spec.seed = Some(3);
     assert_eq!(spec.to_string(), "epp:ensemble=8,seed=3");
     assert_eq!(
         spec.to_json(),
         "{\"algo\":\"epp\",\"ensemble\":8,\"seed\":3}"
     );
-    let spec = DetectorSpec::new("plmr")
-        .unwrap()
-        .with_gamma(0.5)
-        .with_move(MoveStrategy::Coloring);
+    let mut spec = DetectorSpec::new("plmr").unwrap();
+    spec.gamma = Some(0.5);
+    spec.move_strategy = Some(MoveStrategy::Coloring);
     assert_eq!(spec.to_string(), "plmr:gamma=0.5,move=coloring");
     assert_eq!(
         spec.to_json(),

@@ -40,7 +40,7 @@ struct Drift {
 /// `batches` successive edit batches (3 inserts to 1 remove, as the serve
 /// benchmark's) on LFR(n, μ = 0.3), PLP warm-started through all of them.
 fn warm_chain(n: usize, batches: usize, batch: usize, threads: usize, seed: u64) -> Drift {
-    let spec = DetectorSpec::parse("plp").unwrap().with_seed(seed);
+    let spec = DetectorSpec::parse(&format!("plp:seed={seed}")).unwrap();
     let plp = || spec.build().unwrap();
     let (mut g, _) = lfr(LfrParams::benchmark(n, 0.3), seed);
     let mut rng = SmallRng::seed_from_u64(seed);

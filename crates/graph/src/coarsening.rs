@@ -23,7 +23,6 @@
 //! is bit-identical at every thread count and symmetric by construction.
 
 use crate::graph::{Graph, Node};
-use crate::hashing::FxHashMap;
 use crate::parallel::{weighted_ranges, DYNAMIC_PIECES};
 use crate::partition::Partition;
 use crate::scratch::ScratchPool;
@@ -83,16 +82,11 @@ pub fn coarsen_with(g: &Graph, zeta: &Partition, rec: &Recorder) -> Coarsening {
     assert_eq!(zeta.len(), g.node_count());
     let span = rec.span("coarsen");
 
-    // Dense community ids in first-seen order (the renumbering `compact`
-    // applies), written straight into the mapping vector — no clone of the
-    // caller's partition, no rewrite of its assignment array.
-    let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut fine_to_coarse: Vec<Node> = Vec::with_capacity(zeta.len());
-    for &c in zeta.as_slice() {
-        let next = remap.len() as u32; // audit:allow(lossy-cast): bounded by the u32 node id space
-        fine_to_coarse.push(*remap.entry(c).or_insert(next));
-    }
-    let k = remap.len();
+    // Dense community ids in first-seen order, on a copy: the caller's
+    // partition stays as it is.
+    let mut dense = zeta.clone();
+    let k = dense.compact();
+    let fine_to_coarse: Vec<Node> = dense.into_vec();
 
     // Counting sort of the fine nodes by coarse id; members of one coarse
     // node end up contiguous, in ascending fine id. `work` is the same

@@ -104,6 +104,13 @@ impl Partition {
     /// Renumbers community ids to the dense range `0..k` (first-seen order)
     /// and returns `k`, the number of non-empty communities.
     pub fn compact(&mut self) -> usize {
+        self.compact_with(|_, _| {})
+    }
+
+    /// [`Self::compact`], calling `renamed(old, new)` once per community,
+    /// when its old id is first seen — the one first-seen renumbering that
+    /// everything carrying per-community data through it shares.
+    pub fn compact_with(&mut self, mut renamed: impl FnMut(u32, u32)) -> usize {
         // Ids are almost always node ids or compacted ids, so the remap is
         // a flat table; only an assignment with ids far above its length
         // pays for hashing.
@@ -115,6 +122,7 @@ impl Partition {
                 let slot = &mut remap[*c as usize];
                 if *slot == UNSEEN {
                     *slot = next;
+                    renamed(*c, next);
                     next += 1;
                 }
                 *c = *slot;
@@ -123,8 +131,11 @@ impl Partition {
         } else {
             let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
             for c in self.data.iter_mut() {
-                let next = remap.len() as u32; // audit:allow(lossy-cast): bounded by the u32 node id space
-                *c = *remap.entry(*c).or_insert(next);
+                let (old, next) = (*c, remap.len() as u32); // audit:allow(lossy-cast): bounded by the u32 node id space
+                *c = *remap.entry(old).or_insert_with(|| {
+                    renamed(old, next);
+                    next
+                });
             }
             remap.len() as u32 // audit:allow(lossy-cast): bounded by the u32 node id space
         };

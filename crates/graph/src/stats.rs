@@ -19,32 +19,20 @@ pub struct GraphSummary {
     pub avg_lcc: f64,
 }
 
-/// Controls for [`summarize`].
-#[derive(Clone, Copy, Debug)]
-pub struct SummaryOptions {
-    /// Max nodes sampled for the LCC estimate (exact when `n` is below this).
-    pub lcc_sample: usize,
-    /// RNG seed for the LCC sample.
-    pub seed: u64,
-}
+/// Max nodes sampled for the LCC estimate (exact when `n` is below this).
+const LCC_SAMPLE: usize = 20_000;
 
-impl Default for SummaryOptions {
-    fn default() -> Self {
-        Self {
-            lcc_sample: 20_000,
-            seed: 1,
-        }
-    }
-}
+/// RNG seed for the LCC sample.
+const LCC_SEED: u64 = 1;
 
 /// Computes the Table-I row for `g`.
-pub fn summarize(g: &Graph, opts: SummaryOptions) -> GraphSummary {
+pub fn summarize(g: &Graph) -> GraphSummary {
     GraphSummary {
         nodes: g.node_count(),
         edges: g.edge_count(),
         max_degree: g.max_degree(),
         components: ConnectedComponents::run(g).count,
-        avg_lcc: sampled_average_local_clustering(g, opts.lcc_sample, opts.seed),
+        avg_lcc: sampled_average_local_clustering(g, LCC_SAMPLE, LCC_SEED),
     }
 }
 
@@ -66,7 +54,7 @@ mod tests {
     #[test]
     fn summary_of_two_triangles() {
         let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-        let s = summarize(&g, SummaryOptions::default());
+        let s = summarize(&g);
         assert_eq!(
             s,
             GraphSummary {
@@ -88,7 +76,7 @@ mod tests {
     #[test]
     fn empty_graph_stats() {
         let g = GraphBuilder::new(0).build();
-        let s = summarize(&g, SummaryOptions::default());
+        let s = summarize(&g);
         assert_eq!(s.nodes, 0);
         assert_eq!(s.components, 0);
         assert_eq!(average_degree(&g), 0.0);

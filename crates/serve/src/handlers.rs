@@ -283,11 +283,13 @@ fn checkpoint_graph(ctx: &ServerCtx, name: &str) -> Reply {
     (200, out)
 }
 
+/// A node id from a batch. `u32::MAX` is refused with the ids past it:
+/// a graph holding it would have 2³² nodes, one more than `Node` counts.
 fn node_id(v: &Value) -> Result<Node, Reply> {
     v.as_u64()
-        .filter(|&id| id <= u32::MAX as u64)
+        .filter(|&id| id < u32::MAX as u64)
         .map(|id| id as Node)
-        .ok_or_else(|| err(400, "node ids must be integers in u32 range"))
+        .ok_or_else(|| err(400, "node ids must be integers below 4294967295"))
 }
 
 /// Buffers a batch of edge mutations; within one request the `insert` array

@@ -112,12 +112,22 @@ impl RequestReader {
             .map_err(|_| ReadError::Bad(400, "request head is not UTF-8".into()))?;
         let (method, path, headers) = parse_head(head)?;
 
-        let body_len = match headers.iter().find(|(k, _)| k == "content-length") {
-            Some((_, v)) => v
+        // Differing `Content-Length`s leave the body's end ambiguous: the
+        // request is rejected (RFC 7230 §3.3.3), not framed by the first.
+        let mut body_len = None;
+        for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+            let len = v
                 .parse::<usize>()
-                .map_err(|_| ReadError::Bad(400, format!("bad content-length `{v}`")))?,
-            None => 0,
-        };
+                .map_err(|_| ReadError::Bad(400, format!("bad content-length `{v}`")))?;
+            if body_len.is_some_and(|first| first != len) {
+                return Err(ReadError::Bad(
+                    400,
+                    "conflicting content-length headers".into(),
+                ));
+            }
+            body_len = Some(len);
+        }
+        let body_len = body_len.unwrap_or(0);
         if body_len > MAX_BODY_BYTES {
             return Err(ReadError::Bad(
                 413,
@@ -331,6 +341,10 @@ mod tests {
         assert!(matches!(
             read_one(huge.as_bytes()),
             Err(ReadError::Bad(413, _)) | Err(ReadError::Bad(400, _))
+        ));
+        assert!(matches!(
+            read_one(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nabcd"),
+            Err(ReadError::Bad(400, _))
         ));
         let long_head = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(MAX_HEAD_BYTES + 8));
         assert!(matches!(

@@ -11,7 +11,7 @@
 use parcom_core::quality::{
     community_aggregates, modularity_gamma, start_label, CommunityAggregates,
 };
-use parcom_core::{CancelToken, DetectorSpec};
+use parcom_core::CancelToken;
 use parcom_generators::{lfr, LfrParams};
 use parcom_graph::{Graph, Node, Partition};
 use parcom_obs::json::{self, Value};
@@ -123,10 +123,7 @@ fn detect(store: &GraphStore, spec: &str) -> Value {
 }
 
 fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &dyn Fn(&mut Rng) -> f64) {
-    let spec = DetectorSpec::parse("plp")
-        .unwrap()
-        .with_seed(seed)
-        .to_string();
+    let spec = format!("plp:seed={seed}");
     let store = GraphStore::new();
     store.insert("g", lfr(LfrParams::benchmark(1500, 0.3), seed).0, None);
     let entry = store.get("g").unwrap();

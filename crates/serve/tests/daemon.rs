@@ -113,6 +113,22 @@ fn a_detect_asking_to_close_is_answered_with_connection_close() {
 }
 
 #[test]
+fn an_edge_naming_node_u32_max_is_refused_and_the_graph_keeps_answering() {
+    // a graph holding node 4294967295 would have 2^32 nodes: the batch is
+    // refused up front instead of wedging every later fold of the graph
+    let (_ctx, socket) = boot("max_id");
+    let mut client = Client::connect(&socket);
+    let (status, v) = client.request(
+        "POST",
+        "/graphs/ring/edges",
+        "{\"insert\":[[0,4294967295]]}",
+    );
+    assert_eq!(status, 400, "{v:?}");
+    let (status, v) = client.request("POST", "/detect", QUICK_DETECT);
+    assert_eq!(status, 200, "{v:?}");
+}
+
+#[test]
 fn request_pipelined_behind_a_running_detect_is_answered_after_it() {
     let (ctx, socket) = boot("pipeline");
     let mut client = Client::connect(&socket);

@@ -13,14 +13,19 @@
 # drift in the box's speed lands on both sides alike. Every one-line result
 # is kept as $PAIRS_DIR/<commit>/<workload>/{parent,change}-<seed>.json.
 # The table at the end gives, per end-to-end metric, both medians with
-# their quartiles, the pairs the change won, and "apart" where the medians
-# differ by more than the parent's quartile distance.
+# their quartiles, the pairs the change won, "apart" where the medians
+# differ by more than the parent's quartile distance, the change/parent
+# median ratio, and the verdict `parbench compare` (benchmark/src/compare.rs)
+# would give against the metric's BENCHMARK.json bound: "unresolved" when a
+# run is flagged noisy or either side's interquartile spread, as a share of
+# its median, exceeds the bound; else "REGRESSED" when the change is worse
+# than the parent by more than the bound; else "ok".
 #
 # Environment: PAIRS_DIR (default .bench_pairs at the root), PAIRS_TRACE
 # (default 0; 1 runs traced and tabulates the per-layer metrics instead).
 set -euo pipefail
 if [ $# -lt 3 ]; then
-  sed -n '2,20p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -63,6 +68,7 @@ import json, statistics, sys
 bench_path, out, suffix, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 bench = json.load(open(bench_path))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 table = bench["per_layer"] if suffix else bench["end_to_end"]
 runs = {side: [json.load(open(f"{out}/{side}-{s}{suffix}.json")) for s in seeds]
         for side in ("parent", "change")}
@@ -72,10 +78,27 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
+def spread(xs):
+    # compare.rs: interquartile distance (exclusive method) over the median
+    if len(xs) < 2 or statistics.median(xs) == 0:
+        return None
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return (q3 - q1) / abs(statistics.median(xs))
+
+def verdict(name, worse, p, c):
+    if name not in bound:
+        return ""
+    spreads = [s for s in (spread(p), spread(c)) if s is not None]
+    if noisy or any(s > bound[name] for s in spreads):
+        return "unresolved"
+    return "REGRESSED" if worse > bound[name] else "ok"
+
+noisy = any(r.get("noisy") for rs in runs.values() for r in rs)
 for side, rs in runs.items():
     print(f"{side}: {sum(r['failed'] for r in rs)} of "
           f"{sum(r['attempted'] for r in rs)} operations failed")
-print(f"{'metric':30} {'parent median [q1, q3]':>33} {'change median [q1, q3]':>33}  wins")
+print(f"{'metric':30} {'parent median [q1, q3]':>33} {'change median [q1, q3]':>33}  "
+      f"{'wins':>5} {'apart':>5} {'ratio':>7}  verdict")
 for name in (m["name"] for m in table):
     values = {side: [(r["metrics"].get(name) or {}).get("value") for r in rs]
               for side, rs in runs.items()}
@@ -85,7 +108,10 @@ for name in (m["name"] for m in table):
     lower = better[name] == "lower"
     wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-    apart = "  apart" if abs(cm - pm) > p3 - p1 else ""
+    apart = "apart" if abs(cm - pm) > p3 - p1 else ""
+    ratio = cm / pm if pm else float("nan")
+    worse = ratio - 1 if lower else 1 - ratio
     print(f"{name:30} {pm:>12.4g} [{p1:>8.4g}, {p3:>8.4g}] "
-          f"{cm:>12.4g} [{c1:>8.4g}, {c3:>8.4g}]  {wins}/{len(p)}{apart}")
+          f"{cm:>12.4g} [{c1:>8.4g}, {c3:>8.4g}]  {f'{wins}/{len(p)}':>5} {apart:>5} "
+          f"{ratio:>7.4f}  {verdict(name, worse, p, c)}")
 EOF

@@ -114,6 +114,9 @@ fn degenerate_matrix_matches_the_sort_based_reference() {
     check("blocks", &g, &by(&|u| u / 6));
     check("interleaved", &g, &by(&|u| u % 7));
     check("non-contiguous ids", &g, &by(&|u| 1000 - 13 * (u % 9)));
+    // ids far past n, as a `parcom cg` partition file may hold: a flat
+    // renumbering table this wide would not fit in memory
+    check("huge ids", &g, &by(&|u| u32::MAX - 1 - 7 * (u % 11)));
     check("singletons", &g, &Partition::singleton(60));
     check("all in one", &g, &Partition::all_in_one(60));
 
