@@ -367,6 +367,11 @@ impl GraphBuilder {
 /// arrived in; then the rows are compacted. Parallel over edge-balanced
 /// node ranges; returns the final offsets, with `targets` and `weights`
 /// truncated to them.
+///
+/// Empty `weights` are a unit graph's: its rows are sorted by neighbor
+/// alone, and stay without weights unless a row repeats a neighbor — then
+/// they are given their 1.0s and merged like any others, which sums each
+/// repeat to 2.0 or more as the builder does.
 pub(crate) fn merge_rows(
     offsets: &[usize],
     targets: &mut Vec<Node>,
@@ -374,6 +379,12 @@ pub(crate) fn merge_rows(
 ) -> Vec<usize> {
     let n = offsets.len() - 1;
     let node_ranges = weighted_ranges(offsets, DYNAMIC_PIECES);
+    if weights.is_empty() {
+        if sort_unit_rows(offsets, &node_ranges, targets) {
+            return offsets.to_vec();
+        }
+        weights.resize(targets.len(), 1.0);
+    }
     let mut merged_len = vec![0u32; n];
     {
         let region_bounds: Vec<Range<usize>> = node_ranges
@@ -456,6 +467,36 @@ pub(crate) fn merge_rows(
         weights.truncate(new_total);
     }
     new_offsets
+}
+
+/// Sorts every unsorted row of a unit graph by neighbor, in parallel over
+/// `node_ranges`, and says whether each row is then strictly sorted, i.e.
+/// repeats no neighbor. With every weight 1.0, the `(neighbor, weight
+/// bits)` order of [`merge_rows`] is the neighbor order.
+fn sort_unit_rows(offsets: &[usize], node_ranges: &[Range<usize>], targets: &mut [Node]) -> bool {
+    let region_bounds: Vec<Range<usize>> = node_ranges
+        .iter()
+        .map(|r| offsets[r.start]..offsets[r.end])
+        .collect();
+    let strict: Vec<bool> = node_ranges
+        .iter()
+        .zip(split_by_ranges(targets, &region_bounds))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(nodes, t_reg)| {
+            let base = offsets[nodes.start];
+            let mut strict = true;
+            for u in nodes.clone() {
+                let row = &mut t_reg[offsets[u] - base..offsets[u + 1] - base];
+                if row.windows(2).any(|p| p[0] >= p[1]) {
+                    row.sort_unstable();
+                    strict &= row.windows(2).all(|p| p[0] < p[1]);
+                }
+            }
+            strict
+        })
+        .collect();
+    strict.iter().all(|&s| s)
 }
 
 #[cfg(test)]

@@ -18,6 +18,14 @@
 //! Every `Graph` is made by one constructor tail (`from_rows`), and every
 //! cache it holds — degrees, self-loops, ω(E), m — is derived from its own
 //! arrays there; no caller, and no file, supplies one.
+//!
+//! A graph whose every edge weight is 1.0 — every generator's output and
+//! every unweighted file — is *unit*: it stores no `weights` array at all.
+//! `from_rows` enforces that rule (empty ⇔ every weight is 1.0), so two
+//! graphs with the same edges have the same arrays. The kernels never see
+//! the difference: [`Graph::neighbors_and_weights`] hands a unit row a
+//! slice of a per-graph run of 1.0s, and sums of 1.0 are exact in `f64`,
+//! so every cache and every result is bit for bit the weighted one's.
 
 use crate::parallel::{split_by_ranges, weighted_ranges, DYNAMIC_PIECES};
 use rayon::prelude::*;
@@ -50,8 +58,11 @@ pub struct Graph {
     offsets: Vec<usize>,
     /// Concatenated, per-row-sorted neighbor lists.
     targets: Vec<Node>,
-    /// Edge weights parallel to `targets`.
+    /// Edge weights parallel to `targets`; empty iff every weight is 1.0.
     weights: Vec<f64>,
+    /// A unit graph's weights as rows borrow them: one 1.0 per entry of
+    /// its longest row (empty when `weights` is stored).
+    ones: Vec<f64>,
     /// Cached per-node sum of incident weights (self-loop once).
     weighted_degrees: Vec<f64>,
     /// Cached per-node self-loop weight (0.0 for most nodes).
@@ -70,7 +81,8 @@ pub struct CsrView<'a> {
     pub offsets: &'a [usize],
     /// Concatenated, per-row-sorted neighbor lists.
     pub targets: &'a [Node],
-    /// Edge weights parallel to `targets`.
+    /// Edge weights parallel to `targets`, or empty: a unit graph, every
+    /// weight 1.0, stores none.
     pub weights: &'a [f64],
     /// Per-node sum of incident weights (self-loop once).
     pub weighted_degrees: &'a [f64],
@@ -87,26 +99,59 @@ pub struct CsrView<'a> {
 struct CsrRows {
     offsets: Vec<usize>,
     targets: Vec<Node>,
+    /// Parallel to `targets` if `weighted`, else empty.
     weights: Vec<f64>,
     weighted_degrees: Vec<f64>,
     self_loops: Vec<f64>,
+    /// Whether `weights` is kept; without it every entry is 1.0.
+    weighted: bool,
+    /// Whether every weight appended so far is 1.0.
+    unit: bool,
+}
+
+/// The weight of entry `i` of arrays whose `weights` may be a unit
+/// graph's empty ones.
+#[inline]
+fn weight_at(weights: &[f64], i: usize) -> f64 {
+    if weights.is_empty() {
+        1.0
+    } else {
+        weights[i]
+    }
+}
+
+/// The weights of the entries `range`: none for a unit graph's empty array.
+#[inline]
+fn weights_of(weights: &[f64], range: Range<usize>) -> &[f64] {
+    if weights.is_empty() {
+        &[]
+    } else {
+        &weights[range]
+    }
 }
 
 /// The caches of row `row` — its weighted degree, its self-loop weight and
-/// its number of loop entries — summed entry by entry in CSR order: the one
-/// definition every construction path and [`Graph::validate`] share, so a
-/// cache equals its recomputation bit for bit.
+/// its number of loop entries — summed entry by entry in CSR order, and
+/// whether each of its weights is 1.0: the one definition every
+/// construction path and [`Graph::validate`] share, so a cache equals its
+/// recomputation bit for bit. Empty `weights` are a unit row's, one 1.0
+/// per target; their sums are the counts, exactly.
 #[inline]
-fn row_sums(row: usize, targets: &[Node], weights: &[f64]) -> (f64, f64, usize) {
-    let (mut degree, mut self_loop, mut loops) = (0.0, 0.0, 0usize);
+fn row_sums(row: usize, targets: &[Node], weights: &[f64]) -> (f64, f64, usize, bool) {
+    if weights.is_empty() {
+        let loops = targets.iter().filter(|&&t| t as usize == row).count();
+        return (targets.len() as f64, loops as f64, loops, true);
+    }
+    let (mut degree, mut self_loop, mut loops, mut unit) = (0.0, 0.0, 0usize, true);
     for (&t, &w) in targets.iter().zip(weights) {
         degree += w;
+        unit &= w == 1.0;
         if t as usize == row {
             self_loop += w;
             loops += 1;
         }
     }
-    (degree, self_loop, loops)
+    (degree, self_loop, loops, unit)
 }
 
 /// ω(E) from the per-node caches: non-loop edges are stored twice, loops
@@ -122,7 +167,8 @@ fn total_weight(weighted_degrees: &[f64], self_loops: &[f64]) -> f64 {
     (directed_weight - loop_total) / 2.0 + loop_total
 }
 
-/// The invariants of the three CSR arrays. The O(n + m) ones that keep
+/// The invariants of the three CSR arrays, `weights` empty for a unit
+/// graph. The O(n + m) ones that keep
 /// later code from panicking always run: array lengths, offsets starting
 /// at 0, never decreasing and ending at `targets.len()`, every target id in
 /// range. `rows` adds the per-row ones: rows strictly sorted (no duplicate
@@ -142,7 +188,7 @@ fn check_arrays(
     if offsets[0] != 0 {
         return Err(format!("offsets[0] = {} (want 0)", offsets[0]));
     }
-    if targets.len() != weights.len() {
+    if !weights.is_empty() && targets.len() != weights.len() {
         return Err(format!(
             "targets/weights length mismatch: {} vs {}",
             targets.len(),
@@ -170,15 +216,15 @@ fn check_arrays(
     }
     for u in 0..n {
         let row = offsets[u]..offsets[u + 1];
-        let (row_targets, row_weights) = (&targets[row.clone()], &weights[row]);
+        let row_targets = &targets[row.clone()];
         if let Some(p) = row_targets.windows(2).find(|p| p[0] >= p[1]) {
             return Err(format!(
                 "row of node {u} not strictly sorted: {} then {}",
                 p[0], p[1]
             ));
         }
-        if let Some((v, w)) =
-            (row_targets.iter().zip(row_weights)).find(|(_, w)| !w.is_finite() || **w < 0.0)
+        if let Some((v, w)) = (row_targets.iter().zip(row.map(|i| weight_at(weights, i))))
+            .find(|(_, w)| !w.is_finite() || *w < 0.0)
         {
             return Err(format!(
                 "edge {{{u}, {v}}} has invalid weight {w} (want finite, non-negative)"
@@ -215,18 +261,20 @@ pub struct Asymmetry {
 /// [`Graph::validate`].
 // audit:allow(budget-propagation): one pass over arrays the loader admitted against the budget
 fn first_asymmetry(offsets: &[usize], targets: &[Node], weights: &[f64]) -> Option<Asymmetry> {
-    let weight_at = |row: usize, target: usize| {
+    let mirror_of = |row: usize, target: usize| {
         let r = offsets[row]..offsets[row + 1];
-        (targets[r.clone()].binary_search(&(target as Node)).ok()).map(|i| weights[r.start + i])
+        (targets[r.clone()].binary_search(&(target as Node)).ok())
+            .map(|i| weight_at(weights, r.start + i))
     };
     let mut first: Option<Asymmetry> = None;
     for u in 0..offsets.len() - 1 {
-        for i in offsets[u]..offsets[u + 1] {
-            let (v, w) = (targets[i] as usize, weights[i]);
+        let row = offsets[u]..offsets[u + 1];
+        for (i, &v) in row.clone().zip(&targets[row]) {
+            let (v, w) = (v as usize, weight_at(weights, i));
             if v == u {
                 continue;
             }
-            let mirror = weight_at(v, u);
+            let mirror = mirror_of(v, u);
             if mirror.map(f64::to_bits) == Some(w.to_bits()) {
                 continue;
             }
@@ -276,7 +324,7 @@ fn rows_mirror(offsets: &[usize], targets: &[Node], weights: &[f64]) -> bool {
                 let at = cursor[v - owned.start];
                 if at == offsets[v + 1]
                     || targets[at] as usize != u
-                    || weights[at].to_bits() != weights[i].to_bits()
+                    || weight_at(weights, at).to_bits() != weight_at(weights, i).to_bits()
                 {
                     return false;
                 }
@@ -310,9 +358,11 @@ fn fitted<T>(mut buffer: Vec<T>, len: usize, allocated: &mut bool) -> Vec<T> {
 }
 
 impl CsrRows {
-    /// Empty rows for `n` nodes and up to `entries` adjacency entries, in
-    /// the buffers of `retired`; and whether all five of them were large enough.
-    fn recycling(retired: Option<Graph>, n: usize, entries: usize) -> (Self, bool) {
+    /// Empty rows for `n` nodes and up to `entries` adjacency entries, with
+    /// a weights array if `weighted`, in the buffers of `retired`; and
+    /// whether all the buffers they need were large enough. Unit rows need
+    /// no weights buffer, so a retired unit graph's serves them in full.
+    fn recycling(retired: Option<Graph>, n: usize, entries: usize, weighted: bool) -> (Self, bool) {
         let mut allocated = retired.is_none();
         let parts = |g: Graph| {
             (
@@ -328,25 +378,42 @@ impl CsrRows {
         let mut rows = Self {
             offsets: fitted(offsets, n + 1, &mut allocated),
             targets: fitted(targets, entries, &mut allocated),
-            weights: fitted(weights, entries, &mut allocated),
+            weights: match weighted {
+                true => fitted(weights, entries, &mut allocated),
+                false => Vec::new(),
+            },
             weighted_degrees: fitted(weighted_degrees, n, &mut allocated),
             self_loops: fitted(self_loops, n, &mut allocated),
+            weighted,
+            unit: true,
         };
         rows.offsets.push(0);
         (rows, !allocated)
     }
 
-    /// Appends entries to the open row.
+    /// Appends entries to the open row; empty `weights` are 1.0s.
     fn extend(&mut self, targets: &[Node], weights: &[f64]) {
         self.targets.extend_from_slice(targets);
-        self.weights.extend_from_slice(weights);
+        if !self.weighted {
+            debug_assert!(weights.iter().all(|&w| w == 1.0));
+        } else if weights.is_empty() {
+            self.weights.resize(self.targets.len(), 1.0);
+        } else {
+            self.unit = self.unit && weights.iter().all(|&w| w == 1.0);
+            self.weights.extend_from_slice(weights);
+        }
     }
 
     /// Closes the open row, summing its caches as [`Graph::from_csr`] does.
     fn end_row(&mut self) {
         let row = self.weighted_degrees.len();
         let start = self.offsets[row];
-        let (degree, self_loop, _) = row_sums(row, &self.targets[start..], &self.weights[start..]);
+        let weights = if self.weighted {
+            &self.weights[start..]
+        } else {
+            &[]
+        };
+        let (degree, self_loop, _, _) = row_sums(row, &self.targets[start..], weights);
         self.weighted_degrees.push(degree);
         self.self_loops.push(self_loop);
         self.offsets.push(self.targets.len());
@@ -360,7 +427,7 @@ impl CsrRows {
         if rows.start < old_end {
             let (lo, hi) = (g.offsets[rows.start], g.offsets[old_end]);
             let base = self.targets.len();
-            self.extend(&g.targets[lo..hi], &g.weights[lo..hi]);
+            self.extend(&g.targets[lo..hi], weights_of(&g.weights, lo..hi));
             self.offsets.extend(
                 g.offsets[rows.start + 1..=old_end]
                     .iter()
@@ -388,12 +455,13 @@ impl Graph {
     // audit:allow(budget-propagation): one linear pass per construction, over arrays the loader admitted against the budget
     pub(crate) fn from_csr(offsets: Vec<usize>, targets: Vec<Node>, weights: Vec<f64>) -> Self {
         let n = offsets.len() - 1;
-        debug_assert_eq!(targets.len(), weights.len());
+        debug_assert!(weights.is_empty() || targets.len() == weights.len());
         debug_assert_eq!(*offsets.last().unwrap(), targets.len());
 
         // Per-node caches, parallel over edge-balanced node ranges. Each
         // row is summed by one worker in CSR order, so the values do not
-        // depend on the split.
+        // depend on the split; the same pass finds whether every weight is
+        // 1.0.
         let ranges = weighted_ranges(&offsets, DYNAMIC_PIECES);
         let mut rows = CsrRows {
             offsets,
@@ -401,8 +469,10 @@ impl Graph {
             weights,
             weighted_degrees: vec![0.0; n],
             self_loops: vec![0.0; n],
+            weighted: true,
+            unit: true,
         };
-        let loops_per_range: Vec<usize> = {
+        let sums_per_range: Vec<(usize, bool)> = {
             let degree_pieces = split_by_ranges(&mut rows.weighted_degrees, &ranges);
             let loop_pieces = split_by_ranges(&mut rows.self_loops, &ranges);
             let (offsets, targets, weights) = (&rows.offsets, &rows.targets, &rows.weights);
@@ -413,23 +483,35 @@ impl Graph {
                 .collect::<Vec<_>>()
                 .into_par_iter()
                 .map(|((rows, degrees), loops)| {
-                    let mut num_loops = 0usize;
+                    let (mut num_loops, mut unit) = (0usize, true);
                     for (u, (wd, sl)) in rows.clone().zip(degrees.iter_mut().zip(loops)) {
                         let row = offsets[u]..offsets[u + 1];
-                        let row_loops;
-                        (*wd, *sl, row_loops) = row_sums(u, &targets[row.clone()], &weights[row]);
+                        let (row_loops, row_unit);
+                        (*wd, *sl, row_loops, row_unit) =
+                            row_sums(u, &targets[row.clone()], weights_of(weights, row));
                         num_loops += row_loops;
+                        unit &= row_unit;
                     }
-                    num_loops
+                    (num_loops, unit)
                 })
                 .collect()
         };
-        Self::from_rows(rows, loops_per_range.iter().sum())
+        rows.unit = sums_per_range.iter().all(|&(_, unit)| unit);
+        Self::from_rows(rows, sums_per_range.iter().map(|&(loops, _)| loops).sum())
     }
 
     /// The graph of five finished arrays, `num_loops` of whose entries are
-    /// self-loops: the one place the two totals are computed.
-    fn from_rows(rows: CsrRows, num_loops: usize) -> Self {
+    /// self-loops: the one place the two totals are computed, and the one
+    /// place the unit rule is applied — rows whose every weight is 1.0
+    /// keep no weights array.
+    fn from_rows(mut rows: CsrRows, num_loops: usize) -> Self {
+        let ones = if rows.unit {
+            rows.weights = Vec::new();
+            let longest = rows.offsets.windows(2).map(|o| o[1] - o[0]).max();
+            vec![1.0; longest.unwrap_or(0)]
+        } else {
+            Vec::new()
+        };
         let g = Self {
             total_weight: total_weight(&rows.weighted_degrees, &rows.self_loops),
             // Non-loop edges are stored twice, loops once.
@@ -437,6 +519,7 @@ impl Graph {
             offsets: rows.offsets,
             targets: rows.targets,
             weights: rows.weights,
+            ones,
             weighted_degrees: rows.weighted_degrees,
             self_loops: rows.self_loops,
         };
@@ -513,7 +596,12 @@ impl Graph {
         );
 
         let inserts = delta.iter().filter(|d| d.2.is_some()).count();
-        let (mut out, in_place) = CsrRows::recycling(retired, n_new, self.targets.len() + inserts);
+        // A unit graph stays unit under edits of weight 1.0 and gets no
+        // weights array; `from_rows` drops one that ends up all 1.0.
+        let weighted =
+            !self.weights.is_empty() || delta.iter().any(|d| d.2.is_some_and(|w| w != 1.0));
+        let (mut out, in_place) =
+            CsrRows::recycling(retired, n_new, self.targets.len() + inserts, weighted);
         // m = (entries + loops) / 2; only an edit of `{row, row}` changes the loops
         let mut num_loops = 2 * self.num_edges - self.targets.len();
         let mut next_row = 0usize;
@@ -663,11 +751,18 @@ impl Graph {
         &self.targets[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
-    /// Neighbor ids and the parallel slice of edge weights.
+    /// Neighbor ids and the parallel slice of edge weights — for a unit
+    /// graph a prefix of its run of 1.0s, so callers read the same values
+    /// either way.
     #[inline]
     pub fn neighbors_and_weights(&self, u: Node) -> (&[Node], &[f64]) {
         let row = self.offsets[u as usize]..self.offsets[u as usize + 1];
-        (&self.targets[row.clone()], &self.weights[row])
+        let weights = if self.weights.is_empty() {
+            &self.ones[..row.len()]
+        } else {
+            &self.weights[row.clone()]
+        };
+        (&self.targets[row], weights)
     }
 
     /// Iterator over `(neighbor, weight)` pairs of `u`.
@@ -743,7 +838,8 @@ impl Graph {
     /// invariant the rest of the workspace relies on:
     ///
     /// * offsets are monotone, start at 0 and end at `targets.len()`;
-    ///   `targets` and `weights` are parallel arrays;
+    ///   `targets` and `weights` are parallel arrays, or `weights` is
+    ///   empty and every weight is 1.0 — never a stored array of 1.0s;
     /// * every adjacency row is strictly sorted (no duplicate targets) and
     ///   every target id is in range;
     /// * edge weights are finite and non-negative;
@@ -763,12 +859,28 @@ impl Graph {
         if self.weighted_degrees.len() != n || self.self_loops.len() != n {
             return Err("cached degree arrays have wrong length".into());
         }
-        let mut num_loops = 0usize;
+        let longest = (0..n).map(|u| self.offsets[u + 1] - self.offsets[u]).max();
+        let want_ones = if self.weights.is_empty() {
+            longest.unwrap_or(0)
+        } else {
+            0
+        };
+        if self.ones.len() != want_ones || self.ones.iter().any(|&w| w != 1.0) {
+            return Err(format!(
+                "run of unit weights has {} entries (want {want_ones} 1.0s)",
+                self.ones.len()
+            ));
+        }
+        let (mut num_loops, mut unit) = (0usize, true);
         for u in 0..n {
             let row = self.offsets[u]..self.offsets[u + 1];
-            let (degree, self_loop, loops) =
-                row_sums(u, &self.targets[row.clone()], &self.weights[row]);
+            let (degree, self_loop, loops, row_unit) = row_sums(
+                u,
+                &self.targets[row.clone()],
+                weights_of(&self.weights, row),
+            );
             num_loops += loops;
+            unit &= row_unit;
             if self.weighted_degrees[u].to_bits() != degree.to_bits() {
                 return Err(format!(
                     "cached weighted_degree of {u} is {} (recomputed {degree})",
@@ -781,6 +893,9 @@ impl Graph {
                     self.self_loops[u]
                 ));
             }
+        }
+        if unit && !self.weights.is_empty() {
+            return Err("stores a weights array of 1.0s (a unit graph stores none)".into());
         }
         // The per-node caches are now known exact, so the totals recompute
         // from them as `from_rows` computes them.
@@ -926,7 +1041,7 @@ mod validate_tests {
         };
         rejects(vec![], vec![], vec![], "is empty");
         rejects(vec![1, 1], vec![0], vec![1.0], "offsets[0]");
-        rejects(vec![0, 1], vec![0], vec![], "length mismatch");
+        rejects(vec![0, 2], vec![0, 0], vec![1.0], "length mismatch");
         rejects(vec![0, 1, 3], vec![1], vec![1.0], "end at");
         rejects(vec![0, 2, 1, 2], vec![1, 0], vec![1.0, 1.0], "monotone");
         rejects(vec![0, 1, 2], vec![1, 5], vec![1.0, 1.0], "out-of-range");

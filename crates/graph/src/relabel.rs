@@ -116,7 +116,8 @@ impl Relabeling {
     /// new adjacency arrays (no atomics, no post-hoc stitching). Rows are
     /// re-sorted per node since the target mapping permutes their order,
     /// and the caches are summed from the permuted rows like any other
-    /// graph's.
+    /// graph's. A unit graph maps to a unit graph: no weights array is
+    /// written.
     pub fn apply(&self, g: &Graph) -> Graph {
         let n = g.node_count();
         assert_eq!(
@@ -140,8 +141,9 @@ impl Relabeling {
         let offsets = exclusive_prefix_sum(&degrees, parts);
         let adj = *offsets.last().unwrap_or(&0);
 
+        let unit = g.csr_view().weights.is_empty();
         let mut targets = vec![0 as Node; adj];
-        let mut weights = vec![0.0f64; adj];
+        let mut weights = vec![0.0f64; if unit { 0 } else { adj }];
         let node_ranges = chunk_ranges(n, parts);
         // The adjacency slice each node-chunk owns.
         let adj_ranges: Vec<std::ops::Range<usize>> = node_ranges
@@ -150,7 +152,10 @@ impl Relabeling {
             .collect();
         {
             let t_parts = split_by_ranges(&mut targets, &adj_ranges);
-            let w_parts = split_by_ranges(&mut weights, &adj_ranges);
+            let w_parts = match unit {
+                true => node_ranges.iter().map(|_| &mut [][..]).collect(),
+                false => split_by_ranges(&mut weights, &adj_ranges),
+            };
             node_ranges
                 .iter()
                 .zip(t_parts.into_iter().zip(w_parts))
@@ -172,7 +177,9 @@ impl Relabeling {
                         let lo = offsets[new_u] - base;
                         for (i, &(v, w)) in row.iter().enumerate() {
                             t_out[lo + i] = v;
-                            w_out[lo + i] = w;
+                            if !unit {
+                                w_out[lo + i] = w;
+                            }
                         }
                     }
                 });

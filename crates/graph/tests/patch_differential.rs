@@ -4,6 +4,8 @@
 //! `total_weight` and `num_edges` must equal — by `f64::to_bits` — what
 //! [`GraphBuilder::build`] computes from scratch for the edited edge set,
 //! whether it wrote into fresh buffers or into those of a retired graph.
+//! That includes the weights array itself: a unit graph, every weight 1.0,
+//! stores none, and a patch must come out unit exactly when the build does.
 
 use parcom_graph::{Graph, GraphBuilder, Node};
 use proptest::prelude::*;
@@ -49,16 +51,25 @@ fn arb_weight() -> impl Strategy<Value = f64> {
     })
 }
 
-/// A weighted graph (self-loops included) as its node count and edge set,
-/// a grown node count, and one edit per unordered pair below it: inserts,
-/// overwrites, removes of present and of absent edges.
+/// A graph (self-loops included) as its node count and edge set, a grown
+/// node count, and one edit per unordered pair below it: inserts,
+/// overwrites, removes of present and of absent edges. A `unit` graph has
+/// every weight 1.0, and so has every one of its edits but about one insert
+/// in eight: most patches keep it unit, some give it weights.
 #[allow(clippy::type_complexity)]
-fn arb_patch() -> impl Strategy<Value = (usize, Edges, usize, Vec<(Node, Node, Option<f64>)>)> {
-    (2..60usize, 0..6usize).prop_flat_map(|(n, grow)| {
+fn arb_patch(
+    unit: bool,
+) -> impl Strategy<Value = (usize, Edges, usize, Vec<(Node, Node, Option<f64>)>)> {
+    (2..60usize, 0..6usize).prop_flat_map(move |(n, grow)| {
         let n_new = n + grow;
-        let edge = (0..n as Node, 0..n as Node, arb_weight());
+        let edge_weight = arb_weight().prop_map(move |w| if unit { 1.0 } else { w });
+        let edge = (0..n as Node, 0..n as Node, edge_weight);
         // two inserts or overwrites to one remove
-        let value = (0..3u32, arb_weight()).prop_map(|(kind, w)| (kind > 0).then_some(w));
+        let value = (0..24u32, arb_weight()).prop_map(move |(kind, w)| match kind % 3 {
+            0 => None,
+            _ if unit && kind > 2 => Some(1.0),
+            _ => Some(w),
+        });
         let edit = (0..n_new as Node, 0..n_new as Node, value);
         (
             proptest::collection::vec(edge, 0..(4 * n)),
@@ -77,23 +88,41 @@ fn arb_patch() -> impl Strategy<Value = (usize, Edges, usize, Vec<(Node, Node, O
     })
 }
 
+/// Applies `edits` to `g`, the graph of `edges`, and checks the patch
+/// against a fresh build of the edited edge set, in fresh buffers and in
+/// those of retired graphs: one that fits, a weighted one and a unit one
+/// too small for anything.
+fn check_patch(n: usize, mut edges: Edges, n_new: usize, edits: &[(Node, Node, Option<f64>)]) {
+    let g = build(n, &edges);
+    for &(u, v, w) in edits {
+        let key = (u.min(v), u.max(v));
+        match w {
+            Some(w) => edges.insert(key, w),
+            None => edges.remove(&key),
+        };
+    }
+    let want = build(n_new, &edges);
+    assert_bit_identical(&g.patched(n_new, edits), &want, "fresh buffers");
+    let weighted = build(n_new, &[((0, 0), 0.5)].into_iter().collect());
+    for (what, retired) in [
+        ("recycled", want.clone()),
+        ("weighted", weighted),
+        ("too small", build(1, &Edges::new())),
+    ] {
+        let (got, _) = g.patched_into(n_new, edits, Some(retired));
+        assert_bit_identical(&got, &want, what);
+    }
+}
+
 proptest! {
     #[test]
-    fn patched_caches_match_a_fresh_build((n, mut edges, n_new, edits) in arb_patch()) {
-        let g = build(n, &edges);
-        for &(u, v, w) in &edits {
-            let key = (u.min(v), u.max(v));
-            match w {
-                Some(w) => edges.insert(key, w),
-                None => edges.remove(&key),
-            };
-        }
-        let want = build(n_new, &edges);
-        assert_bit_identical(&g.patched(n_new, &edits), &want, "fresh buffers");
-        // Buffers that fit (the result's own size) and buffers that do not.
-        for (what, retired) in [("recycled", want.clone()), ("too small", build(1, &Edges::new()))] {
-            let (got, _) = g.patched_into(n_new, &edits, Some(retired));
-            assert_bit_identical(&got, &want, what);
-        }
+    fn patched_caches_match_a_fresh_build((n, edges, n_new, edits) in arb_patch(false)) {
+        check_patch(n, edges, n_new, &edits);
+    }
+
+    #[test]
+    fn patched_unit_graphs_match_a_fresh_build((n, edges, n_new, edits) in arb_patch(true)) {
+        prop_assert!(build(n, &edges).csr_view().weights.is_empty());
+        check_patch(n, edges, n_new, &edits);
     }
 }

@@ -298,7 +298,8 @@ fn sections<'a>(
     let mut sections = Vec::with_capacity(5);
     sections.push((SEC_OFFSETS, Payload::U64s(view.offsets)));
     sections.push((SEC_TARGETS, Payload::U32s(view.targets)));
-    if view.weights.iter().any(|&w| w != 1.0) {
+    // a unit graph stores no weights, and its file carries none
+    if !view.weights.is_empty() {
         sections.push((SEC_WEIGHTS, Payload::F64s(view.weights)));
     }
     if let Some(r) = relabeling {
@@ -533,8 +534,9 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
     let targets = from_le_u32s(sized(SEC_TARGETS, "targets", bytes_of(Some(adj), 4)?)?);
     let weights = match section(SEC_WEIGHTS) {
         Some(_) => from_le_f64s(sized(SEC_WEIGHTS, "weights", bytes_of(Some(adj), 8)?)?),
-        // Unweighted graphs omit the section; every weight is 1.
-        None => vec![1.0; adj],
+        // Unweighted graphs omit the section: every weight is 1, which
+        // the graph stores as no weights at all.
+        None => Vec::new(),
     };
 
     let relabeling = if flags & FLAG_RELABELED != 0 {
@@ -625,6 +627,8 @@ mod tests {
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert!(loaded.relabeling.is_none());
+        // a unit graph reopens unit: no weights array
+        assert!(g.csr_view().weights.is_empty() && loaded.graph.csr_view().weights.is_empty());
     }
 
     #[test]
@@ -741,6 +745,32 @@ mod tests {
         let weighted = image(&sample(true), None, None);
         // Section counts differ by exactly the weights section.
         assert_eq!(rd_u32(&unweighted, 12) + 1, rd_u32(&weighted, 12));
+    }
+
+    #[test]
+    fn a_section_of_unit_weights_reopens_unit_and_is_rewritten_without_it() {
+        let g = sample(false);
+        let with_weights = |weights: &[f64]| {
+            let mut s = sections(&g, None, None);
+            s.insert(2, (SEC_WEIGHTS, Payload::F64s(weights)));
+            let mut out = Vec::new();
+            write_sections(&g, &s, &mut out).unwrap();
+            out
+        };
+        let adj = g.csr_view().targets.len();
+        let explicit = with_weights(&vec![1.0; adj]);
+        assert_eq!(
+            rd_u32(&explicit, 12),
+            rd_u32(&image(&g, None, None), 12) + 1
+        );
+        let loaded = load(&explicit, &Budget::unlimited()).unwrap();
+        assert!(loaded.graph.csr_view().weights.is_empty());
+        assert_bit_identical(&g, &loaded.graph);
+        assert_eq!(image(&loaded.graph, None, None), image(&g, None, None));
+        // a weights section of the wrong length is still a typed error
+        let err = load(&with_weights(&vec![1.0; adj - 1]), &Budget::unlimited()).unwrap_err();
+        assert!(matches!(err.kind(), crate::IoErrorKind::Parse(_)), "{err}");
+        assert!(err.to_string().contains("section weights has"), "{err}");
     }
 
     #[test]

@@ -196,7 +196,8 @@ fn neighbor_token_slow(
 /// Pass 2 over one body chunk whose first adjacency line belongs to node
 /// `start_node`: writes every row's entries, in file order, into the
 /// chunk's region of the arrays (`targets`/`weights`, which begin at row
-/// `start_node`'s offset; `offsets` is the whole array).
+/// `start_node`'s offset; `offsets` is the whole array). An unweighted
+/// file writes no weights: `weights` is empty.
 ///
 /// The loop is a single fused byte cursor: line splitting, whitespace
 /// skipping, comment classification, and decimal accumulation all happen
@@ -283,7 +284,7 @@ fn parse_body_chunk(
                     format!("neighbor id {v} out of range 1..={n}"),
                 ));
             }
-            let w = if weighted {
+            if weighted {
                 while i < len && b[i] != b'\n' && b[i].is_ascii_whitespace() {
                     i += 1;
                 }
@@ -310,12 +311,9 @@ fn parse_body_chunk(
                         ),
                     ));
                 }
-                w
-            } else {
-                1.0
-            };
+                weights[at] = w;
+            }
             targets[at] = (v - 1) as Node;
-            weights[at] = w;
             at += 1;
             while i < len && b[i] != b'\n' && b[i].is_ascii_whitespace() {
                 i += 1;
@@ -390,15 +388,19 @@ pub(crate) fn parse(bytes: &[u8], parts: usize, budget: &Budget) -> Result<Rows,
     // arrays; the earliest chunk's error wins (chunks are in line order,
     // so that is the earliest line, matching the sequential reader).
     let entries = offsets[n];
+    // An unweighted file's graph is unit: it gets no weights array.
     let mut targets = vec![0 as Node; entries];
-    let mut weights = vec![0.0f64; entries];
+    let mut weights = vec![0.0f64; if weighted { entries } else { 0 }];
     {
         let regions: Vec<std::ops::Range<usize>> = (start_nodes.iter())
             .zip(start_nodes.iter().skip(1).chain([&total_data]))
             .map(|(&first, &end)| offsets[first.min(n)]..offsets[end.min(n)])
             .collect();
         let t_regions = split_by_ranges(&mut targets, &regions);
-        let w_regions = split_by_ranges(&mut weights, &regions);
+        let w_regions = match weighted {
+            true => split_by_ranges(&mut weights, &regions),
+            false => regions.iter().map(|_| &mut [][..]).collect(),
+        };
         let offsets = &offsets;
         chunk::first_error(
             (chunks.into_iter().zip(start_nodes))
@@ -644,7 +646,8 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
 /// every edge weight is exactly 1.
 pub fn write_metis_to(g: &Graph, writer: impl Write) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
-    let weighted = g.nodes().any(|u| g.edges_of(u).any(|(_, wt)| wt != 1.0));
+    // a unit graph stores no weights: every one is 1
+    let weighted = !g.csr_view().weights.is_empty();
     writeln!(
         w,
         "{} {}{}",
@@ -904,6 +907,40 @@ mod tests {
         assert_eq!(g.self_loop_weight(0), 2.0);
         let seq = read_metis_seq(input.as_bytes()).unwrap();
         assert_eq!(seq.csr_view().weights, g.csr_view().weights);
+    }
+
+    #[test]
+    fn an_unweighted_file_is_unit_unless_a_neighbor_repeats() {
+        let unit = read(b"3 2\n2\n1 3\n2\n").unwrap();
+        assert!(unit.csr_view().weights.is_empty());
+        // {1, 2} twice on both lines and a self-loop twice, out of order:
+        // the repeats sum to 2.0, as the builder merges parallel edges
+        let input = "3 3\n2 3 2 1 1\n1 1\n1\n";
+        let mut b = GraphBuilder::new(3);
+        for (u, v) in [(0, 1), (0, 1), (0, 2), (0, 0), (0, 0)] {
+            b.add_unweighted_edge(u, v);
+        }
+        let want = b.build();
+        let bits = |g: &Graph| {
+            let v = g.csr_view();
+            let floats = [
+                v.weights,
+                v.weighted_degrees,
+                v.self_loops,
+                &[v.total_weight],
+            ];
+            let floats = floats.map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
+            (v.offsets.to_vec(), v.targets.to_vec(), floats, v.num_edges)
+        };
+        assert_eq!(want.csr_view().weights, &[2.0, 2.0, 1.0, 2.0, 1.0]);
+        let seq = read_metis_seq(input.as_bytes()).unwrap();
+        let chunked = (1..=4).map(|parts| read_metis_chunked(input.as_bytes(), parts).unwrap());
+        for g in [read(input.as_bytes()).unwrap(), seq]
+            .into_iter()
+            .chain(chunked)
+        {
+            assert_eq!(bits(&g), bits(&want));
+        }
     }
 
     #[test]

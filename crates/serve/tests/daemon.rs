@@ -203,6 +203,15 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(status, 201, "{v:?}");
     assert_eq!(get_u64(&v, "nodes"), 20);
     assert_eq!(get_u64(&v, "edges"), g.edge_count() as u64);
+    // an unweighted graph holds offsets, targets and two per-node caches,
+    // and no weights: 8(n + 1) + 4·2m + 16n bytes (no self-loops)
+    let csr_bytes = |n: u64, m: u64| 8 * (n + 1) + 4 * 2 * m + 16 * n;
+    let (status, v) = client.request("GET", "/graphs", "");
+    assert_eq!(status, 200);
+    let listed = &v.get("graphs").and_then(Value::as_array).unwrap()[0];
+    let m = g.edge_count() as u64;
+    assert_eq!(get_u64(listed, "resident_bytes"), csr_bytes(20, m));
+    assert_eq!(get_u64(listed, "spare_bytes"), 0);
 
     // a clean detection recovers the 4 cliques and embeds a v2 run report
     let (status, v) = client.request(
@@ -345,9 +354,12 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(graphs.len(), 1);
     assert_eq!(get_str(&graphs[0], "name"), "ring");
     assert_eq!(get_u64(&graphs[0], "rebuilds"), 2);
-    // an edited graph holds its CSR and the one the last fold retired
-    assert!(get_u64(&graphs[0], "resident_bytes") > 0);
-    assert!(get_u64(&graphs[0], "spare_bytes") > 0);
+    // an edited graph holds its CSR and the one the last fold retired,
+    // both still unit: every insert had weight 1 (the spare has the two
+    // edges the last batch removed)
+    let m = get_u64(&graphs[0], "edges");
+    assert_eq!(get_u64(&graphs[0], "resident_bytes"), csr_bytes(20, m));
+    assert_eq!(get_u64(&graphs[0], "spare_bytes"), csr_bytes(20, m + 2));
 
     let (status, _) = client.request("DELETE", "/graphs/ring", "");
     assert_eq!(status, 200);

@@ -349,3 +349,47 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
         [false, false, true, true, true, false, false, true, true]
     );
 }
+
+/// A unit graph through one entry: unit batches keep it unit, a weighted
+/// insert gives it weights, removing that edge makes it unit again. Each
+/// fold must equal the reference — `weights.is_empty()` included — and a
+/// unit fold into a unit spare recycles it, though the spare has no
+/// weights buffer at all.
+#[test]
+fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
+    use EdgeOp::{Insert, Remove};
+    let g = lfr(LfrParams::benchmark(5000, 0.3), 11).0;
+    assert!(g.csr_view().weights.is_empty());
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    let mut want = g.clone();
+    let mut entry = GraphEntry::new(g, None);
+    let (mut recycled, mut unit) = (Vec::new(), Vec::new());
+    for step in 0..7 {
+        let (n, edges) = (want.node_count(), want.par_collect_edges());
+        let batch: Vec<EdgeOp> = match step {
+            3 => vec![Insert(17, 4000, 2.5)],
+            4 => vec![Remove(4000, 17), Insert(18, 4001, 1.0)],
+            // the benchmark's mix: 48 unit inserts, 16 removes
+            _ => (0..64)
+                .map(|i| {
+                    let (u, v, _) = edges[rng.below(edges.len())];
+                    match i % 4 {
+                        0 => Remove(u, v),
+                        _ => Insert(rng.below(n) as Node, rng.below(n) as Node, 1.0),
+                    }
+                })
+                .collect(),
+        };
+        want = fold_reference(&want, None, &batch);
+        entry.buffer_ops(batch);
+        let snapshot = entry.snapshot();
+        assert_bit_identical(&snapshot.graph, &want, &format!("fold {step}"));
+        recycled.push(snapshot.recycled);
+        unit.push(snapshot.graph.csr_view().weights.is_empty());
+    }
+    assert_eq!(unit, [true, true, true, false, true, true, true]);
+    // No spare yet; its capacity is exact; a unit spare serves a unit
+    // fold; the first weighted fold and the one after it find a unit
+    // spare without a weights buffer; then unit folds recycle again.
+    assert_eq!(recycled, [false, false, true, false, false, true, true]);
+}
