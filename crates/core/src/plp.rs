@@ -203,7 +203,9 @@ impl Plp {
             order.par_iter().for_each_init(
                 || (scratch.take(label_bound.max(1)), LocalCount::new(&updated)),
                 |(weight_to, local_updates), &v| {
-                    if g.degree(v) == 0 || !active[v as usize].load(Ordering::Relaxed) {
+                    // the flag first: a warm sweep skips almost every node,
+                    // and the flag costs less to read than the row
+                    if !active[v as usize].load(Ordering::Relaxed) || g.degree(v) == 0 {
                         return;
                     }
                     weight_to.clear();

@@ -26,10 +26,22 @@
 //! the difference: [`Graph::neighbors_and_weights`] hands a unit row a
 //! slice of a per-graph run of 1.0s, and sums of 1.0 are exact in `f64`,
 //! so every cache and every result is bit for bit the weighted one's.
+//!
+//! A graph can also be an *overlay*: a plain base CSR, shared through an
+//! `Arc`, plus a small set of replaced rows ([`Graph::overlaid`]). That is
+//! how an edit reaches a resident graph without copying it: the edit
+//! writes the rows it touches, and every accessor reads a replaced row
+//! from the overlay and any other from the base. Each accessor reads the
+//! same values the compacted graph — the overlay written out as one CSR —
+//! would give, down to the bits, and [`Graph::edge_balanced_ranges`]
+//! splits where that graph's offsets would, so a kernel cannot tell the
+//! two apart. A graph without an overlay (every batch graph) tests one
+//! pointer per accessor call and takes the plain path.
 
-use crate::parallel::{split_by_ranges, weighted_ranges, DYNAMIC_PIECES};
+use crate::parallel::{split_by_ranges, weighted_ranges, weighted_ranges_of, DYNAMIC_PIECES};
 use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which halves the
 /// memory traffic of adjacency scans compared to `usize` ids.
@@ -71,10 +83,81 @@ pub struct Graph {
     total_weight: f64,
     /// Number of undirected edges (self-loops count one).
     num_edges: usize,
+    /// The replaced rows over a shared base, for an overlay graph; its
+    /// five arrays above are then empty.
+    overlay: Option<Box<Overlay>>,
+}
+
+/// Rows replacing a graph's own, for an edited graph of `n` nodes: row
+/// `ids[i]` is `offsets[i]..offsets[i + 1]` of `targets` and `weights`,
+/// with its caches at index `i`. One merge builds it
+/// ([`Graph::replaced_rows`]); an overlay graph reads it, a compaction
+/// writes it out.
+#[derive(Clone, Debug)]
+struct RowSet {
+    /// Replaced row ids, strictly increasing.
+    ids: Vec<Node>,
+    /// Row offsets into `targets`; length `ids.len() + 1`.
+    offsets: Vec<usize>,
+    /// Concatenated, per-row-sorted neighbor lists.
+    targets: Vec<Node>,
+    /// Parallel to `targets`; empty iff every weight in it is 1.0.
+    weights: Vec<f64>,
+    /// One 1.0 per entry of the longest row when `weights` is empty.
+    ones: Vec<f64>,
+    /// Per-row sum of incident weights (self-loop once).
+    weighted_degrees: Vec<f64>,
+    /// Per-row self-loop weight.
+    self_loops: Vec<f64>,
+    /// Entries the base CSR gives the rows `ids[..i]`, per `i` in
+    /// `0..=ids.len()` (a row past the base's node range has none).
+    base_prefix: Vec<usize>,
+    /// Node count of the edited graph.
+    n: usize,
+    /// Adjacency entries of the edited graph.
+    entries: usize,
+    /// How many of those entries are self-loops.
+    num_loops: usize,
+}
+
+/// What an overlay graph holds beside its totals: the base, the replaced
+/// rows and the index that finds them.
+#[derive(Clone, Debug)]
+struct Overlay {
+    /// The plain CSR every row not in `rows` is read from (rows at or past
+    /// its node count are empty), shared with the graphs edited from it.
+    base: Arc<Graph>,
+    rows: RowSet,
+    /// Bit `u % 64` of word `u / 64` is set iff row `u` is replaced.
+    mask: Vec<u64>,
+    /// Replaced rows below `64 · w`, per mask word `w`.
+    rank: Vec<u32>,
+    /// The compacted graph, built by the first [`Graph::csr_view`].
+    compacted: OnceLock<Graph>,
+}
+
+/// The bytes a graph holds, split between the base CSR and an overlay —
+/// counted from the arrays' lengths, without compacting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Bytes of the five arrays of the plain CSR: the graph itself, or an
+    /// overlay graph's base.
+    pub base_bytes: usize,
+    /// Adjacency entries of that CSR.
+    pub base_entries: usize,
+    /// Replaced rows of the overlay (0 for a plain graph).
+    pub overlay_rows: usize,
+    /// Adjacency entries of those rows.
+    pub overlay_entries: usize,
+    /// Bytes of every array the overlay holds: its rows' ids, offsets,
+    /// targets, weights (none when all are 1.0), caches and base-entry
+    /// prefix, the row mask and its rank table.
+    pub overlay_bytes: usize,
 }
 
 /// Borrowed view of every CSR array and derived cache of a [`Graph`] — what a
-/// serializer or a footprint count reads.
+/// serializer or a footprint count reads. An overlay graph shows its
+/// compaction.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrView<'a> {
     /// Row offsets; length `n + 1`.
@@ -95,7 +178,8 @@ pub struct CsrView<'a> {
 }
 
 /// The five arrays of a graph under construction, rows appended in node
-/// order — the output side of [`Graph::patched_into`].
+/// order — the output side of a compaction, and (rows appended in id
+/// order) the arena a [`RowSet`] is merged into.
 struct CsrRows {
     offsets: Vec<usize>,
     targets: Vec<Node>,
@@ -158,13 +242,31 @@ fn row_sums(row: usize, targets: &[Node], weights: &[f64]) -> (f64, f64, usize, 
 /// once. Summed sequentially in node order — a parallel reduction would tie
 /// the value to the split points. A row has at most one loop entry, so
 /// adding `self_loops[u]` (0.0 elsewhere) is the entry-by-entry sum.
-fn total_weight(weighted_degrees: &[f64], self_loops: &[f64]) -> f64 {
-    let (mut directed_weight, mut loop_total) = (0.0, 0.0);
-    for (wd, sl) in weighted_degrees.iter().zip(self_loops) {
-        directed_weight += wd;
-        loop_total += sl;
+#[derive(Default)]
+struct WeightSum {
+    directed: f64,
+    loops: f64,
+}
+
+impl WeightSum {
+    /// Adds the caches of the next rows, in node order.
+    fn add(&mut self, weighted_degrees: &[f64], self_loops: &[f64]) {
+        for (wd, sl) in weighted_degrees.iter().zip(self_loops) {
+            self.directed += wd;
+            self.loops += sl;
+        }
     }
-    (directed_weight - loop_total) / 2.0 + loop_total
+
+    fn total(&self) -> f64 {
+        (self.directed - self.loops) / 2.0 + self.loops
+    }
+}
+
+/// ω(E) of a whole CSR's caches.
+fn total_weight(weighted_degrees: &[f64], self_loops: &[f64]) -> f64 {
+    let mut sum = WeightSum::default();
+    sum.add(weighted_degrees, self_loops);
+    sum.total()
 }
 
 /// The invariants of the three CSR arrays, `weights` empty for a unit
@@ -404,10 +506,10 @@ impl CsrRows {
         }
     }
 
-    /// Closes the open row, summing its caches as [`Graph::from_csr`] does.
-    fn end_row(&mut self) {
-        let row = self.weighted_degrees.len();
-        let start = self.offsets[row];
+    /// Closes the open row, that of node `row`, summing its caches as
+    /// [`Graph::from_csr`] does.
+    fn end_row(&mut self, row: usize) {
+        let start = self.offsets[self.weighted_degrees.len()];
         let weights = if self.weighted {
             &self.weights[start..]
         } else {
@@ -443,6 +545,200 @@ impl CsrRows {
             .extend((rows.start.max(old_end)..rows.end).map(|_| end));
         self.weighted_degrees.resize(self.offsets.len() - 1, 0.0);
         self.self_loops.resize(self.offsets.len() - 1, 0.0);
+    }
+
+    /// Appends the rows `rows` (indices, not ids) of `set` unchanged, with
+    /// their cached sums: one slice copy per array.
+    fn copy_set_rows(&mut self, set: &RowSet, rows: Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        let (lo, hi) = (set.offsets[rows.start], set.offsets[rows.end]);
+        let base = self.targets.len();
+        self.extend(&set.targets[lo..hi], weights_of(&set.weights, lo..hi));
+        self.offsets.extend(
+            set.offsets[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&o| o - lo + base),
+        );
+        self.weighted_degrees
+            .extend_from_slice(&set.weighted_degrees[rows.clone()]);
+        self.self_loops.extend_from_slice(&set.self_loops[rows]);
+    }
+}
+
+impl RowSet {
+    /// The row set of merged `rows` with ids `ids`, the unit rule applied:
+    /// rows whose every weight is 1.0 keep no weights array.
+    fn new(
+        ids: Vec<Node>,
+        base_prefix: Vec<usize>,
+        rows: CsrRows,
+        n: usize,
+        entries: usize,
+        num_loops: usize,
+    ) -> Self {
+        let (mut weights, mut ones) = (rows.weights, Vec::new());
+        if rows.unit {
+            weights = Vec::new();
+            let longest = rows.offsets.windows(2).map(|o| o[1] - o[0]).max();
+            ones = vec![1.0; longest.unwrap_or(0)];
+        }
+        Self {
+            ids,
+            offsets: rows.offsets,
+            targets: rows.targets,
+            weights,
+            ones,
+            weighted_degrees: rows.weighted_degrees,
+            self_loops: rows.self_loops,
+            base_prefix,
+            n,
+            entries,
+            num_loops,
+        }
+    }
+
+    /// Targets and weights of the `i`-th row.
+    #[inline]
+    fn row(&self, i: usize) -> (&[Node], &[f64]) {
+        let row = self.offsets[i]..self.offsets[i + 1];
+        let weights = if self.weights.is_empty() {
+            &self.ones[..row.len()]
+        } else {
+            &self.weights[row.clone()]
+        };
+        (&self.targets[row], weights)
+    }
+
+    /// The graph these rows and `base`'s other rows make, written as one
+    /// CSR into the buffers of `retired` ([`CsrRows::recycling`]): base
+    /// rows are bulk-copied in runs between the replaced ones. Also says
+    /// whether nothing was allocated.
+    fn compact(&self, base: &Graph, retired: Option<Graph>) -> (Graph, bool) {
+        debug_assert!(base.overlay.is_none());
+        let weighted = !base.weights.is_empty() || !self.weights.is_empty();
+        let (mut out, in_place) = CsrRows::recycling(retired, self.n, self.entries, weighted);
+        let mut next_row = 0;
+        for (i, &row) in self.ids.iter().enumerate() {
+            out.copy_rows(base, next_row..row as usize);
+            out.copy_set_rows(self, i..i + 1);
+            next_row = row as usize + 1;
+        }
+        out.copy_rows(base, next_row..self.n);
+        (Graph::from_rows(out, self.num_loops), in_place)
+    }
+
+    /// Undirected edges of the edited graph (self-loops count one).
+    fn num_edges(&self) -> usize {
+        (self.entries - self.num_loops) / 2 + self.num_loops
+    }
+
+    /// ω(E) of the graph these rows and `base`'s other rows make, bit for
+    /// bit what [`Graph::from_rows`] computes for its compaction: the same
+    /// node-order sums, read from the base between the replaced rows. When
+    /// every weight is 1.0 those sums are counts, exact in any order below
+    /// 2^53, so ω(E) is m and nothing is read.
+    fn total_weight(&self, base: &Graph) -> f64 {
+        if base.weights.is_empty()
+            && self.weights.is_empty()
+            && self.entries < 1 << f64::MANTISSA_DIGITS
+        {
+            return self.num_edges() as f64;
+        }
+        let bn = base.node_count();
+        let mut sum = WeightSum::default();
+        let mut next_row = 0;
+        for (i, &u) in self.ids.iter().enumerate() {
+            let u = u as usize;
+            // Rows past the base's range that are not replaced are empty;
+            // skipping their 0.0s leaves every partial sum as it was.
+            let upto = u.min(bn);
+            if next_row < upto {
+                sum.add(
+                    &base.weighted_degrees[next_row..upto],
+                    &base.self_loops[next_row..upto],
+                );
+            }
+            sum.add(&self.weighted_degrees[i..=i], &self.self_loops[i..=i]);
+            next_row = u + 1;
+        }
+        if next_row < bn {
+            sum.add(
+                &base.weighted_degrees[next_row..],
+                &base.self_loops[next_row..],
+            );
+        }
+        sum.total()
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.ids.as_slice())
+            + std::mem::size_of_val(self.offsets.as_slice())
+            + std::mem::size_of_val(self.targets.as_slice())
+            + std::mem::size_of_val(self.weights.as_slice())
+            + std::mem::size_of_val(self.weighted_degrees.as_slice())
+            + std::mem::size_of_val(self.self_loops.as_slice())
+            + std::mem::size_of_val(self.base_prefix.as_slice())
+    }
+}
+
+impl Overlay {
+    /// The index of row `u` in `rows`, if it is replaced.
+    #[inline]
+    fn slot(&self, u: Node) -> Option<usize> {
+        let at = u as usize / 64;
+        let (word, bit) = (self.mask[at], 1u64 << (u % 64));
+        (word & bit != 0).then(|| self.rank[at] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// Replaced rows below `u`, for `u` in `0..=n`.
+    fn rank_below(&self, u: usize) -> usize {
+        match self.mask.get(u / 64) {
+            Some(&word) if u < self.rows.n => {
+                self.rank[u / 64] as usize + (word & ((1u64 << (u % 64)) - 1)).count_ones() as usize
+            }
+            _ => self.rows.ids.len(),
+        }
+    }
+
+    /// Where row `u` starts in the compacted graph: its `offsets[u]`, for
+    /// `u` in `0..=n`.
+    fn offset(&self, u: usize) -> usize {
+        let k = self.rank_below(u);
+        self.base.offsets[u.min(self.base.node_count())] + self.rows.offsets[k]
+            - self.rows.base_prefix[k]
+    }
+
+    #[inline(never)]
+    fn neighbors_and_weights(&self, u: Node) -> (&[Node], &[f64]) {
+        match self.slot(u) {
+            Some(i) => self.rows.row(i),
+            None if (u as usize) < self.base.node_count() => self.base.neighbors_and_weights(u),
+            None => (&[], &[]),
+        }
+    }
+
+    #[inline(never)]
+    fn degree(&self, u: Node) -> usize {
+        match self.slot(u) {
+            Some(i) => self.rows.offsets[i + 1] - self.rows.offsets[i],
+            None if (u as usize) < self.base.node_count() => self.base.degree(u),
+            None => 0,
+        }
+    }
+
+    /// Weighted degree and self-loop weight of `u`.
+    #[inline(never)]
+    fn caches(&self, u: Node) -> (f64, f64) {
+        match self.slot(u) {
+            Some(i) => (self.rows.weighted_degrees[i], self.rows.self_loops[i]),
+            None if (u as usize) < self.base.node_count() => (
+                self.base.weighted_degrees[u as usize],
+                self.base.self_loops[u as usize],
+            ),
+            None => (0.0, 0.0),
+        }
     }
 }
 
@@ -522,6 +818,7 @@ impl Graph {
             ones,
             weighted_degrees: rows.weighted_degrees,
             self_loops: rows.self_loops,
+            overlay: None,
         };
         // Postcondition of every construction path (GraphBuilder::build,
         // coarsening and patches all land here): the full validator in
@@ -538,11 +835,10 @@ impl Graph {
     ///
     /// Each edit is one undirected edge `{u, v}`, at most once per unordered
     /// pair, with ids below `n_new`: `Some(w)` inserts the edge or overwrites
-    /// its weight, `None` removes it if present. Rows no edit touches are
-    /// bulk-copied in runs (offsets shifted by the running displacement) and
-    /// their cached sums with them; only the ≤ 2·|edits| touched rows are
-    /// merged and re-summed entry by entry, so the cost beyond the memcpy is
-    /// proportional to the edit, not to the graph.
+    /// its weight, `None` removes it if present. Only the ≤ 2·|edits|
+    /// touched rows are merged and re-summed entry by entry
+    /// ([`Self::overlaid`]'s merge); every other row is bulk-copied in runs
+    /// (offsets shifted by the running displacement) with its cached sums.
     ///
     /// The result is what [`crate::GraphBuilder::build`] yields for the
     /// edited edge set, bit for bit: rows sorted by neighbor, untouched
@@ -564,6 +860,69 @@ impl Graph {
         edits: &[(Node, Node, Option<f64>)],
         retired: Option<Self>,
     ) -> (Self, bool) {
+        let rows = self.replaced_rows(n_new, edits);
+        rows.compact(self.plain(), retired)
+    }
+
+    /// The graph `this` becomes under `edits` (the contract of
+    /// [`Self::patched`]), as an overlay that shares `this`'s base CSR and
+    /// holds only the rows that differ from it: those the edits touch,
+    /// merged, and those an overlay of `this` already held, copied. That
+    /// costs O(Σ touched degree + |overlay|), an n-bit row mask and, unless
+    /// every weight is 1.0, one O(n) read that re-sums ω(E) in node order,
+    /// so every total is the compacted graph's, bit for bit. Nothing
+    /// `this` holds is written.
+    ///
+    /// The rows pile up fold after fold; [`Self::compacted_into`] writes
+    /// them out when the caller decides they are too many.
+    pub fn overlaid(this: &Arc<Self>, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
+        let rows = this.replaced_rows(n_new, edits);
+        let base = match &this.overlay {
+            Some(o) => Arc::clone(&o.base),
+            None => Arc::clone(this),
+        };
+        let mut mask = vec![0u64; rows.n.div_ceil(64)];
+        for &u in &rows.ids {
+            mask[u as usize / 64] |= 1 << (u % 64);
+        }
+        let mut seen = 0u32;
+        let rank = (mask.iter())
+            .map(|word| {
+                let below = seen;
+                seen += word.count_ones();
+                below
+            })
+            .collect();
+        let total_weight = rows.total_weight(&base);
+        let g = Self {
+            offsets: Vec::new(),
+            targets: Vec::new(),
+            weights: Vec::new(),
+            ones: Vec::new(),
+            weighted_degrees: Vec::new(),
+            self_loops: Vec::new(),
+            total_weight,
+            num_edges: rows.num_edges(),
+            overlay: Some(Box::new(Overlay {
+                base,
+                rows,
+                mask,
+                rank,
+                compacted: OnceLock::new(),
+            })),
+        };
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        if let Err(e) = g.validate() {
+            panic!("an edit produced an inconsistent overlay graph: {e}");
+        }
+        g
+    }
+
+    /// The rows of the graph `self` becomes under `edits` that differ from
+    /// its plain base: each touched row merged with its run of edits (both
+    /// directions of every edit, a self-loop once), each row of `self`'s
+    /// overlay the edits leave alone copied in runs.
+    fn replaced_rows(&self, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> RowSet {
         let n_old = self.node_count();
         assert!(n_new >= n_old, "a patch cannot shrink the node range");
         assert!(
@@ -595,24 +954,60 @@ impl Graph {
             "an edge may be edited at most once per patch"
         );
 
-        let inserts = delta.iter().filter(|d| d.2.is_some()).count();
-        // A unit graph stays unit under edits of weight 1.0 and gets no
-        // weights array; `from_rows` drops one that ends up all 1.0.
-        let weighted =
-            !self.weights.is_empty() || delta.iter().any(|d| d.2.is_some_and(|w| w != 1.0));
-        let (mut out, in_place) =
-            CsrRows::recycling(retired, n_new, self.targets.len() + inserts, weighted);
+        let old = self.overlay.as_deref().map(|o| &o.rows);
+        // Unit rows stay unit under edits of weight 1.0 and get no weights
+        // array; `RowSet::new` drops one that ends up all 1.0.
+        let weighted = !self.plain().weights.is_empty()
+            || old.is_some_and(|o| !o.weights.is_empty())
+            || delta.iter().any(|d| d.2.is_some_and(|w| w != 1.0));
+        let old_len = old.map_or(0, |o| o.ids.len());
+        let mut out = CsrRows {
+            offsets: vec![0],
+            targets: Vec::new(),
+            weights: Vec::new(),
+            weighted_degrees: Vec::with_capacity(old_len + delta.len()),
+            self_loops: Vec::with_capacity(old_len + delta.len()),
+            weighted,
+            unit: true,
+        };
+        let mut ids = Vec::with_capacity(old_len + delta.len());
+        let mut base_prefix = Vec::with_capacity(old_len + delta.len() + 1);
+        base_prefix.push(0);
+        // appends the base entries of the old overlay's rows `rows`
+        let copy_prefix = |prefix: &mut Vec<usize>, old: &RowSet, rows: Range<usize>| {
+            let shift = prefix[prefix.len() - 1] - old.base_prefix[rows.start];
+            prefix.extend(
+                old.base_prefix[rows.start + 1..=rows.end]
+                    .iter()
+                    .map(|&p| p + shift),
+            );
+        };
+        let mut entries = self.entry_count();
         // m = (entries + loops) / 2; only an edit of `{row, row}` changes the loops
-        let mut num_loops = 2 * self.num_edges - self.targets.len();
-        let mut next_row = 0usize;
+        let mut num_loops = 2 * self.num_edges - entries;
+        // the first row of `old` not merged or copied yet
+        let mut next_old = 0;
         for run in delta.chunk_by(|a, b| a.0 == b.0) {
             let row = run[0].0;
-            out.copy_rows(self, next_row..row as usize);
             let (old_t, old_w): (&[Node], &[f64]) = if (row as usize) < n_old {
                 self.neighbors_and_weights(row)
             } else {
                 (&[], &[])
             };
+            // a row the old overlay does not replace is the base's
+            let mut base_degree = old_t.len();
+            if let Some(old) = old {
+                let upto = next_old + old.ids[next_old..].partition_point(|&r| r < row);
+                out.copy_set_rows(old, next_old..upto);
+                ids.extend_from_slice(&old.ids[next_old..upto]);
+                copy_prefix(&mut base_prefix, old, next_old..upto);
+                next_old = upto;
+                if old.ids.get(upto) == Some(&row) {
+                    base_degree = old.base_prefix[upto + 1] - old.base_prefix[upto];
+                    next_old += 1;
+                }
+            }
+            let start = out.targets.len();
             let mut k = 0;
             for &(_, target, w) in run {
                 let keep = old_t[k..].partition_point(|&t| t < target);
@@ -628,11 +1023,85 @@ impl Graph {
                 }
             }
             out.extend(&old_t[k..], &old_w[k..]);
-            out.end_row();
-            next_row = row as usize + 1;
+            out.end_row(row as usize);
+            entries = entries - old_t.len() + (out.targets.len() - start);
+            ids.push(row);
+            base_prefix.push(base_prefix[base_prefix.len() - 1] + base_degree);
         }
-        out.copy_rows(self, next_row..n_new);
-        (Self::from_rows(out, num_loops), in_place)
+        if let Some(old) = old {
+            out.copy_set_rows(old, next_old..old.ids.len());
+            ids.extend_from_slice(&old.ids[next_old..]);
+            copy_prefix(&mut base_prefix, old, next_old..old.ids.len());
+        }
+        RowSet::new(ids, base_prefix, out, n_new, entries, num_loops)
+    }
+
+    /// This graph written out as one plain CSR, into the buffers of
+    /// `retired` as [`Self::patched_into`] writes them; and whether
+    /// nothing was allocated. O(n + m): for an overlay graph, the base's
+    /// rows are copied in runs between the replaced ones. The result
+    /// equals [`Self::csr_view`]'s, bit for bit.
+    pub fn compacted_into(&self, retired: Option<Self>) -> (Self, bool) {
+        match &self.overlay {
+            Some(o) => o.rows.compact(&o.base, retired),
+            None => self.patched_into(self.node_count(), &[], retired),
+        }
+    }
+
+    /// The plain CSR under `this` — `this` itself, or an overlay graph's
+    /// base — if nothing else holds it any more: the buffers a caller may
+    /// hand to the next [`Self::compacted_into`] or [`Self::patched_into`].
+    pub fn into_unshared_base(this: Arc<Self>) -> Option<Self> {
+        let g = Arc::try_unwrap(this).ok()?;
+        match g.overlay {
+            Some(o) => Arc::try_unwrap(o.base).ok(),
+            None => Some(g),
+        }
+    }
+
+    /// Whether this graph is an overlay over a shared base
+    /// ([`Self::overlaid`]) rather than one plain CSR.
+    pub fn is_overlaid(&self) -> bool {
+        self.overlay.is_some()
+    }
+
+    /// The bytes this graph holds, base and overlay apart.
+    pub fn footprint(&self) -> Footprint {
+        let (base, overlay) = match &self.overlay {
+            Some(o) => (&*o.base, Some(&**o)),
+            None => (self, None),
+        };
+        let v = base.csr_view();
+        let mut footprint = Footprint {
+            base_bytes: std::mem::size_of_val(v.offsets)
+                + std::mem::size_of_val(v.targets)
+                + std::mem::size_of_val(v.weights)
+                + std::mem::size_of_val(v.weighted_degrees)
+                + std::mem::size_of_val(v.self_loops),
+            base_entries: v.targets.len(),
+            ..Footprint::default()
+        };
+        if let Some(o) = overlay {
+            footprint.overlay_rows = o.rows.ids.len();
+            footprint.overlay_entries = o.rows.targets.len();
+            footprint.overlay_bytes = o.rows.bytes()
+                + std::mem::size_of_val(o.mask.as_slice())
+                + std::mem::size_of_val(o.rank.as_slice());
+        }
+        footprint
+    }
+
+    /// The plain CSR the rows not replaced are read from.
+    fn plain(&self) -> &Self {
+        self.overlay.as_deref().map_or(self, |o| &o.base)
+    }
+
+    /// Adjacency entries: twice the non-loop edges plus the loops.
+    fn entry_count(&self) -> usize {
+        match &self.overlay {
+            Some(o) => o.rows.entries,
+            None => self.targets.len(),
+        }
     }
 
     /// `from_csr` for arrays from an untrusted source — what the
@@ -681,23 +1150,35 @@ impl Graph {
         Ok(Self::from_csr(offsets, targets, weights))
     }
 
-    /// Borrows every CSR array and derived cache at once.
+    /// Borrows every CSR array and derived cache at once: the only bulk
+    /// access to a graph, which a serializer, a relabeling or a byte count
+    /// reads. It *compacts*: an overlay graph is written out as one CSR —
+    /// O(n + m) and a second graph's memory — on the first call, and keeps
+    /// that copy for as long as it lives. Callers that hold an overlay
+    /// graph and can replace it call [`Self::compacted_into`] instead.
     pub fn csr_view(&self) -> CsrView<'_> {
+        let g = match &self.overlay {
+            Some(o) => (o.compacted).get_or_init(|| o.rows.compact(&o.base, None).0),
+            None => self,
+        };
         CsrView {
-            offsets: &self.offsets,
-            targets: &self.targets,
-            weights: &self.weights,
-            weighted_degrees: &self.weighted_degrees,
-            self_loops: &self.self_loops,
-            total_weight: self.total_weight,
-            num_edges: self.num_edges,
+            offsets: &g.offsets,
+            targets: &g.targets,
+            weights: &g.weights,
+            weighted_degrees: &g.weighted_degrees,
+            self_loops: &g.self_loops,
+            total_weight: g.total_weight,
+            num_edges: g.num_edges,
         }
     }
 
     /// Number of nodes `n`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.overlay {
+            Some(o) => o.rows.n,
+            None => self.offsets.len() - 1,
+        }
     }
 
     /// Number of undirected edges `m` (self-loops count one).
@@ -730,9 +1211,14 @@ impl Graph {
     /// offsets: the parts for a parallel `fold` over nodes whose cost
     /// follows the degrees and whose per-part state is a dense accumulator
     /// (one range per part, so a hub-heavy id range gets fewer nodes).
-    /// Small graphs come back as one range.
+    /// Small graphs come back as one range. An overlay graph splits where
+    /// its compaction would.
     pub fn edge_balanced_ranges(&self) -> Vec<std::ops::Range<Node>> {
-        weighted_ranges(&self.offsets, 1)
+        let ranges = match &self.overlay {
+            Some(o) => weighted_ranges_of(o.rows.n, |u| o.offset(u), 1),
+            None => weighted_ranges(&self.offsets, 1),
+        };
+        ranges
             .into_iter()
             .map(|r| r.start as Node..r.end as Node)
             .collect()
@@ -742,12 +1228,18 @@ impl Graph {
     /// contributes one).
     #[inline]
     pub fn degree(&self, u: Node) -> usize {
+        if let Some(o) = &self.overlay {
+            return o.degree(u);
+        }
         self.offsets[u as usize + 1] - self.offsets[u as usize]
     }
 
     /// Sorted neighbor ids of `u`.
     #[inline]
     pub fn neighbors(&self, u: Node) -> &[Node] {
+        if let Some(o) = &self.overlay {
+            return o.neighbors_and_weights(u).0;
+        }
         &self.targets[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
@@ -756,6 +1248,9 @@ impl Graph {
     /// either way.
     #[inline]
     pub fn neighbors_and_weights(&self, u: Node) -> (&[Node], &[f64]) {
+        if let Some(o) = &self.overlay {
+            return o.neighbors_and_weights(u);
+        }
         let row = self.offsets[u as usize]..self.offsets[u as usize + 1];
         let weights = if self.weights.is_empty() {
             &self.ones[..row.len()]
@@ -786,22 +1281,30 @@ impl Graph {
     }
 
     /// Sum of incident edge weights of `u` (self-loop counted once).
-    // audit:allow(unreachable-pub): the derived-cache oracle of the relabel and .pcg round-trip tests
     #[inline]
     pub fn weighted_degree(&self, u: Node) -> f64 {
+        if let Some(o) = &self.overlay {
+            return o.caches(u).0;
+        }
         self.weighted_degrees[u as usize]
     }
 
     /// Self-loop weight ω(u, u) (0 if no loop).
-    // audit:allow(unreachable-pub): the derived-cache oracle of the coarsening, relabel and .pcg round-trip tests
     #[inline]
     pub fn self_loop_weight(&self, u: Node) -> f64 {
+        if let Some(o) = &self.overlay {
+            return o.caches(u).1;
+        }
         self.self_loops[u as usize]
     }
 
     /// The paper's `vol(u)`: incident weight with self-loops counted twice.
     #[inline]
     pub fn volume(&self, u: Node) -> f64 {
+        if let Some(o) = &self.overlay {
+            let (weighted_degree, self_loop) = o.caches(u);
+            return weighted_degree + self_loop;
+        }
         self.weighted_degrees[u as usize] + self.self_loops[u as usize]
     }
 
@@ -851,9 +1354,17 @@ impl Graph {
     ///   arrays — every construction path derives them with the same
     ///   arithmetic, so there is no rounding to allow for.
     ///
+    /// An overlay graph is held to its compaction: that graph must pass
+    /// all of the above, and every accessor, total and
+    /// [`Self::edge_balanced_ranges`] of the overlay must read what it
+    /// reads, bit for bit.
+    ///
     /// Every construction path runs it as a postcondition in debug builds
     /// or with the `validate` feature.
     pub fn validate(&self) -> Result<(), String> {
+        if let Some(o) = &self.overlay {
+            return self.validate_overlay(o);
+        }
         check_arrays(&self.offsets, &self.targets, &self.weights, true)?;
         let n = self.node_count();
         if self.weighted_degrees.len() != n || self.self_loops.len() != n {
@@ -911,6 +1422,86 @@ impl Graph {
             return Err(format!(
                 "cached num_edges is {} (recomputed {edges})",
                 self.num_edges
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate`] for an overlay graph.
+    fn validate_overlay(&self, o: &Overlay) -> Result<(), String> {
+        if o.base.overlay.is_some() {
+            return Err("the base of an overlay is itself an overlay".into());
+        }
+        let rows = &o.rows;
+        if let Some(p) = rows.ids.windows(2).find(|p| p[0] >= p[1]) {
+            return Err(format!(
+                "overlay rows not strictly sorted: {} then {}",
+                p[0], p[1]
+            ));
+        }
+        if rows
+            .ids
+            .iter()
+            .enumerate()
+            .any(|(i, &u)| o.slot(u) != Some(i))
+            || o.mask
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+                != rows.ids.len()
+        {
+            return Err("overlay row mask does not list exactly the replaced rows".into());
+        }
+        let longest = rows.offsets.windows(2).map(|p| p[1] - p[0]).max();
+        if rows.weights.is_empty() && rows.ones.len() != longest.unwrap_or(0) {
+            return Err("overlay run of unit weights does not cover its longest row".into());
+        }
+        if !rows.weights.is_empty() && rows.weights.iter().all(|&w| w == 1.0) {
+            return Err("overlay stores a weights array of 1.0s".into());
+        }
+        let flat = rows.compact(&o.base, None).0;
+        flat.validate()?;
+        let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        if flat.node_count() != self.node_count() {
+            return Err(format!(
+                "overlay has {} nodes, its compaction {}",
+                self.node_count(),
+                flat.node_count()
+            ));
+        }
+        for u in flat.nodes() {
+            let ((t, w), (ft, fw)) = (self.neighbors_and_weights(u), flat.neighbors_and_weights(u));
+            if t != ft || bits(w) != bits(fw) || self.degree(u) != flat.degree(u) {
+                return Err(format!(
+                    "overlay row of node {u} differs from its compaction's"
+                ));
+            }
+            if self.weighted_degree(u).to_bits() != flat.weighted_degree(u).to_bits()
+                || self.self_loop_weight(u).to_bits() != flat.self_loop_weight(u).to_bits()
+            {
+                return Err(format!(
+                    "overlay caches of node {u} differ from its compaction's"
+                ));
+            }
+        }
+        if self.total_weight.to_bits() != flat.total_weight.to_bits() {
+            return Err(format!(
+                "overlay total_weight is {} (compacted {})",
+                self.total_weight, flat.total_weight
+            ));
+        }
+        if self.num_edges != flat.num_edges {
+            return Err(format!(
+                "overlay num_edges is {} (compacted {})",
+                self.num_edges, flat.num_edges
+            ));
+        }
+        // what `edge_balanced_ranges` splits by
+        if let Some(u) = (0..=flat.node_count()).find(|&u| o.offset(u) != flat.offsets[u]) {
+            return Err(format!(
+                "overlay offset of row {u} is {} (compacted {})",
+                o.offset(u),
+                flat.offsets[u]
             ));
         }
         Ok(())

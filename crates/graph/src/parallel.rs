@@ -70,29 +70,43 @@ pub(crate) fn weighted_ranges(
     prefix: &[usize],
     pieces_per_thread: usize,
 ) -> Vec<std::ops::Range<usize>> {
-    let rows = prefix.len() - 1;
-    let weight = prefix[rows] - prefix[0] + rows;
+    weighted_ranges_of(prefix.len() - 1, |i| prefix[i], pieces_per_thread)
+}
+
+/// [`weighted_ranges`] over `rows` rows whose offsets array is read
+/// through `prefix` (`prefix(i)` for `i` in `0..=rows`) rather than
+/// stored: the same bounds for the same values.
+pub(crate) fn weighted_ranges_of(
+    rows: usize,
+    prefix: impl Fn(usize) -> usize,
+    pieces_per_thread: usize,
+) -> Vec<std::ops::Range<usize>> {
+    let weight = prefix(rows) - prefix(0) + rows;
     let threads = rayon::current_num_threads();
     let parts = if threads > 1 {
         (threads * pieces_per_thread).min(weight / MIN_PIECE_WEIGHT)
     } else {
         1
     };
-    split_by_weight(prefix, parts)
+    split_by_weight(rows, prefix, parts)
 }
 
-/// Splits `0..prefix.len() - 1` into exactly `min(parts, len)` (at least
+/// Splits `0..len` into exactly `min(parts, len)` (at least
 /// one) contiguous ranges of near-equal weight, where item `i` weighs
 /// `prefix[i + 1] - prefix[i] + 1`: its entries plus one for the item
 /// itself, so empty rows still count and the split points are unique. A
 /// range comes out empty when a single item outweighs a whole share. The
-/// bounds depend on `prefix` and `parts` only. `prefix` has at least its
-/// leading entry, as every offsets array does.
-fn split_by_weight(prefix: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
-    let len = prefix.len() - 1;
+/// bounds depend on the values of `prefix` (read at `0..=len`) and on
+/// `parts` only.
+fn split_by_weight(
+    len: usize,
+    prefix: impl Fn(usize) -> usize,
+    parts: usize,
+) -> Vec<std::ops::Range<usize>> {
     let parts = parts.max(1).min(len.max(1));
     // weight of the items before `i`; strictly increasing in `i`
-    let before = |i: usize| prefix[i] - prefix[0] + i;
+    let first = prefix(0);
+    let before = |i: usize| prefix(i) - first + i;
     let total = before(len);
     let mut out = Vec::with_capacity(parts);
     let mut start = 0;
@@ -233,17 +247,22 @@ mod tests {
         assert_eq!(chunk_ranges(100, 8).len(), 8);
     }
 
+    /// [`split_by_weight`] over a stored offsets array.
+    fn split(prefix: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+        split_by_weight(prefix.len() - 1, |i| prefix[i], parts)
+    }
+
     #[test]
     fn split_by_weight_tiles_and_balances() {
         // degenerate shapes: no items, one item, more parts than items
-        assert_eq!(split_by_weight(&[0], 4), vec![0..0]);
-        assert_eq!(split_by_weight(&[0, 9], 4), vec![0..1]);
-        assert_eq!(split_by_weight(&[0, 0, 0, 0], 8).len(), 3);
+        assert_eq!(split(&[0], 4), vec![0..0]);
+        assert_eq!(split(&[0, 9], 4), vec![0..1]);
+        assert_eq!(split(&[0, 0, 0, 0], 8).len(), 3);
         // a hub in front: 1000 entries, then 99 rows of one entry each
         let mut prefix = vec![0usize, 1000];
         prefix.extend((1..100).map(|i| 1000 + i));
         for parts in [1usize, 2, 3, 4, 16] {
-            let ranges = split_by_weight(&prefix, parts);
+            let ranges = split(&prefix, parts);
             assert_eq!(ranges.len(), parts);
             let mut expect = 0;
             for r in &ranges {
@@ -258,7 +277,7 @@ mod tests {
         }
         // uniform rows: the split is chunk_ranges'
         let uniform: Vec<usize> = (0..=64).map(|i| i * 5).collect();
-        assert_eq!(split_by_weight(&uniform, 4), chunk_ranges(64, 4));
+        assert_eq!(split(&uniform, 4), chunk_ranges(64, 4));
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! whether it wrote into fresh buffers or into those of a retired graph.
 //! That includes the weights array itself: a unit graph, every weight 1.0,
 //! stores none, and a patch must come out unit exactly when the build does.
+//! The same edits applied as an overlay ([`Graph::overlaid`]), in one step
+//! or two, must read the same through every row accessor and compact to
+//! the same arrays.
 
+use parcom_graph::parallel::with_threads;
 use parcom_graph::{Graph, GraphBuilder, Node};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 type Edges = BTreeMap<(Node, Node), f64>;
 
@@ -39,6 +44,32 @@ fn assert_bit_identical(got: &Graph, want: &Graph, what: &str) {
         "{what}: total weight"
     );
     assert_eq!(g.num_edges, w.num_edges, "{what}: edge count");
+}
+
+/// Every row accessor of `got` against `want`'s, bit for bit, and the
+/// split points of `edge_balanced_ranges` on two threads.
+fn assert_same_rows(got: &Graph, want: &Graph, what: &str) {
+    let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.node_count(), want.node_count(), "{what}: n");
+    assert_eq!(got.edge_count(), want.edge_count(), "{what}: m");
+    let total = |g: &Graph| g.total_edge_weight().to_bits();
+    assert_eq!(total(got), total(want), "{what}: total weight");
+    for u in want.nodes() {
+        let ((t, w), (wt, ww)) = (got.neighbors_and_weights(u), want.neighbors_and_weights(u));
+        assert_eq!((t, bits(w)), (wt, bits(ww)), "{what}: row {u}");
+        assert_eq!(got.neighbors(u), wt, "{what}: neighbors of {u}");
+        assert_eq!(got.degree(u), want.degree(u), "{what}: degree of {u}");
+        let caches = |g: &Graph| {
+            [g.weighted_degree(u), g.self_loop_weight(u), g.volume(u)].map(f64::to_bits)
+        };
+        assert_eq!(caches(got), caches(want), "{what}: caches of {u}");
+        if let Some(&v) = wt.first() {
+            let weight = |g: &Graph| g.edge_weight(u, v).map(f64::to_bits);
+            assert_eq!(weight(got), weight(want), "{what}: edge {{{u}, {v}}}");
+        }
+    }
+    let ranges = |g: &Graph| with_threads(2, || g.edge_balanced_ranges());
+    assert_eq!(ranges(got), ranges(want), "{what}: edge-balanced ranges");
 }
 
 /// Weights whose sums differ in the low mantissa bits with the order of
@@ -111,6 +142,19 @@ fn check_patch(n: usize, mut edges: Edges, n_new: usize, edits: &[(Node, Node, O
     ] {
         let (got, _) = g.patched_into(n_new, edits, Some(retired));
         assert_bit_identical(&got, &want, what);
+    }
+    // the same edits as an overlay, in one step and in two (an overlay
+    // over an overlay), read in place and then written out
+    let shared = Arc::new(g);
+    let once = Graph::overlaid(&shared, n_new, edits);
+    let (first, second) = edits.split_at(edits.len() / 2);
+    let halfway = Arc::new(Graph::overlaid(&shared, n_new, first));
+    let twice = Graph::overlaid(&halfway, n_new, second);
+    for (what, got) in [("overlay", &once), ("overlay of an overlay", &twice)] {
+        assert!(got.is_overlaid());
+        assert_same_rows(got, &want, what);
+        assert_bit_identical(&got.compacted_into(None).0, &want, what);
+        assert_bit_identical(got, &want, what);
     }
 }
 

@@ -119,7 +119,9 @@ impl Durability {
     /// lost; the checkpoint is simply retried later.
     pub fn checkpoint(&self, name: &str, entry: &mut GraphEntry) -> io::Result<()> {
         entry.rebuild();
-        // A checkpoint puts the graph at rest: give the second CSR back.
+        // A checkpoint puts the graph at rest: one compact CSR, which the
+        // `.pcg` write reads whole anyway, and no second one beside it.
+        entry.compact();
         entry.drop_spare();
         let seq = entry.seq();
         let paths = self.paths(name);

@@ -6,10 +6,15 @@
 //! deletes accumulate in an order-preserving buffer and are folded into a
 //! fresh CSR either when the buffer reaches [`REBUILD_BATCH`] operations,
 //! when a client forces it, or — always — before a detection snapshot, so
-//! every detection sees all acknowledged edits. The fold is a row merge
-//! ([`Graph::patched_into`]): untouched rows are copied, touched rows
-//! merged, into the buffers of the CSR the previous fold retired — the
-//! *spare* an edited graph keeps, so that a fold allocates nothing.
+//! every detection sees all acknowledged edits. The fold writes only the
+//! rows the edits touch ([`Graph::overlaid`]): an edited graph is its last
+//! compact CSR, shared through an `Arc`, plus an overlay of the rows that
+//! differ from it, merged anew by every fold — O(Σ touched degree +
+//! |overlay|), whatever the size of the graph. Once the overlay holds
+//! more than 1/[`COMPACT_SHARE`] of the base's entries, and at every
+//! checkpoint, the fold *compacts*: it writes the whole graph as one CSR
+//! into the buffers of the CSR the previous compaction retired — the
+//! *spare* an edited graph keeps, so that a compaction allocates nothing.
 //!
 //! Beside the CSR an entry keeps a few *warm slots*: per detector spec,
 //! the last partition a detection converged to, its community aggregates
@@ -31,11 +36,21 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 /// Pending-operation count that triggers an automatic rebuild at the end of
-/// an edge-batch request. A fold copies the whole CSR once (a memcpy)
-/// whatever the batch size, so this is large enough to
-/// amortize that copy over many small batches, and small enough that the
-/// sort-and-merge of the touched rows stays a fraction of it.
+/// an edge-batch request. A fold costs what the edits touch plus a copy
+/// of the overlay, so batching saves little beyond the per-fold row mask
+/// (and, on a weighted graph, the ω(E) sum); the constant bounds the
+/// memory a graph's unfolded edits hold and the fold a detection may have
+/// to wait for.
 pub const REBUILD_BATCH: usize = 4096;
+
+/// A fold compacts the graph once its overlay holds more than
+/// 1/`COMPACT_SHARE` of the base's adjacency entries. Each fold copies the
+/// overlay, so its cost and the memory beside the base grow with it, while
+/// a compaction's O(n + m) is spread over the folds between two of them. At
+/// the benchmark's 256-op batches on n = 120 000 a sixteenth compacts once
+/// in about fifteen folds, and its fold's p50 and p90 both beat an eighth's
+/// (EXPERIMENTS.md, "A fold that writes only the touched rows").
+pub const COMPACT_SHARE: usize = 16;
 
 /// Hard cap on one entry's buffered operations: a request that would push
 /// the buffer past this is shed with `429` instead of queued (the bounded
@@ -105,10 +120,13 @@ pub struct WarmStats {
 
 /// A named resident graph plus its mutation buffer.
 pub struct GraphEntry {
+    /// The resident graph: a plain CSR, or an overlay over the CSR the
+    /// last compaction wrote.
     graph: Arc<Graph>,
-    /// The CSR the last fold retired, if no snapshot still held it; the
-    /// next fold writes into its buffers. Owned, not shared: that is what
-    /// makes overwriting it safe. Checkpoint and eviction drop it.
+    /// The CSR the last compaction retired, if no snapshot still held it;
+    /// the next compaction writes into its buffers. Owned, not shared:
+    /// that is what makes overwriting it safe. Checkpoint and eviction
+    /// drop it.
     spare: Option<Graph>,
     /// When the resident CSR is a relabeled view (loaded from a `.pcg`
     /// written with `--relabel`, or relabeled at load), the permutation
@@ -157,9 +175,15 @@ pub struct EntryStats {
     pub durable: bool,
     /// The warm slots: which specs have a cached result, and how stale.
     pub warm: Vec<WarmStats>,
-    /// Bytes of the resident CSR's five arrays.
+    /// Bytes of the resident graph: its base CSR's five arrays plus its
+    /// overlay, counted without compacting.
     pub resident_bytes: usize,
-    /// The same for the spare CSR kept for the next fold (0 without one).
+    /// Rows the overlay replaces (0 for a compact graph).
+    pub overlay_rows: usize,
+    /// The overlay's share of `resident_bytes`.
+    pub overlay_bytes: usize,
+    /// The same for the spare CSR kept for the next compaction (0 without
+    /// one).
     pub spare_bytes: usize,
 }
 
@@ -176,18 +200,21 @@ pub struct Snapshot {
     pub folded_ops: usize,
     /// Wall time of that fold in milliseconds (0.0 when nothing was pending).
     pub fold_ms: f64,
-    /// Whether that fold wrote into the spare's buffers, allocating nothing.
+    /// Whether that fold allocated no full-size CSR: it wrote an overlay,
+    /// or it compacted into the spare's buffers.
     pub recycled: bool,
+    /// Whether that fold compacted the graph into one CSR.
+    pub compacted: bool,
+    /// Rows `graph`'s overlay replaces (0 for a compact graph).
+    pub overlay_rows: usize,
 }
 
-/// Bytes of the five arrays of `g`.
-fn csr_bytes(g: &Graph) -> usize {
-    let v = g.csr_view();
-    std::mem::size_of_val(v.offsets)
-        + std::mem::size_of_val(v.targets)
-        + std::mem::size_of_val(v.weights)
-        + std::mem::size_of_val(v.weighted_degrees)
-        + std::mem::size_of_val(v.self_loops)
+/// What one fold did: whether it allocated no full-size CSR, and whether
+/// it compacted.
+#[derive(Clone, Copy, Default)]
+struct Folded {
+    recycled: bool,
+    compacted: bool,
 }
 
 /// Canonicalizes one operation's endpoint order so fold keys match the
@@ -292,30 +319,49 @@ impl GraphEntry {
         self.spare = None;
     }
 
+    /// Writes an overlay graph out as one CSR, into the spare's buffers
+    /// when they are large enough, and keeps the base it retires as the
+    /// next spare unless a snapshot still reads it. Returns whether
+    /// nothing was allocated; `None` when the graph is compact already.
+    /// Unwind-safe like [`Self::rebuild`]: only the spare is taken before
+    /// the new CSR is complete.
+    pub fn compact(&mut self) -> Option<bool> {
+        if !self.graph.is_overlaid() {
+            return None;
+        }
+        let (compacted, recycled) = self.graph.compacted_into(self.spare.take());
+        let retired = std::mem::replace(&mut self.graph, Arc::new(compacted));
+        self.spare = Graph::into_unshared_base(retired);
+        Some(recycled)
+    }
+
     /// Whether the buffer has reached the automatic rebuild threshold.
     pub fn rebuild_due(&self) -> bool {
         self.pending.len() >= REBUILD_BATCH
     }
 
-    /// Folds the pending buffer into a fresh CSR by a row merge
-    /// ([`Graph::patched_into`]): the final state of each touched edge is
+    /// Folds the pending buffer into the graph by a row merge
+    /// ([`Graph::overlaid`]): the final state of each touched edge is
     /// resolved in arrival order (last operation wins), then merged into
-    /// the ≤ 2·|buffer| rows it touches while every other row is copied
-    /// verbatim. Node ids beyond the current range grow the graph — `n`
-    /// becomes `1 + max endpoint` over *every* buffered insert, even one a
-    /// later remove cancels. No-op when the buffer is empty.
+    /// the ≤ 2·|buffer| rows it touches, which join the overlay's earlier
+    /// rows over the shared base; no other row is read or written. Past
+    /// 1/[`COMPACT_SHARE`] of the base's entries the overlay is compacted
+    /// ([`Self::compact`]). Node ids beyond the current range grow the
+    /// graph — `n` becomes `1 + max endpoint` over *every* buffered insert,
+    /// even one a later remove cancels. No-op when the buffer is empty.
     ///
     /// Unwind-safe: every field mutation happens *after* the new CSR is
     /// fully built, so a panic mid-rebuild (allocation failure, injected
     /// fault at `serve/store-rebuild`) leaves the resident graph, the
     /// pending buffer and the WAL exactly as they were — the rebuild can
     /// simply be retried; at worst the spare is gone, and the retry
-    /// allocates. The rebuilt CSR is bit-identical for a given
-    /// (graph, buffered-op-sequence) pair regardless of thread count or
-    /// rebuild batching: each fold leaves rows sorted by neighbor with the
-    /// surviving weights verbatim, and the caches are summed row by row
-    /// from the arrays alone, whatever buffers they were written into.
-    /// Recovery replay relies on this.
+    /// allocates. The rebuilt graph reads — and compacts to —
+    /// bit-identical arrays for a given (graph, buffered-op-sequence) pair
+    /// regardless of thread count, rebuild batching or when it compacted:
+    /// each fold leaves rows sorted by neighbor with the surviving weights
+    /// verbatim, and the caches are summed row by row from the arrays
+    /// alone, whatever buffers they were written into. Recovery replay
+    /// relies on this.
     ///
     /// Every fold, checkpoint and replay comes through here, so this is
     /// also where the warm slots learn what changed: each keeps the folded
@@ -328,10 +374,10 @@ impl GraphEntry {
         self.fold();
     }
 
-    /// [`Self::rebuild`]; says whether the fold recycled the spare, allocating nothing.
-    fn fold(&mut self) -> bool {
+    /// [`Self::rebuild`]; says what the fold did.
+    fn fold(&mut self) -> Folded {
         if self.pending.is_empty() {
-            return false;
+            return Folded::default();
         }
         let n_old = self.graph.node_count();
         let mut n_new = n_old;
@@ -361,15 +407,18 @@ impl GraphEntry {
         // Edge operations arrive in *original* ids, so a relabeled CSR is
         // un-relabeled before the fold and the relabeling dropped: the
         // permutation is a load-time read optimization, and a mutated graph
-        // no longer matches the degree order it was converted under.
+        // no longer matches the degree order it was converted under. The
+        // un-relabeled CSR is the base the overlay goes over.
         let unrelabeled = self.relabeling.as_ref().map(|r| {
-            Relabeling::from_new_of_old(r.old_of_new().to_vec())
-                .expect("the inverse of a permutation is a permutation")
-                .apply(&self.graph)
+            Arc::new(
+                Relabeling::from_new_of_old(r.old_of_new().to_vec())
+                    .expect("the inverse of a permutation is a permutation")
+                    .apply(&self.graph),
+            )
         });
         let base = unrelabeled.as_ref().unwrap_or(&self.graph);
-        let (rebuilt, recycled) = base.patched_into(n_new, &edits, self.spare.take());
-        // Commit point: nothing above mutated the entry but for the spare.
+        let rebuilt = Graph::overlaid(base, n_new, &edits);
+        // Commit point: nothing above mutated the entry.
         if self.relabeling.take().is_some() {
             self.relabel_dropped = true;
             self.warm.clear();
@@ -389,11 +438,24 @@ impl GraphEntry {
             keep
         });
         self.pending.clear();
-        // The next fold's buffers, unless a snapshot still reads them.
+        // A relabeled CSR nobody reads any more is the next compaction's
+        // buffers; a base is still read by the overlay over it.
         let retired = std::mem::replace(&mut self.graph, Arc::new(rebuilt));
-        self.spare = Arc::try_unwrap(retired).ok();
+        if let Some(spare) = Graph::into_unshared_base(retired) {
+            self.spare = Some(spare);
+        }
         self.generation += 1;
-        recycled
+        let footprint = self.graph.footprint();
+        if footprint.overlay_entries * COMPACT_SHARE <= footprint.base_entries {
+            return Folded {
+                recycled: true,
+                compacted: false,
+            };
+        }
+        Folded {
+            recycled: self.compact().expect("a fold leaves an overlay"),
+            compacted: true,
+        }
     }
 
     /// The resident CSR (pending operations excluded), its relabeling (if
@@ -410,7 +472,7 @@ impl GraphEntry {
     pub fn snapshot(&mut self) -> Snapshot {
         let folded_ops = self.pending.len();
         let started = Instant::now();
-        let recycled = self.fold();
+        let folded = self.fold();
         let fold_ms = if folded_ops == 0 {
             0.0
         } else {
@@ -418,12 +480,14 @@ impl GraphEntry {
         };
         let (graph, relabeling, generation) = self.current();
         Snapshot {
+            overlay_rows: graph.footprint().overlay_rows,
             graph,
             relabeling,
             generation,
             folded_ops,
             fold_ms,
-            recycled,
+            recycled: folded.recycled,
+            compacted: folded.compacted,
         }
     }
 
@@ -482,6 +546,7 @@ impl GraphEntry {
 
     /// Listing summary.
     pub fn stats(&self) -> EntryStats {
+        let footprint = self.graph.footprint();
         EntryStats {
             nodes: self.graph.node_count(),
             edges: self.graph.edge_count(),
@@ -498,8 +563,10 @@ impl GraphEntry {
                     dirty: slot.dirty.len(),
                 })
                 .collect(),
-            resident_bytes: csr_bytes(&self.graph),
-            spare_bytes: self.spare.as_ref().map_or(0, csr_bytes),
+            resident_bytes: footprint.base_bytes + footprint.overlay_bytes,
+            overlay_rows: footprint.overlay_rows,
+            overlay_bytes: footprint.overlay_bytes,
+            spare_bytes: self.spare.as_ref().map_or(0, |g| g.footprint().base_bytes),
         }
     }
 }
@@ -666,7 +733,8 @@ mod tests {
             let floats = floats.map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
             (v.offsets.to_vec(), v.targets.to_vec(), floats, v.num_edges)
         };
-        // Each fold adds one edge, far less than a fresh CSR's headroom.
+        // Each fold adds one edge, far less than a fresh CSR's headroom,
+        // and an overlay of two rows, far less than a compaction's share.
         let mut entry = GraphEntry::new(path_graph(1000), None);
         let fold = |entry: &mut GraphEntry| {
             let k = entry.stats().generation as Node;
@@ -674,28 +742,33 @@ mod tests {
             entry.snapshot()
         };
         let held = fold(&mut entry);
-        assert!(!held.recycled && entry.stats().spare_bytes > 0);
+        assert!(held.recycled && !held.compacted && held.graph.is_overlaid());
+        assert_eq!((held.overlay_rows, entry.stats().spare_bytes), (2, 0));
         let copy = bits(&held.graph);
-        // The spare (generation 0, capacity exact) is too small for the
-        // first fold, and the held CSR cannot become the second one's.
-        assert!(!fold(&mut entry).recycled);
+        // The held overlay pins the generation-0 base: the first
+        // compaction allocates and retires no spare; the second allocates
+        // too, and retires the first one's CSR, which nothing held.
+        assert_eq!(entry.compact(), Some(false));
         assert_eq!(entry.stats().spare_bytes, 0);
-        assert!(!fold(&mut entry).recycled);
+        assert_eq!(entry.compact(), None, "compact already");
+        fold(&mut entry);
+        assert_eq!(entry.compact(), Some(false));
+        assert!(entry.stats().spare_bytes > 0);
         assert_eq!(bits(&held.graph), copy);
         drop(held);
 
-        // With no reader left, a generation is retired by the next fold
-        // and written into by the one after it: same allocation, new
-        // contents.
-        let retired = fold(&mut entry).graph;
-        assert_eq!(retired.edge_count(), 999 + 4);
+        // With no reader left, a compaction retires its base and the one
+        // after it writes into that: same allocation, new contents.
+        let retired = entry.current().0;
         let address = retired.csr_view().targets.as_ptr();
         drop(retired);
-        assert!(fold(&mut entry).recycled);
-        let reused = fold(&mut entry);
-        assert!(reused.recycled);
-        assert_eq!(reused.graph.csr_view().targets.as_ptr(), address);
-        assert_eq!(reused.graph.edge_count(), 999 + 6);
+        fold(&mut entry);
+        assert_eq!(entry.compact(), Some(true));
+        fold(&mut entry);
+        assert_eq!(entry.compact(), Some(true));
+        let reused = entry.current().0;
+        assert_eq!(reused.csr_view().targets.as_ptr(), address);
+        assert_eq!(reused.edge_count(), 999 + 4);
         assert!(entry.stats().spare_bytes > 0);
     }
 

@@ -66,8 +66,13 @@ fn batch(i: u64) -> (String, Vec<EdgeOp>) {
 /// The synchronous reference: the seed graph loaded through the same
 /// METIS round-trip the daemon uses, with `batches` applied and folded.
 fn reference_csr(batches: &[Vec<EdgeOp>]) -> Graph {
+    reference_csr_of(&seed_graph(), batches)
+}
+
+/// [`reference_csr`] from another seed graph, compacted.
+fn reference_csr_of(seed: &Graph, batches: &[Vec<EdgeOp>]) -> Graph {
     let mut metis = Vec::new();
-    parcom_io::write_metis_to(&seed_graph(), &mut metis).unwrap();
+    parcom_io::write_metis_to(seed, &mut metis).unwrap();
     let g = parcom_io::load_graph_bytes(
         &metis,
         parcom_io::GraphFormat::Metis,
@@ -81,6 +86,7 @@ fn reference_csr(batches: &[Vec<EdgeOp>]) -> Graph {
         entry.buffer_ops(ops.iter().copied());
     }
     entry.rebuild();
+    entry.compact();
     let (csr, _, _) = entry.current();
     Graph::clone(&csr)
 }
@@ -90,6 +96,11 @@ fn reference_csr(batches: &[Vec<EdgeOp>]) -> Graph {
 /// the resulting `.pcg` back for bit-exact comparison. Returns the CSR
 /// and the recovered sequence number.
 fn recover_and_read(state_dir: &Path, socket: &Path) -> (Graph, u64) {
+    recover_and_read_graph(state_dir, socket, "ring")
+}
+
+/// [`recover_and_read`] for the graph `name`.
+fn recover_and_read_graph(state_dir: &Path, socket: &Path, name: &str) -> (Graph, u64) {
     let daemon = Daemon::spawn(state_dir, socket, None);
     let mut client = daemon.wait_ready();
     let (status, v) = client.request("GET", "/graphs", "");
@@ -98,11 +109,12 @@ fn recover_and_read(state_dir: &Path, socket: &Path) -> (Graph, u64) {
     assert_eq!(rows.len(), 1, "{v:?}");
     let seq = get_u64(&rows[0], "seq");
     assert!(get_bool(&rows[0], "durable"));
-    let (status, v) = client.request("POST", "/graphs/ring/checkpoint", "");
+    let checkpoint = format!("/graphs/{name}/checkpoint");
+    let (status, v) = client.request("POST", &checkpoint, "");
     assert_eq!(status, 200, "{v:?}");
     drop(daemon);
     let snapshot = parcom_io::load_graph_auto(
-        parcom_io::state_paths(state_dir, "ring").pcg,
+        parcom_io::state_paths(state_dir, name).pcg,
         &Recorder::enabled(),
         &Budget::unlimited(),
     )
@@ -169,6 +181,63 @@ fn kill9_between_batches_preserves_every_acked_record_and_detections() {
 
     let (recovered, _) = recover_and_read(&state_dir, &socket);
     assert!(csr_bit_identical(&recovered, &reference_csr(&acked)));
+}
+
+/// `kill -9` while the resident graph is an overlay no checkpoint has
+/// compacted: the log replays onto the last checkpoint, a deterministic
+/// detection answers the same across the crash, and the recovered graph,
+/// compacted by the next checkpoint, is the reference bit for bit.
+#[test]
+fn kill9_with_an_overlay_resident_recovers_its_compaction() {
+    let (state_dir, socket) = scratch("kill9_overlay");
+    let seed = parcom_generators::lfr(parcom_generators::LfrParams::benchmark(1000, 0.3), 4).0;
+    let mut daemon = Daemon::spawn(&state_dir, &socket, None);
+    let mut client = daemon.wait_ready();
+    let (status, v) = client.request("PUT", "/graphs/lfr", &util::metis_body(&seed));
+    assert_eq!(status, 201, "{v:?}");
+    let mut acked = Vec::new();
+    for i in 0..3u64 {
+        let (body, ops) = batch(i);
+        let (status, v) = client.request("POST", "/graphs/lfr/edges", &body);
+        assert_eq!(status, 200, "{v:?}");
+        acked.push(ops);
+    }
+    let detect_body =
+        "{\"graph\":\"lfr\",\"spec\":\"plm:move=coloring,seed=1\",\"include_partition\":true}";
+    let (status, before) = client.request("POST", "/detect", detect_body);
+    assert_eq!(status, 200, "{before:?}");
+    let snapshot = before.get("snapshot").unwrap();
+    assert_eq!(get_u64(snapshot, "folded_ops"), 6);
+    assert!(!get_bool(snapshot, "compacted"));
+    let (status, v) = client.request("GET", "/graphs", "");
+    assert_eq!(status, 200);
+    let rows = v.get("graphs").and_then(Value::as_array).unwrap();
+    let overlay_rows = get_u64(&rows[0], "overlay_rows");
+    assert!(overlay_rows > 0 && overlay_rows == get_u64(snapshot, "overlay_rows"));
+
+    daemon.kill9();
+
+    let daemon = Daemon::spawn(&state_dir, &socket, None);
+    let mut client = daemon.wait_ready();
+    let (status, after) = client.request("POST", "/detect", detect_body);
+    assert_eq!(status, 200, "{after:?}");
+    assert_eq!(
+        get_u64(after.get("snapshot").unwrap(), "overlay_rows"),
+        overlay_rows
+    );
+    assert_eq!(
+        before.get("partition").and_then(Value::as_array),
+        after.get("partition").and_then(Value::as_array),
+        "partition must be bit-identical across the crash"
+    );
+    drop(daemon);
+
+    let (recovered, seq) = recover_and_read_graph(&state_dir, &socket, "lfr");
+    assert_eq!(seq, 3);
+    assert!(csr_bit_identical(
+        &recovered,
+        &reference_csr_of(&seed, &acked)
+    ));
 }
 
 /// Torn final record, seeded: the daemon aborts between a WAL record's

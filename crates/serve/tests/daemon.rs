@@ -257,14 +257,23 @@ fn full_lifecycle_over_unix_socket() {
     let snapshot = v.get("snapshot").unwrap();
     assert_eq!(get_u64(snapshot, "folded_ops"), 0);
     assert_eq!(snapshot.get("fold_ms").and_then(Value::as_f64), Some(0.0));
-    assert_eq!(
-        snapshot.get("recycled").and_then(Value::as_bool),
-        Some(false)
-    );
+    let flag = |snapshot: &Value, key: &str| snapshot.get(key).and_then(Value::as_bool);
+    assert_eq!(flag(snapshot, "recycled"), Some(false));
+    assert_eq!(flag(snapshot, "compacted"), Some(false));
+    assert_eq!(get_u64(snapshot, "overlay_rows"), 0);
     let keys: Vec<&str> = (snapshot.entries().unwrap().iter())
         .map(|(k, _)| k.as_str())
         .collect();
-    assert_eq!(keys, ["folded_ops", "fold_ms", "recycled"]);
+    assert_eq!(
+        keys,
+        [
+            "folded_ops",
+            "fold_ms",
+            "recycled",
+            "compacted",
+            "overlay_rows"
+        ]
+    );
 
     // an already-expired deadline terminates with "deadline" but still
     // returns a valid (degraded) result
@@ -345,7 +354,14 @@ fn full_lifecycle_over_unix_socket() {
     let (status, v) = client.request("POST", "/detect", QUICK_DETECT);
     assert_eq!(status, 200, "{v:?}");
     assert_eq!(get_u64(&v, "generation"), 2);
-    assert_eq!(get_u64(v.get("snapshot").unwrap(), "folded_ops"), 2);
+    let snapshot = v.get("snapshot").unwrap();
+    assert_eq!(get_u64(snapshot, "folded_ops"), 2);
+    // the three rows it touches hold more than an eighth of the ring's
+    // entries, so the fold compacted, into a fresh CSR: the spare left by
+    // the first fold's compaction is generation 0's, too small
+    assert_eq!(flag(snapshot, "compacted"), Some(true));
+    assert_eq!(flag(snapshot, "recycled"), Some(false));
+    assert_eq!(get_u64(snapshot, "overlay_rows"), 0);
 
     // listing reflects the rebuilt graph; eviction empties the store
     let (status, v) = client.request("GET", "/graphs", "");
@@ -354,12 +370,41 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(graphs.len(), 1);
     assert_eq!(get_str(&graphs[0], "name"), "ring");
     assert_eq!(get_u64(&graphs[0], "rebuilds"), 2);
-    // an edited graph holds its CSR and the one the last fold retired,
+    // a compacted graph holds its CSR and the one the compaction retired,
     // both still unit: every insert had weight 1 (the spare has the two
     // edges the last batch removed)
     let m = get_u64(&graphs[0], "edges");
     assert_eq!(get_u64(&graphs[0], "resident_bytes"), csr_bytes(20, m));
     assert_eq!(get_u64(&graphs[0], "spare_bytes"), csr_bytes(20, m + 2));
+    assert_eq!(get_u64(&graphs[0], "overlay_rows"), 0);
+    assert_eq!(get_u64(&graphs[0], "overlay_bytes"), 0);
+
+    // a fold of one short row (a self-loop) stays an overlay over that
+    // CSR: the base's arrays as before, plus the overlay's row ids,
+    // offsets, targets, caches and base-entry prefix, its one-word row
+    // mask and rank — 36r + 16 + 4e + 12⌈n/64⌉ bytes for r unit rows of
+    // e entries
+    let (status, v) = client.request("POST", "/graphs/ring/edges", "{\"insert\":[[12,12]]}");
+    assert_eq!(status, 200, "{v:?}");
+    let (status, v) = client.request("POST", "/detect", QUICK_DETECT);
+    assert_eq!(status, 200, "{v:?}");
+    let snapshot = v.get("snapshot").unwrap();
+    assert_eq!(flag(snapshot, "recycled"), Some(true));
+    assert_eq!(flag(snapshot, "compacted"), Some(false));
+    assert_eq!(get_u64(snapshot, "overlay_rows"), 1);
+    let (status, v) = client.request("GET", "/graphs", "");
+    assert_eq!(status, 200);
+    let listed = &v.get("graphs").and_then(Value::as_array).unwrap()[0];
+    let (rows, entries) = (1, g.degree(12) as u64 + 1);
+    let overlay_bytes = 36 * rows + 16 + 4 * entries + 12;
+    assert_eq!(get_u64(listed, "edges"), m + 1);
+    assert_eq!(get_u64(listed, "overlay_rows"), rows);
+    assert_eq!(get_u64(listed, "overlay_bytes"), overlay_bytes);
+    assert_eq!(
+        get_u64(listed, "resident_bytes"),
+        csr_bytes(20, m) + overlay_bytes
+    );
+    assert_eq!(get_u64(listed, "spare_bytes"), csr_bytes(20, m + 2));
 
     let (status, _) = client.request("DELETE", "/graphs/ring", "");
     assert_eq!(status, 200);

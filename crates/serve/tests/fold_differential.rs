@@ -1,17 +1,20 @@
 //! Differential test of the write-behind fold: [`GraphEntry::rebuild`]
-//! (a row merge through `Graph::patched`) against the routine it replaced,
-//! kept here as [`fold_reference`] — collect every edge, resolve the buffer
-//! through a hash map, re-assemble with `GraphBuilder::build`. The two must
-//! agree on every CSR array and every derived cache down to `f64::to_bits`,
-//! at any thread count and for any fold cadence, because WAL recovery
-//! replays acknowledged batches with a different cadence than the live
-//! daemon folded them with.
+//! (a row merge into an overlay over the shared base, `Graph::overlaid`)
+//! against the routine it replaced, kept here as [`fold_reference`] —
+//! collect every edge, resolve the buffer through a hash map, re-assemble
+//! with `GraphBuilder::build`. The two must agree on every row accessor
+//! and, compacted, on every CSR array and derived cache down to
+//! `f64::to_bits`, at any thread count and for any fold cadence, because
+//! WAL recovery replays acknowledged batches with a different cadence than
+//! the live daemon folded them with.
 
+use parcom_core::quality::modularity;
+use parcom_core::DetectorSpec;
 use parcom_generators::{lfr, rmat, LfrParams, RmatParams};
 use parcom_graph::parallel::with_threads;
 use parcom_graph::relabel::Relabeling;
 use parcom_graph::{Graph, GraphBuilder, Node};
-use parcom_serve::store::{EdgeOp, GraphEntry};
+use parcom_serve::store::{EdgeOp, GraphEntry, COMPACT_SHARE};
 use std::collections::HashMap;
 
 /// The pre-delta-merge fold, verbatim apart from taking its inputs as
@@ -77,6 +80,35 @@ fn assert_bit_identical(got: &Graph, want: &Graph, what: &str) {
         "{what}: total weight"
     );
     assert_eq!(g.num_edges, w.num_edges, "{what}: edge count");
+}
+
+/// Every row accessor of `got` — an overlay graph, read in place —
+/// against `want`'s, bit for bit, and the split points of
+/// `edge_balanced_ranges` on one, two and four threads.
+fn assert_same_rows(got: &Graph, want: &Graph, what: &str) {
+    let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.node_count(), want.node_count(), "{what}: n");
+    assert_eq!(got.edge_count(), want.edge_count(), "{what}: m");
+    let total = |g: &Graph| g.total_edge_weight().to_bits();
+    assert_eq!(total(got), total(want), "{what}: total weight");
+    for u in want.nodes() {
+        let ((t, w), (wt, ww)) = (got.neighbors_and_weights(u), want.neighbors_and_weights(u));
+        assert_eq!((t, bits(w)), (wt, bits(ww)), "{what}: row {u}");
+        assert_eq!(got.neighbors(u), wt, "{what}: neighbors of {u}");
+        assert_eq!(got.degree(u), want.degree(u), "{what}: degree of {u}");
+        let caches = |g: &Graph| {
+            [g.weighted_degree(u), g.self_loop_weight(u), g.volume(u)].map(f64::to_bits)
+        };
+        assert_eq!(caches(got), caches(want), "{what}: caches of {u}");
+        if let Some(&v) = wt.last() {
+            let weight = |g: &Graph| g.edge_weight(u, v).map(f64::to_bits);
+            assert_eq!(weight(got), weight(want), "{what}: edge {{{u}, {v}}}");
+        }
+    }
+    for threads in [1, 2, 4] {
+        let ranges = |g: &Graph| with_threads(threads, || g.edge_balanced_ranges());
+        assert_eq!(ranges(got), ranges(want), "{what}: ranges at t{threads}");
+    }
 }
 
 /// Folds `batches` into `base` at the given cadence: all in one window, or
@@ -158,6 +190,7 @@ fn degenerate_batches_match_the_reference_fold() {
         let entry = fold(&base(), std::slice::from_ref(ops), true);
         let stats = entry.stats();
         assert_eq!((stats.generation, stats.pending), (1, 0));
+        assert_same_rows(&entry.current().0, &want, what);
         assert_bit_identical(&entry.current().0, &want, what);
     }
 
@@ -269,6 +302,7 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
                     (once.stats().generation, stepwise.stats().generation),
                     (1, 4)
                 );
+                assert_same_rows(&stepwise.current().0, &want, &format!("{what} 4 folds"));
                 assert_bit_identical(&once.current().0, &want, &format!("{what} one fold"));
                 assert_bit_identical(&stepwise.current().0, &want, &format!("{what} 4 folds"));
             });
@@ -292,9 +326,9 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
 }
 
 /// Nine folds through ONE entry, each snapshot against the reference fold
-/// of its predecessor: from the third on a fold writes into the buffers of
-/// the CSR retired two folds earlier, and what it writes must not depend
-/// on what they held.
+/// of its predecessor, each followed by a compaction: from the third on a
+/// compaction writes into the buffers of the CSR retired two compactions
+/// earlier, and what it writes must not depend on what they held.
 #[test]
 fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
     use EdgeOp::{Insert, Remove};
@@ -302,7 +336,7 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
     let mut rng = Rng(0xD1B5_4A32_D192_ED03);
     let mut want = g.clone();
     let mut entry = GraphEntry::new(g, None);
-    let mut recycled = Vec::new();
+    let (mut recycled, mut compacted) = (Vec::new(), Vec::new());
     for step in 0..9 {
         let (n, edges) = (want.node_count(), want.par_collect_edges());
         let mut pick = |k: usize| {
@@ -338,12 +372,23 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
         want = fold_reference(&want, None, &batch);
         entry.buffer_ops(batch);
         let snapshot = entry.snapshot();
-        assert_bit_identical(&snapshot.graph, &want, &format!("fold {step}"));
-        recycled.push(snapshot.recycled);
+        let what = format!("fold {step}");
+        assert_same_rows(&snapshot.graph, &want, &what);
+        assert_bit_identical(&snapshot.graph, &want, &what);
+        drop(snapshot.graph);
+        compacted.push(snapshot.compacted);
+        recycled.push(entry.compact().unwrap_or(snapshot.recycled));
+        assert_bit_identical(&entry.current().0, &want, &format!("{what} compacted"));
     }
     assert!(want.node_count() > 5000 && entry.stats().generation == 9);
-    // No spare yet; its capacity is exact; then every fold recycles, but
-    // the oversized one and the one that inherits the CSR before it.
+    // A random batch touches a tenth of the rows and passes the share on
+    // its own, and so do the net-shrinking and the oversized batch: they
+    // compact inside the fold. The growth and the self-loops stay overlays.
+    let share = [true, true, false, true, false, true, true, true, true];
+    assert_eq!(compacted, share);
+    // No spare yet; its capacity is exact; then every compaction
+    // recycles, but the oversized one and the one that inherits the CSR
+    // before it.
     assert_eq!(
         recycled,
         [false, false, true, true, true, false, false, true, true]
@@ -352,9 +397,9 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
 
 /// A unit graph through one entry: unit batches keep it unit, a weighted
 /// insert gives it weights, removing that edge makes it unit again. Each
-/// fold must equal the reference — `weights.is_empty()` included — and a
-/// unit fold into a unit spare recycles it, though the spare has no
-/// weights buffer at all.
+/// fold, and its compaction, must equal the reference —
+/// `weights.is_empty()` included — and a unit compaction into a unit
+/// spare recycles it, though the spare has no weights buffer at all.
 #[test]
 fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
     use EdgeOp::{Insert, Remove};
@@ -383,13 +428,145 @@ fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
         want = fold_reference(&want, None, &batch);
         entry.buffer_ops(batch);
         let snapshot = entry.snapshot();
-        assert_bit_identical(&snapshot.graph, &want, &format!("fold {step}"));
-        recycled.push(snapshot.recycled);
+        let what = format!("fold {step}");
+        assert!(snapshot.recycled && !snapshot.compacted, "{what}");
+        assert_same_rows(&snapshot.graph, &want, &what);
+        assert_bit_identical(&snapshot.graph, &want, &what);
         unit.push(snapshot.graph.csr_view().weights.is_empty());
+        drop(snapshot.graph);
+        recycled.push(entry.compact().expect("an overlay to compact"));
+        assert_bit_identical(&entry.current().0, &want, &format!("{what} compacted"));
     }
     assert_eq!(unit, [true, true, true, false, true, true, true]);
     // No spare yet; its capacity is exact; a unit spare serves a unit
-    // fold; the first weighted fold and the one after it find a unit
-    // spare without a weights buffer; then unit folds recycle again.
+    // compaction; the first weighted one and the one after it find a
+    // unit spare without a weights buffer; then unit ones recycle again.
     assert_eq!(recycled, [false, false, true, false, false, true, true]);
+}
+
+/// Folds that stay overlays, through ONE entry, each read in place and
+/// compacted against the reference: a row re-touched across folds, growth
+/// past the base's node range, a self-loop added and removed, a unit graph
+/// that gets weights in one overlay row and loses them again, then unit
+/// batches until the overlay crosses the compaction share — exactly at
+/// the fold whose rows hold more than 1/`COMPACT_SHARE` of the base's
+/// entries.
+#[test]
+fn overlay_chains_match_the_reference_after_every_fold() {
+    use std::collections::BTreeSet;
+    use EdgeOp::{Insert, Remove};
+    let g = lfr(LfrParams::benchmark(1000, 0.3), 5).0;
+    assert!(g.csr_view().weights.is_empty());
+    let n = Node::try_from(g.node_count()).unwrap();
+    let neighbor = g.neighbors(3)[0];
+    let scripted: Vec<Vec<EdgeOp>> = vec![
+        vec![Insert(3, 40, 1.0)],
+        // row 3 again, and 40 untouched: both stay replaced
+        vec![Insert(41, 3, 1.0), Remove(3, neighbor)],
+        vec![Insert(5, n + 3, 1.0)],
+        vec![Insert(7, 7, 2.0)],
+        vec![Remove(7, 7)],
+        vec![Insert(10, 50, 2.5), Insert(n + 1, n + 2, 1.0)],
+        vec![Remove(50, 10)],
+    ];
+    let mut rng = Rng(0x6A09_E667_F3BC_C908);
+    let mut want = g.clone();
+    let mut entry = GraphEntry::new(g, None);
+    let mut touched: BTreeSet<Node> = BTreeSet::new();
+    let (mut unit, mut compactions) = (Vec::new(), 0);
+    let mut base_entries = entry.current().0.footprint().base_entries;
+    for step in 0..60 {
+        let batch = match scripted.get(step) {
+            Some(batch) => batch.clone(),
+            None if compactions > 0 => break,
+            None => {
+                let m = want.node_count();
+                (0..32)
+                    .map(|_| Insert(rng.below(m) as Node, rng.below(m) as Node, 1.0))
+                    .collect()
+            }
+        };
+        want = fold_reference(&want, None, &batch);
+        for op in &batch {
+            let (EdgeOp::Insert(u, v, _) | EdgeOp::Remove(u, v)) = *op;
+            touched.extend([u, v]);
+        }
+        // the overlay this fold writes holds the current rows of every row
+        // touched since the last compaction
+        let entries: usize = touched.iter().map(|&u| want.degree(u)).sum();
+        entry.buffer_ops(batch);
+        let snapshot = entry.snapshot();
+        let what = format!("fold {step}");
+        assert_same_rows(&snapshot.graph, &want, &what);
+        assert_bit_identical(&snapshot.graph, &want, &what);
+        unit.push(snapshot.graph.csr_view().weights.is_empty());
+        // an overlay fold allocates no full-size CSR; the one compaction
+        // finds no spare yet
+        assert_eq!(snapshot.recycled, !snapshot.compacted, "{what}");
+        assert_eq!(
+            snapshot.compacted,
+            entries * COMPACT_SHARE > base_entries,
+            "{what}: {entries} overlay entries over {base_entries}"
+        );
+        let footprint = snapshot.graph.footprint();
+        if snapshot.compacted {
+            assert!(!snapshot.graph.is_overlaid() && snapshot.overlay_rows == 0);
+            assert_eq!(footprint.base_entries, 2 * want.edge_count());
+            (base_entries, compactions) = (footprint.base_entries, compactions + 1);
+            touched.clear();
+        } else {
+            assert!(snapshot.graph.is_overlaid(), "{what}");
+            assert_eq!(
+                snapshot.overlay_rows,
+                touched.len(),
+                "{what}: replaced rows"
+            );
+            assert_eq!(footprint.overlay_rows, touched.len());
+            assert_eq!(footprint.overlay_entries, entries);
+        }
+    }
+    assert_eq!(compactions, 1, "the unit batches crossed the share once");
+    assert_eq!(
+        unit[..scripted.len()],
+        [true, true, true, false, true, false, true]
+    );
+    assert!(unit[scripted.len()..].iter().all(|&u| u));
+}
+
+/// Detectors cannot tell an overlay graph from its compaction: cold
+/// `plm:move=coloring` and `plp` at one thread give the same partition and
+/// the same modularity bits on both, and modularity — a reduction split at
+/// `edge_balanced_ranges` — keeps its bits on two threads too.
+#[test]
+fn detections_on_an_overlay_graph_and_its_compaction_are_bit_identical() {
+    let g = lfr(LfrParams::benchmark(2000, 0.3), 9).0;
+    let edges = g.par_collect_edges();
+    let mut rng = Rng(0xBB67_AE85_84CA_A73B);
+    let mut entry = GraphEntry::new(g.clone(), None);
+    for _ in 0..3 {
+        let batch = random_batch(&mut rng, &g, &edges);
+        entry.buffer_ops(batch.into_iter().take(40));
+        entry.rebuild();
+    }
+    let overlay = entry.current().0;
+    assert!(overlay.is_overlaid());
+    let compact = overlay.compacted_into(None).0;
+    assert!(!compact.is_overlaid());
+    let halves = with_threads(2, || overlay.edge_balanced_ranges());
+    assert_eq!(halves.len(), 2, "the t2 reductions split the rows");
+    assert_eq!(halves, with_threads(2, || compact.edge_balanced_ranges()));
+    for spec in ["plm:move=coloring,seed=1", "plp:seed=1"] {
+        let run = |g: &Graph| {
+            with_threads(1, || {
+                let mut detector = DetectorSpec::parse(spec).unwrap().build().unwrap();
+                let zeta = detector.detect(g);
+                let q = modularity(g, &zeta).to_bits();
+                (zeta, q)
+            })
+        };
+        let (on_overlay, on_compact) = (run(&overlay), run(&compact));
+        assert_eq!(on_overlay, on_compact, "{spec}");
+        let q = |g: &Graph| with_threads(2, || modularity(g, &on_overlay.0).to_bits());
+        assert_eq!(q(&overlay), q(&compact), "{spec} at t2");
+    }
 }
