@@ -209,7 +209,8 @@ pub fn detect(args: &Args) -> CmdResult {
         let start = std::time::Instant::now();
         let (zeta, report, termination, aggregates) = if reported {
             let r = algo.detect_guarded(&g, &budget);
-            (r.partition, r.report, Some(r.termination), r.aggregates)
+            let zeta = std::sync::Arc::unwrap_or_clone(r.partition);
+            (zeta, r.report, Some(r.termination), r.aggregates)
         } else {
             (
                 algo.detect(&g),

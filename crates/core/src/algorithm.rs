@@ -13,6 +13,7 @@ use crate::quality::{community_aggregates, CommunityAggregates};
 use parcom_graph::{Graph, Node, Partition};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{Recorder, RunReport};
+use std::sync::Arc;
 
 /// The outcome of a reported run ([`CommunityDetector::detect_guarded`]):
 /// the partition — degraded to the best valid one found so far when the
@@ -24,7 +25,9 @@ use parcom_obs::{Recorder, RunReport};
 pub struct GuardedResult {
     /// The detected (or partially detected) community assignment. Always a
     /// valid partition of the input graph, whatever the termination cause.
-    pub partition: Partition,
+    /// Shared, not copied, when the run returned its start state's base
+    /// ([`CommunityDetector::run_shared`]).
+    pub partition: Arc<Partition>,
     /// How the run ended.
     pub termination: Termination,
     /// The instrumented run report, with termination cause recorded.
@@ -42,7 +45,7 @@ impl GuardedResult {
     /// phase) onto a finished report — the single way a result is built,
     /// so the report and the result can't disagree.
     fn new(
-        partition: Partition,
+        partition: Arc<Partition>,
         termination: Termination,
         cut_phase: Option<String>,
         mut report: RunReport,
@@ -70,8 +73,9 @@ impl GuardedResult {
 /// It must not be longer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StartState {
-    /// The community assignment to start from.
-    pub base: Partition,
+    /// The community assignment to start from, shared with whoever keeps
+    /// it: a run that changes nothing hands it back as its result.
+    pub base: Arc<Partition>,
     /// The nodes to evaluate first: every endpoint of an edge inserted,
     /// removed or reweighted since `base` was computed. Order and
     /// duplicates do not matter.
@@ -109,7 +113,7 @@ fn reported_run<D: CommunityDetector + ?Sized>(
     // settled after the run; recorded now to sit beside `warm`
     rec.counter("carried", 0);
     rec.counter("frontier", frontier as u64);
-    let (partition, termination, cut_phase) = detector.run(g, &rec, budget);
+    let (partition, termination, cut_phase) = detector.run_shared(g, &rec, budget);
     let aggregates = match detector.carried_aggregates() {
         Some(carried) => {
             rec.counter("carried", 1);
@@ -185,6 +189,20 @@ pub trait CommunityDetector {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>);
 
+    /// [`run`](Self::run) with the result behind an `Arc`, which is how
+    /// the reported entry points take it. A detector whose result can be
+    /// its [`StartState`]'s base overrides this to hand the base back
+    /// shared instead of copied; the default wraps `run`'s result.
+    fn run_shared(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Arc<Partition>, Termination, Option<String>) {
+        let (zeta, termination, cut_phase) = self.run(g, rec, budget);
+        (Arc::new(zeta), termination, cut_phase)
+    }
+
     /// Where the detector keeps the [`StartState`] of its next run, which
     /// takes it out — a start state applies to one run. The default,
     /// `None`, says the detector cannot start from a base: every run of
@@ -238,7 +256,7 @@ pub trait CommunityDetector {
     /// modularity reached and `termination == "converged"`.
     fn detect_with_report(&mut self, g: &Graph) -> (Partition, RunReport) {
         let r = reported_run(self, g, Recorder::enabled(), &Budget::unlimited());
-        (r.partition, r.report)
+        (Arc::unwrap_or_clone(r.partition), r.report)
     }
 
     /// Detects communities under a run [`Budget`] and reports like
@@ -254,7 +272,7 @@ pub trait CommunityDetector {
             Ok(()) => budget.check().err(),
         };
         if let Some(termination) = early {
-            let zeta = Partition::singleton(g.node_count());
+            let zeta = Arc::new(Partition::singleton(g.node_count()));
             let report = RunReport::empty(self.name());
             return GuardedResult::new(zeta, termination, None, report, None);
         }
@@ -276,6 +294,15 @@ impl<T: CommunityDetector + ?Sized> CommunityDetector for Box<T> {
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
         (**self).run(g, rec, budget)
+    }
+
+    fn run_shared(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Arc<Partition>, Termination, Option<String>) {
+        (**self).run_shared(g, rec, budget)
     }
 
     fn start_slot(&mut self) -> Option<&mut Option<StartState>> {
@@ -369,7 +396,7 @@ mod tests {
     #[test]
     fn a_detector_without_a_start_slot_refuses_a_base() {
         let start = StartState {
-            base: Partition::singleton(3),
+            base: Arc::new(Partition::singleton(3)),
             frontier: vec![0],
             aggregates: None,
         };

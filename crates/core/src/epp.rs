@@ -23,6 +23,7 @@ use parcom_graph::{coarsen_with, Coarsening, Graph, Partition};
 use parcom_guard::{faultpoint, Budget, Termination};
 use parcom_obs::Recorder;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 pub(crate) type Member = Box<dyn CommunityDetector + Send>;
 
@@ -93,7 +94,7 @@ impl Ensemble<'_> {
         let mut solutions = Vec::with_capacity(results.len());
         for r in results {
             rec.sub_report(r.report);
-            solutions.push(r.partition);
+            solutions.push(Arc::unwrap_or_clone(r.partition));
         }
         let span = rec.span("consensus");
         let core = core_communities(&solutions);
@@ -151,7 +152,7 @@ impl Ensemble<'_> {
         rec.sub_report(r.report);
         let mut zeta = {
             let _span = rec.span("prolong");
-            prolong_through(&chain, r.partition)
+            prolong_through(&chain, Arc::unwrap_or_clone(r.partition))
         };
         zeta.compact();
         // Postcondition: a dense assignment covering the input graph that

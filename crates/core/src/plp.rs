@@ -26,10 +26,11 @@ use crate::algorithm::{CommunityDetector, StartState};
 use crate::quality::{compact_carrying, CommunityAggregates};
 use parcom_graph::{AtomicPartition, Graph, Node, Partition, ScratchPool};
 use parcom_guard::{Budget, Termination};
-use parcom_obs::{CounterCell, LocalCount, Recorder};
+use parcom_obs::{CounterCell, LocalCount, Recorder, Span};
 use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of PLP.
 ///
@@ -92,33 +93,40 @@ impl Plp {
     }
 
     /// Label propagation from `start` (`None`: from singletons, everyone
-    /// active) under a recorder and a run budget. The iteration loop runs
-    /// inside a `label-propagation` span carrying the per-iteration
-    /// `active`/`updated` series (Fig. 1) and the total `label-updates`
-    /// count, all present even when no sweep was needed. The budget is
-    /// checked once per iteration (sweep granularity — §III-A iterations
-    /// touch every active node, so per-edge checks would dominate). On
-    /// expiry the loop stops after the last completed iteration; the label
-    /// array at any iteration boundary is a valid assignment, so the
-    /// degraded result is simply the labels so far, compacted.
+    /// active) under a recorder and a run budget, in three top-level
+    /// phases: `setup` builds the label and flag arrays, `label-propagation`
+    /// runs the sweeps and carries the per-iteration `active`/`updated`
+    /// series (Fig. 1) and the total `label-updates` count, all present
+    /// even when no sweep was needed, and `finish` snapshots, patches and
+    /// renumbers the result. The budget is checked once per iteration
+    /// (sweep granularity — §III-A iterations touch every active node, so
+    /// per-edge checks would dominate). On expiry the loop stops after the
+    /// last completed iteration; the label array at any iteration boundary
+    /// is a valid assignment, so the degraded result is simply the labels
+    /// so far, compacted.
     ///
-    /// With the base's aggregates in `start`, the result's come back too:
-    /// patched for every node whose final label differs from its start
-    /// label, and renumbered by both compactions.
+    /// A run costs what its frontier and its movers cost. An empty
+    /// frontier on a base that covers the graph builds nothing of size n
+    /// and returns the base itself, as does any run that relabels nothing
+    /// on such a base; either way the base is renumbered only if it is not
+    /// compacted already. With the base's aggregates in `start`, the
+    /// result's come back too: patched for the nodes the run relabeled
+    /// whose final label differs from their start label, and renumbered by
+    /// both compactions.
     fn propagate(
         &mut self,
         g: &Graph,
         start: Option<StartState>,
         rec: &Recorder,
         budget: &Budget,
-    ) -> (Partition, Termination, Option<CommunityAggregates>) {
+    ) -> (Arc<Partition>, Termination, Option<CommunityAggregates>) {
         let n = g.node_count();
         // One loop for both: a cold run is the warm run whose base is
         // empty — every node lies past its end and gets a fresh singleton
         // label, its own id — and whose frontier is every node.
         let (mut base, frontier, mut aggregates) = match start {
             Some(s) => (s.base, Some(s.frontier), s.aggregates),
-            None => (Partition::singleton(0), None, None),
+            None => (Arc::new(Partition::singleton(0)), None, None),
         };
         assert!(
             base.len() <= n,
@@ -134,28 +142,75 @@ impl Plp {
                 agg.len()
             );
         }
+        let setup = rec.span("setup");
         // Labels index the tally maps, so keep them near the node count.
         if base.upper_bound() as usize > base.len() {
-            compact_carrying(&mut base, aggregates.as_mut());
+            compact_carrying(Arc::make_mut(&mut base), aggregates.as_mut());
         }
-        let grown = base.upper_bound()..base.upper_bound() + (n - base.len()) as u32;
-        let mut label_bound = grown.end;
-        let labels: AtomicPartition = base.as_slice().iter().copied().chain(grown).collect();
-        let active: Vec<AtomicBool> = (0..n)
-            .map(|v| AtomicBool::new(frontier.is_none() || v >= base.len()))
-            .collect();
-        for &v in frontier.iter().flatten() {
-            active[v as usize].store(true, Ordering::Relaxed);
-            // A node left with no neighbour but itself leaves its
-            // community, as it would never have joined one in a cold run.
-            if g.neighbors(v).iter().all(|&u| u == v) {
-                labels.set(v, label_bound);
-                label_bound += 1;
-            }
-        }
-        let theta = (self.theta_fraction * n as f64).ceil() as u64;
+        let idle = base.len() == n && frontier.as_ref().is_some_and(Vec::is_empty);
+        let record = aggregates.is_some();
+        let mut run = (!idle).then(|| Labels::start(g, &base, frontier.as_deref(), record));
+        setup.close();
 
-        let mut order: Vec<Node> = (0..n as Node).collect();
+        let span = rec.span("label-propagation");
+        span.declare_series("active");
+        span.declare_series("updated");
+        let (termination, iterations, label_updates) = match &mut run {
+            Some(run) => self.sweep(g, run, &span, budget),
+            // Nobody to evaluate: an empty frontier converges in zero sweeps.
+            None => (Termination::Converged, 0, 0),
+        };
+        span.counter("iterations", iterations);
+        span.counter("label-updates", label_updates);
+        span.close();
+
+        let _finish = rec.span("finish");
+        let result = match run {
+            Some(run) if run.relabeled || base.len() < n => {
+                // Postcondition on the racy label array itself: every
+                // concurrently-written value must be a label some node
+                // started with.
+                #[cfg(any(debug_assertions, feature = "validate"))]
+                if let Err(e) = run.labels.validate(run.bound.max(1) as u32) {
+                    panic!("PLP postcondition violated: {e}");
+                }
+                let mut result = run.labels.to_partition();
+                if let (Some(agg), Some(movers)) = (&mut aggregates, run.movers) {
+                    let mut movers = movers.into_inner().unwrap_or_else(PoisonError::into_inner);
+                    movers.sort_unstable();
+                    movers.dedup();
+                    agg.apply_moves(g, &base, &result, &movers);
+                }
+                compact_carrying(&mut result, aggregates.as_mut());
+                Arc::new(result)
+            }
+            // Every node kept its base label: the base is the result.
+            _ => {
+                if !base.is_compacted() {
+                    compact_carrying(Arc::make_mut(&mut base), aggregates.as_mut());
+                }
+                base
+            }
+        };
+        #[cfg(any(debug_assertions, feature = "validate"))]
+        if let Err(e) = result.validate_dense() {
+            panic!("PLP postcondition violated: {e}");
+        }
+        (result, termination, aggregates)
+    }
+
+    /// The sweeps of one run over `run`'s labels, until fewer than θ·n
+    /// nodes update, the iteration cap, or the budget stops them. Returns
+    /// how the run ended, the iterations and the label updates.
+    fn sweep(
+        &self,
+        g: &Graph,
+        run: &mut Labels,
+        span: &Span,
+        budget: &Budget,
+    ) -> (Termination, u64, u64) {
+        let n = g.node_count();
+        let theta = (self.theta_fraction * n as f64).ceil() as u64;
         let mut rng = SmallRng::seed_from_u64(self.seed);
 
         // The paper's default relies on *implicit* randomization through
@@ -169,12 +224,10 @@ impl Plp {
 
         // The per-thread scratch maps tallying weight-per-label are indexed
         // by label; the pool recycles them across iterations.
-        let label_bound = label_bound as usize;
+        let label_bound = run.bound;
         let scratch = ScratchPool::new();
+        let (labels, active) = (&run.labels, &run.active);
 
-        let span = rec.span("label-propagation");
-        span.declare_series("active");
-        span.declare_series("updated");
         let mut termination = Termination::Converged;
         let mut iterations = 0u64;
         let mut label_updates = 0u64;
@@ -192,17 +245,24 @@ impl Plp {
                 break;
             }
             if shuffle {
-                order.shuffle(&mut rng);
+                run.order.shuffle(&mut rng);
             }
             // One sharded counter per iteration: workers bump a plain
             // thread-local integer, merged when the worker state drops at
-            // the end of the parallel region.
+            // the end of the parallel region; the movers, when recorded,
+            // are merged the same way.
             let updated = CounterCell::new();
 
             let iter_salt = self.seed ^ ((iterations + 1) << 32);
-            order.par_iter().for_each_init(
-                || (scratch.take(label_bound.max(1)), LocalCount::new(&updated)),
-                |(weight_to, local_updates), &v| {
+            run.order.par_iter().for_each_init(
+                || {
+                    (
+                        scratch.take(label_bound.max(1)),
+                        LocalCount::new(&updated),
+                        run.movers.as_ref().map(LocalMovers::new),
+                    )
+                },
+                |(weight_to, local_updates, movers), &v| {
                     // the flag first: a warm sweep skips almost every node,
                     // and the flag costs less to read than the row
                     if !active[v as usize].load(Ordering::Relaxed) || g.degree(v) == 0 {
@@ -241,6 +301,9 @@ impl Plp {
                     if best != current {
                         labels.set(v, best);
                         local_updates.bump();
+                        if let Some(movers) = movers {
+                            movers.nodes.push(v);
+                        }
                         active[v as usize].store(true, Ordering::Relaxed);
                         for u in g.neighbors(v) {
                             active[*u as usize].store(true, Ordering::Relaxed);
@@ -260,26 +323,84 @@ impl Plp {
                 break;
             }
         }
-        span.counter("iterations", iterations);
-        span.counter("label-updates", label_updates);
-        span.close();
+        run.relabeled |= label_updates > 0;
+        (termination, iterations, label_updates)
+    }
+}
 
-        // Postcondition on the racy label array itself: every
-        // concurrently-written value must be a label some node started with.
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        if let Err(e) = labels.validate(label_bound.max(1) as u32) {
-            panic!("PLP postcondition violated: {e}");
+/// The state of a run that has nodes to evaluate.
+struct Labels {
+    /// The shared label array the sweeps read and write.
+    labels: AtomicPartition,
+    /// Whether each node is evaluated in the next sweep.
+    active: Vec<AtomicBool>,
+    /// The order a sweep visits the nodes in.
+    order: Vec<Node>,
+    /// Every label lies below this: the size of the tally maps.
+    bound: usize,
+    /// Every node relabeled so far — stranded ones included — with
+    /// repeats and in no order; kept only by a run that carries aggregates.
+    movers: Option<Mutex<Vec<Node>>>,
+    /// Whether any node has been relabeled.
+    relabeled: bool,
+}
+
+impl Labels {
+    /// The labels a run from `base` starts with: the base's, then a fresh
+    /// singleton per node past its end. Those nodes and the `frontier`
+    /// start active, every node when there is no frontier (a cold run).
+    fn start(g: &Graph, base: &Partition, frontier: Option<&[Node]>, record: bool) -> Self {
+        let n = g.node_count();
+        let grown = base.upper_bound()..base.upper_bound() + (n - base.len()) as u32;
+        let mut bound = grown.end;
+        let labels: AtomicPartition = base.as_slice().iter().copied().chain(grown).collect();
+        let active: Vec<AtomicBool> = (0..n)
+            .map(|v| AtomicBool::new(frontier.is_none() || v >= base.len()))
+            .collect();
+        let mut stranded = Vec::new();
+        for &v in frontier.into_iter().flatten() {
+            active[v as usize].store(true, Ordering::Relaxed);
+            // A node left with no neighbour but itself leaves its
+            // community, as it would never have joined one in a cold run.
+            if g.neighbors(v).iter().all(|&u| u == v) {
+                labels.set(v, bound);
+                bound += 1;
+                stranded.push(v);
+            }
         }
-        let mut result = labels.to_partition();
-        if let Some(agg) = &mut aggregates {
-            agg.apply_moves(g, &base, &result);
+        Self {
+            labels,
+            active,
+            order: (0..n as Node).collect(),
+            bound: bound as usize,
+            relabeled: !stranded.is_empty(),
+            movers: record.then(|| Mutex::new(stranded)),
         }
-        compact_carrying(&mut result, aggregates.as_mut());
-        #[cfg(any(debug_assertions, feature = "validate"))]
-        if let Err(e) = result.validate_dense() {
-            panic!("PLP postcondition violated: {e}");
+    }
+}
+
+/// A worker's share of the nodes a sweep relabels, appended to the run's
+/// list when the worker state drops at the end of the parallel region.
+struct LocalMovers<'a> {
+    nodes: Vec<Node>,
+    all: &'a Mutex<Vec<Node>>,
+}
+
+impl<'a> LocalMovers<'a> {
+    fn new(all: &'a Mutex<Vec<Node>>) -> Self {
+        Self {
+            nodes: Vec::new(),
+            all,
         }
-        (result, termination, aggregates)
+    }
+}
+
+impl Drop for LocalMovers<'_> {
+    fn drop(&mut self) {
+        if !self.nodes.is_empty() {
+            let mut all = self.all.lock().unwrap_or_else(PoisonError::into_inner);
+            all.append(&mut self.nodes);
+        }
     }
 }
 
@@ -298,6 +419,16 @@ impl CommunityDetector for Plp {
         rec: &Recorder,
         budget: &Budget,
     ) -> (Partition, Termination, Option<String>) {
+        let (zeta, termination, cut_phase) = self.run_shared(g, rec, budget);
+        (Arc::unwrap_or_clone(zeta), termination, cut_phase)
+    }
+
+    fn run_shared(
+        &mut self,
+        g: &Graph,
+        rec: &Recorder,
+        budget: &Budget,
+    ) -> (Arc<Partition>, Termination, Option<String>) {
         let start = self.start.take();
         let (zeta, termination, aggregates) = self.propagate(g, start, rec, budget);
         self.carried = aggregates;
@@ -319,6 +450,7 @@ mod tests {
     use crate::quality::{coverage, modularity};
     use parcom_generators::{lfr, ring_of_cliques, LfrParams};
     use parcom_graph::GraphBuilder;
+    use parcom_guard::Budget;
 
     #[test]
     fn finds_cliques_in_ring() {
@@ -401,7 +533,7 @@ mod tests {
 
         let mut plp = Plp::new();
         assert!(plp.start_from(StartState {
-            base: base.clone(),
+            base: Arc::new(base.clone()),
             frontier: Vec::new(),
             aggregates: None,
         }));
@@ -409,13 +541,69 @@ mod tests {
         assert_eq!(again, base);
         assert_eq!(counters(&report), (1, 0, 0));
         assert_eq!(report.counter("frontier"), Some(0));
-        // the phase and both series are still there, empty
+        // the phase and both series are still there, empty, between the
+        // setup and the finish
         let prop = report.phase("label-propagation").unwrap();
         assert_eq!(prop.series("active"), Some(&[][..]));
         assert_eq!(prop.series("updated"), Some(&[][..]));
+        let phases: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(phases, ["setup", "label-propagation", "finish"]);
         // the start state applied to that one run only
         let (_, third) = plp.detect_with_report(&g);
         assert_eq!(third.counter("warm"), Some(0));
+
+        // the result is the base itself, not a copy of it
+        let shared = Arc::new(base);
+        plp.start_from(StartState {
+            base: Arc::clone(&shared),
+            frontier: Vec::new(),
+            aggregates: None,
+        });
+        let r = plp.detect_guarded(&g, &crate::Budget::unlimited());
+        assert!(Arc::ptr_eq(&r.partition, &shared));
+    }
+
+    #[test]
+    fn an_empty_frontier_renumbers_a_base_that_is_not_compacted() {
+        use crate::quality::community_aggregates;
+        // dense, but not numbered in order of first appearance
+        let g = GraphBuilder::from_edges(3, &[(0, 2), (1, 1)]);
+        let base = Partition::from_vec(vec![1, 0, 1]);
+        let aggregates = community_aggregates(&g, &base);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: Arc::new(base),
+            frontier: Vec::new(),
+            aggregates: Some(aggregates.clone()),
+        });
+        let r = plp.detect_guarded(&g, &crate::Budget::unlimited());
+        assert_eq!(r.partition.as_slice(), [0, 1, 0]);
+        assert!(r.partition.is_compacted());
+        // the aggregates are permuted to match: id 1 became 0
+        let carried = r.aggregates.unwrap();
+        assert_eq!(carried.volume, [aggregates.volume[1], aggregates.volume[0]]);
+        assert_eq!(
+            carried.intra_weight,
+            [aggregates.intra_weight[1], aggregates.intra_weight[0]]
+        );
+        assert_eq!(carried, community_aggregates(&g, &r.partition));
+    }
+
+    #[test]
+    fn an_empty_frontier_on_a_grown_graph_labels_the_new_nodes_singletons() {
+        let (g, truth) = ring_of_cliques(3, 4);
+        // two isolated nodes past the base's end
+        let grown = g.patched(14, &[]);
+        let mut plp = Plp::new();
+        plp.start_from(StartState {
+            base: Arc::new(truth.clone()),
+            frontier: Vec::new(),
+            aggregates: None,
+        });
+        let (zeta, report) = plp.detect_with_report(&grown);
+        assert_eq!(&zeta.as_slice()[..12], truth.as_slice());
+        assert_eq!(&zeta.as_slice()[12..], [3, 4]);
+        assert_eq!(report.counter("frontier"), Some(0));
     }
 
     #[test]
@@ -431,7 +619,7 @@ mod tests {
         let edited = g.patched(g.node_count(), &[(0, far, Some(1000.0))]);
         let mut plp = Plp::new();
         plp.start_from(StartState {
-            base: base.clone(),
+            base: Arc::new(base.clone()),
             frontier: vec![0, far],
             aggregates: None,
         });
@@ -459,7 +647,7 @@ mod tests {
         let frontier = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         let mut plp = Plp::new();
         plp.start_from(StartState {
-            base: truth,
+            base: Arc::new(truth),
             frontier,
             aggregates: None,
         });
@@ -493,7 +681,7 @@ mod tests {
         aggregates.apply_edits(&base, &g, 602, &edits);
         let mut plp = Plp::new();
         plp.start_from(StartState {
-            base,
+            base: Arc::new(base),
             frontier: edits.iter().flat_map(|&(u, v, _)| [u, v]).collect(),
             aggregates: Some(aggregates),
         });
@@ -517,6 +705,186 @@ mod tests {
         assert_eq!(plp.carried_aggregates(), None);
     }
 
+    /// What the warm runs of a mover-patch check exercised, summed.
+    #[derive(Default, Debug)]
+    struct Exercised {
+        movers: usize,
+        moved_back: usize,
+        stranded: usize,
+        grown: usize,
+        self_loops: usize,
+    }
+
+    /// One warm run at T = 1 of PLP with `seed` on `g` under `edits`,
+    /// from `base` and its `aggregates` on `g`, taken apart before its
+    /// compaction: the aggregates its recorded movers patch must equal, bit
+    /// for bit, those of the O(n) compare the patch replaced, and the whole
+    /// run must come to the same partition and aggregates as the pieces.
+    /// Returns the edited graph, the result and its aggregates.
+    fn warm_step(
+        seed: u64,
+        g: &Graph,
+        n_new: usize,
+        edits: &[(Node, Node, Option<f64>)],
+        base: Arc<Partition>,
+        mut aggregates: CommunityAggregates,
+        seen: &mut Exercised,
+    ) -> (Graph, Arc<Partition>, CommunityAggregates) {
+        let plp = || Plp { seed, ..Plp::new() };
+        let bits = |a: &CommunityAggregates| {
+            let all = a.intra_weight.iter().chain(&a.volume);
+            all.map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let edited = g.patched(n_new, edits);
+        aggregates.apply_edits(&base, g, n_new, edits);
+        let frontier: Vec<Node> = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        parcom_graph::parallel::with_threads(1, || {
+            // the run's pieces: its labels before the compaction
+            let mut run = Labels::start(&edited, &base, Some(&frontier), true);
+            let off = Recorder::disabled();
+            plp().sweep(&edited, &mut run, &off.span("sweep"), &Budget::unlimited());
+            let mut to = run.labels.to_partition();
+            let mut movers = run.movers.unwrap().into_inner().unwrap();
+            movers.sort_unstable();
+            movers.dedup();
+            let from = |v: Node| crate::quality::start_label(&base, v);
+            seen.movers += movers.len();
+            seen.moved_back += movers
+                .iter()
+                .filter(|&&v| from(v) == to.subset_of(v))
+                .count();
+            seen.grown += n_new - g.node_count();
+            let loops = edits.iter().filter(|&&(u, v, _)| u == v);
+            seen.self_loops += loops.count();
+            let alone = |v: Node| edited.neighbors(v).iter().all(|&u| u == v);
+            let had_edges = |v: Node| (v as usize) < g.node_count() && g.degree(v) > 0;
+            seen.stranded += (frontier.iter())
+                .filter(|&&v| had_edges(v) && alone(v))
+                .count();
+            let mut patched = aggregates.clone();
+            patched.apply_moves(&edited, &base, &to, &movers);
+            let mut reference = aggregates.clone();
+            reference.apply_moves_reference(&edited, &base, &to);
+            assert_eq!(bits(&patched), bits(&reference), "the O(n) compare");
+            compact_carrying(&mut to, Some(&mut patched));
+
+            // the whole run lands where its pieces did
+            let mut whole = plp();
+            whole.start_from(StartState {
+                base: Arc::clone(&base),
+                frontier: frontier.clone(),
+                aggregates: Some(aggregates),
+            });
+            let r = whole.detect_guarded(&edited, &Budget::unlimited());
+            assert_eq!(*r.partition, to, "the whole run");
+            let carried = r.aggregates.unwrap();
+            assert_eq!(bits(&carried), bits(&patched), "the whole run's aggregates");
+            (edited, r.partition, carried)
+        })
+    }
+
+    /// [`warm_step`] over a chain of `steps` random edit batches on `g`:
+    /// inserts, removes, a self-loop each, and on some steps a node
+    /// stripped of its edges or the graph grown.
+    fn mover_patch_chain(
+        mut g: Graph,
+        steps: usize,
+        seed: u64,
+        weight: &dyn Fn(&mut SmallRng) -> f64,
+    ) -> Exercised {
+        use crate::quality::community_aggregates;
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut seen = Exercised::default();
+        let cold =
+            parcom_graph::parallel::with_threads(1, || Plp { seed, ..Plp::new() }.detect(&g));
+        let mut aggregates = community_aggregates(&g, &cold);
+        let mut base = Arc::new(cold);
+        for step in 0..steps {
+            let n = g.node_count();
+            let mut edits = std::collections::BTreeMap::new();
+            let mut edit = |u: Node, v: Node, w: Option<f64>| {
+                edits.insert((u.min(v), u.max(v)), w);
+            };
+            for _ in 0..8 {
+                let (u, v) = (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node);
+                edit(u, v, Some(weight(&mut rng)));
+            }
+            for _ in 0..4 {
+                let u = rng.gen_range(0..n) as Node;
+                if let Some(&v) = g.neighbors(u).first() {
+                    edit(u, v, None);
+                }
+            }
+            let u = rng.gen_range(0..n) as Node;
+            edit(u, u, Some(weight(&mut rng)));
+            if step % 3 == 0 {
+                let loner = rng.gen_range(0..n) as Node;
+                for &v in g.neighbors(loner).iter().filter(|&&v| v != loner) {
+                    edit(loner, v, None);
+                }
+            }
+            let mut n_new = n;
+            if step % 4 == 0 {
+                n_new = n + 1 + rng.gen_range(0..2);
+                let far = (n_new - 1) as Node;
+                edit(rng.gen_range(0..n) as Node, far, Some(weight(&mut rng)));
+            }
+            let edits: Vec<_> = edits.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+            (g, base, aggregates) = warm_step(seed, &g, n_new, &edits, base, aggregates, &mut seen);
+        }
+        seen
+    }
+
+    #[test]
+    fn the_recorded_mover_patch_is_the_o_n_compare_bit_for_bit() {
+        let (g, _) = lfr(LfrParams::benchmark(800, 0.3), 21);
+        let unit = mover_patch_chain(g, 40, 21, &|_| 1.0);
+        // tenths are not dyadic: any change of summation order would show
+        let (g, _) = lfr(LfrParams::benchmark(600, 0.4), 22);
+        let mut b = GraphBuilder::new(g.node_count());
+        for u in g.nodes() {
+            for (v, _) in g.edges_of(u).filter(|&(v, _)| v >= u) {
+                b.add_edge(u, v, 0.1 * ((u ^ v) % 17 + 1) as f64);
+            }
+        }
+        let tenths = mover_patch_chain(b.build(), 40, 22, &|rng| {
+            0.1 * rand::Rng::gen_range(rng, 1..30) as f64
+        });
+        for seen in [unit, tenths] {
+            assert!(seen.movers > 0 && seen.stranded > 0, "{seen:?}");
+            assert!(seen.grown > 0 && seen.self_loops > 0, "{seen:?}");
+        }
+    }
+
+    #[test]
+    fn a_node_that_moves_and_moves_back_is_not_replayed() {
+        use crate::quality::community_aggregates;
+        // A = {0, 1, 2, 3}, B = {4, 5}. The edit ties 0 to 4 by 3 and 4 to
+        // 3 by 5: if 0 is evaluated before 4 it joins B, 4 then joins A,
+        // and the next sweep takes 0 back to A, where it started.
+        let mut b = GraphBuilder::new(6);
+        for (u, v, w) in [
+            (0, 1, 1.0),
+            (0, 2, 1.0),
+            (1, 2, 9.0),
+            (1, 3, 9.0),
+            (2, 3, 9.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(4, 5, 1.0);
+        let g = b.build();
+        let base = Arc::new(Partition::from_vec(vec![0, 0, 0, 0, 1, 1]));
+        let edits = [(0, 4, Some(3.0)), (3, 4, Some(5.0))];
+        let mut seen = Exercised::default();
+        for seed in 1..=8 {
+            let aggregates = community_aggregates(&g, &base);
+            warm_step(seed, &g, 6, &edits, base.clone(), aggregates, &mut seen);
+        }
+        assert!(seen.moved_back > 0, "{seen:?}");
+    }
+
     #[test]
     #[should_panic(expected = "start aggregates cover")]
     fn rejects_aggregates_that_do_not_cover_the_start() {
@@ -524,7 +892,7 @@ mod tests {
         let aggregates = crate::quality::community_aggregates(&g, &truth);
         let mut plp = Plp::new();
         plp.start_from(StartState {
-            base: Partition::from_vec(truth.as_slice()[..5].to_vec()),
+            base: Arc::new(Partition::from_vec(truth.as_slice()[..5].to_vec())),
             frontier: Vec::new(),
             aggregates: Some(aggregates),
         });
@@ -537,7 +905,7 @@ mod tests {
         let (g, _) = ring_of_cliques(2, 3);
         let mut plp = Plp::new();
         plp.start_from(StartState {
-            base: Partition::singleton(7),
+            base: Arc::new(Partition::singleton(7)),
             frontier: Vec::new(),
             aggregates: None,
         });

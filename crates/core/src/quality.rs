@@ -14,8 +14,8 @@
 //! The scan ([`community_aggregates`]) costs O(n + m). A warm run does not
 //! need it: its [`CommunityAggregates`] are carried from the base it
 //! started from and patched — by [`CommunityAggregates::apply_edits`] for
-//! each edge an edit changed, by the mover patch for each node whose label
-//! changed, and through the compaction that renumbers the result — so Q
+//! each edge an edit changed, by the mover patch for each node the run
+//! relabeled, and through the compaction that renumbers the result — so Q
 //! costs O(k) to read off. On integer weights every sum involved is exact
 //! in `f64`, so the carried aggregates equal the scan's bit for bit.
 
@@ -193,12 +193,65 @@ impl CommunityAggregates {
     /// The mover patch: turns the aggregates of the labels a run on `g`
     /// started from — `from`, nodes past its end labelled by
     /// [`start_label`] — into those of `to`, the labels it ended with, and
-    /// leaves them covering exactly `to`'s ids. One O(n) compare finds the
-    /// movers; each costs O(deg). Movers are replayed one by one in node
-    /// order, so a neighbour's current label is its final one if it moved
-    /// already, its start label otherwise.
-    // audit:allow(budget-propagation): one bounded pass over the result, cheaper than the sweep the run's budget already admitted
-    pub(crate) fn apply_moves(&mut self, g: &Graph, from: &Partition, to: &Partition) {
+    /// leaves them covering exactly `to`'s ids. `movers` holds, sorted and
+    /// each once, every node whose label may differ: the ones the run
+    /// relabeled. Each whose final label does differ from its start label
+    /// is replayed at O(deg), in node order, so a neighbour's current label
+    /// is its final one if it moved already, its start label otherwise —
+    /// the order, and so the sums, of a compare over every node.
+    // audit:allow(budget-propagation): O(Σ mover degree), less than the sweeps that relabeled them, which the run's budget already admitted
+    pub(crate) fn apply_moves(
+        &mut self,
+        g: &Graph,
+        from: &Partition,
+        to: &Partition,
+        movers: &[Node],
+    ) {
+        debug_assert!(movers.windows(2).all(|w| w[0] < w[1]), "movers unsorted");
+        let ub = to.upper_bound() as usize;
+        self.resize(self.len().max(ub));
+        let current = |u: Node, mover: Node| {
+            if u < mover {
+                to.subset_of(u)
+            } else {
+                start_label(from, u)
+            }
+        };
+        for &v in movers {
+            let (a, b) = (start_label(from, v), to.subset_of(v));
+            if a == b {
+                continue;
+            }
+            let (mut to_a, mut to_b) = (0.0, 0.0);
+            for (u, w) in g.edges_of(v) {
+                if u == v {
+                    // a self-loop is inside whichever community v is in
+                    to_a += w;
+                    to_b += w;
+                    continue;
+                }
+                let c = current(u, v);
+                if c == a {
+                    to_a += w;
+                } else if c == b {
+                    to_b += w;
+                }
+            }
+            let (a, b) = (a as usize, b as usize);
+            self.volume[a] -= g.volume(v);
+            self.volume[b] += g.volume(v);
+            self.intra_weight[a] -= to_a;
+            self.intra_weight[b] += to_b;
+        }
+        // every id at or past `to`'s bound has lost all its members
+        self.resize(ub);
+    }
+
+    /// The mover patch with the movers found by one O(n) compare of every
+    /// node's start and final label: the reference the recorded patch is
+    /// held to, bit for bit.
+    #[cfg(test)]
+    pub(crate) fn apply_moves_reference(&mut self, g: &Graph, from: &Partition, to: &Partition) {
         let ub = to.upper_bound() as usize;
         self.resize(self.len().max(ub));
         let current = |u: Node, mover: Node| {
@@ -501,8 +554,12 @@ mod tests {
         let from = Partition::from_vec(vec![9, 9, 4, 4, 2]);
         let mut to = Partition::from_vec(vec![4, 4, 4, 2, 2, 11, 2]);
         let mut agg = community_aggregates(&g, &extended(&from, 7));
-        agg.apply_moves(&g, &from, &to);
+        let mut reference = agg.clone();
+        // node 2 is listed but did not move: it is skipped
+        agg.apply_moves(&g, &from, &to, &[0, 1, 2, 3, 5, 6]);
+        reference.apply_moves_reference(&g, &from, &to);
         assert_same_bits(&agg, &community_aggregates(&g, &to), "moved");
+        assert_same_bits(&agg, &reference, "the O(n) compare");
         let mut plain = to.clone();
         compact_carrying(&mut plain, None);
         compact_carrying(&mut to, Some(&mut agg));

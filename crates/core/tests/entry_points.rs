@@ -147,7 +147,7 @@ fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
                 let mut aggregates = community_aggregates(&g, &base);
                 aggregates.apply_edits(&base, &g, n_new, &edits);
                 let start = StartState {
-                    base,
+                    base: base.into(),
                     frontier: endpoints(&edits),
                     aggregates: Some(aggregates),
                 };
@@ -192,16 +192,16 @@ fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
                 // on one thread, land on the same partition
                 let mut detector = build(info.name);
                 started(&mut detector);
-                assert_eq!(detector.detect(&edited), r.partition, "{what}: detect");
+                assert_eq!(detector.detect(&edited), *r.partition, "{what}: detect");
                 let mut detector = build(info.name);
                 started(&mut detector);
                 let (zeta, report) = detector.detect_with_report(&edited);
-                assert_eq!(zeta, r.partition, "{what}: with_report");
+                assert_eq!(zeta, *r.partition, "{what}: with_report");
                 assert_eq!(report.counter("warm"), Some(warm as u64), "{what}");
 
                 // a refused base leaves an ordinary cold run
                 if !warm {
-                    assert_eq!(build(info.name).detect(&edited), r.partition, "{what}");
+                    assert_eq!(build(info.name).detect(&edited), *r.partition, "{what}");
                 }
             });
         }

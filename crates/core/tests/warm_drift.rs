@@ -57,7 +57,7 @@ fn warm_chain(n: usize, batches: usize, batch: usize, threads: usize, seed: u64)
             g = g.patched(g.node_count(), &edits);
             let mut warm = plp();
             warm.start_from(StartState {
-                base: zeta,
+                base: zeta.into(),
                 frontier: endpoints(&edits),
                 aggregates: None,
             });

@@ -24,13 +24,27 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// assert_eq!(p.number_of_subsets(), 2);
 /// p.compact();
 /// assert_eq!(p.as_slice(), &[0, 0, 1, 1, 1]);
+/// assert!(p.is_compacted());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Partition {
     data: Vec<u32>,
     /// Exclusive upper bound on community ids in `data`.
     upper: u32,
+    /// Whether `data` is known to number its communities `0..upper` in
+    /// order of first appearance — what [`Self::compact`] leaves.
+    compacted: bool,
 }
+
+/// Two partitions are equal when they assign the same ids under the same
+/// bound; whether either is known to be compacted does not matter.
+impl PartialEq for Partition {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.data, self.upper) == (&other.data, other.upper)
+    }
+}
+
+impl Eq for Partition {}
 
 impl Partition {
     /// Every node in its own community: `ζ(v) = v` (the paper's
@@ -39,6 +53,7 @@ impl Partition {
         Self {
             data: (0..n as u32).collect(),
             upper: n as u32,
+            compacted: true,
         }
     }
 
@@ -48,13 +63,18 @@ impl Partition {
         Self {
             data: vec![0; n],
             upper: if n == 0 { 0 } else { 1 },
+            compacted: true,
         }
     }
 
     /// Wraps an explicit assignment vector.
     pub fn from_vec(data: Vec<u32>) -> Self {
         let upper = data.iter().copied().max().map_or(0, |m| m + 1);
-        Self { data, upper }
+        Self {
+            data,
+            upper,
+            compacted: false,
+        }
     }
 
     /// Number of nodes.
@@ -82,12 +102,24 @@ impl Partition {
         if c >= self.upper {
             self.upper = c + 1;
         }
+        self.compacted = false;
     }
 
     /// Exclusive upper bound on community ids.
     #[inline]
     pub fn upper_bound(&self) -> u32 {
         self.upper
+    }
+
+    /// Whether the ids are known to be what [`Self::compact`] would make
+    /// them — `0..k` in order of first appearance — so that compacting
+    /// would change nothing. `compact`, [`Self::singleton`] and
+    /// [`Self::all_in_one`] set this, and [`Self::set`] clears it;
+    /// [`Self::from_vec`] does not scan for it. [`Self::validate_dense`]
+    /// checks the claim.
+    #[inline]
+    pub fn is_compacted(&self) -> bool {
+        self.compacted
     }
 
     /// The raw assignment array.
@@ -140,6 +172,7 @@ impl Partition {
             remap.len() as u32 // audit:allow(lossy-cast): bounded by the u32 node id space
         };
         self.upper = k;
+        self.compacted = true;
         #[cfg(any(debug_assertions, feature = "validate"))]
         if let Err(e) = self.validate_dense() {
             panic!("compact() postcondition violated: {e}");
@@ -165,12 +198,21 @@ impl Partition {
 
     /// Checks [`Self::validate`] plus denseness: community ids form exactly
     /// `0..upper_bound()` with no gaps — the state [`Self::compact`]
-    /// guarantees. Compiled in debug builds or with the `validate` feature.
+    /// guarantees — and, for a partition that claims to be compacted
+    /// ([`Self::is_compacted`]), that each id first appears after the one
+    /// below it. Compiled in debug builds or with the `validate` feature.
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn validate_dense(&self) -> Result<(), String> {
         self.validate()?;
         let mut used = vec![false; self.upper as usize];
-        for &c in &self.data {
+        let mut next = 0;
+        for (v, &c) in self.data.iter().enumerate() {
+            if self.compacted && c > next {
+                return Err(format!(
+                    "node {v} is first in community {c}, but the partition claims to be compacted and next is {next}"
+                ));
+            }
+            next = next.max(c + 1);
             used[c as usize] = true;
         }
         if let Some(gap) = used.iter().position(|&u| !u) {
@@ -430,6 +472,7 @@ mod tests {
         let p = Partition {
             data: vec![0, 5, 1],
             upper: 3,
+            compacted: false,
         };
         let err = p.validate().unwrap_err();
         assert!(err.contains("upper bound"), "{err}");
@@ -442,10 +485,36 @@ mod tests {
         let p = Partition {
             data: vec![0, 2, 0],
             upper: 3,
+            compacted: false,
         };
         assert!(p.validate().is_ok());
         let err = p.validate_dense().unwrap_err();
         assert!(err.contains("unused"), "{err}");
+    }
+
+    #[test]
+    fn only_a_compaction_makes_a_partition_compacted() {
+        // dense, but not numbered in order of first appearance
+        let mut p = Partition::from_vec(vec![1, 0, 1]);
+        assert!(!p.is_compacted() && p.validate_dense().is_ok());
+        p.compact();
+        assert!(p.is_compacted());
+        assert_eq!(
+            p,
+            Partition::from_vec(vec![0, 1, 0]),
+            "the flag is not compared"
+        );
+        p.set(2, 1);
+        assert!(!p.is_compacted());
+        assert!(Partition::singleton(3).is_compacted() && Partition::all_in_one(3).is_compacted());
+        // a false claim fails validation
+        let lie = Partition {
+            data: vec![1, 0, 1],
+            upper: 2,
+            compacted: true,
+        };
+        let err = lie.validate_dense().unwrap_err();
+        assert!(err.contains("claims to be compacted"), "{err}");
     }
 
     #[test]

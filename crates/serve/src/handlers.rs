@@ -25,6 +25,7 @@ use parcom_io::partition_io::render_partition;
 use parcom_io::{load_graph_auto, load_graph_bytes, GraphFormat, IoErrorKind};
 use parcom_obs::json::{self, Value};
 use parcom_obs::Recorder;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Schema tag of every non-detect response body.
@@ -486,7 +487,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         lock_entry(&entry).store_result(
             &spec_key,
             snapshot.generation,
-            &result.partition,
+            Arc::clone(&result.partition),
             aggregates,
         );
     }
@@ -530,7 +531,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
         // the graph in original ids, so the partition is mapped back
         // before emission (community ids and counts are unchanged).
         let emitted = match &snapshot.relabeling {
-            Some(r) => r.to_original(&result.partition),
+            Some(r) => Arc::new(r.to_original(&result.partition)),
             None => result.partition,
         };
         // Rendered into the same buffer, which grows by at most the text's

@@ -97,8 +97,9 @@ struct WarmSlot {
     spec: String,
     /// Generation of the graph `partition` was computed on.
     generation: u64,
-    /// In the ids of the resident view (relabeled or not).
-    partition: Partition,
+    /// In the ids of the resident view (relabeled or not). Never changed
+    /// once stored, so runs and replies share it instead of copying it.
+    partition: Arc<Partition>,
     /// ω(C) and vol(C) of `partition` on the *current* CSR — nodes added
     /// since in their singletons, as a run started from it labels them —
     /// patched by every fold. `None` when the result came without them.
@@ -494,13 +495,14 @@ impl GraphEntry {
     /// Where a detection with `spec` on the current CSR can start: the
     /// slot's generation and its partition with the endpoints dirtied
     /// since and its aggregates. `None` when nothing is cached for `spec`.
-    /// The slot keeps its own copy — the aggregates cost 16 bytes per
-    /// community — so a run that is cut short, or one running beside it,
+    /// The partition is shared, never written; the slot keeps its own copy
+    /// of the aggregates — 16 bytes per community, patched in place by
+    /// every fold — so a run that is cut short, or one running beside it,
     /// leaves it whole.
     pub fn warm_start(&self, spec: &str) -> Option<(u64, StartState)> {
         let slot = self.warm.iter().find(|slot| slot.spec == spec)?;
         let start = StartState {
-            base: slot.partition.clone(),
+            base: Arc::clone(&slot.partition),
             frontier: slot.dirty.clone(),
             aggregates: slot.aggregates.clone(),
         };
@@ -518,7 +520,7 @@ impl GraphEntry {
         &mut self,
         spec: &str,
         generation: u64,
-        partition: &Partition,
+        partition: Arc<Partition>,
         aggregates: Option<CommunityAggregates>,
     ) -> bool {
         if generation != self.generation {
@@ -537,7 +539,7 @@ impl GraphEntry {
         self.warm.push(WarmSlot {
             spec: spec.to_string(),
             generation,
-            partition: partition.clone(),
+            partition,
             aggregates,
             dirty: Vec::new(),
         });
@@ -844,7 +846,7 @@ mod tests {
                 volume: vec![2.0],
             };
             let zeta = Partition::all_in_one(600);
-            assert!(!e.store_result(&spec, held.generation, &zeta, Some(late)));
+            assert!(!e.store_result(&spec, held.generation, Arc::new(zeta), Some(late)));
         }
         let patched = aggregates();
         assert_ne!(patched, stored, "the fold patched them");

@@ -6,13 +6,16 @@
 //! new aggregates must equal a scan of the answer. On integer weights every
 //! sum is exact, so equality is bit for bit; on weights that are not
 //! dyadic fractions the carried sums may differ from the scan's in the
-//! last bits, within a relative 1e-9.
+//! last bits, within a relative 1e-9. The detects run on two threads, so
+//! the movers each run records come from racing workers (the T = 1 half,
+//! against the O(n) compare the record replaced, is in `plp.rs`).
 
 use parcom_core::quality::{
     community_aggregates, modularity_gamma, start_label, CommunityAggregates,
 };
 use parcom_core::CancelToken;
 use parcom_generators::{lfr, LfrParams};
+use parcom_graph::parallel::with_threads;
 use parcom_graph::{Graph, Node, Partition};
 use parcom_obs::json::{self, Value};
 use parcom_serve::handlers;
@@ -75,7 +78,7 @@ fn batch(
     g: &Graph,
     step: usize,
     loops: &mut Vec<Node>,
-    weight: &dyn Fn(&mut Rng) -> f64,
+    weight: &(dyn Fn(&mut Rng) -> f64 + Sync),
 ) -> Vec<EdgeOp> {
     let n = g.node_count();
     let mut ops = Vec::new();
@@ -122,7 +125,7 @@ fn detect(store: &GraphStore, spec: &str) -> Value {
     json::parse(&reply).unwrap()
 }
 
-fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &dyn Fn(&mut Rng) -> f64) {
+fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &(dyn Fn(&mut Rng) -> f64 + Sync)) {
     let spec = format!("plp:seed={seed}");
     let store = GraphStore::new();
     store.insert("g", lfr(LfrParams::benchmark(1500, 0.3), seed).0, None);
@@ -183,7 +186,7 @@ fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &dyn Fn(&mut Rng
             "{what}"
         );
         let (_, start) = lock_entry(&entry).warm_start(&spec).unwrap();
-        assert_eq!(start.base, zeta, "{what}: the slot holds the answer");
+        assert_eq!(*start.base, zeta, "{what}: the slot holds the answer");
         let stored = start.aggregates.expect("the answer's aggregates");
         exactness.check_all(
             &stored,
@@ -197,13 +200,17 @@ fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &dyn Fn(&mut Rng
 #[test]
 fn carried_aggregates_are_the_scan_bit_for_bit_on_integer_weights() {
     // new edges weigh 1, reweights go to 2 or 3: integers, exact in f64
-    chain(200, 3, Exactness::Bits, &|rng| 1.0 + rng.below(3) as f64);
+    with_threads(2, || {
+        chain(200, 3, Exactness::Bits, &|rng| 1.0 + rng.below(3) as f64)
+    });
 }
 
 #[test]
 fn carried_aggregates_stay_within_1e_9_of_the_scan_on_decimal_weights() {
     // tenths are not dyadic: every sum rounds, differently in each order
-    chain(150, 4, Exactness::Relative(1e-9), &|rng| {
-        0.1 * (1 + rng.below(29)) as f64
+    with_threads(2, || {
+        chain(150, 4, Exactness::Relative(1e-9), &|rng| {
+            0.1 * (1 + rng.below(29)) as f64
+        })
     });
 }

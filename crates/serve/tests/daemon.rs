@@ -599,15 +599,26 @@ fn detects_start_from_the_cached_result_until_something_invalidates_it() {
     assert_eq!(cached_specs(&mut client, "g"), [(PLP.to_string(), 0, 0)]);
 
     // a repeat at the same generation is the empty-frontier warm start:
-    // zero sweeps, the stored partition
+    // zero sweeps, the stored partition, Q off the stored aggregates, and
+    // the slot as it was
     let repeat = detect(&mut client, "g", PLP, "");
     assert_eq!(base_of(&repeat), Some(0));
     assert_eq!(label_propagation(&repeat, "iterations"), 0);
+    assert_eq!(label_propagation(&repeat, "label-updates"), 0);
     assert_eq!(repeat.get("partition"), first.get("partition"));
     assert_eq!(
         get_u64(&repeat, "communities"),
         get_u64(&first, "communities")
     );
+    let modularity = |v: &Value| {
+        let metrics = v.get("report").and_then(|r| r.get("metrics"));
+        let q = metrics
+            .and_then(|m| m.get("modularity"))
+            .and_then(Value::as_f64);
+        q.unwrap().to_bits()
+    };
+    assert_eq!(modularity(&repeat), modularity(&first));
+    assert_eq!(cached_specs(&mut client, "g"), [(PLP.to_string(), 0, 0)]);
 
     // an edit left pending is folded by the detect that follows, which
     // starts from generation 0's result and the edit's five endpoints
@@ -800,17 +811,17 @@ fn a_result_older_than_the_graph_is_never_stored_as_current() {
     // keeps its base and learns the new endpoints
     let snapshot = entry.snapshot();
     let zeta = plp().detect(&snapshot.graph);
-    assert!(entry.store_result(PLP, snapshot.generation, &zeta, None));
+    assert!(entry.store_result(PLP, snapshot.generation, zeta.clone().into(), None));
     let held = entry.snapshot();
     entry.buffer_ops([EdgeOp::Insert(7, 400, 1.0), EdgeOp::Remove(9, 8)]);
     entry.rebuild();
-    assert!(!entry.store_result(PLP, held.generation, &zeta, None));
+    assert!(!entry.store_result(PLP, held.generation, zeta.clone().into(), None));
     assert_eq!(frontier(&entry), Some((0, vec![7, 8, 9, 400])));
 
     // a result of the current generation replaces it, dirty list and all
     let current = entry.snapshot();
     let zeta = plp().detect(&current.graph);
-    assert!(entry.store_result(PLP, current.generation, &zeta, None));
+    assert!(entry.store_result(PLP, current.generation, zeta.clone().into(), None));
     assert_eq!(frontier(&entry), Some((1, vec![])));
 
     // without a slot (a first, cold detect): nothing is stored at all
@@ -818,7 +829,7 @@ fn a_result_older_than_the_graph_is_never_stored_as_current() {
     let held = fresh.snapshot();
     fresh.buffer_ops([EdgeOp::Insert(7, 400, 1.0)]);
     fresh.rebuild();
-    assert!(!fresh.store_result(PLP, held.generation, &zeta, None));
+    assert!(!fresh.store_result(PLP, held.generation, zeta.into(), None));
     assert!(fresh.warm_start(PLP).is_none());
 
     // a fold that dirties more than the fixed share of the graph drops

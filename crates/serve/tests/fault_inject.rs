@@ -137,7 +137,7 @@ fn panicked_rebuild_with_a_spare_present_changes_nothing_and_the_retry_is_bit_id
         entry.rebuild();
     }
     let partition = parcom_graph::Partition::singleton(seed_graph().node_count());
-    assert!(entry.store_result("plp:seed=1", 2, &partition, None));
+    assert!(entry.store_result("plp:seed=1", 2, partition.into(), None));
     entry.buffer_ops(batch(2));
     let warm = |e: &GraphEntry| {
         let slots = e.stats().warm;
