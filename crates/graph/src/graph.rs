@@ -445,52 +445,21 @@ fn rows_mirror(offsets: &[usize], targets: &[Node], weights: &[f64]) -> bool {
         == 0
 }
 
-/// `buffer` emptied and able to hold `len` elements. One too small is
-/// freed *before* its successor is allocated (`reserve` would keep both
-/// resident while it copies) and `allocated` is set. A fresh buffer gets
-/// 1/16 headroom, so a slowly growing graph fits the buffers it retires.
-fn fitted<T>(mut buffer: Vec<T>, len: usize, allocated: &mut bool) -> Vec<T> {
-    buffer.clear();
-    if buffer.capacity() < len {
-        drop(buffer);
-        *allocated = true;
-        buffer = Vec::with_capacity(len + len / 16);
-    }
-    buffer
-}
-
 impl CsrRows {
-    /// Empty rows for `n` nodes and up to `entries` adjacency entries, with
-    /// a weights array if `weighted`, in the buffers of `retired`; and
-    /// whether all the buffers they need were large enough. Unit rows need
-    /// no weights buffer, so a retired unit graph's serves them in full.
-    fn recycling(retired: Option<Graph>, n: usize, entries: usize, weighted: bool) -> (Self, bool) {
-        let mut allocated = retired.is_none();
-        let parts = |g: Graph| {
-            (
-                g.offsets,
-                g.targets,
-                g.weights,
-                g.weighted_degrees,
-                g.self_loops,
-            )
-        };
-        let (offsets, targets, weights, weighted_degrees, self_loops) =
-            retired.map(parts).unwrap_or_default();
-        let mut rows = Self {
-            offsets: fitted(offsets, n + 1, &mut allocated),
-            targets: fitted(targets, entries, &mut allocated),
-            weights: match weighted {
-                true => fitted(weights, entries, &mut allocated),
-                false => Vec::new(),
-            },
-            weighted_degrees: fitted(weighted_degrees, n, &mut allocated),
-            self_loops: fitted(self_loops, n, &mut allocated),
+    /// Empty rows for `n` nodes and exactly `entries` adjacency entries,
+    /// with a weights array if `weighted`.
+    fn new(n: usize, entries: usize, weighted: bool) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            targets: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(if weighted { entries } else { 0 }),
+            weighted_degrees: Vec::with_capacity(n),
+            self_loops: Vec::with_capacity(n),
             weighted,
             unit: true,
-        };
-        rows.offsets.push(0);
-        (rows, !allocated)
+        }
     }
 
     /// Appends entries to the open row; empty `weights` are 1.0s.
@@ -612,13 +581,11 @@ impl RowSet {
     }
 
     /// The graph these rows and `base`'s other rows make, written as one
-    /// CSR into the buffers of `retired` ([`CsrRows::recycling`]): base
-    /// rows are bulk-copied in runs between the replaced ones. Also says
-    /// whether nothing was allocated.
-    fn compact(&self, base: &Graph, retired: Option<Graph>) -> (Graph, bool) {
+    /// CSR: base rows are bulk-copied in runs between the replaced ones.
+    fn compact(&self, base: &Graph) -> Graph {
         debug_assert!(base.overlay.is_none());
         let weighted = !base.weights.is_empty() || !self.weights.is_empty();
-        let (mut out, in_place) = CsrRows::recycling(retired, self.n, self.entries, weighted);
+        let mut out = CsrRows::new(self.n, self.entries, weighted);
         let mut next_row = 0;
         for (i, &row) in self.ids.iter().enumerate() {
             out.copy_rows(base, next_row..row as usize);
@@ -626,7 +593,7 @@ impl RowSet {
             next_row = row as usize + 1;
         }
         out.copy_rows(base, next_row..self.n);
-        (Graph::from_rows(out, self.num_loops), in_place)
+        Graph::from_rows(out, self.num_loops)
     }
 
     /// Undirected edges of the edited graph (self-loops count one).
@@ -844,24 +811,8 @@ impl Graph {
     /// edited edge set, bit for bit: rows sorted by neighbor, untouched
     /// weights carried verbatim, caches from the same [`Self::from_csr`]
     /// arithmetic. Sequential, hence identical at any thread count.
-    // audit:allow(unreachable-pub): the allocating reference `patched_into` is pinned against (patch_differential.rs, fold_differential.rs) and the warm-start tests' edit step
     pub fn patched(&self, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
-        self.patched_into(n_new, edits, None).0
-    }
-
-    /// [`Self::patched`], written into the buffers of `retired` — a graph
-    /// nobody reads any more, which passing it by value proves — so that a
-    /// chain of patches stops allocating (and page-faulting in) a whole CSR
-    /// per link. Also returns whether every array of `retired` was large
-    /// enough, i.e. nothing was allocated; no bit of the graph depends on it.
-    pub fn patched_into(
-        &self,
-        n_new: usize,
-        edits: &[(Node, Node, Option<f64>)],
-        retired: Option<Self>,
-    ) -> (Self, bool) {
-        let rows = self.replaced_rows(n_new, edits);
-        rows.compact(self.plain(), retired)
+        self.replaced_rows(n_new, edits).compact(self.plain())
     }
 
     /// The graph `this` becomes under `edits` (the contract of
@@ -873,7 +824,7 @@ impl Graph {
     /// so every total is the compacted graph's, bit for bit. Nothing
     /// `this` holds is written.
     ///
-    /// The rows pile up fold after fold; [`Self::compacted_into`] writes
+    /// The rows pile up fold after fold; [`Self::compacted`] writes
     /// them out when the caller decides they are too many.
     pub fn overlaid(this: &Arc<Self>, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
         let rows = this.replaced_rows(n_new, edits);
@@ -1036,26 +987,14 @@ impl Graph {
         RowSet::new(ids, base_prefix, out, n_new, entries, num_loops)
     }
 
-    /// This graph written out as one plain CSR, into the buffers of
-    /// `retired` as [`Self::patched_into`] writes them; and whether
-    /// nothing was allocated. O(n + m): for an overlay graph, the base's
-    /// rows are copied in runs between the replaced ones. The result
-    /// equals [`Self::csr_view`]'s, bit for bit.
-    pub fn compacted_into(&self, retired: Option<Self>) -> (Self, bool) {
+    /// This graph written out as one plain CSR, into a fresh, exactly
+    /// sized allocation. O(n + m): for an overlay graph, the base's rows
+    /// are copied in runs between the replaced ones. The result equals
+    /// [`Self::csr_view`]'s, bit for bit.
+    pub fn compacted(&self) -> Self {
         match &self.overlay {
-            Some(o) => o.rows.compact(&o.base, retired),
-            None => self.patched_into(self.node_count(), &[], retired),
-        }
-    }
-
-    /// The plain CSR under `this` — `this` itself, or an overlay graph's
-    /// base — if nothing else holds it any more: the buffers a caller may
-    /// hand to the next [`Self::compacted_into`] or [`Self::patched_into`].
-    pub fn into_unshared_base(this: Arc<Self>) -> Option<Self> {
-        let g = Arc::try_unwrap(this).ok()?;
-        match g.overlay {
-            Some(o) => Arc::try_unwrap(o.base).ok(),
-            None => Some(g),
+            Some(o) => o.rows.compact(&o.base),
+            None => self.patched(self.node_count(), &[]),
         }
     }
 
@@ -1155,10 +1094,10 @@ impl Graph {
     /// reads. It *compacts*: an overlay graph is written out as one CSR —
     /// O(n + m) and a second graph's memory — on the first call, and keeps
     /// that copy for as long as it lives. Callers that hold an overlay
-    /// graph and can replace it call [`Self::compacted_into`] instead.
+    /// graph and can replace it call [`Self::compacted`] instead.
     pub fn csr_view(&self) -> CsrView<'_> {
         let g = match &self.overlay {
-            Some(o) => (o.compacted).get_or_init(|| o.rows.compact(&o.base, None).0),
+            Some(o) => (o.compacted).get_or_init(|| o.rows.compact(&o.base)),
             None => self,
         };
         CsrView {
@@ -1459,7 +1398,7 @@ impl Graph {
         if !rows.weights.is_empty() && rows.weights.iter().all(|&w| w == 1.0) {
             return Err("overlay stores a weights array of 1.0s".into());
         }
-        let flat = rows.compact(&o.base, None).0;
+        let flat = rows.compact(&o.base);
         flat.validate()?;
         let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         if flat.node_count() != self.node_count() {

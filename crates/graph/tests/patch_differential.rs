@@ -2,8 +2,7 @@
 //! run-copies the derived caches of the rows it leaves alone and re-sums
 //! only the rows an edit touches, so its `weighted_degrees`, `self_loops`,
 //! `total_weight` and `num_edges` must equal — by `f64::to_bits` — what
-//! [`GraphBuilder::build`] computes from scratch for the edited edge set,
-//! whether it wrote into fresh buffers or into those of a retired graph.
+//! [`GraphBuilder::build`] computes from scratch for the edited edge set.
 //! That includes the weights array itself: a unit graph, every weight 1.0,
 //! stores none, and a patch must come out unit exactly when the build does.
 //! The same edits applied as an overlay ([`Graph::overlaid`]), in one step
@@ -120,9 +119,7 @@ fn arb_patch(
 }
 
 /// Applies `edits` to `g`, the graph of `edges`, and checks the patch
-/// against a fresh build of the edited edge set, in fresh buffers and in
-/// those of retired graphs: one that fits, a weighted one and a unit one
-/// too small for anything.
+/// against a fresh build of the edited edge set.
 fn check_patch(n: usize, mut edges: Edges, n_new: usize, edits: &[(Node, Node, Option<f64>)]) {
     let g = build(n, &edges);
     for &(u, v, w) in edits {
@@ -133,16 +130,7 @@ fn check_patch(n: usize, mut edges: Edges, n_new: usize, edits: &[(Node, Node, O
         };
     }
     let want = build(n_new, &edges);
-    assert_bit_identical(&g.patched(n_new, edits), &want, "fresh buffers");
-    let weighted = build(n_new, &[((0, 0), 0.5)].into_iter().collect());
-    for (what, retired) in [
-        ("recycled", want.clone()),
-        ("weighted", weighted),
-        ("too small", build(1, &Edges::new())),
-    ] {
-        let (got, _) = g.patched_into(n_new, edits, Some(retired));
-        assert_bit_identical(&got, &want, what);
-    }
+    assert_bit_identical(&g.patched(n_new, edits), &want, "patched");
     // the same edits as an overlay, in one step and in two (an overlay
     // over an overlay), read in place and then written out
     let shared = Arc::new(g);
@@ -153,7 +141,7 @@ fn check_patch(n: usize, mut edges: Edges, n_new: usize, edits: &[(Node, Node, O
     for (what, got) in [("overlay", &once), ("overlay of an overlay", &twice)] {
         assert!(got.is_overlaid());
         assert_same_rows(got, &want, what);
-        assert_bit_identical(&got.compacted_into(None).0, &want, what);
+        assert_bit_identical(&got.compacted(), &want, what);
         assert_bit_identical(got, &want, what);
     }
 }

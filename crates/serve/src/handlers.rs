@@ -33,13 +33,11 @@ pub const SCHEMA: &str = "parcom-serve/v1";
 
 /// Schema tag of the `/detect` response body. Keys, in order: `schema`,
 /// `graph`, `spec`, `generation`, `nodes`, `edges`, `termination`,
-/// `communities`, `snapshot` (`{"folded_ops", "fold_ms", "recycled",
-/// "compacted", "overlay_rows"}`: the buffered edits this request folded
-/// in before detecting, what that cost, whether the fold allocated no
-/// full-size CSR — it wrote an overlay, or compacted into the buffers of
-/// the CSR the previous compaction retired — and whether it compacted;
-/// `0` / `0.0` / `false` / `false` when none were pending; then the rows
-/// the detected graph's overlay replaces), `warm` (whether the run started
+/// `communities`, `snapshot` (`{"folded_ops", "fold_ms", "compacted",
+/// "overlay_rows"}`: the buffered edits this request folded in before
+/// detecting, what that cost and whether it compacted the graph into one
+/// CSR; `0` / `0.0` / `false` when none were pending; then the rows the
+/// detected graph's overlay replaces), `warm` (whether the run started
 /// from the graph's cached result for this spec), `base_generation` (the
 /// generation that result was computed at; `null` for a cold run), `report`
 /// (a full `parcom-run-report/v2`) and, on request, `partition`.
@@ -128,12 +126,9 @@ fn list_graphs(store: &GraphStore) -> Reply {
             stats.nodes, stats.edges, stats.pending, stats.generation, stats.generation,
             stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
         ));
-        // What the graph holds in memory: its CSR and overlay, and — once
-        // compacted — the retired CSR the next compaction will write into.
+        // What the graph holds in memory: its CSR and overlay.
         json::write_key(&mut out, "resident_bytes");
         json::write_u64(&mut out, stats.resident_bytes as u64);
-        json::write_key(&mut out, "spare_bytes");
-        json::write_u64(&mut out, stats.spare_bytes as u64);
         // The rows an edited graph holds beside its compact CSR.
         json::write_key(&mut out, "overlay_rows");
         json::write_u64(&mut out, stats.overlay_rows as u64);
@@ -511,10 +506,9 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     let communities = (result.report.counter("communities"))
         .unwrap_or_else(|| result.partition.number_of_subsets() as u64);
     out.push_str(&format!(
-        ",\"communities\":{communities},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3},\"recycled\":{},\"compacted\":{},\"overlay_rows\":{}}},\"warm\":{},\"base_generation\":",
+        ",\"communities\":{communities},\"snapshot\":{{\"folded_ops\":{},\"fold_ms\":{:.3},\"compacted\":{},\"overlay_rows\":{}}},\"warm\":{},\"base_generation\":",
         snapshot.folded_ops,
         snapshot.fold_ms,
-        snapshot.recycled,
         snapshot.compacted,
         snapshot.overlay_rows,
         base_generation.is_some()

@@ -120,9 +120,8 @@ impl Durability {
     pub fn checkpoint(&self, name: &str, entry: &mut GraphEntry) -> io::Result<()> {
         entry.rebuild();
         // A checkpoint puts the graph at rest: one compact CSR, which the
-        // `.pcg` write reads whole anyway, and no second one beside it.
+        // `.pcg` write reads whole anyway.
         entry.compact();
-        entry.drop_spare();
         let seq = entry.seq();
         let paths = self.paths(name);
         let (graph, relabeling, _) = entry.current();

@@ -12,9 +12,8 @@
 //! differ from it, merged anew by every fold — O(Σ touched degree +
 //! |overlay|), whatever the size of the graph. Once the overlay holds
 //! more than 1/[`COMPACT_SHARE`] of the base's entries, and at every
-//! checkpoint, the fold *compacts*: it writes the whole graph as one CSR
-//! into the buffers of the CSR the previous compaction retired — the
-//! *spare* an edited graph keeps, so that a compaction allocates nothing.
+//! checkpoint, the fold *compacts*: it writes the whole graph as one fresh
+//! CSR and drops the base, so an edited graph is one CSR plus its overlay.
 //!
 //! Beside the CSR an entry keeps a few *warm slots*: per detector spec,
 //! the last partition a detection converged to, its community aggregates
@@ -124,11 +123,6 @@ pub struct GraphEntry {
     /// The resident graph: a plain CSR, or an overlay over the CSR the
     /// last compaction wrote.
     graph: Arc<Graph>,
-    /// The CSR the last compaction retired, if no snapshot still held it;
-    /// the next compaction writes into its buffers. Owned, not shared:
-    /// that is what makes overwriting it safe. Checkpoint and eviction
-    /// drop it.
-    spare: Option<Graph>,
     /// When the resident CSR is a relabeled view (loaded from a `.pcg`
     /// written with `--relabel`, or relabeled at load), the permutation
     /// back to original ids. Detection handlers map partitions through it
@@ -183,9 +177,6 @@ pub struct EntryStats {
     pub overlay_rows: usize,
     /// The overlay's share of `resident_bytes`.
     pub overlay_bytes: usize,
-    /// The same for the spare CSR kept for the next compaction (0 without
-    /// one).
-    pub spare_bytes: usize,
 }
 
 /// What a detection runs against: the CSR with every acknowledged edit
@@ -201,21 +192,10 @@ pub struct Snapshot {
     pub folded_ops: usize,
     /// Wall time of that fold in milliseconds (0.0 when nothing was pending).
     pub fold_ms: f64,
-    /// Whether that fold allocated no full-size CSR: it wrote an overlay,
-    /// or it compacted into the spare's buffers.
-    pub recycled: bool,
     /// Whether that fold compacted the graph into one CSR.
     pub compacted: bool,
     /// Rows `graph`'s overlay replaces (0 for a compact graph).
     pub overlay_rows: usize,
-}
-
-/// What one fold did: whether it allocated no full-size CSR, and whether
-/// it compacted.
-#[derive(Clone, Copy, Default)]
-struct Folded {
-    recycled: bool,
-    compacted: bool,
 }
 
 /// Canonicalizes one operation's endpoint order so fold keys match the
@@ -235,7 +215,6 @@ impl GraphEntry {
     pub fn new(graph: Graph, relabeling: Option<Relabeling>) -> Self {
         Self {
             graph: Arc::new(graph),
-            spare: None,
             relabeling: relabeling.map(Arc::new),
             pending: Vec::new(),
             generation: 0,
@@ -315,25 +294,17 @@ impl GraphEntry {
         self.pending.len()
     }
 
-    /// Frees the spare CSR: a checkpoint puts the graph at rest, an eviction ends it.
-    pub fn drop_spare(&mut self) {
-        self.spare = None;
-    }
-
-    /// Writes an overlay graph out as one CSR, into the spare's buffers
-    /// when they are large enough, and keeps the base it retires as the
-    /// next spare unless a snapshot still reads it. Returns whether
-    /// nothing was allocated; `None` when the graph is compact already.
-    /// Unwind-safe like [`Self::rebuild`]: only the spare is taken before
-    /// the new CSR is complete.
-    pub fn compact(&mut self) -> Option<bool> {
+    /// Writes an overlay graph out as one fresh CSR and drops the base
+    /// (a snapshot that still reads it keeps it alive). Returns whether it
+    /// compacted: `false` when the graph is compact already. Unwind-safe
+    /// like [`Self::rebuild`]: nothing is replaced before the new CSR is
+    /// complete.
+    pub fn compact(&mut self) -> bool {
         if !self.graph.is_overlaid() {
-            return None;
+            return false;
         }
-        let (compacted, recycled) = self.graph.compacted_into(self.spare.take());
-        let retired = std::mem::replace(&mut self.graph, Arc::new(compacted));
-        self.spare = Graph::into_unshared_base(retired);
-        Some(recycled)
+        self.graph = Arc::new(self.graph.compacted());
+        true
     }
 
     /// Whether the buffer has reached the automatic rebuild threshold.
@@ -355,14 +326,12 @@ impl GraphEntry {
     /// fully built, so a panic mid-rebuild (allocation failure, injected
     /// fault at `serve/store-rebuild`) leaves the resident graph, the
     /// pending buffer and the WAL exactly as they were — the rebuild can
-    /// simply be retried; at worst the spare is gone, and the retry
-    /// allocates. The rebuilt graph reads — and compacts to —
+    /// simply be retried. The rebuilt graph reads — and compacts to —
     /// bit-identical arrays for a given (graph, buffered-op-sequence) pair
     /// regardless of thread count, rebuild batching or when it compacted:
     /// each fold leaves rows sorted by neighbor with the surviving weights
     /// verbatim, and the caches are summed row by row from the arrays
-    /// alone, whatever buffers they were written into. Recovery replay
-    /// relies on this.
+    /// alone. Recovery replay relies on this.
     ///
     /// Every fold, checkpoint and replay comes through here, so this is
     /// also where the warm slots learn what changed: each keeps the folded
@@ -375,10 +344,10 @@ impl GraphEntry {
         self.fold();
     }
 
-    /// [`Self::rebuild`]; says what the fold did.
-    fn fold(&mut self) -> Folded {
+    /// [`Self::rebuild`]; says whether the fold compacted.
+    fn fold(&mut self) -> bool {
         if self.pending.is_empty() {
-            return Folded::default();
+            return false;
         }
         let n_old = self.graph.node_count();
         let mut n_new = n_old;
@@ -439,24 +408,10 @@ impl GraphEntry {
             keep
         });
         self.pending.clear();
-        // A relabeled CSR nobody reads any more is the next compaction's
-        // buffers; a base is still read by the overlay over it.
-        let retired = std::mem::replace(&mut self.graph, Arc::new(rebuilt));
-        if let Some(spare) = Graph::into_unshared_base(retired) {
-            self.spare = Some(spare);
-        }
+        self.graph = Arc::new(rebuilt);
         self.generation += 1;
         let footprint = self.graph.footprint();
-        if footprint.overlay_entries * COMPACT_SHARE <= footprint.base_entries {
-            return Folded {
-                recycled: true,
-                compacted: false,
-            };
-        }
-        Folded {
-            recycled: self.compact().expect("a fold leaves an overlay"),
-            compacted: true,
-        }
+        footprint.overlay_entries * COMPACT_SHARE > footprint.base_entries && self.compact()
     }
 
     /// The resident CSR (pending operations excluded), its relabeling (if
@@ -473,7 +428,7 @@ impl GraphEntry {
     pub fn snapshot(&mut self) -> Snapshot {
         let folded_ops = self.pending.len();
         let started = Instant::now();
-        let folded = self.fold();
+        let compacted = self.fold();
         let fold_ms = if folded_ops == 0 {
             0.0
         } else {
@@ -487,8 +442,7 @@ impl GraphEntry {
             generation,
             folded_ops,
             fold_ms,
-            recycled: folded.recycled,
-            compacted: folded.compacted,
+            compacted,
         }
     }
 
@@ -568,7 +522,6 @@ impl GraphEntry {
             resident_bytes: footprint.base_bytes + footprint.overlay_bytes,
             overlay_rows: footprint.overlay_rows,
             overlay_bytes: footprint.overlay_bytes,
-            spare_bytes: self.spare.as_ref().map_or(0, |g| g.footprint().base_bytes),
         }
     }
 }
@@ -609,9 +562,7 @@ impl GraphStore {
     /// Evicts a named graph; `false` if it was not resident. In-flight
     /// detections keep their `Arc<Graph>` snapshot alive until they finish.
     pub fn remove(&self, name: &str) -> bool {
-        let removed = self.inner.write().unwrap().remove(name);
-        // A detection in flight keeps the entry alive, not its spare.
-        removed.inspect(|e| lock_entry(e).drop_spare()).is_some()
+        self.inner.write().unwrap().remove(name).is_some()
     }
 
     /// The entry for `name`, if resident.
@@ -723,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn a_held_snapshot_is_never_written_into_and_a_released_one_is_recycled() {
+    fn a_held_snapshot_is_never_written_into() {
         let bits = |g: &Graph| {
             let v = g.csr_view();
             let floats = [
@@ -735,8 +686,8 @@ mod tests {
             let floats = floats.map(|ws| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
             (v.offsets.to_vec(), v.targets.to_vec(), floats, v.num_edges)
         };
-        // Each fold adds one edge, far less than a fresh CSR's headroom,
-        // and an overlay of two rows, far less than a compaction's share.
+        // Each fold adds one edge and an overlay of two rows, far less
+        // than a compaction's share.
         let mut entry = GraphEntry::new(path_graph(1000), None);
         let fold = |entry: &mut GraphEntry| {
             let k = entry.stats().generation as Node;
@@ -744,34 +695,17 @@ mod tests {
             entry.snapshot()
         };
         let held = fold(&mut entry);
-        assert!(held.recycled && !held.compacted && held.graph.is_overlaid());
-        assert_eq!((held.overlay_rows, entry.stats().spare_bytes), (2, 0));
+        assert!(!held.compacted && held.graph.is_overlaid());
+        assert_eq!(held.overlay_rows, 2);
         let copy = bits(&held.graph);
-        // The held overlay pins the generation-0 base: the first
-        // compaction allocates and retires no spare; the second allocates
-        // too, and retires the first one's CSR, which nothing held.
-        assert_eq!(entry.compact(), Some(false));
-        assert_eq!(entry.stats().spare_bytes, 0);
-        assert_eq!(entry.compact(), None, "compact already");
+        // The held overlay pins the generation-0 base through two
+        // compactions, neither of which writes into it.
+        assert!(entry.compact());
+        assert!(!entry.compact(), "compact already");
         fold(&mut entry);
-        assert_eq!(entry.compact(), Some(false));
-        assert!(entry.stats().spare_bytes > 0);
+        assert!(entry.compact());
         assert_eq!(bits(&held.graph), copy);
-        drop(held);
-
-        // With no reader left, a compaction retires its base and the one
-        // after it writes into that: same allocation, new contents.
-        let retired = entry.current().0;
-        let address = retired.csr_view().targets.as_ptr();
-        drop(retired);
-        fold(&mut entry);
-        assert_eq!(entry.compact(), Some(true));
-        fold(&mut entry);
-        assert_eq!(entry.compact(), Some(true));
-        let reused = entry.current().0;
-        assert_eq!(reused.csr_view().targets.as_ptr(), address);
-        assert_eq!(reused.edge_count(), 999 + 4);
-        assert!(entry.stats().spare_bytes > 0);
+        assert_eq!(entry.current().0.edge_count(), 999 + 2);
     }
 
     #[test]

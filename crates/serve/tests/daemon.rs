@@ -211,7 +211,7 @@ fn full_lifecycle_over_unix_socket() {
     let listed = &v.get("graphs").and_then(Value::as_array).unwrap()[0];
     let m = g.edge_count() as u64;
     assert_eq!(get_u64(listed, "resident_bytes"), csr_bytes(20, m));
-    assert_eq!(get_u64(listed, "spare_bytes"), 0);
+    assert!(listed.get("spare_bytes").is_none(), "{listed:?}");
 
     // a clean detection recovers the 4 cliques and embeds a v2 run report
     let (status, v) = client.request(
@@ -258,22 +258,12 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(get_u64(snapshot, "folded_ops"), 0);
     assert_eq!(snapshot.get("fold_ms").and_then(Value::as_f64), Some(0.0));
     let flag = |snapshot: &Value, key: &str| snapshot.get(key).and_then(Value::as_bool);
-    assert_eq!(flag(snapshot, "recycled"), Some(false));
     assert_eq!(flag(snapshot, "compacted"), Some(false));
     assert_eq!(get_u64(snapshot, "overlay_rows"), 0);
     let keys: Vec<&str> = (snapshot.entries().unwrap().iter())
         .map(|(k, _)| k.as_str())
         .collect();
-    assert_eq!(
-        keys,
-        [
-            "folded_ops",
-            "fold_ms",
-            "recycled",
-            "compacted",
-            "overlay_rows"
-        ]
-    );
+    assert_eq!(keys, ["folded_ops", "fold_ms", "compacted", "overlay_rows"]);
 
     // an already-expired deadline terminates with "deadline" but still
     // returns a valid (degraded) result
@@ -357,10 +347,8 @@ fn full_lifecycle_over_unix_socket() {
     let snapshot = v.get("snapshot").unwrap();
     assert_eq!(get_u64(snapshot, "folded_ops"), 2);
     // the three rows it touches hold more than an eighth of the ring's
-    // entries, so the fold compacted, into a fresh CSR: the spare left by
-    // the first fold's compaction is generation 0's, too small
+    // entries, so the fold compacted
     assert_eq!(flag(snapshot, "compacted"), Some(true));
-    assert_eq!(flag(snapshot, "recycled"), Some(false));
     assert_eq!(get_u64(snapshot, "overlay_rows"), 0);
 
     // listing reflects the rebuilt graph; eviction empties the store
@@ -370,12 +358,10 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(graphs.len(), 1);
     assert_eq!(get_str(&graphs[0], "name"), "ring");
     assert_eq!(get_u64(&graphs[0], "rebuilds"), 2);
-    // a compacted graph holds its CSR and the one the compaction retired,
-    // both still unit: every insert had weight 1 (the spare has the two
-    // edges the last batch removed)
+    // a compacted graph holds its one CSR, still unit: every insert had
+    // weight 1
     let m = get_u64(&graphs[0], "edges");
     assert_eq!(get_u64(&graphs[0], "resident_bytes"), csr_bytes(20, m));
-    assert_eq!(get_u64(&graphs[0], "spare_bytes"), csr_bytes(20, m + 2));
     assert_eq!(get_u64(&graphs[0], "overlay_rows"), 0);
     assert_eq!(get_u64(&graphs[0], "overlay_bytes"), 0);
 
@@ -389,7 +375,6 @@ fn full_lifecycle_over_unix_socket() {
     let (status, v) = client.request("POST", "/detect", QUICK_DETECT);
     assert_eq!(status, 200, "{v:?}");
     let snapshot = v.get("snapshot").unwrap();
-    assert_eq!(flag(snapshot, "recycled"), Some(true));
     assert_eq!(flag(snapshot, "compacted"), Some(false));
     assert_eq!(get_u64(snapshot, "overlay_rows"), 1);
     let (status, v) = client.request("GET", "/graphs", "");
@@ -404,7 +389,7 @@ fn full_lifecycle_over_unix_socket() {
         get_u64(listed, "resident_bytes"),
         csr_bytes(20, m) + overlay_bytes
     );
-    assert_eq!(get_u64(listed, "spare_bytes"), csr_bytes(20, m + 2));
+    assert!(listed.get("spare_bytes").is_none(), "{listed:?}");
 
     let (status, _) = client.request("DELETE", "/graphs/ring", "");
     assert_eq!(status, 200);

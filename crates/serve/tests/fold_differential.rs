@@ -326,17 +326,15 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
 }
 
 /// Nine folds through ONE entry, each snapshot against the reference fold
-/// of its predecessor, each followed by a compaction: from the third on a
-/// compaction writes into the buffers of the CSR retired two compactions
-/// earlier, and what it writes must not depend on what they held.
+/// of its predecessor, each followed by a compaction.
 #[test]
-fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
+fn a_chain_of_folds_and_compactions_matches_the_reference() {
     use EdgeOp::{Insert, Remove};
     let g = lfr(LfrParams::benchmark(5000, 0.3), 11).0;
     let mut rng = Rng(0xD1B5_4A32_D192_ED03);
     let mut want = g.clone();
     let mut entry = GraphEntry::new(g, None);
-    let (mut recycled, mut compacted) = (Vec::new(), Vec::new());
+    let mut compacted = Vec::new();
     for step in 0..9 {
         let (n, edges) = (want.node_count(), want.par_collect_edges());
         let mut pick = |k: usize| {
@@ -363,7 +361,7 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
                     .take(2 + i % 2)
                 })
                 .collect(),
-            // more new entries than any retired CSR's headroom holds
+            // more new entries than the graph holds
             5 => (0..9000)
                 .map(|i| Insert(i % 4999, (i * 31 + 17) % 5000, 0.25 + f64::from(i % 7)))
                 .collect(),
@@ -377,7 +375,7 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
         assert_bit_identical(&snapshot.graph, &want, &what);
         drop(snapshot.graph);
         compacted.push(snapshot.compacted);
-        recycled.push(entry.compact().unwrap_or(snapshot.recycled));
+        assert_eq!(entry.compact(), !snapshot.compacted, "{what}");
         assert_bit_identical(&entry.current().0, &want, &format!("{what} compacted"));
     }
     assert!(want.node_count() > 5000 && entry.stats().generation == 9);
@@ -386,20 +384,12 @@ fn a_chain_of_folds_through_recycled_buffers_matches_the_reference() {
     // compact inside the fold. The growth and the self-loops stay overlays.
     let share = [true, true, false, true, false, true, true, true, true];
     assert_eq!(compacted, share);
-    // No spare yet; its capacity is exact; then every compaction
-    // recycles, but the oversized one and the one that inherits the CSR
-    // before it.
-    assert_eq!(
-        recycled,
-        [false, false, true, true, true, false, false, true, true]
-    );
 }
 
 /// A unit graph through one entry: unit batches keep it unit, a weighted
 /// insert gives it weights, removing that edge makes it unit again. Each
 /// fold, and its compaction, must equal the reference —
-/// `weights.is_empty()` included — and a unit compaction into a unit
-/// spare recycles it, though the spare has no weights buffer at all.
+/// `weights.is_empty()` included.
 #[test]
 fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
     use EdgeOp::{Insert, Remove};
@@ -408,7 +398,7 @@ fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
     let mut rng = Rng(0x2545_F491_4F6C_DD1D);
     let mut want = g.clone();
     let mut entry = GraphEntry::new(g, None);
-    let (mut recycled, mut unit) = (Vec::new(), Vec::new());
+    let mut unit = Vec::new();
     for step in 0..7 {
         let (n, edges) = (want.node_count(), want.par_collect_edges());
         let batch: Vec<EdgeOp> = match step {
@@ -429,19 +419,15 @@ fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
         entry.buffer_ops(batch);
         let snapshot = entry.snapshot();
         let what = format!("fold {step}");
-        assert!(snapshot.recycled && !snapshot.compacted, "{what}");
+        assert!(!snapshot.compacted, "{what}");
         assert_same_rows(&snapshot.graph, &want, &what);
         assert_bit_identical(&snapshot.graph, &want, &what);
         unit.push(snapshot.graph.csr_view().weights.is_empty());
         drop(snapshot.graph);
-        recycled.push(entry.compact().expect("an overlay to compact"));
+        assert!(entry.compact(), "{what}: an overlay to compact");
         assert_bit_identical(&entry.current().0, &want, &format!("{what} compacted"));
     }
     assert_eq!(unit, [true, true, true, false, true, true, true]);
-    // No spare yet; its capacity is exact; a unit spare serves a unit
-    // compaction; the first weighted one and the one after it find a
-    // unit spare without a weights buffer; then unit ones recycle again.
-    assert_eq!(recycled, [false, false, true, false, false, true, true]);
 }
 
 /// Folds that stay overlays, through ONE entry, each read in place and
@@ -500,9 +486,6 @@ fn overlay_chains_match_the_reference_after_every_fold() {
         assert_same_rows(&snapshot.graph, &want, &what);
         assert_bit_identical(&snapshot.graph, &want, &what);
         unit.push(snapshot.graph.csr_view().weights.is_empty());
-        // an overlay fold allocates no full-size CSR; the one compaction
-        // finds no spare yet
-        assert_eq!(snapshot.recycled, !snapshot.compacted, "{what}");
         assert_eq!(
             snapshot.compacted,
             entries * COMPACT_SHARE > base_entries,
@@ -550,7 +533,7 @@ fn detections_on_an_overlay_graph_and_its_compaction_are_bit_identical() {
     }
     let overlay = entry.current().0;
     assert!(overlay.is_overlaid());
-    let compact = overlay.compacted_into(None).0;
+    let compact = overlay.compacted();
     assert!(!compact.is_overlaid());
     let halves = with_threads(2, || overlay.edge_balanced_ranges());
     assert_eq!(halves.len(), 2, "the t2 reductions split the rows");
