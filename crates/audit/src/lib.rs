@@ -225,10 +225,10 @@ pub const ORDERING_ALLOWED: &[&str] = &[
     "shims/rayon/src/pool.rs",
 ];
 
-/// Files in which `unsafe` is permitted. Every crate forbids `unsafe_code`
-/// (parcom-serve downgrades to `deny` only under its `signals` feature,
-/// the rayon shim always, each with one module-scoped `allow`), and this
-/// lint keeps the list of exceptions in one reviewable place.
+/// Files in which `unsafe` is permitted. parcom-serve and the rayon shim
+/// deny `unsafe_code` and lift it in one module-scoped `allow` each, every
+/// other library but parcom-guard forbids it, and this lint keeps the list
+/// of exceptions in one reviewable place.
 pub const UNSAFE_ALLOWED: &[&str] = &[
     // the daemon's signal-capture shim for graceful shutdown (DESIGN.md §16)
     "crates/serve/src/signal.rs",

@@ -238,12 +238,13 @@ fn assert_same_csr(a: &Graph, b: &Graph, ctx: &str) {
     assert_eq!(a.num_edges, b.num_edges, "{ctx}: edge count");
 }
 
-/// Writes `bytes` to `file` in a per-process temp dir, then loads it
-/// through both doors — the path door, and the bytes door with the
-/// fallback the path door derives from the extension — and asserts they
-/// agree.
+/// Writes `bytes` to `file` in a per-thread temp dir (tests run in
+/// parallel and reuse file names), then loads it through both doors — the
+/// path door, and the bytes door with the fallback the path door derives
+/// from the extension — and asserts they agree.
 fn assert_doors_agree(file: &str, bytes: &[u8], fallback: GraphFormat, budget: &Budget) {
-    let dir = std::env::temp_dir().join(format!("parcom_doors_{}", std::process::id()));
+    let thread = std::thread::current().id();
+    let dir = std::env::temp_dir().join(format!("parcom_doors_{}_{thread:?}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path: PathBuf = dir.join(file);
     std::fs::write(&path, bytes).unwrap();

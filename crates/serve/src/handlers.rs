@@ -121,9 +121,8 @@ fn list_graphs(store: &GraphStore) -> Reply {
         out.push_str("{\"name\":");
         json::write_str(&mut out, &name);
         out.push_str(&format!(
-            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"rebuilds\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}",
-            // `rebuilds` is the generation under its older name: both count folds.
-            stats.nodes, stats.edges, stats.pending, stats.generation, stats.generation,
+            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}",
+            stats.nodes, stats.edges, stats.pending, stats.generation,
             stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
         ));
         // What the graph holds in memory: its CSR and overlay.

@@ -1,12 +1,10 @@
-// The workspace-wide no-unsafe rule, with one audited exception: the
-// `signals` feature compiles `src/signal.rs`, which declares the C
-// `signal(2)` entry point for graceful-shutdown capture (DESIGN.md §16).
-// `forbid` cannot be lifted even by that one module, so the feature swaps
-// it for `deny`, which `signal.rs` alone is allowed to lift; every other
-// module stays unsafe-free under both lints, and `parcom-audit` flags any
-// unsafe outside the allowlisted file.
-#![cfg_attr(not(feature = "signals"), forbid(unsafe_code))]
-#![cfg_attr(feature = "signals", deny(unsafe_code))]
+// The workspace-wide no-unsafe rule, with one audited exception:
+// `src/signal.rs` declares the C `signal(2)` entry point for
+// graceful-shutdown capture (DESIGN.md §16). `forbid` cannot be lifted
+// even by that one module, so the crate denies unsafe code and lets
+// `signal.rs` alone lift it; `parcom-audit` flags any unsafe outside the
+// allowlisted file.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # parcom-serve — the resident clustering daemon
@@ -58,7 +56,6 @@ pub mod wal;
 
 pub mod handlers;
 
-#[cfg(feature = "signals")]
 pub mod signal;
 
 use conn::Conn;
@@ -89,7 +86,6 @@ pub const DEFAULT_MAX_DETECTS: usize = 4;
 
 /// How long a graceful shutdown waits for in-flight requests to finish
 /// before flushing and exiting anyway.
-#[cfg(feature = "signals")]
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Daemon configuration: where to listen, how much graph to admit, and
@@ -262,19 +258,16 @@ impl Server {
             ctx.gate.set_ready();
         }
 
-        #[cfg(feature = "signals")]
-        {
-            signal::install();
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name("parcom-serve-shutdown".into())
-                .spawn(move || loop {
-                    if signal::requested() {
-                        shutdown(&ctx);
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                })?;
-        }
+        signal::install();
+        let shutdown_ctx = Arc::clone(&ctx);
+        std::thread::Builder::new()
+            .name("parcom-serve-shutdown".into())
+            .spawn(move || loop {
+                if signal::requested() {
+                    shutdown(&shutdown_ctx);
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            })?;
 
         let mut handles = Vec::new();
         for listener in listeners {
@@ -308,7 +301,6 @@ impl Server {
 /// The graceful-shutdown sequence (SIGTERM/SIGINT, DESIGN.md §16): stop
 /// admitting, drain in-flight requests (bounded by [`DRAIN_TIMEOUT`]),
 /// flush every WAL, checkpoint every dirty graph, exit.
-#[cfg(feature = "signals")]
 fn shutdown(ctx: &ServerCtx) -> ! {
     eprintln!("parcom-serve: shutdown requested, draining");
     ctx.gate.start_drain();

@@ -1,4 +1,4 @@
-//! SIGTERM/SIGINT capture for graceful shutdown (the `signals` feature).
+//! SIGTERM/SIGINT capture for graceful shutdown.
 //!
 //! Dependency-free (no `libc` crate in the offline build): the module
 //! declares the C `signal` entry point itself and installs a handler that
@@ -7,9 +7,9 @@
 //! actual drain/flush/checkpoint sequence on a normal thread.
 //!
 //! This is one of the workspace's two audited `unsafe` modules (with the
-//! executor's `shims/rayon/src/pool.rs`); the crate root swaps
-//! `forbid(unsafe_code)` for `deny` under this feature so the lifts below
-//! stay reviewable, and `parcom-audit` allowlists exactly this file.
+//! executor's `shims/rayon/src/pool.rs`); the crate root denies
+//! `unsafe_code` rather than forbidding it so the lift below stays
+//! reviewable, and `parcom-audit` allowlists exactly this file.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

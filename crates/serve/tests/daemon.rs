@@ -357,7 +357,7 @@ fn full_lifecycle_over_unix_socket() {
     let graphs = v.get("graphs").and_then(Value::as_array).unwrap();
     assert_eq!(graphs.len(), 1);
     assert_eq!(get_str(&graphs[0], "name"), "ring");
-    assert_eq!(get_u64(&graphs[0], "rebuilds"), 2);
+    assert_eq!(get_u64(&graphs[0], "generation"), 2);
     // a compacted graph holds its one CSR, still unit: every insert had
     // weight 1
     let m = get_u64(&graphs[0], "edges");

@@ -3,7 +3,8 @@
 //! Unix socket: readiness probes, WAL-before-ack acknowledgements, the
 //! explicit checkpoint endpoint, bounded-queue overload shedding, and a
 //! warm restart against the same state directory that must answer a
-//! deterministic detection identically to the pre-restart daemon.
+//! deterministic detection identically to the pre-restart daemon, and a
+//! SIGTERM that drains, checkpoints and exits cleanly.
 
 #![cfg(unix)]
 
@@ -11,10 +12,11 @@ mod util;
 
 use parcom_obs::json::Value;
 use parcom_serve::store::MAX_PENDING_OPS;
+use parcom_serve::wal;
 use parcom_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use util::{get_bool, get_u64, wait_ready, Client};
+use util::{get_bool, get_u64, wait_ready, Client, Daemon};
 
 /// Boots an in-process daemon on `socket`, optionally durable.
 fn boot(socket: &Path, state_dir: Option<&Path>) -> Client {
@@ -136,5 +138,65 @@ fn volatile_daemon_reports_not_durable_and_refuses_checkpoints() {
     assert!(!get_bool(&v, "durable"));
     let (status, v) = client.request("POST", "/graphs/tiny/checkpoint", "");
     assert_eq!(status, 409, "{v:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sigterm_checkpoints_exits_cleanly_and_restarts_at_the_acked_seq() {
+    let dir = scratch("sigterm");
+    let state_dir = dir.join("state");
+    let socket = dir.join("t.sock");
+    let mut daemon = Daemon::spawn(&state_dir, &socket, None);
+    let mut client = daemon.wait_ready();
+
+    let (g, _) = parcom_generators::ring_of_cliques(4, 5);
+    let (status, v) = client.request("PUT", "/graphs/ring", &util::metis_body(&g));
+    assert_eq!(status, 201, "{v:?}");
+    let (status, v) = client.request(
+        "POST",
+        "/graphs/ring/edges",
+        "{\"insert\":[[0,7,2.5],[3,12,1.5]],\"remove\":[[0,1]]}",
+    );
+    assert_eq!(status, 200, "{v:?}");
+    let acked = get_u64(&v, "seq");
+    assert_eq!(acked, 1);
+    let detect_body =
+        "{\"graph\":\"ring\",\"spec\":\"plm:move=coloring,seed=1\",\"include_partition\":true}";
+    let (status, before) = client.request("POST", "/detect", detect_body);
+    assert_eq!(status, 200, "{before:?}");
+    drop(client);
+
+    // SIGTERM drains, checkpoints every graph with logged ops, removes
+    // the socket and exits 0.
+    let status = daemon.terminate();
+    assert!(status.success(), "SIGTERM exit: {status}");
+    assert!(!socket.exists(), "socket left behind after SIGTERM");
+    // The shutdown checkpoint started a fresh log era above the acked seq.
+    let replay = wal::replay(&parcom_io::state_paths(&state_dir, "ring").wal).unwrap();
+    assert!(replay.records.is_empty(), "{:?}", replay.records);
+    assert_eq!(replay.base_seq, acked);
+
+    // A restart on the same state dir recovers the graph at the acked seq
+    // and answers the deterministic detect as before the shutdown.
+    let daemon = Daemon::spawn(&state_dir, &socket, None);
+    let mut client = daemon.wait_ready();
+    let (status, v) = client.request("GET", "/graphs", "");
+    assert_eq!(status, 200);
+    let listed = v.get("graphs").and_then(Value::as_array).unwrap();
+    assert_eq!(listed.len(), 1, "{v:?}");
+    assert_eq!(get_u64(&listed[0], "seq"), acked);
+    let (status, after) = client.request("POST", "/detect", detect_body);
+    assert_eq!(status, 200, "{after:?}");
+    for key in ["nodes", "edges", "communities"] {
+        assert_eq!(get_u64(&before, key), get_u64(&after, key), "{key}");
+    }
+    assert_eq!(before.get("partition"), after.get("partition"));
+    let modularity = |v: &Value| {
+        let metrics = v.get("report").and_then(|r| r.get("metrics"));
+        let q = metrics.and_then(|m| m.get("modularity"));
+        q.and_then(Value::as_f64).unwrap().to_bits()
+    };
+    assert_eq!(modularity(&before), modularity(&after));
+    drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@ use parcom_obs::json::{self, Value};
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::Duration;
 
 /// A minimal HTTP/1.1 client over one keep-alive connection.
@@ -276,6 +276,28 @@ impl Daemon {
     pub fn kill9(&mut self) {
         self.child.kill().ok();
         self.child.wait().ok();
+    }
+
+    /// SIGTERM through `kill(1)`, then waits up to 10 s for the daemon's
+    /// graceful shutdown to end the process; panics if it is still running.
+    pub fn terminate(&mut self) -> ExitStatus {
+        let pid = self.child.id().to_string();
+        let sent = Command::new("kill")
+            .args(["-TERM", &pid])
+            .status()
+            .expect("run kill");
+        assert!(sent.success(), "kill -TERM {pid} failed: {sent}");
+        let end = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(status) = self.child.try_wait().expect("wait on crash_harness") {
+                return status;
+            }
+            assert!(
+                std::time::Instant::now() < end,
+                "daemon still running 10 s after SIGTERM"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     /// Waits for the daemon to die on its own (an armed fault aborted it).
