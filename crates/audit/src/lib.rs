@@ -19,10 +19,9 @@
 //! |------|---------|
 //! | `atomic-ordering` | atomic `Ordering::*` variants only in allowlisted modules |
 //! | `static-mut` | no `static mut` anywhere |
-//! | `unsafe-code` | no `unsafe` outside the three allowlisted modules ([`UNSAFE_ALLOWED`]) |
+//! | `unsafe-code` | no `unsafe` outside the two allowlisted modules ([`UNSAFE_ALLOWED`]) |
 //! | `partial-cmp-unwrap` | no `partial_cmp(..).unwrap()/expect(..)` comparators — use `total_cmp` |
 //! | `lossy-cast` | no truncating `as u32`/`as Node` casts of counts outside annotated sites |
-//! | `io-unwrap` | no `unwrap()`/`expect(..)` in `crates/io` parsing paths |
 //! | `budget-check` | outermost heavy loops in `budget: &Budget` functions must call `budget.check*` |
 //! | `budget-propagation` | heavy helpers reachable from a budgeted function must take the budget |
 //! | `lock-across-parallel` | no `.lock()`/`.borrow_mut()` guard live across a parallel call |
@@ -80,9 +79,6 @@ pub enum Rule {
     /// `node_count() as u32`, …) outside annotated sites. A graph with
     /// more than `u32::MAX` nodes silently wraps ids.
     LossyCast,
-    /// `unwrap()`/`expect(..)` in `crates/io` non-test code: readers parse
-    /// untrusted input and must return `IoError`, never panic.
-    IoUnwrap,
     /// A function that accepts `budget: &Budget` promises cooperative
     /// cancellation. Its *outermost* loops that do real work (contain a
     /// nested loop or a `par_*` call) must check the budget somewhere in
@@ -121,13 +117,12 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::AtomicOrdering,
         Rule::StaticMut,
         Rule::UnsafeCode,
         Rule::PartialCmpUnwrap,
         Rule::LossyCast,
-        Rule::IoUnwrap,
         Rule::BudgetCheck,
         Rule::BudgetPropagation,
         Rule::LockAcrossParallel,
@@ -144,7 +139,6 @@ impl Rule {
             Rule::UnsafeCode => "unsafe-code",
             Rule::PartialCmpUnwrap => "partial-cmp-unwrap",
             Rule::LossyCast => "lossy-cast",
-            Rule::IoUnwrap => "io-unwrap",
             Rule::BudgetCheck => "budget-check",
             Rule::BudgetPropagation => "budget-propagation",
             Rule::LockAcrossParallel => "lock-across-parallel",
@@ -227,8 +221,8 @@ pub const ORDERING_ALLOWED: &[&str] = &[
 
 /// Files in which `unsafe` is permitted. parcom-serve and the rayon shim
 /// deny `unsafe_code` and lift it in one module-scoped `allow` each, every
-/// other library but parcom-guard forbids it, and this lint keeps the list
-/// of exceptions in one reviewable place.
+/// other library crate forbids it, and this lint keeps the list of
+/// exceptions in one reviewable place.
 pub const UNSAFE_ALLOWED: &[&str] = &[
     // the daemon's signal-capture shim for graceful shutdown (DESIGN.md §16)
     "crates/serve/src/signal.rs",
@@ -350,9 +344,9 @@ fn sort_violations(violations: &mut [Violation]) {
 }
 
 /// Scans one file's source text. `path` selects path-dependent rules (the
-/// `Ordering` allowlist, `crates/io` for `io-unwrap`) and is echoed into
-/// diagnostics; the file is not re-read from disk. The workspace rules
-/// run over this single file's call graph.
+/// `Ordering` and `unsafe` allowlists) and is echoed into diagnostics;
+/// the file is not re-read from disk. The workspace rules run over this
+/// single file's call graph.
 // audit:allow(unreachable-pub): the single-file harness of the per-rule fixture tests (tests/lint_rules.rs)
 pub fn scan_source(path: &str, source: &str) -> Vec<Violation> {
     let models = [FileModel::build(path, source)];
@@ -425,7 +419,6 @@ pub fn scan_workspace_report(root: &Path) -> std::io::Result<AuditReport> {
     sort_violations(&mut violations);
 
     Ok(AuditReport {
-        root: root.to_string_lossy().into_owned(),
         files_scanned: models.len(),
         threads: rayon::current_num_threads(),
         violations,

@@ -3,14 +3,12 @@
 
 //! `parcom-audit` — run the workspace concurrency-discipline lint.
 //!
-//! Usage: `cargo run -p parcom-audit [root] [--json PATH]`. Without a
-//! root the workspace is located by walking up from the current directory
-//! to the first `Cargo.toml` declaring `[workspace]`. `--json PATH`
-//! additionally writes the pinned `parcom-audit-report/v1` document CI
-//! archives. Exits nonzero when any rule fires; diagnostics are
-//! `file:line: [rule] offending-line` with notes and call-chain evidence
-//! indented below. Unused `audit:allow` markers print as warnings and do
-//! not affect the exit status.
+//! Usage: `cargo run -p parcom-audit [root]`. Without a root the
+//! workspace is located by walking up from the current directory to the
+//! first `Cargo.toml` declaring `[workspace]`. Exits nonzero when any
+//! rule fires; diagnostics are `file:line: [rule] offending-line` with
+//! notes and call-chain evidence indented below. Unused `audit:allow`
+//! markers print as warnings and do not affect the exit status.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,13 +30,10 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut args = std::env::args_os().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args_os().skip(1) {
         match arg.to_str() {
-            Some("--json") => json_path = args.next().map(PathBuf::from),
             Some("--help" | "-h") => {
-                eprintln!("usage: parcom-audit [root] [--json PATH]");
+                eprintln!("usage: parcom-audit [root]");
                 return ExitCode::SUCCESS;
             }
             Some(flag) if flag.starts_with("--") => {
@@ -63,13 +58,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("parcom-audit: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
 
     for v in &report.violations {
         println!("{v}");

@@ -1,12 +1,8 @@
-//! Machine-readable audit report.
-//!
-//! The JSON layout is a **pinned contract** (`parcom-audit-report/v1`,
-//! golden-tested): CI archives the report as an artifact and downstream
-//! tooling may parse it, so field additions require a schema bump. The
-//! writer is hand-rolled like `crates/obs`' JSON emitters — the audit
-//! stays dependency-free.
+//! The result of a workspace scan: violations, marker accounting and
+//! per-rule timing, printed by the `parcom-audit` binary and asserted on
+//! by the tests.
 
-use crate::{Rule, Violation};
+use crate::Violation;
 
 /// Per-rule accounting: how often it fired, how often a marker suppressed
 /// it, and how long it ran (summed across files).
@@ -37,8 +33,6 @@ pub struct UnusedAllow {
 /// timing.
 #[derive(Debug)]
 pub struct AuditReport {
-    /// The scanned root, as given.
-    pub root: String,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Worker threads the parallel scan used.
@@ -47,163 +41,8 @@ pub struct AuditReport {
     pub violations: Vec<Violation>,
     /// Markers that suppressed nothing.
     pub unused_allows: Vec<UnusedAllow>,
-    /// One entry per [`Rule::ALL`] member, same order.
+    /// One entry per [`crate::Rule::ALL`] member, same order.
     pub stats: Vec<RuleStat>,
     /// Wall time of the whole scan, microseconds.
     pub elapsed_micros: u64,
-}
-
-impl AuditReport {
-    /// The pinned schema identifier of [`AuditReport::to_json`].
-    pub const SCHEMA: &'static str = "parcom-audit-report/v1";
-
-    /// Serializes the report. Deterministic field order; every string
-    /// JSON-escaped; `note` is `null` when absent.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push('{');
-        field_str(&mut s, "schema", Self::SCHEMA);
-        s.push(',');
-        field_str(&mut s, "root", &self.root);
-        s.push(',');
-        field_num(&mut s, "files_scanned", self.files_scanned as u64);
-        s.push(',');
-        field_num(&mut s, "threads", self.threads as u64);
-        s.push(',');
-        field_num(&mut s, "elapsed_micros", self.elapsed_micros);
-        s.push(',');
-
-        s.push_str("\"rules\":[");
-        for (i, (rule, st)) in Rule::ALL.iter().zip(&self.stats).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            field_str(&mut s, "name", rule.name());
-            s.push(',');
-            field_num(&mut s, "fired", st.fired as u64);
-            s.push(',');
-            field_num(&mut s, "suppressed", st.suppressed as u64);
-            s.push(',');
-            field_num(&mut s, "micros", st.micros);
-            s.push('}');
-        }
-        s.push_str("],");
-
-        s.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            field_str(&mut s, "rule", v.rule.name());
-            s.push(',');
-            field_str(&mut s, "file", &v.file);
-            s.push(',');
-            field_num(&mut s, "line", v.line as u64);
-            s.push(',');
-            field_num(&mut s, "column", v.column as u64);
-            s.push(',');
-            field_str(&mut s, "excerpt", &v.excerpt);
-            s.push(',');
-            match &v.note {
-                Some(n) => field_str(&mut s, "note", n),
-                None => s.push_str("\"note\":null"),
-            }
-            s.push(',');
-            s.push_str("\"call_chain\":[");
-            for (j, link) in v.call_chain.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push('{');
-                field_str(&mut s, "file", &link.file);
-                s.push(',');
-                field_num(&mut s, "line", link.line as u64);
-                s.push(',');
-                field_str(&mut s, "function", &link.function);
-                s.push('}');
-            }
-            s.push_str("]}");
-        }
-        s.push_str("],");
-
-        s.push_str("\"unused_allows\":[");
-        for (i, u) in self.unused_allows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            field_str(&mut s, "file", &u.file);
-            s.push(',');
-            field_num(&mut s, "line", u.line as u64);
-            s.push(',');
-            field_str(&mut s, "rule", &u.rule);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-fn field_str(s: &mut String, key: &str, val: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":\"");
-    for c in val.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-fn field_num(s: &mut String, key: &str, val: u64) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&val.to_string());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_nests() {
-        let report = AuditReport {
-            root: "/w".into(),
-            files_scanned: 1,
-            threads: 2,
-            violations: vec![Violation {
-                file: "a.rs".into(),
-                line: 3,
-                column: 5,
-                rule: Rule::StaticMut,
-                excerpt: "static mut X: \"q\" = 0;".into(),
-                note: None,
-                call_chain: Vec::new(),
-            }],
-            unused_allows: vec![UnusedAllow {
-                file: "b.rs".into(),
-                line: 9,
-                rule: "lossy-cast".into(),
-            }],
-            stats: vec![RuleStat::default(); Rule::ALL.len()],
-            elapsed_micros: 42,
-        };
-        let j = report.to_json();
-        assert!(j.starts_with("{\"schema\":\"parcom-audit-report/v1\""));
-        assert!(j.contains("\\\"q\\\""));
-        assert!(j.contains("\"note\":null"));
-        assert!(j.contains(
-            "\"unused_allows\":[{\"file\":\"b.rs\",\"line\":9,\"rule\":\"lossy-cast\"}]"
-        ));
-    }
 }

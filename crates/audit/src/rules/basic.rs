@@ -1,5 +1,5 @@
 //! The single-construct hygiene rules: `static-mut`, `unsafe-code`,
-//! `lossy-cast`, `partial-cmp-unwrap`, `io-unwrap`.
+//! `lossy-cast`, `partial-cmp-unwrap`.
 
 use super::RawViolation;
 use crate::lexer::TokenKind;
@@ -96,30 +96,6 @@ pub fn partial_cmp_unwrap(model: &FileModel) -> Vec<RawViolation> {
                 continue;
             }
             break;
-        }
-    }
-    out
-}
-
-/// `io-unwrap`: `unwrap()`/`expect(..)` in `crates/io` parsing paths
-/// (non-test code only — readers parse untrusted input and must return
-/// `IoError`, never panic).
-pub fn io_unwrap(model: &FileModel) -> Vec<RawViolation> {
-    if !model.path.contains("crates/io/src/") {
-        return Vec::new();
-    }
-    let toks = &model.lex.tokens;
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        let t = &toks[k];
-        if t.kind == TokenKind::Ident
-            && PANICKY_UNWRAPS.contains(&t.text.as_str())
-            && k > 0
-            && toks[k - 1].is_punct(".")
-            && toks.get(k + 1).is_some_and(|n| n.is_open('('))
-            && !model.in_test(k)
-        {
-            out.push(RawViolation::at(t.line, t.col));
         }
     }
     out

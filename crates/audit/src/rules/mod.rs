@@ -75,7 +75,6 @@ pub const FILE_RULES: &[(Rule, FileRuleFn)] = &[
     (Rule::UnsafeCode, basic::unsafe_code),
     (Rule::PartialCmpUnwrap, basic::partial_cmp_unwrap),
     (Rule::LossyCast, basic::lossy_cast),
-    (Rule::IoUnwrap, basic::io_unwrap),
     (Rule::BudgetCheck, budget::budget_check),
     (Rule::LockAcrossParallel, parallel::lock_across_parallel),
     (Rule::PanicInParallel, parallel::panic_in_parallel),

@@ -1,7 +1,7 @@
-// Golden-report fixture workspace: a deterministic mix of violations,
-// a suppressed finding, and an unused marker, pinned byte-for-byte by
-// the parcom-audit-report/v1 golden test. Do not reformat casually —
-// lines and columns are part of the pinned output. Never compiled.
+// Golden fixture workspace: a deterministic mix of violations, a
+// suppressed finding, and an unused marker, whose report
+// tests/golden_report.rs pins. Do not reformat casually: lines and
+// columns are part of the pinned evidence. Never compiled.
 static mut COUNTER: u64 = 0;
 
 fn run_guarded(g: &Graph, budget: &Budget) {

@@ -61,25 +61,6 @@ fn detects_lossy_casts() {
 }
 
 #[test]
-fn detects_io_unwrap_outside_tests() {
-    let fired = rules_fired("crates/io/src/sneaky.rs", &fixture("bad_io_unwrap.rs"));
-    // line with two unwraps counts once; expect+unwrap line counts once
-    assert_eq!(fired, vec![Rule::IoUnwrap; 2], "{fired:?}");
-}
-
-#[test]
-fn io_unwrap_rule_only_applies_to_io_crate() {
-    let fired = rules_fired("crates/core/src/sneaky.rs", &fixture("bad_io_unwrap.rs"));
-    assert!(fired.is_empty(), "{fired:?}");
-}
-
-#[test]
-fn io_unwrap_rule_exempts_integration_tests() {
-    let fired = rules_fired("crates/io/tests/sneaky.rs", &fixture("bad_io_unwrap.rs"));
-    assert!(fired.is_empty(), "{fired:?}");
-}
-
-#[test]
 fn detects_unguarded_heavy_loops_in_budget_functions() {
     let fired = rules_fired(
         "crates/core/src/sneaky.rs",

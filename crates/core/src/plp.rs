@@ -593,7 +593,7 @@ mod tests {
     fn an_empty_frontier_on_a_grown_graph_labels_the_new_nodes_singletons() {
         let (g, truth) = ring_of_cliques(3, 4);
         // two isolated nodes past the base's end
-        let grown = g.patched(14, &[]);
+        let grown = Graph::overlaid(&Arc::new(g), 14, &[]);
         let mut plp = Plp::new();
         plp.start_from(StartState {
             base: Arc::new(truth.clone()),
@@ -616,7 +616,11 @@ mod tests {
             .nodes()
             .find(|&v| !base.in_same_subset(0, v))
             .expect("more than one community");
-        let edited = g.patched(g.node_count(), &[(0, far, Some(1000.0))]);
+        let edited = Graph::overlaid(
+            &Arc::new(g.clone()),
+            g.node_count(),
+            &[(0, far, Some(1000.0))],
+        );
         let mut plp = Plp::new();
         plp.start_from(StartState {
             base: Arc::new(base.clone()),
@@ -643,7 +647,7 @@ mod tests {
         // every edge it had
         let mut edits = vec![(0, 12, Some(1.0)), (1, 12, Some(1.0))];
         edits.extend(g.neighbors(4).iter().map(|&u| (4.min(u), 4.max(u), None)));
-        let edited = g.patched(14, &edits);
+        let edited = Graph::overlaid(&Arc::new(g), 14, &edits);
         let frontier = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         let mut plp = Plp::new();
         plp.start_from(StartState {
@@ -675,7 +679,7 @@ mod tests {
             .map(|&u| (7.min(u), 7.max(u), None))
             .collect();
         edits.extend([(7, 7, Some(2.0)), (8, 601, Some(1.0)), (0, 8, Some(5.0))]);
-        let edited = g.patched(602, &edits);
+        let edited = Graph::overlaid(&Arc::new(g.clone()), 602, &edits);
         let from = Partition::from_vec((0..600).map(|v| start_label(&base, v)).collect());
         let mut aggregates = community_aggregates(&g, &from);
         aggregates.apply_edits(&base, &g, 602, &edits);
@@ -735,7 +739,7 @@ mod tests {
             let all = a.intra_weight.iter().chain(&a.volume);
             all.map(|x| x.to_bits()).collect::<Vec<_>>()
         };
-        let edited = g.patched(n_new, edits);
+        let edited = Graph::overlaid(&Arc::new(g.clone()), n_new, edits);
         aggregates.apply_edits(&base, g, n_new, edits);
         let frontier: Vec<Node> = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         parcom_graph::parallel::with_threads(1, || {

@@ -145,7 +145,7 @@ impl CommunityAggregates {
 
     /// The edit patch: turns the aggregates of `zeta` on `old` into those
     /// of the same partition on the graph `old` becomes under `edits`
-    /// ([`Graph::patched`]'s resolved form: one entry per edge, `Some(w)`
+    /// ([`Graph::overlaid`]'s resolved form: one entry per edge, `Some(w)`
     /// sets its weight, `None` removes it) with `n_new` nodes. Nodes past
     /// `zeta`'s end are in the singleton communities [`start_label`] gives
     /// them, which is how a run started from `zeta` labels them; the ids of
@@ -392,6 +392,7 @@ pub fn delta_modularity(
 mod tests {
     use super::*;
     use parcom_graph::GraphBuilder;
+    use std::sync::Arc;
 
     fn two_triangles() -> Graph {
         GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
@@ -529,7 +530,7 @@ mod tests {
         ];
         let mut agg = community_aggregates(&g, &extended(&zeta, 6));
         agg.apply_edits(&zeta, &g, 8, &edits);
-        let patched = g.patched(8, &edits[..7]);
+        let patched = Graph::overlaid(&Arc::new(g), 8, &edits[..7]);
         let want = community_aggregates(&patched, &extended(&zeta, 8));
         assert_same_bits(&agg, &want, "patched");
     }

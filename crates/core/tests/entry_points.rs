@@ -13,6 +13,7 @@ use parcom_graph::parallel::with_threads;
 use parcom_graph::{Graph, GraphBuilder, Partition};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::HashSet;
+use std::sync::Arc;
 use util::{endpoints, random_edits, Edit};
 
 /// The specs whose detector can start from a base; every other one must
@@ -137,7 +138,7 @@ fn edit_batch(g: &Graph, seed: u64) -> (usize, Vec<Edit>) {
 fn a_run_from_a_base_meets_the_cold_postconditions_for_every_spec() {
     for (graph_name, g) in graphs() {
         let (n_new, edits) = edit_batch(&g, 3);
-        let edited = g.patched(n_new, &edits);
+        let edited = Graph::overlaid(&Arc::new(g.clone()), n_new, &edits);
         for info in REGISTRY {
             with_threads(1, || {
                 let what = format!("{} from a base on {graph_name}", info.name);

@@ -1,5 +1,5 @@
 //! Seeded edit batches for the warm-start tests: what a resident graph
-//! sees between two detections, in the form [`Graph::patched`] takes —
+//! sees between two detections, in the form [`Graph::overlaid`] takes —
 //! and the connectivity diagnostic the drift test reads.
 
 #![allow(dead_code)]

@@ -11,8 +11,10 @@ use parcom_core::quality::modularity;
 use parcom_core::{CommunityDetector, DetectorSpec, StartState};
 use parcom_generators::{lfr, LfrParams};
 use parcom_graph::parallel::with_threads;
+use parcom_graph::Graph;
 use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::HashSet;
+use std::sync::Arc;
 use util::{disconnected_communities, endpoints, random_edits};
 
 /// Nearest-rank quantile of unsorted samples.
@@ -54,7 +56,8 @@ fn warm_chain(n: usize, batches: usize, batch: usize, threads: usize, seed: u64)
         let mut zeta = plp().detect(&g);
         for generation in 1..=batches {
             let edits = random_edits(&g, &mut rng, 3 * batch / 4, batch / 4, &mut HashSet::new());
-            g = g.patched(g.node_count(), &edits);
+            let n = g.node_count();
+            g = Graph::overlaid(&Arc::new(g), n, &edits).compacted();
             let mut warm = plp();
             warm.start_from(StartState {
                 base: zeta.into(),

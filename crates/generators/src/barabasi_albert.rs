@@ -70,7 +70,7 @@ mod tests {
         let g = barabasi_albert(n, k, 1);
         let clique = (k + 1) * k / 2;
         assert_eq!(g.edge_count(), clique + (n - k - 1) * k);
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

@@ -109,7 +109,7 @@ mod tests {
     fn p_one_yields_clique() {
         let g = erdos_renyi(10, 1.0, 1);
         assert_eq!(g.edge_count(), 45);
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
             (m - expect).abs() < 4.0 * expect.sqrt() + 50.0,
             "m={m}, expected ~{expect}"
         );
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -131,7 +131,7 @@ mod tests {
         for u in g.nodes() {
             assert!(!g.has_edge(u, u));
         }
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

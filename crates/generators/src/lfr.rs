@@ -295,7 +295,7 @@ mod tests {
         for u in g.nodes() {
             assert!(!g.has_edge(u, u));
         }
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

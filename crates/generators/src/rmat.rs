@@ -120,7 +120,7 @@ mod tests {
     fn node_count_is_power_of_two() {
         let g = rmat(RmatParams::paper_with_edge_factor(8, 8), 1);
         assert_eq!(g.node_count(), 256);
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod tests {
     fn edge_count_is_preserved_by_rewiring() {
         let g = watts_strogatz(100, 3, 0.5, 2);
         assert_eq!(g.edge_count(), 300);
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -109,7 +109,7 @@ mod tests {
         for u in g.nodes() {
             assert!(!g.has_edge(u, u));
         }
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

@@ -508,7 +508,7 @@ mod tests {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.neighbors(1), &[0, 2]);
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -664,7 +664,7 @@ mod tests {
             b.add_edge(u, v, rng.gen_range(0.1..2.0));
         }
         let g = b.build();
-        assert!(g.check_consistency());
+        assert_eq!(g.validate(), Ok(()));
         let vol: f64 = g.nodes().map(|u| g.volume(u)).sum();
         assert!((vol - 2.0 * g.total_edge_weight()).abs() < 1e-9 * vol.abs());
     }

@@ -788,7 +788,7 @@ impl Graph {
             overlay: None,
         };
         // Postcondition of every construction path (GraphBuilder::build,
-        // coarsening and patches all land here): the full validator in
+        // coarsening and compactions all land here): the full validator in
         // debug builds or when the `validate` feature is on.
         #[cfg(any(debug_assertions, feature = "validate"))]
         if let Err(e) = g.validate() {
@@ -797,32 +797,21 @@ impl Graph {
         g
     }
 
-    /// A copy of this graph with `edits` applied and the node range grown to
-    /// `n_new`, built by merging rows instead of re-assembling the CSR.
+    /// The graph `this` becomes under `edits`, with the node range grown to
+    /// `n_new`. Each edit is one undirected edge `{u, v}`, at most once per
+    /// unordered pair, with ids below `n_new`: `Some(w)` inserts the edge or
+    /// overwrites its weight, `None` removes it if present.
     ///
-    /// Each edit is one undirected edge `{u, v}`, at most once per unordered
-    /// pair, with ids below `n_new`: `Some(w)` inserts the edge or overwrites
-    /// its weight, `None` removes it if present. Only the ≤ 2·|edits|
-    /// touched rows are merged and re-summed entry by entry
-    /// ([`Self::overlaid`]'s merge); every other row is bulk-copied in runs
-    /// (offsets shifted by the running displacement) with its cached sums.
-    ///
-    /// The result is what [`crate::GraphBuilder::build`] yields for the
-    /// edited edge set, bit for bit: rows sorted by neighbor, untouched
-    /// weights carried verbatim, caches from the same [`Self::from_csr`]
-    /// arithmetic. Sequential, hence identical at any thread count.
-    pub fn patched(&self, n_new: usize, edits: &[(Node, Node, Option<f64>)]) -> Self {
-        self.replaced_rows(n_new, edits).compact(self.plain())
-    }
-
-    /// The graph `this` becomes under `edits` (the contract of
-    /// [`Self::patched`]), as an overlay that shares `this`'s base CSR and
-    /// holds only the rows that differ from it: those the edits touch,
-    /// merged, and those an overlay of `this` already held, copied. That
-    /// costs O(Σ touched degree + |overlay|), an n-bit row mask and, unless
-    /// every weight is 1.0, one O(n) read that re-sums ω(E) in node order,
-    /// so every total is the compacted graph's, bit for bit. Nothing
-    /// `this` holds is written.
+    /// The result is an overlay that shares `this`'s base CSR and holds
+    /// only the rows that differ from it: those the edits touch, merged,
+    /// and those an overlay of `this` already held, copied. That costs
+    /// O(Σ touched degree + |overlay|), an n-bit row mask and, unless every
+    /// weight is 1.0, one O(n) read that re-sums ω(E) in node order. Nothing
+    /// `this` holds is written. Its [`Self::compacted`] form is what
+    /// [`crate::GraphBuilder::build`] yields for the edited edge set, bit
+    /// for bit: rows sorted by neighbor, untouched weights carried verbatim,
+    /// caches from the same [`Self::from_csr`] arithmetic, every total the
+    /// same. Sequential, hence identical at any thread count.
     ///
     /// The rows pile up fold after fold; [`Self::compacted`] writes
     /// them out when the caller decides they are too many.
@@ -989,12 +978,12 @@ impl Graph {
 
     /// This graph written out as one plain CSR, into a fresh, exactly
     /// sized allocation. O(n + m): for an overlay graph, the base's rows
-    /// are copied in runs between the replaced ones. The result equals
-    /// [`Self::csr_view`]'s, bit for bit.
+    /// are copied in runs between the replaced ones; a plain graph is
+    /// cloned. The result equals [`Self::csr_view`]'s, bit for bit.
     pub fn compacted(&self) -> Self {
         match &self.overlay {
             Some(o) => o.rows.compact(&o.base),
-            None => self.patched(self.node_count(), &[]),
+            None => self.clone(),
         }
     }
 
@@ -1445,12 +1434,6 @@ impl Graph {
         }
         Ok(())
     }
-
-    /// Whether [`Self::validate`] passes.
-    // audit:allow(unreachable-pub): the structural invariant the generator, io_fuzz and invariants proptests assert
-    pub fn check_consistency(&self) -> bool {
-        self.validate().is_ok()
-    }
 }
 
 /// Corrupted-CSR fixtures: every class of invariant breakage must be
@@ -1590,9 +1573,10 @@ mod validate_tests {
 
 #[cfg(test)]
 mod tests {
-    use crate::GraphBuilder;
+    use crate::{Graph, GraphBuilder};
+    use std::sync::Arc;
 
-    fn triangle_with_loop() -> crate::Graph {
+    fn triangle_with_loop() -> Graph {
         // triangle 0-1-2 plus self-loop at 2 with weight 5
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 1.0);
@@ -1677,7 +1661,7 @@ mod tests {
             (0, 0, None),
             (4, 1, Some(0.5)),
         ];
-        let got = g.patched(6, &edits);
+        let got = Graph::overlaid(&Arc::new(g), 6, &edits);
         let mut b = GraphBuilder::new(6);
         for (u, v, w) in [(0, 1, 4.0), (1, 2, 2.0), (0, 2, 3.0), (1, 4, 0.5)] {
             b.add_edge(u, v, w);
@@ -1696,7 +1680,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most once")]
     fn patched_rejects_an_edge_edited_twice() {
-        triangle_with_loop().patched(3, &[(0, 1, None), (1, 0, Some(2.0))]);
+        let g = Arc::new(triangle_with_loop());
+        Graph::overlaid(&g, 3, &[(0, 1, None), (1, 0, Some(2.0))]);
     }
 
     #[test]
@@ -1725,6 +1710,6 @@ mod tests {
 
     #[test]
     fn consistency_holds() {
-        assert!(triangle_with_loop().check_consistency());
+        assert_eq!(triangle_with_loop().validate(), Ok(()));
     }
 }

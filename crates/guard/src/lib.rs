@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Run budgets, cooperative cancellation and deterministic fault injection.
 //!
 //! The crate sits next to `parcom-obs` at the bottom of the workspace and is

@@ -1,4 +1,8 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Readers parse untrusted input and must return `IoError`, never panic;
+// test code may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! # parcom-io — graph and partition I/O
 //!

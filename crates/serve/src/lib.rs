@@ -69,7 +69,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 use wal::FsyncPolicy;
@@ -222,7 +222,10 @@ impl Server {
 
     /// Serves forever: accepts on every bound listener, one thread per
     /// connection, with recovery running in the background until the gate
-    /// turns ready. Only returns if *all* accept loops fail.
+    /// turns ready. Only returns if *all* accept loops fail. On SIGTERM or
+    /// SIGINT the process's one shutdown watcher drains and checkpoints
+    /// this server together with every other one the process runs, then
+    /// exits.
     pub fn run(self) -> io::Result<()> {
         let Server { ctx, listeners } = self;
 
@@ -258,16 +261,7 @@ impl Server {
             ctx.gate.set_ready();
         }
 
-        signal::install();
-        let shutdown_ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("parcom-serve-shutdown".into())
-            .spawn(move || loop {
-                if signal::requested() {
-                    shutdown(&shutdown_ctx);
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            })?;
+        register_for_shutdown(&ctx)?;
 
         let mut handles = Vec::new();
         for listener in listeners {
@@ -298,22 +292,60 @@ impl Server {
     }
 }
 
-/// The graceful-shutdown sequence (SIGTERM/SIGINT, DESIGN.md §16): stop
-/// admitting, drain in-flight requests (bounded by [`DRAIN_TIMEOUT`]),
-/// flush every WAL, checkpoint every dirty graph, exit.
-fn shutdown(ctx: &ServerCtx) -> ! {
+/// Every server this process runs, in the order they started serving.
+/// The one shutdown watcher ([`register_for_shutdown`]) drains and
+/// checkpoints them all.
+static SERVERS: Mutex<Vec<Arc<ServerCtx>>> = Mutex::new(Vec::new());
+
+/// Starts the process's one shutdown watcher on the first call, and
+/// registers `ctx` with it. A process that hosts several servers installs
+/// the signal handler once and exits once, after every server has
+/// checkpointed.
+fn register_for_shutdown(ctx: &Arc<ServerCtx>) -> io::Result<()> {
+    static WATCHER: OnceLock<()> = OnceLock::new();
+    lock_servers().push(Arc::clone(ctx));
+    if WATCHER.set(()).is_ok() {
+        signal::install();
+        std::thread::Builder::new()
+            .name("parcom-serve-shutdown".into())
+            .spawn(|| loop {
+                if signal::requested() {
+                    shutdown();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            })?;
+    }
+    Ok(())
+}
+
+fn lock_servers() -> MutexGuard<'static, Vec<Arc<ServerCtx>>> {
+    SERVERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The graceful-shutdown sequence (SIGTERM/SIGINT, DESIGN.md §16), over
+/// every registered server: stop admitting, drain in-flight requests
+/// (bounded by [`DRAIN_TIMEOUT`]), flush every WAL, checkpoint every dirty
+/// graph, exit. The registry stays locked, so a server that starts during
+/// the shutdown never serves.
+fn shutdown() -> ! {
+    let servers = lock_servers();
     eprintln!("parcom-serve: shutdown requested, draining");
-    ctx.gate.start_drain();
+    for ctx in servers.iter() {
+        ctx.gate.start_drain();
+    }
     let deadline = std::time::Instant::now() + DRAIN_TIMEOUT;
-    while ctx.gate.inflight() > 0 && std::time::Instant::now() < deadline {
+    while servers.iter().any(|ctx| ctx.gate.inflight() > 0) && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(10));
     }
-    if let Some(durability) = &ctx.durability {
-        let done = durability.checkpoint_all(&ctx.store);
-        eprintln!("parcom-serve: flushed WALs, checkpointed {done} graph(s)");
-    }
-    if let Some(path) = &ctx.config.socket {
-        let _ = std::fs::remove_file(path);
+    for ctx in servers.iter() {
+        if let Some(durability) = &ctx.durability {
+            let done = durability.checkpoint_all(&ctx.store);
+            eprintln!("parcom-serve: flushed WALs, checkpointed {done} graph(s)");
+        }
+        if let Some(path) = &ctx.config.socket {
+            let _ = std::fs::remove_file(path);
+        }
     }
     std::process::exit(0);
 }

@@ -4,7 +4,8 @@
 //! explicit checkpoint endpoint, bounded-queue overload shedding, and a
 //! warm restart against the same state directory that must answer a
 //! deterministic detection identically to the pre-restart daemon, and a
-//! SIGTERM that drains, checkpoints and exits cleanly.
+//! SIGTERM that drains, checkpoints and exits cleanly, once for every
+//! server in the process.
 
 #![cfg(unix)]
 
@@ -15,6 +16,7 @@ use parcom_serve::store::MAX_PENDING_OPS;
 use parcom_serve::wal;
 use parcom_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Duration;
 use util::{get_bool, get_u64, wait_ready, Client, Daemon};
 
@@ -197,6 +199,65 @@ fn sigterm_checkpoints_exits_cleanly_and_restarts_at_the_acked_seq() {
         q.and_then(Value::as_f64).unwrap().to_bits()
     };
     assert_eq!(modularity(&before), modularity(&after));
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Set only in the child process of
+/// `one_sigterm_checkpoints_every_server_in_the_process`: the directory
+/// its two servers keep their sockets and state in.
+const TWO_SERVERS_DIR: &str = "PARCOM_TEST_TWO_SERVERS_DIR";
+
+#[test]
+fn one_sigterm_checkpoints_every_server_in_the_process() {
+    const NAMES: [&str; 2] = ["a", "b"];
+    if let Some(dir) = std::env::var_os(TWO_SERVERS_DIR) {
+        // The child: this test binary again, running two durable servers
+        // until the signal's shutdown ends the process.
+        let dir = PathBuf::from(dir);
+        for name in NAMES {
+            let server = Server::bind(ServeConfig {
+                socket: Some(dir.join(format!("{name}.sock"))),
+                state_dir: Some(dir.join(name)),
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            std::thread::spawn(move || server.run());
+        }
+        loop {
+            std::thread::park();
+        }
+    }
+
+    let dir = scratch("two_servers");
+    let mut cmd = Command::new(std::env::current_exe().unwrap());
+    cmd.args([
+        "--exact",
+        "one_sigterm_checkpoints_every_server_in_the_process",
+    ])
+    .env(TWO_SERVERS_DIR, &dir);
+    let sockets = NAMES.map(|name| dir.join(format!("{name}.sock")));
+    let mut daemon = Daemon::start(cmd, &sockets[0]);
+    let (g, _) = parcom_generators::ring_of_cliques(4, 5);
+    for socket in &sockets {
+        let mut client = wait_ready(socket, Duration::from_secs(20));
+        let (status, v) = client.request("PUT", "/graphs/ring", &util::metis_body(&g));
+        assert_eq!(status, 201, "{v:?}");
+        let (status, v) = client.request("POST", "/graphs/ring/edges", "{\"insert\":[[0,7,2.5]]}");
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(get_u64(&v, "seq"), 1);
+    }
+
+    // One SIGTERM: both servers drain, both checkpoint above their acked
+    // seq, both sockets go, and the process exits 0 once.
+    let status = daemon.terminate();
+    assert!(status.success(), "SIGTERM exit: {status}");
+    for (name, socket) in NAMES.iter().zip(&sockets) {
+        assert!(!socket.exists(), "{name}: socket left behind after SIGTERM");
+        let replay = wal::replay(&parcom_io::state_paths(&dir.join(name), "ring").wal).unwrap();
+        assert!(replay.records.is_empty(), "{name}: {:?}", replay.records);
+        assert_eq!(replay.base_seq, 1, "{name}: not checkpointed at shutdown");
+    }
     drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
 }

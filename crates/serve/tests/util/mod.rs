@@ -239,8 +239,9 @@ pub fn metis_body(g: &parcom_graph::Graph) -> String {
     body
 }
 
-/// One spawned `crash_harness` daemon — a real process over a state
-/// directory; killed on drop so a failing test never leaks one.
+/// One spawned daemon (`crash_harness`, or what [`Daemon::start`] runs) —
+/// a real process over a state directory; killed on drop so a failing
+/// test never leaks one.
 pub struct Daemon {
     child: Child,
     socket: PathBuf,
@@ -253,14 +254,19 @@ impl Daemon {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_crash_harness"));
         cmd.env("PARCOM_HARNESS_SOCKET", socket)
             .env("PARCOM_HARNESS_STATE_DIR", state_dir)
-            .env("PARCOM_HARNESS_FSYNC", "always")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
+            .env("PARCOM_HARNESS_FSYNC", "always");
         match fault {
             Some(spec) => cmd.env("PARCOM_FAULT", spec),
             None => cmd.env_remove("PARCOM_FAULT"),
         };
-        let child = cmd.spawn().expect("spawn crash_harness");
+        Self::start(cmd, socket)
+    }
+
+    /// Runs `cmd`, output discarded, as a daemon that listens on `socket`.
+    pub fn start(mut cmd: Command, socket: &Path) -> Self {
+        let child = (cmd.stdout(Stdio::null()).stderr(Stdio::null()))
+            .spawn()
+            .expect("spawn daemon");
         Self {
             child,
             socket: socket.to_path_buf(),
@@ -289,7 +295,7 @@ impl Daemon {
         assert!(sent.success(), "kill -TERM {pid} failed: {sent}");
         let end = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            if let Some(status) = self.child.try_wait().expect("wait on crash_harness") {
+            if let Some(status) = self.child.try_wait().expect("wait on the daemon") {
                 return status;
             }
             assert!(

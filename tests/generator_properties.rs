@@ -16,7 +16,7 @@ proptest! {
     fn erdos_renyi_always_consistent(n in 0usize..300, p in 0.0f64..0.2, seed in 0u64..50) {
         let g = erdos_renyi(n, p, seed);
         prop_assert_eq!(g.node_count(), n);
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         prop_assert!(g.edge_count() <= n.saturating_mul(n.saturating_sub(1)) / 2);
     }
 
@@ -26,7 +26,7 @@ proptest! {
     ) {
         let g = barabasi_albert(n, attach, seed);
         prop_assert_eq!(g.node_count(), n);
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         // minimum degree is the attachment count
         prop_assert!(g.nodes().all(|u| g.degree(u) >= attach));
     }
@@ -38,14 +38,14 @@ proptest! {
         let n = 50;
         let g = watts_strogatz(n, k, beta, seed);
         prop_assert_eq!(g.edge_count(), n * k);
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
     fn rmat_has_power_of_two_nodes(scale in 4u32..10, ef in 1usize..8, seed in 0u64..50) {
         let g = rmat(RmatParams::paper_with_edge_factor(scale, ef), seed);
         prop_assert_eq!(g.node_count(), 1usize << scale);
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         prop_assert!(g.edge_count() <= (1usize << scale) * ef);
     }
 
@@ -54,7 +54,7 @@ proptest! {
         let (g, truth) = lfr(LfrParams::benchmark(n.max(120), mu), seed);
         prop_assert_eq!(g.node_count(), truth.len());
         prop_assert_eq!(truth.subset_sizes().iter().sum::<usize>(), g.node_count());
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]
@@ -66,7 +66,7 @@ proptest! {
             PlantedPartitionParams { n, k, p_in: 0.1, p_out: 0.01 },
             seed,
         );
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         prop_assert_eq!(truth.number_of_subsets(), k);
         let sizes = truth.subset_sizes();
         let (min, max) = (
@@ -79,9 +79,9 @@ proptest! {
     #[test]
     fn grids_and_cliques_consistent(w in 1usize..12, h in 1usize..12, s in 1usize..6) {
         let g = grid2d(w, h);
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         let (rc, truth) = ring_of_cliques(w.max(1), s);
-        prop_assert!(rc.check_consistency());
+        prop_assert_eq!(rc.validate(), Ok(()));
         prop_assert_eq!(truth.len(), rc.node_count());
     }
 }

@@ -38,7 +38,7 @@ proptest! {
 
     #[test]
     fn builder_output_is_always_consistent(g in arb_graph(60)) {
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
     }
 
     #[test]

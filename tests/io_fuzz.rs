@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn metis_reader_never_panics(input in ".{0,400}") {
         if let Ok(g) = decode(&input, GraphFormat::Metis) {
-            prop_assert!(g.check_consistency());
+            prop_assert_eq!(g.validate(), Ok(()));
         }
     }
 
@@ -69,7 +69,7 @@ proptest! {
         }
         let decoded = decode(&input, GraphFormat::Metis);
         if let Ok(g) = &decoded {
-            prop_assert!(g.check_consistency());
+            prop_assert_eq!(g.validate(), Ok(()));
         }
         let valid = soup_is_valid(n, m, &rows);
         prop_assert!(decoded.is_ok() == valid, "valid = {valid}: {input}");
@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn edge_list_reader_never_panics(input in ".{0,400}") {
         if let Ok(g) = decode(&input, GraphFormat::EdgeList) {
-            prop_assert!(g.check_consistency());
+            prop_assert_eq!(g.validate(), Ok(()));
         }
     }
 
@@ -91,7 +91,7 @@ proptest! {
             .map(|(u, v)| format!("{u} {v}\n"))
             .collect();
         let g = decode(&input, GraphFormat::EdgeList).unwrap();
-        prop_assert!(g.check_consistency());
+        prop_assert_eq!(g.validate(), Ok(()));
         prop_assert!(g.node_count() <= 2 * pairs.len());
     }
 
