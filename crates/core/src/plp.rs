@@ -24,12 +24,13 @@
 
 use crate::algorithm::{CommunityDetector, StartState};
 use crate::quality::{compact_carrying, CommunityAggregates};
+use parcom_graph::scratch::PooledScratch;
 use parcom_graph::{AtomicPartition, Graph, Node, Partition, ScratchPool};
 use parcom_guard::{Budget, Termination};
 use parcom_obs::{CounterCell, LocalCount, Recorder, Span};
 use rand::{rngs::SmallRng, seq::SliceRandom, SeedableRng};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of PLP.
@@ -94,25 +95,26 @@ impl Plp {
 
     /// Label propagation from `start` (`None`: from singletons, everyone
     /// active) under a recorder and a run budget, in three top-level
-    /// phases: `setup` builds the label and flag arrays, `label-propagation`
-    /// runs the sweeps and carries the per-iteration `active`/`updated`
-    /// series (Fig. 1) and the total `label-updates` count, all present
-    /// even when no sweep was needed, and `finish` snapshots, patches and
-    /// renumbers the result. The budget is checked once per iteration
-    /// (sweep granularity — §III-A iterations touch every active node, so
-    /// per-edge checks would dominate). On expiry the loop stops after the
-    /// last completed iteration; the label array at any iteration boundary
-    /// is a valid assignment, so the degraded result is simply the labels
-    /// so far, compacted.
+    /// phases: `setup` builds the label array and the active set,
+    /// `label-propagation` runs the sweeps and carries the per-iteration
+    /// `active`/`updated` series (Fig. 1) and the total `label-updates` and
+    /// `evaluations` (rows tallied) counts, all present even when no sweep
+    /// was needed, and `finish` snapshots, patches and renumbers the
+    /// result. The budget is checked once per iteration (sweep granularity
+    /// — §III-A iterations touch every active node, so per-edge checks
+    /// would dominate). On expiry the loop stops after the last completed
+    /// iteration; the label array at any iteration boundary is a valid
+    /// assignment, so the degraded result is simply the labels so far,
+    /// compacted.
     ///
-    /// A run costs what its frontier and its movers cost. An empty
-    /// frontier on a base that covers the graph builds nothing of size n
-    /// and returns the base itself, as does any run that relabels nothing
-    /// on such a base; either way the base is renumbered only if it is not
-    /// compacted already. With the base's aggregates in `start`, the
-    /// result's come back too: patched for the nodes the run relabeled
-    /// whose final label differs from their start label, and renumbered by
-    /// both compactions.
+    /// A run costs what its frontier and its movers cost, plus a copy of
+    /// the labels and a bitmap of n bits. An empty frontier on a base that
+    /// covers the graph builds nothing of size n and returns the base
+    /// itself, as does any run that relabels nothing on such a base; either
+    /// way the base is renumbered only if it is not compacted already. With
+    /// the base's aggregates in `start`, the result's come back too:
+    /// patched for the nodes the run relabeled whose final label differs
+    /// from their start label, and renumbered by both compactions.
     fn propagate(
         &mut self,
         g: &Graph,
@@ -155,13 +157,14 @@ impl Plp {
         let span = rec.span("label-propagation");
         span.declare_series("active");
         span.declare_series("updated");
-        let (termination, iterations, label_updates) = match &mut run {
+        let totals = match &mut run {
             Some(run) => self.sweep(g, run, &span, budget),
             // Nobody to evaluate: an empty frontier converges in zero sweeps.
-            None => (Termination::Converged, 0, 0),
+            None => Sweeps::default(),
         };
-        span.counter("iterations", iterations);
-        span.counter("label-updates", label_updates);
+        span.counter("iterations", totals.iterations);
+        span.counter("label-updates", totals.label_updates);
+        span.counter("evaluations", totals.evaluations);
         span.close();
 
         let _finish = rec.span("finish");
@@ -196,135 +199,220 @@ impl Plp {
         if let Err(e) = result.validate_dense() {
             panic!("PLP postcondition violated: {e}");
         }
+        let termination = totals.cut.unwrap_or(Termination::Converged);
         (result, termination, aggregates)
     }
 
     /// The sweeps of one run over `run`'s labels, until fewer than θ·n
-    /// nodes update, the iteration cap, or the budget stops them. Returns
-    /// how the run ended, the iterations and the label updates.
-    fn sweep(
-        &self,
-        g: &Graph,
-        run: &mut Labels,
-        span: &Span,
-        budget: &Budget,
-    ) -> (Termination, u64, u64) {
+    /// nodes update, the iteration cap, or the budget stops them.
+    ///
+    /// A sweep walks the active set in node order, word by word: a worker
+    /// re-reads its word after each evaluation, so a node activated ahead
+    /// of it is evaluated in the same sweep and one behind it in the next,
+    /// and the sweep costs n/64 word reads plus the rows it tallies. Where
+    /// [`Labels::start`] built a visiting order, the sweep walks that
+    /// order, reshuffled every sweep, and tests each node's bit instead.
+    fn sweep(&self, g: &Graph, run: &mut Labels, span: &Span, budget: &Budget) -> Sweeps {
         let n = g.node_count();
         let theta = (self.theta_fraction * n as f64).ceil() as u64;
         let mut rng = SmallRng::seed_from_u64(self.seed);
 
-        // The paper's default relies on *implicit* randomization through
-        // asynchronous parallel updates (§III-A). That source vanishes when
-        // only one worker thread exists or the graph is so small that each
-        // thread processes a single contiguous chunk in node order — label
-        // flooding across community bridges then becomes deterministic. In
-        // that regime, shuffle the node order every iteration instead.
-        let threads = rayon::current_num_threads();
-        let shuffle = threads <= 1 || n < 64 * threads;
-
-        // The per-thread scratch maps tallying weight-per-label are indexed
-        // by label; the pool recycles them across iterations.
+        // The tally maps are indexed by label; the process-wide pool keeps
+        // them across sweeps and runs.
         let label_bound = run.bound;
-        let scratch = ScratchPool::new();
         let (labels, active) = (&run.labels, &run.active);
 
-        let mut termination = Termination::Converged;
-        let mut iterations = 0u64;
-        let mut label_updates = 0u64;
+        let mut totals = Sweeps::default();
         for _iter in 0..self.max_iterations {
-            let active_count = active
-                .par_iter()
-                .filter(|a| a.load(Ordering::Relaxed))
-                .count();
+            let active_count = active.count();
             // Nobody to evaluate: an empty frontier converges in zero sweeps.
             if active_count == 0 {
                 break;
             }
             if let Err(t) = budget.check_sweep() {
-                termination = t;
+                totals.cut = Some(t);
                 break;
             }
-            if shuffle {
-                run.order.shuffle(&mut rng);
+            if let Some(order) = &mut run.order {
+                order.shuffle(&mut rng);
             }
             // One sharded counter per iteration: workers bump a plain
             // thread-local integer, merged when the worker state drops at
             // the end of the parallel region; the movers, when recorded,
             // are merged the same way.
             let updated = CounterCell::new();
+            let evaluated = CounterCell::new();
+            let worker = || Worker {
+                weight_to: TALLIES.take(label_bound.max(1)),
+                updates: LocalCount::new(&updated),
+                evaluations: LocalCount::new(&evaluated),
+                movers: run.movers.as_ref().map(LocalMovers::new),
+            };
 
-            let iter_salt = self.seed ^ ((iterations + 1) << 32);
-            run.order.par_iter().for_each_init(
-                || {
-                    (
-                        scratch.take(label_bound.max(1)),
-                        LocalCount::new(&updated),
-                        run.movers.as_ref().map(LocalMovers::new),
-                    )
-                },
-                |(weight_to, local_updates, movers), &v| {
-                    // the flag first: a warm sweep skips almost every node,
-                    // and the flag costs less to read than the row
-                    if !active[v as usize].load(Ordering::Relaxed) || g.degree(v) == 0 {
-                        return;
+            let iter_salt = self.seed ^ ((totals.iterations + 1) << 32);
+            let evaluate = |w: &mut Worker, v: Node| {
+                if g.degree(v) == 0 {
+                    return;
+                }
+                w.evaluations.bump();
+                let weight_to = &mut w.weight_to;
+                weight_to.clear();
+                for (u, wt) in g.edges_of(v) {
+                    if u != v {
+                        weight_to.add(labels.get(u), wt);
                     }
-                    weight_to.clear();
-                    for (u, w) in g.edges_of(v) {
-                        if u != v {
-                            weight_to.add(labels.get(u), w);
-                        }
-                    }
-                    let current = labels.get(v);
-                    // Dominant label. The current label wins ties (keeps
-                    // converged nodes stable); among strictly heavier
-                    // candidates, ties break pseudo-randomly per node and
-                    // iteration — the paper's "arbitrary" tie-breaking. A
-                    // deterministic id-based rule would flood one label
-                    // across community bridges.
-                    let salt = iter_salt ^ splitmix64(v as u64);
-                    let mut best = current;
-                    let mut best_weight = weight_to.get(current);
-                    let mut best_hash = u64::MAX; // current label: unbeatable on ties
-                    for (l, w) in weight_to.iter() {
-                        if w > best_weight {
+                }
+                let current = labels.get(v);
+                // Dominant label. The current label wins ties (keeps
+                // converged nodes stable); among strictly heavier
+                // candidates, ties break pseudo-randomly per node and
+                // iteration — the paper's "arbitrary" tie-breaking. A
+                // deterministic id-based rule would flood one label
+                // across community bridges.
+                let salt = iter_salt ^ splitmix64(v as u64);
+                let mut best = current;
+                let mut best_weight = weight_to.get(current);
+                let mut best_hash = u64::MAX; // current label: unbeatable on ties
+                for (l, wt) in weight_to.iter() {
+                    if wt > best_weight {
+                        best = l;
+                        best_weight = wt;
+                        best_hash = splitmix64(l as u64 ^ salt);
+                    } else if wt == best_weight && best != current {
+                        let h = splitmix64(l as u64 ^ salt);
+                        if h > best_hash {
                             best = l;
-                            best_weight = w;
-                            best_hash = splitmix64(l as u64 ^ salt);
-                        } else if w == best_weight && best != current {
-                            let h = splitmix64(l as u64 ^ salt);
-                            if h > best_hash {
-                                best = l;
-                                best_hash = h;
+                            best_hash = h;
+                        }
+                    }
+                }
+                if best != current {
+                    labels.set(v, best);
+                    w.updates.bump();
+                    if let Some(movers) = &mut w.movers {
+                        movers.nodes.push(v);
+                    }
+                    active.insert(v);
+                    for &u in g.neighbors(v) {
+                        active.insert(u);
+                    }
+                } else {
+                    active.remove(v);
+                }
+            };
+            match &run.order {
+                Some(order) => order.par_iter().for_each_init(worker, |w, &v| {
+                    if active.contains(v) {
+                        evaluate(w, v);
+                    }
+                }),
+                None => (0..active.words.len())
+                    .into_par_iter()
+                    .for_each_init(worker, |w, i| {
+                        let word = &active.words[i];
+                        let mut from = 0;
+                        while from < 64 {
+                            let pending = word.load(Ordering::Relaxed) >> from << from;
+                            if pending == 0 {
+                                break;
                             }
+                            let bit = pending.trailing_zeros();
+                            evaluate(w, (i * 64) as Node + bit);
+                            from = bit + 1;
                         }
-                    }
-                    if best != current {
-                        labels.set(v, best);
-                        local_updates.bump();
-                        if let Some(movers) = movers {
-                            movers.nodes.push(v);
-                        }
-                        active[v as usize].store(true, Ordering::Relaxed);
-                        for u in g.neighbors(v) {
-                            active[*u as usize].store(true, Ordering::Relaxed);
-                        }
-                    } else {
-                        active[v as usize].store(false, Ordering::Relaxed);
-                    }
-                },
-            );
+                    }),
+            }
 
             let updated = updated.get();
-            iterations += 1;
-            label_updates += updated;
+            totals.iterations += 1;
+            totals.label_updates += updated;
+            totals.evaluations += evaluated.get();
             span.push_series("active", active_count as f64);
             span.push_series("updated", updated as f64);
             if updated <= theta {
                 break;
             }
         }
-        run.relabeled |= label_updates > 0;
-        (termination, iterations, label_updates)
+        // What one run's workers took is what the pool keeps.
+        TALLIES.truncate(rayon::current_num_threads());
+        run.relabeled |= totals.label_updates > 0;
+        totals
+    }
+}
+
+/// The tally maps of every PLP run in the process: a warm run finds them
+/// allocated at the largest label bound seen so far, instead of filling
+/// 12 bytes per label afresh for an evaluation of a few hundred rows.
+/// Each run leaves at most one map per thread of its region, so the pool
+/// holds what one run on the largest graph took.
+static TALLIES: ScratchPool = ScratchPool::new();
+
+/// What the sweeps of one run did, summed.
+#[derive(Default, Debug, PartialEq)]
+struct Sweeps {
+    /// Why the budget stopped them, when it did.
+    cut: Option<Termination>,
+    iterations: u64,
+    label_updates: u64,
+    /// Rows tallied: the evaluations of active nodes with edges.
+    evaluations: u64,
+}
+
+/// A worker's state for one sweep: its tally map and its shares of the
+/// counters and of the movers.
+struct Worker<'a> {
+    weight_to: PooledScratch<'static>,
+    updates: LocalCount<'a>,
+    evaluations: LocalCount<'a>,
+    movers: Option<LocalMovers<'a>>,
+}
+
+/// One bit per node, set while the node waits to be evaluated. Bits are
+/// set and cleared by relaxed read-modify-writes, each after a load that
+/// skips it when the bit already reads as wanted.
+struct ActiveSet {
+    words: Vec<AtomicU64>,
+}
+
+impl ActiveSet {
+    /// `n` bits, all set when `all`.
+    fn new(n: usize, all: bool) -> Self {
+        let words = (0..n.div_ceil(64))
+            .map(|i| {
+                let bits = (n - 64 * i).min(64);
+                AtomicU64::new(if all { u64::MAX >> (64 - bits) } else { 0 })
+            })
+            .collect();
+        Self { words }
+    }
+
+    #[inline]
+    fn contains(&self, v: Node) -> bool {
+        self.words[v as usize / 64].load(Ordering::Relaxed) & (1 << (v % 64)) != 0
+    }
+
+    #[inline]
+    fn insert(&self, v: Node) {
+        let (word, bit) = (&self.words[v as usize / 64], 1 << (v % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn remove(&self, v: Node) {
+        let (word, bit) = (&self.words[v as usize / 64], 1 << (v % 64));
+        if word.load(Ordering::Relaxed) & bit != 0 {
+            word.fetch_and(!bit, Ordering::Relaxed);
+        }
+    }
+
+    /// The nodes in the set.
+    fn count(&self) -> usize {
+        let words = self.words.iter();
+        words
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 }
 
@@ -332,10 +420,11 @@ impl Plp {
 struct Labels {
     /// The shared label array the sweeps read and write.
     labels: AtomicPartition,
-    /// Whether each node is evaluated in the next sweep.
-    active: Vec<AtomicBool>,
-    /// The order a sweep visits the nodes in.
-    order: Vec<Node>,
+    /// The nodes the next sweep evaluates.
+    active: ActiveSet,
+    /// The order a sweep visits the nodes in, reshuffled every sweep;
+    /// `None` walks the active set in node order.
+    order: Option<Vec<Node>>,
     /// Every label lies below this: the size of the tally maps.
     bound: usize,
     /// Every node relabeled so far — stranded ones included — with
@@ -354,12 +443,13 @@ impl Labels {
         let grown = base.upper_bound()..base.upper_bound() + (n - base.len()) as u32;
         let mut bound = grown.end;
         let labels: AtomicPartition = base.as_slice().iter().copied().chain(grown).collect();
-        let active: Vec<AtomicBool> = (0..n)
-            .map(|v| AtomicBool::new(frontier.is_none() || v >= base.len()))
-            .collect();
+        let active = ActiveSet::new(n, frontier.is_none());
+        for v in base.len()..n {
+            active.insert(v as Node);
+        }
         let mut stranded = Vec::new();
         for &v in frontier.into_iter().flatten() {
-            active[v as usize].store(true, Ordering::Relaxed);
+            active.insert(v);
             // A node left with no neighbour but itself leaves its
             // community, as it would never have joined one in a cold run.
             if g.neighbors(v).iter().all(|&u| u == v) {
@@ -368,10 +458,18 @@ impl Labels {
                 stranded.push(v);
             }
         }
+        // The paper's default relies on *implicit* randomization through
+        // asynchronous parallel updates (§III-A). That source vanishes when
+        // only one worker thread exists or the graph is so small that each
+        // thread processes a single contiguous chunk in node order — label
+        // flooding across community bridges then becomes deterministic. In
+        // that regime, shuffle the node order every sweep instead.
+        let threads = rayon::current_num_threads();
+        let shuffled = threads <= 1 || n < 64 * threads;
         Self {
             labels,
             active,
-            order: (0..n as Node).collect(),
+            order: shuffled.then(|| (0..n as Node).collect()),
             bound: bound as usize,
             relabeled: !stranded.is_empty(),
             movers: record.then(|| Mutex::new(stranded)),
@@ -611,20 +709,21 @@ mod tests {
         let (g, _) = lfr(LfrParams::benchmark(2000, 0.2), 4);
         let base = Plp::new().detect(&g);
         // Tie node 0 into the community of some node outside its own, with
-        // more weight than everything else it has.
+        // more weight than everything else it has, and hang a new node
+        // 2000 off that node.
         let far = g
             .nodes()
             .find(|&v| !base.in_same_subset(0, v))
             .expect("more than one community");
-        let edited = Graph::overlaid(
-            &Arc::new(g.clone()),
-            g.node_count(),
-            &[(0, far, Some(1000.0))],
-        );
+        let grown: Node = 2000;
+        let edits = [(0, far, Some(1000.0)), (far, grown, Some(1.0))];
+        let edited = Graph::overlaid(&Arc::new(g.clone()), g.node_count() + 1, &edits);
+        // every endpoint, the repeated one twice
+        let frontier: Vec<Node> = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         let mut plp = Plp::new();
         plp.start_from(StartState {
             base: Arc::new(base.clone()),
-            frontier: vec![0, far],
+            frontier: frontier.clone(),
             aggregates: None,
         });
         let (zeta, report) = plp.detect_with_report(&edited);
@@ -638,6 +737,31 @@ mod tests {
             .filter(|&v| base.in_same_subset(v, 1) != zeta.in_same_subset(v, 1))
             .count();
         assert!(moved < 50, "{moved} nodes regrouped");
+
+        // The first sweep evaluates the deduplicated frontier, which holds
+        // the grown node: 0, far and 2000.
+        let prop = report.phase("label-propagation").unwrap();
+        assert_eq!(prop.series("active").unwrap()[0], 3.0);
+        assert!(prop.counter("evaluations").unwrap() >= 3);
+        // Later sweeps evaluate only what a move activated: the mover and
+        // its neighbours. Taken apart so the movers are known.
+        let rec = Recorder::enabled();
+        let mut run = Labels::start(&edited, &base, Some(&frontier), true);
+        let totals = plp.sweep(&edited, &mut run, &rec.span("sweep"), &Budget::unlimited());
+        let movers = run.movers.unwrap().into_inner().unwrap();
+        let reach: u64 = movers.iter().map(|&v| edited.degree(v) as u64 + 1).sum();
+        assert!(!movers.is_empty());
+        assert!(
+            totals.evaluations <= 3 + reach,
+            "{} evaluations for {} moves reaching {reach}",
+            totals.evaluations,
+            movers.len()
+        );
+        let report = rec.finish("PLP");
+        assert_eq!(
+            report.phase("sweep").unwrap().series("active").unwrap()[0],
+            3.0
+        );
     }
 
     #[test]
@@ -979,6 +1103,232 @@ mod tests {
         assert!(r.partition.validate_dense().is_ok());
         assert_eq!(r.report.termination.as_deref(), Some("iteration-cap"));
         assert_eq!(r.report.cut_phase.as_deref(), Some("label-propagation"));
+    }
+
+    /// The flag walk the bitmap sweeps replaced, kept as their reference:
+    /// one flag per node, counted by a scan of all n every sweep, and a
+    /// walk of every node — in the run's shuffled order when it has one,
+    /// else in node order — that skips the inactive ones.
+    fn sweep_reference(plp: &Plp, g: &Graph, run: &mut Labels, span: &Span) -> Sweeps {
+        use std::sync::atomic::AtomicBool;
+        let n = g.node_count();
+        let theta = (plp.theta_fraction * n as f64).ceil() as u64;
+        let mut rng = SmallRng::seed_from_u64(plp.seed);
+        let shuffle = run.order.is_some();
+        let scratch = ScratchPool::new();
+        let (labels, label_bound) = (&run.labels, run.bound);
+        let active: Vec<AtomicBool> = (0..n as Node)
+            .map(|v| AtomicBool::new(run.active.contains(v)))
+            .collect();
+        let mut order: Vec<Node> = (0..n as Node).collect();
+        let mut totals = Sweeps::default();
+        for _ in 0..plp.max_iterations {
+            let active_count = active
+                .par_iter()
+                .filter(|a| a.load(Ordering::Relaxed))
+                .count();
+            if active_count == 0 {
+                break;
+            }
+            if shuffle {
+                order.shuffle(&mut rng);
+            }
+            let (updated, evaluated) = (CounterCell::new(), CounterCell::new());
+            let iter_salt = plp.seed ^ ((totals.iterations + 1) << 32);
+            order.par_iter().for_each_init(
+                || {
+                    (
+                        scratch.take(label_bound.max(1)),
+                        LocalCount::new(&updated),
+                        LocalCount::new(&evaluated),
+                        run.movers.as_ref().map(LocalMovers::new),
+                    )
+                },
+                |(weight_to, updates, evaluations, movers), &v| {
+                    if !active[v as usize].load(Ordering::Relaxed) || g.degree(v) == 0 {
+                        return;
+                    }
+                    evaluations.bump();
+                    weight_to.clear();
+                    for (u, w) in g.edges_of(v) {
+                        if u != v {
+                            weight_to.add(labels.get(u), w);
+                        }
+                    }
+                    let current = labels.get(v);
+                    let salt = iter_salt ^ splitmix64(v as u64);
+                    let (mut best, mut best_weight) = (current, weight_to.get(current));
+                    let mut best_hash = u64::MAX;
+                    for (l, w) in weight_to.iter() {
+                        if w > best_weight {
+                            (best, best_weight) = (l, w);
+                            best_hash = splitmix64(l as u64 ^ salt);
+                        } else if w == best_weight && best != current {
+                            let h = splitmix64(l as u64 ^ salt);
+                            if h > best_hash {
+                                (best, best_hash) = (l, h);
+                            }
+                        }
+                    }
+                    if best != current {
+                        labels.set(v, best);
+                        updates.bump();
+                        if let Some(movers) = movers {
+                            movers.nodes.push(v);
+                        }
+                        active[v as usize].store(true, Ordering::Relaxed);
+                        for u in g.neighbors(v) {
+                            active[*u as usize].store(true, Ordering::Relaxed);
+                        }
+                    } else {
+                        active[v as usize].store(false, Ordering::Relaxed);
+                    }
+                },
+            );
+            let updated = updated.get();
+            totals.iterations += 1;
+            totals.label_updates += updated;
+            totals.evaluations += evaluated.get();
+            span.push_series("active", active_count as f64);
+            span.push_series("updated", updated as f64);
+            if updated <= theta {
+                break;
+            }
+        }
+        run.relabeled |= totals.label_updates > 0;
+        totals
+    }
+
+    /// One run's sweeps from `start`, by the bitmap walk or (`reference`)
+    /// by the flag walk, with `order` forced off when `node_order`: the
+    /// labels, the movers, the totals and both series.
+    fn sweeps_from(
+        plp: &Plp,
+        g: &Graph,
+        start: (&Partition, Option<&[Node]>),
+        node_order: bool,
+        reference: bool,
+    ) -> (Partition, Vec<Node>, Sweeps, Vec<f64>, Vec<f64>) {
+        let mut run = Labels::start(g, start.0, start.1, true);
+        if node_order {
+            run.order = None;
+        }
+        let rec = Recorder::enabled();
+        let span = rec.span("sweep");
+        let totals = if reference {
+            sweep_reference(plp, g, &mut run, &span)
+        } else {
+            plp.sweep(g, &mut run, &span, &Budget::unlimited())
+        };
+        span.close();
+        let report = rec.finish("PLP");
+        let phase = report.phase("sweep").unwrap();
+        let series = |name| phase.series(name).unwrap().to_vec();
+        let movers = run.movers.unwrap().into_inner().unwrap();
+        (
+            run.labels.to_partition(),
+            movers,
+            totals,
+            series("active"),
+            series("updated"),
+        )
+    }
+
+    /// A seeded warm batch on `g`: eight inserts, four removes and a node
+    /// grown past the end. Returns the edited graph and the frontier.
+    fn warm_batch(g: &Graph, seed: u64) -> (Graph, Vec<Node>) {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = g.node_count();
+        let mut edits = std::collections::BTreeMap::new();
+        for _ in 0..8 {
+            let (u, v) = (rng.gen_range(0..n) as Node, rng.gen_range(0..n) as Node);
+            edits.insert((u.min(v), u.max(v)), Some(1.0));
+        }
+        for _ in 0..4 {
+            let u = rng.gen_range(0..n) as Node;
+            if let Some(&v) = g.neighbors(u).first() {
+                edits.insert((u.min(v), u.max(v)), None);
+            }
+        }
+        edits.insert((rng.gen_range(0..n) as Node, n as Node), Some(1.0));
+        let edits: Vec<_> = edits.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        let frontier = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        (
+            Graph::overlaid(&Arc::new(g.clone()), n + 1, &edits),
+            frontier,
+        )
+    }
+
+    #[test]
+    fn the_bitmap_sweeps_match_the_flag_walk_bit_for_bit_at_one_thread() {
+        let (g, _) = lfr(LfrParams::benchmark(1500, 0.4), 31);
+        parcom_graph::parallel::with_threads(1, || {
+            let plp = Plp {
+                seed: 31,
+                ..Plp::new()
+            };
+            let cold = Partition::singleton(0);
+            let base = plp.clone().detect(&g);
+            let (edited, frontier) = warm_batch(&g, 32);
+            let mut warm_moves = 0;
+            // the shuffled order every T = 1 run takes, and node order,
+            // where the word walk meets the flag walk
+            for node_order in [false, true] {
+                for (graph, start) in [(&g, (&cold, None)), (&edited, (&base, Some(&frontier[..])))]
+                {
+                    let ours = sweeps_from(&plp, graph, start, node_order, false);
+                    let reference = sweeps_from(&plp, graph, start, node_order, true);
+                    assert_eq!(ours, reference, "node order: {node_order}");
+                    assert!(ours.2.evaluations > 0);
+                    if start.1.is_some() {
+                        warm_moves += ours.1.len();
+                    }
+                }
+            }
+            assert!(warm_moves > 0, "the warm batch moved nobody");
+        });
+    }
+
+    #[test]
+    fn the_bitmap_sweeps_keep_the_flag_walks_quality_and_locality_at_two_threads() {
+        use crate::quality::modularity;
+        let (g, _) = lfr(LfrParams::benchmark(1500, 0.4), 33);
+        parcom_graph::parallel::with_threads(2, || {
+            let plp = Plp {
+                seed: 33,
+                ..Plp::new()
+            };
+            let base = plp.clone().detect(&g);
+            let mut q = [Vec::new(), Vec::new()];
+            for seed in 0..20 {
+                let (edited, frontier) = warm_batch(&g, 100 + seed);
+                for (side, reference) in [false, true].into_iter().enumerate() {
+                    let start = (&base, Some(&frontier[..]));
+                    let (zeta, movers, ..) = sweeps_from(&plp, &edited, start, false, reference);
+                    q[side].push(modularity(&edited, &zeta));
+                    // only the frontier and what a move reached may change
+                    let mut reached = vec![false; edited.node_count()];
+                    for &v in frontier.iter().chain(&movers) {
+                        reached[v as usize] = true;
+                    }
+                    for &v in &movers {
+                        for &u in edited.neighbors(v) {
+                            reached[u as usize] = true;
+                        }
+                    }
+                    for v in (0..g.node_count()).filter(|&v| !reached[v]) {
+                        assert_eq!(zeta.as_slice()[v], base.as_slice()[v], "node {v}");
+                    }
+                }
+            }
+            let median = |xs: &mut Vec<f64>| {
+                xs.sort_by(f64::total_cmp);
+                xs[xs.len() / 2]
+            };
+            let (ours, reference) = (median(&mut q[0]), median(&mut q[1]));
+            assert!((ours - reference).abs() <= 0.002, "{ours} vs {reference}");
+        });
     }
 
     #[test]

@@ -178,9 +178,21 @@ pub struct ScratchPool {
 }
 
 impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty pool; `const`, so a pool can be a `static` whose maps
+    /// outlive every run that borrows them.
+    pub const fn new() -> Self {
+        Self {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Drops the pooled maps past the first `maps`, bounding what a
+    /// long-lived pool keeps to what one region of `maps` threads takes.
+    pub fn truncate(&self, maps: usize) {
+        self.free
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .truncate(maps);
     }
 
     /// Takes a cleared map with room for keys in `0..capacity`, recycling a
@@ -347,6 +359,18 @@ mod tests {
         assert!(b.capacity() >= 100, "pooled map keeps its larger capacity");
         assert!(b.is_empty(), "take() returns a cleared map");
         assert_eq!(b.get(99), 0.0);
+    }
+
+    #[test]
+    fn truncate_keeps_the_first_maps() {
+        static POOL: ScratchPool = ScratchPool::new();
+        {
+            let (_a, _b, _c) = (POOL.take(8), POOL.take(8), POOL.take(8));
+        }
+        POOL.truncate(2);
+        let (a, b) = (POOL.take(1), POOL.take(1));
+        assert!(a.capacity() >= 8 && b.capacity() >= 8, "two kept");
+        assert_eq!(POOL.take(1).capacity(), 1, "the third was dropped");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! deliberate and bump the schema tag. v2 added the always-present
 //! `termination`/`cut_phase` keys (`null` for unguarded runs). New counter
 //! and series *names* are additive: the PLM move phases' `active` series
-//! and `evaluations` counter (the frontier ledger) joined without a bump.
+//! and `evaluations` counter (the frontier ledger) joined without a bump,
+//! and so did PLP's `evaluations` (rows tallied over its sweeps).
 
 use parcom_obs::{json, PhaseReport, Recorder, RunReport, SCHEMA};
 
@@ -35,6 +36,20 @@ fn sample_report() -> RunReport {
         sub_reports: vec![RunReport {
             algorithm: "PLP".into(),
             metrics: vec![("modularity".into(), 0.375)],
+            phases: vec![PhaseReport {
+                name: "label-propagation".into(),
+                wall_seconds: 0.5,
+                counters: vec![
+                    ("iterations".into(), 2),
+                    ("label-updates".into(), 9),
+                    ("evaluations".into(), 31),
+                ],
+                series: vec![
+                    ("active".into(), vec![20.0, 11.0]),
+                    ("updated".into(), vec![8.0, 1.0]),
+                ],
+                children: vec![],
+            }],
             ..RunReport::default()
         }],
         termination: Some("deadline".into()),
@@ -62,7 +77,10 @@ fn golden_json_is_pinned() {
         "\"sub_reports\":[",
         "{\"schema\":\"parcom-run-report/v2\",\"algorithm\":\"PLP\",",
         "\"counters\":{},\"series\":{},\"metrics\":{\"modularity\":0.375},",
-        "\"phases\":[],\"sub_reports\":[],",
+        "\"phases\":[{\"name\":\"label-propagation\",\"wall_seconds\":0.5,",
+        "\"counters\":{\"iterations\":2,\"label-updates\":9,\"evaluations\":31},",
+        "\"series\":{\"active\":[20,11],\"updated\":[8,1]},\"children\":[]}],",
+        "\"sub_reports\":[],",
         "\"termination\":null,\"cut_phase\":null}",
         "],",
         "\"termination\":\"deadline\",\"cut_phase\":\"move-phase\"}",

@@ -135,7 +135,7 @@ fn list_graphs(store: &GraphStore) -> Reply {
         json::write_u64(&mut out, stats.overlay_bytes as u64);
         // How stale each cached answer is: `generation - base_generation`
         // folds behind, `dirty` endpoints to re-evaluate (plus `pending`
-        // operations not folded yet).
+        // operations not folded yet); and what it costs to keep.
         json::write_key(&mut out, "cached_specs");
         out.push('[');
         for (j, slot) in stats.warm.iter().enumerate() {
@@ -146,6 +146,9 @@ fn list_graphs(store: &GraphStore) -> Reply {
             json::write_u64(&mut out, slot.base_generation);
             json::write_key(&mut out, "dirty");
             json::write_u64(&mut out, slot.dirty as u64);
+            // What the slot holds in memory (`WarmStats::bytes`).
+            json::write_key(&mut out, "bytes");
+            json::write_u64(&mut out, slot.bytes as u64);
             out.push('}');
         }
         out.push_str("]}");
@@ -400,6 +403,54 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     (200, out)
 }
 
+/// A `/detect` reply. `body` is the whole JSON body, or — when `partition`
+/// is there — the envelope up to and including `"partition":[`, which the
+/// partition text and `]}` complete. The text is shared with the warm slot
+/// that keeps it, so an answer the slot already gave goes out as the slot
+/// rendered it, never copied into a buffer of its own.
+pub(crate) struct DetectReply {
+    status: u16,
+    body: String,
+    partition: Option<Arc<[u8]>>,
+}
+
+impl From<Reply> for DetectReply {
+    fn from((status, body): Reply) -> Self {
+        Self {
+            status,
+            body,
+            partition: None,
+        }
+    }
+}
+
+impl DetectReply {
+    /// The body's pieces, in order.
+    fn parts(&self) -> Vec<&[u8]> {
+        match &self.partition {
+            Some(text) => vec![self.body.as_bytes(), text, b"]}"],
+            None => vec![self.body.as_bytes()],
+        }
+    }
+
+    /// Streams the reply to `w` as chunked JSON (the pieces are never
+    /// joined).
+    pub(crate) fn write(
+        &self,
+        w: &mut dyn std::io::Write,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        crate::http::write_chunked_json(w, self.status, &self.parts(), keep_alive)
+    }
+}
+
+/// [`detect_reply`] with the body joined into one string.
+pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
+    let reply = detect_reply(store, body, token);
+    let text = String::from_utf8(reply.parts().concat()).expect("detect replies are ASCII JSON");
+    (reply.status, text)
+}
+
 /// Runs a detection request. The connection layer cancels `token` when
 /// the client hangs up; the body's `"budget"` adds a deadline and/or sweep
 /// cap on top.
@@ -413,40 +464,42 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
 /// cached partition after zero sweeps. `"cold": true` starts from
 /// scratch regardless. Either way a converged result becomes the slot's
 /// new base; a run cut short by its budget or a hang-up leaves the slot
-/// as it was.
-pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
+/// as it was. The `partition` array of a result the slot holds is
+/// rendered once, by the first reply that asks for it, and kept beside
+/// the slot for every later one.
+pub(crate) fn detect_reply(store: &GraphStore, body: &[u8], token: CancelToken) -> DetectReply {
     let v = match parse_body(body) {
         Ok(v) => v,
-        Err(reply) => return reply,
+        Err(reply) => return reply.into(),
     };
     let Some(name) = v.get("graph").and_then(Value::as_str) else {
-        return err(400, "body must name a resident \"graph\"");
+        return err(400, "body must name a resident \"graph\"").into();
     };
     let Some(spec_value) = v.get("spec") else {
-        return err(400, "body must carry a \"spec\"");
+        return err(400, "body must carry a \"spec\"").into();
     };
     let spec = match DetectorSpec::from_json(spec_value) {
         Ok(spec) => spec,
-        Err(e) => return err(422, format!("bad spec: {e}")),
+        Err(e) => return err(422, format!("bad spec: {e}")).into(),
     };
     let mut detector = match spec.build() {
         Ok(d) => d,
-        Err(e) => return err(422, format!("bad spec: {e}")),
+        Err(e) => return err(422, format!("bad spec: {e}")).into(),
     };
 
     let mut budget = Budget::unlimited().with_token(token);
     if let Some(b) = v.get("budget") {
         if b.entries().is_none() {
-            return err(400, "\"budget\" must be an object");
+            return err(400, "\"budget\" must be an object").into();
         }
         match b.get("timeout_ms").map(|t| t.as_u64()) {
             Some(Some(ms)) => budget = budget.with_deadline(Duration::from_millis(ms)),
-            Some(None) => return err(400, "\"timeout_ms\" must be a non-negative integer"),
+            Some(None) => return err(400, "\"timeout_ms\" must be a non-negative integer").into(),
             None => {}
         }
         match b.get("max_sweeps").map(|t| t.as_u64()) {
             Some(Some(cap)) => budget = budget.with_max_sweeps(cap),
-            Some(None) => return err(400, "\"max_sweeps\" must be a non-negative integer"),
+            Some(None) => return err(400, "\"max_sweeps\" must be a non-negative integer").into(),
             None => {}
         }
     }
@@ -457,7 +510,7 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     // result must go back to the graph it was computed on, not to one a
     // `PUT` put in its place meanwhile.
     let Some(entry) = store.get(name) else {
-        return err(404, format!("no graph named `{name}`"));
+        return err(404, format!("no graph named `{name}`")).into();
     };
     let spec_key = spec.to_string();
     let (snapshot, start) = {
@@ -476,15 +529,22 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     let mut result = detector.detect_guarded(graph, &budget);
     // Only a finished run is a base worth starting from, and only for a
     // detector that can start from one.
-    if result.termination == Termination::Converged && detector.start_slot().is_some() {
-        let aggregates = result.aggregates.take();
-        lock_entry(&entry).store_result(
-            &spec_key,
-            snapshot.generation,
-            Arc::clone(&result.partition),
-            aggregates,
-        );
-    }
+    let stored = result.termination == Termination::Converged && detector.start_slot().is_some();
+    let kept_text = {
+        let mut entry = lock_entry(&entry);
+        if stored {
+            let aggregates = result.aggregates.take();
+            entry.store_result(
+                &spec_key,
+                snapshot.generation,
+                Arc::clone(&result.partition),
+                aggregates,
+            );
+        }
+        include_partition
+            .then(|| entry.partition_text(&spec_key, &result.partition))
+            .flatten()
+    };
 
     let mut out = String::with_capacity(4096);
     out.push_str("{\"schema\":");
@@ -519,31 +579,41 @@ pub fn detect(store: &GraphStore, body: &[u8], token: CancelToken) -> Reply {
     // splice the already-serialized run report in as raw JSON
     out.push_str(",\"report\":");
     out.push_str(&result.report.to_json());
-    if include_partition {
-        // A relabeled resident view detects on permuted ids; clients sent
-        // the graph in original ids, so the partition is mapped back
-        // before emission (community ids and counts are unchanged).
-        let emitted = match &snapshot.relabeling {
-            Some(r) => Arc::new(r.to_original(&result.partition)),
-            None => result.partition,
-        };
-        // Rendered into the same buffer, which grows by at most the text's
-        // bound; every label ends in a comma, and the last one's closes
-        // the array instead.
-        let mut bytes = out.into_bytes();
-        bytes.extend_from_slice(b",\"partition\":[");
-        render_partition(&emitted, b',', &mut bytes);
-        if !emitted.is_empty() {
-            bytes.pop();
-        }
-        bytes.push(b']');
-        out = String::from_utf8(bytes).expect("partition text is ASCII digits and commas");
+    let partition = include_partition.then(|| {
+        kept_text.unwrap_or_else(|| {
+            // A relabeled resident view detects on permuted ids; clients
+            // sent the graph in original ids, so the partition is mapped
+            // back before it is rendered (community ids and counts are
+            // unchanged). Every label ends in a comma; the last one's goes.
+            let mut text = Vec::new();
+            match &snapshot.relabeling {
+                Some(r) => render_partition(&r.to_original(&result.partition), b',', &mut text),
+                None => render_partition(&result.partition, b',', &mut text),
+            }
+            text.pop();
+            let text: Arc<[u8]> = text.into();
+            if stored {
+                lock_entry(&entry).keep_partition_text(
+                    &spec_key,
+                    &result.partition,
+                    Arc::clone(&text),
+                );
+            }
+            text
+        })
+    });
+    match partition {
+        Some(_) => out.push_str(",\"partition\":["),
+        None => out.push('}'),
     }
-    out.push('}');
     let status = if result.termination == Termination::InputRejected {
         413
     } else {
         200
     };
-    (status, out)
+    DetectReply {
+        status,
+        body: out,
+        partition,
+    }
 }

@@ -253,15 +253,18 @@ pub fn respond_json(
 /// out in one write with its framing instead of four, and the head rides
 /// along with the first. The reply announces a kept-alive connection.
 pub fn respond_chunked_json(w: &mut dyn Write, status: u16, body: &str) -> io::Result<()> {
-    write_chunked_json(w, status, body, true)
+    write_chunked_json(w, status, &[body.as_bytes()], true)
 }
 
-/// [`respond_chunked_json`] with the `Connection` header of the caller's
-/// choice, as [`respond_json`] takes it.
+/// [`respond_chunked_json`] for a body held in `parts`, written as their
+/// concatenation would be — the pieces cut across part boundaries — with
+/// the `Connection` header of the caller's choice, as [`respond_json`]
+/// takes it. A body that shares its largest part with whoever keeps it
+/// goes out without being copied into one buffer first.
 pub(crate) fn write_chunked_json(
     w: &mut dyn Write,
     status: u16,
-    body: &str,
+    parts: &[&[u8]],
     keep_alive: bool,
 ) -> io::Result<()> {
     let mut w = BufWriter::with_capacity(CHUNK_BYTES + 16, w);
@@ -272,10 +275,22 @@ pub(crate) fn write_chunked_json(
         retry_after(status),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
-    for chunk in body.as_bytes().chunks(CHUNK_BYTES) {
-        write!(w, "{:x}\r\n", chunk.len())?;
-        w.write_all(chunk)?;
+    let mut left: usize = parts.iter().map(|part| part.len()).sum();
+    let (mut parts, mut part): (_, &[u8]) = (parts.iter(), &[]);
+    while left > 0 {
+        let size = left.min(CHUNK_BYTES);
+        write!(w, "{size:x}\r\n")?;
+        let mut need = size;
+        while need > 0 {
+            while part.is_empty() {
+                part = parts.next().expect("the parts hold `left` more bytes");
+            }
+            let (piece, rest) = part.split_at(need.min(part.len()));
+            w.write_all(piece)?;
+            (part, need) = (rest, need - piece.len());
+        }
         w.write_all(b"\r\n")?;
+        left -= size;
     }
     w.write_all(b"0\r\n\r\n")?;
     w.flush()
@@ -416,6 +431,14 @@ mod tests {
             }
             want.extend_from_slice(b"0\r\n\r\n");
             assert_eq!(counted.bytes, want, "{len} bytes");
+            // the same body in parts, cut anywhere, frames the same bytes
+            for cut in [0, 1, len / 3, len].map(|c| c.min(len)) {
+                let (head, tail) = body.as_bytes().split_at(cut);
+                let mut split = CountingWriter::default();
+                write_chunked_json(&mut split, 200, &[head, b"", tail], true).unwrap();
+                assert_eq!(split.bytes, want, "{len} bytes cut at {cut}");
+                assert!(split.writes <= chunks + 2, "{len} bytes cut at {cut}");
+            }
         }
     }
 }

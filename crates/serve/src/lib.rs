@@ -60,7 +60,7 @@ pub mod signal;
 
 use conn::Conn;
 use gate::{DetectPermit, Gate, RequestPermit};
-use http::{error_body, respond_json, write_chunked_json, ReadError, Request, RequestReader};
+use http::{error_body, respond_json, ReadError, Request, RequestReader};
 use parcom_guard::{Budget, CancelToken};
 use persist::Durability;
 use std::io;
@@ -397,14 +397,14 @@ impl<'scope> DetectJob<'scope> {
                 // A panicking detection (the store tolerates one: see
                 // `store::lock_entry`) must still answer, or the client
                 // would wait on a connection its reader keeps open.
-                let (status, body) = catch_unwind(AssertUnwindSafe(|| {
-                    handlers::detect(store, &request.body, job_token)
+                let reply = catch_unwind(AssertUnwindSafe(|| {
+                    handlers::detect_reply(store, &request.body, job_token)
                 }))
-                .unwrap_or_else(|_| (500, error_body("detection panicked")));
+                .unwrap_or_else(|_| (500, error_body("detection panicked")).into());
                 // The detect slot bounds compute, and is free again before
                 // the client can have read the answer and sent its next.
                 drop(detect_permit);
-                write_chunked_json(&mut *writer, status, &body, keep_alive).is_ok()
+                reply.write(&mut *writer, keep_alive).is_ok()
             })?;
         Ok(Self { token, handle })
     }

@@ -21,9 +21,10 @@
 //! and the endpoints of every edit folded in since. The next detection
 //! with that spec starts from there ([`StartState`]), re-evaluates only
 //! those endpoints and reads its modularity off the aggregates instead of
-//! scanning every edge. Slots are derived, memory-only state: nothing of
-//! them is logged or checkpointed, and a restarted daemon starts with
-//! none.
+//! scanning every edge; a reply that carries the partition streams the
+//! text the slot rendered once. Slots are derived, memory-only state:
+//! nothing of them is logged or checkpointed, and a restarted daemon
+//! starts with none.
 
 use crate::wal::WalWriter;
 use parcom_core::quality::CommunityAggregates;
@@ -106,6 +107,21 @@ struct WarmSlot {
     /// Endpoints of every edit folded in after `generation`, sorted, each
     /// once: the frontier of the next warm start.
     dirty: Vec<Node>,
+    /// `partition` as a reply's `partition` array holds it — in original
+    /// ids, comma-separated, without the brackets — once a detect has
+    /// asked for it; shared by every later reply of this partition.
+    text: Option<Arc<[u8]>>,
+}
+
+impl WarmSlot {
+    /// What the slot holds: 4 bytes per node of the partition, 16 per
+    /// community of the aggregates, 4 per dirty endpoint, and the text.
+    fn bytes(&self) -> usize {
+        4 * self.partition.len()
+            + 16 * self.aggregates.as_ref().map_or(0, CommunityAggregates::len)
+            + 4 * self.dirty.len()
+            + self.text.as_ref().map_or(0, |text| text.len())
+    }
 }
 
 /// Listing summary of one warm slot.
@@ -116,6 +132,9 @@ pub struct WarmStats {
     pub base_generation: u64,
     /// Endpoints waiting for the next warm start.
     pub dirty: usize,
+    /// Bytes the slot holds: its partition, aggregates, dirty list and
+    /// reply text.
+    pub bytes: usize,
 }
 
 /// A named resident graph plus its mutation buffer.
@@ -469,7 +488,8 @@ impl GraphEntry {
     /// discarded (`false`): the endpoints folded in meanwhile are not
     /// known to it, and storing it as current would hide them from every
     /// later warm start. The slot already there, if any, stays and keeps
-    /// counting.
+    /// counting. A result that is the slot's own partition keeps the
+    /// slot's reply text.
     pub fn store_result(
         &mut self,
         spec: &str,
@@ -482,11 +502,16 @@ impl GraphEntry {
         }
         // Takes the place of the same spec's slot, else a free one, else
         // that of the stalest base.
-        let evicted = match self.warm.iter().position(|slot| slot.spec == spec) {
+        let same = self.warm.iter().position(|slot| slot.spec == spec);
+        let evicted = match same {
             Some(same) => Some(same),
             None if self.warm.len() < WARM_SLOTS => None,
             None => (0..WARM_SLOTS).min_by_key(|&i| self.warm[i].generation),
         };
+        let text = same
+            .map(|at| &mut self.warm[at])
+            .filter(|slot| Arc::ptr_eq(&slot.partition, &partition))
+            .and_then(|slot| slot.text.take());
         if let Some(at) = evicted {
             self.warm.swap_remove(at);
         }
@@ -496,8 +521,35 @@ impl GraphEntry {
             partition,
             aggregates,
             dirty: Vec::new(),
+            text,
         });
         true
+    }
+
+    /// The reply text kept beside `spec`'s slot, when the slot holds
+    /// `partition` itself and a detect has rendered it.
+    pub(crate) fn partition_text(
+        &self,
+        spec: &str,
+        partition: &Arc<Partition>,
+    ) -> Option<Arc<[u8]>> {
+        let holds = |slot: &&WarmSlot| slot.spec == spec && Arc::ptr_eq(&slot.partition, partition);
+        self.warm.iter().find(holds)?.text.clone()
+    }
+
+    /// Keeps `text`, the reply text of `partition`, beside `spec`'s slot
+    /// if the slot still holds `partition` itself; otherwise drops it.
+    pub(crate) fn keep_partition_text(
+        &mut self,
+        spec: &str,
+        partition: &Arc<Partition>,
+        text: Arc<[u8]>,
+    ) {
+        let holds =
+            |slot: &&mut WarmSlot| slot.spec == spec && Arc::ptr_eq(&slot.partition, partition);
+        if let Some(slot) = self.warm.iter_mut().find(holds) {
+            slot.text = Some(text);
+        }
     }
 
     /// Listing summary.
@@ -517,6 +569,7 @@ impl GraphEntry {
                     spec: slot.spec.clone(),
                     base_generation: slot.generation,
                     dirty: slot.dirty.len(),
+                    bytes: slot.bytes(),
                 })
                 .collect(),
             resident_bytes: footprint.base_bytes + footprint.overlay_bytes,

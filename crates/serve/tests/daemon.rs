@@ -346,8 +346,8 @@ fn full_lifecycle_over_unix_socket() {
     assert_eq!(get_u64(&v, "generation"), 2);
     let snapshot = v.get("snapshot").unwrap();
     assert_eq!(get_u64(snapshot, "folded_ops"), 2);
-    // the three rows it touches hold more than an eighth of the ring's
-    // entries, so the fold compacted
+    // the three rows it touches hold more than a sixteenth
+    // (`COMPACT_SHARE`) of the ring's entries, so the fold compacted
     assert_eq!(flag(snapshot, "compacted"), Some(true));
     assert_eq!(get_u64(snapshot, "overlay_rows"), 0);
 
@@ -758,7 +758,127 @@ fn a_relabeled_entry_answers_its_partition_in_original_ids_as_core_fmt_renders_i
     let labels: Vec<String> = original.as_slice().iter().map(|c| format!("{c}")).collect();
     let array = format!(",\"partition\":[{}]}}", labels.join(","));
     assert!(text.ends_with(&array), "{text}");
+    // the repeat answers from the slot's kept text, in original ids too
+    let (status, repeat) = client.request_text("POST", "/detect", &detect_body("pcg", PLP, ""));
+    assert_eq!(status, 200, "{repeat}");
+    assert!(repeat.contains("\"base_generation\":0"), "{repeat}");
+    assert_eq!(partition_text(&repeat), partition_text(&text));
     std::fs::remove_file(&path).ok();
+}
+
+/// The `partition` array of a raw `/detect` reply, brackets excluded.
+fn partition_text(reply: &str) -> &str {
+    let (_, array) = reply
+        .split_once(",\"partition\":[")
+        .expect("a partition array");
+    array
+        .strip_suffix("]}")
+        .expect("the array closes the reply")
+}
+
+/// What [`partition_text`] must read for `stored` in original ids: a fresh
+/// render, trailing comma dropped.
+fn rendered(stored: &parcom_graph::Partition) -> String {
+    let mut text = Vec::new();
+    parcom_io::partition_io::render_partition(stored, b',', &mut text);
+    text.pop();
+    String::from_utf8(text).unwrap()
+}
+
+/// The partition `spec`'s slot of graph `name` holds.
+fn slot_partition(ctx: &ServerCtx, name: &str, spec: &str) -> Arc<parcom_graph::Partition> {
+    let entry = ctx.store.get(name).unwrap();
+    let entry = parcom_serve::store::lock_entry(&entry);
+    entry.warm_start(spec).expect("a slot").1.base
+}
+
+/// A kept reply text is the slot's partition, and only that: a repeat
+/// answers the same bytes, and a result that moved labels, or a cold one,
+/// answers a fresh render of itself.
+#[test]
+fn a_kept_reply_text_is_never_stale() {
+    let (ctx, socket) = boot("text");
+    ctx.store.insert("g", lfr(2_000), None);
+    let mut client = Client::connect(&socket);
+    let detect_text = |client: &mut Client, extra: &str| {
+        let (status, text) = client.request_text("POST", "/detect", &detect_body("g", PLP, extra));
+        assert_eq!(status, 200, "{text}");
+        text
+    };
+
+    // two detects at one generation: byte-identical arrays
+    let first = detect_text(&mut client, "");
+    let repeat = detect_text(&mut client, "");
+    assert!(repeat.contains("\"warm\":true"), "{repeat}");
+    assert_eq!(partition_text(&repeat), partition_text(&first));
+    assert_eq!(
+        partition_text(&first),
+        rendered(&slot_partition(&ctx, "g", PLP))
+    );
+
+    // an edit whose warm run moves labels: tie node 0 into a community
+    // not its own, heavily
+    let labels = json::parse(&first).unwrap();
+    let labels = labels.get("partition").and_then(Value::as_array).unwrap();
+    let far = (labels.iter().position(|l| *l != labels[0])).expect("more than one community");
+    edit(&mut client, "g", &format!("\"insert\":[[0,{far},1000]]"));
+    let moved = detect_text(&mut client, "");
+    let v = json::parse(&moved).unwrap();
+    assert_eq!(base_of(&v), Some(0));
+    assert!(label_propagation(&v, "label-updates") > 0, "{moved}");
+    let stored = slot_partition(&ctx, "g", PLP);
+    assert_ne!(partition_text(&moved), partition_text(&first));
+    assert_eq!(partition_text(&moved), rendered(&stored));
+    assert_eq!(
+        partition_text(&detect_text(&mut client, "")),
+        rendered(&stored)
+    );
+
+    // a cold run stores a new partition, and its text with it
+    let cold = detect_text(&mut client, ",\"cold\":true");
+    assert!(cold.contains("\"warm\":false"), "{cold}");
+    let stored = slot_partition(&ctx, "g", PLP);
+    assert_eq!(partition_text(&cold), rendered(&stored));
+    assert_eq!(
+        partition_text(&detect_text(&mut client, "")),
+        partition_text(&cold)
+    );
+}
+
+/// `cached_specs[].bytes` counts the partition (4n), the aggregates
+/// (16k), the dirty list (4d) and the reply text once one was asked for.
+#[test]
+fn a_warm_slot_lists_the_bytes_it_holds() {
+    let (_ctx, socket) = boot("slotbytes");
+    let mut client = Client::connect(&socket);
+    let slot_bytes = |client: &mut Client| {
+        let (status, v) = client.request("GET", "/graphs", "");
+        assert_eq!(status, 200);
+        let rows = v.get("graphs").and_then(Value::as_array).unwrap();
+        let row = rows.iter().find(|r| get_str(r, "name") == "ring").unwrap();
+        let slots = row.get("cached_specs").and_then(Value::as_array).unwrap();
+        assert_eq!(slots.len(), 1, "{row:?}");
+        get_u64(&slots[0], "bytes")
+    };
+    let body = format!("{{\"graph\":\"ring\",\"spec\":\"{PLP}\"}}");
+    let (status, v) = client.request("POST", "/detect", &body);
+    assert_eq!(status, 200, "{v:?}");
+    let k = get_u64(&v, "communities");
+    assert_eq!(slot_bytes(&mut client), 4 * 20 + 16 * k);
+
+    // the first detect that asks for the array renders it, once
+    let (status, text) = client.request_text("POST", "/detect", &detect_body("ring", PLP, ""));
+    assert_eq!(status, 200, "{text}");
+    let text_bytes = partition_text(&text).len() as u64;
+    assert_eq!(text_bytes, 2 * 20 - 1, "one digit and a comma per node");
+    assert_eq!(slot_bytes(&mut client), 4 * 20 + 16 * k + text_bytes);
+
+    // a fold adds its two endpoints to the dirty list
+    edit(&mut client, "ring", "\"insert\":[[0,10]]");
+    assert_eq!(
+        slot_bytes(&mut client),
+        4 * 20 + 16 * k + 4 * 2 + text_bytes
+    );
 }
 
 #[test]
