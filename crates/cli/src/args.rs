@@ -16,7 +16,7 @@
 //! | `--algo NAME` | detect | a name from the `parcom_core::spec` registry (`parcom detect` with a bad name prints the current list); knob applicability is validated there too |
 //! | `--threads N` | detect | run inside a pool of `N` workers (0 = the default pool) |
 //! | `--seed S` | generate, detect | seed; for `detect` a knob applied uniformly via `CommunityDetector::set_seed` (default 1) |
-//! | `--report json` | detect | emit the structured `RunReport` as JSON on stdout; the human summary moves to stderr. The report's leading phases are `ingest/parse` and `ingest/build` (graph file ingest timings, with `bytes`/`edges` counters), followed by the algorithm's own phases |
+//! | `--report json` | detect | emit the structured `RunReport` as JSON on stdout; the human summary moves to stderr. The report's leading phases are `ingest/read`, `ingest/parse` and `ingest/build` (graph file ingest timings: the file read, then the decode with `bytes`/`edges` counters), followed by the algorithm's own phases |
 //! | `--gamma X` | detect | knob: resolution parameter, for algorithms whose spec accepts `gamma` |
 //! | `--ensemble B` | detect | knob: ensemble size, for algorithms whose spec accepts `ensemble` |
 //! | `--move racy\|coloring` | detect | knob: PLM move-phase strategy, for algorithms whose spec accepts `move` (`plm`, `plmr`, `epp`, `eppr`); `coloring` produces bit-identical partitions at any `--threads` (DESIGN.md §14) |

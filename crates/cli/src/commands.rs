@@ -174,7 +174,8 @@ pub fn detect(args: &Args) -> CmdResult {
     };
 
     // with --report, graph ingest is instrumented too: its phases
-    // (`ingest/parse`, `ingest/build`) are prepended to the run report
+    // (`ingest/read`, `ingest/parse`, `ingest/build`) are prepended to the
+    // run report
     let ingest_rec = if report_json {
         parcom_obs::Recorder::enabled()
     } else {

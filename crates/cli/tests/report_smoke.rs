@@ -46,9 +46,15 @@ fn detect_report_json_emits_a_valid_run_report() {
     assert!(stdout.contains("\"name\":\"level-0\""), "{stdout}");
     assert!(stdout.contains("\"name\":\"move-phase\""), "{stdout}");
     assert!(stdout.contains("\"name\":\"coarsen\""), "{stdout}");
-    // graph ingest phases lead the report
-    assert!(stdout.contains("\"name\":\"ingest/parse\""), "{stdout}");
-    assert!(stdout.contains("\"name\":\"ingest/build\""), "{stdout}");
+    // graph ingest phases lead the report: the file read, then the decode
+    let at = |name: &str| {
+        stdout
+            .find(&format!("\"name\":\"{name}\""))
+            .unwrap_or_else(|| panic!("{name}: {stdout}"))
+    };
+    assert!(at("ingest/read") < at("ingest/parse"), "{stdout}");
+    assert!(at("ingest/parse") < at("ingest/build"), "{stdout}");
+    assert!(at("ingest/build") < at("level-0"), "{stdout}");
     // no budget flag: the run converges and the report says so (what CI's
     // run-report smoke asserts)
     assert!(stdout.contains("\"termination\":\"converged\""), "{stdout}");

@@ -252,6 +252,8 @@ impl Plp {
             let iter_salt = self.seed ^ ((totals.iterations + 1) << 32);
             let evaluate = |w: &mut Worker, v: Node| {
                 if g.degree(v) == 0 {
+                    // a stranded warm node: nothing to tally, never again
+                    active.remove(v);
                     return;
                 }
                 w.evaluations.bump();
@@ -447,6 +449,13 @@ impl Labels {
         for v in base.len()..n {
             active.insert(v as Node);
         }
+        if frontier.is_none() {
+            // An isolated node has no neighbour's label to take: a cold run
+            // starts it inactive, as PLM's first frontier leaves it out.
+            for v in g.nodes().filter(|&v| g.degree(v) == 0) {
+                active.remove(v);
+            }
+        }
         let mut stranded = Vec::new();
         for &v in frontier.into_iter().flatten() {
             active.insert(v);
@@ -590,6 +599,25 @@ mod tests {
         // both Fig. 1 series cover every iteration
         assert_eq!(prop.series("active").unwrap().len(), u.len());
         assert_eq!(prop.counter("iterations"), Some(u.len() as u64));
+    }
+
+    #[test]
+    fn isolated_nodes_are_never_active() {
+        // two edges and two isolated nodes (4 and 5)
+        let g = GraphBuilder::from_edges(6, &[(0, 1), (2, 3)]);
+        for threads in [1, 2] {
+            let (zeta, report) =
+                parcom_graph::parallel::with_threads(threads, || Plp::new().detect_with_report(&g));
+            let active = report
+                .phase("label-propagation")
+                .and_then(|p| p.series("active"))
+                .unwrap();
+            assert_eq!(active[0], 4.0, "threads={threads}: {active:?}");
+            assert!(active.iter().all(|&a| a <= 4.0), "{active:?}");
+            // the isolated nodes keep their own labels
+            assert_eq!(zeta.number_of_subsets(), 4);
+            assert!(zeta.in_same_subset(0, 1) && zeta.in_same_subset(2, 3));
+        }
     }
 
     #[test]
@@ -1145,7 +1173,11 @@ mod tests {
                     )
                 },
                 |(weight_to, updates, evaluations, movers), &v| {
-                    if !active[v as usize].load(Ordering::Relaxed) || g.degree(v) == 0 {
+                    if !active[v as usize].load(Ordering::Relaxed) {
+                        return;
+                    }
+                    if g.degree(v) == 0 {
+                        active[v as usize].store(false, Ordering::Relaxed);
                         return;
                     }
                     evaluations.bump();

@@ -1054,22 +1054,34 @@ impl Graph {
     /// order, repeats allowed, and every edge is expected in both of its
     /// endpoints' rows (a self-loop in its one row). Targets must be in
     /// range and weights positive and finite, which a reader checks while
-    /// it parses.
+    /// it parses; `sorted` says that every row is already strictly
+    /// increasing, which a reader sees while it parses too.
     ///
-    /// Each row is sorted by `(neighbor, weight bits)` and its repeats are
-    /// summed in that order, as [`crate::GraphBuilder::build`] merges
-    /// parallel edges; a row that is already strictly sorted is left as
-    /// it is. Then every non-loop entry `u → v` must have the mirror
-    /// `v → u` with the same weight bits, or the smallest disagreeing pair
-    /// comes back as the error. On rows that mirror, the graph is the
-    /// builder's for the edges of the rows' upper halves, bit for bit.
+    /// Unless `sorted`, each row is sorted by `(neighbor, weight bits)` and
+    /// its repeats are summed in that order, as
+    /// [`crate::GraphBuilder::build`] merges parallel edges; a row that is
+    /// already strictly sorted is left as it is. Then every non-loop entry
+    /// `u → v` must have the mirror `v → u` with the same weight bits, or
+    /// the smallest disagreeing pair comes back as the error. On rows that
+    /// mirror, the graph is the builder's for the edges of the rows' upper
+    /// halves, bit for bit.
     pub fn from_adjacency_rows(
         offsets: Vec<usize>,
         mut targets: Vec<Node>,
         mut weights: Vec<f64>,
+        sorted: bool,
     ) -> Result<Self, Asymmetry> {
         debug_assert!(check_arrays(&offsets, &targets, &weights, false).is_ok());
-        let offsets = crate::builder::merge_rows(&offsets, &mut targets, &mut weights);
+        let offsets = if sorted {
+            debug_assert!(
+                (0..offsets.len() - 1).all(|u| targets[offsets[u]..offsets[u + 1]]
+                    .windows(2)
+                    .all(|p| p[0] < p[1]))
+            );
+            offsets
+        } else {
+            crate::builder::merge_rows(&offsets, &mut targets, &mut weights)
+        };
         if !rows_mirror(&offsets, &targets, &weights) {
             if let Some(a) = first_asymmetry(&offsets, &targets, &weights) {
                 return Err(a);

@@ -159,7 +159,6 @@ pub fn split_by_ranges<'a, T>(
 /// scan over the (few) part totals, then a parallel pass writing each
 /// part's local prefix offset by its base. `parts` bounds the number of
 /// concurrent parts; pass 1 for a sequential scan.
-// audit:allow(budget-propagation): two linear passes over a length array its caller sized; the ingest driver checks the budget between phases
 pub fn exclusive_prefix_sum(xs: &[u32], parts: usize) -> Vec<usize> {
     use rayon::prelude::*;
     let ranges = chunk_ranges(xs.len(), parts);

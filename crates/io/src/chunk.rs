@@ -1,27 +1,30 @@
 //! Byte-level parsing substrate for the parallel readers.
 //!
-//! The chunked parsers ([`crate::metis`], [`crate::edgelist`]) read the
-//! whole file into one buffer, split it on line boundaries into roughly
-//! per-core chunks, and parse each chunk independently with zero per-line
-//! allocation: lines and tokens are `&[u8]` sub-slices of the buffer, and
-//! numbers parse straight from those slices. This module holds the shared
-//! machinery — chunking, line iteration, token scanning, numeric parsing.
+//! The chunked parsers ([`crate::metis`], [`crate::edgelist`]) split the
+//! text on line boundaries into roughly per-core pieces and parse each
+//! piece independently with zero per-line allocation: lines and tokens are
+//! `&[u8]` sub-slices of the buffer, and numbers parse straight from those
+//! slices. This module holds the shared machinery — splitting, line
+//! iteration, token scanning, numeric parsing (with one 8-byte SWAR step
+//! for the leading digits of a token).
 //!
-//! Error context discipline: chunks know their absolute starting line
-//! (computed with one cheap parallel newline count + prefix sum), so every
-//! parse error still carries the exact 1-based line number and the
+//! Error context discipline: a piece does not know the line it starts on.
+//! It counts its own lines and reports errors at piece-relative lines; the
+//! caller walks the pieces in order and shifts each error by the lines of
+//! the pieces before it ([`crate::IoError::after_lines`]), so every parse
+//! error still carries the exact 1-based line number and the
 //! `path:line: msg` format is preserved bit-for-bit against the
 //! sequential reference parsers.
 
-use rayon::prelude::*;
+use crate::IoError;
 
-/// Files smaller than this parse sequentially: chunk bookkeeping and
-/// thread spawns would cost more than they save.
+/// Inputs smaller than this are read and parsed in one piece: the
+/// bookkeeping and the parallel region would cost more than they save.
 pub(crate) const MIN_PARALLEL_BYTES: usize = 1 << 16;
 
-/// Picks the chunk count for an input buffer: one chunk (which parses
-/// inline, no thread spawns) for small buffers or single-thread pools,
-/// otherwise one chunk per pool thread.
+/// Picks the piece count for an input buffer: one piece (which parses
+/// inline, no parallel region) for small buffers or single-thread pools,
+/// otherwise one piece per pool thread.
 pub(crate) fn auto_parts(len: usize) -> usize {
     let threads = rayon::current_num_threads().max(1);
     if len < MIN_PARALLEL_BYTES || threads == 1 {
@@ -31,25 +34,15 @@ pub(crate) fn auto_parts(len: usize) -> usize {
     }
 }
 
-/// A byte range of the input that starts at a line boundary.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Chunk<'a> {
-    /// The chunk's bytes; always begins at the start of a line.
-    pub bytes: &'a [u8],
-    /// 1-based line number of the chunk's first line.
-    pub first_line: usize,
-}
-
-/// Splits `bytes` into at most `parts` chunks on line boundaries and
-/// annotates each with its absolute first line number (`base_line` is the
-/// 1-based number of the first line of `bytes`). Every byte lands in
-/// exactly one chunk and concatenating the chunks in order reproduces the
-/// input, so parsing chunk-by-chunk in order is equivalent to parsing the
-/// whole buffer.
-// audit:allow(budget-propagation): one linear split bounded by the input buffer; parse callers gate phases on the budget
-pub(crate) fn chunk_lines(bytes: &[u8], parts: usize, base_line: usize) -> Vec<Chunk<'_>> {
+/// Splits `bytes` into at most `parts` pieces, each ending on a line
+/// boundary (after a `\n`, or at the end of the input). Every byte lands
+/// in exactly one piece and concatenating the pieces in order reproduces
+/// the input, so parsing piece by piece in order is equivalent to parsing
+/// the whole buffer. Nothing is counted: the cut is a forward search for
+/// the next newline from each tentative boundary.
+pub(crate) fn split_lines(bytes: &[u8], parts: usize) -> Vec<&[u8]> {
     let parts = parts.max(1);
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(parts);
+    let mut pieces: Vec<&[u8]> = Vec::with_capacity(parts);
     let target = bytes.len().div_ceil(parts).max(1);
     let mut start = 0usize;
     while start < bytes.len() {
@@ -59,33 +52,13 @@ pub(crate) fn chunk_lines(bytes: &[u8], parts: usize, base_line: usize) -> Vec<C
             Some(i) => tentative + i + 1,
             None => bytes.len(),
         };
-        slices.push(&bytes[start..end]);
+        pieces.push(&bytes[start..end]);
         start = end;
     }
-    if slices.is_empty() {
-        slices.push(&bytes[0..0]);
+    if pieces.is_empty() {
+        pieces.push(&bytes[0..0]);
     }
-    // Newline counts per chunk (parallel), prefix-summed into absolute
-    // first-line numbers. A lone chunk starts at `base_line` by definition,
-    // so the counting scan is skipped entirely.
-    let newline_counts: Vec<usize> = if slices.len() == 1 {
-        vec![0]
-    } else {
-        slices
-            .par_iter()
-            .map(|s| s.iter().filter(|&&b| b == b'\n').count())
-            .collect()
-    };
-    let mut out = Vec::with_capacity(slices.len());
-    let mut line = base_line;
-    for (s, nl) in slices.into_iter().zip(newline_counts) {
-        out.push(Chunk {
-            bytes: s,
-            first_line: line,
-        });
-        line += nl;
-    }
-    out
+    pieces
 }
 
 /// Iterator over the lines of a byte buffer, mirroring
@@ -119,20 +92,6 @@ impl<'a> Iterator for Lines<'a> {
 pub(crate) fn lines(bytes: &[u8]) -> Lines<'_> {
     Lines {
         rest: if bytes.is_empty() { None } else { Some(bytes) },
-    }
-}
-
-/// Total number of lines in `bytes`, counting like [`lines`] iterates
-/// (a trailing newline does not open a new line).
-pub(crate) fn line_count(bytes: &[u8]) -> usize {
-    if bytes.is_empty() {
-        return 0;
-    }
-    let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
-    if bytes.last() == Some(&b'\n') {
-        newlines
-    } else {
-        newlines + 1
     }
 }
 
@@ -201,19 +160,65 @@ pub(crate) fn parse_usize(tok: &[u8]) -> Option<usize> {
     parse_u64(tok)?.try_into().ok()
 }
 
+/// Bytes of `word` that are not ASCII digits, as each byte's high bit. No
+/// step carries across a byte: the high-nibble test is a xor, the
+/// low-nibble test adds at most 15 + 6 inside the byte, and the nonzero
+/// test adds at most 0x7F + 0x7F.
+fn non_digits(word: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let high = (word & (0xF0 * ONES)) ^ (0x30 * ONES);
+    let low = ((word & (0x0F * ONES)) + 0x06 * ONES) & (0xF0 * ONES);
+    let bad = high | low;
+    (((bad & (0x7F * ONES)) + 0x7F * ONES) | bad) & (0x80 * ONES)
+}
+
+/// One word-at-a-time step over the token at `bytes[at..]`: the count of
+/// its leading ASCII digits, at most 8, and their value; `(0, 0)` when
+/// fewer than 8 bytes remain. A count below 8 ends on the byte after the
+/// digits, which the caller checks is a separator.
+#[inline]
+pub(crate) fn leading_digits(bytes: &[u8], at: usize) -> (u64, usize) {
+    let Some(word) = bytes.get(at..at.saturating_add(8)) else {
+        return (0, 0);
+    };
+    let Ok(word) = <[u8; 8]>::try_from(word) else {
+        return (0, 0);
+    };
+    let word = u64::from_le_bytes(word);
+    let count = (non_digits(word).trailing_zeros() / 8) as usize;
+    if count == 0 {
+        return (0, 0);
+    }
+    // The digits' values, first digit in the low byte, moved to the top
+    // of the word: the bytes below become leading zeros. A borrow out of
+    // a non-digit byte runs upward, into bytes the shift drops.
+    let mut v = (word.wrapping_sub(0x3030_3030_3030_3030)) << (8 * (8 - count));
+    v = (v.wrapping_mul(10 * 256 + 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    v = (v.wrapping_mul(100 * 65_536 + 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    v = v.wrapping_mul(10_000 * (1 << 32) + 1) >> 32;
+    (v, count)
+}
+
 /// Parses an `f64` from a byte token (UTF-8 check on the short token,
 /// then `str::parse` — no heap allocation).
 pub(crate) fn parse_f64(tok: &[u8]) -> Option<f64> {
     std::str::from_utf8(tok).ok()?.parse().ok()
 }
 
-/// Of the per-chunk parse results, the error from the earliest chunk (=
-/// earliest line, since chunks are in line order) or the concatenation
-/// basis: returns `Ok(values)` in chunk order, or the first `Err`.
-pub(crate) fn first_error<T, E>(results: Vec<Result<T, E>>) -> Result<Vec<T>, E> {
+/// Per-piece results, each with the number of lines its piece holds,
+/// in piece order: the values paired with the number of lines before
+/// their piece, or the earliest piece's error with its piece-relative
+/// line shifted the same way — the earliest line, since pieces are in
+/// line order.
+pub(crate) fn in_line_order<T>(
+    results: Vec<Result<(T, usize), IoError>>,
+) -> Result<Vec<(usize, T)>, IoError> {
     let mut out = Vec::with_capacity(results.len());
+    let mut before = 0;
     for r in results {
-        out.push(r?);
+        let (value, lines) = r.map_err(|e| e.after_lines(before))?;
+        out.push((before, value));
+        before += lines;
     }
     Ok(out)
 }
@@ -235,7 +240,6 @@ mod tests {
         for (input, expect) in cases {
             let got: Vec<&[u8]> = lines(input).collect();
             assert_eq!(got, expect, "input {input:?}");
-            assert_eq!(line_count(input), expect.len(), "count for {input:?}");
         }
     }
 
@@ -251,18 +255,17 @@ mod tests {
     fn chunks_tile_the_input_and_number_lines() {
         let text = b"one\ntwo\nthree\nfour\nfive\nsix\n";
         for parts in [1usize, 2, 3, 5, 20] {
-            let chunks = chunk_lines(text, parts, 1);
-            let glued: Vec<u8> = chunks
-                .iter()
-                .flat_map(|c| c.bytes.iter().copied())
-                .collect();
-            assert_eq!(glued, text.to_vec());
-            // every chunk starts at a line boundary with the right number
+            let chunks = split_lines(text, parts);
+            assert!(!chunks.is_empty() && chunks.len() <= parts);
+            assert_eq!(chunks.concat(), text.to_vec(), "parts={parts}");
+            // chunks start at line boundaries: counting each chunk's lines
+            // on from the lines before it numbers every line
             let mut all_lines = Vec::new();
+            let mut before = 0;
             for c in &chunks {
-                for (lineno, l) in (c.first_line..).zip(lines(c.bytes)) {
-                    all_lines.push((lineno, l.to_vec()));
-                }
+                let count = lines(c).count();
+                all_lines.extend((1..).zip(lines(c)).map(|(i, l)| (before + i, l.to_vec())));
+                before += count;
             }
             let expect: Vec<(usize, Vec<u8>)> = lines(text)
                 .enumerate()
@@ -274,14 +277,55 @@ mod tests {
 
     #[test]
     fn chunking_handles_missing_trailing_newline() {
-        let text = b"a\nb\nc";
-        let chunks = chunk_lines(text, 2, 5);
-        let glued: Vec<u8> = chunks
-            .iter()
-            .flat_map(|c| c.bytes.iter().copied())
-            .collect();
-        assert_eq!(glued, text.to_vec());
-        assert_eq!(chunks[0].first_line, 5);
+        for text in [&b"a\nb\nc"[..], b""] {
+            let chunks = split_lines(text, 2);
+            assert_eq!(chunks.concat(), text.to_vec());
+            // every chunk but the last ends a line
+            for c in &chunks[..chunks.len() - 1] {
+                assert_eq!(c.last(), Some(&b'\n'));
+            }
+        }
+    }
+
+    #[test]
+    fn leading_digits_match_a_byte_loop() {
+        let scalar = |bytes: &[u8], at: usize| {
+            let run = bytes[at..]
+                .iter()
+                .take(8)
+                .take_while(|b| b.is_ascii_digit());
+            let count = run.clone().count();
+            let value = run.fold(0u64, |acc, &b| acc * 10 + u64::from(b - b'0'));
+            (value, count)
+        };
+        let words: [&[u8]; 10] = [
+            b"12345678 ",
+            b"1 2 3 4 5",
+            b"00000042\n",
+            b"9999999999",
+            b"120000\r\n1",
+            b"7\x0b8 9 10 11",
+            b"+1234567 ",
+            b"1234/567 ",
+            b"123:4567 ",
+            b"55\x0c66 77 8",
+        ];
+        for bytes in words {
+            for at in 0..bytes.len() {
+                let got = leading_digits(bytes, at);
+                if bytes.len() - at < 8 {
+                    assert_eq!(got, (0, 0), "{bytes:?} at {at}");
+                } else {
+                    assert_eq!(got, scalar(bytes, at), "{bytes:?} at {at}");
+                }
+            }
+        }
+        // every byte value next to a digit: only '0'..='9' count
+        for b in 0..=255u8 {
+            let mut word = *b"1_345678";
+            word[1] = b;
+            assert_eq!(leading_digits(&word, 0), scalar(&word, 0), "byte {b:#x}");
+        }
     }
 
     #[test]

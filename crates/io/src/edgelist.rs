@@ -14,7 +14,7 @@
 //! tests, and the pre-parallel line-by-line reader is retained as
 //! [`read_edge_list_seq`], their reference.
 
-use crate::chunk::{self, Chunk};
+use crate::chunk;
 use crate::{limit_error, parse_error, IoError};
 use parcom_graph::hashing::FxHashMap;
 use parcom_graph::{Graph, GraphBuilder, Node};
@@ -31,14 +31,18 @@ pub struct EdgeListGraph {
     pub labels: Vec<u64>,
 }
 
-/// One tokenized edge before label interning: line number, endpoints as
-/// written in the file, weight.
+/// One tokenized edge before label interning: line number within its
+/// piece, endpoints as written in the file, weight.
 type RawEdge = (usize, u64, u64, f64);
 
-fn parse_chunk(c: Chunk<'_>) -> Result<Vec<RawEdge>, IoError> {
+/// One piece's edges and its line count; lines are counted from the
+/// piece's first.
+fn parse_chunk(piece: &[u8]) -> Result<(Vec<RawEdge>, usize), IoError> {
     // one record per data line; lines are rarely shorter than 4 bytes
-    let mut out = Vec::with_capacity(c.bytes.len() / 8);
-    for (current, line) in (c.first_line..).zip(chunk::lines(c.bytes)) {
+    let mut out = Vec::with_capacity(piece.len() / 8);
+    let mut lines = 0;
+    for (current, line) in (1..).zip(chunk::lines(piece)) {
+        lines = current;
         let t = line.trim_ascii();
         if t.is_empty() || t.starts_with(b"#") || t.starts_with(b"%") {
             continue;
@@ -75,7 +79,7 @@ fn parse_chunk(c: Chunk<'_>) -> Result<Vec<RawEdge>, IoError> {
         };
         out.push((current, u, v, w));
     }
-    Ok(out)
+    Ok((out, lines))
 }
 
 /// Tokenizes in parallel (up to `parts` chunks), then interns labels
@@ -87,15 +91,17 @@ pub(crate) fn tokenize_and_intern(
     bytes: &[u8],
     parts: usize,
 ) -> Result<(GraphBuilder, Vec<u64>), IoError> {
-    let chunks = chunk::chunk_lines(bytes, parts, 1);
+    let pieces = chunk::split_lines(bytes, parts);
     let per_chunk =
-        chunk::first_error(chunks.into_par_iter().map(parse_chunk).collect::<Vec<_>>())?;
+        chunk::in_line_order(pieces.into_par_iter().map(parse_chunk).collect::<Vec<_>>())?;
 
-    let total: usize = per_chunk.iter().map(Vec::len).sum();
+    let total: usize = per_chunk.iter().map(|(_, edges)| edges.len()).sum();
     let mut ids: FxHashMap<u64, Node> = FxHashMap::default();
     let mut labels: Vec<u64> = Vec::new();
     let mut edges: Vec<(Node, Node, f64)> = Vec::with_capacity(total);
-    for (lineno, u, v, w) in per_chunk.into_iter().flatten() {
+    let records = (per_chunk.into_iter())
+        .flat_map(|(before, edges)| edges.into_iter().map(move |e| (before + e.0, e)));
+    for (lineno, (_, u, v, w)) in records {
         let mut intern = |raw: u64| -> Node {
             *ids.entry(raw).or_insert_with(|| {
                 // truncation is caught right after interning: we error out

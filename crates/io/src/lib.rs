@@ -24,7 +24,8 @@
 //! Every graph is decoded in one place, [`load_graph_bytes`]: it sniffs
 //! the `.pcg` magic, admits the input against the [`Budget`], and records
 //! the `ingest/*` spans. [`load_graph_auto`] is a file read plus the
-//! extension hint over it. The text decoders are a parallel byte-chunked
+//! extension hint over it; a METIS file's body is read by the threads that
+//! tokenize it, never whole. The text decoders are a parallel byte-chunked
 //! pipeline (DESIGN.md §10); the pre-parallel readers are retained as
 //! [`metis::read_metis_seq`] / [`edgelist::read_edge_list_seq`] and pinned
 //! bit-identical by differential proptests.
@@ -44,7 +45,7 @@ pub use metis::{write_metis, write_metis_to};
 pub use partition_io::{read_partition, write_partition};
 
 use parcom_graph::relabel::Relabeling;
-use parcom_graph::{Graph, GraphBuilder};
+use parcom_graph::Graph;
 use parcom_guard::Budget;
 use parcom_obs::Recorder;
 use std::path::{Path, PathBuf};
@@ -90,6 +91,16 @@ pub struct LoadedGraph {
 }
 
 impl LoadedGraph {
+    /// A graph decoded from text: no relabeling, no WAL position.
+    fn text(graph: Graph, format: GraphFormat) -> Self {
+        Self {
+            graph,
+            relabeling: None,
+            format,
+            wal_seq: None,
+        }
+    }
+
     /// Reorders the graph hub-first ([`Relabeling::degree_ordered`])
     /// unless the file already stored a relabeled view, whose permutation
     /// then stands.
@@ -107,6 +118,12 @@ impl LoadedGraph {
 /// parse as METIS, so a text graph renamed `.pcg` still loads; everything
 /// else as an edge list) and the path attached to every error. The ingest
 /// entry point of the CLI and of the daemon's `PUT {"path"}`.
+///
+/// Opening and reading the file is the `ingest/read` span, before the
+/// decoder's; it counts no bytes (the decoder's span does). A METIS text
+/// in a regular file is never held whole (on Unix): `ingest/read` opens
+/// it and checks it is not a `.pcg`, and the threads that tokenize the
+/// body read it, in blocks, inside `ingest/parse` ([`metis::parse_file`]).
 pub fn load_graph_auto(
     path: impl AsRef<Path>,
     recorder: &Recorder,
@@ -117,12 +134,45 @@ pub fn load_graph_auto(
         Some("metis" | "graph" | "pcg") => GraphFormat::Metis,
         _ => GraphFormat::EdgeList,
     };
-    at_path(
-        path,
-        std::fs::read(path)
-            .map_err(IoError::from)
-            .and_then(|bytes| load_graph_bytes(&bytes, fallback, recorder, budget)),
-    )
+    at_path(path, load_file(path, fallback, recorder, budget))
+}
+
+/// [`load_graph_auto`] before the path is attached to its errors.
+fn load_file(
+    path: &Path,
+    fallback: GraphFormat,
+    recorder: &Recorder,
+    budget: &Budget,
+) -> Result<LoadedGraph, IoError> {
+    use std::io::Read;
+    let span = recorder.span("ingest/read");
+    let mut file = std::fs::File::open(path)?;
+    #[cfg(unix)]
+    if fallback == GraphFormat::Metis {
+        use std::os::unix::fs::FileExt;
+        let meta = file.metadata()?;
+        let len = usize::try_from(meta.len())
+            .map_err(|_| std::io::Error::other("the file does not fit in memory"))?;
+        let mut magic = [0u8; binfmt::MAGIC.len()];
+        // positioned reads need a regular file: a pipe is read whole
+        let read = if meta.is_file() {
+            file.read_at(&mut magic, 0)?
+        } else {
+            0
+        };
+        if meta.is_file() && !binfmt::is_pcg_magic(&magic[..read]) {
+            span.close();
+            let parts = chunk::auto_parts(len);
+            let graph = metis_graph(recorder, len, || {
+                metis::parse_file(&file, len, parts, budget)
+            })?;
+            return Ok(LoadedGraph::text(graph, GraphFormat::Metis));
+        }
+    }
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    span.close();
+    load_graph_bytes(&bytes, fallback, recorder, budget)
 }
 
 /// Decodes a graph from `bytes` — the one place any graph is decoded.
@@ -136,7 +186,9 @@ pub fn load_graph_auto(
 /// `recorder`: `ingest/load` (counter `bytes`) for binary, `ingest/parse`
 /// then `ingest/build` (`edges`) for text. The parse span counts `bytes`
 /// and what was read: a METIS file's adjacency `entries` (both directions
-/// of every edge, repeats included), an edge list's `pending_edges`.
+/// of every edge, repeats included), an edge list's `pending_edges`. A
+/// METIS build also counts its `unsorted_rows`: the rows the file lists
+/// out of order, which the build sorts (and merges) before its check.
 pub fn load_graph_bytes(
     bytes: &[u8],
     fallback: GraphFormat,
@@ -156,27 +208,18 @@ pub fn load_graph_bytes(
             span.counter("bytes", bytes.len() as u64);
             return Ok(loaded);
         }
-        GraphFormat::Metis => parse_then_build(
-            bytes,
-            recorder,
-            || {
-                let rows = metis::parse(bytes, parts, budget)?;
-                let entries = rows.entries();
-                Ok((rows, ("entries", entries)))
-            },
-            |rows| metis::finish(rows, bytes),
-        )?,
+        GraphFormat::Metis => {
+            metis_graph(recorder, bytes.len(), || metis::parse(bytes, parts, budget))?
+        }
         GraphFormat::EdgeList => {
-            let graph = parse_then_build(
-                bytes,
-                recorder,
-                || {
-                    let (builder, _labels) = edgelist::tokenize_and_intern(bytes, parts)?;
-                    let pending = builder.pending_edges();
-                    Ok((builder, ("pending_edges", pending)))
-                },
-                |builder: GraphBuilder| Ok(builder.build()),
-            )?;
+            let span = recorder.span("ingest/parse");
+            let (builder, _labels) = edgelist::tokenize_and_intern(bytes, parts)?;
+            span.counter("bytes", bytes.len() as u64);
+            span.counter("pending_edges", builder.pending_edges() as u64);
+            span.close();
+            let span = recorder.span("ingest/build");
+            let graph = builder.build();
+            span.counter("edges", graph.edge_count() as u64);
             let (n, m) = (graph.node_count(), graph.edge_count());
             if budget.admits(n, m).is_err() {
                 return Err(limit_error(
@@ -187,30 +230,25 @@ pub fn load_graph_bytes(
             graph
         }
     };
-    Ok(LoadedGraph {
-        graph,
-        relabeling: None,
-        format,
-        wal_seq: None,
-    })
+    Ok(LoadedGraph::text(graph, format))
 }
 
-/// A text decode's two spans: `parse` reads the text into what `build`
-/// assembles and checks, and names the counter that says how much it read.
-fn parse_then_build<B>(
-    bytes: &[u8],
+/// A METIS decode's two spans: `parse` tokenizes the text (of `len`
+/// bytes) into rows, and `build` assembles and checks the CSR, after the
+/// text is gone.
+fn metis_graph(
     recorder: &Recorder,
-    parse: impl FnOnce() -> Result<(B, (&'static str, usize)), IoError>,
-    build: impl FnOnce(B) -> Result<Graph, IoError>,
+    len: usize,
+    parse: impl FnOnce() -> Result<metis::Rows, IoError>,
 ) -> Result<Graph, IoError> {
     let span = recorder.span("ingest/parse");
-    let (parsed, (counter, count)) = parse()?;
-    span.counter("bytes", bytes.len() as u64);
-    span.counter(counter, count as u64);
+    let rows = parse()?;
+    span.counter("bytes", len as u64);
+    span.counter("entries", rows.entries() as u64);
     span.close();
-
     let span = recorder.span("ingest/build");
-    let graph = build(parsed)?;
+    span.counter("unsorted_rows", rows.unsorted_rows() as u64);
+    let graph = metis::finish(rows)?;
     span.counter("edges", graph.edge_count() as u64);
     Ok(graph)
 }
@@ -278,6 +316,13 @@ impl IoError {
     /// What went wrong.
     pub fn kind(&self) -> &IoErrorKind {
         &self.kind
+    }
+
+    /// Moves a line number counted from the start of a piece of the text
+    /// to the whole text's count, `lines` being the lines before the piece.
+    pub(crate) fn after_lines(mut self, lines: usize) -> Self {
+        self.line = self.line.map(|l| l + lines);
+        self
     }
 }
 

@@ -5,23 +5,27 @@
 //! neighbors alternate with their edge weight. Comment lines start with `%`.
 //!
 //! A METIS body is a CSR written as text, so it is read straight into the
-//! graph's arrays (DESIGN.md §10): the file is read into one buffer and
-//! split on line boundaries into per-core chunks. A first cheap pass counts
-//! the entries on every adjacency line, and a prefix sum over those row
-//! lengths gives every row its offset; the second pass parses each chunk's
-//! rows, with zero per-line allocation, into the rows' slots of the final
-//! `targets` and `weights`. [`Graph::from_adjacency_rows`] sorts and merges
-//! the rows and checks that every edge is listed alike by both endpoints:
-//! an asymmetric file is a parse error at the line of the edge's smaller
-//! endpoint. Small inputs (or a single-thread pool) are one chunk, which
-//! runs the same parser inline. Graphs are read through
-//! [`crate::load_graph_bytes`]; [`read_metis_chunked`] fixes the chunk
-//! count for the differential tests, and the pre-parallel line-by-line
-//! reader is retained as [`read_metis_seq`], their reference.
+//! graph's arrays (DESIGN.md §10): the text is split on line boundaries
+//! into per-core pieces, and one pass tokenizes every byte once, appending
+//! each piece's rows to the piece's own arrays (an 8-byte SWAR step for
+//! each token's digits, the byte loop for the rest). A file is never held
+//! whole: each thread reads its piece in blocks and tokenizes them as they
+//! arrive ([`parse_file`]); a buffer is split the same way ([`parse`]).
+//! The pieces are then placed in line order — a prefix sum over their row
+//! ends gives every row its offset — and copied into one CSR.
+//! [`Graph::from_adjacency_rows`] sorts and merges the rows only if the
+//! pass saw one out of order, and checks that every edge is listed alike
+//! by both endpoints: an asymmetric file is a parse error at the line of
+//! the edge's smaller endpoint, found again from the line counts and
+//! comment lines the pass recorded. Small inputs (or a single-thread pool)
+//! are one piece, which runs the same pass inline. Graphs are read through
+//! [`crate::load_graph_auto`] and [`crate::load_graph_bytes`];
+//! [`read_metis_chunked`] fixes the piece count for the differential
+//! tests, and the pre-parallel line-by-line reader is retained as
+//! [`read_metis_seq`], their reference.
 
-use crate::chunk::{self, Chunk};
+use crate::chunk;
 use crate::{at_path, limit_error, parse_error, IoError};
-use parcom_graph::parallel::{exclusive_prefix_sum, split_by_ranges};
 use parcom_graph::{Asymmetry, Graph, GraphBuilder, Node};
 use parcom_guard::Budget;
 use rayon::prelude::*;
@@ -59,7 +63,9 @@ struct Header {
     body_first_line: usize,
 }
 
-fn parse_header(bytes: &[u8]) -> Result<Header, IoError> {
+/// The header of the lines in `bytes`, with where the body starts; `None`
+/// when they hold no header line.
+fn parse_header(bytes: &[u8]) -> Result<Option<Header>, IoError> {
     let mut offset = 0usize;
     let mut lineno = 0usize;
     while offset < bytes.len() {
@@ -101,69 +107,96 @@ fn parse_header(bytes: &[u8]) -> Result<Header, IoError> {
                 format!("node count {n} exceeds the u32 id space"),
             ));
         }
-        return Ok(Header {
+        return Ok(Some(Header {
             n,
             m,
             weighted,
             body_start: next,
             body_first_line: lineno + 1,
-        });
+        }));
     }
-    Err(parse_error(0, "missing header line"))
+    Ok(None)
 }
 
-/// True when the line is an adjacency (non-comment) line; one forward
-/// scan, no trailing trim.
-fn is_data_line(line: &[u8]) -> bool {
-    match line.iter().position(|b| !b.is_ascii_whitespace()) {
-        Some(i) => line[i] != b'%',
-        None => true, // blank lines are isolated-node rows
-    }
+fn missing_header() -> IoError {
+    parse_error(0, "missing header line")
 }
 
-/// Pass 1 over a body chunk: the number of adjacency entries on each of
-/// its adjacency lines, in line order — the line's tokens (maximal runs of
-/// non-whitespace, the units pass 2 reads), halved when the file is
-/// weighted. A weighted line with an odd token count undercounts by one
-/// and then fails in pass 2 with "missing edge weight" before its last
-/// entry is written.
-// audit:allow(budget-propagation): linear scan bounded by the chunk; the driver checks the budget between pipeline phases
-fn row_lengths(c: Chunk<'_>, weighted: bool) -> Result<Vec<u32>, IoError> {
-    let b = c.bytes;
-    let len = b.len();
-    let mut rows = Vec::new();
-    let mut lineno = c.first_line;
-    let mut i = 0usize;
-    while i < len {
-        // one outer iteration consumes exactly one line, `\n` included
-        while i < len && b[i] != b'\n' && b[i].is_ascii_whitespace() {
-            i += 1;
+/// What the tokenizing pass read from one piece of the body. A piece does
+/// not know its first node id or its first line's number (nothing is
+/// counted before the pass), so rows and lines are counted from the
+/// piece's start; [`place`] places the pieces one after another.
+struct Piece {
+    /// Every row's neighbors (0-based), the rows one after another.
+    targets: Vec<Node>,
+    /// The entries' weights; empty for an unweighted file.
+    weights: Vec<f64>,
+    /// Per adjacency line (row), where its entries end in `targets`.
+    ends: Vec<usize>,
+    /// The piece's comment lines, counted from its first line, ascending.
+    comments: Vec<usize>,
+    /// The number of lines in the piece.
+    lines: usize,
+    /// Rows not listed in strictly increasing neighbor order.
+    unsorted_rows: usize,
+    /// The first malformed line's error, at its piece-relative line: the
+    /// pass stops there, after `ends.len()` whole rows.
+    error: Option<IoError>,
+    /// Set by [`place`]: the node id of the piece's first row and the
+    /// lines before the piece, which the cold error path finds a row's
+    /// line from, with the text already gone.
+    first_node: usize,
+    lines_before: usize,
+}
+
+impl Piece {
+    /// An empty piece for about `bytes` bytes of text.
+    fn new(bytes: usize, weighted: bool) -> Self {
+        parcom_guard::faultpoint!("io/chunk-parse");
+        // a neighbor and its separator take two bytes or more
+        let entries = bytes / if weighted { 16 } else { 8 };
+        Piece {
+            targets: Vec::with_capacity(entries),
+            weights: Vec::with_capacity(if weighted { entries } else { 0 }),
+            ends: Vec::new(),
+            comments: Vec::new(),
+            lines: 0,
+            unsorted_rows: 0,
+            error: None,
+            first_node: 0,
+            lines_before: 0,
         }
-        if i < len && b[i] == b'%' {
-            while i < len && b[i] != b'\n' {
-                i += 1;
-            }
-        } else {
-            let mut tokens = 0usize;
-            while i < len && b[i] != b'\n' {
-                if b[i].is_ascii_whitespace() {
-                    i += 1;
-                } else {
-                    tokens += 1;
-                    while i < len && !b[i].is_ascii_whitespace() {
-                        i += 1;
-                    }
-                }
-            }
-            let entries = if weighted { tokens / 2 } else { tokens };
-            rows.push(u32::try_from(entries).map_err(|_| {
-                limit_error(lineno, "more than u32::MAX entries on one adjacency line")
-            })?);
-        }
-        i += 1;
-        lineno += 1;
     }
-    Ok(rows)
+
+    /// The one pass over the piece's text, which may come in several
+    /// slices that each end on a line boundary: every byte is tokenized
+    /// once, and every row's entries are appended, in file order, to the
+    /// piece's own arrays, with the row ends, the line count, the comment
+    /// lines and the rows that are not strictly increasing. A malformed
+    /// line stops the piece with that line's error: false from then on.
+    fn read(&mut self, lines: &[u8], n: usize, weighted: bool) -> bool {
+        if let Err(e) = tokenize_rows(lines, n, weighted, self) {
+            self.error = Some(e);
+        }
+        self.error.is_none()
+    }
+
+    /// The piece-relative line of row `r`: every comment line before it
+    /// pushes it one line down.
+    fn line_of(&self, r: usize) -> usize {
+        let mut line = r + 1;
+        for &c in &self.comments {
+            if c > line {
+                break;
+            }
+            line += 1;
+        }
+        line
+    }
+
+    fn row_len(&self, r: usize) -> usize {
+        self.ends[r] - r.checked_sub(1).map_or(0, |before| self.ends[before])
+    }
 }
 
 /// Out-of-line fallback for neighbor tokens the fused cursor cannot accept
@@ -193,90 +226,75 @@ fn neighbor_token_slow(
     }
 }
 
-/// Pass 2 over one body chunk whose first adjacency line belongs to node
-/// `start_node`: writes every row's entries, in file order, into the
-/// chunk's region of the arrays (`targets`/`weights`, which begin at row
-/// `start_node`'s offset; `offsets` is the whole array). An unweighted
-/// file writes no weights: `weights` is empty.
-///
-/// The loop is a single fused byte cursor: line splitting, whitespace
-/// skipping, comment classification, and decimal accumulation all happen
-/// in one pass over the chunk — no line or token slices materialize on
-/// the happy path. Up to 18 digits cannot overflow the `u64`
-/// accumulator, so the hot loop runs unchecked; anything else drops to
-/// [`neighbor_token_slow`]. `\n` and `\r` are ASCII whitespace, so the
+/// [`Piece::read`]'s loop: a single fused byte cursor — line splitting,
+/// whitespace skipping, comment classification and decimal accumulation
+/// in one pass, no line or token slices on the happy path. Each token
+/// first takes one 8-byte SWAR step ([`chunk::leading_digits`]), which
+/// reads the common token whole: 1 to 7 digits and a separator. Anything
+/// else (a sign, 8 or more digits, a non-digit, a token in the last 7
+/// bytes of the piece) takes the byte step from the token's start: up to
+/// 18 digits cannot overflow the `u64` accumulator, so it runs unchecked,
+/// and what it cannot accept drops to [`neighbor_token_slow`], so every
+/// error keeps its message. `\n` and `\r` are ASCII whitespace, so the
 /// token boundary checks double as line-end checks. Every entry is
-/// range-checked and its weight validated before it is written, and pass
-/// 1 sized each row for the entries its line holds.
-// audit:allow(budget-propagation): linear scan bounded by the chunk; the driver checks the budget between pipeline phases
-fn parse_body_chunk(
-    c: Chunk<'_>,
-    start_node: usize,
-    n: usize,
-    weighted: bool,
-    offsets: &[usize],
-    targets: &mut [Node],
-    weights: &mut [f64],
-) -> Result<(), IoError> {
-    parcom_guard::faultpoint!("io/chunk-parse");
-    let b = c.bytes;
+/// range-checked and its weight validated before it is written.
+// audit:allow(budget-propagation): linear scan bounded by the piece; the driver checks the budget between pipeline phases
+fn tokenize_rows(b: &[u8], n: usize, weighted: bool, p: &mut Piece) -> Result<(), IoError> {
     let len = b.len();
-    let base = offsets[start_node.min(n)];
-    let mut node = start_node;
-    let mut lineno = c.first_line;
     let mut i = 0usize;
     while i < len {
         // one outer iteration consumes exactly one line, `\n` included
-        let current_line = lineno;
-        lineno += 1;
+        p.lines += 1;
+        let current_line = p.lines;
         while i < len && b[i] != b'\n' && b[i].is_ascii_whitespace() {
             i += 1;
         }
         if i < len && b[i] == b'%' {
+            p.comments.push(current_line);
             while i < len && b[i] != b'\n' {
                 i += 1;
             }
             i += 1;
-            continue; // comment line
-        }
-        let blank = i >= len || b[i] == b'\n';
-        if node >= n {
-            if blank {
-                i += 1; // trailing blank lines are tolerated
-                continue;
-            }
-            return Err(parse_error(current_line, "more adjacency lines than nodes"));
-        }
-        let mut at = offsets[node] - base;
-        node += 1;
-        if blank {
-            i += 1; // blank line: isolated node
             continue;
         }
+        if i >= len || b[i] == b'\n' {
+            // blank line: an isolated node, or a tolerated trailing line
+            p.ends.push(p.targets.len());
+            i += 1;
+            continue;
+        }
+        // ids are 1-based, so a row's first entry is always above `last`
+        let (mut last, mut sorted) = (0usize, true);
         loop {
             // cursor is at the first byte of a neighbor token
             let tok_start = i;
-            if b[i] == b'+' {
-                i += 1;
-            }
-            let mut acc = 0u64;
-            let mut digits = 0usize;
-            while i < len {
-                let d = b[i].wrapping_sub(b'0');
-                if d > 9 {
-                    break;
-                }
-                acc = acc.wrapping_mul(10).wrapping_add(d as u64);
-                digits += 1;
-                i += 1;
-            }
-            let at_boundary = i >= len || b[i].is_ascii_whitespace();
-            let v = if digits > 0 && digits <= 18 && at_boundary {
-                acc as usize
+            let (swar, count) = chunk::leading_digits(b, i);
+            let v = if count > 0 && count < 8 && b[i + count].is_ascii_whitespace() {
+                // the common token: up to 7 digits, then a separator
+                i += count;
+                swar as usize
             } else {
-                let (v, end) = neighbor_token_slow(b, tok_start, current_line)?;
-                i = end;
-                v
+                if b[i] == b'+' {
+                    i += 1;
+                }
+                let (mut acc, mut digits) = (0u64, 0usize);
+                while i < len {
+                    let d = b[i].wrapping_sub(b'0');
+                    if d > 9 {
+                        break;
+                    }
+                    acc = acc.wrapping_mul(10).wrapping_add(d as u64);
+                    digits += 1;
+                    i += 1;
+                }
+                let at_boundary = i >= len || b[i].is_ascii_whitespace();
+                if digits > 0 && digits <= 18 && at_boundary {
+                    acc as usize
+                } else {
+                    let (v, end) = neighbor_token_slow(b, tok_start, current_line)?;
+                    i = end;
+                    v
+                }
             };
             if v < 1 || v > n {
                 return Err(parse_error(
@@ -311,10 +329,11 @@ fn parse_body_chunk(
                         ),
                     ));
                 }
-                weights[at] = w;
+                p.weights.push(w);
             }
-            targets[at] = (v - 1) as Node;
-            at += 1;
+            sorted &= v > last;
+            last = v;
+            p.targets.push((v - 1) as Node);
             while i < len && b[i] != b'\n' && b[i].is_ascii_whitespace() {
                 i += 1;
             }
@@ -326,111 +345,257 @@ fn parse_body_chunk(
                 break;
             }
         }
+        p.unsorted_rows += usize::from(!sorted);
+        p.ends.push(p.targets.len());
     }
     Ok(())
 }
 
-/// A METIS body parsed into its rows, before they are sorted, merged and
-/// checked for symmetry.
+/// A METIS body tokenized into per-piece rows, placed in line order but
+/// not yet copied into one CSR, sorted, merged or checked for symmetry.
 pub(crate) struct Rows {
-    offsets: Vec<usize>,
-    targets: Vec<Node>,
-    weights: Vec<f64>,
+    n: usize,
+    weighted: bool,
+    pieces: Vec<Piece>,
+    /// The file's line count, where whole-file errors point.
+    last_line: usize,
     /// The header's edge count, which [`finish`] checks the graph against.
     claimed_edges: usize,
-    /// Where the body starts, and its first line's number: the cold error
-    /// path finds a node's line again from them.
-    body_start: usize,
-    body_first_line: usize,
 }
 
 impl Rows {
-    /// The adjacency entries written: every line's neighbors, both
+    /// The adjacency entries read: every line's neighbors, both
     /// directions of an edge, repeats included.
     pub(crate) fn entries(&self) -> usize {
-        self.targets.len()
+        self.pieces.iter().map(|p| p.targets.len()).sum()
+    }
+
+    /// The rows not listed in strictly increasing order, which the build
+    /// has to sort (and merge, where they repeat a neighbor).
+    pub(crate) fn unsorted_rows(&self) -> usize {
+        self.pieces.iter().map(|p| p.unsorted_rows).sum()
+    }
+
+    /// The 1-based line of node `u`'s row.
+    fn line_of(&self, u: usize) -> usize {
+        // the last piece starting at or before `u` holds its row
+        let p = &self.pieces[self.pieces.partition_point(|p| p.first_node <= u) - 1];
+        p.lines_before + p.line_of(u - p.first_node)
     }
 }
 
-/// Parses header and body into per-node rows using up to `parts` chunks:
-/// pass 1 sizes the rows, a prefix sum places them, pass 2 fills them.
+/// Parses header and body into per-piece rows using up to `parts` pieces,
+/// in one tokenizing pass, then places them (see [`place`]).
 pub(crate) fn parse(bytes: &[u8], parts: usize, budget: &Budget) -> Result<Rows, IoError> {
-    let header = parse_header(bytes)?;
+    let header = parse_header(bytes)?.ok_or_else(missing_header)?;
+    admit_header(header.n, header.m, header.body_first_line - 1, budget)?;
     let (n, weighted) = (header.n, header.weighted);
-    admit_header(n, header.m, header.body_first_line - 1, budget)?;
-    let body = &bytes[header.body_start..];
-    let chunks = chunk::chunk_lines(body, parts, header.body_first_line);
+    let pieces = chunk::split_lines(&bytes[header.body_start..], parts)
+        .into_par_iter()
+        .map(|text| {
+            let mut piece = Piece::new(text.len(), weighted);
+            piece.read(text, n, weighted);
+            piece
+        })
+        .collect();
+    place(&header, pieces)
+}
 
-    // Pass 1: the entries per adjacency line, per chunk, concatenated in
-    // line order into the first n rows' lengths; a chunk's line count is
-    // the node id of the next chunk's first line.
-    let lengths = chunk::first_error(
-        chunks
-            .par_iter()
-            .map(|&c| row_lengths(c, weighted))
-            .collect::<Vec<_>>(),
-    )?;
-    let mut start_nodes = Vec::with_capacity(chunks.len());
-    let mut degree = Vec::with_capacity(n);
-    let mut total_data = 0usize;
-    for rows in &lengths {
-        start_nodes.push(total_data);
-        total_data += rows.len();
-        let take = rows.len().min(n - degree.len());
-        degree.extend_from_slice(&rows[..take]);
+/// [`parse`] over the `len` bytes of `file`, which is never held whole:
+/// the header is read from the front, then each of `parts` threads reads
+/// its share of the body in blocks and tokenizes each block's whole lines
+/// as it arrives (see [`read_piece`]). A file that shrinks or grows while
+/// it is read is an error, not a partial graph.
+#[cfg(unix)]
+pub(crate) fn parse_file(
+    file: &std::fs::File,
+    len: usize,
+    parts: usize,
+    budget: &Budget,
+) -> Result<Rows, IoError> {
+    use std::os::unix::fs::FileExt;
+    let header = read_header(file, len)?;
+    admit_header(header.n, header.m, header.body_first_line - 1, budget)?;
+    let (n, weighted) = (header.n, header.weighted);
+    let body = header.body_start..len;
+    let bound = |k: usize| body.start + (body.len() as u128 * k as u128 / parts as u128) as usize;
+    let pieces: Vec<std::io::Result<Piece>> = (0..parts)
+        .into_par_iter()
+        .map(|k| {
+            let ends = (k > 0).then(|| bound(k))..(k + 1 < parts).then(|| bound(k + 1));
+            read_piece(file, body.start, ends, len, n, weighted)
+        })
+        .collect();
+    let pieces = pieces.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+    if file.read_at(&mut [0u8], len as u64)? > 0 {
+        return Err(std::io::Error::other("the file grew while it was read").into());
     }
-    drop(lengths);
-    degree.resize(n, 0);
-    let offsets = exclusive_prefix_sum(&degree, parts);
-    drop(degree);
+    place(&header, pieces)
+}
 
-    // Pass 2: every chunk parses its rows into its own region of the
-    // arrays; the earliest chunk's error wins (chunks are in line order,
-    // so that is the earliest line, matching the sequential reader).
-    let entries = offsets[n];
-    // An unweighted file's graph is unit: it gets no weights array.
-    let mut targets = vec![0 as Node; entries];
-    let mut weights = vec![0.0f64; if weighted { entries } else { 0 }];
-    {
-        let regions: Vec<std::ops::Range<usize>> = (start_nodes.iter())
-            .zip(start_nodes.iter().skip(1).chain([&total_data]))
-            .map(|(&first, &end)| offsets[first.min(n)]..offsets[end.min(n)])
-            .collect();
-        let t_regions = split_by_ranges(&mut targets, &regions);
-        let w_regions = match weighted {
-            true => split_by_ranges(&mut weights, &regions),
-            false => regions.iter().map(|_| &mut [][..]).collect(),
+/// Bytes a piece reads at a time: a few hundred KiB stay in the cache
+/// between the read and the tokenizer.
+#[cfg(unix)]
+const READ_BLOCK: usize = 1 << 18;
+
+/// The header at the front of `file`: read in growing prefixes of whole
+/// lines until one holds a header line.
+#[cfg(unix)]
+fn read_header(file: &std::fs::File, len: usize) -> Result<Header, IoError> {
+    use std::os::unix::fs::FileExt;
+    let mut size = READ_BLOCK;
+    loop {
+        let mut prefix = vec![0u8; size.min(len)];
+        file.read_exact_at(&mut prefix, 0)?;
+        if prefix.len() == len {
+            return parse_header(&prefix)?.ok_or_else(missing_header);
+        }
+        let whole = prefix
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        if let Some(header) = parse_header(&prefix[..whole])? {
+            return Ok(header);
+        }
+        size *= 2;
+    }
+}
+
+/// One piece of the body of `file`, read in blocks of [`READ_BLOCK`]
+/// bytes into one buffer and tokenized as they arrive; a line cut by a
+/// block's end waits at the buffer's front for the next read, and one
+/// longer than the buffer doubles it.
+///
+/// The piece is the lines starting in the part of the body that `ends`
+/// bounds, a line belonging to the part that holds its first byte: it
+/// starts after the first newline at or past `ends.start - 1` (the body's
+/// start, `body_start`, when `None`), and ends after the first newline at
+/// or past `ends.end - 1` (the end of the file, `len`, when `None`). The
+/// pieces of consecutive parts thus tile the body whatever the lines'
+/// lengths, and a part inside one long line reads as an empty piece.
+#[cfg(unix)]
+fn read_piece(
+    file: &std::fs::File,
+    body_start: usize,
+    ends: std::ops::Range<Option<usize>>,
+    len: usize,
+    n: usize,
+    weighted: bool,
+) -> std::io::Result<Piece> {
+    use std::os::unix::fs::FileExt;
+    let from = ends.start.map_or(body_start, |b| b - 1);
+    let mut p = Piece::new(ends.end.unwrap_or(len).saturating_sub(from), weighted);
+    if from >= len {
+        return Ok(p);
+    }
+    let mut buf = vec![0u8; READ_BLOCK.min(len - from)];
+    // `buf[..filled]` holds the file's bytes from `pos` on; `start` is
+    // where the piece begins, once the newline before it is found
+    let (mut pos, mut filled) = (from, 0usize);
+    let mut start = ends.start.is_none().then_some(body_start);
+    loop {
+        if filled == buf.len() {
+            buf.resize(2 * buf.len(), 0);
+        }
+        let want = (buf.len() - filled).min(len - pos - filled);
+        if want > 0 {
+            let got = file.read_at(&mut buf[filled..filled + want], (pos + filled) as u64)?;
+            if got == 0 {
+                return Err(std::io::Error::other("the file shrank while it was read"));
+            }
+            filled += got;
+        }
+        let eof = pos + filled == len;
+        let data = &buf[..filled];
+        let begin = match start {
+            Some(s) => s,
+            None => match data.iter().position(|&b| b == b'\n') {
+                Some(i) => *start.insert(pos + i + 1),
+                None if eof => return Ok(p),
+                None => {
+                    (pos, filled) = (pos + filled, 0);
+                    continue;
+                }
+            },
         };
-        let offsets = &offsets;
-        chunk::first_error(
-            (chunks.into_iter().zip(start_nodes))
-                .zip(t_regions.into_iter().zip(w_regions))
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|((c, start), (t_reg, w_reg))| {
-                    parse_body_chunk(c, start, n, weighted, offsets, t_reg, w_reg)
-                })
-                .collect::<Vec<_>>(),
-        )?;
+        // The newline that ends the piece: the first at or past `end - 1`.
+        let last = match ends.end {
+            Some(end) if begin >= end => return Ok(p), // the part lies in one line
+            Some(end) if end - 1 < pos + filled => {
+                let at = end - 1 - pos;
+                data[at..].iter().position(|&b| b == b'\n').map(|i| at + i)
+            }
+            _ => None,
+        };
+        let (upto, done) = match last {
+            Some(i) => (i + 1, true),
+            None if eof => (filled, true),
+            None => {
+                let whole = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                (whole.max(begin - pos), false)
+            }
+        };
+        if !p.read(&data[begin - pos..upto], n, weighted) || done {
+            return Ok(p);
+        }
+        // keep the cut line; the piece goes on from the buffer's front
+        buf.copy_within(upto..filled, 0);
+        (pos, filled) = (pos + upto, filled - upto);
+        start = Some(pos);
     }
+}
 
-    let consumed = total_data.min(n);
+/// Places the tokenized pieces in line order: each starts at the node
+/// after the rows, and the line after the lines, of those before it. The
+/// earliest error in line order wins, as in the sequential reader; a row
+/// past the n-th that lists anything is "more adjacency lines than
+/// nodes", whatever else is wrong with it.
+fn place(header: &Header, mut pieces: Vec<Piece>) -> Result<Rows, IoError> {
+    let n = header.n;
+    let (mut node, mut before) = (0usize, header.body_first_line - 1);
+    for p in &mut pieces {
+        let surplus = (n.saturating_sub(node)..p.ends.len()).find(|&r| p.row_len(r) > 0);
+        if let Some(r) = surplus {
+            let line = before + p.line_of(r);
+            return Err(parse_error(line, "more adjacency lines than nodes"));
+        }
+        if let Some(e) = p.error.take() {
+            let e = e.after_lines(before);
+            return Err(match node + p.ends.len() >= n {
+                true => parse_error(e.line().unwrap_or(0), "more adjacency lines than nodes"),
+                false => e,
+            });
+        }
+        (p.first_node, p.lines_before) = (node, before);
+        node += p.ends.len();
+        before += p.lines;
+    }
+    let consumed = node.min(n);
     if consumed != n {
-        // cold: only now is the whole-file line count needed
-        let last_line = header.body_first_line - 1 + chunk::line_count(body);
         return Err(parse_error(
-            last_line,
+            before,
             format!("expected {n} adjacency lines, got {consumed}"),
         ));
     }
     Ok(Rows {
-        offsets,
-        targets,
-        weights,
+        n,
+        weighted: header.weighted,
+        pieces,
+        last_line: before,
         claimed_edges: header.m,
-        body_start: header.body_start,
-        body_first_line: header.body_first_line,
     })
+}
+
+/// The pieces' arrays as one: the first piece's array grows to hold the
+/// rest (a move of its pages, not a copy), and each of the others is
+/// freed once it is copied.
+fn concat<T: Copy>(mut parts: impl Iterator<Item = Vec<T>>, total: usize) -> Vec<T> {
+    let mut out = parts.next().unwrap_or_default();
+    out.reserve_exact(total - out.len());
+    for part in parts {
+        out.extend_from_slice(&part);
+    }
+    out
 }
 
 /// The error for an edge `a` whose endpoints' lines disagree, at `line`
@@ -452,23 +617,37 @@ fn asymmetry_error(line: usize, a: &Asymmetry) -> IoError {
     )
 }
 
-/// Assembles the graph — rows sorted and merged, symmetry checked — and
-/// applies the whole-file consistency check. The line numbers an error
-/// needs are counted from `bytes` on the (cold) error path only.
-pub(crate) fn finish(rows: Rows, bytes: &[u8]) -> Result<Graph, IoError> {
-    let body = &bytes[rows.body_start..];
-    let g = Graph::from_adjacency_rows(rows.offsets, rows.targets, rows.weights).map_err(|a| {
-        // the line of node u: the (u + 1)-th adjacency line of the body
-        let line = (rows.body_first_line..)
-            .zip(chunk::lines(body))
-            .filter(|(_, l)| is_data_line(l))
-            .nth(a.u as usize)
-            .map_or(0, |(line, _)| line);
-        asymmetry_error(line, &a)
-    })?;
+/// Assembles the graph — the pieces copied into one CSR after a prefix
+/// sum over their row ends; rows sorted and merged only if the pass saw
+/// one out of order; symmetry checked — and applies the whole-file
+/// consistency check. Error lines come from what the pass recorded.
+pub(crate) fn finish(mut rows: Rows) -> Result<Graph, IoError> {
+    let n = rows.n;
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut base = 0;
+    for p in &rows.pieces {
+        // rows past the n-th are blank (parse checked), so they hold nothing
+        let take = p.ends.len().min(n + 1 - offsets.len());
+        offsets.extend(p.ends[..take].iter().map(|&end| base + end));
+        base += p.targets.len();
+    }
+    let sorted = rows.unsorted_rows() == 0;
+    let pieces = &mut rows.pieces;
+    let targets = concat(
+        pieces.iter_mut().map(|p| std::mem::take(&mut p.targets)),
+        base,
+    );
+    let total = if rows.weighted { base } else { 0 };
+    let weights = concat(
+        pieces.iter_mut().map(|p| std::mem::take(&mut p.weights)),
+        total,
+    );
+    let g = Graph::from_adjacency_rows(offsets, targets, weights, sorted)
+        .map_err(|a| asymmetry_error(rows.line_of(a.u as usize), &a))?;
     if g.edge_count() != rows.claimed_edges {
         return Err(parse_error(
-            chunk::line_count(bytes),
+            rows.last_line,
             format!(
                 "header claims {} edges, file defines {}",
                 rows.claimed_edges,
@@ -484,12 +663,14 @@ pub(crate) fn finish(rows: Rows, bytes: &[u8]) -> Result<Graph, IoError> {
 /// [`crate::load_graph_bytes`], which picks the chunk count itself.
 // audit:allow(unreachable-pub): the explicit-chunk-count side of ingest_differential.rs
 pub fn read_metis_chunked(bytes: &[u8], parts: usize) -> Result<Graph, IoError> {
-    finish(parse(bytes, parts, &Budget::unlimited())?, bytes)
+    finish(parse(bytes, parts, &Budget::unlimited())?)
 }
 
 /// The retained pre-parallel reader: line-by-line with a `String` per
 /// line, sequential counting-sort assembly. The differential proptests
-/// pin the chunked parser against this.
+/// pin the chunked parser against this. Separators are ASCII whitespace,
+/// as in the chunked parser: a vertical tab (`\x0b`) or any other
+/// Unicode space is part of a token.
 ///
 /// It keeps its own symmetry rule: the entries `u → v` with `v >= u`
 /// build one graph, those with `v <= u` another, and a file is symmetric
@@ -503,7 +684,7 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
         match lines.next() {
             Some((i, line)) => {
                 let line = line?;
-                let t = line.trim();
+                let t = line.trim_ascii();
                 if t.is_empty() || t.starts_with('%') {
                     continue;
                 }
@@ -512,7 +693,7 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
             None => return Err(parse_error(0, "missing header line")),
         }
     };
-    let fields: Vec<&str> = header.split_whitespace().collect();
+    let fields: Vec<&str> = header.split_ascii_whitespace().collect();
     if fields.len() < 2 {
         return Err(parse_error(header_lineno, "header needs `n m [fmt]`"));
     }
@@ -550,7 +731,7 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
         let lineno = i + 1;
         last_line = lineno;
         let line = line?;
-        let t = line.trim();
+        let t = line.trim_ascii();
         if t.starts_with('%') {
             continue;
         }
@@ -562,7 +743,7 @@ pub fn read_metis_seq(bytes: &[u8]) -> Result<Graph, IoError> {
         }
         let u = node as Node;
         node_lines.push(lineno);
-        let mut tokens = t.split_whitespace();
+        let mut tokens = t.split_ascii_whitespace();
         while let Some(tok) = tokens.next() {
             let v: usize = tok
                 .parse()
@@ -970,6 +1151,11 @@ mod tests {
             .graph;
         assert_eq!(g.edge_count(), g2.edge_count());
         let report = rec.finish("ingest");
+        // the file read is its own span, first, and counts no bytes (the
+        // daemon sums `bytes` over the phases)
+        let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["ingest/read", "ingest/parse", "ingest/build"]);
+        assert!(report.phase("ingest/read").unwrap().counters.is_empty());
         let parse = report.phase("ingest/parse").expect("parse phase");
         assert!(parse.counter("bytes").unwrap() > 0);
         // both directions of every edge, read straight into the rows
@@ -977,6 +1163,53 @@ mod tests {
         assert_eq!(parse.counter("pending_edges"), None);
         let build = report.phase("ingest/build").expect("build phase");
         assert_eq!(build.counter("edges"), Some(g.edge_count() as u64));
+        assert_eq!(build.counter("unsorted_rows"), Some(0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_pipe_is_read_whole() {
+        // a named pipe takes no positioned reads; skip where no mkfifo runs
+        let dir = std::env::temp_dir().join(format!("parcom_metis_pipe_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("p.metis");
+        let made = std::process::Command::new("mkfifo").arg(&path).status();
+        if made.is_ok_and(|s| s.success()) {
+            let writer = {
+                let path = path.clone();
+                std::thread::spawn(move || std::fs::write(path, "3 2\n2\n1 3\n2\n").unwrap())
+            };
+            let g = load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited());
+            writer.join().unwrap();
+            assert_eq!(g.unwrap().graph.edge_count(), 2);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn positioned_reads_load_what_one_read_does() {
+        let dir = std::env::temp_dir().join("parcom_metis_pread_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.metis");
+        let (g, _) = ring_of_cliques(300, 12);
+        write_metis(&g, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(
+            bytes.len() >= crate::chunk::MIN_PARALLEL_BYTES,
+            "{}",
+            bytes.len()
+        );
+        let want = read(&bytes).unwrap();
+        for threads in [1, 2, 3] {
+            let got = parcom_graph::parallel::with_threads(threads, || {
+                load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited())
+            })
+            .unwrap()
+            .graph;
+            assert_eq!(got.csr_view().offsets, want.csr_view().offsets);
+            assert_eq!(got.csr_view().targets, want.csr_view().targets);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -474,3 +474,302 @@ proptest! {
         }
     }
 }
+
+/// `text` through the sequential reference and the chunked reader at 1
+/// to 64 pieces, so the cuts land on every line: the same graph by bits,
+/// or the same error line and message. Returns the reference's outcome.
+fn held_to_seq(text: &[u8], ctx: &str) -> Result<Graph, IoError> {
+    let seq = read_metis_seq(text);
+    for parts in 1..=64 {
+        let par = read_metis_chunked(text, parts);
+        assert_same_outcome(&seq, &par, &format!("{ctx}: parts={parts}"));
+    }
+    seq
+}
+
+/// A triangle plus a pendant whose every neighbor id is written `width`
+/// digits wide (leading zeros), optionally `+`-signed, after `pad`
+/// separators: tokens start at every offset of an 8-byte word and end on
+/// and across word boundaries.
+fn padded_file(width: usize, pad: usize, sign: bool) -> String {
+    let id = |v: usize| format!("{}{v:0width$}", if sign { "+" } else { "" });
+    let sep = " ".repeat(pad.max(1));
+    let rows = [vec![2, 3], vec![1, 3], vec![1, 2, 4], vec![3]];
+    let mut s = String::from("4 4\n");
+    for row in rows {
+        s.push_str(&" ".repeat(pad));
+        s.push_str(&row.iter().map(|&v| id(v)).collect::<Vec<_>>().join(&sep));
+        s.push('\n');
+    }
+    s
+}
+
+#[test]
+fn swar_tokens_of_every_width_and_offset_match_sequential() {
+    for width in 1..=20 {
+        for pad in 0..9 {
+            for sign in [false, true] {
+                let text = padded_file(width, pad, sign);
+                let ctx = format!("width={width} pad={pad} sign={sign}");
+                let g = held_to_seq(text.as_bytes(), &ctx).expect(&ctx);
+                assert_eq!(g.edge_count(), 4, "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn swar_errors_of_every_digit_count_match_sequential() {
+    // ids of 1..=20 digits with no leading zero: out of range up to 19
+    // digits (u64 holds them), unparseable at 20; each after a valid
+    // token and at a different offset of the word
+    let mut id = String::new();
+    for digits in 1..=20 {
+        id.push(char::from(b'1' + (digits % 9) as u8));
+        for pad in 0..8 {
+            let text = format!("3 1\n{}2 {id}\n1\n\n", " ".repeat(pad));
+            let err = held_to_seq(text.as_bytes(), &format!("digits={digits}")).unwrap_err();
+            assert_eq!(err.line(), Some(2), "{err}");
+        }
+    }
+    // a non-digit right after up to 7 digits, or after exactly 8, inside
+    // one word and across two
+    for bad in [
+        "1234567x",
+        "12345678x",
+        "1x",
+        "12/3",
+        "9:",
+        "+",
+        "++1",
+        "1+",
+        "-1",
+        "1.0",
+    ] {
+        let text = format!("2 1\n2 {bad} 2\n1\n");
+        let err = held_to_seq(text.as_bytes(), bad).unwrap_err();
+        assert!(err.to_string().contains("bad neighbor id"), "{bad}: {err}");
+        assert_eq!(err.line(), Some(2), "{bad}: {err}");
+    }
+}
+
+#[test]
+fn separators_are_ascii_whitespace_and_not_the_vertical_tab() {
+    let valid = [
+        "3 3\r\n2 3\r\n1 3\r\n1 2\r\n",
+        "3 3\n2\t3\n\t1\t3\t\n1 \x0c2\n",
+        "3\t3\x0c\n2 3 \r\n1\x0c3\n1 2",
+    ];
+    for text in valid {
+        let g = held_to_seq(text.as_bytes(), &format!("{text:?}")).unwrap();
+        assert_eq!(g.edge_count(), 3, "{text:?}");
+    }
+    // `\x0b` is not ASCII whitespace: it stays inside the token
+    for (text, token) in [
+        ("3 3\n2\x0b3\n1 3\n1 2\n", "2\x0b3"),
+        ("3 3\n2 3\n\x0b\n1 2\n", "\x0b"),
+        ("3 3\n2 3\n1 3\n1 2\x0b", "2\x0b"),
+    ] {
+        let err = held_to_seq(text.as_bytes(), &format!("{text:?}")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("bad neighbor id `{token}`")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn last_lines_without_a_newline_and_tokens_cut_at_the_end() {
+    for tail in ["1 2", "1 000000000002", "+1 +2", "1 2 ", "1 2\r"] {
+        let text = format!("3 3\n2 3\n1 3\n{tail}");
+        let g = held_to_seq(text.as_bytes(), tail).unwrap();
+        assert_eq!(g.edge_count(), 3, "{tail:?}");
+    }
+    // the cut token is the error, at the last line
+    let err = held_to_seq(b"3 3\n2 3\n1 3\n1 2x", "cut").unwrap_err();
+    assert_eq!(err.line(), Some(4), "{err}");
+}
+
+#[test]
+fn comment_and_blank_lines_at_every_cut() {
+    // a path 1-2-...-12 with comment lines before, between and after the
+    // rows and isolated nodes as blank lines; 64 pieces cut every line
+    let mut text = String::from("% lead\n%\n14 11\n");
+    for v in 1..=14usize {
+        if v % 3 == 0 {
+            text.push_str("% between\n  %indented\n");
+        }
+        let row: Vec<String> = [v.wrapping_sub(1), v + 1]
+            .into_iter()
+            .filter(|&u| (1..=12).contains(&u) && v <= 12)
+            .map(|u| u.to_string())
+            .collect();
+        text.push_str(&row.join(" "));
+        text.push('\n');
+    }
+    text.push_str("% tail\n\n   \n");
+    let g = held_to_seq(text.as_bytes(), "comments").unwrap();
+    assert_eq!((g.node_count(), g.edge_count()), (14, 11));
+    // one adjacency line too many after the comments is the same error
+    let err = held_to_seq(format!("{text}1\n").as_bytes(), "surplus").unwrap_err();
+    assert!(
+        err.to_string().contains("more adjacency lines than nodes"),
+        "{err}"
+    );
+}
+
+#[test]
+fn weighted_files_match_sequential() {
+    let text = "% w\n3 3 1\n2 0.5   3 1e-3\n1 0.5\t3 2\n% c\n1 1e-3 2 2\n";
+    let g = held_to_seq(text.as_bytes(), "weighted").unwrap();
+    assert_eq!(g.edge_weight(0, 2), Some(1e-3));
+    for bad in ["2 0.5 3", "2 0 3 1e-3", "2 x 3 1e-3", "2 0.5 3 inf"] {
+        let text = format!("3 3 1\n{bad}\n1 0.5 3 2\n1 1e-3 2 2\n");
+        held_to_seq(text.as_bytes(), bad).unwrap_err();
+    }
+}
+
+/// The `ingest/build` span's count of rows the build had to sort.
+fn unsorted_rows(text: &[u8]) -> Option<u64> {
+    let rec = Recorder::enabled();
+    load_graph_bytes(text, GraphFormat::Metis, &rec, &Budget::unlimited()).unwrap();
+    rec.finish("ingest")
+        .phase("ingest/build")
+        .and_then(|p| p.counter("unsorted_rows"))
+}
+
+#[test]
+fn unsorted_rows_and_repeats_take_the_merge_path() {
+    let sorted = "3 3\n2 3\n1 3\n1 2\n";
+    assert_eq!(unsorted_rows(sorted.as_bytes()), Some(0));
+    // row 1 out of order; rows 2 and 3 repeat each other (a parallel
+    // edge both rows list twice): all three are sorted and merged, as the
+    // reference does, and row 1 alone is the same path
+    let text = "3 3\n3 2\n1 3 3\n1 2 2\n";
+    let g = held_to_seq(text.as_bytes(), "unsorted").unwrap();
+    assert_eq!(g.edge_weight(1, 2), Some(2.0));
+    assert_eq!(unsorted_rows(text.as_bytes()), Some(3));
+    let text = "3 3\n3 2\n1 3\n1 2\n";
+    let g = held_to_seq(text.as_bytes(), "one unsorted row").unwrap();
+    assert!(g.csr_view().weights.is_empty());
+    assert_eq!(unsorted_rows(text.as_bytes()), Some(1));
+}
+
+#[test]
+fn asymmetry_after_a_comment_points_at_the_recorded_line() {
+    // node 3's row lists 4, node 4's row (after two comments) does not
+    let text = "% c\n4 2\n2\n% mid\n1\n% again\n%\n4\n\n";
+    let err = held_to_seq(text.as_bytes(), "asymmetric").unwrap_err();
+    assert_eq!(err.line(), Some(8), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "line 8: asymmetric edge {3, 4}: 3 → 4 has weight 1, 4 → 3 is missing"
+    );
+    // and past a long run of comments at the cut points
+    let comments = "% filler\n".repeat(40);
+    let text = format!("3 2\n2 3\n{comments}1\n{comments}\n");
+    let err = held_to_seq(text.as_bytes(), "asymmetric, many comments").unwrap_err();
+    assert_eq!(err.line(), Some(2), "{err}");
+}
+
+/// `text` as a file through the path door on pools of 2 to 7 threads —
+/// the body read in blocks by the threads that tokenize it, one piece per
+/// thread at 64 KiB or more — against the sequential reference: the same
+/// graph by bits, or the same error line and message apart from the path.
+fn streamed_held_to_seq(text: &[u8], ctx: &str) {
+    assert!(
+        text.len() >= 1 << 16,
+        "{ctx}: {} bytes read whole",
+        text.len()
+    );
+    let dir = std::env::temp_dir().join(format!("parcom_streamed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}.metis", ctx.replace(' ', "_")));
+    std::fs::write(&path, text).unwrap();
+    for threads in [2, 3, 4, 7] {
+        let ctx = format!("{ctx}: threads={threads}");
+        let by_path = parcom_graph::parallel::with_threads(threads, || {
+            load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited())
+        });
+        match (read_metis_seq(text), by_path) {
+            (Ok(a), Ok(b)) => assert_same_csr(&a, &b.graph, &ctx),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.line(), b.line(), "{ctx}: {b}");
+                assert_eq!(a.with_path(&path).to_string(), b.to_string(), "{ctx}");
+            }
+            (a, b) => panic!("{ctx}: seq ok={} streamed ok={}", a.is_ok(), b.is_ok()),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A path 1-2-…-n as METIS text, with a line of `comment` bytes after
+/// row `at`, lines ending in `eol`.
+fn path_text(n: usize, at: usize, comment: usize, eol: &str) -> String {
+    let mut s = format!("% a path\n{n} {}{eol}", n - 1);
+    for v in 1..=n {
+        let row: Vec<String> = [v - 1, v + 1]
+            .into_iter()
+            .filter(|&u| (1..=n).contains(&u))
+            .map(|u| u.to_string())
+            .collect();
+        s.push_str(&row.join(" "));
+        s.push_str(eol);
+        if v == at {
+            s.push('%');
+            s.push_str(&"c".repeat(comment));
+            s.push_str(eol);
+        }
+    }
+    s
+}
+
+#[test]
+fn streamed_reads_match_sequential() {
+    // plain, CRLF, and no newline after the last row
+    streamed_held_to_seq(path_text(20_000, 0, 0, "\n").as_bytes(), "plain");
+    streamed_held_to_seq(path_text(20_000, 0, 0, "\r\n").as_bytes(), "crlf");
+    let text = path_text(20_000, 0, 0, "\n");
+    streamed_held_to_seq(text.trim_end().as_bytes(), "no last newline");
+    // a comment line longer than several read blocks, so parts fall
+    // inside it and the buffer grows, near the front and in the middle
+    for at in [1, 9_000] {
+        let text = path_text(20_000, at, 700_000, "\n");
+        streamed_held_to_seq(text.as_bytes(), &format!("long comment after {at}"));
+    }
+    // a hub whose one row is longer than a read block
+    let n = 50_000;
+    let mut text = format!("{n} {}\n", n - 1);
+    text.push_str(&(2..=n).map(|v| v.to_string()).collect::<Vec<_>>().join(" "));
+    text.push('\n');
+    text.push_str(&"1\n".repeat(n - 1));
+    streamed_held_to_seq(text.as_bytes(), "hub");
+}
+
+#[test]
+fn streamed_errors_match_sequential() {
+    let text = path_text(20_000, 0, 0, "\n");
+    let lines: Vec<&str> = text.lines().collect();
+    for at in [2, 3, 7_001, 10_002, 13_333, 19_999, 20_001] {
+        for (kind, bad) in [(0, "x x"), (1, "1 nope"), (2, ""), (3, "999999999")] {
+            let mut broken = lines.clone();
+            match kind {
+                2 => drop(broken.remove(at)),
+                _ => broken[at] = bad,
+            }
+            let broken = broken.join("\n") + "\n";
+            streamed_held_to_seq(broken.as_bytes(), &format!("line {at} kind {kind}"));
+        }
+    }
+    // one surplus row, an asymmetric pair, a wrong edge count
+    streamed_held_to_seq(format!("{text}1\n").as_bytes(), "surplus");
+    streamed_held_to_seq(
+        text.replacen("\n1 3\n", "\n1\n", 1).as_bytes(),
+        "asymmetric",
+    );
+    streamed_held_to_seq(
+        text.replacen(" 19999\n", " 19998\n", 1).as_bytes(),
+        "edge count",
+    );
+}

@@ -198,8 +198,9 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
         }
     };
     // Ingest observability, surfaced to clients and asserted by CI's
-    // serve-smoke: wall time across the ingest phases (`ingest/load` for
-    // binary, `ingest/parse` + `ingest/build` for text) and bytes read.
+    // serve-smoke: wall time across the ingest phases (`ingest/read` for a
+    // path, then `ingest/load` for binary or `ingest/parse` +
+    // `ingest/build` for text) and bytes read.
     let report = recorder.finish("ingest");
     let load_ms: f64 = report.phases.iter().map(|p| p.wall_seconds).sum::<f64>() * 1e3;
     let load_bytes: u64 = report

@@ -22,10 +22,14 @@
 # than the parent by more than the bound; else "ok".
 #
 # Environment: PAIRS_DIR (default .bench_pairs at the root), PAIRS_TRACE
-# (default 0; 1 runs traced and tabulates the per-layer metrics instead).
+# (default 0; 1 runs traced and tabulates the per-layer metrics instead),
+# PAIRS_RECORD (default 0; 1 appends the untraced table as one entry to
+# BENCH_trajectory.json at the root: the parent commit, the workload,
+# nproc, the seeds, each side's median machine speed and, per end-to-end
+# metric, both sides' median and quartiles, the wins and the verdict).
 set -euo pipefail
 if [ $# -lt 3 ]; then
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,29p' "$0" >&2
   exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,8 +54,10 @@ run() { # side seed
   if [ "$1" = parent ]; then
     dir="$tree" target="$pairs/$commit/target"
   fi
+  # the whole output is kept: its comment lines carry the machine speed
   CARGO_TARGET_DIR="$target" "$dir/benchmark/run.sh" --workload "$workload" \
-    --seed "$2" --seconds 15 --trace "$trace" | tail -n 1 > "$out/$1-$2$suffix.json"
+    --seed "$2" --seconds 15 --trace "$trace" > "$out/$1-$2$suffix.txt"
+  tail -n 1 "$out/$1-$2$suffix.txt" > "$out/$1-$2$suffix.json"
 }
 
 i=0
@@ -62,10 +68,17 @@ for seed in "$@"; do
   for side in $order; do run "$side" "$seed"; done
 done
 
-python3 - "$root/BENCHMARK.json" "$out" "$suffix" "$@" <<'EOF'
-import json, statistics, sys
+record="${PAIRS_RECORD:-0}"
+if [ "$record" = 1 ] && [ "$trace" = 1 ]; then
+  echo "PAIRS_RECORD records untraced pairs only; nothing recorded" >&2
+  record=0
+fi
+python3 - "$root" "$commit" "$workload" "$record" "$out" "$suffix" "$@" <<'EOF'
+import json, os, re, statistics, sys
 
-bench_path, out, suffix, seeds = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+root, commit, workload, record, out, suffix = sys.argv[1:7]
+seeds = sys.argv[7:]
+bench_path = f"{root}/BENCHMARK.json"
 bench = json.load(open(bench_path))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
@@ -94,6 +107,7 @@ def verdict(name, worse, p, c):
     return "REGRESSED" if worse > bound[name] else "ok"
 
 noisy = any(r.get("noisy") for rs in runs.values() for r in rs)
+recorded = {}
 for side, rs in runs.items():
     print(f"{side}: {sum(r['failed'] for r in rs)} of "
           f"{sum(r['attempted'] for r in rs)} operations failed")
@@ -114,4 +128,34 @@ for name in (m["name"] for m in table):
     print(f"{name:30} {pm:>12.4g} [{p1:>8.4g}, {p3:>8.4g}] "
           f"{cm:>12.4g} [{c1:>8.4g}, {c3:>8.4g}]  {f'{wins}/{len(p)}':>5} {apart:>5} "
           f"{ratio:>7.4f}  {verdict(name, worse, p, c)}")
+    recorded[name] = {
+        "parent": {"median": pm, "q1": p1, "q3": p3},
+        "change": {"median": cm, "q1": c1, "q3": c3},
+        "wins": wins,
+        "verdict": verdict(name, worse, p, c),
+    }
+
+if record == "1":
+    def speed(side, seed):
+        # the run's comment line: "# machine speed p50 0.659 of nominal; ..."
+        text = open(f"{out}/{side}-{seed}{suffix}.txt").read()
+        found = re.search(r"machine speed p50 ([0-9.]+)", text)
+        return float(found.group(1)) if found else None
+    speeds = {side: [speed(side, s) for s in seeds] for side in runs}
+    entry = {
+        "parent": commit,
+        "workload": workload,
+        "nproc": len(os.sched_getaffinity(0)),
+        "seeds": [int(s) for s in seeds],
+        "machine_speed": {side: statistics.median(v) if None not in v else None
+                          for side, v in speeds.items()},
+        "metrics": recorded,
+    }
+    path = f"{root}/BENCH_trajectory.json"
+    entries = json.load(open(path)) if os.path.exists(path) else []
+    entries.append(entry)
+    with open(path, "w") as f:
+        json.dump(entries, f, indent=1)
+        f.write("\n")
+    print(f"appended entry {len(entries)} to {path}")
 EOF
