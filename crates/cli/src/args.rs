@@ -5,10 +5,12 @@
 //! value is a boolean switch. Positional arguments beyond the command word
 //! are rejected.
 //!
-//! Flags shared across subcommands. `detect` reads its pipeline flags
-//! itself and hands every other flag — the knob rows below — to
-//! `DetectorSpec::set_knob`, the parser of the spec's wire forms, so a
-//! flag the algorithm does not accept fails naming the accepted knobs:
+//! Flags shared across subcommands. Every command rejects a flag it does
+//! not read, naming the flags it does ([`Args::only`]; `generate` per
+//! model). `detect` reads its pipeline flags itself and hands every other
+//! flag — the knob rows below — to `DetectorSpec::set_knob`, the parser of
+//! the spec's wire forms, so a flag the algorithm does not accept fails
+//! naming the accepted knobs:
 //!
 //! | flag | commands | meaning |
 //! |------|----------|---------|
@@ -23,7 +25,6 @@
 //! | `--timeout SECS` | detect | cooperative wall-clock budget: the run stops at the next sweep/level boundary after `SECS` seconds and returns the best valid partition so far; the termination cause lands in the summary and in `--report json` |
 //! | `--max-sweeps N` | detect | cap on total sweeps/levels across the run, with the same graceful degradation |
 //! | `--max-nodes N` / `--max-edges M` | detect, serve | ingest limits: reject input whose header claims more, before allocating |
-//! | `--relabel` | detect, convert | degree-ordered (hub-first) node relabeling for cache locality (DESIGN.md §15): `convert` stores the reordered view plus its permutation in the `.pcg`; `detect` reorders at load. Per-node output is always mapped back to original ids |
 //! | `--out FILE` | generate, detect, cg, convert | output file (`convert` writes `parcom-graph-bin/v1`) |
 //! | `--socket PATH` / `--listen ADDR` | serve | where the resident daemon listens (Unix socket path / TCP address) |
 //! | `--state-dir DIR` | serve | crash-safe state directory (DESIGN.md §16): per-graph write-ahead logs + `.pcg` checkpoints, replayed on boot; omit to run volatile |
@@ -114,9 +115,20 @@ impl Args {
         }
     }
 
-    /// Whether a boolean switch was given.
-    pub fn switch(&self, name: &str) -> bool {
-        matches!(self.get(name), Some("true") | Some("1") | Some("yes"))
+    /// Fails on the first flag not in `accepted`, naming the ones that
+    /// are: a command refuses what it would otherwise silently ignore.
+    pub fn only(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        match self.flags.keys().find(|k| !accepted.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(flag) => {
+                let names: Vec<String> = accepted.iter().map(|a| format!("--{a}")).collect();
+                Err(ArgError(format!(
+                    "`{}` accepts no flag `--{flag}` (accepted: {})",
+                    self.command,
+                    names.join(", ")
+                )))
+            }
+        }
     }
 }
 
@@ -145,9 +157,11 @@ mod tests {
 
     #[test]
     fn boolean_switches() {
+        // a flag without a value reads "true"
         let a = parse(&["detect", "--verbose", "--input", "x"]).unwrap();
-        assert!(a.switch("verbose"));
-        assert!(!a.switch("quiet"));
+        assert_eq!(a.get("verbose"), Some("true"));
+        assert_eq!(a.get("input"), Some("x"));
+        assert_eq!(a.get("quiet"), None);
     }
 
     #[test]

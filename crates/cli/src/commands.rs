@@ -4,7 +4,6 @@ use crate::args::Args;
 use parcom_core::{compare, quality, Budget, CommunityDetector, CommunityGraph, DetectorSpec};
 use parcom_graph::stats::summarize;
 use parcom_graph::{Graph, Partition};
-use parcom_io::LoadedGraph;
 use std::error::Error;
 
 type CmdResult = Result<(), Box<dyn Error>>;
@@ -32,15 +31,9 @@ macro_rules! say {
 /// Reads a graph through [`parcom_io::load_graph_auto`], the loader shared
 /// with `parcom-serve`: magic first (`.pcg` binary), extension second
 /// (`.metis`/`.graph`/`.pcg` = METIS text, everything else = edge list).
-/// Binary files written with `--relabel` come back with their relabeling
-/// attached; commands that emit per-node output must map it to original
-/// ids.
-fn load_graph(path: &str) -> Result<LoadedGraph, parcom_io::IoError> {
-    parcom_io::load_graph_auto(
-        path,
-        &parcom_obs::Recorder::disabled(),
-        &Budget::unlimited(),
-    )
+fn load_graph(path: &str) -> Result<Graph, parcom_io::IoError> {
+    let recorder = parcom_obs::Recorder::disabled();
+    Ok(parcom_io::load_graph_auto(path, &recorder, &Budget::unlimited())?.graph)
 }
 
 /// The flags `parcom detect` reads itself; every other flag is a knob.
@@ -54,7 +47,6 @@ const DETECT_FLAGS: &[&str] = &[
     "max-sweeps",
     "max-nodes",
     "max-edges",
-    "relabel",
 ];
 
 /// Builds the requested algorithm through the [`DetectorSpec`] registry —
@@ -75,13 +67,27 @@ fn make_algorithm(args: &Args) -> Result<Box<dyn CommunityDetector + Send>, Box<
     Ok(spec.build()?)
 }
 
-/// `parcom generate`
+/// `parcom generate`: each model accepts `--model`, `--out`, `--truth`
+/// and the flags it reads.
 pub fn generate(args: &Args) -> CmdResult {
     use parcom_generators as gen;
+    let model = args.require("model")?;
+    let model_flags: &[&str] = match model {
+        "lfr" => &["seed", "n", "mu"],
+        "rmat" => &["seed", "scale", "edge-factor"],
+        "ba" => &["seed", "n", "attach"],
+        "ws" => &["seed", "n", "k", "beta"],
+        "er" => &["seed", "n", "p"],
+        "grid" => &["width", "height"],
+        "planted" => &["seed", "n", "k", "p-in", "p-out"],
+        "cliques" => &["k", "size"],
+        other => return Err(format!("unknown model `{other}`").into()),
+    };
+    args.only(&[&["model", "out", "truth"], model_flags].concat())?;
     let out = args.require("out")?;
     let seed: u64 = args.get_or("seed", 1)?;
     let n: usize = args.get_or("n", 10_000)?;
-    let (g, truth): (Graph, Option<Partition>) = match args.require("model")? {
+    let (g, truth): (Graph, Option<Partition>) = match model {
         "lfr" => {
             let mu: f64 = args.get_or("mu", 0.3)?;
             let (g, t) = gen::lfr(gen::LfrParams::benchmark(n, mu), seed);
@@ -127,7 +133,7 @@ pub fn generate(args: &Args) -> CmdResult {
             let (g, t) = gen::ring_of_cliques(k, s);
             (g, Some(t))
         }
-        other => return Err(format!("unknown model `{other}`").into()),
+        _ => unreachable!("the model was matched above"),
     };
     parcom_io::write_metis(&g, out)?;
     say!("wrote {out}: n={}, m={}", g.node_count(), g.edge_count());
@@ -181,14 +187,7 @@ pub fn detect(args: &Args) -> CmdResult {
     } else {
         parcom_obs::Recorder::disabled()
     };
-    let mut loaded = parcom_io::load_graph_auto(input, &ingest_rec, &make_limits())?;
-    // Detection runs on the (possibly relabeled) resident view; per-node
-    // output below is mapped back to original ids, so `--relabel` changes
-    // cache behavior, never results.
-    if args.switch("relabel") {
-        loaded.relabel();
-    }
-    let (g, relabeling) = (loaded.graph, loaded.relabeling);
+    let g = parcom_io::load_graph_auto(input, &ingest_rec, &make_limits())?.graph;
     let mut algo = make_algorithm(args)?;
     let threads: usize = args.get_or("threads", 0)?;
 
@@ -271,12 +270,7 @@ pub fn detect(args: &Args) -> CmdResult {
         say!("{summary}");
     }
     if let Some(out) = args.get("out") {
-        // Emit in original ids whatever id space detection ran in.
-        let emitted = match &relabeling {
-            Some(r) => r.to_original(&zeta),
-            None => zeta,
-        };
-        parcom_io::write_partition(&emitted, out)?;
+        parcom_io::write_partition(&zeta, out)?;
         if report_json {
             eprintln!("wrote partition to {out}");
         } else {
@@ -287,36 +281,28 @@ pub fn detect(args: &Args) -> CmdResult {
 }
 
 /// `parcom convert` — write a graph in the `parcom-graph-bin/v1` binary
-/// format (`.pcg`), optionally relabeled hub-first for cache locality.
-/// Reopening the output skips parsing and CSR assembly entirely
-/// (DESIGN.md §15).
+/// format (`.pcg`). Reopening the output skips parsing and CSR assembly
+/// entirely (DESIGN.md §15).
 pub fn convert(args: &Args) -> CmdResult {
+    args.only(&["input", "out"])?;
     let input = args.require("input")?;
     let out = args.require("out")?;
-    let mut loaded = load_graph(input)?;
-    if args.switch("relabel") {
-        loaded.relabel();
-    }
-    let (g, relabeling) = (loaded.graph, loaded.relabeling);
-    parcom_io::write_pcg(&g, relabeling.as_ref(), out)?;
+    let g = load_graph(input)?;
+    parcom_io::write_pcg(&g, None, out)?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     say!(
-        "wrote {out}: n={} m={} ({bytes} bytes{})",
+        "wrote {out}: n={} m={} ({bytes} bytes)",
         g.node_count(),
-        g.edge_count(),
-        if relabeling.is_some() {
-            ", degree-ordered"
-        } else {
-            ""
-        }
+        g.edge_count()
     );
     Ok(())
 }
 
 /// `parcom stats`
 pub fn stats(args: &Args) -> CmdResult {
+    args.only(&["input"])?;
     let input = args.require("input")?;
-    let g = load_graph(input)?.graph;
+    let g = load_graph(input)?;
     let s = summarize(&g);
     say!("graph {input}");
     say!("  nodes:       {}", s.nodes);
@@ -337,6 +323,7 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `parcom compare`
 pub fn compare(args: &Args) -> CmdResult {
+    args.only(&["a", "b"])?;
     let a = parcom_io::read_partition(args.require("a")?)?;
     let b = parcom_io::read_partition(args.require("b")?)?;
     if a.len() != b.len() {
@@ -364,6 +351,15 @@ pub fn compare(args: &Args) -> CmdResult {
 /// `--max-edges` bound what `PUT /graphs/{name}` will admit. Runs until
 /// killed.
 pub fn serve(args: &Args) -> CmdResult {
+    args.only(&[
+        "socket",
+        "listen",
+        "max-nodes",
+        "max-edges",
+        "state-dir",
+        "fsync",
+        "max-detects",
+    ])?;
     let max_nodes: usize = args.get_or("max-nodes", 0)?;
     let max_edges: usize = args.get_or("max-edges", 0)?;
     let fsync = match args.get("fsync") {
@@ -398,16 +394,11 @@ pub fn serve(args: &Args) -> CmdResult {
 
 /// `parcom cg` — export the community graph as DOT.
 pub fn community_graph(args: &Args) -> CmdResult {
-    let loaded = load_graph(args.require("input")?)?;
-    let g = loaded.graph;
-    let mut zeta = parcom_io::read_partition(args.require("partition")?)?;
+    args.only(&["input", "partition", "out"])?;
+    let g = load_graph(args.require("input")?)?;
+    let zeta = parcom_io::read_partition(args.require("partition")?)?;
     if zeta.len() != g.node_count() {
         return Err("partition does not cover the graph".into());
-    }
-    // Partition files are in original ids; a relabeled binary graph needs
-    // the assignment permuted into its id space before aggregation.
-    if let Some(r) = &loaded.relabeling {
-        zeta = r.to_new(&zeta);
     }
     let out = args.require("out")?;
     let cg = CommunityGraph::build(&g, &zeta);

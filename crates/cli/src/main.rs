@@ -82,8 +82,8 @@ fn print_usage() {
          \x20 detect   --input FILE --algo <{algos}>\n\
          \x20          [--out FILE] [--threads N] [--seed S] [--report json]\n\
          \x20          {knobs}\n\
-         \x20          [--timeout SECS] [--max-sweeps N] [--max-nodes N] [--max-edges M] [--relabel]\n\
-         \x20 convert  --input FILE --out FILE.pcg [--relabel]\n\
+         \x20          [--timeout SECS] [--max-sweeps N] [--max-nodes N] [--max-edges M]\n\
+         \x20 convert  --input FILE --out FILE.pcg\n\
          \x20 stats    --input FILE\n\
          \x20 compare  --a PARTITION --b PARTITION\n\
          \x20 cg       --input FILE --partition FILE --out FILE.dot\n\
@@ -91,8 +91,8 @@ fn print_usage() {
          \x20          [--state-dir DIR] [--fsync always|never] [--max-detects N]\n\
          \n\
          graph files: .pcg (parcom binary, sniffed by magic), .metis/.graph (METIS),\n\
-         anything else (edge list). `convert` writes .pcg for instant reopen;\n\
-         --relabel stores a hub-first cache order (output stays in original ids).",
+         anything else (edge list). `convert` writes .pcg for instant reopen.\n\
+         A command refuses a flag it does not read, naming the ones it does.",
         algos = parcom_core::spec::algorithm_list(),
         knobs = knob_flags(),
     );

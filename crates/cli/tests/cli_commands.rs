@@ -233,6 +233,77 @@ fn errors_are_reported_not_panics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag a command does not read is an error naming the ones it does,
+/// raised before the command writes, loads or binds anything.
+#[test]
+fn every_command_refuses_a_flag_it_does_not_read() {
+    let dir = tmp_dir("unknown_flags");
+    let graph = dir.join("g.metis");
+    let (graph, part) = (graph.to_str().unwrap(), dir.join("z.part"));
+    let out = dir.join("out");
+    let out = out.to_str().unwrap();
+    commands::generate(&args(&[
+        "generate",
+        "--model",
+        "cliques",
+        "--k",
+        "2",
+        "--size",
+        "3",
+        "--out",
+        graph,
+        "--truth",
+        part.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let part = part.to_str().unwrap();
+    type Command = fn(&Args) -> Result<(), Box<dyn std::error::Error>>;
+    let cases: [(&[&str], Command, &str); 7] = [
+        (
+            &["generate", "--model", "grid", "--seed", "3", "--out", out],
+            commands::generate,
+            "`generate` accepts no flag `--seed` (accepted: --model, --out, --truth, --width, --height)",
+        ),
+        (
+            &["detect", "--input", graph, "--algo", "plm", "--relabel"],
+            commands::detect,
+            "algorithm `plm` accepts no knob `relabel`",
+        ),
+        (
+            &["convert", "--input", graph, "--out", out, "--relabel"],
+            commands::convert,
+            "`convert` accepts no flag `--relabel` (accepted: --input, --out)",
+        ),
+        (
+            &["stats", "--input", graph, "--threads", "2"],
+            commands::stats,
+            "`stats` accepts no flag `--threads` (accepted: --input)",
+        ),
+        (
+            &["compare", "--a", part, "--b", part, "--out", out],
+            commands::compare,
+            "`compare` accepts no flag `--out` (accepted: --a, --b)",
+        ),
+        (
+            &["cg", "--input", graph, "--partition", part, "--out", out, "--seed", "1"],
+            commands::community_graph,
+            "`cg` accepts no flag `--seed` (accepted: --input, --partition, --out)",
+        ),
+        (
+            &["serve", "--socket", out, "--threads", "2"],
+            commands::serve,
+            "`serve` accepts no flag `--threads` (accepted: --socket, --listen, --max-nodes, \
+             --max-edges, --state-dir, --fsync, --max-detects)",
+        ),
+    ];
+    for (words, command, message) in cases {
+        let err = command(&args(words)).unwrap_err().to_string();
+        assert!(err.contains(message), "{words:?}: {err}");
+        assert!(!std::path::Path::new(out).exists(), "{words:?} wrote {out}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn generate_all_models() {
     let dir = tmp_dir("models");

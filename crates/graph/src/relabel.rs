@@ -1,22 +1,18 @@
-//! Degree-ordered node relabeling for cache locality.
+//! Degree-ordered node relabeling, kept only to read old `.pcg` files.
 //!
-//! The kernels in `parcom-core` spend most of their time streaming adjacency
-//! rows and gathering per-neighbor labels/community weights. When node ids
-//! are assigned in input order, a hub's neighbors are scattered across the
-//! whole label array and every gather is a cache miss. Relabeling nodes so
-//! that high-degree nodes come first (and their neighbors therefore cluster
-//! in the hot front of every per-node array) is the classic fix — the
-//! BigClam speed-up lineage attributes most of its ~5× to exactly this kind
-//! of locality work.
-//!
-//! A [`Relabeling`] is a permutation kept *with* the relabeled graph:
-//! detection runs on the new ids, and partitions/reports are mapped back to
-//! original ids at the emission boundary via [`Relabeling::to_original`], so
-//! callers never observe the reordering.
+//! Older `parcom convert --relabel` runs and daemon checkpoints of a
+//! relabeled load stored the graph hub-first, with the permutation in
+//! section 6 (DESIGN.md §15). The `.pcg` reader maps such a file back to
+//! original ids once, at load, with [`Relabeling::from_new_of_old`] and
+//! [`Relabeling::inverse`]; nothing downstream ever holds a permuted view.
+//! The feature itself was retired on measurement: a hub-first order saved
+//! at most 20 % on a community-rich LFR graph and cost up to 2.2× on R-MAT,
+//! because PLP's and PLM's visiting order decides their result, not the
+//! memory layout (ROADMAP item 5). [`Relabeling::degree_ordered`] and
+//! [`Relabeling::apply`] stay because the benchmark still times them.
 
 use crate::graph::{Graph, Node};
 use crate::parallel::{chunk_ranges, default_threads, exclusive_prefix_sum, split_by_ranges};
-use crate::partition::Partition;
 use rayon::prelude::*;
 use std::cmp::Reverse;
 
@@ -79,33 +75,18 @@ impl Relabeling {
         })
     }
 
-    /// The identity relabeling on `n` nodes.
-    pub fn identity(n: usize) -> Self {
-        let ids: Vec<Node> = (0..n as Node).collect();
-        Self {
-            new_of_old: ids.clone(),
-            old_of_new: ids,
-        }
-    }
-
-    /// Number of nodes the permutation covers.
-    pub fn len(&self) -> usize {
-        self.new_of_old.len()
-    }
-
-    /// True if the permutation covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.new_of_old.is_empty()
-    }
-
     /// `new_of_old[old] = new` — the map the binary format persists.
     pub fn new_of_old(&self) -> &[Node] {
         &self.new_of_old
     }
 
-    /// `old_of_new[new] = old`.
-    pub fn old_of_new(&self) -> &[Node] {
-        &self.old_of_new
+    /// The inverse permutation, in O(1): both directions are stored, so
+    /// this swaps them. `r.inverse().apply(&r.apply(g))` is `g`.
+    pub fn inverse(self) -> Self {
+        Self {
+            new_of_old: self.old_of_new,
+            old_of_new: self.new_of_old,
+        }
     }
 
     /// Applies the permutation to a graph: node `old` of `g` becomes node
@@ -118,13 +99,14 @@ impl Relabeling {
     /// and the caches are summed from the permuted rows like any other
     /// graph's. A unit graph maps to a unit graph: no weights array is
     /// written.
+    // audit:allow(budget-propagation): O(n + m) once per legacy `.pcg` load, whose header the decoder admitted against the budget
     pub fn apply(&self, g: &Graph) -> Graph {
         let n = g.node_count();
         assert_eq!(
             n,
-            self.len(),
+            self.new_of_old.len(),
             "relabeling covers {} nodes, graph has {n}",
-            self.len()
+            self.new_of_old.len()
         );
 
         // New row lengths, then new offsets by prefix sum.
@@ -186,31 +168,6 @@ impl Relabeling {
         }
         Graph::from_csr(offsets, targets, weights)
     }
-
-    /// Maps a partition over the *relabeled* graph back to original ids:
-    /// `out[old] = p[new_of_old[old]]`. Community ids are unchanged, so
-    /// modularity and community sizes are identical by construction.
-    pub fn to_original(&self, p: &Partition) -> Partition {
-        assert_eq!(p.len(), self.len());
-        Partition::from_vec(
-            self.new_of_old
-                .iter()
-                .map(|&new| p.subset_of(new))
-                .collect(),
-        )
-    }
-
-    /// Maps a partition over the *original* graph to new ids:
-    /// `out[new] = p[old_of_new[new]]`. Inverse of [`Self::to_original`].
-    pub fn to_new(&self, p: &Partition) -> Partition {
-        assert_eq!(p.len(), self.len());
-        Partition::from_vec(
-            self.old_of_new
-                .iter()
-                .map(|&old| p.subset_of(old))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -243,6 +200,7 @@ mod tests {
         let g = star_plus_path();
         let r = Relabeling::degree_ordered(&g);
         let h = r.apply(&g);
+        let old_of_new = r.clone().inverse();
         assert_eq!(h.node_count(), g.node_count());
         assert_eq!(h.edge_count(), g.edge_count());
         assert_eq!(h.total_edge_weight(), g.total_edge_weight());
@@ -259,7 +217,7 @@ mod tests {
             want.sort_unstable();
             assert_eq!(h.neighbors(new), &want[..]);
             for &v_new in h.neighbors(new) {
-                let v_old = r.old_of_new()[v_new as usize];
+                let v_old = old_of_new.new_of_old()[v_new as usize];
                 assert_eq!(h.edge_weight(new, v_new), g.edge_weight(old, v_old));
             }
         }
@@ -267,29 +225,15 @@ mod tests {
 
     #[test]
     fn identity_roundtrip() {
-        let g = star_plus_path();
-        let r = Relabeling::identity(g.node_count());
-        assert_eq!(r.new_of_old(), &[0, 1, 2, 3, 4]);
-        let h = r.apply(&g);
-        // audit:allow(lossy-cast): bounded by the u32 node id space
-        for u in 0..g.node_count() as Node {
-            assert_eq!(h.neighbors(u), g.neighbors(u));
-        }
-    }
-
-    #[test]
-    fn partition_mapping_roundtrips() {
+        // The inverse undoes the permutation down to the CSR's bits.
         let g = star_plus_path();
         let r = Relabeling::degree_ordered(&g);
-        let on_new = Partition::from_vec(vec![0, 0, 1, 1, 2]);
-        let on_old = r.to_original(&on_new);
-        assert_eq!(r.to_new(&on_old), on_new);
-        for old in 0..5 {
-            assert_eq!(
-                on_old.subset_of(old),
-                on_new.subset_of(r.new_of_old()[old as usize])
-            );
-        }
+        let h = r.clone().inverse().apply(&r.apply(&g));
+        let (a, b) = (g.csr_view(), h.csr_view());
+        assert_eq!((a.offsets, a.targets), (b.offsets, b.targets));
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.weights), bits(b.weights));
+        assert_eq!(bits(a.weighted_degrees), bits(b.weighted_degrees));
     }
 
     #[test]
@@ -300,14 +244,14 @@ mod tests {
         let oob = Relabeling::from_new_of_old(vec![0, 5, 2]);
         assert!(oob.unwrap_err().contains("out of range"));
         let r = Relabeling::from_new_of_old(vec![2, 0, 1]).unwrap();
-        assert_eq!(r.old_of_new(), &[1, 2, 0]);
+        assert_eq!(r.inverse().new_of_old(), &[1, 2, 0]);
     }
 
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new(0).build();
         let r = Relabeling::degree_ordered(&g);
-        assert!(r.is_empty());
+        assert!(r.new_of_old().is_empty());
         let h = r.apply(&g);
         assert_eq!(h.node_count(), 0);
     }

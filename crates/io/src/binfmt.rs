@@ -16,7 +16,7 @@
 //! [ 0.. 8]  magic  89 50 43 47 0d 0a 1a 0a   ("\x89PCG\r\n\x1a\n")
 //! [ 8..12]  version            u32 le        (this module reads 1)
 //! [12..16]  section count      u32 le
-//! [16..24]  flags              u64 le        (bit 0: graph is relabeled)
+//! [16..24]  flags              u64 le        (bit 0: stored relabeled)
 //! [24..32]  n  (nodes)         u64 le
 //! [32..40]  m  (edges)         u64 le        (must match the adjacency)
 //! [40..48]  adjacency length   u64 le        (Σ row lengths)
@@ -30,10 +30,14 @@
 //! Sections (little-endian payloads): `1` row offsets `u64×(n+1)`, `2`
 //! targets `u32×adj`, `3` edge weights `f64×adj` (omitted when every
 //! weight is 1), `6` relabeling permutation `u32×n` (`new_of_old`; present iff
-//! flag bit 0 is set — see [`parcom_graph::relabel`]), `7` WAL sequence
-//! `u64` (daemon checkpoints only: the last write-ahead-log record folded
-//! into this snapshot, so recovery knows where replay resumes; absent in
-//! files written by `parcom convert`). Ids `4` and `5` are retired: older
+//! flag bit 0 is set), `7` WAL sequence `u64` (daemon checkpoints only: the
+//! last write-ahead-log record folded into this snapshot, so recovery knows
+//! where replay resumes; absent in files written by `parcom convert`).
+//! Section 6 is legacy: older writers could store the graph hub-first
+//! ([`parcom_graph::relabel`]) with its permutation there. The reader
+//! validates the permutation and maps such a graph back to original ids
+//! once, so every caller sees the ids the graph was written in, and only
+//! [`write_pcg`] can still write one. Ids `4` and `5` are retired: older
 //! writers stored the weighted degrees and self-loop weights there
 //! (`f64×n` each). Unknown section ids — 4 and 5 among them — are carried
 //! in the table and checksummed but otherwise ignored, so every v1 file
@@ -64,7 +68,7 @@ pub const VERSION: u32 = 1;
 pub const SCHEMA: &str = "parcom-graph-bin/v1";
 
 /// Flag bit 0: the stored graph is a relabeled view; section 6 holds the
-/// permutation mapping original ids to stored ids.
+/// permutation mapping original ids to stored ids, which the reader undoes.
 const FLAG_RELABELED: u64 = 1;
 
 const SEC_OFFSETS: u32 = 1;
@@ -265,27 +269,13 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
 // ---------------------------------------------------------------------------
 // Writing.
 
-/// Writes `g` (and its relabeling, if it is a relabeled view) in
-/// `parcom-graph-bin/v1` form to a writer. `wal_seq` adds the WAL sequence
-/// section — the daemon checkpoint writer records the last log record the
-/// snapshot covers, so recovery replays exactly the tail written after it;
-/// `None` writes the plain file `parcom convert` does.
-pub fn write_pcg_to(
-    g: &Graph,
-    relabeling: Option<&Relabeling>,
-    wal_seq: Option<u64>,
-    writer: impl Write,
-) -> Result<(), IoError> {
-    let n = g.node_count();
-    if let Some(r) = relabeling {
-        if r.len() != n {
-            return Err(IoError::parse(format!(
-                "relabeling covers {} nodes, graph has {n}",
-                r.len()
-            )));
-        }
-    }
-    write_sections(g, &sections(g, relabeling, wal_seq), writer)
+/// Writes `g` in `parcom-graph-bin/v1` form to a writer. `wal_seq` adds
+/// the WAL sequence section — the daemon checkpoint writer records the
+/// last log record the snapshot covers, so recovery replays exactly the
+/// tail written after it; `None` writes the plain file `parcom convert`
+/// does.
+pub fn write_pcg_to(g: &Graph, wal_seq: Option<u64>, writer: impl Write) -> Result<(), IoError> {
+    write_sections(g, &sections(g, None, wal_seq), writer)
 }
 
 /// The sections [`write_pcg_to`] writes, in file order.
@@ -369,10 +359,17 @@ fn write_sections(
         let padding = payload.len().div_ceil(8) * 8 - payload.len();
         writer.write_all(&[0u8; 8][..padding])?;
     }
+    // a `BufWriter` dropped unflushed would swallow the last write's error
+    writer.flush()?;
     Ok(())
 }
 
 /// Writes `g` in binary form to `path` (conventionally `.pcg`).
+///
+/// `relabeling` is there for the benchmark, which binds
+/// `write_pcg(g, None, path)`; parcom itself always passes `None`.
+/// `Some(r)` writes the legacy relabeled layout — `r.apply(g)` with `r`
+/// in section 6 — which every loader maps back to `g`.
 pub fn write_pcg(
     g: &Graph,
     relabeling: Option<&Relabeling>,
@@ -382,7 +379,19 @@ pub fn write_pcg(
     at_path(path, {
         (|| {
             let file = std::fs::File::create(path).map_err(IoError::from)?;
-            write_pcg_to(g, relabeling, None, std::io::BufWriter::new(file))
+            let writer = std::io::BufWriter::new(file);
+            match relabeling {
+                None => write_pcg_to(g, None, writer),
+                Some(r) if r.new_of_old().len() != g.node_count() => Err(IoError::parse(format!(
+                    "relabeling covers {} nodes, graph has {}",
+                    r.new_of_old().len(),
+                    g.node_count()
+                ))),
+                Some(r) => {
+                    let stored = r.apply(g);
+                    write_sections(&stored, &sections(&stored, Some(r), None), writer)
+                }
+            }
         })()
     })
 }
@@ -539,6 +548,8 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
         None => Vec::new(),
     };
 
+    // A legacy relabeled file: its permutation is checked here, and
+    // undone below, once the stored view is a checked graph.
     let relabeling = if flags & FLAG_RELABELED != 0 {
         let perm = from_le_u32s(sized(SEC_PERM, "relabeling", bytes_of(Some(n), 4)?)?);
         Some(
@@ -562,10 +573,13 @@ pub(crate) fn decode(bytes: &[u8], budget: &Budget) -> Result<LoadedGraph, IoErr
             graph.edge_count()
         )));
     }
+    let graph = match relabeling {
+        Some(r) => r.inverse().apply(&graph),
+        None => graph,
+    };
 
     Ok(LoadedGraph {
         graph,
-        relabeling,
         format: GraphFormat::PcgBinary,
         wal_seq,
     })
@@ -579,9 +593,17 @@ mod tests {
     use parcom_obs::Recorder;
 
     /// The file image `write_pcg_to` streams.
-    fn image(g: &Graph, relabeling: Option<&Relabeling>, wal_seq: Option<u64>) -> Vec<u8> {
+    fn image(g: &Graph, wal_seq: Option<u64>) -> Vec<u8> {
         let mut out = Vec::new();
-        write_pcg_to(g, relabeling, wal_seq, &mut out).unwrap();
+        write_pcg_to(g, wal_seq, &mut out).unwrap();
+        out
+    }
+
+    /// The image of `stored` with `relabeling` in section 6, as older
+    /// writers stored a relabeled view.
+    fn stored_image(stored: &Graph, relabeling: Option<&Relabeling>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_sections(stored, &sections(stored, relabeling, None), &mut out).unwrap();
         out
     }
 
@@ -622,11 +644,10 @@ mod tests {
     #[test]
     fn roundtrip_unweighted() {
         let g = sample(false);
-        let bytes = image(&g, None, None);
+        let bytes = image(&g, None);
         assert!(is_pcg_magic(&bytes));
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
-        assert!(loaded.relabeling.is_none());
         // a unit graph reopens unit: no weights array
         assert!(g.csr_view().weights.is_empty() && loaded.graph.csr_view().weights.is_empty());
     }
@@ -634,7 +655,7 @@ mod tests {
     #[test]
     fn roundtrip_weighted_and_self_loops() {
         let g = sample(true);
-        let bytes = image(&g, None, None);
+        let bytes = image(&g, None);
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
     }
@@ -668,16 +689,16 @@ mod tests {
         b.add_edge(3, 3, 2.0);
         let g = b.build();
         assert_eq!(g.csr_view().targets.len() % 2, 1);
-        let bytes = image(&g, None, Some(9));
+        let bytes = image(&g, Some(9));
         assert_eq!(bytes.len() % 8, 0);
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert_eq!(loaded.wal_seq, Some(9));
     }
 
-    /// The image an older writer produced: today's sections plus the
-    /// retired weighted degrees (4) and self-loop weights (5) after the
-    /// weights, holding `caches`.
+    /// The image an older writer produced: [`stored_image`]'s sections
+    /// plus the retired weighted degrees (4) and self-loop weights (5)
+    /// after the weights, holding `caches`.
     fn legacy_image(g: &Graph, relabeling: Option<&Relabeling>, caches: [&[f64]; 2]) -> Vec<u8> {
         let mut s = sections(g, relabeling, None);
         let at = (s.iter().position(|(id, _)| *id > SEC_WEIGHTS)).unwrap_or(s.len());
@@ -720,29 +741,26 @@ mod tests {
         let g = b.build();
         let r = Relabeling::degree_ordered(&g);
         let h = r.apply(&g);
-        for (graph, relabeling) in [(&g, None), (&h, Some(&r))] {
-            let v = graph.csr_view();
-            let legacy = legacy_image(graph, relabeling, [v.weighted_degrees, v.self_loops]);
-            let current = image(graph, relabeling, None);
+        // A relabeled file loads in original ids, as `g`.
+        for (stored, relabeling) in [(&g, None), (&h, Some(&r))] {
+            let v = stored.csr_view();
+            let legacy = legacy_image(stored, relabeling, [v.weighted_degrees, v.self_loops]);
+            let current = stored_image(stored, relabeling);
             assert_eq!(legacy.len(), current.len() + 16 * 7 + 2 * ENTRY_LEN);
             // Stale contents change nothing: the sections are never read.
             let zeros = vec![0.0; 7];
-            let stale = legacy_image(graph, relabeling, [&zeros, &zeros]);
+            let stale = legacy_image(stored, relabeling, [&zeros, &zeros]);
             for bytes in [&legacy, &stale, &current] {
                 let loaded = load(bytes, &Budget::unlimited()).unwrap();
-                assert_bit_identical(graph, &loaded.graph);
-                assert_eq!(
-                    loaded.relabeling.map(|l| l.new_of_old().to_vec()),
-                    relabeling.map(|r| r.new_of_old().to_vec())
-                );
+                assert_bit_identical(&g, &loaded.graph);
             }
         }
     }
 
     #[test]
     fn unweighted_graphs_omit_the_weights_section() {
-        let unweighted = image(&sample(false), None, None);
-        let weighted = image(&sample(true), None, None);
+        let unweighted = image(&sample(false), None);
+        let weighted = image(&sample(true), None);
         // Section counts differ by exactly the weights section.
         assert_eq!(rd_u32(&unweighted, 12) + 1, rd_u32(&weighted, 12));
     }
@@ -759,14 +777,11 @@ mod tests {
         };
         let adj = g.csr_view().targets.len();
         let explicit = with_weights(&vec![1.0; adj]);
-        assert_eq!(
-            rd_u32(&explicit, 12),
-            rd_u32(&image(&g, None, None), 12) + 1
-        );
+        assert_eq!(rd_u32(&explicit, 12), rd_u32(&image(&g, None), 12) + 1);
         let loaded = load(&explicit, &Budget::unlimited()).unwrap();
         assert!(loaded.graph.csr_view().weights.is_empty());
         assert_bit_identical(&g, &loaded.graph);
-        assert_eq!(image(&loaded.graph, None, None), image(&g, None, None));
+        assert_eq!(image(&loaded.graph, None), image(&g, None));
         // a weights section of the wrong length is still a typed error
         let err = load(&with_weights(&vec![1.0; adj - 1]), &Budget::unlimited()).unwrap_err();
         assert!(matches!(err.kind(), crate::IoErrorKind::Parse(_)), "{err}");
@@ -775,26 +790,25 @@ mod tests {
 
     #[test]
     fn roundtrip_relabeled() {
+        // The stored view is hub-first; the loaded graph is `g` again.
         let g = sample(true);
         let r = Relabeling::degree_ordered(&g);
         let h = r.apply(&g);
-        let bytes = image(&h, Some(&r), None);
+        let bytes = stored_image(&h, Some(&r));
+        assert_eq!(rd_u64(&bytes, 16), FLAG_RELABELED);
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
-        assert_same_graph(&h, &loaded.graph);
-        let lr = loaded.relabeling.unwrap();
-        assert_eq!(lr.new_of_old(), r.new_of_old());
-        assert_eq!(lr.old_of_new(), r.old_of_new());
+        assert_bit_identical(&g, &loaded.graph);
     }
 
     #[test]
     fn roundtrip_wal_seq_section() {
         let g = sample(true);
-        let bytes = image(&g, None, Some(417));
+        let bytes = image(&g, Some(417));
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_same_graph(&g, &loaded.graph);
         assert_eq!(loaded.wal_seq, Some(417));
         // Files written without a WAL context read back as None.
-        let plain = image(&g, None, None);
+        let plain = image(&g, None);
         let loaded = load(&plain, &Budget::unlimited()).unwrap();
         assert_eq!(loaded.wal_seq, None);
     }
@@ -802,7 +816,7 @@ mod tests {
     #[test]
     fn roundtrip_empty_graph() {
         let g = GraphBuilder::new(0).build();
-        let bytes = image(&g, None, None);
+        let bytes = image(&g, None);
         let loaded = load(&bytes, &Budget::unlimited()).unwrap();
         assert_eq!(loaded.graph.node_count(), 0);
         assert_eq!(loaded.graph.edge_count(), 0);
@@ -831,7 +845,7 @@ mod tests {
     #[test]
     fn budget_rejects_oversized_header_before_loading() {
         let g = sample(false);
-        let bytes = image(&g, None, None);
+        let bytes = image(&g, None);
         let budget = Budget::unlimited().with_input_limits(2, 1000);
         let err = load(&bytes, &budget).unwrap_err();
         assert!(err.to_string().contains("exceeding the ingest limit"));

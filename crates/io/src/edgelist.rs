@@ -160,11 +160,12 @@ pub fn read_edge_list_seq(bytes: &[u8]) -> Result<EdgeListGraph, IoError> {
     for (i, line) in bytes.lines().enumerate() {
         let lineno = i + 1;
         let line = line?;
-        let t = line.trim();
+        // ASCII whitespace only, as the chunked reader splits
+        let t = line.trim_ascii();
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
             continue;
         }
-        let mut tok = t.split_whitespace();
+        let mut tok = t.split_ascii_whitespace();
         let u: u64 = tok
             .next()
             .ok_or_else(|| parse_error(lineno, "missing source id"))?

@@ -44,7 +44,6 @@ pub use dot::write_community_graph_dot;
 pub use metis::{write_metis, write_metis_to};
 pub use partition_io::{read_partition, write_partition};
 
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::Graph;
 use parcom_guard::Budget;
 use parcom_obs::Recorder;
@@ -76,12 +75,9 @@ impl GraphFormat {
 /// and the format it was decoded as.
 #[derive(Debug)]
 pub struct LoadedGraph {
-    /// The graph, in the file's (possibly relabeled) id space.
+    /// The graph, in the ids it was written in (a legacy relabeled
+    /// `.pcg` is mapped back to them at load).
     pub graph: Graph,
-    /// Permutation mapping original ids to the graph's ids, if any.
-    /// Callers that emit partitions must map them back through
-    /// [`Relabeling::to_original`].
-    pub relabeling: Option<Relabeling>,
     /// The format the input was decoded as.
     pub format: GraphFormat,
     /// For daemon checkpoints: the last WAL sequence number folded into
@@ -91,24 +87,12 @@ pub struct LoadedGraph {
 }
 
 impl LoadedGraph {
-    /// A graph decoded from text: no relabeling, no WAL position.
+    /// A graph decoded from text: no WAL position.
     fn text(graph: Graph, format: GraphFormat) -> Self {
         Self {
             graph,
-            relabeling: None,
             format,
             wal_seq: None,
-        }
-    }
-
-    /// Reorders the graph hub-first ([`Relabeling::degree_ordered`])
-    /// unless the file already stored a relabeled view, whose permutation
-    /// then stands.
-    pub fn relabel(&mut self) {
-        if self.relabeling.is_none() {
-            let r = Relabeling::degree_ordered(&self.graph);
-            self.graph = r.apply(&self.graph);
-            self.relabeling = Some(r);
         }
     }
 }

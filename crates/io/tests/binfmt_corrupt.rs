@@ -217,7 +217,6 @@ fn pcg_named_metis_text_loads_as_metis() {
     assert_eq!(loaded.format, GraphFormat::Metis);
     assert_eq!(loaded.graph.node_count(), 3);
     assert_eq!(loaded.graph.edge_count(), 2);
-    assert!(loaded.relabeling.is_none());
 }
 
 #[test]
@@ -251,27 +250,113 @@ fn short_file_sniffs_as_text_not_an_error() {
     assert_eq!(loaded.graph.node_count(), 1);
 }
 
+/// A `.pcg` in the legacy relabeled layout — the graph stored hub-first,
+/// the permutation in section 6 — loads through both doors as the graph
+/// it was written from, bit for bit. Past 4096 nodes, so undoing the
+/// permutation takes `Relabeling::apply`'s parallel path.
 #[test]
 fn relabeled_file_roundtrips_through_auto_loading() {
-    use parcom_graph::relabel::Relabeling;
-    let mut b = GraphBuilder::new(6);
-    for u in 0..5u32 {
-        b.add_unweighted_edge(u, u + 1);
+    use parcom_generators::{lfr, LfrParams};
+    use parcom_graph::Relabeling;
+    let unit = lfr(LfrParams::benchmark(5000, 0.3), 7).0;
+    let mut b = GraphBuilder::with_capacity(unit.node_count(), unit.edge_count() + 1);
+    let mut edges = unit.par_collect_edges();
+    for (i, edge) in edges.iter_mut().enumerate() {
+        edge.2 = 0.1 + (i % 7) as f64 / 3.0;
     }
-    b.add_unweighted_edge(0, 2);
-    b.add_unweighted_edge(0, 3);
+    b.extend_edges(edges);
+    b.add_edge(9, 9, 0.7);
     let g = b.build();
     let r = Relabeling::degree_ordered(&g);
-    let h = r.apply(&g);
+    assert_ne!(r.apply(&g).csr_view().targets, g.csr_view().targets);
     let path = temp_dir().join("relabeled_auto.pcg");
-    write_pcg(&h, Some(&r), &path).unwrap();
+    write_pcg(&g, Some(&r), &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[16] & 1, 1, "flag bit 0: stored relabeled");
 
-    let loaded = load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited()).unwrap();
-    assert_eq!(loaded.format, GraphFormat::PcgBinary);
-    let stored = loaded
-        .relabeling
-        .expect("relabeling must survive the roundtrip");
-    assert_eq!(stored.new_of_old(), r.new_of_old());
-    // The loaded graph is the relabeled view.
-    assert_eq!(loaded.graph.degree(0), g.degree(r.old_of_new()[0]));
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let by_path = load_graph_auto(&path, &Recorder::disabled(), &Budget::unlimited()).unwrap();
+    let by_bytes = load(&path).unwrap();
+    for loaded in [by_path, by_bytes] {
+        assert_eq!(loaded.format, GraphFormat::PcgBinary);
+        let (got, want) = (loaded.graph.csr_view(), g.csr_view());
+        assert_eq!(got.offsets, want.offsets);
+        assert_eq!(got.targets, want.targets);
+        assert_eq!(bits(got.weights), bits(want.weights));
+        assert_eq!(bits(got.weighted_degrees), bits(want.weighted_degrees));
+    }
+
+    // a permutation of another graph's size is refused at write
+    let other = Relabeling::degree_ordered(&GraphBuilder::new(3).build());
+    assert!(write_pcg(&g, Some(&other), &path).is_err());
+}
+
+/// `bytes` with the payload of section `id` rewritten by `edit` and both
+/// checksums recomputed — the body checksum folds each section's
+/// checksum in table order (`acc.rotate_left(17) ^ sum · K`) — so only
+/// the loader's own checks can catch the damage.
+fn rewritten(bytes: &[u8], id: u32, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut out = bytes.to_vec();
+    let count = u32::from_le_bytes(out[12..16].try_into().unwrap()) as usize;
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let table: Vec<(u32, usize, usize)> = (0..count)
+        .map(|i| {
+            let at = 64 + 24 * i;
+            let sid = u32::from_le_bytes(out[at..at + 4].try_into().unwrap());
+            (
+                sid,
+                word(&out, at + 8) as usize,
+                word(&out, at + 16) as usize,
+            )
+        })
+        .collect();
+    let (_, offset, len) = *table.iter().find(|(sid, ..)| *sid == id).unwrap();
+    edit(&mut out[offset..offset + len]);
+    let body = table.iter().fold(0u64, |acc, &(_, offset, len)| {
+        acc.rotate_left(17) ^ binfmt::checksum64(&out[offset..offset + len]).wrapping_mul(K)
+    });
+    lying(&out, 56, body)
+}
+
+/// Section 6 damage the checksums cannot see is still a typed error: a
+/// permutation that is none, or a flag that promises a missing section.
+#[test]
+fn a_stored_relabeling_that_is_no_permutation_is_a_typed_error() {
+    use parcom_graph::Relabeling;
+    let (plain_path, plain) = valid_pcg("plain_for_perm.pcg");
+    let g = load(&plain_path).unwrap().graph;
+    let path = temp_dir().join("bad_perm.pcg");
+    write_pcg(&g, Some(&Relabeling::degree_ordered(&g)), &path).unwrap();
+    let legacy = std::fs::read(&path).unwrap();
+    assert_eq!(
+        load(&path).unwrap().graph.csr_view().targets,
+        g.csr_view().targets
+    );
+
+    let duplicate = rewritten(&legacy, 6, |perm| {
+        let first: [u8; 4] = perm[..4].try_into().unwrap();
+        perm[4..8].copy_from_slice(&first);
+    });
+    let out_of_range = rewritten(&legacy, 6, |perm| {
+        perm[..4].copy_from_slice(&99u32.to_le_bytes());
+    });
+    let flag_without_section = lying(&plain, 16, 1);
+    for (bytes, needle) in [
+        (
+            duplicate,
+            "stored relabeling is invalid: relabeling is not a permutation",
+        ),
+        (
+            out_of_range,
+            "stored relabeling is invalid: relabeling maps node 0 to 99",
+        ),
+        (
+            flag_without_section,
+            "missing required section relabeling (id 6)",
+        ),
+    ] {
+        std::fs::write(&path, bytes).unwrap();
+        assert_corrupt(&load(&path).unwrap_err(), &path, needle);
+    }
 }

@@ -5,13 +5,12 @@
 //! success, same error line and message on failure. And the two doors
 //! into the one decoder — `load_graph_auto(path)` and
 //! `load_graph_bytes(bytes)` — must agree on every format: the same CSR
-//! by bits, relabeling and WAL sequence, or the same error kind, line and
-//! message apart from the path prefix.
+//! by bits and WAL sequence, or the same error kind, line and message
+//! apart from the path prefix.
 
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::{Graph, GraphBuilder};
 use parcom_guard::Budget;
-use parcom_io::binfmt::write_pcg_to;
+use parcom_io::binfmt::{write_pcg, write_pcg_to};
 use parcom_io::edgelist::{read_edge_list_chunked, read_edge_list_seq};
 use parcom_io::metis::{read_metis_chunked, read_metis_seq};
 use parcom_io::{
@@ -264,11 +263,6 @@ fn same_load(
             assert_same_csr(&a.graph, &b.graph, &ctx);
             assert_eq!(a.format, b.format, "{ctx}: format");
             assert_eq!(a.wal_seq, b.wal_seq, "{ctx}: wal seq");
-            assert_eq!(
-                a.relabeling.as_ref().map(Relabeling::new_of_old),
-                b.relabeling.as_ref().map(Relabeling::new_of_old),
-                "{ctx}: relabeling"
-            );
         }
         (Err(a), Err(b)) => {
             assert_eq!(
@@ -293,17 +287,22 @@ fn same_load(
     }
 }
 
-/// The `.pcg` image of `g`: plain, or degree-relabeled with a WAL sequence
-/// (the shape of a daemon checkpoint of a relabeled load).
+/// The `.pcg` image of `g`: with a WAL sequence (a daemon checkpoint's
+/// shape), or in the legacy degree-relabeled layout, written through a
+/// per-thread temp file.
 fn render_pcg(g: &Graph, relabeled: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    if relabeled {
-        let r = Relabeling::degree_ordered(g);
-        write_pcg_to(&r.apply(g), Some(&r), Some(7), &mut out).unwrap();
-    } else {
-        write_pcg_to(g, None, None, &mut out).unwrap();
+    if !relabeled {
+        let mut out = Vec::new();
+        write_pcg_to(g, Some(7), &mut out).unwrap();
+        return out;
     }
-    out
+    let thread = std::thread::current().id();
+    let dir = std::env::temp_dir().join(format!("parcom_legacy_{}_{thread:?}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("relabeled.pcg");
+    let r = parcom_graph::Relabeling::degree_ordered(g);
+    write_pcg(g, Some(&r), &path).unwrap();
+    std::fs::read(&path).unwrap()
 }
 
 /// Damages a binary image: `kind` 0 flips a byte at `at`, 1 truncates
@@ -576,6 +575,39 @@ fn separators_are_ascii_whitespace_and_not_the_vertical_tab() {
                 .contains(&format!("bad neighbor id `{token}`")),
             "{err}"
         );
+    }
+    // edge lists split the same way: `\x0b` and U+00A0 stay inside the
+    // token, whichever reader reads the row
+    for (text, line, what) in [
+        ("0 1\n1\t2\x0c\n", None, ""),
+        ("1\x0b2\n", Some(1), "bad source id"),
+        ("0 1\n1\u{a0}2\n", Some(2), "bad source id"),
+        ("0 1\n1 2\u{a0}\n", Some(2), "bad target id"),
+    ] {
+        let seq = read_edge_list_seq(text.as_bytes());
+        for parts in 1..=4 {
+            let par = read_edge_list_chunked(text.as_bytes(), parts);
+            let (seq, par) = (
+                seq.as_ref().map(|l| &l.graph),
+                par.as_ref().map(|l| &l.graph),
+            );
+            match (seq, par) {
+                (Ok(a), Ok(b)) => assert_same_csr(a, b, &format!("{text:?}")),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{text:?}"),
+                (a, b) => panic!(
+                    "{text:?}: readers diverge: seq={:?} par={:?}",
+                    a.map(Graph::edge_count),
+                    b.map(Graph::edge_count)
+                ),
+            }
+        }
+        match seq {
+            Ok(_) => assert_eq!(line, None, "{text:?}"),
+            Err(err) => {
+                assert_eq!(err.line(), line, "{text:?}");
+                assert!(err.to_string().contains(what), "{err}");
+            }
+        }
     }
 }
 

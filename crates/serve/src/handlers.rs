@@ -121,9 +121,8 @@ fn list_graphs(store: &GraphStore) -> Reply {
         out.push_str("{\"name\":");
         json::write_str(&mut out, &name);
         out.push_str(&format!(
-            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"relabeled\":{},\"relabel_dropped\":{},\"seq\":{},\"durable\":{}",
-            stats.nodes, stats.edges, stats.pending, stats.generation,
-            stats.relabeled, stats.relabel_dropped, stats.seq, stats.durable
+            ",\"nodes\":{},\"edges\":{},\"pending\":{},\"generation\":{},\"seq\":{},\"durable\":{}",
+            stats.nodes, stats.edges, stats.pending, stats.generation, stats.seq, stats.durable
         ));
         // What the graph holds in memory: its CSR and overlay.
         json::write_key(&mut out, "resident_bytes");
@@ -162,6 +161,11 @@ fn parse_body(body: &[u8]) -> Result<Value, Reply> {
     json::parse(text).map_err(|e| err(400, format!("bad JSON body: {e}")))
 }
 
+/// `PUT /graphs/{name}`. Body: exactly one of `{"path": file}` or
+/// `{"content": METIS text}`; any other key is ignored, the retired
+/// `"relabel"` among them. A legacy relabeled `.pcg` loads in original
+/// ids. Reply keys: `schema`, `name`, `nodes`, `edges`, `replaced`,
+/// `format`, `load_ms`, `load_bytes`, `durable`.
 fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     if !valid_name(name) {
         return err(400, "graph names are 1-64 chars of [A-Za-z0-9._-]");
@@ -186,7 +190,7 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
         },
         _ => return err(400, "body must have exactly one of \"path\" or \"content\""),
     };
-    let mut loaded = match loaded {
+    let loaded = match loaded {
         Ok(l) => l,
         Err(e) => {
             // Too big is 413, anything else the loader refuses is 422.
@@ -209,21 +213,12 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
         .filter_map(|p| p.counter("bytes"))
         .sum();
 
-    // Optional load-time relabel: `{"relabel": true}` reorders the resident
-    // view hub-first (no-op when the file already stores a relabeled view).
-    match v.get("relabel").map(Value::as_bool) {
-        Some(Some(true)) => loaded.relabel(),
-        Some(Some(false)) | None => {}
-        Some(None) => return err(400, "\"relabel\" must be a boolean"),
-    }
-
     let (nodes, edges) = (loaded.graph.node_count(), loaded.graph.edge_count());
-    let relabeled = loaded.relabeling.is_some();
     let format = loaded.format.as_str();
     // Durable mode persists the entry (checkpoint + fresh WAL) *before*
     // it becomes visible in the store, so no acknowledged graph can exist
     // in memory without its on-disk state set.
-    let mut entry = crate::store::GraphEntry::new(loaded.graph, loaded.relabeling);
+    let mut entry = crate::store::GraphEntry::new(loaded.graph, None);
     let durable = if let Some(durability) = &ctx.durability {
         if let Err(e) = durability.persist_new(name, &mut entry) {
             return err(500, format!("could not persist `{name}`: {e}"));
@@ -239,7 +234,7 @@ fn load_graph(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     out.push_str(",\"name\":");
     json::write_str(&mut out, name);
     out.push_str(&format!(
-        ",\"nodes\":{nodes},\"edges\":{edges},\"replaced\":{replaced},\"format\":\"{format}\",\"load_ms\":{load_ms:.3},\"load_bytes\":{load_bytes},\"relabeled\":{relabeled},\"durable\":{durable}}}"
+        ",\"nodes\":{nodes},\"edges\":{edges},\"replaced\":{replaced},\"format\":\"{format}\",\"load_ms\":{load_ms:.3},\"load_bytes\":{load_bytes},\"durable\":{durable}}}"
     ));
     (if replaced { 200 } else { 201 }, out)
 }
@@ -282,9 +277,8 @@ fn checkpoint_graph(ctx: &ServerCtx, name: &str) -> Reply {
     out.push_str("{\"schema\":");
     json::write_str(&mut out, SCHEMA);
     out.push_str(&format!(
-        ",\"checkpointed\":true,\"seq\":{},\"generation\":{},\"nodes\":{},\"edges\":{},\"relabeled\":{},\"relabel_dropped\":{}}}",
-        stats.seq, stats.generation, stats.nodes, stats.edges, stats.relabeled,
-        stats.relabel_dropped
+        ",\"checkpointed\":true,\"seq\":{},\"generation\":{},\"nodes\":{},\"edges\":{}}}",
+        stats.seq, stats.generation, stats.nodes, stats.edges
     ));
     (200, out)
 }
@@ -397,9 +391,8 @@ fn edge_batch(ctx: &ServerCtx, name: &str, body: &[u8]) -> Reply {
     out.push_str("{\"schema\":");
     json::write_str(&mut out, SCHEMA);
     out.push_str(&format!(
-        ",\"accepted\":{batch},\"rebuilt\":{rebuilt},\"pending\":{},\"generation\":{},\"nodes\":{},\"edges\":{},\"seq\":{},\"durable\":{},\"checkpointed\":{checkpointed},\"relabeled\":{},\"relabel_dropped\":{}}}",
-        stats.pending, stats.generation, stats.nodes, stats.edges, stats.seq, stats.durable,
-        stats.relabeled, stats.relabel_dropped
+        ",\"accepted\":{batch},\"rebuilt\":{rebuilt},\"pending\":{},\"generation\":{},\"nodes\":{},\"edges\":{},\"seq\":{},\"durable\":{},\"checkpointed\":{checkpointed}}}",
+        stats.pending, stats.generation, stats.nodes, stats.edges, stats.seq, stats.durable
     ));
     (200, out)
 }
@@ -582,15 +575,9 @@ pub(crate) fn detect_reply(store: &GraphStore, body: &[u8], token: CancelToken) 
     out.push_str(&result.report.to_json());
     let partition = include_partition.then(|| {
         kept_text.unwrap_or_else(|| {
-            // A relabeled resident view detects on permuted ids; clients
-            // sent the graph in original ids, so the partition is mapped
-            // back before it is rendered (community ids and counts are
-            // unchanged). Every label ends in a comma; the last one's goes.
+            // Every label ends in a comma; the last one's goes.
             let mut text = Vec::new();
-            match &snapshot.relabeling {
-                Some(r) => render_partition(&r.to_original(&result.partition), b',', &mut text),
-                None => render_partition(&result.partition, b',', &mut text),
-            }
+            render_partition(&result.partition, b',', &mut text);
             text.pop();
             let text: Arc<[u8]> = text.into();
             if stored {

@@ -23,7 +23,6 @@
 
 use crate::store::{lock_entry, GraphEntry, GraphStore};
 use crate::wal::{self, FsyncPolicy, WalWriter};
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::Graph;
 use parcom_guard::Budget;
 use parcom_io::binfmt::write_pcg_to;
@@ -103,8 +102,7 @@ impl Durability {
         for path in paths.all() {
             remove_if_exists(path)?;
         }
-        let (graph, relabeling, _) = entry.current();
-        stage(&paths.pcg_tmp, &graph, relabeling.as_deref(), entry.seq())?;
+        stage(&paths.pcg_tmp, &entry.current().0, entry.seq())?;
         std::fs::rename(&paths.pcg_tmp, &paths.pcg)?;
         let wal = WalWriter::create(&paths.wal, entry.seq(), self.policy)?;
         fsync_dir(&self.dir)?;
@@ -124,8 +122,7 @@ impl Durability {
         entry.compact();
         let seq = entry.seq();
         let paths = self.paths(name);
-        let (graph, relabeling, _) = entry.current();
-        stage(&paths.pcg_tmp, &graph, relabeling.as_deref(), seq)?;
+        stage(&paths.pcg_tmp, &entry.current().0, seq)?;
         let wal = WalWriter::create(&paths.wal_tmp, seq, self.policy)?;
         parcom_guard::faultpoint!("serve/checkpoint-write");
         rename_if_exists(&paths.pcg, &paths.pcg_prev)?;
@@ -191,7 +188,9 @@ impl Durability {
             report.fallbacks += 1;
         }
         let base = snapshot.wal_seq.unwrap_or(0);
-        let mut entry = GraphEntry::new(snapshot.graph, snapshot.relabeling);
+        // a legacy relabeled checkpoint was mapped back to original ids
+        // by the reader, so the log's ids apply as written
+        let mut entry = GraphEntry::new(snapshot.graph, None);
         entry.set_seq(base);
 
         // Replay the log chain, keeping only records past the checkpoint
@@ -307,9 +306,9 @@ fn read_checkpoint(path: &Path) -> Result<LoadedGraph, IoError> {
 /// assembled in memory) and always fsynced: checkpoints are rare and a
 /// checkpoint that may vanish in a power cut is worthless, whatever the
 /// per-record WAL policy says.
-fn stage(tmp: &Path, graph: &Graph, relabeling: Option<&Relabeling>, seq: u64) -> io::Result<()> {
+fn stage(tmp: &Path, graph: &Graph, seq: u64) -> io::Result<()> {
     let mut file = std::fs::File::create(tmp)?;
-    write_pcg_to(graph, relabeling, Some(seq), &mut file).map_err(io_err)?;
+    write_pcg_to(graph, Some(seq), &mut file).map_err(io_err)?;
     file.sync_data()
 }
 
@@ -392,7 +391,7 @@ mod tests {
         assert_eq!(report.warm, 1, "intact log reopens in place");
         assert!(report.unrecovered.is_empty());
         let recovered = store.snapshot("g").unwrap().graph;
-        let (expected, _, _) = reference.current();
+        let (expected, _) = reference.current();
         assert!(csr_bit_identical(&recovered, &expected));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -449,7 +448,7 @@ mod tests {
         // prev checkpoint is seq 0; both acknowledged records replay.
         assert_eq!(report.records_replayed, 2);
         let recovered = store.snapshot("g").unwrap().graph;
-        let (expected, _, _) = reference.current();
+        let (expected, _) = reference.current();
         assert!(csr_bit_identical(&recovered, &expected));
         // The dirty path re-checkpointed: a fresh intact era is on disk.
         let fresh = wal::replay(&paths.wal).unwrap();

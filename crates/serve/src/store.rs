@@ -97,8 +97,8 @@ struct WarmSlot {
     spec: String,
     /// Generation of the graph `partition` was computed on.
     generation: u64,
-    /// In the ids of the resident view (relabeled or not). Never changed
-    /// once stored, so runs and replies share it instead of copying it.
+    /// Never changed once stored, so runs and replies share it instead of
+    /// copying it.
     partition: Arc<Partition>,
     /// ω(C) and vol(C) of `partition` on the *current* CSR — nodes added
     /// since in their singletons, as a run started from it labels them —
@@ -107,9 +107,9 @@ struct WarmSlot {
     /// Endpoints of every edit folded in after `generation`, sorted, each
     /// once: the frontier of the next warm start.
     dirty: Vec<Node>,
-    /// `partition` as a reply's `partition` array holds it — in original
-    /// ids, comma-separated, without the brackets — once a detect has
-    /// asked for it; shared by every later reply of this partition.
+    /// `partition` as a reply's `partition` array holds it —
+    /// comma-separated, without the brackets — once a detect has asked
+    /// for it; shared by every later reply of this partition.
     text: Option<Arc<[u8]>>,
 }
 
@@ -142,11 +142,6 @@ pub struct GraphEntry {
     /// The resident graph: a plain CSR, or an overlay over the CSR the
     /// last compaction wrote.
     graph: Arc<Graph>,
-    /// When the resident CSR is a relabeled view (loaded from a `.pcg`
-    /// written with `--relabel`, or relabeled at load), the permutation
-    /// back to original ids. Detection handlers map partitions through it
-    /// before emission, so clients always see original ids.
-    relabeling: Option<Arc<Relabeling>>,
     pending: Vec<EdgeOp>,
     /// Bumped on every rebuild; lets clients correlate detection results
     /// with the graph version they ran against.
@@ -157,11 +152,6 @@ pub struct GraphEntry {
     /// The write-ahead log this entry appends to before acknowledging a
     /// batch; `None` when the daemon runs without `--state-dir`.
     wal: Option<WalWriter>,
-    /// Sticky flag: a rebuild dropped the relabeling permutation (the
-    /// mutated CSR no longer matches its degree order). Reported in batch
-    /// responses and stats so the 1.1–1.3× relabel win never vanishes
-    /// silently.
-    relabel_dropped: bool,
     /// Operations folded in since the last checkpoint; drives the
     /// automatic checkpoint cadence.
     ops_since_checkpoint: usize,
@@ -179,10 +169,6 @@ pub struct EntryStats {
     pub pending: usize,
     /// Current generation: the number of rebuilds since load.
     pub generation: u64,
-    /// Whether the resident CSR is a relabeled (cache-ordered) view.
-    pub relabeled: bool,
-    /// Whether a rebuild dropped a relabeling this entry once had.
-    pub relabel_dropped: bool,
     /// Sequence of the last acknowledged batch (WAL record when durable).
     pub seq: u64,
     /// Whether the entry appends to a write-ahead log.
@@ -203,8 +189,6 @@ pub struct EntryStats {
 pub struct Snapshot {
     /// The resident CSR, shared.
     pub graph: Arc<Graph>,
-    /// The permutation back to original ids while the view is relabeled.
-    pub relabeling: Option<Arc<Relabeling>>,
     /// Generation of `graph`.
     pub generation: u64,
     /// Buffered operations this snapshot folded in first (0 = none pending).
@@ -231,15 +215,23 @@ impl GraphEntry {
     /// A fresh entry at sequence 0 with no log attached. Public so the
     /// durability layer can persist an entry *before* it becomes visible
     /// in the store.
+    ///
+    /// `relabeling` is there for the benchmark, which binds
+    /// `GraphEntry::new(g, None)`; parcom itself always passes `None`.
+    /// `Some(r)` takes `graph` as a view relabeled by `r` and maps it back
+    /// to original ids as the `.pcg` reader does, so no entry ever holds a
+    /// permuted view.
     pub fn new(graph: Graph, relabeling: Option<Relabeling>) -> Self {
+        let graph = match relabeling {
+            Some(r) => r.inverse().apply(&graph),
+            None => graph,
+        };
         Self {
             graph: Arc::new(graph),
-            relabeling: relabeling.map(Arc::new),
             pending: Vec::new(),
             generation: 0,
             seq: 0,
             wal: None,
-            relabel_dropped: false,
             ops_since_checkpoint: 0,
             warm: Vec::new(),
         }
@@ -356,9 +348,7 @@ impl GraphEntry {
     /// also where the warm slots learn what changed: each keeps the folded
     /// edits' endpoints and patches its aggregates by them
     /// ([`CommunityAggregates::apply_edits`], O(|edits| · log d)), or is
-    /// dropped — when the relabeling is (node ids change under the cached
-    /// partition) or when too much of the graph is dirty
-    /// ([`WARM_DIRTY_SHARE`]).
+    /// dropped when too much of the graph is dirty ([`WARM_DIRTY_SHARE`]).
     pub fn rebuild(&mut self) {
         self.fold();
     }
@@ -393,25 +383,8 @@ impl GraphEntry {
         // A remove that wins on an out-of-range edge has nothing to remove.
         edits.retain(|&(_, v, w)| w.is_some() || (v as usize) < n_old);
         parcom_guard::faultpoint!("serve/store-rebuild");
-        // Edge operations arrive in *original* ids, so a relabeled CSR is
-        // un-relabeled before the fold and the relabeling dropped: the
-        // permutation is a load-time read optimization, and a mutated graph
-        // no longer matches the degree order it was converted under. The
-        // un-relabeled CSR is the base the overlay goes over.
-        let unrelabeled = self.relabeling.as_ref().map(|r| {
-            Arc::new(
-                Relabeling::from_new_of_old(r.old_of_new().to_vec())
-                    .expect("the inverse of a permutation is a permutation")
-                    .apply(&self.graph),
-            )
-        });
-        let base = unrelabeled.as_ref().unwrap_or(&self.graph);
-        let rebuilt = Graph::overlaid(base, n_new, &edits);
+        let rebuilt = Graph::overlaid(&self.graph, n_new, &edits);
         // Commit point: nothing above mutated the entry.
-        if self.relabeling.take().is_some() {
-            self.relabel_dropped = true;
-            self.warm.clear();
-        }
         let dirty_cap = n_new / WARM_DIRTY_SHARE;
         let touched: Vec<Node> = edits.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         self.warm.retain_mut(|slot| {
@@ -420,9 +393,9 @@ impl GraphEntry {
             slot.dirty.dedup();
             let keep = slot.dirty.len() <= dirty_cap;
             if let Some(agg) = slot.aggregates.as_mut().filter(|_| keep) {
-                // slots survive only an unrelabeled fold: `base` is the
-                // retiring CSR, weights before the edit
-                agg.apply_edits(&slot.partition, base, n_new, &edits);
+                // `self.graph` is still the retiring CSR: weights before
+                // the edit
+                agg.apply_edits(&slot.partition, &self.graph, n_new, &edits);
             }
             keep
         });
@@ -433,14 +406,9 @@ impl GraphEntry {
         footprint.overlay_entries * COMPACT_SHARE > footprint.base_entries && self.compact()
     }
 
-    /// The resident CSR (pending operations excluded), its relabeling (if
-    /// still valid), and its generation.
-    pub fn current(&self) -> (Arc<Graph>, Option<Arc<Relabeling>>, u64) {
-        (
-            Arc::clone(&self.graph),
-            self.relabeling.clone(),
-            self.generation,
-        )
+    /// The resident CSR (pending operations excluded) and its generation.
+    pub fn current(&self) -> (Arc<Graph>, u64) {
+        (Arc::clone(&self.graph), self.generation)
     }
 
     /// Folds the pending buffer and returns what a detection runs against.
@@ -453,11 +421,10 @@ impl GraphEntry {
         } else {
             started.elapsed().as_secs_f64() * 1e3
         };
-        let (graph, relabeling, generation) = self.current();
+        let (graph, generation) = self.current();
         Snapshot {
             overlay_rows: graph.footprint().overlay_rows,
             graph,
-            relabeling,
             generation,
             folded_ops,
             fold_ms,
@@ -560,8 +527,6 @@ impl GraphEntry {
             edges: self.graph.edge_count(),
             pending: self.pending.len(),
             generation: self.generation,
-            relabeled: self.relabeling.is_some(),
-            relabel_dropped: self.relabel_dropped,
             seq: self.seq,
             durable: self.wal.is_some(),
             warm: (self.warm.iter())
@@ -594,11 +559,10 @@ impl GraphStore {
         Self::default()
     }
 
-    /// Inserts (or replaces) a named graph, with the relabeling stored
-    /// alongside it when the graph is a relabeled view. Returns whether a
-    /// previous graph of that name was replaced.
-    pub fn insert(&self, name: &str, graph: Graph, relabeling: Option<Relabeling>) -> bool {
-        self.insert_entry(name, GraphEntry::new(graph, relabeling))
+    /// Inserts (or replaces) a named graph. Returns whether a previous
+    /// graph of that name was replaced.
+    pub fn insert(&self, name: &str, graph: Graph) -> bool {
+        self.insert_entry(name, GraphEntry::new(graph, None))
     }
 
     /// Inserts (or replaces) a pre-built entry — the durability layer
@@ -625,8 +589,7 @@ impl GraphStore {
 
     /// A consistent detection snapshot: flushes the entry's pending buffer
     /// (so the detection sees all acknowledged edits) and returns the CSR
-    /// as a cheap `Arc` clone plus its relabeling (when the view is still
-    /// relabeled) and generation. The entry lock is released before
+    /// as a cheap `Arc` clone plus its generation. The entry lock is released before
     /// detection starts — concurrent mutations build new CSRs while old
     /// snapshots keep running.
     pub fn snapshot(&self, name: &str) -> Option<Snapshot> {
@@ -672,7 +635,7 @@ mod tests {
     #[test]
     fn ops_apply_in_arrival_order() {
         let store = GraphStore::new();
-        store.insert("p", path_graph(4), None);
+        store.insert("p", path_graph(4));
         let entry = store.get("p").unwrap();
         {
             let mut e = entry.lock().unwrap();
@@ -698,7 +661,7 @@ mod tests {
     #[test]
     fn inserts_grow_the_node_range() {
         let store = GraphStore::new();
-        store.insert("p", path_graph(3), None);
+        store.insert("p", path_graph(3));
         let entry = store.get("p").unwrap();
         entry
             .lock()
@@ -713,7 +676,7 @@ mod tests {
     #[test]
     fn snapshot_flushes_and_eviction_keeps_snapshots_alive() {
         let store = GraphStore::new();
-        store.insert("p", path_graph(5), None);
+        store.insert("p", path_graph(5));
         let entry = store.get("p").unwrap();
         entry.lock().unwrap().buffer_ops([EdgeOp::Remove(0, 1)]);
         let snapshot = store.snapshot("p").unwrap();
@@ -762,36 +725,22 @@ mod tests {
     }
 
     #[test]
-    fn mutation_unrelabels_and_drops_the_relabeling() {
+    fn a_relabeled_view_enters_in_original_ids() {
         // A star so the degree order is not the identity: hub 3 gets new id 0.
         let g = GraphBuilder::from_edges(5, &[(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)]);
         let r = Relabeling::degree_ordered(&g);
-        let relabeled = r.apply(&g);
-        let store = GraphStore::new();
-        store.insert("s", relabeled, Some(r));
-        let unmutated = store.snapshot("s").unwrap();
-        assert!(
-            unmutated.relabeling.is_some(),
-            "unmutated snapshot keeps the relabeling"
-        );
-        assert_eq!((unmutated.folded_ops, unmutated.fold_ms), (0, 0.0));
-        assert!(store.get("s").unwrap().lock().unwrap().stats().relabeled);
+        let mut entry = GraphEntry::new(r.apply(&g), Some(r));
+        let (resident, _) = entry.current();
+        assert_eq!(resident.csr_view().targets, g.csr_view().targets);
 
         // Ops arrive in original ids: connect 2-4 and drop the 0-1 chord.
-        let entry = store.get("s").unwrap();
-        entry
-            .lock()
-            .unwrap()
-            .buffer_ops([EdgeOp::Insert(2, 4, 2.0), EdgeOp::Remove(0, 1)]);
+        entry.buffer_ops([EdgeOp::Insert(2, 4, 2.0), EdgeOp::Remove(0, 1)]);
         let Snapshot {
             graph: g2,
-            relabeling: rel,
             generation,
             ..
-        } = store.snapshot("s").unwrap();
+        } = entry.snapshot();
         assert_eq!(generation, 1);
-        assert!(rel.is_none(), "mutation invalidates the relabeling");
-        // The rebuilt CSR is back in original ids.
         assert_eq!(g2.edge_weight(2, 4), Some(2.0));
         assert!(!g2.has_edge(0, 1));
         assert!(g2.has_edge(3, 0));
@@ -808,7 +757,6 @@ mod tests {
         store.insert(
             "g",
             parcom_generators::lfr(parcom_generators::LfrParams::benchmark(600, 0.3), 3).0,
-            None,
         );
         let detect = |extra: &str| {
             let body = format!("{{\"graph\":\"g\",\"spec\":\"{spec}\"{extra}}}");
@@ -853,7 +801,7 @@ mod tests {
     #[test]
     fn weight_overwrite_replaces_instead_of_accumulating() {
         let store = GraphStore::new();
-        store.insert("p", path_graph(3), None);
+        store.insert("p", path_graph(3));
         let entry = store.get("p").unwrap();
         entry
             .lock()

@@ -128,7 +128,7 @@ fn detect(store: &GraphStore, spec: &str) -> Value {
 fn chain(steps: usize, seed: u64, exactness: Exactness, weight: &(dyn Fn(&mut Rng) -> f64 + Sync)) {
     let spec = format!("plp:seed={seed}");
     let store = GraphStore::new();
-    store.insert("g", lfr(LfrParams::benchmark(1500, 0.3), seed).0, None);
+    store.insert("g", lfr(LfrParams::benchmark(1500, 0.3), seed).0);
     let entry = store.get("g").unwrap();
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let first = detect(&store, &spec);

@@ -87,7 +87,7 @@ fn reference_csr_of(seed: &Graph, batches: &[Vec<EdgeOp>]) -> Graph {
     }
     entry.rebuild();
     entry.compact();
-    let (csr, _, _) = entry.current();
+    let (csr, _) = entry.current();
     Graph::clone(&csr)
 }
 

@@ -10,7 +10,9 @@
 mod util;
 
 use parcom_core::{CommunityDetector, DetectorSpec};
-use parcom_graph::relabel::Relabeling;
+use parcom_graph::parallel::with_threads;
+use parcom_graph::Relabeling;
+use parcom_guard::CancelToken;
 use parcom_obs::json::{self, Value};
 use parcom_serve::store::{EdgeOp, GraphEntry, WARM_SLOTS};
 use parcom_serve::{ServeConfig, Server, ServerCtx};
@@ -44,9 +46,9 @@ fn boot(tag: &str) -> (Arc<ServerCtx>, PathBuf) {
     })
     .unwrap();
     let ctx = server.ctx();
-    ctx.store.insert("slow", slow_graph(), None);
+    ctx.store.insert("slow", slow_graph());
     ctx.store
-        .insert("ring", parcom_generators::ring_of_cliques(4, 5).0, None);
+        .insert("ring", parcom_generators::ring_of_cliques(4, 5).0);
     std::thread::spawn(move || server.run());
     (ctx, socket)
 }
@@ -474,7 +476,7 @@ fn a_pcg_lying_about_its_edge_count_is_refused_without_touching_the_store() {
     .unwrap();
     let ctx = server.ctx();
     ctx.store
-        .insert("ring", parcom_generators::ring_of_cliques(4, 5).0, None);
+        .insert("ring", parcom_generators::ring_of_cliques(4, 5).0);
     std::thread::spawn(move || server.run());
 
     // m sits at header bytes 32..40; the header checksum follows the
@@ -575,7 +577,7 @@ fn lfr(n: usize) -> parcom_graph::Graph {
 #[test]
 fn detects_start_from_the_cached_result_until_something_invalidates_it() {
     let (ctx, socket) = boot("warm");
-    ctx.store.insert("g", lfr(2_000), None);
+    ctx.store.insert("g", lfr(2_000));
     let mut client = Client::connect(&socket);
 
     // nothing cached: cold, and the converged result becomes the base
@@ -666,7 +668,7 @@ fn detects_start_from_the_cached_result_until_something_invalidates_it() {
 #[test]
 fn specs_keep_their_own_slots_up_to_the_fixed_bound() {
     let (ctx, socket) = boot("slots");
-    ctx.store.insert("g", lfr(600), None);
+    ctx.store.insert("g", lfr(600));
     let mut client = Client::connect(&socket);
     let specs: Vec<String> = (1..=WARM_SLOTS + 1)
         .map(|s| format!("plp:seed={s}"))
@@ -706,59 +708,85 @@ fn specs_keep_their_own_slots_up_to_the_fixed_bound() {
     );
 }
 
+/// A state directory whose checkpoint is in the legacy relabeled layout
+/// (the graph hub-first, its permutation in section 6) recovers, WAL tail
+/// and all, to the graph and the answer a plain checkpoint of the same
+/// state gives: the reader maps the checkpoint back to original ids before
+/// the log, which speaks original ids, is replayed onto it.
 #[test]
-fn dropping_the_relabeling_drops_the_slots_with_it() {
-    let (ctx, socket) = boot("relabel");
+fn a_relabeled_checkpoint_recovers_like_a_plain_one() {
+    use parcom_serve::persist::{csr_bit_identical, Durability};
+    use parcom_serve::store::GraphStore;
+    use parcom_serve::wal::{FsyncPolicy, WalWriter};
+    let dir = std::env::temp_dir().join(format!("parcom_serve_legacy_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let g = lfr(600);
+    let batches = [
+        vec![EdgeOp::Insert(0, 300, 1.0), EdgeOp::Insert(1, 601, 2.5)],
+        vec![EdgeOp::Remove(0, 300), EdgeOp::Insert(2, 302, 1.0)],
+    ];
+    let recover = |tag: &str, relabeling: Option<&Relabeling>| {
+        let state = dir.join(tag);
+        std::fs::create_dir_all(&state).unwrap();
+        let paths = parcom_io::state_paths(&state, "g");
+        parcom_io::write_pcg(&g, relabeling, &paths.pcg).unwrap();
+        let mut wal = WalWriter::create(&paths.wal, 0, FsyncPolicy::Never).unwrap();
+        for ops in &batches {
+            wal.append(ops).unwrap();
+        }
+        drop(wal);
+        let store = GraphStore::new();
+        let durability = Durability::open(&state, FsyncPolicy::Never).unwrap();
+        let report = durability.recover(&store).unwrap();
+        assert_eq!((report.graphs, report.records_replayed), (1, 2), "{tag}");
+        let graph = store.snapshot("g").unwrap().graph;
+        // one thread: PLP on two is a race
+        let body = detect_body("g", PLP, "");
+        let (status, reply) = with_threads(1, || {
+            parcom_serve::handlers::detect(&store, body.as_bytes(), CancelToken::new())
+        });
+        assert_eq!(status, 200, "{reply}");
+        (graph, json::parse(&reply).unwrap())
+    };
     let r = Relabeling::degree_ordered(&g);
-    ctx.store.insert("r", r.apply(&g), Some(r));
-    let mut client = Client::connect(&socket);
-
-    // on the relabeled view the cache works in the view's ids, and the
-    // reply still speaks original ids
-    let first = detect(&mut client, "r", PLP, "");
-    let repeat = detect(&mut client, "r", PLP, "");
-    assert_eq!((base_of(&first), base_of(&repeat)), (None, Some(0)));
-    assert_eq!(repeat.get("partition"), first.get("partition"));
-
-    // the first mutation un-relabels the CSR: node ids change under the
-    // cached partition, so the next detect is cold — once
-    assert_eq!(edit(&mut client, "r", "\"insert\":[[0,300]]"), 1);
-    assert!(cached_specs(&mut client, "r").is_empty());
-    assert_eq!(base_of(&detect(&mut client, "r", PLP, "")), None);
-    assert_eq!(edit(&mut client, "r", "\"insert\":[[1,301]]"), 2);
-    assert_eq!(base_of(&detect(&mut client, "r", PLP, "")), Some(1));
+    assert_ne!(r.apply(&g).csr_view().targets, g.csr_view().targets);
+    let (plain, plain_reply) = recover("plain", None);
+    let (legacy, legacy_reply) = recover("legacy", Some(&r));
+    assert!(csr_bit_identical(&plain, &legacy));
+    assert_eq!(legacy.edge_weight(1, 601), Some(2.5));
+    assert!(!legacy.has_edge(0, 300) && legacy.has_edge(2, 302));
+    for key in ["nodes", "edges", "communities", "partition"] {
+        assert_eq!(plain_reply.get(key), legacy_reply.get(key), "{key}");
+        assert!(legacy_reply.get(key).is_some(), "{key}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The reply's `partition` array is the stored result in original ids,
-/// byte for byte what `core::fmt` makes of it.
+/// A `.pcg` in the legacy relabeled layout is PUT in original ids: the
+/// resident graph is the one it was written from, and the reply's
+/// `partition` array is the stored result, byte for byte what `core::fmt`
+/// makes of it.
 #[test]
 fn a_relabeled_entry_answers_its_partition_in_original_ids_as_core_fmt_renders_it() {
     let (ctx, socket) = boot("render");
     let path = std::env::temp_dir().join(format!("parcom_serve_render_{}.pcg", std::process::id()));
     let g = lfr(600);
-    let r = Relabeling::degree_ordered(&g);
-    parcom_io::write_pcg(&r.apply(&g), Some(&r), &path).unwrap();
+    parcom_io::write_pcg(&g, Some(&Relabeling::degree_ordered(&g)), &path).unwrap();
     let mut client = Client::connect(&socket);
     let body = format!("{{\"path\":\"{}\"}}", path.display());
     let (status, v) = client.request("PUT", "/graphs/pcg", &body);
     assert_eq!(status, 201, "{v:?}");
-    assert!(get_bool(&v, "relabeled"), "{v:?}");
+    assert!(v.get("relabeled").is_none(), "{v:?}");
+    let resident = ctx.store.snapshot("pcg").unwrap().graph;
+    assert!(parcom_serve::persist::csr_bit_identical(&resident, &g));
 
     let (status, text) = client.request_text("POST", "/detect", &detect_body("pcg", PLP, ""));
     assert_eq!(status, 200, "{text}");
-    let entry = ctx.store.get("pcg").unwrap();
-    let (stored, relabeling) = {
-        let entry = parcom_serve::store::lock_entry(&entry);
-        let (_, relabeling, _) = entry.current();
-        (entry.warm_start(PLP).unwrap().1.base, relabeling.unwrap())
-    };
-    let original = relabeling.to_original(&stored);
-    assert_ne!(original.as_slice(), stored.as_slice(), "the ids must move");
-    let labels: Vec<String> = original.as_slice().iter().map(|c| format!("{c}")).collect();
+    let stored = slot_partition(&ctx, "pcg", PLP);
+    let labels: Vec<String> = stored.as_slice().iter().map(|c| format!("{c}")).collect();
     let array = format!(",\"partition\":[{}]}}", labels.join(","));
     assert!(text.ends_with(&array), "{text}");
-    // the repeat answers from the slot's kept text, in original ids too
+    // the repeat answers from the slot's kept text
     let (status, repeat) = client.request_text("POST", "/detect", &detect_body("pcg", PLP, ""));
     assert_eq!(status, 200, "{repeat}");
     assert!(repeat.contains("\"base_generation\":0"), "{repeat}");
@@ -798,7 +826,7 @@ fn slot_partition(ctx: &ServerCtx, name: &str, spec: &str) -> Arc<parcom_graph::
 #[test]
 fn a_kept_reply_text_is_never_stale() {
     let (ctx, socket) = boot("text");
-    ctx.store.insert("g", lfr(2_000), None);
+    ctx.store.insert("g", lfr(2_000));
     let mut client = Client::connect(&socket);
     let detect_text = |client: &mut Client, extra: &str| {
         let (status, text) = client.request_text("POST", "/detect", &detect_body("g", PLP, extra));

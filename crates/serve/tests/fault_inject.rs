@@ -57,7 +57,7 @@ fn reference_csr_on(graph: Graph, batches: &[Vec<EdgeOp>]) -> Graph {
         entry.buffer_ops(ops.iter().copied());
     }
     entry.rebuild();
-    let (csr, _, _) = entry.current();
+    let (csr, _) = entry.current();
     Graph::clone(&csr)
 }
 
@@ -72,12 +72,12 @@ fn recovered_csr(dir: &std::path::Path) -> (Graph, usize) {
     let entry = store.get("g").unwrap();
     let mut entry = lock_entry(&entry);
     entry.rebuild();
-    let (csr, _, _) = entry.current();
+    let (csr, _) = entry.current();
     (Graph::clone(&csr), report.records_replayed)
 }
 
-/// A panic injected inside the CSR fold — after the un-relabeled builder
-/// is populated but before the commit point — must leave the resident
+/// A panic injected inside the CSR fold — after the edits are resolved
+/// but before the commit point — must leave the resident
 /// graph, the pending buffer, and the WAL exactly as they were, even
 /// though the entry's mutex is now poisoned.
 #[test]
@@ -110,13 +110,13 @@ fn panicked_rebuild_never_corrupts_the_resident_graph_or_wal() {
     assert_eq!(stats.generation, 0);
     assert_eq!(stats.pending, first.len());
     assert_eq!(locked.seq(), 1);
-    let (resident, _, _) = locked.current();
+    let (resident, _) = locked.current();
     assert!(csr_bit_identical(&resident, &seed_graph()));
 
     // With the fault gone the same entry folds cleanly...
     locked.rebuild();
     assert_eq!(locked.stats().generation, 1);
-    let (rebuilt, _, _) = locked.current();
+    let (rebuilt, _) = locked.current();
     drop(locked);
 
     // ...and the WAL it wrote before the poisoning still replays to the
@@ -303,7 +303,7 @@ fn cancel_at_rebuild_site_degrades_detection_without_corrupting_the_fold() {
     FaultPlan::arm("serve/store-rebuild", 1, FaultAction::Cancel(token.clone()));
 
     let store = GraphStore::new();
-    store.insert("g", seed_graph(), None);
+    store.insert("g", seed_graph());
     let entry = store.get("g").unwrap();
     let first = batch(0);
     {
@@ -319,7 +319,7 @@ fn cancel_at_rebuild_site_degrades_detection_without_corrupting_the_fold() {
     );
 
     // The fold committed a consistent CSR despite the cancellation.
-    let (csr, _, _) = lock_entry(&entry).current();
+    let (csr, _) = lock_entry(&entry).current();
     assert!(csr_bit_identical(&csr, &reference_csr(&[first])));
 
     // A detection holding the fired token degrades gracefully instead of

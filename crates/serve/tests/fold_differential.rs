@@ -12,7 +12,6 @@ use parcom_core::quality::modularity;
 use parcom_core::DetectorSpec;
 use parcom_generators::{lfr, rmat, LfrParams, RmatParams};
 use parcom_graph::parallel::with_threads;
-use parcom_graph::relabel::Relabeling;
 use parcom_graph::{Graph, GraphBuilder, Node};
 use parcom_serve::store::{EdgeOp, GraphEntry, COMPACT_SHARE};
 use std::collections::HashMap;
@@ -20,7 +19,7 @@ use std::collections::HashMap;
 /// The pre-delta-merge fold, verbatim apart from taking its inputs as
 /// arguments: last operation per edge wins, existing edges are replaced or
 /// dropped in one pass over the collected edge set, what remains is new.
-fn fold_reference(graph: &Graph, relabeling: Option<&Relabeling>, pending: &[EdgeOp]) -> Graph {
+fn fold_reference(graph: &Graph, pending: &[EdgeOp]) -> Graph {
     let mut delta: HashMap<(Node, Node), Option<f64>> = HashMap::with_capacity(pending.len());
     let mut max_node: Node = 0;
     for op in pending {
@@ -36,12 +35,6 @@ fn fold_reference(graph: &Graph, relabeling: Option<&Relabeling>, pending: &[Edg
         }
     }
     let mut edges = graph.par_collect_edges();
-    if let Some(r) = relabeling {
-        for e in edges.iter_mut() {
-            let (u, v) = (r.old_of_new()[e.0 as usize], r.old_of_new()[e.1 as usize]);
-            (e.0, e.1) = (u.min(v), u.max(v));
-        }
-    }
     edges.retain_mut(|(u, v, w)| match delta.remove(&(*u, *v)) {
         Some(Some(new_w)) => {
             *w = new_w;
@@ -186,7 +179,7 @@ fn degenerate_batches_match_the_reference_fold() {
         ),
     ];
     for (what, ops) in &cases {
-        let want = fold_reference(&base(), None, ops);
+        let want = fold_reference(&base(), ops);
         let entry = fold(&base(), std::slice::from_ref(ops), true);
         let stats = entry.stats();
         assert_eq!((stats.generation, stats.pending), (1, 0));
@@ -195,49 +188,11 @@ fn degenerate_batches_match_the_reference_fold() {
     }
 
     // Self-loop overwrite and remove against a loop that is already resident.
-    let with_loop = fold_reference(&base(), None, &[Insert(3, 3, 2.0)]);
+    let with_loop = fold_reference(&base(), &[Insert(3, 3, 2.0)]);
     for ops in [vec![Insert(3, 3, 7.0)], vec![Remove(3, 3)]] {
-        let want = fold_reference(&with_loop, None, &ops);
+        let want = fold_reference(&with_loop, &ops);
         let entry = fold(&with_loop, &[ops], true);
         assert_bit_identical(&entry.current().0, &want, "resident self-loop");
-    }
-}
-
-#[test]
-fn first_mutation_of_a_relabeled_entry_unrelabels_then_patches() {
-    // A star so the degree order is not the identity: hub 3 gets new id 0.
-    let original = GraphBuilder::from_weighted_edges(
-        6,
-        &[
-            (3, 0, 1.0),
-            (3, 1, 2.0),
-            (3, 2, 3.0),
-            (3, 4, 4.0),
-            (0, 1, 0.5),
-        ],
-    );
-    let r = Relabeling::degree_ordered(&original);
-    let relabeled = r.apply(&original);
-    // Ops arrive in original ids; one of them resolves to no change.
-    for ops in [
-        vec![
-            EdgeOp::Insert(2, 4, 2.0),
-            EdgeOp::Remove(0, 1),
-            EdgeOp::Insert(5, 8, 1.0),
-        ],
-        vec![EdgeOp::Remove(2, 4)],
-    ] {
-        let want = fold_reference(&relabeled, Some(&r), &ops);
-        let mut entry = GraphEntry::new(relabeled.clone(), Some(r.clone()));
-        assert!(entry.stats().relabeled);
-        entry.buffer_ops(ops);
-        entry.rebuild();
-        let (got, relabeling, generation) = entry.current();
-        assert!(relabeling.is_none(), "the fold drops the relabeling");
-        assert!(entry.stats().relabel_dropped);
-        assert_eq!(generation, 1);
-        assert_bit_identical(&got, &want, "relabeled entry");
-        assert_eq!(got.edge_weight(3, 2), Some(3.0), "ids are original again");
     }
 }
 
@@ -291,11 +246,11 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         let batches: Vec<Vec<EdgeOp>> = (0..4).map(|_| random_batch(&mut rng, g, &edges)).collect();
         let all: Vec<EdgeOp> = batches.concat();
-        let want = fold_reference(g, None, &all);
+        let want = fold_reference(g, &all);
         for threads in [1, 2, 4] {
             let what = format!("{name} t{threads}");
             with_threads(threads, || {
-                assert_bit_identical(&fold_reference(g, None, &all), &want, &what);
+                assert_bit_identical(&fold_reference(g, &all), &want, &what);
                 let once = fold(g, &batches, true);
                 let stepwise = fold(g, &batches, false);
                 assert_eq!(
@@ -305,21 +260,6 @@ fn random_batches_match_at_any_thread_count_and_fold_cadence() {
                 assert_same_rows(&stepwise.current().0, &want, &format!("{what} 4 folds"));
                 assert_bit_identical(&once.current().0, &want, &format!("{what} one fold"));
                 assert_bit_identical(&stepwise.current().0, &want, &format!("{what} 4 folds"));
-            });
-        }
-
-        // The relabeled view of the same instance: past the sequential
-        // cut-off of `Relabeling::apply`, so the un-relabel runs in parallel.
-        let r = Relabeling::degree_ordered(g);
-        let relabeled = r.apply(g);
-        for threads in [1, 2, 4] {
-            with_threads(threads, || {
-                let mut entry = GraphEntry::new(relabeled.clone(), Some(r.clone()));
-                entry.buffer_ops(batches[0].iter().copied());
-                entry.rebuild();
-                let want = fold_reference(&relabeled, Some(&r), &batches[0]);
-                let what = format!("{name} relabeled t{threads}");
-                assert_bit_identical(&entry.current().0, &want, &what);
             });
         }
     }
@@ -367,7 +307,7 @@ fn a_chain_of_folds_and_compactions_matches_the_reference() {
                 .collect(),
             _ => random_batch(&mut rng, &want, &edges),
         };
-        want = fold_reference(&want, None, &batch);
+        want = fold_reference(&want, &batch);
         entry.buffer_ops(batch);
         let snapshot = entry.snapshot();
         let what = format!("fold {step}");
@@ -415,7 +355,7 @@ fn a_unit_graph_stays_unit_until_a_weighted_insert_and_after_its_removal() {
                 })
                 .collect(),
         };
-        want = fold_reference(&want, None, &batch);
+        want = fold_reference(&want, &batch);
         entry.buffer_ops(batch);
         let snapshot = entry.snapshot();
         let what = format!("fold {step}");
@@ -472,7 +412,7 @@ fn overlay_chains_match_the_reference_after_every_fold() {
                     .collect()
             }
         };
-        want = fold_reference(&want, None, &batch);
+        want = fold_reference(&want, &batch);
         for op in &batch {
             let (EdgeOp::Insert(u, v, _) | EdgeOp::Remove(u, v)) = *op;
             touched.extend([u, v]);
